@@ -47,6 +47,7 @@ from .errors import (
     NegativeConstant,
     NeurocostError,
     NoRuleForOpKind,
+    NonFiniteConstant,
     NonFiniteInput,
     NonFiniteState,
     NonStochasticMatrix,

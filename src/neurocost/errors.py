@@ -150,6 +150,13 @@ class NegativeConstant(NeurocostError):
         self.value = value
 
 
+class NonFiniteConstant(NeurocostError):
+    def __init__(self, key: str, value: float):
+        super().__init__(f"constant {key!r} must be finite, got {value}")
+        self.key = key
+        self.value = value
+
+
 class UnknownPreset(NeurocostError):
     def __init__(self, name: str):
         super().__init__(f"unknown constants preset {name!r}")

@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -20,6 +21,7 @@ from .costs import ComparisonTable, CostConstants, PRESETS, preset
 from .errors import (
     FileSyntaxError,
     NegativeConstant,
+    NonFiniteConstant,
     SchemaError,
     UnknownKey,
     UnknownPreset,
@@ -134,7 +136,7 @@ def parse_config(text: str, base: CostConstants | None = None) -> CostConstants:
 
     Lines are `key = value` with `#` comments; a `preset = name` line
     picks the base (default "unit"). Keys must be cost-constant fields;
-    negative values are rejected.
+    NaN, infinite and negative values are rejected.
     """
     pairs: dict[str, tuple[str, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -160,6 +162,8 @@ def parse_config(text: str, base: CostConstants | None = None) -> CostConstants:
         except ValueError as exc:
             raise FileSyntaxError(f"bad numeric value for {key}: {value!r}",
                                   line=lineno) from exc
+        if not math.isfinite(parsed):
+            raise NonFiniteConstant(key, parsed)
         if parsed < 0:
             raise NegativeConstant(key, parsed)
         updates[key] = parsed

@@ -17,9 +17,20 @@ under the configured encoding. Digital encodings quantize the membrane to
 a two's-complement fixed-point word and measure change as Hamming
 distance; the analog encoding measures summed |dx|.
 
-Determinism: identical graph, encoding, seed, and inputs reproduce the
-trace bitwise. The engine draws no random numbers; the seed is carried
-for workload generators that do.
+Event core: outgoing synapses are compiled once into a CSR sorted stably
+by source (zero-weight synapses left out unless they are delivered).
+Emit gathers the synapses of all of a step's firing sources, in source
+order, with one CSR gather and appends one (targets, values) pair per
+distinct delay to the slot of the step it falls due. Delivery
+concatenates the due slot's pairs in append order and sums them into the
+input vector with one `np.bincount`. Summation order is part of the
+contract: each target's input is the left-to-right sum of its events in
+(emit step, source, synapse) order, never pre-summed at emit time, so
+traces stay bitwise stable.
+
+Determinism: identical graph, encoding and inputs reproduce the trace
+bitwise. The engine draws no random numbers; `init_sim` accepts a seed
+and ignores it.
 """
 
 from __future__ import annotations
@@ -72,6 +83,8 @@ class AnalogEncoding:
 
 
 EncodingMode = DigitalEncoding | AnalogEncoding
+
+_NO_INDEX = np.zeros(0, dtype=np.intp)
 
 _M1 = np.uint64(0x5555555555555555)
 _M2 = np.uint64(0x3333333333333333)
@@ -127,9 +140,14 @@ class SimTrace:
 
 
 class _CompiledNet:
-    """Index-based view of a NeuralGraph plus CSR outgoing synapses."""
+    """Index-based view of a NeuralGraph plus CSR outgoing synapses.
 
-    def __init__(self, ng: NeuralGraph):
+    Synapses are sorted stably by source, so each source's slice keeps
+    declaration order. Zero-weight synapses are left out unless they are
+    delivered.
+    """
+
+    def __init__(self, ng: NeuralGraph, deliver_zero_weight: bool = False):
         self.graph = ng
         self.ids = ng.neuron_ids
         self.index = {nid: i for i, nid in enumerate(self.ids)}
@@ -144,16 +162,17 @@ class _CompiledNet:
             (spec, np.asarray(idx, dtype=np.intp)) for spec, idx in groups.items()
         ]
 
-        order = sorted(range(len(ng.synapses)), key=lambda s: self.index[ng.synapses[s].source])
-        src_sorted = [self.index[ng.synapses[s].source] for s in order]
-        self.syn_target = np.array([self.index[ng.synapses[s].target] for s in order],
-                                   dtype=np.intp)
-        self.syn_weight = np.array([ng.synapses[s].weight for s in order], dtype=float)
-        self.syn_delay = np.array([ng.synapses[s].delay for s in order], dtype=np.int64)
+        syns, m = ng.synapses, len(ng.synapses)
+        source = np.fromiter((self.index[syn.source] for syn in syns), np.intp, m)
+        weight = np.fromiter((syn.weight for syn in syns), float, m)
+        kept = np.arange(m) if deliver_zero_weight else np.flatnonzero(weight)
+        order = kept[np.argsort(source[kept], kind="stable")]
+        self.syn_target = np.fromiter((self.index[syn.target] for syn in syns), np.intp, m)[order]
+        self.syn_weight = weight[order]
+        self.syn_delay = np.fromiter((syn.delay for syn in syns), np.int64, m)[order]
+        self.delays: list[int] = np.unique(self.syn_delay).tolist()  # distinct, ascending
         self.out_indptr = np.zeros(self.n + 1, dtype=np.intp)
-        for s in src_sorted:
-            self.out_indptr[s + 1] += 1
-        np.cumsum(self.out_indptr, out=self.out_indptr)
+        np.cumsum(np.bincount(source[kept], minlength=self.n), out=self.out_indptr[1:])
 
         self.input_idx = {self.index[nid] for nid in ng.input_neurons}
         self.output_idx = np.array([self.index[nid] for nid in ng.output_neurons],
@@ -167,11 +186,9 @@ class SimState:
     net: _CompiledNet
     x: np.ndarray
     t: int
-    rng_seed: int
     encoding: EncodingMode
     constants: CostConstants
-    deliver_zero_weight: bool
-    pending: dict[int, list[tuple[np.ndarray, np.ndarray]]]
+    pending: dict[int, list[tuple[np.ndarray, np.ndarray]]]  # due step -> pairs in append order
     armed: np.ndarray  # indices to evaluate at the first step, then empty
     last_y: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
@@ -190,9 +207,10 @@ def init_sim(ng: NeuralGraph, encoding: EncodingMode, seed: int,
 
     Neurons whose initial state already satisfies their firing condition
     are marked for evaluation on the first step; an event-driven engine
-    would otherwise never notice them.
+    would otherwise never notice them. `deliver_zero_weight` is compiled
+    into the synapse table; `seed` is unused (the engine is deterministic).
     """
-    net = _CompiledNet(ng)
+    net = _CompiledNet(ng, deliver_zero_weight)
     x = net.x0.copy()
     if not np.all(np.isfinite(x)):
         bad = net.ids[int(np.flatnonzero(~np.isfinite(x))[0])]
@@ -213,10 +231,8 @@ def init_sim(ng: NeuralGraph, encoding: EncodingMode, seed: int,
         net=net,
         x=x,
         t=0,
-        rng_seed=seed,
         encoding=encoding,
         constants=constants,
-        deliver_zero_weight=deliver_zero_weight,
         pending={},
         armed=np.array(sorted(armed), dtype=np.intp),
         last_y=np.zeros(net.n, dtype=float),
@@ -236,6 +252,13 @@ def _transfer_only(spec: NeuronSpec, x: np.ndarray) -> np.ndarray:
     return np.tanh(x)  # ann_tanh
 
 
+def _join(pairs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenate (index, value) array pairs in order; one pair passes through."""
+    if len(pairs) == 1:
+        return pairs[0]
+    return np.concatenate([p[0] for p in pairs]), np.concatenate([p[1] for p in pairs])
+
+
 def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> StepRecord:
     """Advance one step: deliver due events, evaluate touched neurons,
     enqueue emitted spikes, and account energy."""
@@ -243,11 +266,14 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
     t = s.t
 
     # 1. Deliver queued synaptic events due now, then external injections.
-    input_sum = np.zeros(net.n, dtype=float)
-    synaptic_events = 0
-    for targets, values in s.pending.pop(t, ()):
-        np.add.at(input_sum, targets, values)
-        synaptic_events += len(targets)
+    due = s.pending.pop(t, None)
+    if due is None:
+        input_sum = np.zeros(net.n, dtype=float)
+        synaptic_events = 0
+    else:
+        targets, values = _join(due)
+        input_sum = np.bincount(targets, weights=values, minlength=net.n)
+        synaptic_events = len(targets)
     for neuron_id, value in external_inputs:
         idx = net.index.get(neuron_id)
         if idx is None or idx not in net.input_idx:
@@ -259,13 +285,12 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
     has_input = input_sum != 0.0
     armed = s.armed
     if len(armed):
-        s.armed = np.array([], dtype=np.intp)
+        s.armed = _NO_INDEX
 
     # 2. Evaluate neurons with input, with a decay-visible change, or armed.
     new_x = s.x  # copy-on-write per group below
     y_now = np.zeros(net.n, dtype=float)
-    spike_idx: list[np.ndarray] = []
-    spike_y: list[np.ndarray] = []
+    spike_parts: list[tuple[np.ndarray, np.ndarray]] = []
     touched_count = 0
     delta_n = 0.0
     evaluated_any = False
@@ -285,7 +310,7 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
 
         armed_in_group = np.intersect1d(armed, idx, assume_unique=False) if len(armed) else None
         normal_idx = idx[group_eval]
-        transfer_idx = np.array([], dtype=np.intp)
+        transfer_idx = _NO_INDEX
         if armed_in_group is not None and len(armed_in_group):
             if spec.model_kind == "lif":
                 # Reset is part of the integration rule; a zero-input
@@ -300,24 +325,18 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
             new_x = s.x.copy()
             evaluated_any = True
 
-        eval_idx_parts: list[np.ndarray] = []
-        y_parts: list[np.ndarray] = []
-
+        parts: list[tuple[np.ndarray, np.ndarray]] = []
         if len(normal_idx):
             x_next, y = advance(spec, s.x[normal_idx], input_sum[normal_idx])
-            if not np.all(np.isfinite(x_next)):
+            if not np.isfinite(x_next).all():
                 bad = net.ids[int(normal_idx[int(np.flatnonzero(~np.isfinite(x_next))[0])])]
                 raise NonFiniteState(f"state of {bad!r} diverged at t={t}")
             new_x[normal_idx] = x_next
-            eval_idx_parts.append(normal_idx)
-            y_parts.append(y)
+            parts.append((normal_idx, y))
         if len(transfer_idx):
-            y = _transfer_only(spec, s.x[transfer_idx])
-            eval_idx_parts.append(transfer_idx)
-            y_parts.append(y)
+            parts.append((transfer_idx, _transfer_only(spec, s.x[transfer_idx])))
 
-        eval_idx = np.concatenate(eval_idx_parts)
-        y_all = np.concatenate(y_parts)
+        eval_idx, y_all = _join(parts)
         y_now[eval_idx] = y_all
 
         # 4. Change-of-state accounting under the configured encoding.
@@ -334,33 +353,37 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
             delta_n += float(diffs.sum())
 
         firing = y_all != 0.0
-        if np.any(firing):
-            spike_idx.append(eval_idx[firing])
-            spike_y.append(y_all[firing])
+        if firing.any():
+            spike_parts.append((eval_idx[firing], y_all[firing]))
 
-    # 3. Emit: every outgoing synapse of a firing neuron enqueues one event.
-    if spike_idx:
-        all_spikes = np.concatenate(spike_idx)
-        all_y = np.concatenate(spike_y)
-        order = np.argsort(all_spikes, kind="stable")
-        all_spikes = all_spikes[order]
-        all_y = all_y[order]
-        for src, y_val in zip(all_spikes, all_y):
-            lo, hi = net.out_indptr[src], net.out_indptr[src + 1]
-            if lo == hi:
-                continue
-            weights = net.syn_weight[lo:hi]
-            keep = slice(None) if s.deliver_zero_weight else weights != 0.0
-            targets = net.syn_target[lo:hi][keep]
-            if len(targets) == 0:
-                continue
-            values = weights[keep] * y_val
-            delays = net.syn_delay[lo:hi][keep]
-            for d in np.unique(delays):
-                sel = delays == d
-                s.pending.setdefault(t + int(d), []).append((targets[sel], values[sel]))
-        spike_count = int(len(all_spikes))
-        spike_ids = tuple(net.ids[int(i)] for i in all_spikes)
+    # 3. Emit: one CSR gather over every outgoing synapse of the firing
+    # sources, in (source, synapse) order, queued once per distinct delay.
+    if spike_parts:
+        spikes, spike_y = _join(spike_parts)
+        # One group's spikes are ascending, except on the first step, when
+        # armed transfers follow the group's integrated neurons.
+        if len(spike_parts) > 1 or len(armed):
+            order = np.argsort(spikes, kind="stable")
+            spikes, spike_y = spikes[order], spike_y[order]
+        lo = net.out_indptr[spikes]
+        lens = net.out_indptr[spikes + 1] - lo
+        ends = lens.cumsum()
+        if ends[-1]:
+            # Event k of source j reads synapse lo[j] + (k - first event of j).
+            pos = (lo - ends + lens).repeat(lens)
+            pos += np.arange(ends[-1])
+            targets = net.syn_target[pos]
+            values = net.syn_weight[pos]
+            values *= spike_y.repeat(lens)
+            if len(net.delays) == 1:
+                s.pending.setdefault(t + net.delays[0], []).append((targets, values))
+            else:
+                delays = net.syn_delay[pos]
+                for d in np.unique(delays):
+                    sel = delays == d
+                    s.pending.setdefault(t + int(d), []).append((targets[sel], values[sel]))
+        spike_count = int(len(spikes))
+        spike_ids = tuple(net.ids[int(i)] for i in spikes)
     else:
         spike_count = 0
         spike_ids = ()

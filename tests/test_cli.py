@@ -107,6 +107,17 @@ class TestSimulate:
         assert code == 3
         assert "reconciliation failed" in err
 
+    @pytest.mark.parametrize("command", [["simulate", FOOTNOTE, "--kick"],
+                                         ["analyze", FOOTNOTE]])
+    @pytest.mark.parametrize("line", ["e_voltage = nan", "e_spike = inf"])
+    def test_non_finite_constant_is_bad_input(self, capsys, tmp_path, command, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        code, _out, err = invoke(capsys, command + ["--config", str(cfg)])
+        assert code == 2
+        key = line.split(" =")[0]
+        assert f"constant {key!r} must be finite" in err
+
 
 class TestPartition:
     def test_dense_rows(self, capsys, tmp_path):

@@ -50,6 +50,9 @@ def test_constants_validation():
         CostConstants(n_core=0)
     with pytest.raises(ValueError):
         CostConstants(n_core=2.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="e_spike must be finite"):
+            CostConstants(e_spike=bad)
 
 
 # ---------------------------------------------------------------------- time

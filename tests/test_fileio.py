@@ -91,6 +91,12 @@ class TestConfig:
         assert exc.value.key == "e_spike"
         assert exc.value.value == -2.0
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value(self, value):
+        with pytest.raises(nc.NonFiniteConstant) as exc:
+            nc.parse_config(f"e_voltage = {value}")
+        assert exc.value.key == "e_voltage"
+
     @pytest.mark.parametrize("text", ["e_spike 2", "e_spike = abc", "n_core = 2.5"])
     def test_malformed_lines(self, text):
         with pytest.raises(nc.FileSyntaxError) as exc:

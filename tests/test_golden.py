@@ -1,0 +1,204 @@
+"""Golden trace digests: the simulator must reproduce recorded traces bit for bit.
+
+Each case builds a network, runs it, and hashes every StepRecord field,
+the output matrix, the firing-rate series, the total energy and the final
+membrane state with SHA-256 (floats by their exact hex form). The digests
+in GOLDEN were recorded with the per-source emit loop and `np.add.at`
+delivery that preceded the vectorized event core; any engine rewrite must
+reproduce them exactly.
+
+`PYTHONPATH=src python tests/test_golden.py` prints the digests of the
+engine on the path, one `name: digest` line per case.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+import pytest
+
+import neurocost as nc
+from conftest import make_footnote
+
+RANDOM_SPECS = (
+    nc.NeuronSpec("threshold_gate", v_thresh=0.3),
+    nc.NeuronSpec("ann_relu"),
+    nc.NeuronSpec("ann_tanh"),
+    nc.NeuronSpec("lif", v_thresh=1.0, v_reset=0.0, tau=4.0),
+    nc.NeuronSpec("lif", v_thresh=0.8, v_reset=-0.2),
+)
+ENCODINGS = {
+    "digital": nc.DigitalEncoding(word_width=12, scale=4.0),
+    "analog": nc.AnalogEncoding(),
+}
+
+
+def _hex(v: float) -> str:
+    return float(v).hex()
+
+
+def trace_digest(tr: nc.SimTrace, state: nc.SimState) -> str:
+    h = hashlib.sha256()
+    for rec in tr.records:
+        h.update(repr((
+            rec.t, rec.spikes, rec.spike_ids, rec.synaptic_events, rec.neurons_touched,
+            _hex(rec.delta_n), _hex(rec.e_voltage_term), _hex(rec.e_spikegen_term),
+            _hex(rec.e_synapse_term), _hex(rec.e_spike_term), _hex(rec.e_t),
+        )).encode())
+    for arr in (tr.outputs, tr.f_series, state.x):
+        h.update(repr((arr.dtype.str, arr.shape)).encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    h.update(repr((_hex(tr.e_n), tr.output_ids, tr.n_total)).encode())
+    return h.hexdigest()
+
+
+def _run(ng, encoding, steps, **kw):
+    state = nc.init_sim(ng, encoding, 0, **{
+        k: kw.pop(k) for k in ("constants", "deliver_zero_weight") if k in kw
+    })
+    return nc.run_sim(state, steps, **kw), state
+
+
+def _kick(ng, value=1.5):
+    return {0: tuple((nid, value) for nid in ng.input_neurons)}
+
+
+def case_footnote():
+    vg = nc.validate_graph(make_footnote())
+    ng, _ = nc.lower_graph(vg, nc.relay_rules({"sub", "mul", "pow"}))
+    return _run(ng, nc.AnalogEncoding(), 20, stop=nc.ZeroActivity(3), inputs=_kick(ng))
+
+
+def case_random_dag():
+    raw = nc.gen_random_dag(80, 0.08, ("add", "mul", "sub"), seed=5)
+    vg = nc.validate_graph(raw)
+    ng, _ = nc.lower_graph(vg, nc.relay_rules({"add", "mul", "sub"}))
+    return _run(ng, nc.DigitalEncoding(), 200, stop=nc.ZeroActivity(3),
+                inputs=_kick(ng), constants=nc.PRESETS["digital-skew"])
+
+
+def case_ff_layer():
+    rng = np.random.default_rng(11)
+    w = rng.uniform(-0.5, 1.0, size=(24, 16))
+    w[rng.random(w.shape) < 0.1] = 0.0
+    spec = nc.FFLayerSpec.from_arrays(w, rng.uniform(0.05, 0.6, size=24), 10)
+    ng = nc.gen_ff_layer(spec)
+    return _run(ng, nc.DigitalEncoding(), 30, inputs=nc.ff_input_schedule(spec))
+
+
+def case_mesh():
+    spec = nc.MeshSpec(m_s=64, k=4, m_t=10, dynamics=nc.Diffusion(0.5),
+                       init=nc.sinusoid_init(64, cycles=4))
+    _template, ng = nc.gen_mesh(spec)
+    return _run(ng, nc.AnalogEncoding(), 60)
+
+
+def case_loop():
+    return _run(nc.gen_self_exciting_loop(), nc.DigitalEncoding(), 50)
+
+
+def random_network(seed: int) -> nc.NeuralGraph:
+    """Cyclic network over every model kind: delays 1-4, about a tenth of
+    the weights exactly zero (half of those -0.0), about a third of the
+    neurons starting above their firing condition."""
+    rng = np.random.default_rng(seed)
+    n, n_syn = 30, 100
+    neurons = []
+    for i in range(n):
+        spec = RANDOM_SPECS[int(rng.integers(len(RANDOM_SPECS)))]
+        x0 = float(rng.uniform(-0.5, 1.5)) if rng.random() < 0.35 else 0.0
+        neurons.append((f"u{i}", spec, x0))
+    src = rng.integers(0, n, size=n_syn)
+    tgt = rng.integers(0, n, size=n_syn)
+    weight = rng.uniform(-1.0, 1.2, size=n_syn)
+    zero = rng.random(n_syn) < 0.1
+    weight[zero] = np.where(rng.random(n_syn) < 0.5, 0.0, -0.0)[zero]
+    delay = rng.integers(1, 5, size=n_syn)
+    synapses = tuple(
+        nc.SynapseSpec(f"u{int(a)}", f"u{int(b)}", float(w), int(d))
+        for a, b, w, d in zip(src, tgt, weight, delay)
+    )
+    return nc.NeuralGraph(
+        neurons=tuple(neurons),
+        synapses=synapses,
+        input_neurons=("u0", "u1", "u2", "u3"),
+        output_neurons=("u4", "u5", "u6"),
+    )
+
+
+def random_inputs(seed: int, steps: int) -> dict[int, tuple[tuple[str, float], ...]]:
+    rng = np.random.default_rng(seed + 1000)
+    schedule = {}
+    for t in range(steps):
+        if rng.random() < 0.3:
+            ids = rng.choice(4, size=int(rng.integers(1, 4)), replace=False)
+            schedule[t] = tuple((f"u{int(i)}", float(rng.uniform(-0.5, 2.0))) for i in ids)
+    return schedule
+
+
+def case_random(seed: int, encoding: str, deliver_zero_weight: bool):
+    return _run(random_network(seed), ENCODINGS[encoding], 40,
+                inputs=random_inputs(seed, 40), deliver_zero_weight=deliver_zero_weight)
+
+
+CASES = {
+    "footnote_kick": case_footnote,
+    "random_dag": case_random_dag,
+    "ff_layer": case_ff_layer,
+    "mesh": case_mesh,
+    "self_exciting_loop": case_loop,
+}
+for _seed in range(4):
+    for _enc in ENCODINGS:
+        for _dzw in (False, True):
+            CASES[f"random_s{_seed}_{_enc}_dzw{int(_dzw)}"] = (
+                lambda s=_seed, e=_enc, z=_dzw: case_random(s, e, z))
+
+GOLDEN: dict[str, str] = {
+    'ff_layer': '029cb247e1a819f628bac23070865d1bfa4fe59158552a0f3f43873653678dcc',
+    'footnote_kick': '69dc8723962b5a97f09b51ee72e207c86c0e5482a007225152549641038b4739',
+    'mesh': '3f39499499525f0aff38381a287216939ac83bda121e22e1a793655d534749a6',
+    'random_dag': '43cc73caa38ad1387af0f18d6fbb3fe428c4b0d09f88363f045aecd1b8f8ee10',
+    'random_s0_analog_dzw0': 'd61c8a5ced99fd4a311376df7284802bfe132e7b9b1636baa064949141167b30',
+    'random_s0_analog_dzw1': 'd622224a15ea8c1c96ec0223de496dc87fc89645173f5797935041c07932c30c',
+    'random_s0_digital_dzw0': 'edbf266abc1cec83cbb8931f4063599cb7260e3a7ce97e2a11dc9841e406e8d6',
+    'random_s0_digital_dzw1': '25ee0b6035c2aed4f261da886216cbad4aebda61e35d585824cd32eaa828e067',
+    'random_s1_analog_dzw0': '9eafd0b9677fa34c84340b337fabaa48ff757a85b48bd40a8487c0f336e09640',
+    'random_s1_analog_dzw1': '95d447df7e9c03a6a328224e2ed76f7e0174c1df9d46fa512ee5e85e22880972',
+    'random_s1_digital_dzw0': '4bb3b5ba8f39990f283cc9f454ced9dc045685bc4896a042728eca27eb7436d5',
+    'random_s1_digital_dzw1': 'a2c656525e65994282742d84f54da16544ba29dd2f91aa0e97ead56767a0b99d',
+    'random_s2_analog_dzw0': '62c87594f60d5bdcc2e8cacff34a7fdb4639fbfb73682e1eff4b97956a57b5fe',
+    'random_s2_analog_dzw1': 'b3108ce94f38cc408cb622c8bffe71b1b4bde537d55e48fecc4f04732dfe23a7',
+    'random_s2_digital_dzw0': 'bbb1683aad6b7f899be1e6f5a8af1e3c3556272a70515072d05d446b20e6da93',
+    'random_s2_digital_dzw1': 'f6f1fe6b1c841d2f1f50760355068c8f10fa6d9b42435963bb42f4c1c470ec21',
+    'random_s3_analog_dzw0': 'd7e7da48781788f9438fec52c354fb057d5902eeab2b1fb70598593ee678181b',
+    'random_s3_analog_dzw1': 'e0c86cfa1f9ace377de6e0d72447888dc4632e7110e341a80acaf09682020036',
+    'random_s3_digital_dzw0': '635f859145c68b72681a4c1e2e17503ec0bfda0496337a350f51b1d39aec4acd',
+    'random_s3_digital_dzw1': 'aed0892bca6c3fc9d407cb6133f034a2dfd3c0fcd3b6003102a33c3f2c9ccff0',
+    'self_exciting_loop': '827db37041ae6a013d361f6404ae1dee9efabac390a05b30b08585124533fac4',
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_trace_matches_golden_digest(name):
+    tr, state = CASES[name]()
+    assert trace_digest(tr, state) == GOLDEN[name]
+
+
+def test_random_networks_exercise_multi_delay_and_zero_weights():
+    # The digests only protect the multi-delay and zero-weight paths if the
+    # random runs actually carry events over them.
+    ng = random_network(0)
+    assert {s.delay for s in ng.synapses} == {1, 2, 3, 4}
+    assert any(s.weight == 0.0 for s in ng.synapses)
+    tr, _ = case_random(0, "analog", True)
+    tr_filtered, _ = case_random(0, "analog", False)
+    assert sum(r.synaptic_events for r in tr.records) > 100
+    assert (sum(r.synaptic_events for r in tr.records)
+            != sum(r.synaptic_events for r in tr_filtered.records))
+
+
+if __name__ == "__main__":
+    for case_name in sorted(CASES):
+        print(f"    {case_name!r}: {trace_digest(*CASES[case_name]())!r},")

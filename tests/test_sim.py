@@ -151,6 +151,29 @@ class TestStepAccounting:
         assert tr.outputs.tolist() == [[0.0], [1.0], [0.0], [0.0]]
         assert tr.f_series.tolist() == [0.5, 0.5, 0.0, 0.0]
 
+    def test_delivery_sums_in_emit_order(self):
+        # A fires at t=0 over a 2-step delay, B and C at t=1 over 1 step:
+        # all three events reach T at t=2. Left-to-right summation in
+        # (emit step, source) order gives 4.0 (3 + 1e16 rounds up to the
+        # even neighbour); pre-summing each emit step would give 3.0.
+        relu = nc.NeuronSpec(model_kind="ann_relu")
+        ng = nc.NeuralGraph(
+            neurons=tuple((nid, relu, 0.0) for nid in ("A", "B", "C", "T")),
+            synapses=(nc.SynapseSpec("A", "T", 3.0, 2),
+                      nc.SynapseSpec("B", "T", 1e16, 1),
+                      nc.SynapseSpec("C", "T", -1e16, 1)),
+            input_neurons=("A", "B", "C"),
+            output_neurons=("T",),
+        )
+        inputs = {0: (("A", 1.0),), 1: (("B", 1.0), ("C", 1.0))}
+        tr = run(ng, 3, inputs=inputs)
+        expected = 0.0
+        for value in (3.0, 1e16, -1e16):
+            expected += value
+        assert expected == 4.0
+        assert tr.records[2].synaptic_events == 3
+        assert tr.outputs[2].tolist() == [expected]
+
 
 class TestDigitalEncoding:
     def test_word_transition_bit_counts(self):
