@@ -147,7 +147,7 @@ from .workloads import (
     reference_mesh_solve,
     sinusoid_init,
 )
-from .cli import (
+from .sweep import (
     SWEEP_COLUMNS,
     RegressionResult,
     SweepRow,

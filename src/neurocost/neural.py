@@ -18,6 +18,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -59,7 +60,7 @@ class NeuronSpec:
         if self.model_kind == "lif" and not self.v_reset < self.v_thresh:
             raise ValueError("lif requires v_reset < v_thresh")
 
-    @property
+    @cached_property
     def decay_factor(self) -> float:
         return math.exp(-self.dt / self.tau)
 

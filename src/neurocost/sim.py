@@ -43,6 +43,7 @@ import numpy as np
 
 from .costs import PRESETS, CostConstants
 from .errors import (
+    EmptyGraph,
     MismatchDetected,
     NonFiniteInput,
     NonFiniteState,
@@ -209,7 +210,10 @@ def init_sim(ng: NeuralGraph, encoding: EncodingMode, seed: int,
     are marked for evaluation on the first step; an event-driven engine
     would otherwise never notice them. `deliver_zero_weight` is compiled
     into the synapse table; `seed` is unused (the engine is deterministic).
+    Raises EmptyGraph for a network without neurons.
     """
+    if not ng.neurons:
+        raise EmptyGraph("network has no neurons")
     net = _CompiledNet(ng, deliver_zero_weight)
     x = net.x0.copy()
     if not np.all(np.isfinite(x)):

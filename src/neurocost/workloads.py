@@ -9,7 +9,8 @@ tests:
 * a dense feed-forward layer (vector-matrix multiply plus nonlinearity)
   driven by deterministic rate-coded spike trains.
 
-The mesh oracle is a dense matrix iteration; the spiking version is
+The mesh oracle iterates the sparse rows of the coupling matrix, so it
+costs O(m_s * k) memory like the network itself; the spiking version is
 compared against it by decoding membrane state back to mesh values.
 """
 
@@ -122,50 +123,48 @@ def _check_dtmc(spec: MeshSpec, p: np.ndarray) -> None:
             f"mesh point {worst} couples to {int(off_diag[worst])} neighbors, limit is k={spec.k}")
 
 
-def coupling_matrix(spec: MeshSpec) -> np.ndarray:
-    """The row-stochastic update matrix W with x(t+1) = x(t) @ W."""
+def _coupling_rows(spec: MeshSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzeros of the update matrix W as (rows, cols, vals), row by row
+    with columns ascending: O(m_s * k) for a diffusion ring (1 - alpha on
+    the diagonal, alpha/k on each ring offset), the nonzeros of the
+    validated matrix for a chain."""
     if isinstance(spec.dynamics, Dtmc):
         p = spec.dynamics.as_array()
         _check_dtmc(spec, p)
-        return p
-    alpha = spec.dynamics.alpha
-    if spec.m_s == 1:
-        _ring_offsets(spec)
-        return np.ones((1, 1))
+        rows, cols = np.nonzero(p)
+        return rows, cols, p[rows, cols]
     offsets = _ring_offsets(spec)
+    if spec.m_s == 1:
+        return np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp), np.ones(1)
+    point = np.arange(spec.m_s)[:, None]
+    cols = np.sort((point + np.array([0] + offsets)) % spec.m_s, axis=1)
+    vals = np.where(cols == point, 1.0 - spec.dynamics.alpha, spec.dynamics.alpha / spec.k)
+    return np.repeat(point.ravel(), spec.k + 1), cols.ravel(), vals.ravel()
+
+
+def coupling_matrix(spec: MeshSpec) -> np.ndarray:
+    """The row-stochastic update matrix W with x(t+1) = x(t) @ W.
+
+    Dense, O(m_s^2), for inspection only; the generator and the oracle
+    work on the sparse rows it is built from.
+    """
+    rows, cols, vals = _coupling_rows(spec)
     w = np.zeros((spec.m_s, spec.m_s))
-    np.fill_diagonal(w, 1.0 - alpha)
-    share = alpha / spec.k
-    for i in range(spec.m_s):
-        for off in offsets:
-            w[i, (i + off) % spec.m_s] += share
+    w[rows, cols] = vals
     return w
 
 
 def reference_mesh_solve(spec: MeshSpec) -> np.ndarray:
-    """Dense oracle: iterate the update matrix for m_t steps.
+    """Oracle: iterate x <- x @ W for m_t steps over the sparse rows of W.
 
     Returns an (m_t + 1, m_s) array whose row t is the state after t
     steps; row 0 is the initial state.
     """
-    if isinstance(spec.dynamics, Dtmc):
-        w = spec.dynamics.as_array()
-        _check_dtmc(spec, w)
-    else:
-        alpha = spec.dynamics.alpha
-        if spec.m_s > 1:
-            offsets = _ring_offsets(spec)
-            neighbor = np.zeros((spec.m_s, spec.m_s))
-            for off in offsets:
-                neighbor += np.roll(np.eye(spec.m_s), off, axis=1)
-            w = (1.0 - alpha) * np.eye(spec.m_s) + (alpha / spec.k) * neighbor
-        else:
-            _ring_offsets(spec)
-            w = np.ones((1, 1))
+    rows, cols, vals = _coupling_rows(spec)
     series = np.empty((spec.m_t + 1, spec.m_s))
     series[0] = np.asarray(spec.init, dtype=float)
     for t in range(spec.m_t):
-        series[t + 1] = series[t] @ w
+        series[t + 1] = np.bincount(cols, weights=series[t][rows] * vals, minlength=spec.m_s)
     return series
 
 
@@ -220,7 +219,7 @@ def gen_mesh(spec: MeshSpec) -> tuple[ComputeGraph, NeuralGraph]:
         declared_outputs=("update",),
     )
 
-    w = coupling_matrix(spec)
+    rows, cols, vals = _coupling_rows(spec)
     equilibrium = mesh_equilibrium(spec)
     deviation = np.asarray(spec.init, dtype=float) - equilibrium
     pos_ids, neg_ids = rail_ids(spec)
@@ -235,12 +234,12 @@ def gen_mesh(spec: MeshSpec) -> tuple[ComputeGraph, NeuralGraph]:
         for j in range(spec.n_mesh - 2):
             neurons.append((f"r{i}_{j}", rail, 0.0))
 
+    # One threshold quantum scaled by each coupling weight, row i then
+    # column j ascending, the pos rail before the neg rail.
     synapses: list[SynapseSpec] = []
-    for i in range(spec.m_s):
-        for j in np.nonzero(w[i])[0]:
-            quantum = spec.v_thresh * float(w[i, j])
-            synapses.append(SynapseSpec(pos_ids[i], pos_ids[int(j)], quantum))
-            synapses.append(SynapseSpec(neg_ids[i], neg_ids[int(j)], quantum))
+    for i, j, quantum in zip(rows.tolist(), cols.tolist(), (spec.v_thresh * vals).tolist()):
+        synapses.append(SynapseSpec(pos_ids[i], pos_ids[j], quantum))
+        synapses.append(SynapseSpec(neg_ids[i], neg_ids[j], quantum))
 
     network = NeuralGraph(
         neurons=tuple(neurons),
@@ -253,12 +252,11 @@ def gen_mesh(spec: MeshSpec) -> tuple[ComputeGraph, NeuralGraph]:
 
 def decode_mesh_state(spec: MeshSpec, state: SimState) -> np.ndarray:
     """Read the mesh values back out of rail membranes."""
-    equilibrium = mesh_equilibrium(spec)
     pos_ids, neg_ids = rail_ids(spec)
-    decoded = equilibrium.copy()
-    for i in range(spec.m_s):
-        decoded[i] += state.membrane(pos_ids[i]) - state.membrane(neg_ids[i])
-    return decoded
+    index = state.net.index
+    pos = np.fromiter((index[nid] for nid in pos_ids), np.intp, spec.m_s)
+    neg = np.fromiter((index[nid] for nid in neg_ids), np.intp, spec.m_s)
+    return mesh_equilibrium(spec) + (state.x[pos] - state.x[neg])
 
 
 def sinusoid_init(m_s: int, amplitude: float = 1.0, mean: float = 1.0,

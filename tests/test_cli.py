@@ -1,9 +1,14 @@
-"""Command-line interface tests, run in-process against main()."""
+"""Command-line interface tests, run in-process against main(), plus the
+module entry points in a subprocess."""
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +35,15 @@ class TestTopLevel:
         code, out, _err = invoke(capsys, ["--help"])
         assert code == 0
         assert "analyze" in out and "sweep" in out
+
+    @pytest.mark.parametrize("module", ["neurocost", "neurocost.cli"])
+    def test_module_entry_point_warns_nothing(self, module):
+        env = dict(os.environ, PYTHONPATH=str(Path(nc.__file__).resolve().parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", module, "--help"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "usage: neurocost" in proc.stdout
 
 
 class TestAnalyze:

@@ -48,6 +48,13 @@ def test_decay_factor():
     assert spec.decay_factor == pytest.approx(math.exp(-1.0 / 3.0), abs=0)
 
 
+def test_decay_factor_is_computed_once():
+    spec = NeuronSpec("lif", v_thresh=1.0, tau=3.0, dt=1.0)
+    assert spec.decay_factor is spec.decay_factor
+    assert spec == NeuronSpec("lif", v_thresh=1.0, tau=3.0, dt=1.0)
+    assert hash(spec) == hash(NeuronSpec("lif", v_thresh=1.0, tau=3.0, dt=1.0))
+
+
 def _oracle_step(spec: NeuronSpec, x: float, u: float) -> tuple[float, float]:
     """Independent transfer-table implementation of the four models."""
     if spec.model_kind == "threshold_gate":

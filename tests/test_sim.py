@@ -228,6 +228,11 @@ class TestDigitalEncoding:
 
 
 class TestRunControl:
+    def test_empty_network_is_named_error(self):
+        empty = nc.NeuralGraph(neurons=(), synapses=())
+        with pytest.raises(nc.EmptyGraph):
+            nc.init_sim(empty, nc.AnalogEncoding(), 0)
+
     def test_max_steps_validation(self):
         ng = two_neuron(2.0)
         state = nc.init_sim(ng, nc.AnalogEncoding(), 0)

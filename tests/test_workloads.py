@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -248,3 +250,79 @@ class TestSelfExcitingLoop:
         tr = nc.run_sim(nc.init_sim(ng, nc.AnalogEncoding(), 0), 40)
         assert [r.spikes for r in tr.records] == [1] * 40
         assert tr.e_n == 2.0 + 3.0 * 39
+
+
+def _dense_solve(spec):
+    """x <- x @ W on the dense coupling matrix, the oracle's reference."""
+    w = nc.coupling_matrix(spec)
+    series = [np.asarray(spec.init, dtype=float)]
+    for _ in range(spec.m_t):
+        series.append(series[-1] @ w)
+    return np.array(series)
+
+
+def _ring_cases():
+    for m_s in (1, 3, 4, 8, 33):
+        for k in ((0,) if m_s == 1 else range(2, m_s, 2)):
+            for alpha in (0.5, 0.3):
+                yield m_s, k, alpha
+
+
+_CHAINS = [((0.5, 0.5), (0.1, 0.9)), ((1.0, 0.0), (0.0, 1.0))]
+
+
+class TestSparseMesh:
+    @pytest.mark.parametrize("m_s,k,alpha", list(_ring_cases()))
+    def test_oracle_matches_dense_ring(self, m_s, k, alpha):
+        init = nc.sinusoid_init(m_s, amplitude=0.7, mean=1.0, cycles=max(1, m_s // 4))
+        spec = ring_spec(m_s, init, m_t=15, alpha=alpha, k=k)
+        ref = reference_mesh_solve(spec)
+        assert ref.shape == (16, m_s)
+        assert np.max(np.abs(ref - _dense_solve(spec))) <= 1e-12
+
+    @pytest.mark.parametrize("matrix", _CHAINS)
+    def test_oracle_matches_dense_chain(self, matrix):
+        spec = nc.MeshSpec(m_s=2, k=2, m_t=30, dynamics=Dtmc(matrix),
+                           init=(3.0, 1.0), v_thresh=0.05)
+        assert np.max(np.abs(reference_mesh_solve(spec) - _dense_solve(spec))) <= 1e-12
+
+    @pytest.mark.parametrize("spec", [
+        ring_spec(33, nc.sinusoid_init(33, cycles=3), k=6, alpha=0.3),
+        ring_spec(8, (1.0, 0.0) * 4, k=4),
+        ring_spec(1, (2.0,), k=0),
+        nc.MeshSpec(m_s=2, k=2, m_t=5, dynamics=Dtmc(_CHAINS[0]), init=(3.0, 1.0)),
+        nc.MeshSpec(m_s=2, k=2, m_t=5, dynamics=Dtmc(_CHAINS[1]), init=(3.0, 1.0)),
+    ])
+    def test_gen_mesh_matches_dense_rows(self, spec):
+        w = nc.coupling_matrix(spec)
+        pos, neg = rail_ids(spec)
+        synapses = []
+        for i in range(spec.m_s):
+            for j in np.nonzero(w[i])[0]:
+                quantum = spec.v_thresh * float(w[i, j])
+                synapses.append(nc.SynapseSpec(pos[i], pos[int(j)], quantum))
+                synapses.append(nc.SynapseSpec(neg[i], neg[int(j)], quantum))
+        _, ng = nc.gen_mesh(spec)
+        assert ng == nc.NeuralGraph(neurons=ng.neurons, synapses=tuple(synapses))
+
+    def test_decode_matches_membrane_loop(self):
+        spec = ring_spec(16, nc.sinusoid_init(16, amplitude=1.0, cycles=2), k=4)
+        _, ng = nc.gen_mesh(spec)
+        state = nc.init_sim(ng, nc.AnalogEncoding(), 0)
+        nc.run_sim(state, 7)
+        pos, neg = rail_ids(spec)
+        expected = mesh_equilibrium(spec)
+        for i in range(spec.m_s):
+            expected[i] += state.membrane(pos[i]) - state.membrane(neg[i])
+        assert decode_mesh_state(spec, state).tolist() == expected.tolist()
+
+    def test_oracle_memory_is_linear(self):
+        # a dense 8192 x 8192 W alone would take 537 MB
+        spec = ring_spec(8192, nc.sinusoid_init(8192, cycles=64), m_t=4, k=4)
+        tracemalloc.start()
+        try:
+            reference_mesh_solve(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
