@@ -22,6 +22,7 @@ from .costs import (
     conventional_energy,
     conventional_space,
     conventional_time,
+    energy_terms,
     ff_cost_report,
     mesh_cost_report,
     nmc_energy_per_step,

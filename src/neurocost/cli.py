@@ -12,6 +12,9 @@ Subcommands:
 * sweep     — run a workload across a swept parameter, emit per-point
               rows, and fit a log-log regression
 
+Every subcommand but sweep takes the graph file as its positional GRAPH,
+and each declares only the options it reads.
+
 Exit codes: 0 success, 1 usage error, 2 input error, 3 reconciliation
 failure. The environment variable NEUROCOST_PRESET_DIR adds a directory
 of extra constants presets.
@@ -45,30 +48,22 @@ from .fileio import (
     load_constants,
     parse_graph_file,
 )
-from .graph import compute_metrics, list_schedule, validate_graph
-from .neural import count_resources, lower_graph, relay_rules
+from .graph import ValidatedGraph, compute_metrics, list_schedule, validate_graph
+from .neural import count_resources, lower_graph
 from .sim import DigitalEncoding, ZeroActivity, init_sim, reconcile_energy, run_sim
 from .sweep import SWEEP_COLUMNS, SWEEP_WORKLOADS, SweepSpec, run_sweep
 from .threads import partition_isomorphic, thread_efficiency
 
 
-def _load_graph_text(name: str) -> str:
-    """Read a graph file from disk, falling back to the bundled data
+def _load_graph(args: argparse.Namespace) -> ValidatedGraph:
+    """Parse and validate the GRAPH file, falling back to the bundled data
     directory so the shipped examples work by bare name."""
-    path = Path(name)
-    if path.is_file():
-        return path.read_text(encoding="utf-8")
-    bundled = resources.files("neurocost").joinpath("data").joinpath(Path(name).name)
-    if bundled.is_file():
-        return bundled.read_text(encoding="utf-8")
-    raise FileNotFoundError(f"graph file not found: {name}")
-
-
-def _graph_arg(args: argparse.Namespace) -> str:
-    name = args.graph_pos or args.graph
-    if not name:
-        raise FileNotFoundError("no graph file given (positional or --graph)")
-    return name
+    path = Path(args.graph)
+    if not path.is_file():
+        path = resources.files("neurocost").joinpath("data").joinpath(path.name)
+        if not path.is_file():
+            raise FileNotFoundError(f"graph file not found: {args.graph}")
+    return validate_graph(parse_graph_file(path.read_text(encoding="utf-8")))
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -80,24 +75,18 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     constants = load_constants(args.preset, args.config)
-    vg = validate_graph(parse_graph_file(_load_graph_text(_graph_arg(args))))
+    vg = _load_graph(args)
     m = compute_metrics(vg)
-    p = args.p if args.p else 1
+    p = 1 if args.p is None else args.p
     sched = list_schedule(vg, p)
     cpu = conventional_time(m, p)
-
-    print(f"nodes={m.t1}")
-    print(f"t1={m.t1}")
-    print(f"t_inf={m.t_inf}")
-    print(f"t_p={sched.t_p} (list schedule, p={p})")
-    print(f"cpu bounds [{cpu.lower},{cpu.upper}]")
-
-    kinds = {node.op_kind for node in vg.nodes}
-    ng, _am = lower_graph(vg, relay_rules(kinds))
+    ng, _am = lower_graph(vg)
     r = count_resources(ng)
-    print(f"n_total={r.n_total} s_total={r.s_total}")
 
     worst_step = nmc_energy_per_step(r, constants, f_t=1.0)
+    nmc_energy = EnergyEstimate(total=worst_step.total * m.t_inf,
+                                breakdown={"per_step_worst_case": worst_step.total,
+                                           "steps": float(m.t_inf)})
     rows = [
         ComparisonRow(
             architecture="conventional",
@@ -105,24 +94,25 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             space=conventional_space(constants, p, program_size=m.t1, data_size=m.t1),
             energy=conventional_energy(m, constants),
         ),
-        ComparisonRow(
-            architecture="nmc_ideal",
-            time=nmc_time(m),
-            space=nmc_space(r, m, constants),
-            energy=EnergyEstimate(total=worst_step.total * m.t_inf,
-                                  breakdown={"per_step_worst_case": worst_step.total,
-                                             "steps": float(m.t_inf)}),
-        ),
+        ComparisonRow(architecture="nmc_ideal", time=nmc_time(m),
+                      space=nmc_space(r, m, constants), energy=nmc_energy),
     ]
-    if args.ncore:
+    if args.ncore is not None:
         rows.append(ComparisonRow(
             architecture="nmc_realized",
             time=nmc_time(m, n_core=args.ncore),
             space=nmc_space(r, m, constants, n_core=args.ncore),
-            energy=rows[-1].energy,
+            energy=nmc_energy,
         ))
     table = ComparisonTable(workload="graph", rows=tuple(rows),
                             params={"p": p, "n_core": args.ncore or 0})
+
+    print(f"nodes={m.t1}")
+    print(f"t1={m.t1}")
+    print(f"t_inf={m.t_inf}")
+    print(f"t_p={sched.t_p} (list schedule, p={p})")
+    print(f"cpu bounds [{cpu.lower},{cpu.upper}]")
+    print(f"n_total={r.n_total} s_total={r.s_total}")
     print()
     print(f"{'architecture':<14}{'time':<18}{'space':<26}energy")
     for row in table.rows:
@@ -136,9 +126,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_lower(args: argparse.Namespace) -> int:
-    vg = validate_graph(parse_graph_file(_load_graph_text(_graph_arg(args))))
-    kinds = {node.op_kind for node in vg.nodes}
-    ng, am = lower_graph(vg, relay_rules(kinds))
+    ng, am = lower_graph(_load_graph(args))
     r = count_resources(ng, am)
     print(f"n_total={r.n_total} s_total={r.s_total} "
           f"n_bar={r.n_bar!r} s_bar={r.s_bar!r}")
@@ -148,37 +136,32 @@ def _cmd_lower(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     constants = load_constants(args.preset, args.config)
-    vg = validate_graph(parse_graph_file(_load_graph_text(_graph_arg(args))))
-    kinds = {node.op_kind for node in vg.nodes}
-    ng, _am = lower_graph(vg, relay_rules(kinds))
-    state = init_sim(ng, DigitalEncoding(), args.seed, constants)
+    ng, _am = lower_graph(_load_graph(args))
+    state = init_sim(ng, DigitalEncoding(), seed=0, constants=constants)
     schedule = None
     if args.kick:
         schedule = {0: tuple((nid, 1.5) for nid in ng.input_neurons)}
     trace = run_sim(state, max_steps=args.steps, stop=ZeroActivity(window=3),
                     inputs=schedule)
     report = reconcile_energy(trace, count_resources(ng), constants)
-    csv_text = emit_trace_csv(trace, window=args.window)
+    _write_or_print(emit_trace_csv(trace, window=args.window), args.out)
     if args.out:
-        Path(args.out).write_text(csv_text, encoding="utf-8")
         print(f"steps={report.steps} e_n={trace.e_n!r} f_mean={report.f_mean!r}")
         print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(csv_text)
     return 0
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
-    vg = validate_graph(parse_graph_file(_load_graph_text(_graph_arg(args))))
-    pr = partition_isomorphic(vg, args.granularity)
-    p = args.p if args.p else pr.p_threads
+    pr = partition_isomorphic(_load_graph(args), args.granularity)
+    p = pr.p_threads if args.p is None else args.p
+    efficiency = thread_efficiency(pr, p)
     print(f"granularity={pr.granularity}")
     print(f"p_threads={pr.p_threads}")
     print(f"families={len(pr.families)}")
     for label, members in pr.families[:5]:
         print(f"  family {label[:16]} size={len(members)}")
     print(f"residual={len(pr.residual)}")
-    print(f"p_efficiency={thread_efficiency(pr, p)!r} (p={p})")
+    print(f"p_efficiency={efficiency!r} (p={p})")
     return 0
 
 
@@ -202,17 +185,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         fixed=_parse_set(args.set or []),
         repetitions=args.reps,
         constants=constants,
-        output_path=args.out,
     )
     rows, reg = run_sweep(spec, seed=args.seed, window=args.window)
-    csv_text = emit_rows_csv(
+    _write_or_print(emit_rows_csv(
         SWEEP_COLUMNS,
         [(row.value, row.mean_e_t, row.total_e_n, row.steps) for row in rows],
-    )
-    if args.out:
-        Path(args.out).write_text(csv_text, encoding="utf-8")
-    else:
-        sys.stdout.write(csv_text)
+    ), args.out)
     if reg is None:
         print("regression skipped (zero energy measured)")
     else:
@@ -231,44 +209,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, graph: bool = True) -> None:
+    def command(name: str, func, help_text: str, graph: bool = True,
+                constants: bool = False) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
         if graph:
-            p.add_argument("graph_pos", nargs="?", metavar="GRAPH",
-                           help="graph file (JSON)")
-            p.add_argument("--graph", help="graph file (JSON)")
-        p.add_argument("--config", help="constants config file")
-        p.add_argument("--preset", help="constants preset name")
-        p.add_argument("--p", type=int, help="processor count")
-        p.add_argument("--ncore", type=int, help="neurons per realized core")
-        p.add_argument("--seed", type=int, default=0, help="simulation seed")
-        p.add_argument("--out", help="output file path")
-        p.add_argument("--steps", type=int, default=50, help="step budget")
-        p.add_argument("--window", type=int, default=5,
+            p.add_argument("graph", metavar="GRAPH", help="graph file (JSON)")
+        if constants:
+            p.add_argument("--config", help="constants config file")
+            p.add_argument("--preset", help="constants preset name")
+        return p
+
+    p_analyze = command("analyze", _cmd_analyze, "graph metrics and cost table",
+                        constants=True)
+    p_analyze.add_argument("--p", type=int, help="processor count (default 1)")
+    p_analyze.add_argument("--ncore", type=int,
+                           help="core count of a realized machine (adds an nmc_realized row)")
+    p_analyze.add_argument("--out", help="write the cost table as CSV to this file")
+
+    p_lower = command("lower", _cmd_lower, "translate a graph to a spiking network")
+    p_lower.add_argument("--out", help="write the network JSON to this file")
+
+    p_sim = command("simulate", _cmd_simulate, "simulate a lowered graph, emit trace CSV",
+                    constants=True)
+    p_sim.add_argument("--steps", type=int, default=50, help="step budget")
+    p_sim.add_argument("--window", type=int, default=5,
                        help="trailing window for rate/energy summaries")
-        p.add_argument("--granularity", type=int, default=2,
-                       help="fragment size for partitioning")
-
-    p_analyze = sub.add_parser("analyze", help="graph metrics and cost table")
-    common(p_analyze)
-    p_analyze.set_defaults(func=_cmd_analyze)
-
-    p_lower = sub.add_parser("lower", help="translate a graph to a spiking network")
-    common(p_lower)
-    p_lower.set_defaults(func=_cmd_lower)
-
-    p_sim = sub.add_parser("simulate", help="simulate a lowered graph, emit trace CSV")
-    common(p_sim)
     p_sim.add_argument("--kick", action="store_true",
                        help="inject one suprathreshold pulse into every "
                             "input neuron at step 0")
-    p_sim.set_defaults(func=_cmd_simulate)
+    p_sim.add_argument("--out", help="write the trace CSV to this file")
 
-    p_part = sub.add_parser("partition", help="isomorphic-fragment thread report")
-    common(p_part)
-    p_part.set_defaults(func=_cmd_partition)
+    p_part = command("partition", _cmd_partition, "isomorphic-fragment thread report")
+    p_part.add_argument("--p", type=int,
+                        help="processor count (default: the extracted thread count)")
+    p_part.add_argument("--granularity", type=int, default=2,
+                        help="fragment size for partitioning")
 
-    p_sweep = sub.add_parser("sweep", help="sweep a workload parameter, fit scaling")
-    common(p_sweep, graph=False)
+    p_sweep = command("sweep", _cmd_sweep, "sweep a workload parameter, fit scaling",
+                      graph=False, constants=True)
     p_sweep.add_argument("--workload", choices=SWEEP_WORKLOADS, required=True)
     p_sweep.add_argument("--param", required=True, help="swept parameter name")
     p_sweep.add_argument("--values", required=True,
@@ -277,7 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="fix a workload parameter")
     p_sweep.add_argument("--reps", type=int, default=1,
                          help="repetitions per value (averaged)")
-    p_sweep.set_defaults(func=_cmd_sweep)
+    p_sweep.add_argument("--seed", type=int, default=0, help="workload seed")
+    p_sweep.add_argument("--window", type=int, default=5,
+                         help="warm-up window of steps for mean_e_t")
+    p_sweep.add_argument("--out", help="write the sweep CSV to this file")
 
     return parser
 

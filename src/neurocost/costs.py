@@ -10,6 +10,11 @@ firing rate, so a converging computation gets cheaper as it settles.
 All evaluators are pure functions of their arguments; energy totals are
 built by summing the breakdown terms in a fixed order so the identity
 total == sum(breakdown.values()) holds bit-exactly.
+
+`energy_terms` is the single per-step event-driven energy formula. The
+simulator charges each step with it from recorded event counts, the
+reconciliation audit recomputes each step with it, and the analytic
+per-step models evaluate it at expected counts.
 """
 
 from __future__ import annotations
@@ -119,6 +124,22 @@ def _estimate(breakdown: dict[str, float]) -> EnergyEstimate:
     return EnergyEstimate(total=total, breakdown=breakdown)
 
 
+def energy_terms(c: CostConstants, touched: float, spikes: float,
+                 events: float) -> tuple[float, float, float, float, float]:
+    """Per-step event-driven energy: (voltage, spikegen, synapse, spike, total).
+
+    e_voltage per changed state word, e_spikegen per spike, and
+    e_synapse + e_spike * ell per synaptic event; the total is summed left
+    to right in that order. Counts may be recorded integers or expected
+    (real-valued) counts.
+    """
+    voltage = c.e_voltage * touched
+    spikegen = c.e_spikegen * spikes
+    synapse = c.e_synapse * events
+    spike = c.e_spike * c.ell * events
+    return voltage, spikegen, synapse, spike, voltage + spikegen + synapse + spike
+
+
 def conventional_time(m: GraphMetrics, p_threads: int, model: str = "cpu_ideal") -> TimeBounds:
     """Work/span sandwich for p_threads parallel execution units."""
     if not isinstance(p_threads, int) or p_threads < 1:
@@ -200,12 +221,10 @@ def nmc_energy_per_step(r: ResourceCount, c: CostConstants, f_t: float,
     if refined and (not isinstance(k, int) or k < 1):
         raise ValueError(f"refined model needs integer fan-in k >= 1, got {k!r}")
     touched = r.n_total * (1.0 - (1.0 - f_t) ** k) if refined else r.n_total
-    return _estimate({
-        "voltage": c.e_voltage * touched,
-        "spikegen": c.e_spikegen * f_t * r.n_total,
-        "synapse": c.e_synapse * f_t * r.s_total,
-        "spike": c.e_spike * c.ell * f_t * r.s_total,
-    })
+    voltage, spikegen, synapse, spike, total = energy_terms(
+        c, touched, f_t * r.n_total, f_t * r.s_total)
+    return EnergyEstimate(total=total, breakdown={
+        "voltage": voltage, "spikegen": spikegen, "synapse": synapse, "spike": spike})
 
 
 def nmc_total_energy(per_step: Iterable[EnergyEstimate | float]) -> float:
@@ -251,8 +270,9 @@ def mesh_cost_report(m_s: int, m_t: int, k: int, t1s: int, t_infs: int,
     m_t * t_infs; energy is e_op per operation (memory traffic optional,
     off by default). Neuromorphic: the mesh instantiates n_total =
     m_s * n_mesh neurons and s_total = k * n_total synapses; per-step
-    energy is (e_voltage + (e_spikegen + e_synapse + e_spike*ell) * f_t * k)
-    * n_total, evaluated over the supplied firing-rate series.
+    energy is `energy_terms` with every neuron touched and f_t * k *
+    n_total spikes and synaptic events, evaluated over the supplied
+    firing-rate series.
 
     crossover_step is the earliest step index after which the cumulative
     neuromorphic energy stays strictly below the cumulative conventional
@@ -273,10 +293,9 @@ def mesh_cost_report(m_s: int, m_t: int, k: int, t1s: int, t_infs: int,
     for f_t in f_series:
         if not (0.0 <= f_t <= 1.0):
             raise FiringRateOutOfRange(f_t)
-        per_step.append(
-            (c.e_voltage + (c.e_spikegen + c.e_synapse + c.e_spike * c.ell) * f_t * k)
-            * n_total)
-    nmc_energy = _estimate({"per_step_series": math.fsum(per_step)})
+        events = f_t * k * n_total
+        per_step.append(energy_terms(c, n_total, events, events)[-1])
+    nmc_energy = _estimate({"per_step_series": nmc_total_energy(per_step)})
 
     crossover = None
     conv_cum = 0.0

@@ -171,13 +171,18 @@ class GraphMetrics:
     max_fan_out: int
 
 
-def compute_metrics(vg: ValidatedGraph) -> GraphMetrics:
-    """Single pass in topological order; level(v) = 1 + max level of inputs."""
+def node_levels(vg: ValidatedGraph) -> dict[str, int]:
+    """Longest-path distance from sources, per node id."""
     level: dict[str, int] = {}
     for nid in vg.topo_order:
         node = vg.node(nid)
         level[nid] = 0 if not node.inputs else 1 + max(level[p] for p in node.inputs)
+    return level
 
+
+def compute_metrics(vg: ValidatedGraph) -> GraphMetrics:
+    """Work, depth and level widths from `node_levels`, plus fan extremes."""
+    level = node_levels(vg)
     depth = max(level.values()) + 1
     widths = [0] * depth
     for nid in vg.topo_order:
@@ -192,15 +197,6 @@ def compute_metrics(vg: ValidatedGraph) -> GraphMetrics:
         max_fan_in=max_fan_in,
         max_fan_out=max_fan_out,
     )
-
-
-def node_levels(vg: ValidatedGraph) -> dict[str, int]:
-    """Longest-path distance from sources, per node id."""
-    level: dict[str, int] = {}
-    for nid in vg.topo_order:
-        node = vg.node(nid)
-        level[nid] = 0 if not node.inputs else 1 + max(level[p] for p in node.inputs)
-    return level
 
 
 @dataclass(frozen=True)

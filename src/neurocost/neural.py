@@ -191,13 +191,17 @@ class AssemblyMap:
     per_op_neuron_count: Mapping[str, int]
 
 
-def lower_graph(vg: ValidatedGraph, rules: Mapping[str, LoweringRule]
+def lower_graph(vg: ValidatedGraph, rules: Mapping[str, LoweringRule] | None = None
                 ) -> tuple[NeuralGraph, AssemblyMap]:
     """Lower a validated DAG into a spiking network.
 
-    Raises NoRuleForOpKind when an op kind has no rule and FanInExceedsRule
-    when a node's arity exceeds the rule's max_fan_in.
+    Without `rules`, every op kind in the graph lowers to the one-neuron
+    relay, `relay_rules(kinds)`. Raises NoRuleForOpKind when an op kind has
+    no rule and FanInExceedsRule when a node's arity exceeds the rule's
+    max_fan_in.
     """
+    if rules is None:
+        rules = relay_rules({node.op_kind for node in vg.nodes})
     neurons: list[tuple[str, NeuronSpec, float]] = []
     synapses: list[SynapseSpec] = []
     entries: dict[str, tuple[frozenset[str], frozenset[int]]] = {}

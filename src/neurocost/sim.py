@@ -7,7 +7,8 @@ initial state already satisfies the firing condition. Untouched neurons
 cost nothing, which is the whole accounting model: energy follows change
 of state, not wall-clock time.
 
-Per step the recorded energy is
+Per step the recorded energy is `costs.energy_terms`, the single per-step
+formula:
 
     e_t = e_voltage * neurons_touched + e_spikegen * spikes
         + e_synapse * synaptic_events + e_spike * ell * synaptic_events
@@ -41,7 +42,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .costs import PRESETS, CostConstants
+from .costs import PRESETS, CostConstants, energy_terms, nmc_energy_per_step
 from .errors import (
     EmptyGraph,
     MismatchDetected,
@@ -393,12 +394,8 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
         spike_ids = ()
 
     # 5. Energy from this step's events, fixed term order.
-    c = s.constants
-    e_voltage_term = c.e_voltage * touched_count
-    e_spikegen_term = c.e_spikegen * spike_count
-    e_synapse_term = c.e_synapse * synaptic_events
-    e_spike_term = c.e_spike * c.ell * synaptic_events
-    e_t = e_voltage_term + e_spikegen_term + e_synapse_term + e_spike_term
+    e_voltage_term, e_spikegen_term, e_synapse_term, e_spike_term, e_t = energy_terms(
+        s.constants, touched_count, spike_count, synaptic_events)
 
     s.x = new_x
     s.last_y = y_now
@@ -529,11 +526,8 @@ def reconcile_energy(tr: SimTrace, r: ResourceCount, c: CostConstants) -> Reconc
     trace's mean firing rate."""
     e_n = 0.0
     for rec in tr.records:
-        e_voltage_term = c.e_voltage * rec.neurons_touched
-        e_spikegen_term = c.e_spikegen * rec.spikes
-        e_synapse_term = c.e_synapse * rec.synaptic_events
-        e_spike_term = c.e_spike * c.ell * rec.synaptic_events
-        e_t = e_voltage_term + e_spikegen_term + e_synapse_term + e_spike_term
+        e_voltage_term, e_spikegen_term, e_synapse_term, e_spike_term, e_t = energy_terms(
+            c, rec.neurons_touched, rec.spikes, rec.synaptic_events)
         if (e_voltage_term != rec.e_voltage_term or e_spikegen_term != rec.e_spikegen_term
                 or e_synapse_term != rec.e_synapse_term or e_spike_term != rec.e_spike_term
                 or e_t != rec.e_t):
@@ -548,16 +542,9 @@ def reconcile_energy(tr: SimTrace, r: ResourceCount, c: CostConstants) -> Reconc
     def mean_of(attr: str) -> float:
         return sum(getattr(rec, attr) for rec in tr.records) / steps if steps else 0.0
 
-    analytic = {
-        "spikegen": c.e_spikegen * f_mean * r.n_total,
-        "synapse": c.e_synapse * f_mean * r.s_total,
-        "spike": c.e_spike * c.ell * f_mean * r.s_total,
-    }
-    measured = {
-        "spikegen": mean_of("e_spikegen_term"),
-        "synapse": mean_of("e_synapse_term"),
-        "spike": mean_of("e_spike_term"),
-    }
+    predicted = nmc_energy_per_step(r, c, f_mean).breakdown
+    analytic = {name: predicted[name] for name in ("spikegen", "synapse", "spike")}
+    measured = {name: mean_of(f"e_{name}_term") for name in analytic}
     terms = {}
     for name in analytic:
         a, m = analytic[name], measured[name]
@@ -576,6 +563,6 @@ def reconcile_energy(tr: SimTrace, r: ResourceCount, c: CostConstants) -> Reconc
         f_mean=f_mean,
         terms=terms,
         voltage_measured_mean=mean_of("e_voltage_term"),
-        voltage_unrefined_prediction=c.e_voltage * r.n_total,
+        voltage_unrefined_prediction=predicted["voltage"],
         voltage_refined_prediction=refined,
     )

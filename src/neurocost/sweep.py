@@ -11,7 +11,7 @@ import numpy as np
 from .costs import CostConstants
 from .fileio import load_constants
 from .graph import validate_graph
-from .neural import count_resources, lower_graph, relay_rules
+from .neural import count_resources, lower_graph
 from .sim import AnalogEncoding, ZeroActivity, init_sim, reconcile_energy, run_sim
 from .workloads import (
     Diffusion,
@@ -25,6 +25,15 @@ from .workloads import (
 )
 
 SWEEP_WORKLOADS = ("mesh", "ff", "random")
+
+#: The parameters each workload's point runner reads; a sweep may vary or
+#: fix only these.
+SWEEP_PARAMS: Mapping[str, frozenset[str]] = {
+    "mesh": frozenset({"m_s", "k", "m_t", "n_mesh", "v_thresh", "amplitude", "mean",
+                       "cycles", "alpha"}),
+    "ff": frozenset({"n_i", "n_j", "n", "rate", "steps_per_presentation", "presentations"}),
+    "random": frozenset({"n", "density", "steps"}),
+}
 
 
 @dataclass(frozen=True)
@@ -67,11 +76,15 @@ class SweepSpec:
     fixed: tuple[tuple[str, float], ...] = ()
     repetitions: int = 1
     constants: CostConstants | None = None
-    output_path: str | None = None
 
     def __post_init__(self) -> None:
         if self.workload not in SWEEP_WORKLOADS:
             raise ValueError(f"workload must be one of {SWEEP_WORKLOADS}, got {self.workload!r}")
+        known = SWEEP_PARAMS[self.workload]
+        for key in (self.param, *(key for key, _value in self.fixed)):
+            if key not in known:
+                raise ValueError(f"workload {self.workload!r} has no parameter {key!r}; "
+                                 f"it reads {', '.join(sorted(known))}")
         if len(self.values) < 2:
             raise ValueError("a sweep needs at least two values to regress over")
         if self.repetitions < 1:
@@ -88,9 +101,12 @@ class SweepRow:
 
 SWEEP_COLUMNS = ("value", "mean_e_t", "total_e_n", "steps")
 
+#: One point's measurement: (mean_e_t, total_e_n, steps).
+PointResult = tuple[float, float, int]
+
 
 def _mesh_point(params: Mapping[str, float], constants: CostConstants,
-                seed: int, window: int) -> SweepRow:
+                seed: int, window: int) -> PointResult:
     m_s = int(params.get("m_s", 64))
     k = int(params.get("k", 4))
     m_t = int(params.get("m_t", 60))
@@ -110,13 +126,11 @@ def _mesh_point(params: Mapping[str, float], constants: CostConstants,
     trace = run_sim(state, max_steps=m_t, stop=ZeroActivity(window=3))
     reconcile_energy(trace, count_resources(ng), constants)
     warm = [rec.e_t for rec in trace.records[:window]]
-    return SweepRow(value=float(m_s),
-                    mean_e_t=float(sum(warm) / len(warm)),
-                    total_e_n=trace.e_n, steps=len(trace.records))
+    return float(sum(warm) / len(warm)), trace.e_n, len(trace.records)
 
 
 def _ff_point(params: Mapping[str, float], constants: CostConstants,
-              seed: int, window: int) -> SweepRow:
+              seed: int, window: int) -> PointResult:
     n_i = int(params.get("n_i", params.get("n", 8)))
     n_j = int(params.get("n_j", params.get("n", 8)))
     rate = float(params.get("rate", 0.5))
@@ -130,33 +144,26 @@ def _ff_point(params: Mapping[str, float], constants: CostConstants,
     trace = run_sim(state, max_steps=presentations * spp,
                     inputs=ff_input_schedule(spec))
     reconcile_energy(trace, count_resources(ng), constants)
-    per_presentation = trace.e_n / presentations
-    return SweepRow(value=float(params["__value"]),
-                    mean_e_t=float(per_presentation),
-                    total_e_n=trace.e_n, steps=len(trace.records))
+    return float(trace.e_n / presentations), trace.e_n, len(trace.records)
 
 
 def _random_point(params: Mapping[str, float], constants: CostConstants,
-                  seed: int, window: int) -> SweepRow:
+                  seed: int, window: int) -> PointResult:
     n = int(params.get("n", 32))
     density = float(params.get("density", 0.2))
     steps = int(params.get("steps", 50))
     graph = gen_random_dag(n, density, ("add", "mul", "relay"), seed)
-    vg = validate_graph(graph)
-    kinds = {node.op_kind for node in vg.nodes}
-    ng, _am = lower_graph(vg, relay_rules(kinds))
+    ng, _am = lower_graph(validate_graph(graph))
     kick = tuple((nid, 1.5) for nid in ng.input_neurons)
     state = init_sim(ng, AnalogEncoding(), seed, constants)
     trace = run_sim(state, max_steps=steps, stop=ZeroActivity(window=3),
                     inputs={0: kick})
     reconcile_energy(trace, count_resources(ng), constants)
     warm = [rec.e_t for rec in trace.records[:window]]
-    return SweepRow(value=float(n),
-                    mean_e_t=float(sum(warm) / len(warm)),
-                    total_e_n=trace.e_n, steps=len(trace.records))
+    return float(sum(warm) / len(warm)), trace.e_n, len(trace.records)
 
 
-_POINT_RUNNERS: dict[str, Callable[..., SweepRow]] = {
+_POINT_RUNNERS: dict[str, Callable[..., PointResult]] = {
     "mesh": _mesh_point,
     "ff": _ff_point,
     "random": _random_point,
@@ -177,15 +184,11 @@ def run_sweep(spec: SweepSpec, seed: int = 0,
     for value in sorted(spec.values):
         params = dict(spec.fixed)
         params[spec.param] = value
-        params["__value"] = value
         reps = [runner(params, constants, seed + r, window)
                 for r in range(spec.repetitions)]
-        rows.append(SweepRow(
-            value=float(value),
-            mean_e_t=float(sum(r.mean_e_t for r in reps) / len(reps)),
-            total_e_n=float(sum(r.total_e_n for r in reps) / len(reps)),
-            steps=round(sum(r.steps for r in reps) / len(reps)),
-        ))
+        mean_e_t, total_e_n, steps = (sum(column) / len(reps) for column in zip(*reps))
+        rows.append(SweepRow(value=float(value), mean_e_t=float(mean_e_t),
+                             total_e_n=float(total_e_n), steps=round(steps)))
     if any(row.mean_e_t <= 0.0 for row in rows):
         return tuple(rows), None
     reg = fit_loglog([row.value for row in rows], [row.mean_e_t for row in rows])

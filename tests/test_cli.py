@@ -179,3 +179,47 @@ class TestSweep:
                                           "--reps", "2"])
         assert code == 0
         assert "slope=" in out and "r_squared=" in out
+
+
+class TestOptions:
+    """Each subcommand accepts only the options it reads."""
+
+    def test_partition_rejects_out(self, capsys, tmp_path):
+        dest = tmp_path / "x.txt"
+        code, _out, err = invoke(capsys, ["partition", FOOTNOTE, "--out", str(dest)])
+        assert code == 1
+        assert "unrecognized arguments" in err
+        assert not dest.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["lower", FOOTNOTE, "--preset", "nope"],
+        ["analyze", FOOTNOTE, "--steps", "5"],
+        ["simulate", FOOTNOTE, "--seed", "1"],
+        ["analyze", "--graph", FOOTNOTE],
+    ])
+    def test_unread_option_is_usage_error(self, capsys, argv):
+        code, _out, err = invoke(capsys, argv)
+        assert code == 1
+        assert "usage:" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", FOOTNOTE, "--p", "0"],
+        ["analyze", FOOTNOTE, "--ncore", "0"],
+        ["partition", FOOTNOTE, "--p", "0"],
+    ])
+    def test_zero_count_is_bad_input(self, capsys, argv):
+        code, out, err = invoke(capsys, argv)
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
+
+    @pytest.mark.parametrize("extra, key", [
+        (["--param", "mss"], "mss"),
+        (["--param", "m_s", "--set", "kk=6"], "kk"),
+    ])
+    def test_unknown_sweep_key_is_bad_input(self, capsys, extra, key):
+        code, out, err = invoke(capsys, ["sweep", "--workload", "mesh",
+                                         "--values", "64,128"] + extra)
+        assert code == 2
+        assert repr(key) in err
+        assert out == ""

@@ -16,6 +16,7 @@ from neurocost import (
     conventional_energy,
     conventional_space,
     conventional_time,
+    energy_terms,
     ff_cost_report,
     mesh_cost_report,
     nmc_energy_per_step,
@@ -150,6 +151,15 @@ def test_nmc_energy_per_step_skew():
         "voltage": 10.0, "spikegen": 25.0, "synapse": 50.0, "spike": 1000.0,
     }
     assert e.total == 1085.0
+
+
+def test_energy_terms_skew_exact():
+    # 3 touched words, 2 spikes, 7 synaptic events under digital-skew:
+    # 1*3, 10*2, 5*7 and 100*1*7, summed left to right.
+    assert energy_terms(SKEW, 3, 2, 7) == (3.0, 20.0, 35.0, 700.0, 758.0)
+    assert energy_terms(SKEW, 0, 0, 0) == (0.0, 0.0, 0.0, 0.0, 0.0)
+    # Expected (real-valued) counts go through the same expressions.
+    assert energy_terms(SKEW, 10, 2.5, 10.0) == (10.0, 25.0, 50.0, 1000.0, 1085.0)
 
 
 def test_nmc_energy_quiescent_floor():

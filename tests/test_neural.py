@@ -17,6 +17,7 @@ from neurocost import (
     OpNode,
     ComputeGraph,
     SynapseSpec,
+    gen_random_dag,
     advance,
     count_resources,
     lower_graph,
@@ -291,3 +292,12 @@ def test_relay_rules_share_one_rule():
     assert set(rules) == {"f", "g"}
     assert rules["f"] is rules["g"]
     assert rules["f"].neuron_count == 4
+
+
+@pytest.mark.parametrize("make", [make_footnote,
+                                  lambda: gen_random_dag(40, 0.1, ("add", "mul", "relay"), 7)],
+                         ids=["footnote", "random_dag"])
+def test_default_rules_are_relay_rules(make):
+    vg = validate_graph(make())
+    kinds = {node.op_kind for node in vg.nodes}
+    assert lower_graph(vg) == lower_graph(vg, relay_rules(kinds))
