@@ -257,8 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--reps", type=int, default=1,
                          help="repetitions per value (averaged)")
     p_sweep.add_argument("--seed", type=int, default=0, help="workload seed")
-    p_sweep.add_argument("--window", type=int, default=5,
-                         help="warm-up window of steps for mean_e_t")
+    p_sweep.add_argument("--window", type=int,
+                         help="warm-up window of steps for mean_e_t "
+                              "(mesh and random only; default 5)")
     p_sweep.add_argument("--out", help="write the sweep CSV to this file")
 
     return parser

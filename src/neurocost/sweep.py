@@ -81,10 +81,16 @@ class SweepSpec:
         if self.workload not in SWEEP_WORKLOADS:
             raise ValueError(f"workload must be one of {SWEEP_WORKLOADS}, got {self.workload!r}")
         known = SWEEP_PARAMS[self.workload]
-        for key in (self.param, *(key for key, _value in self.fixed)):
+        keys = [self.param, *(key for key, _value in self.fixed)]
+        for key in keys:
             if key not in known:
                 raise ValueError(f"workload {self.workload!r} has no parameter {key!r}; "
                                  f"it reads {', '.join(sorted(known))}")
+        if self.param in keys[1:]:
+            raise ValueError(f"parameter {self.param!r} is both swept and fixed")
+        for key in keys[1:]:
+            if keys.count(key) > 1:
+                raise ValueError(f"parameter {key!r} is fixed more than once")
         if len(self.values) < 2:
             raise ValueError("a sweep needs at least two values to regress over")
         if self.repetitions < 1:
@@ -163,6 +169,10 @@ def _random_point(params: Mapping[str, float], constants: CostConstants,
     return float(sum(warm) / len(warm)), trace.e_n, len(trace.records)
 
 
+#: The workloads whose mean_e_t averages a warm-up window of steps.
+WINDOWED_WORKLOADS = ("mesh", "random")
+DEFAULT_WINDOW = 5
+
 _POINT_RUNNERS: dict[str, Callable[..., PointResult]] = {
     "mesh": _mesh_point,
     "ff": _ff_point,
@@ -170,14 +180,22 @@ _POINT_RUNNERS: dict[str, Callable[..., PointResult]] = {
 }
 
 
-def run_sweep(spec: SweepSpec, seed: int = 0,
-              window: int = 5) -> tuple[tuple[SweepRow, ...], RegressionResult | None]:
+def run_sweep(spec: SweepSpec, seed: int = 0, window: int | None = None
+              ) -> tuple[tuple[SweepRow, ...], RegressionResult | None]:
     """Execute the sweep and fit the scaling exponent.
 
+    `window` is the number of warm-up steps averaged into mean_e_t
+    (default 5) for the workloads in WINDOWED_WORKLOADS; the ff workload
+    reports energy per presentation instead and rejects a window.
     Repetitions at each value are averaged before fitting. The
     regression is skipped (None) when any averaged energy is zero,
     since a log-log fit is undefined there.
     """
+    if window is None:
+        window = DEFAULT_WINDOW
+    elif spec.workload not in WINDOWED_WORKLOADS:
+        raise ValueError(f"workload {spec.workload!r} has no warm-up window; "
+                         f"window applies to {', '.join(WINDOWED_WORKLOADS)}")
     constants = spec.constants if spec.constants is not None else load_constants()
     runner = _POINT_RUNNERS[spec.workload]
     rows: list[SweepRow] = []

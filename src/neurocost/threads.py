@@ -7,9 +7,17 @@ min(p_threads, p) / p.
 
 Fragments are compared on internal structure plus each node's external
 in/out arity, so a fragment embedded differently in the host graph gets a
-different label. Labels are exact canonical forms up to 8 nodes
-(class-refined permutation minimization) and neighborhood-refinement
-hashes above that; the two namespaces never collide.
+different label. Labels are exact canonical forms up to 8 nodes and
+neighborhood-refinement hashes above that; the two namespaces never
+collide. An exact label is the lexicographically smallest edge tuple over
+the relabelings that list nodes by sorted annotation. The search skips
+relabelings that only reorder twins (nodes with the same annotation and
+the same internal in- and out-neighbours), since swapping twins cannot
+change the edge tuple: a fragment of one hub and seven identical leaves
+has one candidate layout instead of 7! = 5040.
+
+The greedy partition ranks nodes once and computes each fragment's exact
+signature once, for its label and for the family check.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ import hashlib
 import itertools
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import FragmentTooLarge, GraphTooLargeForOracle
 from .graph import ValidatedGraph, node_levels
@@ -64,27 +72,75 @@ def extract_fragment(vg: ValidatedGraph, node_ids: Sequence[str]) -> Fragment:
     return Fragment(tuple(annotated), frozenset(edges), ids)
 
 
+def _arrangements(groups: Sequence[Sequence[int]]) -> Iterator[tuple[int, ...]]:
+    """Every ordering of the union of `groups` that keeps each group's
+    members in their given order (the distinct permutations of a
+    multiset of group ids)."""
+    if len(groups) == 1:
+        return iter((tuple(groups[0]),))
+    total = sum(len(group) for group in groups)
+    heads = [0] * len(groups)
+    placed: list[int] = []
+
+    def extend() -> Iterator[tuple[int, ...]]:
+        if len(placed) == total:
+            yield tuple(placed)
+            return
+        for g, group in enumerate(groups):
+            if heads[g] < len(group):
+                placed.append(group[heads[g]])
+                heads[g] += 1
+                yield from extend()
+                heads[g] -= 1
+                placed.pop()
+
+    return extend()
+
+
+def _layouts(frag: Fragment) -> Iterator[tuple[int, ...]]:
+    """Candidate layouts (position -> original index) for the exact
+    signature: annotation classes in sorted order and, inside each class,
+    every arrangement of its twin groups with each group's members in
+    ascending index.
+
+    Twins share their annotation and their internal in- and out-neighbour
+    sets; swapping two twins is an automorphism and leaves the edge tuple
+    unchanged, so skipping the layouts that only reorder twins cannot
+    change the minimum. A class of c members in twin groups of sizes t1,
+    t2, ... gives c! / (t1! t2! ...) arrangements instead of c!.
+    """
+    n = len(frag)
+    preds: list[set[int]] = [set() for _ in range(n)]
+    succs: list[set[int]] = [set() for _ in range(n)]
+    for u, v in frag.edges:
+        succs[u].add(v)
+        preds[v].add(u)
+    classes: dict[tuple[str, int, int], dict[tuple, list[int]]] = {}
+    for i, annot in enumerate(frag.nodes):
+        twins = classes.setdefault(annot, {})
+        twins.setdefault((frozenset(preds[i]), frozenset(succs[i])), []).append(i)
+    per_class = [list(_arrangements(list(classes[annot].values())))
+                 for annot in sorted(classes)]
+    for parts in itertools.product(*per_class):
+        yield tuple(i for part in parts for i in part)
+
+
 def _exact_signature(frag: Fragment) -> tuple:
     """Lexicographically minimal (annotations, edges) over admissible
-    relabelings; two fragments are isomorphic iff signatures are equal."""
-    n = len(frag)
-    order = sorted(range(n), key=lambda i: frag.nodes[i])
-    classes: list[list[int]] = []
-    for i in order:
-        if classes and frag.nodes[classes[-1][0]] == frag.nodes[i]:
-            classes[-1].append(i)
-        else:
-            classes.append([i])
-    sorted_annot = tuple(frag.nodes[i] for i in order)
+    relabelings; two fragments are isomorphic iff signatures are equal.
 
+    Admissible relabelings list nodes by sorted annotation. The search
+    visits only the layouts of `_layouts`, one per arrangement of each
+    class's twin groups, which reach the same minimum as trying every
+    ordering of every class.
+    """
     best_edges: tuple[tuple[int, int], ...] | None = None
-    for parts in itertools.product(*(itertools.permutations(cls) for cls in classes)):
-        layout = [i for part in parts for i in part]  # position -> original index
+    for layout in _layouts(frag):
         position = {orig: pos for pos, orig in enumerate(layout)}
         edges = tuple(sorted((position[u], position[v]) for u, v in frag.edges))
         if best_edges is None or edges < best_edges:
             best_edges = edges
-    return (sorted_annot, best_edges)
+    return (tuple(sorted(frag.nodes)), best_edges)
 
 
 def _wl_hash(frag: Fragment) -> str:
@@ -116,10 +172,12 @@ def canonical_label(frag: Fragment) -> str:
     if len(frag) > HARD_CAP:
         raise FragmentTooLarge(f"fragment has {len(frag)} nodes, cap is {HARD_CAP}")
     if len(frag) <= EXACT_LIMIT:
-        digest = hashlib.blake2b(repr(_exact_signature(frag)).encode(),
-                                 digest_size=16).hexdigest()
-        return "x" + digest
+        return _exact_label(_exact_signature(frag))
     return "h" + _wl_hash(frag)
+
+
+def _exact_label(signature: tuple) -> str:
+    return "x" + hashlib.blake2b(repr(signature).encode(), digest_size=16).hexdigest()
 
 
 def isomorphic(a: Fragment, b: Fragment) -> bool:
@@ -158,13 +216,18 @@ def partition_isomorphic(vg: ValidatedGraph, granularity: int) -> PartitionResul
     """Greedy level-aligned tiling into connected fragments of exactly
     `granularity` nodes, grouped by canonical label.
 
-    Undersized leftovers go to the residual. Families of <= 8-node
-    fragments are verified pairwise with the exact isomorphism test.
+    Undersized leftovers go to the residual. In families of <= 8-node
+    fragments, every member's exact signature must equal the first
+    member's.
     """
     if granularity < 1:
         raise ValueError("granularity must be >= 1")
     levels = node_levels(vg)
-    order = sorted(vg.topo_order, key=lambda nid: (levels[nid], nid))
+
+    def tiling_key(nid: str) -> tuple[int, str]:
+        return levels[nid], nid
+
+    order = sorted(vg.topo_order, key=tiling_key)
     assigned: set[str] = set()
     fragments: list[Fragment] = []
     residual: set[str] = set()
@@ -182,23 +245,34 @@ def partition_isomorphic(vg: ValidatedGraph, granularity: int) -> PartitionResul
                         candidates.add(nb)
             if not candidates:
                 break
-            pick = min(candidates, key=lambda nid: (levels[nid], nid))
+            pick = min(candidates, key=tiling_key)
             members.append(pick)
             member_set.add(pick)
         assigned |= member_set
         if len(members) == granularity:
-            fragments.append(extract_fragment(vg, sorted(members, key=order.index)))
+            # Members listed in tiling order, as in `order` (same key).
+            fragments.append(extract_fragment(vg, sorted(members, key=tiling_key)))
         else:
             residual |= member_set
 
+    # Each exact signature is computed once and serves both the label and
+    # the family check: every member's full signature (not its digest)
+    # must equal that of the family's first member, which alone is kept.
+    heads: dict[str, tuple] = {}
     grouped: dict[str, list[Fragment]] = {}
     for frag in fragments:
-        grouped.setdefault(canonical_label(frag), []).append(frag)
+        if len(frag) <= EXACT_LIMIT:
+            signature = _exact_signature(frag)
+            label = _exact_label(signature)
+            if heads.setdefault(label, signature) != signature:
+                raise AssertionError(f"family {label} contains non-isomorphic members")
+        else:
+            label = canonical_label(frag)
+        grouped.setdefault(label, []).append(frag)
     families = tuple(sorted(
         ((label, tuple(members)) for label, members in grouped.items()),
         key=lambda item: (-len(item[1]), item[0]),
     ))
-    _verify_families(families)
     p_threads = max((len(members) for _label, members in families), default=1)
     return PartitionResult(
         families=families,

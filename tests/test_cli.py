@@ -223,3 +223,39 @@ class TestOptions:
         assert code == 2
         assert repr(key) in err
         assert out == ""
+
+
+class TestSweepOptions:
+    """Sweep options that the chosen workload would silently ignore."""
+
+    def test_swept_key_also_fixed_is_bad_input(self, capsys):
+        code, out, err = invoke(capsys, ["sweep", "--workload", "mesh", "--param", "m_s",
+                                         "--values", "64,128", "--set", "m_s=32"])
+        assert code == 2
+        assert "'m_s'" in err
+        assert out == ""
+
+    def test_window_with_ff_is_bad_input(self, capsys):
+        code, out, err = invoke(capsys, ["sweep", "--workload", "ff", "--param", "n",
+                                         "--values", "4,8", "--window", "9"])
+        assert code == 2
+        assert "window" in err and "'ff'" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("workload, param, values", [
+        ("mesh", "m_s", "16,32"),
+        ("random", "n", "12,24"),
+    ])
+    def test_window_default_is_five(self, capsys, workload, param, values):
+        argv = ["sweep", "--workload", workload, "--param", param, "--values", values]
+        code, out, _err = invoke(capsys, argv)
+        assert code == 0
+        assert invoke(capsys, argv + ["--window", "5"]) == (0, out, "")
+        assert invoke(capsys, argv + ["--window", "1"])[1] != out
+
+    def test_set_key_given_twice_is_bad_input(self, capsys):
+        code, out, err = invoke(capsys, ["sweep", "--workload", "mesh", "--param", "m_s",
+                                         "--values", "64,128", "--set", "k=4", "--set", "k=6"])
+        assert code == 2
+        assert "'k'" in err
+        assert out == ""
