@@ -156,7 +156,7 @@ from .sweep import (
     fit_loglog,
     run_sweep,
 )
-from .corpus import CorpusEntry, dense_layer_entry, mini_corpus
+from .corpus import CorpusEntry, mini_corpus
 
 __version__ = "0.1.0"
 

@@ -152,8 +152,3 @@ def mini_corpus() -> tuple[CorpusEntry, ...]:
     ]
     return tuple(entries)
 
-
-def dense_layer_entry() -> CorpusEntry:
-    """The homogeneous multiply-accumulate benchmark (4 independent rows);
-    its partition keeps one thread per row busy."""
-    return mini_corpus()[0]

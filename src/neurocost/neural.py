@@ -6,6 +6,11 @@ for the leaky integrator), and a transfer rule f that produces the output.
 Firing comparisons are strict (x > v_thresh). A synapse delivers
 w * y(t - d) to its target, d >= 1 steps after the source emitted y.
 
+A NeuralGraph is columns: neuron ids, a table of distinct NeuronSpecs with
+one index per neuron, initial states, and synapse source/target index,
+weight and delay arrays. Generators and lowering fill the columns
+directly; the (id, spec, x0) and SynapseSpec tuples are built lazily.
+
 Lowering maps every operation node of a computational DAG to a small
 assembly of neurons (a chain: first neuron is the entry, last the exit)
 and every DAG edge to a synapse from the source's exit to the target's
@@ -108,48 +113,156 @@ class SynapseSpec:
     delay: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.delay, int) or self.delay < 1:
-            raise ValueError(f"synapse delay must be an integer >= 1, got {self.delay!r}")
+        if isinstance(self.delay, bool) or not isinstance(self.delay, int) or self.delay < 1:
+            raise ValueError(f"synapse delay must be an integer >= 1, got {self.delay!r} "
+                             f"on {self.source!r} -> {self.target!r}")
 
 
-@dataclass(frozen=True)
+def _int_column(name: str, values, length: int) -> np.ndarray:
+    """`values` as an intp array of shape (length,); bool is not an integer."""
+    arr = np.asarray(values)
+    if arr.shape != (length,):
+        raise ValueError(f"{name} has shape {arr.shape}, expected ({length},)")
+    if arr.size and (arr.dtype == bool or not np.issubdtype(arr.dtype, np.integer)):
+        raise ValueError(f"{name} must hold integers, got dtype {arr.dtype}")
+    return arr.astype(np.intp, copy=False)
+
+
+def _first(mask: np.ndarray) -> int | None:
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
+
+
 class NeuralGraph:
-    """Spiking network: (id, spec, initial state) triples plus synapses."""
+    """Spiking network stored as columns, validated with array operations.
 
-    neurons: tuple[tuple[str, NeuronSpec, float], ...]
-    synapses: tuple[SynapseSpec, ...]
-    input_neurons: tuple[str, ...] = ()
-    output_neurons: tuple[str, ...] = ()
+    Neurons: `neuron_ids` (str tuple), `specs` (the distinct NeuronSpecs in
+    order of first appearance), `spec_index` (each neuron's row of `specs`)
+    and `x0`. Synapses, in declaration order: `source` and `target` neuron
+    indices, `weight` (float) and `delay` (int64). Arrays are read-only;
+    `index` maps each id to its position.
+    Build from (id, spec, x0) triples and SynapseSpecs, or with
+    `from_columns`; both give `==` graphs for one network. `neurons` and
+    `synapses` are those tuples, built on first access only.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "neurons", tuple(self.neurons))
-        object.__setattr__(self, "synapses", tuple(self.synapses))
-        object.__setattr__(self, "input_neurons", tuple(self.input_neurons))
-        object.__setattr__(self, "output_neurons", tuple(self.output_neurons))
-        ids = set()
-        for nid, _spec, _x0 in self.neurons:
-            if nid in ids:
-                raise ValueError(f"duplicate neuron id {nid!r}")
-            ids.add(nid)
-        for syn in self.synapses:
-            if syn.source not in ids:
-                raise ValueError(f"synapse source {syn.source!r} is not a neuron")
-            if syn.target not in ids:
-                raise ValueError(f"synapse target {syn.target!r} is not a neuron")
-        for nid in self.input_neurons + self.output_neurons:
-            if nid not in ids:
+    def __init__(self, neurons: Iterable[tuple[str, NeuronSpec, float]],
+                 synapses: Iterable[SynapseSpec],
+                 input_neurons: Iterable[str] = (), output_neurons: Iterable[str] = ()):
+        neurons, synapses = tuple(neurons), tuple(synapses)
+        ids = tuple(nid for nid, _spec, _x0 in neurons)
+        known = _id_set(ids)
+        for syn in synapses:
+            for role, nid in (("source", syn.source), ("target", syn.target)):
+                if nid not in known:
+                    raise ValueError(f"synapse {role} {nid!r} is not a neuron")
+        index = dict(zip(ids, range(len(ids))))
+        table: dict[NeuronSpec, int] = {}
+        spec_index = [table.setdefault(spec, len(table)) for _nid, spec, _x0 in neurons]
+        columns = NeuralGraph.from_columns(
+            ids, table, spec_index, [x0 for _n, _s, x0 in neurons],
+            [index[syn.source] for syn in synapses], [index[syn.target] for syn in synapses],
+            [syn.weight for syn in synapses], [syn.delay for syn in synapses],
+            input_neurons, output_neurons)
+        self.__dict__.update(columns.__dict__, neurons=neurons, synapses=synapses, index=index)
+
+    @classmethod
+    def from_columns(cls, neuron_ids: Iterable[str], specs: Iterable[NeuronSpec], spec_index,
+                     x0, source, target, weight, delay, input_neurons: Iterable[str] = (),
+                     output_neurons: Iterable[str] = ()) -> NeuralGraph:
+        """Build from columns. An array that needs no conversion is kept,
+        not copied, and made read-only. `specs` must list distinct specs in
+        order of first use."""
+        ids, specs = tuple(neuron_ids), tuple(specs)
+        n, m = len(ids), len(source)
+        cols = dict(spec_index=_int_column("spec_index", spec_index, n),
+                    x0=np.asarray(x0, dtype=float).reshape(n),
+                    source=_int_column("source", source, m),
+                    target=_int_column("target", target, m),
+                    weight=np.asarray(weight, dtype=float).reshape(m),
+                    delay=_int_column("delay", delay, m).astype(np.int64, copy=False))
+        for col in cols.values():
+            col.flags.writeable = False
+        known = _id_set(ids)
+        ng = cls.__new__(cls)
+        ng.__dict__.update(cols, neuron_ids=ids, specs=specs,
+                           input_neurons=tuple(input_neurons),
+                           output_neurons=tuple(output_neurons))
+        row = ng.spec_index
+        top = np.maximum.accumulate(np.concatenate(([-1], row)))  # highest row so far
+        if (len(set(specs)) != len(specs) or top[-1] != len(specs) - 1
+                or np.any(row < 0) or np.any(row > top[:-1] + 1)):
+            raise ValueError("spec_index must use every spec of a distinct `specs` "
+                             "in order of first use")
+        src, tgt = ng.source, ng.target
+        if (k := _first((src < 0) | (src >= n) | (tgt < 0) | (tgt >= n))) is not None:
+            role, v = ("source", src[k]) if not 0 <= src[k] < n else ("target", tgt[k])
+            raise ValueError(f"synapse {k} {role} index {v} is not a neuron")
+        if (k := _first(~np.isfinite(ng.weight))) is not None:
+            raise ValueError(f"synapse {ng._name(k)} has non-finite weight {ng.weight[k]}")
+        if (k := _first(ng.delay < 1)) is not None:
+            raise ValueError(f"synapse delay must be an integer >= 1, got {ng.delay[k]} "
+                             f"on {ng._name(k)}")
+        for nid in ng.input_neurons + ng.output_neurons:
+            if nid not in known:
                 raise ValueError(f"declared neuron {nid!r} does not exist")
-        loops = self.self_loops
-        if loops:
-            logger.info("neural graph contains %d self-loop synapse(s)", len(loops))
+        if loops := int(np.count_nonzero(src == tgt)):
+            logger.info("neural graph contains %d self-loop synapse(s)", loops)
+        return ng
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        return dict(zip(self.neuron_ids, range(len(self.neuron_ids))))
+
+    def _name(self, k: int) -> str:
+        return f"{self.neuron_ids[self.source[k]]!r} -> {self.neuron_ids[self.target[k]]!r}"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"NeuralGraph is immutable; cannot set {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, NeuralGraph):
+            return NotImplemented
+        return (self.neuron_ids == other.neuron_ids and self.specs == other.specs
+                and self.input_neurons == other.input_neurons
+                and self.output_neurons == other.output_neurons
+                and all(np.array_equal(getattr(self, c), getattr(other, c))
+                        for c in ("spec_index", "x0", "source", "target", "weight", "delay")))
+
+    def __hash__(self):
+        return hash((self.neuron_ids, self.input_neurons, self.output_neurons))
+
+    def __repr__(self):
+        return f"NeuralGraph({len(self.neuron_ids)} neurons, {len(self.source)} synapses)"
+
+    @cached_property
+    def neurons(self) -> tuple[tuple[str, NeuronSpec, float], ...]:
+        specs = [self.specs[g] for g in self.spec_index.tolist()]
+        return tuple(zip(self.neuron_ids, specs, self.x0.tolist()))
+
+    @cached_property
+    def synapses(self) -> tuple[SynapseSpec, ...]:
+        return self._synapse_specs(range(len(self.source)))
 
     @property
     def self_loops(self) -> tuple[SynapseSpec, ...]:
-        return tuple(s for s in self.synapses if s.source == s.target)
+        return self._synapse_specs(np.flatnonzero(self.source == self.target).tolist())
 
-    @property
-    def neuron_ids(self) -> tuple[str, ...]:
-        return tuple(nid for nid, _s, _x in self.neurons)
+    def _synapse_specs(self, positions: Iterable[int]) -> tuple[SynapseSpec, ...]:
+        ids, src, tgt = self.neuron_ids, self.source.tolist(), self.target.tolist()
+        weight, delay = self.weight.tolist(), self.delay.tolist()
+        return tuple(SynapseSpec(ids[src[k]], ids[tgt[k]], weight[k], delay[k])
+                     for k in positions)
+
+
+def _id_set(ids: tuple[str, ...]) -> set[str]:
+    """The ids as a set; ValueError naming the first id that repeats."""
+    known = set(ids)
+    if len(known) != len(ids):
+        last = dict(zip(ids, range(len(ids))))
+        dup = next(nid for k, nid in enumerate(ids) if last[nid] != k)
+        raise ValueError(f"duplicate neuron id {dup!r}")
+    return known
 
 
 _RELAY_NEURON = NeuronSpec("lif", v_thresh=1.0, v_reset=0.0)
@@ -202,12 +315,17 @@ def lower_graph(vg: ValidatedGraph, rules: Mapping[str, LoweringRule] | None = N
     """
     if rules is None:
         rules = relay_rules({node.op_kind for node in vg.nodes})
-    neurons: list[tuple[str, NeuronSpec, float]] = []
-    synapses: list[SynapseSpec] = []
+    ids: list[str] = []
+    table: dict[NeuronSpec, int] = {}
+    row_of_kind: dict[str, int] = {}  # op kind -> its rule's row in `table`
+    spec_index: list[int] = []
+    source: list[int] = []
+    target: list[int] = []
+    weight: list[float] = []
+    delay: list[int] = []
     entries: dict[str, tuple[frozenset[str], frozenset[int]]] = {}
     per_op: dict[str, int] = {}
-    entry_neuron: dict[str, str] = {}
-    exit_neuron: dict[str, str] = {}
+    exit_neuron: dict[str, int] = {}
 
     for nid in vg.topo_order:
         node = vg.node(nid)
@@ -218,29 +336,30 @@ def lower_graph(vg: ValidatedGraph, rules: Mapping[str, LoweringRule] | None = N
             raise FanInExceedsRule(
                 f"op {nid!r} has fan-in {len(node.inputs)}, rule allows {rule.max_fan_in}")
 
-        member_ids = [f"{nid}#{k}" for k in range(rule.neuron_count)]
-        for mid in member_ids:
-            neurons.append((mid, rule.neuron, 0.0))
-        entry_neuron[nid] = member_ids[0]
-        exit_neuron[nid] = member_ids[-1]
+        if node.op_kind not in row_of_kind:
+            row_of_kind[node.op_kind] = table.setdefault(rule.neuron, len(table))
+        first, count, fan_in = len(ids), rule.neuron_count, len(node.inputs)
+        member_ids = [f"{nid}#{k}" for k in range(count)]
+        ids += member_ids
+        spec_index += [row_of_kind[node.op_kind]] * count
+        exit_neuron[nid] = first + count - 1
 
-        owned_synapses: list[int] = []
-        for a, b in zip(member_ids, member_ids[1:]):
-            owned_synapses.append(len(synapses))
-            synapses.append(SynapseSpec(a, b, rule.chain_weight, rule.delay))
-        for ref in node.inputs:
-            owned_synapses.append(len(synapses))
-            synapses.append(SynapseSpec(exit_neuron[ref], member_ids[0],
-                                        rule.input_weight, rule.delay))
+        # Chain links first, then one synapse from each input's exit neuron.
+        owned_from = len(source)
+        source += range(first, first + count - 1)
+        source += [exit_neuron[ref] for ref in node.inputs]
+        target += range(first + 1, first + count)
+        target += [first] * fan_in
+        weight += [rule.chain_weight] * (count - 1) + [rule.input_weight] * fan_in
+        delay += [rule.delay] * (count - 1 + fan_in)
 
-        entries[nid] = (frozenset(member_ids), frozenset(owned_synapses))
-        per_op[nid] = rule.neuron_count
+        entries[nid] = (frozenset(member_ids), frozenset(range(owned_from, len(source))))
+        per_op[nid] = count
 
-    ng = NeuralGraph(
-        neurons=tuple(neurons),
-        synapses=tuple(synapses),
-        input_neurons=tuple(entry_neuron[nid] for nid in vg.declared_inputs),
-        output_neurons=tuple(exit_neuron[nid] for nid in vg.declared_outputs),
+    ng = NeuralGraph.from_columns(
+        ids, table, spec_index, np.zeros(len(ids)), source, target, weight, delay,
+        input_neurons=(f"{nid}#0" for nid in vg.declared_inputs),
+        output_neurons=(ids[exit_neuron[nid]] for nid in vg.declared_outputs),
     )
     return ng, AssemblyMap(entries=entries, per_op_neuron_count=per_op)
 
@@ -260,8 +379,8 @@ def count_resources(ng: NeuralGraph, am: AssemblyMap | None = None) -> ResourceC
     cover the graph exactly (InconsistentAssembly otherwise). Without one,
     each neuron counts as its own unit.
     """
-    n_total = len(ng.neurons)
-    s_total = len(ng.synapses)
+    n_total = len(ng.neuron_ids)
+    s_total = len(ng.source)
     if am is None:
         ops = n_total
     else:

@@ -142,42 +142,37 @@ class SimTrace:
 
 
 class _CompiledNet:
-    """Index-based view of a NeuralGraph plus CSR outgoing synapses.
+    """Index view of a NeuralGraph: spec groups plus CSR outgoing synapses.
 
-    Synapses are sorted stably by source, so each source's slice keeps
-    declaration order. Zero-weight synapses are left out unless they are
-    delivered.
+    Groups follow the graph's spec table (first-appearance order), each
+    with its neuron indices ascending. Synapses are sorted stably by
+    source, so each source's slice keeps declaration order. Zero-weight
+    synapses are left out unless they are delivered.
     """
 
     def __init__(self, ng: NeuralGraph, deliver_zero_weight: bool = False):
         self.graph = ng
         self.ids = ng.neuron_ids
-        self.index = {nid: i for i, nid in enumerate(self.ids)}
         self.n = len(self.ids)
-        self.x0 = np.array([x0 for _nid, _spec, x0 in ng.neurons], dtype=float)
+        self.x0 = ng.x0
 
-        # Group neuron indices by identical spec so updates vectorize.
-        groups: dict[NeuronSpec, list[int]] = {}
-        for i, (_nid, spec, _x0) in enumerate(ng.neurons):
-            groups.setdefault(spec, []).append(i)
-        self.groups: list[tuple[NeuronSpec, np.ndarray]] = [
-            (spec, np.asarray(idx, dtype=np.intp)) for spec, idx in groups.items()
-        ]
+        by_spec = np.argsort(ng.spec_index, kind="stable")
+        sizes = np.bincount(ng.spec_index, minlength=len(ng.specs))
+        self.groups: list[tuple[NeuronSpec, np.ndarray]] = list(
+            zip(ng.specs, np.split(by_spec, np.cumsum(sizes)[:-1])))
 
-        syns, m = ng.synapses, len(ng.synapses)
-        source = np.fromiter((self.index[syn.source] for syn in syns), np.intp, m)
-        weight = np.fromiter((syn.weight for syn in syns), float, m)
-        kept = np.arange(m) if deliver_zero_weight else np.flatnonzero(weight)
+        source = ng.source
+        kept = np.arange(len(source)) if deliver_zero_weight else np.flatnonzero(ng.weight)
         order = kept[np.argsort(source[kept], kind="stable")]
-        self.syn_target = np.fromiter((self.index[syn.target] for syn in syns), np.intp, m)[order]
-        self.syn_weight = weight[order]
-        self.syn_delay = np.fromiter((syn.delay for syn in syns), np.int64, m)[order]
+        self.syn_target = ng.target[order]
+        self.syn_weight = ng.weight[order]
+        self.syn_delay = ng.delay[order]
         self.delays: list[int] = np.unique(self.syn_delay).tolist()  # distinct, ascending
         self.out_indptr = np.zeros(self.n + 1, dtype=np.intp)
         np.cumsum(np.bincount(source[kept], minlength=self.n), out=self.out_indptr[1:])
 
-        self.input_idx = {self.index[nid] for nid in ng.input_neurons}
-        self.output_idx = np.array([self.index[nid] for nid in ng.output_neurons],
+        self.input_idx = {ng.index[nid] for nid in ng.input_neurons}
+        self.output_idx = np.array([ng.index[nid] for nid in ng.output_neurons],
                                    dtype=np.intp)
 
 
@@ -199,7 +194,7 @@ class SimState:
         return self.net.n
 
     def membrane(self, neuron_id: str) -> float:
-        return float(self.x[self.net.index[neuron_id]])
+        return float(self.x[self.net.graph.index[neuron_id]])
 
 
 def init_sim(ng: NeuralGraph, encoding: EncodingMode, seed: int,
@@ -213,7 +208,7 @@ def init_sim(ng: NeuralGraph, encoding: EncodingMode, seed: int,
     into the synapse table; `seed` is unused (the engine is deterministic).
     Raises EmptyGraph for a network without neurons.
     """
-    if not ng.neurons:
+    if not ng.neuron_ids:
         raise EmptyGraph("network has no neurons")
     net = _CompiledNet(ng, deliver_zero_weight)
     x = net.x0.copy()
@@ -221,7 +216,7 @@ def init_sim(ng: NeuralGraph, encoding: EncodingMode, seed: int,
         bad = net.ids[int(np.flatnonzero(~np.isfinite(x))[0])]
         raise NonFiniteState(f"initial state of {bad!r} is not finite")
 
-    armed: list[int] = []
+    armed = []
     for spec, idx in net.groups:
         xi = x[idx]
         if spec.model_kind in ("threshold_gate", "lif"):
@@ -230,7 +225,7 @@ def init_sim(ng: NeuralGraph, encoding: EncodingMode, seed: int,
             hot = xi > 0.0
         else:  # ann_tanh
             hot = xi != 0.0
-        armed.extend(int(i) for i in idx[hot])
+        armed.append(idx[hot])
 
     return SimState(
         net=net,
@@ -239,7 +234,7 @@ def init_sim(ng: NeuralGraph, encoding: EncodingMode, seed: int,
         encoding=encoding,
         constants=constants,
         pending={},
-        armed=np.array(sorted(armed), dtype=np.intp),
+        armed=np.sort(np.concatenate(armed)),
         last_y=np.zeros(net.n, dtype=float),
     )
 
@@ -280,7 +275,7 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
         input_sum = np.bincount(targets, weights=values, minlength=net.n)
         synaptic_events = len(targets)
     for neuron_id, value in external_inputs:
-        idx = net.index.get(neuron_id)
+        idx = net.graph.index.get(neuron_id)
         if idx is None or idx not in net.input_idx:
             raise UnknownInputNeuron(neuron_id)
         if not math.isfinite(value):
@@ -421,6 +416,10 @@ class ZeroActivity:
 
     window: int = 3
 
+    def __post_init__(self):
+        if isinstance(self.window, bool) or not isinstance(self.window, int) or self.window < 1:
+            raise ValueError(f"window must be an integer >= 1, got {self.window!r}")
+
 
 @dataclass(frozen=True)
 class OutputConvergence:
@@ -428,6 +427,11 @@ class OutputConvergence:
 
     window: int = 3
     tol: float = 1e-6
+
+    def __post_init__(self):
+        ZeroActivity.__post_init__(self)
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol!r}")
 
 
 StopCondition = ZeroActivity | OutputConvergence | None

@@ -26,7 +26,7 @@ import hashlib
 import itertools
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import FragmentTooLarge, GraphTooLargeForOracle
 from .graph import ValidatedGraph, node_levels
@@ -201,17 +201,6 @@ class PartitionResult:
     granularity: int
 
 
-def _verify_families(families: Iterable[tuple[str, tuple[Fragment, ...]]]) -> None:
-    for label, members in families:
-        if len(members) < 2 or len(members[0]) > EXACT_LIMIT:
-            continue
-        head = members[0]
-        for other in members[1:]:
-            if not isomorphic(head, other):
-                raise AssertionError(
-                    f"family {label} contains non-isomorphic members")
-
-
 def partition_isomorphic(vg: ValidatedGraph, granularity: int) -> PartitionResult:
     """Greedy level-aligned tiling into connected fragments of exactly
     `granularity` nodes, grouped by canonical label.
@@ -358,10 +347,8 @@ def brute_force_partition(vg: ValidatedGraph, granularity: int) -> PartitionResu
         return PartitionResult(families=(), residual=frozenset(vg.topo_order),
                                p_threads=1, granularity=granularity)
     covered = {nid for f in best_members for nid in f.node_ids}
-    families = ((best_label, tuple(best_members)),)
-    _verify_families(families)
     return PartitionResult(
-        families=families,
+        families=((best_label, tuple(best_members)),),
         residual=frozenset(set(vg.topo_order) - covered),
         p_threads=len(best_members),
         granularity=granularity,

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DegenerateMesh, NonStochasticMatrix
 from .graph import ComputeGraph, OpNode
-from .neural import NeuralGraph, NeuronSpec, SynapseSpec
+from .neural import NeuralGraph, NeuronSpec
 from .sim import SimState
 
 _STOCHASTIC_TOL = 1e-9
@@ -224,28 +224,24 @@ def gen_mesh(spec: MeshSpec) -> tuple[ComputeGraph, NeuralGraph]:
     deviation = np.asarray(spec.init, dtype=float) - equilibrium
     pos_ids, neg_ids = rail_ids(spec)
 
+    # Rails: every pos neuron, every neg neuron, then the padding. x0 is
+    # max(+-deviation, 0.0) with Python's tie rule, so -0.0 stays -0.0.
+    pad = spec.n_mesh - 2
+    ids = pos_ids + neg_ids + tuple(f"r{i}_{j}" for i in range(spec.m_s) for j in range(pad))
+    x0 = np.concatenate([np.where(0.0 > deviation, 0.0, deviation),
+                         np.where(0.0 > -deviation, 0.0, -deviation),
+                         np.zeros(spec.m_s * pad)])
     rail = NeuronSpec("lif", v_thresh=spec.v_thresh, v_reset=0.0)
-    neurons: list[tuple[str, NeuronSpec, float]] = []
-    for i in range(spec.m_s):
-        neurons.append((pos_ids[i], rail, float(max(deviation[i], 0.0))))
-    for i in range(spec.m_s):
-        neurons.append((neg_ids[i], rail, float(max(-deviation[i], 0.0))))
-    for i in range(spec.m_s):
-        for j in range(spec.n_mesh - 2):
-            neurons.append((f"r{i}_{j}", rail, 0.0))
 
     # One threshold quantum scaled by each coupling weight, row i then
     # column j ascending, the pos rail before the neg rail.
-    synapses: list[SynapseSpec] = []
-    for i, j, quantum in zip(rows.tolist(), cols.tolist(), (spec.v_thresh * vals).tolist()):
-        synapses.append(SynapseSpec(pos_ids[i], pos_ids[j], quantum))
-        synapses.append(SynapseSpec(neg_ids[i], neg_ids[j], quantum))
-
-    network = NeuralGraph(
-        neurons=tuple(neurons),
-        synapses=tuple(synapses),
-        input_neurons=(),
-        output_neurons=(),
+    m = 2 * len(rows)
+    network = NeuralGraph.from_columns(
+        ids, (rail,), np.zeros(len(ids), dtype=np.intp), x0,
+        source=np.column_stack([rows, rows + spec.m_s]).reshape(m),
+        target=np.column_stack([cols, cols + spec.m_s]).reshape(m),
+        weight=np.repeat(spec.v_thresh * vals, 2),
+        delay=np.ones(m, dtype=np.int64),
     )
     return template, network
 
@@ -253,7 +249,7 @@ def gen_mesh(spec: MeshSpec) -> tuple[ComputeGraph, NeuralGraph]:
 def decode_mesh_state(spec: MeshSpec, state: SimState) -> np.ndarray:
     """Read the mesh values back out of rail membranes."""
     pos_ids, neg_ids = rail_ids(spec)
-    index = state.net.index
+    index = state.net.graph.index
     pos = np.fromiter((index[nid] for nid in pos_ids), np.intp, spec.m_s)
     neg = np.fromiter((index[nid] for nid in neg_ids), np.intp, spec.m_s)
     return mesh_equilibrium(spec) + (state.x[pos] - state.x[neg])
@@ -331,16 +327,14 @@ def gen_ff_layer(spec: FFLayerSpec) -> NeuralGraph:
     units = ff_output_ids(spec)
     source_spec = NeuronSpec("lif", v_thresh=FF_INPUT_THRESH, v_reset=0.0)
     unit_spec = NeuronSpec("ann_relu")
-    neurons = [(nid, source_spec, 0.0) for nid in sources]
-    neurons += [(nid, unit_spec, 0.0) for nid in units]
-    synapses = tuple(
-        SynapseSpec(sources[i], units[j], float(spec.weights[i][j]))
-        for i in range(spec.n_i)
-        for j in range(spec.n_j)
-    )
-    return NeuralGraph(
-        neurons=tuple(neurons),
-        synapses=synapses,
+    m = spec.n_i * spec.n_j
+    return NeuralGraph.from_columns(
+        sources + units, (source_spec, unit_spec),
+        np.repeat([0, 1], [spec.n_i, spec.n_j]), np.zeros(spec.n_i + spec.n_j),
+        source=np.repeat(np.arange(spec.n_i), spec.n_j),
+        target=np.tile(np.arange(spec.n_i, spec.n_i + spec.n_j), spec.n_i),
+        weight=np.asarray(spec.weights, dtype=float).reshape(m),
+        delay=np.ones(m, dtype=np.int64),
         input_neurons=sources,
         output_neurons=units,
     )
@@ -379,12 +373,9 @@ def gen_self_exciting_loop(v_thresh: float = 1.0,
     if weight is None:
         weight = 1.5 * v_thresh
     spec = NeuronSpec("lif", v_thresh=v_thresh, v_reset=0.0)
-    return NeuralGraph(
-        neurons=(("loop0", spec, 1.5 * v_thresh),),
-        synapses=(SynapseSpec("loop0", "loop0", weight),),
-        input_neurons=(),
-        output_neurons=("loop0",),
-    )
+    return NeuralGraph.from_columns(("loop0",), (spec,), [0], [1.5 * v_thresh],
+                                    source=[0], target=[0], weight=[weight], delay=[1],
+                                    output_neurons=("loop0",))
 
 
 def gen_random_dag(n: int, edge_density: float, alphabet: Sequence[str],

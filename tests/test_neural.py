@@ -1,5 +1,6 @@
-"""Neuron models, lowering rules, and resource counting."""
+"""Neuron models, the columnar network IR, lowering rules, and resource counting."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from neurocost import (
     gen_random_dag,
     advance,
     count_resources,
+    emit_neural_json,
     lower_graph,
     relay_rules,
     step_neuron,
@@ -27,6 +29,8 @@ from neurocost import (
 )
 
 from conftest import make_chain, make_footnote
+from test_golden import (ENCODINGS, GOLDEN, RANDOM_SPECS, random_inputs, random_network,
+                         trace_digest, _run as golden_run)
 
 
 # -------------------------------------------------------------- neuron model
@@ -301,3 +305,217 @@ def test_default_rules_are_relay_rules(make):
     vg = validate_graph(make())
     kinds = {node.op_kind for node in vg.nodes}
     assert lower_graph(vg) == lower_graph(vg, relay_rules(kinds))
+
+
+# ------------------------------------------------------------ columnar IR
+
+_RELAY = NeuronSpec("lif", v_thresh=1.0)
+
+
+def _build(how, neurons, synapses, **kw):
+    """One network through either constructor; endpoints are ids for the
+    tuple form and become positions (an unknown id -> 99) for columns."""
+    if how == "tuples":
+        return NeuralGraph(neurons, [SynapseSpec(*syn) for syn in synapses], **kw)
+    ids = [nid for nid, _s, _x in neurons]
+    specs = list(dict.fromkeys(spec for _n, spec, _x in neurons))
+    pos = {nid: i for i, nid in enumerate(ids)}
+    cols = list(zip(*synapses)) if synapses else [(), (), (), ()]
+    return NeuralGraph.from_columns(
+        ids, specs, [specs.index(spec) for _n, spec, _x in neurons],
+        [x0 for _n, _s, x0 in neurons], [pos.get(a, 99) for a in cols[0]],
+        [pos.get(b, 99) for b in cols[1]], cols[2], cols[3], **kw)
+
+
+_AB = (("a", _RELAY, 0.0), ("b", _RELAY, 0.0))
+
+
+@pytest.mark.parametrize("how", ["tuples", "columns"])
+class TestConstructionErrors:
+    def test_duplicate_id(self, how):
+        with pytest.raises(ValueError, match="duplicate neuron id 'a'"):
+            _build(how, _AB + (("a", _RELAY, 1.0),), [])
+
+    @pytest.mark.parametrize("role, syn", [("source", ("ghost", "a", 1.0, 1)),
+                                           ("target", ("a", "ghost", 1.0, 1))])
+    def test_unknown_endpoint(self, how, role, syn):
+        with pytest.raises(ValueError, match=f"synapse {role} .* is not a neuron"
+                           if how == "tuples" else f"synapse 0 {role} index 99 is not a neuron"):
+            _build(how, _AB, [syn])
+
+    @pytest.mark.parametrize("delay", [0, -3])
+    def test_delay_below_one(self, how, delay):
+        with pytest.raises(ValueError,
+                           match=f"synapse delay must be an integer >= 1, got {delay} on 'a' -> 'b'"):
+            _build(how, _AB, [("a", "b", 1.0, 1), ("a", "b", 1.0, delay)])
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_names_the_synapse(self, how, weight):
+        # a NaN weight used to surface at run time as a diverged state of 'b'
+        with pytest.raises(ValueError, match=f"synapse 'a' -> 'b' has non-finite weight {weight}"):
+            _build(how, _AB, [("a", "b", weight, 1)])
+
+    def test_bool_delay(self, how):
+        with pytest.raises(ValueError, match="got True on 'a' -> 'b'" if how == "tuples"
+                           else "delay must hold integers, got dtype bool"):
+            _build(how, _AB, [("a", "b", 1.0, True)])
+
+    def test_undeclared_io(self, how):
+        with pytest.raises(ValueError, match="declared neuron 'ghost' does not exist"):
+            _build(how, _AB, [], output_neurons=("ghost",))
+
+    def test_both_forms_agree(self, how):
+        ng = _build(how, _AB + (("c", NeuronSpec("ann_relu"), 0.5),),
+                    [("a", "b", 1.5, 2), ("c", "a", -0.0, 1)], input_neurons=("a",))
+        assert ng == _build("tuples" if how == "columns" else "columns", _AB + (
+            ("c", NeuronSpec("ann_relu"), 0.5),), [("a", "b", 1.5, 2), ("c", "a", -0.0, 1)],
+            input_neurons=("a",))
+        assert ng.synapses == (SynapseSpec("a", "b", 1.5, 2), SynapseSpec("c", "a", -0.0, 1))
+
+
+def test_empty_columns_make_an_empty_graph():
+    ng = NeuralGraph.from_columns((), (), [], [], [], [], [], [])
+    assert ng == NeuralGraph((), ()) and ng.neurons == () and ng.synapses == ()
+    with pytest.raises(ValueError, match="spec_index must use every spec"):
+        NeuralGraph.from_columns((), (_RELAY,), [], [], [], [], [], [])
+
+
+def test_float_delay_column_is_rejected():
+    with pytest.raises(ValueError, match="delay must hold integers"):
+        NeuralGraph.from_columns(("a",), (_RELAY,), [0], [0.0], [0], [0], [1.0], [1.5])
+
+
+@pytest.mark.parametrize("specs, spec_index", [
+    ((_RELAY, NeuronSpec("ann_relu")), [1, 0]),   # not in order of first use
+    ((_RELAY, _RELAY), [0, 1]),                   # not distinct
+    ((_RELAY, NeuronSpec("ann_relu")), [0, 0]),   # an unused spec
+    ((_RELAY,), [0, 1]),                          # out of range
+    ((_RELAY, NeuronSpec("ann_relu")), [0, -1]),  # negative
+    ((), [0, 0]),                                 # no table at all
+])
+def test_spec_table_must_be_canonical(specs, spec_index):
+    with pytest.raises(ValueError, match="spec_index must use every spec"):
+        NeuralGraph.from_columns(("a", "b"), specs, spec_index, [0.0, 0.0], [], [], [], [])
+
+
+def test_column_graph_is_immutable():
+    ng = NeuralGraph(_AB, (SynapseSpec("a", "b", 1.0),))
+    with pytest.raises(AttributeError):
+        ng.weight = np.zeros(1)
+    with pytest.raises(ValueError):
+        ng.weight[0] = 2.0
+    assert ng.weight.tolist() == [1.0]
+
+
+def test_self_loops_read_the_columns(caplog):
+    with caplog.at_level("INFO", logger="neurocost.neural"):
+        ng = NeuralGraph.from_columns(("x", "y"), (_RELAY,), [0, 0], [0.0, 0.0],
+                                      [0, 0, 1], [0, 1, 1], [0.5, 0.5, 2.0], [1, 1, 3])
+    assert "2 self-loop synapse(s)" in caplog.text
+    assert ng.self_loops == (SynapseSpec("x", "x", 0.5), SynapseSpec("y", "y", 2.0, 3))
+    assert "synapses" not in vars(ng)
+
+
+def _tuple_lowering(vg, rules=None):
+    """Reference: the per-synapse lowering that preceded the columnar
+    one, building SynapseSpecs and the tuple constructor."""
+    if rules is None:
+        rules = relay_rules({node.op_kind for node in vg.nodes})
+    neurons, synapses, entries, per_op, entry, exit_ = [], [], {}, {}, {}, {}
+    for nid in vg.topo_order:
+        node = vg.node(nid)
+        rule = rules[node.op_kind]
+        members = [f"{nid}#{k}" for k in range(rule.neuron_count)]
+        neurons += [(mid, rule.neuron, 0.0) for mid in members]
+        entry[nid], exit_[nid] = members[0], members[-1]
+        owned = []
+        for a, b in zip(members, members[1:]):
+            owned.append(len(synapses))
+            synapses.append(SynapseSpec(a, b, rule.chain_weight, rule.delay))
+        for ref in node.inputs:
+            owned.append(len(synapses))
+            synapses.append(SynapseSpec(exit_[ref], members[0], rule.input_weight, rule.delay))
+        entries[nid] = (frozenset(members), frozenset(owned))
+        per_op[nid] = rule.neuron_count
+    ng = NeuralGraph(neurons, synapses, tuple(entry[n] for n in vg.declared_inputs),
+                     tuple(exit_[n] for n in vg.declared_outputs))
+    return ng, AssemblyMap(entries=entries, per_op_neuron_count=per_op)
+
+
+_MIXED_RULES = {
+    "sub": LoweringRule(neuron_count=2, chain_weight=1.25, delay=2),
+    "mul": LoweringRule(neuron=NeuronSpec("threshold_gate", v_thresh=0.5), input_weight=0.75),
+    "pow": LoweringRule(neuron_count=3),
+    "add": LoweringRule(),
+    "relay": LoweringRule(neuron=NeuronSpec("ann_relu"), delay=3),
+}
+
+
+@pytest.mark.parametrize("make", [make_footnote,
+                                  lambda: gen_random_dag(40, 0.1, ("add", "mul", "relay"), 7),
+                                  lambda: gen_random_dag(80, 0.05, ("add", "mul", "sub"), 2)],
+                         ids=["footnote", "random_dag_40", "random_dag_80"])
+@pytest.mark.parametrize("rules", [None, _MIXED_RULES], ids=["relay", "mixed"])
+def test_columnar_lowering_equals_tuple_lowering(make, rules):
+    vg = validate_graph(make())
+    ng, am = lower_graph(vg, rules)
+    want, want_am = _tuple_lowering(vg, rules)
+    assert ng == want
+    assert (ng.neurons, ng.synapses) == (want.neurons, want.synapses)
+    assert (ng.input_neurons, ng.output_neurons) == (want.input_neurons, want.output_neurons)
+    assert am == want_am
+
+
+# SHA-256 of emit_neural_json output, recorded with the per-synapse IR that
+# preceded the columnar one.
+EMIT_DIGESTS = {
+    "footnote": "b30625df90ab0fa2ee5d66459444a53494278a66139af37fe99ad8b6f99dabf2",
+    "random_dag": "244de51e700ea835be0a10b1947920bb84b0166f7fd6cbb9bfe242ceb77e3be6",
+}
+
+
+@pytest.mark.parametrize("name, make", [
+    ("footnote", make_footnote),
+    ("random_dag", lambda: gen_random_dag(60, 0.1, ("add", "mul", "relay"), 3)),
+])
+def test_emit_neural_json_is_byte_identical(name, make):
+    ng, _ = lower_graph(validate_graph(make()))
+    text = emit_neural_json(ng)
+    assert hashlib.sha256(text.encode()).hexdigest() == EMIT_DIGESTS[name]
+
+
+def _random_network_columns(seed: int) -> NeuralGraph:
+    """The golden random network of test_golden, drawn from the same
+    generator but built as columns."""
+    rng = np.random.default_rng(seed)
+    n, n_syn = 30, 100
+    rows, x0 = [], []
+    for _ in range(n):
+        rows.append(int(rng.integers(len(RANDOM_SPECS))))
+        x0.append(float(rng.uniform(-0.5, 1.5)) if rng.random() < 0.35 else 0.0)
+    src = rng.integers(0, n, size=n_syn)
+    tgt = rng.integers(0, n, size=n_syn)
+    weight = rng.uniform(-1.0, 1.2, size=n_syn)
+    zero = rng.random(n_syn) < 0.1
+    weight[zero] = np.where(rng.random(n_syn) < 0.5, 0.0, -0.0)[zero]
+    delay = rng.integers(1, 5, size=n_syn)
+    used = list(dict.fromkeys(rows))
+    return NeuralGraph.from_columns(
+        [f"u{i}" for i in range(n)], [RANDOM_SPECS[r] for r in used],
+        [used.index(r) for r in rows], x0, src, tgt, weight, delay,
+        input_neurons=("u0", "u1", "u2", "u3"), output_neurons=("u4", "u5", "u6"))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_golden_random_networks_equal_as_columns(seed):
+    ng, want = _random_network_columns(seed), random_network(seed)
+    assert ng == want
+    assert (ng.neurons, ng.synapses) == (want.neurons, want.synapses)
+    # the sign of each zero weight survives the columns
+    assert [math.copysign(1, s.weight) for s in ng.synapses] == [
+        math.copysign(1, s.weight) for s in want.synapses]
+    for encoding in ENCODINGS:
+        for dzw in (False, True):
+            tr, state = golden_run(ng, ENCODINGS[encoding], 40, inputs=random_inputs(seed, 40),
+                                   deliver_zero_weight=dzw)
+            assert trace_digest(tr, state) == GOLDEN[f"random_s{seed}_{encoding}_dzw{int(dzw)}"]

@@ -259,6 +259,27 @@ class TestRunControl:
         tr = run(ng, 50, stop=nc.OutputConvergence(4, 1e-9))
         assert len(tr.records) == 5
 
+    @pytest.mark.parametrize("make", [
+        lambda: nc.ZeroActivity(0), lambda: nc.ZeroActivity(-2), lambda: nc.ZeroActivity(1.5),
+        lambda: nc.ZeroActivity(True), lambda: nc.OutputConvergence(window=0),
+        lambda: nc.OutputConvergence(window=-1, tol=0.0),
+    ], ids=["za0", "za-2", "za1.5", "zaTrue", "oc0", "oc-1"])
+    def test_stop_window_must_be_at_least_one(self, make):
+        # window 0 used to stop a still-firing loop after one step, and
+        # OutputConvergence(window=0) failed inside run_sim with max([])
+        with pytest.raises(ValueError, match="window"):
+            make()
+
+    @pytest.mark.parametrize("tol", [-1e-9, float("nan"), float("inf")])
+    def test_convergence_tol_must_be_finite_and_nonnegative(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            nc.OutputConvergence(window=3, tol=tol)
+
+    def test_window_one_never_stops_a_firing_loop(self):
+        tr = run(nc.gen_self_exciting_loop(), 12, stop=nc.ZeroActivity(1))
+        assert [r.spikes for r in tr.records] == [1] * 12
+        assert nc.OutputConvergence(window=1, tol=0.0).tol == 0.0
+
     def test_callable_schedule(self):
         ng = two_neuron(2.0, a0=0.0)
 

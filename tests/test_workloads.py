@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -326,3 +327,118 @@ class TestSparseMesh:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+def _mesh_by_tuples(spec):
+    """Reference: the per-synapse mesh build that preceded the columnar
+    one (neurons and synapses as tuples, x0 through Python's max)."""
+    w = nc.coupling_matrix(spec)
+    rows, cols = np.nonzero(w)
+    deviation = np.asarray(spec.init, dtype=float) - mesh_equilibrium(spec)
+    pos, neg = rail_ids(spec)
+    rail = nc.NeuronSpec("lif", v_thresh=spec.v_thresh, v_reset=0.0)
+    neurons = [(pos[i], rail, float(max(deviation[i], 0.0))) for i in range(spec.m_s)]
+    neurons += [(neg[i], rail, float(max(-deviation[i], 0.0))) for i in range(spec.m_s)]
+    neurons += [(f"r{i}_{j}", rail, 0.0) for i in range(spec.m_s) for j in range(spec.n_mesh - 2)]
+    synapses = []
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        quantum = spec.v_thresh * float(w[i, j])
+        synapses += [nc.SynapseSpec(pos[i], pos[j], quantum), nc.SynapseSpec(neg[i], neg[j], quantum)]
+    return nc.NeuralGraph(neurons, synapses)
+
+
+def _ff_by_tuples(spec):
+    sources, units = ff_input_ids(spec), ff_output_ids(spec)
+    lif = nc.NeuronSpec("lif", v_thresh=nc.FF_INPUT_THRESH, v_reset=0.0)
+    relu = nc.NeuronSpec("ann_relu")
+    return nc.NeuralGraph(
+        [(nid, lif, 0.0) for nid in sources] + [(nid, relu, 0.0) for nid in units],
+        [nc.SynapseSpec(sources[i], units[j], float(spec.weights[i][j]))
+         for i in range(spec.n_i) for j in range(spec.n_j)],
+        sources, units)
+
+
+def _assert_same_network(ng, want):
+    assert ng == want
+    assert ng.neurons == want.neurons
+    assert ng.synapses == want.synapses
+    assert [math.copysign(1.0, x) for _n, _s, x in ng.neurons] == [
+        math.copysign(1.0, x) for _n, _s, x in want.neurons]
+
+
+class TestColumnarBuilders:
+    @pytest.mark.parametrize("spec", [
+        ring_spec(1, (2.0,), k=0),
+        ring_spec(3, (1.0, 0.0, 2.0), k=2),
+        ring_spec(8, (1.0, 0.0) * 4, k=4),
+        ring_spec(33, nc.sinusoid_init(33, cycles=3), k=6, alpha=0.3),
+        ring_spec(64, nc.sinusoid_init(64, cycles=4), k=4, v_thresh=0.05),
+        ring_spec(6, (-0.0, 0.0, 1.0, -1.0, 0.5, -0.5), k=2),
+        nc.MeshSpec(m_s=5, k=2, m_t=4, dynamics=nc.Diffusion(0.4),
+                    init=(3.0, 1.0, 0.0, 2.0, 4.0), n_mesh=4),
+        nc.MeshSpec(m_s=2, k=2, m_t=5, dynamics=Dtmc(_CHAINS[0]), init=(3.0, 1.0)),
+        nc.MeshSpec(m_s=3, k=2, m_t=5, init=(1.0, 2.0, 0.5), dynamics=Dtmc(
+            ((0.2, 0.8, 0.0), (0.0, 0.3, 0.7), (0.6, 0.0, 0.4)))),
+    ], ids=lambda spec: f"m{spec.m_s}k{spec.k}n{spec.n_mesh}{type(spec.dynamics).__name__}")
+    def test_gen_mesh_equals_tuple_build(self, spec):
+        _, ng = nc.gen_mesh(spec)
+        _assert_same_network(ng, _mesh_by_tuples(spec))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (24, 16)])
+    def test_gen_ff_layer_equals_tuple_build(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        w = rng.uniform(-0.5, 1.0, size=shape)
+        w[rng.random(shape) < 0.2] = 0.0
+        w[0, 0] = -0.0
+        spec = FFLayerSpec.from_arrays(w, rng.uniform(0.0, 1.0, size=shape[0]), 10)
+        _assert_same_network(gen_ff_layer(spec), _ff_by_tuples(spec))
+        assert math.copysign(1.0, gen_ff_layer(spec).synapses[0].weight) == -1.0
+
+    @pytest.mark.parametrize("v_thresh, weight", [(1.0, None), (0.4, 0.1)])
+    def test_loop_equals_tuple_build(self, v_thresh, weight):
+        spec = nc.NeuronSpec("lif", v_thresh=v_thresh, v_reset=0.0)
+        w = 1.5 * v_thresh if weight is None else weight
+        want = nc.NeuralGraph((("loop0", spec, 1.5 * v_thresh),),
+                              (nc.SynapseSpec("loop0", "loop0", w),), (), ("loop0",))
+        _assert_same_network(nc.gen_self_exciting_loop(v_thresh, weight), want)
+
+    def test_builders_and_init_construct_no_synapse_objects(self, monkeypatch):
+        made = []
+        post_init = nc.SynapseSpec.__post_init__
+
+        def counting(self):
+            made.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(nc.SynapseSpec, "__post_init__", counting)
+        spec = ring_spec(256, nc.sinusoid_init(256, cycles=16), k=4, v_thresh=0.05)
+        _, mesh = nc.gen_mesh(spec)
+        layer = gen_ff_layer(FFLayerSpec.from_arrays(np.ones((8, 4)), [0.5] * 8, 4))
+        for ng in (mesh, layer, nc.gen_self_exciting_loop()):
+            nc.run_sim(nc.init_sim(ng, nc.AnalogEncoding(), 0), 3)
+            assert "synapses" not in vars(ng) and "neurons" not in vars(ng)
+        assert made == []
+        nc.SynapseSpec("a", "b", 1.0)
+        assert len(made) == 1  # the counter does see a construction
+
+    def test_count_resources_reads_column_lengths(self):
+        ng = gen_ff_layer(FFLayerSpec.from_arrays(np.ones((16, 8)), [0.5] * 16, 4))
+        r = nc.count_resources(ng)
+        assert (r.n_total, r.s_total) == (24, 128)
+        assert "synapses" not in vars(ng) and "neurons" not in vars(ng)
+
+    def test_mesh_build_and_compile_memory_is_linear(self):
+        # gen_mesh + init_sim hold columns and the compiled CSR, about 113
+        # bytes per synapse at the peak; one frozen SynapseSpec per synapse
+        # took more than that on its own.
+        spec = ring_spec(65536, nc.sinusoid_init(65536, cycles=4096), m_t=4, k=4, v_thresh=0.05)
+        tracemalloc.start()
+        try:
+            _, ng = nc.gen_mesh(spec)
+            nc.init_sim(ng, nc.AnalogEncoding(), 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        synapses = len(ng.source)
+        assert synapses == 2 * 65536 * 5
+        assert peak / synapses < 150
