@@ -87,10 +87,11 @@ def advance(spec: NeuronSpec, x: np.ndarray, input_sum: np.ndarray):
         x_next = input_sum.astype(float, copy=True)
         y = np.tanh(x_next)
     else:  # lif
-        x_next = x * spec.decay_factor + input_sum
+        # x * 1.0 is x bit for bit, so a non-leaking integrator skips it.
+        x_next = (x if spec.decay_factor == 1.0 else x * spec.decay_factor) + input_sum
         fired = x_next > spec.v_thresh
         y = fired.astype(float)
-        x_next = np.where(fired, spec.v_reset, x_next)
+        x_next[fired] = spec.v_reset
     return x_next, y
 
 

@@ -21,13 +21,23 @@ distance; the analog encoding measures summed |dx|.
 Event core: outgoing synapses are compiled once into a CSR sorted stably
 by source (zero-weight synapses left out unless they are delivered).
 Emit gathers the synapses of all of a step's firing sources, in source
-order, with one CSR gather and appends one (targets, values) pair per
-distinct delay to the slot of the step it falls due. Delivery
-concatenates the due slot's pairs in append order and sums them into the
-input vector with one `np.bincount`. Summation order is part of the
-contract: each target's input is the left-to-right sum of its events in
-(emit step, source, synapse) order, never pre-summed at emit time, so
-traces stay bitwise stable.
+order, with one CSR gather (one contiguous slice when a single source
+fires) and appends one (targets, values) pair per distinct delay to the
+slot of the step it falls due. Delivery concatenates the due slot's pairs
+in append order and sums them into the input vector with one
+`np.bincount`, then adds external injections in order. Summation order is
+part of the contract: each target's input is the left-to-right sum of its
+events in (emit step, source, synapse) order, never pre-summed at emit
+time, so traces stay bitwise stable.
+
+Evaluation set: a step's work follows touched neurons and events, not
+network size. The fed neurons, the nonzero entries of the input vector
+(inputs that cancel to exactly 0.0 wake nothing), are split by spec group.
+Each leaky LIF group keeps the set of its nonzero-state neurons, tests
+decay on that set only and updates it from the neurons the step wrote.
+Armed neurons join on the first step. A quiet step (no slot due, no
+injection) skips delivery and allocates nothing of size n. State is
+written in place; `last_y` is cleared only where the previous step wrote.
 
 Determinism: identical graph, encoding and inputs reproduce the trace
 bitwise. The engine draws no random numbers; `init_sim` accepts a seed
@@ -154,7 +164,6 @@ class _CompiledNet:
         self.graph = ng
         self.ids = ng.neuron_ids
         self.n = len(self.ids)
-        self.x0 = ng.x0
 
         by_spec = np.argsort(ng.spec_index, kind="stable")
         sizes = np.bincount(ng.spec_index, minlength=len(ng.specs))
@@ -171,14 +180,29 @@ class _CompiledNet:
         self.out_indptr = np.zeros(self.n + 1, dtype=np.intp)
         np.cumsum(np.bincount(source[kept], minlength=self.n), out=self.out_indptr[1:])
 
-        self.input_idx = {ng.index[nid] for nid in ng.input_neurons}
+        self.input_pos = {nid: ng.index[nid] for nid in ng.input_neurons}
         self.output_idx = np.array([ng.index[nid] for nid in ng.output_neurons],
                                    dtype=np.intp)
+
+    def by_group(self, idx: np.ndarray) -> list[np.ndarray]:
+        """Ascending neuron indices split into one ascending part per group."""
+        if len(self.groups) == 1:
+            return [idx]
+        g = self.graph.spec_index[idx]
+        bounds = np.cumsum(np.bincount(g, minlength=len(self.groups))).tolist()
+        idx = idx[np.argsort(g, kind="stable")]
+        return [idx[a:b] for a, b in zip([0] + bounds, bounds)]
 
 
 @dataclass
 class SimState:
-    """Mutable simulation state; create with init_sim."""
+    """Mutable simulation state; create with init_sim.
+
+    `x` is the same array object for the whole run; a step writes it in
+    place only after every group passed the finite check, so a step that
+    raises NonFiniteState leaves it as it was. `decaying[g]` holds the
+    ascending indices of a leaky LIF group's nonzero-state neurons.
+    """
 
     net: _CompiledNet
     x: np.ndarray
@@ -187,7 +211,9 @@ class SimState:
     constants: CostConstants
     pending: dict[int, list[tuple[np.ndarray, np.ndarray]]]  # due step -> pairs in append order
     armed: np.ndarray  # indices to evaluate at the first step, then empty
-    last_y: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    decaying: list[np.ndarray | None]
+    last_y: np.ndarray
+    y_written: list[np.ndarray] = field(default_factory=list)  # entries of last_y now set
 
     @property
     def n_total(self) -> int:
@@ -211,12 +237,12 @@ def init_sim(ng: NeuralGraph, encoding: EncodingMode, seed: int,
     if not ng.neuron_ids:
         raise EmptyGraph("network has no neurons")
     net = _CompiledNet(ng, deliver_zero_weight)
-    x = net.x0.copy()
+    x = ng.x0.copy()
     if not np.all(np.isfinite(x)):
         bad = net.ids[int(np.flatnonzero(~np.isfinite(x))[0])]
         raise NonFiniteState(f"initial state of {bad!r} is not finite")
 
-    armed = []
+    armed, decaying = [], []
     for spec, idx in net.groups:
         xi = x[idx]
         if spec.model_kind in ("threshold_gate", "lif"):
@@ -226,6 +252,8 @@ def init_sim(ng: NeuralGraph, encoding: EncodingMode, seed: int,
         else:  # ann_tanh
             hot = xi != 0.0
         armed.append(idx[hot])
+        leaky = spec.model_kind == "lif" and spec.decay_factor != 1.0
+        decaying.append(idx[xi != 0.0] if leaky else None)
 
     return SimState(
         net=net,
@@ -235,6 +263,7 @@ def init_sim(ng: NeuralGraph, encoding: EncodingMode, seed: int,
         constants=constants,
         pending={},
         armed=np.sort(np.concatenate(armed)),
+        decaying=decaying,
         last_y=np.zeros(net.n, dtype=float),
     )
 
@@ -266,98 +295,100 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
     t = s.t
 
     # 1. Deliver queued synaptic events due now, then external injections.
+    # A quiet step (nothing due, nothing injected) skips delivery.
     due = s.pending.pop(t, None)
-    if due is None:
-        input_sum = np.zeros(net.n, dtype=float)
-        synaptic_events = 0
-    else:
+    synaptic_events = 0
+    input_sum = fed = None
+    if due is not None:
         targets, values = _join(due)
-        input_sum = np.bincount(targets, weights=values, minlength=net.n)
         synaptic_events = len(targets)
-    for neuron_id, value in external_inputs:
-        idx = net.graph.index.get(neuron_id)
-        if idx is None or idx not in net.input_idx:
-            raise UnknownInputNeuron(neuron_id)
-        if not math.isfinite(value):
-            raise NonFiniteInput(f"external input to {neuron_id!r} is {value}")
-        input_sum[idx] += value
+        input_sum = np.bincount(targets, weights=values, minlength=net.n)
+    if external_inputs:
+        input_sum = np.zeros(net.n) if input_sum is None else input_sum
+        for neuron_id, value in external_inputs:
+            idx = net.input_pos.get(neuron_id)
+            if idx is None:
+                raise UnknownInputNeuron(neuron_id)
+            if not math.isfinite(value):
+                raise NonFiniteInput(f"external input to {neuron_id!r} is {value}")
+            input_sum[idx] += value
+    if input_sum is not None:
+        fed = net.by_group(input_sum.nonzero()[0])  # ascending
 
-    has_input = input_sum != 0.0
     armed = s.armed
     if len(armed):
         s.armed = _NO_INDEX
+        armed = net.by_group(armed)
 
     # 2. Evaluate neurons with input, with a decay-visible change, or armed.
-    new_x = s.x  # copy-on-write per group below
-    y_now = np.zeros(net.n, dtype=float)
+    # Writes wait until every group passed the finite check.
+    encoding = s.encoding
+    digital = isinstance(encoding, DigitalEncoding)
+    writes: list[tuple[int, np.ndarray, np.ndarray]] = []
+    outs: list[tuple[np.ndarray, np.ndarray]] = []
     spike_parts: list[tuple[np.ndarray, np.ndarray]] = []
     touched_count = 0
     delta_n = 0.0
-    evaluated_any = False
 
-    digital = isinstance(s.encoding, DigitalEncoding)
-
-    for spec, idx in net.groups:
-        group_eval = has_input[idx]
-
-        if spec.model_kind == "lif" and spec.decay_factor != 1.0:
-            xi = s.x[idx]
+    for g, (spec, _idx) in enumerate(net.groups):
+        ev = _NO_INDEX if fed is None else fed[g]
+        decaying = s.decaying[g]
+        if decaying is not None and len(decaying):
             if digital:
-                decays = s.encoding.words(xi * spec.decay_factor) != s.encoding.words(xi)
-            else:
-                decays = xi != 0.0
-            group_eval = group_eval | decays
-
-        armed_in_group = np.intersect1d(armed, idx, assume_unique=False) if len(armed) else None
-        normal_idx = idx[group_eval]
-        transfer_idx = _NO_INDEX
-        if armed_in_group is not None and len(armed_in_group):
+                xd = s.x[decaying]
+                decaying = decaying[encoding.words(xd * spec.decay_factor) != encoding.words(xd)]
+            ev = np.union1d(ev, decaying)
+        transfer = _NO_INDEX
+        if len(armed) and len(armed[g]):
             if spec.model_kind == "lif":
                 # Reset is part of the integration rule; a zero-input
                 # evaluation handles an armed integrator correctly.
-                normal_idx = np.union1d(normal_idx, armed_in_group).astype(np.intp)
+                ev = np.union1d(ev, armed[g])
             else:
-                transfer_idx = np.setdiff1d(armed_in_group, normal_idx).astype(np.intp)
-
-        if len(normal_idx) == 0 and len(transfer_idx) == 0:
+                transfer = np.setdiff1d(armed[g], ev, assume_unique=True)
+        if not len(ev) and not len(transfer):
             continue
-        if not evaluated_any:
-            new_x = s.x.copy()
-            evaluated_any = True
-
-        parts: list[tuple[np.ndarray, np.ndarray]] = []
-        if len(normal_idx):
-            x_next, y = advance(spec, s.x[normal_idx], input_sum[normal_idx])
-            if not np.isfinite(x_next).all():
-                bad = net.ids[int(normal_idx[int(np.flatnonzero(~np.isfinite(x_next))[0])])]
-                raise NonFiniteState(f"state of {bad!r} diverged at t={t}")
-            new_x[normal_idx] = x_next
-            parts.append((normal_idx, y))
-        if len(transfer_idx):
-            parts.append((transfer_idx, _transfer_only(spec, s.x[transfer_idx])))
-
-        eval_idx, y_all = _join(parts)
-        y_now[eval_idx] = y_all
+        old = s.x[ev]
+        x_next, y = advance(spec, old, np.zeros(len(ev)) if input_sum is None else input_sum[ev])
+        if np.count_nonzero(np.isfinite(x_next)) < len(x_next):
+            bad = net.ids[int(ev[int(np.flatnonzero(~np.isfinite(x_next))[0])])]
+            raise NonFiniteState(f"state of {bad!r} diverged at t={t}")
+        if len(transfer):  # output only: their state is kept, so it counts as unchanged
+            y = np.concatenate((y, _transfer_only(spec, s.x[transfer])))
+            x_next = np.concatenate((x_next, s.x[transfer]))
+            ev = np.concatenate((ev, transfer))
+            old = s.x[ev]
+        writes.append((g, ev, x_next))
+        outs.append((ev, y))
 
         # 4. Change-of-state accounting under the configured encoding.
-        old_vals = s.x[eval_idx]
-        new_vals = new_x[eval_idx]
         if digital:
-            bits = hamming_bits(s.encoding.words(old_vals), s.encoding.words(new_vals),
-                                s.encoding.word_width)
-            touched_count += int(np.count_nonzero(bits))
-            delta_n += float(bits.sum())
+            diffs = hamming_bits(encoding.words(old), encoding.words(x_next), encoding.word_width)
         else:
-            diffs = np.abs(new_vals - old_vals)
-            touched_count += int(np.count_nonzero(diffs))
-            delta_n += float(diffs.sum())
+            diffs = np.abs(x_next - old)
+        touched_count += int(np.count_nonzero(diffs))
+        delta_n += float(np.add.reduce(diffs))
 
-        firing = y_all != 0.0
-        if firing.any():
-            spike_parts.append((eval_idx[firing], y_all[firing]))
+        firing = y.nonzero()[0]
+        if len(firing):
+            spike_parts.append((ev[firing], y[firing]))
 
-    # 3. Emit: one CSR gather over every outgoing synapse of the firing
-    # sources, in (source, synapse) order, queued once per distinct delay.
+    for idx in s.y_written:
+        s.last_y[idx] = 0.0
+    for idx, y in outs:
+        s.last_y[idx] = y
+    s.y_written = [idx for idx, _y in outs]
+    for g, ev, x_next in writes:
+        s.x[ev] = x_next
+        if s.decaying[g] is not None:
+            rest = (np.setdiff1d(s.decaying[g], ev, assume_unique=True) if digital
+                    else _NO_INDEX)  # analog evaluates every nonzero state
+            s.decaying[g] = np.union1d(rest, ev[x_next.nonzero()[0]])
+
+    # 3. Emit: every outgoing synapse of the firing sources, in (source,
+    # synapse) order, queued once per distinct delay.
+    spike_count = 0
+    spike_ids: tuple[str, ...] = ()
     if spike_parts:
         spikes, spike_y = _join(spike_parts)
         # One group's spikes are ascending, except on the first step, when
@@ -365,35 +396,36 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
         if len(spike_parts) > 1 or len(armed):
             order = np.argsort(spikes, kind="stable")
             spikes, spike_y = spikes[order], spike_y[order]
-        lo = net.out_indptr[spikes]
-        lens = net.out_indptr[spikes + 1] - lo
-        ends = lens.cumsum()
-        if ends[-1]:
+        spike_list = spikes.tolist()
+        spike_count = len(spike_list)
+        spike_ids = tuple([net.ids[i] for i in spike_list])
+        if spike_count == 1:
+            # One source: its synapses are one contiguous CSR slice.
+            pos = slice(*net.out_indptr[spike_list[0]:spike_list[0] + 2].tolist())
+            values = net.syn_weight[pos] * spike_y
+        else:
+            lo = net.out_indptr[spikes]
+            lens = net.out_indptr[spikes + 1] - lo
+            ends = lens.cumsum()
             # Event k of source j reads synapse lo[j] + (k - first event of j).
             pos = (lo - ends + lens).repeat(lens)
             pos += np.arange(ends[-1])
-            targets = net.syn_target[pos]
             values = net.syn_weight[pos]
             values *= spike_y.repeat(lens)
+        if len(values):
+            targets = net.syn_target[pos]
             if len(net.delays) == 1:
                 s.pending.setdefault(t + net.delays[0], []).append((targets, values))
             else:
                 delays = net.syn_delay[pos]
-                for d in np.unique(delays):
+                for d in np.unique(delays).tolist():
                     sel = delays == d
-                    s.pending.setdefault(t + int(d), []).append((targets[sel], values[sel]))
-        spike_count = int(len(spikes))
-        spike_ids = tuple(net.ids[int(i)] for i in spikes)
-    else:
-        spike_count = 0
-        spike_ids = ()
+                    s.pending.setdefault(t + d, []).append((targets[sel], values[sel]))
 
     # 5. Energy from this step's events, fixed term order.
     e_voltage_term, e_spikegen_term, e_synapse_term, e_spike_term, e_t = energy_terms(
         s.constants, touched_count, spike_count, synaptic_events)
 
-    s.x = new_x
-    s.last_y = y_now
     s.t = t + 1
     return StepRecord(
         t=t,
@@ -463,7 +495,7 @@ def run_sim(s: SimState, max_steps: int, stop: StopCondition = None,
 
         rec = step_sim(s, ext)
         records.append(rec)
-        out_rows.append(s.last_y[net.output_idx].copy())
+        out_rows.append(s.last_y[net.output_idx])
 
         if isinstance(stop, ZeroActivity):
             zero_run = zero_run + 1 if rec.spikes == 0 else 0
@@ -484,7 +516,7 @@ def run_sim(s: SimState, max_steps: int, stop: StopCondition = None,
         records=tuple(records),
         f_series=f_series,
         e_n=e_n,
-        outputs=np.vstack(out_rows) if out_rows else np.zeros((0, 0)),
+        outputs=np.array(out_rows),
         output_ids=s.net.graph.output_neurons,
         n_total=net.n,
     )

@@ -247,12 +247,17 @@ def gen_mesh(spec: MeshSpec) -> tuple[ComputeGraph, NeuralGraph]:
 
 
 def decode_mesh_state(spec: MeshSpec, state: SimState) -> np.ndarray:
-    """Read the mesh values back out of rail membranes."""
+    """Read the mesh values back out of rail membranes.
+
+    `gen_mesh` places the pos rails at positions [0, m_s) and the neg rails
+    at [m_s, 2*m_s); raises ValueError when `state` does not hold them there.
+    """
+    m = spec.m_s
     pos_ids, neg_ids = rail_ids(spec)
-    index = state.net.graph.index
-    pos = np.fromiter((index[nid] for nid in pos_ids), np.intp, spec.m_s)
-    neg = np.fromiter((index[nid] for nid in neg_ids), np.intp, spec.m_s)
-    return mesh_equilibrium(spec) + (state.x[pos] - state.x[neg])
+    if state.net.ids[:2 * m] != pos_ids + neg_ids:
+        raise ValueError(f"state does not hold the rails of the m_s={m}, k={spec.k} mesh "
+                         f"at positions [0, {2 * m})")
+    return mesh_equilibrium(spec) + (state.x[:m] - state.x[m:2 * m])
 
 
 def sinusoid_init(m_s: int, amplitude: float = 1.0, mean: float = 1.0,

@@ -4,8 +4,10 @@ Each case builds a network, runs it, and hashes every StepRecord field,
 the output matrix, the firing-rate series, the total energy and the final
 membrane state with SHA-256 (floats by their exact hex form). The digests
 in GOLDEN were recorded with the per-source emit loop and `np.add.at`
-delivery that preceded the vectorized event core; any engine rewrite must
-reproduce them exactly.
+delivery that preceded the vectorized event core, except those of
+`cancelled_input`, `narrow_decay` and `armed_groups`, recorded with the
+vectorized core before the evaluation set was made activity-proportional;
+any engine rewrite must reproduce them exactly.
 
 `PYTHONPATH=src python tests/test_golden.py` prints the digests of the
 engine on the path, one `name: digest` line per case.
@@ -142,12 +144,77 @@ def case_random(seed: int, encoding: str, deliver_zero_weight: bool):
                 inputs=random_inputs(seed, 40), deliver_zero_weight=deliver_zero_weight)
 
 
+def case_cancelled_input():
+    """Inputs that sum to exactly 0.0 wake nothing: the gate (which would
+    fire on input 0) stays silent and the relu keeps its held state."""
+    relay = nc.NeuronSpec("lif", v_thresh=1.0)
+    ng = nc.NeuralGraph(
+        neurons=(("a", relay, 1.5),
+                 ("g", nc.NeuronSpec("threshold_gate", v_thresh=-0.5), 0.0),
+                 ("r", nc.NeuronSpec("ann_relu"), 0.7),
+                 ("l", nc.NeuronSpec("lif", v_thresh=1.0, tau=4.0), 0.5),
+                 ("o", relay, 0.0)),
+        synapses=(nc.SynapseSpec("a", "g", 0.5), nc.SynapseSpec("a", "r", 0.25, 2),
+                  nc.SynapseSpec("g", "o", 1.5), nc.SynapseSpec("r", "o", 2.0),
+                  nc.SynapseSpec("l", "o", 1.5)),
+        input_neurons=("g", "r", "l"),
+        output_neurons=("g", "r", "o"),
+    )
+    inputs = {
+        1: (("g", -0.5), ("l", 0.375), ("l", -0.375)),
+        2: (("r", -0.25),),
+        4: (("r", 0.4), ("r", -0.4), ("g", 0.75), ("g", -0.75)),
+        6: (("g", -0.0), ("r", 0.3)),
+    }
+    return _run(ng, nc.AnalogEncoding(), 10, inputs=inputs)
+
+
+def case_narrow_decay():
+    """Leaky LIFs under a 6-bit word: the state is nonzero but one decay
+    step keeps its word for many steps, so the neuron is not re-evaluated."""
+    slow = nc.NeuronSpec("lif", v_thresh=1.5, v_reset=0.0, tau=40.0)
+    fast = nc.NeuronSpec("lif", v_thresh=1.5, v_reset=0.0, tau=3.0)
+    neurons = [("src", nc.NeuronSpec("lif", v_thresh=1.0), 0.0)]
+    for i, x0 in enumerate((0.9, -0.01, 0.13, 1.4, -1.2, 0.0)):
+        neurons.append((f"s{i}", slow, x0))
+        neurons.append((f"f{i}", fast, -x0))
+    synapses = tuple(nc.SynapseSpec("src", nid, 0.3, 1 + k % 3)
+                     for k, (nid, _s, _x) in enumerate(neurons[1:]))
+    ng = nc.NeuralGraph(neurons=tuple(neurons), synapses=synapses,
+                        input_neurons=("src",), output_neurons=("s0", "f0", "s3"))
+    inputs = {t: (("src", 1.25),) for t in (3, 11, 12, 20)}
+    return _run(ng, nc.DigitalEncoding(word_width=6, scale=4.0), 30, inputs=inputs)
+
+
+def case_armed_groups():
+    """Neurons armed at t = 0 in three spec groups (lif, gate, tanh),
+    interleaved by position, feeding each other over delays 1, 2, 3 and 5."""
+    lif = nc.NeuronSpec("lif", v_thresh=1.0, tau=6.0)
+    gate = nc.NeuronSpec("threshold_gate", v_thresh=0.2)
+    tanh = nc.NeuronSpec("ann_tanh")
+    specs = (lif, gate, tanh, nc.NeuronSpec("ann_relu"))
+    neurons = tuple((f"v{i}", specs[i % 4], (1.3, 0.6, -0.4, 0.0, 0.0, 0.9)[i % 6])
+                    for i in range(24))
+    delays = (1, 2, 3, 5)
+    synapses = tuple(nc.SynapseSpec(f"v{i}", f"v{(i * 7 + 3) % 24}", 0.45 - 0.1 * (i % 5),
+                                    delays[i % 4])
+                     for i in range(24))
+    synapses += tuple(nc.SynapseSpec(f"v{i}", f"v{(i + 5) % 24}", 0.6, delays[(i + 1) % 4])
+                      for i in range(0, 24, 3))
+    ng = nc.NeuralGraph(neurons=neurons, synapses=synapses, input_neurons=("v0",),
+                        output_neurons=("v1", "v2", "v8"))
+    return _run(ng, nc.DigitalEncoding(), 25)
+
+
 CASES = {
     "footnote_kick": case_footnote,
     "random_dag": case_random_dag,
     "ff_layer": case_ff_layer,
     "mesh": case_mesh,
     "self_exciting_loop": case_loop,
+    "cancelled_input": case_cancelled_input,
+    "narrow_decay": case_narrow_decay,
+    "armed_groups": case_armed_groups,
 }
 for _seed in range(4):
     for _enc in ENCODINGS:
@@ -156,9 +223,12 @@ for _seed in range(4):
                 lambda s=_seed, e=_enc, z=_dzw: case_random(s, e, z))
 
 GOLDEN: dict[str, str] = {
+    'armed_groups': '7044d9be1423e8adac167d9b174b29d677be72a861666acca34099b36ca52d66',
+    'cancelled_input': '37f58fa5a1a384c0c0065de100f8b146e87ef21dbcad8dd2aaf1367f6d8a6a70',
     'ff_layer': '029cb247e1a819f628bac23070865d1bfa4fe59158552a0f3f43873653678dcc',
     'footnote_kick': '69dc8723962b5a97f09b51ee72e207c86c0e5482a007225152549641038b4739',
     'mesh': '3f39499499525f0aff38381a287216939ac83bda121e22e1a793655d534749a6',
+    'narrow_decay': 'a28a8e4ea90032e88ccfdd7b7fef65cdb5c92dafb11aab01749c2dce8af5c1e8',
     'random_dag': '43cc73caa38ad1387af0f18d6fbb3fe428c4b0d09f88363f045aecd1b8f8ee10',
     'random_s0_analog_dzw0': 'd61c8a5ced99fd4a311376df7284802bfe132e7b9b1636baa064949141167b30',
     'random_s0_analog_dzw1': 'd622224a15ea8c1c96ec0223de496dc87fc89645173f5797935041c07932c30c',

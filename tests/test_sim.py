@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -340,6 +341,62 @@ class TestRunControl:
         assert np.array_equal(a.f_series, b.f_series)
         assert np.array_equal(a.outputs, b.outputs)
         assert a.e_n == b.e_n
+
+
+def silent_mesh(m_s: int) -> nc.SimState:
+    """A mesh started at its fixed point: every rail holds 0, nothing fires."""
+    spec = nc.MeshSpec(m_s=m_s, k=4, m_t=1, dynamics=nc.Diffusion(0.5), init=(1.0,) * m_s)
+    _, ng = nc.gen_mesh(spec)
+    return nc.init_sim(ng, nc.AnalogEncoding(), 0)
+
+
+class TestInPlaceState:
+    def test_silent_step_allocates_constant_bytes(self):
+        def step_peak(m_s):
+            state = silent_mesh(m_s)
+            for _ in range(50):  # the interpreter's own caches settle first
+                nc.step_sim(state)
+            tracemalloc.start()
+            try:
+                rec = nc.step_sim(state)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert (rec.spikes, rec.synaptic_events, rec.neurons_touched) == (0, 0, 0)
+            return peak
+
+        small, large = step_peak(2048), step_peak(131072)  # 4,096 and 262,144 neurons
+        assert large <= 4096
+        assert large == small
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_non_finite_state_leaves_state_untouched(self):
+        # "a" (first group) integrates a finite input on the same step on
+        # which "r" receives inf; neither write may land.
+        ng = nc.NeuralGraph(
+            neurons=(("a", nc.NeuronSpec("lif", v_thresh=1e308), 0.0),
+                     ("r", nc.NeuronSpec("ann_relu"), 1e308)),
+            synapses=(nc.SynapseSpec("r", "a", 0.5), nc.SynapseSpec("r", "r", 2.0)),
+        )
+        state = nc.init_sim(ng, nc.AnalogEncoding(), 0)
+        nc.step_sim(state)
+        before = state.x.copy()
+        with pytest.raises(nc.NonFiniteState, match="'r'"):
+            nc.step_sim(state)
+        assert state.x.tobytes() == before.tobytes()
+
+    def test_state_is_one_array_and_x0_is_never_written(self):
+        spec = nc.MeshSpec(m_s=32, k=4, m_t=1, dynamics=nc.Diffusion(0.5),
+                           init=nc.sinusoid_init(32, cycles=2), v_thresh=0.25)
+        _, ng = nc.gen_mesh(spec)
+        x0 = ng.x0.copy()
+        state = nc.init_sim(ng, nc.DigitalEncoding(), 0)
+        x = state.x
+        tr = nc.run_sim(state, 30)
+        nc.step_sim(state)
+        assert sum(r.neurons_touched for r in tr.records) > 0
+        assert state.x is x and x is not ng.x0
+        assert ng.x0.tobytes() == x0.tobytes()
 
 
 class TestFiringRates:

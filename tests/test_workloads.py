@@ -317,6 +317,14 @@ class TestSparseMesh:
             expected[i] += state.membrane(pos[i]) - state.membrane(neg[i])
         assert decode_mesh_state(spec, state).tolist() == expected.tolist()
 
+    def test_decode_rejects_a_network_without_those_rails(self):
+        spec = ring_spec(16, nc.sinusoid_init(16, cycles=2), k=4)
+        _, ng = nc.gen_mesh(ring_spec(8, nc.sinusoid_init(8), k=4))
+        for other in (ng, nc.gen_self_exciting_loop()):
+            state = nc.init_sim(other, nc.AnalogEncoding(), 0)
+            with pytest.raises(ValueError, match="m_s=16, k=4"):
+                decode_mesh_state(spec, state)
+
     def test_oracle_memory_is_linear(self):
         # a dense 8192 x 8192 W alone would take 537 MB
         spec = ring_spec(8192, nc.sinusoid_init(8192, cycles=64), m_t=4, k=4)
