@@ -97,6 +97,7 @@ from .neural import (
     lower_graph,
     relay_rules,
     step_neuron,
+    transfer,
 )
 from .sim import (
     AnalogEncoding,

@@ -1,9 +1,18 @@
 """Neural intermediate representation: neuron models, synapses, lowering.
 
-Neuron state advances in two pieces per step: an integration rule g that
-folds the summed synaptic input into the membrane (with exponential decay
-for the leaky integrator), and a transfer rule f that produces the output.
-Firing comparisons are strict (x > v_thresh). A synapse delivers
+Neuron state advances in two pieces per step: the integration rule g
+folds the summed synaptic input u into the state x, and the transfer rule
+f turns the new state into the output y ([c] is 1.0 if c holds, else 0.0):
+
+    threshold_gate  g(x, u) = u                      f(x) = [x > v_thresh]
+    ann_relu        g(x, u) = u                      f(x) = max(0, x)
+    ann_tanh        g(x, u) = u                      f(x) = tanh(x)
+    lif             g(x, u) = x * exp(-dt/tau) + u,  f(x) = [x > v_thresh],
+                    then x = v_reset where f fired
+
+The gate and ann kinds are `memoryless`: their state is their last input.
+A lif is `leaky` when exp(-dt/tau) != 1; tau = inf never leaks. f is
+`transfer` and one step, g then f, is `advance`. A synapse delivers
 w * y(t - d) to its target, d >= 1 steps after the source emitted y.
 
 A NeuralGraph is columns: neuron ids, a table of distinct NeuronSpecs with
@@ -43,11 +52,7 @@ MODEL_KINDS = ("threshold_gate", "ann_relu", "ann_tanh", "lif")
 
 @dataclass(frozen=True)
 class NeuronSpec:
-    """Parameters of one neuron model.
-
-    v_reset, tau and dt only matter for model_kind "lif"; tau may be inf
-    for a non-leaking integrator.
-    """
+    """Parameters of one neuron model; v_reset, tau and dt matter only for lif."""
 
     model_kind: str
     v_thresh: float = 0.0
@@ -69,6 +74,25 @@ class NeuronSpec:
     def decay_factor(self) -> float:
         return math.exp(-self.dt / self.tau)
 
+    @property
+    def memoryless(self) -> bool:
+        """Gate and ann kinds: the state is the last input."""
+        return self.model_kind != "lif"
+
+    @property
+    def leaky(self) -> bool:
+        """A lif whose state decays between steps."""
+        return self.model_kind == "lif" and self.decay_factor != 1.0
+
+
+def transfer(spec: NeuronSpec, x: np.ndarray) -> np.ndarray:
+    """The output rule f of `spec`'s kind, elementwise over states x."""
+    if spec.model_kind == "ann_relu":
+        return np.maximum(0.0, x)
+    if spec.model_kind == "ann_tanh":
+        return np.tanh(x)
+    return (x > spec.v_thresh).astype(float)  # threshold_gate, lif
+
 
 def advance(spec: NeuronSpec, x: np.ndarray, input_sum: np.ndarray):
     """Vectorized one-step update; returns (x_next, y) arrays.
@@ -76,22 +100,15 @@ def advance(spec: NeuronSpec, x: np.ndarray, input_sum: np.ndarray):
     Single source of truth for the model semantics; step_neuron and the
     simulator both call through here.
     """
-    kind = spec.model_kind
-    if kind == "threshold_gate":
+    if spec.memoryless:
         x_next = input_sum.astype(float, copy=True)
-        y = (x_next > spec.v_thresh).astype(float)
-    elif kind == "ann_relu":
-        x_next = input_sum.astype(float, copy=True)
-        y = np.maximum(0.0, x_next)
-    elif kind == "ann_tanh":
-        x_next = input_sum.astype(float, copy=True)
-        y = np.tanh(x_next)
-    else:  # lif
-        # x * 1.0 is x bit for bit, so a non-leaking integrator skips it.
-        x_next = (x if spec.decay_factor == 1.0 else x * spec.decay_factor) + input_sum
-        fired = x_next > spec.v_thresh
-        y = fired.astype(float)
-        x_next[fired] = spec.v_reset
+        return x_next, transfer(spec, x_next)
+    # x * 1.0 is x bit for bit, so a non-leaking integrator skips it.
+    x_next = (x if spec.decay_factor == 1.0 else x * spec.decay_factor) + input_sum
+    # y is transfer(spec, x_next) before the reset; its mask also drives the reset.
+    fired = x_next > spec.v_thresh
+    y = fired.astype(float)
+    x_next[fired] = spec.v_reset
     return x_next, y
 
 

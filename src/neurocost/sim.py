@@ -2,10 +2,10 @@
 
 The engine only touches neurons that have work to do: a neuron is
 evaluated on a step when summed synaptic input arrives, when membrane
-decay would change its state representation, or (once, at t = 0) when its
-initial state already satisfies the firing condition. Untouched neurons
-cost nothing, which is the whole accounting model: energy follows change
-of state, not wall-clock time.
+decay would change its state representation, or (once, at t = 0) when it
+is armed: its initial output `transfer(spec, x0)` is nonzero. Untouched
+neurons cost nothing, which is the whole accounting model: energy follows
+change of state, not wall-clock time.
 
 Per step the recorded energy is `costs.energy_terms`, the single per-step
 formula:
@@ -60,7 +60,7 @@ from .errors import (
     NonFiniteState,
     UnknownInputNeuron,
 )
-from .neural import NeuralGraph, NeuronSpec, ResourceCount, advance
+from .neural import NeuralGraph, NeuronSpec, ResourceCount, advance, transfer
 
 
 @dataclass(frozen=True)
@@ -228,7 +228,7 @@ def init_sim(ng: NeuralGraph, encoding: EncodingMode, seed: int,
              deliver_zero_weight: bool = False) -> SimState:
     """Compile the graph and seed initial state.
 
-    Neurons whose initial state already satisfies their firing condition
+    Armed neurons, whose initial output `transfer(spec, x0)` is nonzero,
     are marked for evaluation on the first step; an event-driven engine
     would otherwise never notice them. `deliver_zero_weight` is compiled
     into the synapse table; `seed` is unused (the engine is deterministic).
@@ -245,15 +245,8 @@ def init_sim(ng: NeuralGraph, encoding: EncodingMode, seed: int,
     armed, decaying = [], []
     for spec, idx in net.groups:
         xi = x[idx]
-        if spec.model_kind in ("threshold_gate", "lif"):
-            hot = xi > spec.v_thresh
-        elif spec.model_kind == "ann_relu":
-            hot = xi > 0.0
-        else:  # ann_tanh
-            hot = xi != 0.0
-        armed.append(idx[hot])
-        leaky = spec.model_kind == "lif" and spec.decay_factor != 1.0
-        decaying.append(idx[xi != 0.0] if leaky else None)
+        armed.append(idx[transfer(spec, xi) != 0.0])
+        decaying.append(idx[xi != 0.0] if spec.leaky else None)
 
     return SimState(
         net=net,
@@ -266,19 +259,6 @@ def init_sim(ng: NeuralGraph, encoding: EncodingMode, seed: int,
         decaying=decaying,
         last_y=np.zeros(net.n, dtype=float),
     )
-
-
-def _transfer_only(spec: NeuronSpec, x: np.ndarray) -> np.ndarray:
-    """Output rule applied to the current state without integrating input.
-
-    Used for armed gate/ann neurons at t = 0: their state predates any
-    input, so only the transfer function applies.
-    """
-    if spec.model_kind == "threshold_gate":
-        return (x > spec.v_thresh).astype(float)
-    if spec.model_kind == "ann_relu":
-        return np.maximum(0.0, x)
-    return np.tanh(x)  # ann_tanh
 
 
 def _join(pairs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
@@ -338,25 +318,28 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
                 xd = s.x[decaying]
                 decaying = decaying[encoding.words(xd * spec.decay_factor) != encoding.words(xd)]
             ev = np.union1d(ev, decaying)
-        transfer = _NO_INDEX
+        unfed = _NO_INDEX
         if len(armed) and len(armed[g]):
-            if spec.model_kind == "lif":
+            if spec.memoryless:
+                unfed = np.setdiff1d(armed[g], ev, assume_unique=True)
+            else:
                 # Reset is part of the integration rule; a zero-input
                 # evaluation handles an armed integrator correctly.
                 ev = np.union1d(ev, armed[g])
-            else:
-                transfer = np.setdiff1d(armed[g], ev, assume_unique=True)
-        if not len(ev) and not len(transfer):
+        if not len(ev) and not len(unfed):
             continue
         old = s.x[ev]
         x_next, y = advance(spec, old, np.zeros(len(ev)) if input_sum is None else input_sum[ev])
         if np.count_nonzero(np.isfinite(x_next)) < len(x_next):
             bad = net.ids[int(ev[int(np.flatnonzero(~np.isfinite(x_next))[0])])]
             raise NonFiniteState(f"state of {bad!r} diverged at t={t}")
-        if len(transfer):  # output only: their state is kept, so it counts as unchanged
-            y = np.concatenate((y, _transfer_only(spec, s.x[transfer])))
-            x_next = np.concatenate((x_next, s.x[transfer]))
-            ev = np.concatenate((ev, transfer))
+        if len(unfed):  # output only: their state is kept, so it counts as unchanged
+            # Appended after the evaluated neurons: their zero diffs are terms
+            # of the pairwise np.add.reduce that gives delta_n, and moving or
+            # dropping them regroups that sum, which can change its bits.
+            y = np.concatenate((y, transfer(spec, s.x[unfed])))
+            x_next = np.concatenate((x_next, s.x[unfed]))
+            ev = np.concatenate((ev, unfed))
             old = s.x[ev]
         writes.append((g, ev, x_next))
         outs.append((ev, y))
@@ -392,7 +375,7 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
     if spike_parts:
         spikes, spike_y = _join(spike_parts)
         # One group's spikes are ascending, except on the first step, when
-        # armed transfers follow the group's integrated neurons.
+        # unfed armed neurons follow the group's evaluated neurons.
         if len(spike_parts) > 1 or len(armed):
             order = np.argsort(spikes, kind="stable")
             spikes, spike_y = spikes[order], spike_y[order]
@@ -593,7 +576,7 @@ def reconcile_energy(tr: SimTrace, r: ResourceCount, c: CostConstants) -> Reconc
         terms[name] = TermComparison(analytic=a, measured=m, ratio=ratio)
 
     k_bar = r.s_total / r.n_total if r.n_total else 0.0
-    refined = c.e_voltage * r.n_total * (1.0 - (1.0 - f_mean) ** k_bar) if k_bar else 0.0
+    refined = c.e_voltage * r.n_total * (1.0 - (1.0 - f_mean) ** k_bar)
     return ReconciliationReport(
         steps=steps,
         f_mean=f_mean,

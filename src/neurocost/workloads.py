@@ -49,11 +49,6 @@ class Dtmc:
 
     matrix: tuple[tuple[float, ...], ...]
 
-    @staticmethod
-    def from_array(matrix: np.ndarray | Sequence[Sequence[float]]) -> "Dtmc":
-        arr = np.asarray(matrix, dtype=float)
-        return Dtmc(tuple(tuple(float(v) for v in row) for row in arr))
-
     def as_array(self) -> np.ndarray:
         return np.asarray(self.matrix, dtype=float)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import time
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -99,7 +100,7 @@ def test_criterion_03_pipeline_step_counts(capsys):
     pipeline = [nc.validate_graph(e.graph) for e in nc.mini_corpus()
                 if e.category != "random"]
     footnote = nc.validate_graph(nc.parse_graph_file(
-        open(FOOTNOTE, encoding="utf-8").read()))
+        Path(FOOTNOTE).read_text(encoding="utf-8")))
 
     checked, bad = 0, 0
     for vg in pipeline + [footnote]:
@@ -179,7 +180,7 @@ def test_criterion_06_convergent_load_goes_quiet(capsys):
 def test_criterion_07_energy_reconciliation(capsys):
     suite = {}
 
-    foot = nc.validate_graph(nc.parse_graph_file(open(FOOTNOTE, encoding="utf-8").read()))
+    foot = nc.validate_graph(nc.parse_graph_file(Path(FOOTNOTE).read_text(encoding="utf-8")))
     ng, _ = nc.lower_graph(foot, nc.relay_rules({"sub", "mul", "pow"}))
     state = nc.init_sim(ng, nc.AnalogEncoding(), 0)
     tr = nc.run_sim(state, 20, stop=nc.ZeroActivity(3),

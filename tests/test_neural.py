@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from neurocost import (
+    AnalogEncoding,
     AssemblyMap,
     FanInExceedsRule,
     InconsistentAssembly,
@@ -22,9 +23,12 @@ from neurocost import (
     advance,
     count_resources,
     emit_neural_json,
+    init_sim,
     lower_graph,
     relay_rules,
     step_neuron,
+    step_sim,
+    transfer,
     validate_graph,
 )
 
@@ -137,6 +141,83 @@ def test_lif_reset_value():
     spec = NeuronSpec("lif", v_thresh=1.0, v_reset=0.25)
     xn, y = step_neuron(spec, 0.9, 0.9)
     assert (xn, y) == (0.25, 1.0)
+
+
+def test_kind_properties():
+    assert NeuronSpec("threshold_gate").memoryless and not NeuronSpec("threshold_gate").leaky
+    assert NeuronSpec("ann_relu").memoryless and NeuronSpec("ann_tanh").memoryless
+    assert not NeuronSpec("lif", v_thresh=1.0).memoryless
+    assert not NeuronSpec("lif", v_thresh=1.0).leaky                 # tau = inf
+    assert NeuronSpec("lif", v_thresh=1.0, tau=3.0).leaky
+    assert not NeuronSpec("lif", v_thresh=1.0, tau=1e300).leaky      # exp(-1e-300) == 1.0
+
+
+EDGE_SPECS = [
+    NeuronSpec("threshold_gate", v_thresh=0.3),
+    NeuronSpec("threshold_gate", v_thresh=-0.5),
+    NeuronSpec("threshold_gate"),
+    NeuronSpec("ann_relu"),
+    NeuronSpec("ann_tanh"),
+    NeuronSpec("lif", v_thresh=1.0),
+    NeuronSpec("lif", v_thresh=0.3, v_reset=0.1, tau=2.5),
+    NeuronSpec("lif", v_thresh=-0.5, v_reset=-1.0, tau=7.0),
+]
+
+
+def _edge_values(spec: NeuronSpec) -> np.ndarray:
+    th = spec.v_thresh
+    return np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, th,
+                     math.nextafter(th, math.inf), math.nextafter(th, -math.inf),
+                     1.0, -1.0, 1e300, -1e300])
+
+
+def _spec_id(spec: NeuronSpec) -> str:
+    return f"{spec.model_kind}-{spec.v_thresh}-{spec.tau}"
+
+
+@pytest.mark.parametrize("spec", EDGE_SPECS, ids=_spec_id)
+def test_advance_output_is_transfer_of_the_pre_reset_state(spec):
+    rng = np.random.default_rng(11)
+    edges = _edge_values(spec)
+    x, u = (a.ravel() for a in np.meshgrid(edges, edges))
+    x = np.concatenate((x, rng.normal(scale=2.0, size=500)))
+    u = np.concatenate((u, rng.normal(scale=2.0, size=500)))
+    pre = u.copy() if spec.memoryless else x * spec.decay_factor + u
+    x_next, y = advance(spec, x, u)
+    assert y.tobytes() == transfer(spec, pre).tobytes()
+    kept = np.ones(len(y), dtype=bool) if spec.memoryless else y == 0.0
+    assert x_next[kept].tobytes() == pre[kept].tobytes()
+    assert np.all(x_next[~kept] == spec.v_reset)
+
+
+def _armed_rule(spec: NeuronSpec, x0: float) -> bool:
+    """The per-kind armed test the engine used before `transfer`."""
+    if spec.model_kind in ("threshold_gate", "lif"):
+        return x0 > spec.v_thresh
+    if spec.model_kind == "ann_relu":
+        return x0 > 0.0
+    return x0 != 0.0  # ann_tanh
+
+
+@pytest.mark.parametrize("spec", [
+    NeuronSpec("threshold_gate", v_thresh=0.3),
+    NeuronSpec("threshold_gate", v_thresh=-0.5),
+    NeuronSpec("ann_relu"),
+    NeuronSpec("ann_tanh"),
+    NeuronSpec("lif", v_thresh=0.3, tau=4.0),
+], ids=_spec_id)
+def test_armed_set_and_first_output_follow_the_transfer_rule(spec):
+    th = spec.v_thresh
+    x0 = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, th, math.nextafter(th, math.inf),
+          math.nextafter(th, -math.inf), 1.0, -1.0]
+    ng = NeuralGraph([(f"n{k}", spec, v) for k, v in enumerate(x0)], [])
+    state = init_sim(ng, AnalogEncoding(), seed=0)
+    assert state.armed.tolist() == [k for k, v in enumerate(x0) if _armed_rule(spec, v)]
+    step_sim(state)
+    if spec.memoryless:  # an unfed armed neuron keeps its state and emits f(x0)
+        want = np.where([_armed_rule(spec, v) for v in x0], transfer(spec, np.array(x0)), 0.0)
+        assert state.last_y.tobytes() == want.tobytes()
+        assert state.x.tobytes() == np.array(x0).tobytes()
 
 
 # ------------------------------------------------------------ graph plumbing
