@@ -11,6 +11,7 @@ f turns the new state into the output y ([c] is 1.0 if c holds, else 0.0):
                     then x = v_reset where f fired
 
 The gate and ann kinds are `memoryless`: their state is their last input.
+The gate and lif kinds are `spiking`: every nonzero output is exactly 1.0.
 A lif is `leaky` when exp(-dt/tau) != 1; tau = inf never leaks. f is
 `transfer` and one step, g then f, is `advance`. A synapse delivers
 w * y(t - d) to its target, d >= 1 steps after the source emitted y.
@@ -52,7 +53,10 @@ MODEL_KINDS = ("threshold_gate", "ann_relu", "ann_tanh", "lif")
 
 @dataclass(frozen=True)
 class NeuronSpec:
-    """Parameters of one neuron model; v_reset, tau and dt matter only for lif."""
+    """Parameters of one neuron model; v_reset, tau and dt matter only for lif.
+
+    v_thresh, v_reset and dt must be finite; tau may be inf (no leak).
+    """
 
     model_kind: str
     v_thresh: float = 0.0
@@ -63,6 +67,9 @@ class NeuronSpec:
     def __post_init__(self):
         if self.model_kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.model_kind!r}")
+        for name in ("v_thresh", "v_reset", "dt"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.tau > 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if self.dt <= 0:
@@ -78,6 +85,11 @@ class NeuronSpec:
     def memoryless(self) -> bool:
         """Gate and ann kinds: the state is the last input."""
         return self.model_kind != "lif"
+
+    @property
+    def spiking(self) -> bool:
+        """Gate and lif: every nonzero output is exactly 1.0."""
+        return self.model_kind in ("threshold_gate", "lif")
 
     @property
     def leaky(self) -> bool:

@@ -18,17 +18,21 @@ under the configured encoding. Digital encodings quantize the membrane to
 a two's-complement fixed-point word and measure change as Hamming
 distance; the analog encoding measures summed |dx|.
 
-Event core: outgoing synapses are compiled once into a CSR sorted stably
-by source (zero-weight synapses left out unless they are delivered).
-Emit gathers the synapses of all of a step's firing sources, in source
-order, with one CSR gather (one contiguous slice when a single source
-fires) and appends one (targets, values) pair per distinct delay to the
-slot of the step it falls due. Delivery concatenates the due slot's pairs
-in append order and sums them into the input vector with one
-`np.bincount`, then adds external injections in order. Summation order is
-part of the contract: each target's input is the left-to-right sum of its
-events in (emit step, source, synapse) order, never pre-summed at emit
-time, so traces stay bitwise stable.
+Event core: outgoing synapses are compiled once into a read-only CSR
+sorted stably by source (zero-weight synapses left out unless they are
+delivered). Emit gathers the synapses of all of a step's firing sources,
+in source order, with one CSR gather (one contiguous slice when a single
+source fires) and appends one (targets, values) pair per distinct delay
+to the slot of the step it falls due. A value is the weight times the
+source's output y. Spiking sources (gate, lif) fire with y exactly 1.0 and
+w * 1.0 == w bit for bit, so they emit their weights as they are; only a
+network where a relu or tanh neuron has outgoing synapses multiplies.
+Delivery concatenates the due slot's pairs in append order and sums them
+into the input vector with one `np.bincount`, then adds external
+injections with `np.add.at`, which is unbuffered and in order. Summation
+order is part of the contract: each target's input is the left-to-right
+sum of its events in (emit step, source, synapse) order, never pre-summed
+at emit time, so traces stay bitwise stable.
 
 Evaluation set: a step's work follows touched neurons and events, not
 network size. The fed neurons, the nonzero entries of the input vector
@@ -98,25 +102,12 @@ EncodingMode = DigitalEncoding | AnalogEncoding
 
 _NO_INDEX = np.zeros(0, dtype=np.intp)
 
-_M1 = np.uint64(0x5555555555555555)
-_M2 = np.uint64(0x3333333333333333)
-_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-_H01 = np.uint64(0x0101010101010101)
-
-
-def _popcount(v: np.ndarray) -> np.ndarray:
-    """Vectorized SWAR bit count on uint64 words."""
-    v = v - ((v >> np.uint64(1)) & _M1)
-    v = (v & _M2) + ((v >> np.uint64(2)) & _M2)
-    v = (v + (v >> np.uint64(4))) & _M4
-    return (v * _H01) >> np.uint64(56)
-
 
 def hamming_bits(old_words: np.ndarray, new_words: np.ndarray, word_width: int) -> np.ndarray:
     """Per-element changed-bit counts between two's-complement words."""
     mask = np.uint64((1 << word_width) - 1) if word_width < 64 else np.uint64(0xFFFFFFFFFFFFFFFF)
     xor = (old_words.view(np.uint64) ^ new_words.view(np.uint64)) & mask
-    return _popcount(xor).astype(np.int64)
+    return np.bitwise_count(xor).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -157,7 +148,10 @@ class _CompiledNet:
     Groups follow the graph's spec table (first-appearance order), each
     with its neuron indices ascending. Synapses are sorted stably by
     source, so each source's slice keeps declaration order. Zero-weight
-    synapses are left out unless they are delivered.
+    synapses are left out unless they are delivered. The CSR columns are
+    read-only, because emit may queue a view of `syn_weight`. `scaled` is
+    true when some non-spiking neuron has an outgoing synapse: only then
+    must an emitted weight be multiplied by its source's output.
     """
 
     def __init__(self, ng: NeuralGraph, deliver_zero_weight: bool = False):
@@ -179,6 +173,11 @@ class _CompiledNet:
         self.delays: list[int] = np.unique(self.syn_delay).tolist()  # distinct, ascending
         self.out_indptr = np.zeros(self.n + 1, dtype=np.intp)
         np.cumsum(np.bincount(source[kept], minlength=self.n), out=self.out_indptr[1:])
+        for col in (self.syn_target, self.syn_weight, self.syn_delay, self.out_indptr):
+            col.flags.writeable = False
+        indptr = self.out_indptr
+        self.scaled = any(bool((indptr[idx + 1] > indptr[idx]).any())
+                          for spec, idx in self.groups if not spec.spiking)
 
         self.input_pos = {nid: ng.index[nid] for nid in ng.input_neurons}
         self.output_idx = np.array([ng.index[nid] for nid in ng.output_neurons],
@@ -262,10 +261,13 @@ def init_sim(ng: NeuralGraph, encoding: EncodingMode, seed: int,
 
 
 def _join(pairs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate (index, value) array pairs in order; one pair passes through."""
-    if len(pairs) == 1:
-        return pairs[0]
+    """Concatenate (index, value) array pairs in order."""
     return np.concatenate([p[0] for p in pairs]), np.concatenate([p[1] for p in pairs])
+
+
+def _diverged(net: _CompiledNet, ev: np.ndarray, x_next: np.ndarray, t: int) -> NonFiniteState:
+    bad = net.ids[int(ev[int(np.flatnonzero(~np.isfinite(x_next))[0])])]
+    return NonFiniteState(f"state of {bad!r} diverged at t={t}")
 
 
 def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> StepRecord:
@@ -280,20 +282,24 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
     synaptic_events = 0
     input_sum = fed = None
     if due is not None:
-        targets, values = _join(due)
+        targets, values = due[0] if len(due) == 1 else _join(due)
         synaptic_events = len(targets)
         input_sum = np.bincount(targets, weights=values, minlength=net.n)
     if external_inputs:
+        ids, given = zip(*external_inputs)
+        pos = [net.input_pos.get(nid) for nid in ids]
+        injected = np.array(given, dtype=float)
+        if None in pos or not np.isfinite(injected).all():
+            for neuron_id, value, idx in zip(ids, given, pos):  # the first bad pair decides
+                if idx is None:
+                    raise UnknownInputNeuron(neuron_id)
+                if not math.isfinite(value):
+                    raise NonFiniteInput(f"external input to {neuron_id!r} is {value}")
         input_sum = np.zeros(net.n) if input_sum is None else input_sum
-        for neuron_id, value in external_inputs:
-            idx = net.input_pos.get(neuron_id)
-            if idx is None:
-                raise UnknownInputNeuron(neuron_id)
-            if not math.isfinite(value):
-                raise NonFiniteInput(f"external input to {neuron_id!r} is {value}")
-            input_sum[idx] += value
+        np.add.at(input_sum, pos, injected)  # unbuffered, in order: a left-to-right sum
     if input_sum is not None:
-        fed = net.by_group(input_sum.nonzero()[0])  # ascending
+        fed_idx = input_sum.nonzero()[0]  # ascending
+        fed = [fed_idx] if len(net.groups) == 1 else net.by_group(fed_idx)
 
     armed = s.armed
     if len(armed):
@@ -304,9 +310,11 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
     # Writes wait until every group passed the finite check.
     encoding = s.encoding
     digital = isinstance(encoding, DigitalEncoding)
+    scaled = net.scaled
     writes: list[tuple[int, np.ndarray, np.ndarray]] = []
     outs: list[tuple[np.ndarray, np.ndarray]] = []
-    spike_parts: list[tuple[np.ndarray, np.ndarray]] = []
+    spike_idx: list[np.ndarray] = []
+    spike_out: list[np.ndarray] = []  # their outputs, kept only when scaled
     touched_count = 0
     delta_n = 0.0
 
@@ -330,9 +338,8 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
             continue
         old = s.x[ev]
         x_next, y = advance(spec, old, np.zeros(len(ev)) if input_sum is None else input_sum[ev])
-        if np.count_nonzero(np.isfinite(x_next)) < len(x_next):
-            bad = net.ids[int(ev[int(np.flatnonzero(~np.isfinite(x_next))[0])])]
-            raise NonFiniteState(f"state of {bad!r} diverged at t={t}")
+        if digital and not np.isfinite(x_next).all():  # words() needs finite states
+            raise _diverged(net, ev, x_next, t)
         if len(unfed):  # output only: their state is kept, so it counts as unchanged
             # Appended after the evaluated neurons: their zero diffs are terms
             # of the pairwise np.add.reduce that gives delta_n, and moving or
@@ -341,20 +348,27 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
             x_next = np.concatenate((x_next, s.x[unfed]))
             ev = np.concatenate((ev, unfed))
             old = s.x[ev]
-        writes.append((g, ev, x_next))
-        outs.append((ev, y))
 
         # 4. Change-of-state accounting under the configured encoding.
         if digital:
             diffs = hamming_bits(encoding.words(old), encoding.words(x_next), encoding.word_width)
         else:
             diffs = np.abs(x_next - old)
+        delta = float(np.add.reduce(diffs))
+        # Old states are finite, so a finite |dx| sum proves the new ones are;
+        # only a non-finite sum (a bad state, or an overflow) needs the scan.
+        if not digital and not math.isfinite(delta) and not np.isfinite(x_next).all():
+            raise _diverged(net, ev, x_next, t)
         touched_count += int(np.count_nonzero(diffs))
-        delta_n += float(np.add.reduce(diffs))
+        delta_n += delta
+        writes.append((g, ev, x_next))
+        outs.append((ev, y))
 
         firing = y.nonzero()[0]
         if len(firing):
-            spike_parts.append((ev[firing], y[firing]))
+            spike_idx.append(ev[firing])
+            if scaled:
+                spike_out.append(y[firing])
 
     for idx in s.y_written:
         s.last_y[idx] = 0.0
@@ -369,23 +383,29 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
             s.decaying[g] = np.union1d(rest, ev[x_next.nonzero()[0]])
 
     # 3. Emit: every outgoing synapse of the firing sources, in (source,
-    # synapse) order, queued once per distinct delay.
+    # synapse) order, queued once per distinct delay. A spiking source's
+    # output is exactly 1.0 and w * 1.0 == w bit for bit, so unless the
+    # network is scaled the weights are emitted as they are.
     spike_count = 0
     spike_ids: tuple[str, ...] = ()
-    if spike_parts:
-        spikes, spike_y = _join(spike_parts)
+    if spike_idx:
+        spikes = spike_idx[0] if len(spike_idx) == 1 else np.concatenate(spike_idx)
+        if scaled:
+            spike_y = spike_out[0] if len(spike_out) == 1 else np.concatenate(spike_out)
         # One group's spikes are ascending, except on the first step, when
         # unfed armed neurons follow the group's evaluated neurons.
-        if len(spike_parts) > 1 or len(armed):
+        if len(spike_idx) > 1 or len(armed):
             order = np.argsort(spikes, kind="stable")
-            spikes, spike_y = spikes[order], spike_y[order]
+            spikes = spikes[order]
+            if scaled:
+                spike_y = spike_y[order]
         spike_list = spikes.tolist()
         spike_count = len(spike_list)
         spike_ids = tuple([net.ids[i] for i in spike_list])
         if spike_count == 1:
             # One source: its synapses are one contiguous CSR slice.
             pos = slice(*net.out_indptr[spike_list[0]:spike_list[0] + 2].tolist())
-            values = net.syn_weight[pos] * spike_y
+            values = net.syn_weight[pos] * spike_y if scaled else net.syn_weight[pos]
         else:
             lo = net.out_indptr[spikes]
             lens = net.out_indptr[spikes + 1] - lo
@@ -394,7 +414,8 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
             pos = (lo - ends + lens).repeat(lens)
             pos += np.arange(ends[-1])
             values = net.syn_weight[pos]
-            values *= spike_y.repeat(lens)
+            if scaled:
+                values *= spike_y.repeat(lens)
         if len(values):
             targets = net.syn_target[pos]
             if len(net.delays) == 1:
@@ -467,24 +488,21 @@ def run_sim(s: SimState, max_steps: int, stop: StopCondition = None,
     records: list[StepRecord] = []
     out_rows: list[np.ndarray] = []
     zero_run = 0
+    schedule = {} if inputs is None else inputs
+    lookup = schedule if callable(schedule) else schedule.get
+    quiet_stop = isinstance(stop, ZeroActivity)
+    converge_stop = isinstance(stop, OutputConvergence)
 
-    for k in range(max_steps):
-        if inputs is None:
-            ext: Sequence[tuple[str, float]] = ()
-        elif callable(inputs):
-            ext = inputs(s.t)
-        else:
-            ext = inputs.get(s.t, ())
-
-        rec = step_sim(s, ext)
+    for _ in range(max_steps):
+        rec = step_sim(s, lookup(s.t) or ())
         records.append(rec)
         out_rows.append(s.last_y[net.output_idx])
 
-        if isinstance(stop, ZeroActivity):
+        if quiet_stop:
             zero_run = zero_run + 1 if rec.spikes == 0 else 0
             if zero_run >= stop.window:
                 break
-        elif isinstance(stop, OutputConvergence) and len(records) > stop.window:
+        elif converge_stop and len(records) > stop.window:
             recent = out_rows[-(stop.window + 1):]
             deltas = [float(np.max(np.abs(a - b))) if len(a) else 0.0
                       for a, b in zip(recent[1:], recent)]
@@ -543,27 +561,30 @@ def reconcile_energy(tr: SimTrace, r: ResourceCount, c: CostConstants) -> Reconc
     bit-exactly; MismatchDetected otherwise) and compare the measured
     firing-dependent terms against their closed-form predictions at the
     trace's mean firing rate."""
-    e_n = 0.0
+    # One pass in step order: the check, e_n and the four term sums, each
+    # a left-to-right sum from 0.0.
+    e_n = voltage = spikegen = synapse = spike = 0.0
     for rec in tr.records:
-        e_voltage_term, e_spikegen_term, e_synapse_term, e_spike_term, e_t = energy_terms(
-            c, rec.neurons_touched, rec.spikes, rec.synaptic_events)
-        if (e_voltage_term != rec.e_voltage_term or e_spikegen_term != rec.e_spikegen_term
-                or e_synapse_term != rec.e_synapse_term or e_spike_term != rec.e_spike_term
-                or e_t != rec.e_t):
+        recorded = (rec.e_voltage_term, rec.e_spikegen_term, rec.e_synapse_term,
+                    rec.e_spike_term, rec.e_t)
+        if energy_terms(c, rec.neurons_touched, rec.spikes, rec.synaptic_events) != recorded:
             raise MismatchDetected(f"recorded energy at t={rec.t} disagrees with its events")
-        e_n += e_t
+        e_n += recorded[4]
+        voltage += recorded[0]
+        spikegen += recorded[1]
+        synapse += recorded[2]
+        spike += recorded[3]
     if e_n != tr.e_n:
         raise MismatchDetected("trace total energy disagrees with per-step records")
 
     steps = len(tr.records)
     f_mean = float(np.mean(tr.f_series)) if steps else 0.0
-
-    def mean_of(attr: str) -> float:
-        return sum(getattr(rec, attr) for rec in tr.records) / steps if steps else 0.0
+    sums = {"voltage": voltage, "spikegen": spikegen, "synapse": synapse, "spike": spike}
+    mean = {name: total / steps if steps else 0.0 for name, total in sums.items()}
 
     predicted = nmc_energy_per_step(r, c, f_mean).breakdown
     analytic = {name: predicted[name] for name in ("spikegen", "synapse", "spike")}
-    measured = {name: mean_of(f"e_{name}_term") for name in analytic}
+    measured = {name: mean[name] for name in analytic}
     terms = {}
     for name in analytic:
         a, m = analytic[name], measured[name]
@@ -581,7 +602,7 @@ def reconcile_energy(tr: SimTrace, r: ResourceCount, c: CostConstants) -> Reconc
         steps=steps,
         f_mean=f_mean,
         terms=terms,
-        voltage_measured_mean=mean_of("e_voltage_term"),
+        voltage_measured_mean=mean["voltage"],
         voltage_unrefined_prediction=predicted["voltage"],
         voltage_refined_prediction=refined,
     )

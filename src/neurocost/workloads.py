@@ -346,18 +346,21 @@ def ff_input_schedule(spec: FFLayerSpec) -> Callable[[int], tuple[tuple[str, flo
     Within each presentation of S steps a source with rate r fires on
     exactly floor(S * r) steps, spaced as evenly as integer arithmetic
     allows; the pattern repeats every presentation. The returned callable
-    maps a step index to (neuron id, injected value) pairs.
+    maps a step index to (neuron id, injected value) pairs; each phase's
+    pairs are computed on its first use and then reused.
     """
     rates, steps = spec.rate_code
     sources = ff_input_ids(spec)
+    phases: dict[int, tuple[tuple[str, float], ...]] = {}
 
     def schedule(t: int) -> tuple[tuple[str, float], ...]:
         s = t % steps
-        fires = []
-        for nid, rate in zip(sources, rates):
-            if math.floor((s + 1) * rate) > math.floor(s * rate):
-                fires.append((nid, 1.0))
-        return tuple(fires)
+        fires = phases.get(s)
+        if fires is None:
+            fires = phases[s] = tuple(
+                (nid, 1.0) for nid, rate in zip(sources, rates)
+                if math.floor((s + 1) * rate) > math.floor(s * rate))
+        return fires
 
     return schedule
 

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 import neurocost as nc
+import neurocost.sim as sim
 from conftest import make_footnote
 
 RANDOM_SPECS = (
@@ -267,6 +268,26 @@ def test_random_networks_exercise_multi_delay_and_zero_weights():
     assert sum(r.synaptic_events for r in tr.records) > 100
     assert (sum(r.synaptic_events for r in tr.records)
             != sum(r.synaptic_events for r in tr_filtered.records))
+
+
+def test_cases_cover_spiking_and_scaled_emit(monkeypatch):
+    # Emit multiplies weights by the source's output only in a scaled
+    # network (a relu or tanh source with outgoing synapses). The digests
+    # protect both emit forms only if some case is not scaled and some
+    # scaled case sends events from a source whose output is not 1.0.
+    step = sim.step_sim
+    scaled_sends = []
+
+    def watched(s, external_inputs=()):
+        rec = step(s, external_inputs)
+        if s.net.scaled:
+            sends = np.diff(s.net.out_indptr) > 0
+            scaled_sends.append(bool(np.any(sends & (s.last_y != 0.0) & (s.last_y != 1.0))))
+        return rec
+
+    monkeypatch.setattr(sim, "step_sim", watched)
+    assert {CASES[name]()[1].net.scaled for name in sorted(CASES)} == {False, True}
+    assert any(scaled_sends)
 
 
 if __name__ == "__main__":

@@ -152,6 +152,22 @@ def test_kind_properties():
     assert not NeuronSpec("lif", v_thresh=1.0, tau=1e300).leaky      # exp(-1e-300) == 1.0
 
 
+def test_spiking_kinds():
+    assert NeuronSpec("threshold_gate").spiking
+    assert NeuronSpec("lif", v_thresh=1.0).spiking
+    assert not NeuronSpec("ann_relu").spiking
+    assert not NeuronSpec("ann_tanh").spiking
+
+
+@pytest.mark.parametrize("field", ["v_thresh", "v_reset", "dt"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind", ["threshold_gate", "lif"])
+def test_neuron_spec_rejects_non_finite_parameters(kind, field, value):
+    params = {"v_thresh": 1.0, "v_reset": 0.0, "dt": 1.0, field: value}
+    with pytest.raises(ValueError, match=field):
+        NeuronSpec(kind, **params)
+
+
 EDGE_SPECS = [
     NeuronSpec("threshold_gate", v_thresh=0.3),
     NeuronSpec("threshold_gate", v_thresh=-0.5),

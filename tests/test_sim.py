@@ -175,6 +175,34 @@ class TestStepAccounting:
         assert tr.records[2].synaptic_events == 3
         assert tr.outputs[2].tolist() == [expected]
 
+    @pytest.mark.parametrize("kind, weight, deliver_zero_weight, scaled", [
+        ("lif", 0.5, False, False),
+        ("threshold_gate", 0.5, False, False),
+        ("ann_relu", 0.5, False, True),
+        ("ann_tanh", 0.5, False, True),
+        ("ann_relu", 0.0, False, False),   # its only synapse is filtered out
+        ("ann_relu", 0.0, True, True),
+    ])
+    def test_only_non_spiking_senders_scale_emitted_weights(self, kind, weight,
+                                                            deliver_zero_weight, scaled):
+        relu = nc.NeuronSpec("ann_relu")
+        sender = nc.NeuronSpec(kind, v_thresh=1.0 if kind == "lif" else 0.0)
+        ng = nc.NeuralGraph(neurons=(("s", sender, 0.0), ("t", relu, 0.0)),
+                            synapses=(nc.SynapseSpec("s", "t", weight),),
+                            input_neurons=("s",), output_neurons=("t",))
+        state = nc.init_sim(ng, nc.AnalogEncoding(), 0, deliver_zero_weight=deliver_zero_weight)
+        assert state.net.scaled is scaled
+        tr = nc.run_sim(state, 2, inputs={0: (("s", 3.0),)})
+        y = float(nc.transfer(sender, np.array([3.0]))[0])
+        assert tr.outputs[1].tolist() == [weight * y if weight > 0 else 0.0]
+
+    def test_compiled_synapse_columns_are_read_only(self):
+        # Emit may queue a view of the weight column; a write must raise.
+        net = nc.init_sim(two_neuron(2.0), nc.AnalogEncoding(), 0).net
+        for col in (net.syn_target, net.syn_weight, net.syn_delay, net.out_indptr):
+            with pytest.raises(ValueError):
+                col[0] = 0
+
 
 class TestDigitalEncoding:
     def test_word_transition_bit_counts(self):
@@ -197,6 +225,20 @@ class TestDigitalEncoding:
         old = np.array([63, 0, -1])
         new = np.array([64, 0, 0])
         assert nc.hamming_bits(old, new, 8).tolist() == [7, 0, 8]
+
+    @pytest.mark.parametrize("width", [4, 16, 53, 63, 64])
+    def test_hamming_bits_matches_python_bit_count(self, width):
+        lo, hi = -(2 ** (width - 1)), 2 ** (width - 1) - 1
+        edges = [0, -1, lo, hi, 1 << (width - 1) if width < 64 else lo, lo + 1, hi - 1]
+        rng = np.random.default_rng(width)
+        words = edges + rng.integers(lo, hi, size=40, endpoint=True).tolist()
+        old = np.array([a for a in words for _b in words], dtype=np.int64)
+        new = np.array([b for _a in words for b in words], dtype=np.int64)
+        mask = (1 << width) - 1
+        expect = [bin((a ^ b) & mask).count("1") for a, b in zip(old.tolist(), new.tolist())]
+        got = nc.hamming_bits(old, new, width)
+        assert got.dtype == np.int64
+        assert got.tolist() == expect
 
     def test_words_quantize_and_clamp(self):
         enc = nc.DigitalEncoding(8, scale=1.0)
@@ -305,6 +347,26 @@ class TestRunControl:
             nc.run_sim(state, 3, inputs={0: (("B", 1.0),)})
         assert exc.value.neuron_id == "B"
 
+    def test_first_bad_injection_decides_the_error(self):
+        ng = two_neuron(2.0, a0=0.0)
+        nan_first = (("A", 0.5), ("A", float("nan")), ("ghost", 1.0))
+        ghost_first = (("A", 0.5), ("ghost", 1.0), ("A", float("nan")))
+        with pytest.raises(nc.NonFiniteInput):
+            nc.step_sim(nc.init_sim(ng, nc.AnalogEncoding(), 0), nan_first)
+        with pytest.raises(nc.UnknownInputNeuron) as exc:
+            nc.step_sim(nc.init_sim(ng, nc.AnalogEncoding(), 0), ghost_first)
+        assert exc.value.neuron_id == "ghost"
+
+    def test_injections_add_left_to_right(self):
+        # 1e16 + 1.0 + 1.0 rounds twice to 1e16; pre-summing gives 1e16 + 2.
+        relu = nc.NeuronSpec("ann_relu")
+        ng = nc.NeuralGraph(neurons=(("R", relu, 0.0), ("S", relu, 0.0)), synapses=(),
+                            input_neurons=("R", "S"))
+        state = nc.init_sim(ng, nc.AnalogEncoding(), 0)
+        nc.step_sim(state, (("R", 1e16), ("S", 3.0), ("R", 1.0), ("R", 1.0)))
+        assert state.membrane("R") == (1e16 + 1.0) + 1.0 == 1e16
+        assert state.membrane("S") == 3.0
+
     def test_non_finite_injection(self):
         ng = two_neuron(2.0, a0=0.0)
         state = nc.init_sim(ng, nc.AnalogEncoding(), 0)
@@ -323,6 +385,17 @@ class TestRunControl:
         state = nc.init_sim(ng, nc.AnalogEncoding(), 0)
         with pytest.raises((nc.NonFiniteState, nc.NonFiniteInput)):
             nc.run_sim(state, 5)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_overflowing_change_sum_is_not_divergence(self):
+        # Both new states are finite; only their summed |dx| overflows.
+        relu = nc.NeuronSpec("ann_relu")
+        ng = nc.NeuralGraph(neurons=(("a", relu, 0.0), ("b", relu, 0.0)), synapses=(),
+                            input_neurons=("a", "b"))
+        state = nc.init_sim(ng, nc.AnalogEncoding(), 0)
+        rec = nc.step_sim(state, (("a", 1e308), ("b", 1e308)))
+        assert rec.delta_n == float("inf") and rec.neurons_touched == 2
+        assert state.x.tolist() == [1e308, 1e308]
 
     def test_deterministic_repeat(self):
         def once():

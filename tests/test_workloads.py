@@ -218,6 +218,23 @@ class TestFFLayer:
             sched = ff_input_schedule(self.make_spec(rate=rate))
             assert [t for t in range(10) if sched(t)] == expect
 
+    @pytest.mark.parametrize("steps", [1, 7, 20])
+    def test_schedule_matches_the_per_step_formula(self, steps):
+        rates = (0.0, 0.05, 0.5, 1.0)
+        spec = FFLayerSpec.from_arrays(np.ones((4, 2)), rates, steps)
+        ids = ff_input_ids(spec)
+
+        def formula(t):
+            s = t % steps
+            return tuple((nid, 1.0) for nid, r in zip(ids, rates)
+                         if math.floor((s + 1) * r) > math.floor(s * r))
+
+        ts = range(3 * steps)
+        sched = ff_input_schedule(spec)
+        assert [sched(t) for t in ts] == [formula(t) for t in ts]
+        sched = ff_input_schedule(spec)  # phases first seen out of order
+        assert [sched(t) for t in reversed(ts)] == [formula(t) for t in reversed(ts)]
+
     def test_units_fire_after_each_volley(self):
         spec = self.make_spec()
         ng = gen_ff_layer(spec)
