@@ -142,7 +142,7 @@ def energy_terms(c: CostConstants, touched: float, spikes: float,
 
 def conventional_time(m: GraphMetrics, p_threads: int, model: str = "cpu_ideal") -> TimeBounds:
     """Work/span sandwich for p_threads parallel execution units."""
-    if not isinstance(p_threads, int) or p_threads < 1:
+    if isinstance(p_threads, bool) or not isinstance(p_threads, int) or p_threads < 1:
         raise ValueError(f"p_threads must be an integer >= 1, got {p_threads!r}")
     chunks = math.ceil(m.t1 / p_threads)
     return TimeBounds(lower=max(m.t_inf, chunks), upper=chunks + m.t_inf, model=model)

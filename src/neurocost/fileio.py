@@ -14,6 +14,7 @@ import io
 import json
 import math
 import os
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -50,6 +51,48 @@ def _string_list(value: object, field: str) -> tuple[str, ...]:
     return tuple(out)
 
 
+def _plain_nodes(raw_nodes: list) -> list[OpNode] | None:
+    """The nodes when every one is well formed, else None.
+
+    json.loads yields exact dict, list and str objects, so these exact
+    type tests accept what the per-field checks of _checked_nodes accept.
+    """
+    if not set(map(type, raw_nodes)) <= {dict}:
+        return None
+    if not set().union(*map(dict.keys, raw_nodes)) <= _NODE_KEYS:
+        return None
+    ids = [raw.get("id") for raw in raw_nodes]
+    ops = [raw.get("op") for raw in raw_nodes]
+    inputs = [raw.get("inputs", []) for raw in raw_nodes]
+    if not (set(map(type, ids)) | set(map(type, ops)) <= {str} and len(set(ids)) == len(ids)
+            and set(map(type, inputs)) <= {list}
+            and set(map(type, chain.from_iterable(inputs))) <= {str}):
+        return None
+    return list(map(OpNode, ids, ops, map(tuple, inputs)))
+
+
+def _checked_nodes(raw_nodes: list) -> list[OpNode]:
+    """The nodes, checked field by field; SchemaError names the first
+    bad field of the first bad node."""
+    nodes = []
+    seen: set[str] = set()
+    for i, raw in enumerate(raw_nodes):
+        where = f"nodes[{i}]"
+        _require(isinstance(raw, dict), "expected an object", where)
+        for key in sorted(set(raw) - _NODE_KEYS):
+            raise SchemaError(f"unknown key {key!r}", field=where)
+        _require("id" in raw, "missing required key 'id'", where)
+        _require(isinstance(raw["id"], str), "expected a string", f"{where}.id")
+        _require("op" in raw, "missing required key 'op'", where)
+        _require(isinstance(raw["op"], str), "expected a string", f"{where}.op")
+        nid = raw["id"]
+        _require(nid not in seen, f"duplicate id {nid!r}", f"{where}.id")
+        seen.add(nid)
+        inputs = _string_list(raw.get("inputs", []), f"{where}.inputs")
+        nodes.append(OpNode(nid, raw["op"], inputs))
+    return nodes
+
+
 def parse_graph_file(text: str) -> ComputeGraph:
     """Parse graph JSON into an (unvalidated) compute graph.
 
@@ -69,23 +112,9 @@ def parse_graph_file(text: str) -> ComputeGraph:
     _require("nodes" in doc, "missing required key 'nodes'", "$")
     _require(isinstance(doc["nodes"], list), "expected a list", "nodes")
 
-    nodes = []
-    seen: set[str] = set()
-    for i, raw in enumerate(doc["nodes"]):
-        where = f"nodes[{i}]"
-        _require(isinstance(raw, dict), "expected an object", where)
-        for key in sorted(set(raw) - _NODE_KEYS):
-            raise SchemaError(f"unknown key {key!r}", field=where)
-        _require("id" in raw, "missing required key 'id'", where)
-        _require(isinstance(raw["id"], str), "expected a string", f"{where}.id")
-        _require("op" in raw, "missing required key 'op'", where)
-        _require(isinstance(raw["op"], str), "expected a string", f"{where}.op")
-        nid = raw["id"]
-        _require(nid not in seen, f"duplicate id {nid!r}", f"{where}.id")
-        seen.add(nid)
-        inputs = _string_list(raw.get("inputs", []), f"{where}.inputs")
-        nodes.append(OpNode(nid, raw["op"], inputs))
-
+    nodes = _plain_nodes(doc["nodes"])
+    if nodes is None:
+        nodes = _checked_nodes(doc["nodes"])
     declared_inputs = _string_list(doc.get("inputs", []), "inputs")
     declared_outputs = _string_list(doc.get("outputs", []), "outputs")
     return ComputeGraph(nodes=tuple(nodes), declared_inputs=declared_inputs,

@@ -7,6 +7,12 @@ parallel hardware can beat). Level widths refine the picture: level i holds
 the nodes whose longest-path distance from a source is i, and the widths
 sum back to t1.
 
+Validation maps ids to integer positions once. One FIFO Kahn pass over
+the positions (Kahn 1962) gives both the topological order and the
+levels: FIFO emits nodes in non-decreasing level, so the input that
+releases a node has its highest level. Metrics, the schedule and
+node_levels all read these stored levels.
+
 The scheduler here is the classic greedy level-by-level list schedule: each
 level of width m is executed in ceil(m / p) steps on p processors. Its
 makespan always lands inside the work/span sandwich
@@ -18,10 +24,12 @@ and is non-increasing in p.
 
 from __future__ import annotations
 
-import math
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Any, Callable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import (
     CycleDetected,
@@ -47,7 +55,8 @@ class OpNode:
     payload: Any = None
 
     def __post_init__(self):
-        object.__setattr__(self, "inputs", _freeze(self.inputs))
+        if not isinstance(self.inputs, tuple):
+            object.__setattr__(self, "inputs", tuple(self.inputs))
 
 
 @dataclass(frozen=True)
@@ -65,17 +74,26 @@ class ComputeGraph:
 
 
 class ValidatedGraph:
-    """A ComputeGraph proven acyclic, with a topological order and adjacency.
+    """A ComputeGraph proven acyclic, held by integer position.
 
-    Construct via validate_graph(); the constructor trusts its arguments.
+    Position i is `nodes[i]`; `index` maps each id to its position. Node
+    i's input positions are `pred_pos[pred_start[i]:pred_start[i + 1]]`,
+    in input order. `order` lists the positions in topological order and
+    `level[i]` is position i's longest-path distance from a source. The
+    arrays are read-only. Construct via validate_graph(); the constructor
+    trusts its arguments.
     """
 
-    def __init__(self, graph: ComputeGraph, topo_order: tuple[str, ...],
-                 successors: Mapping[str, tuple[str, ...]]):
+    def __init__(self, graph: ComputeGraph, index: Mapping[str, int], pred_start: np.ndarray,
+                 pred_pos: np.ndarray, order: np.ndarray, level: np.ndarray):
         self.graph = graph
-        self.topo_order = topo_order
-        self._by_id = {n.id: n for n in graph.nodes}
-        self._successors = dict(successors)
+        self.index = index
+        self.pred_start, self.pred_pos, self.order, self.level = (
+            pred_start, pred_pos, order, level)
+        for arr in (pred_start, pred_pos, order, level):
+            arr.flags.writeable = False
+        nodes = graph.nodes
+        self.topo_order: tuple[str, ...] = tuple([nodes[i].id for i in order.tolist()])
 
     @property
     def nodes(self) -> tuple[OpNode, ...]:
@@ -90,13 +108,21 @@ class ValidatedGraph:
         return self.graph.declared_outputs
 
     def node(self, node_id: str) -> OpNode:
-        return self._by_id[node_id]
+        return self.graph.nodes[self.index[node_id]]
 
     def predecessors(self, node_id: str) -> tuple[str, ...]:
-        return self._by_id[node_id].inputs
+        return self.node(node_id).inputs
 
     def successors(self, node_id: str) -> tuple[str, ...]:
         return self._successors.get(node_id, ())
+
+    @cached_property
+    def _successors(self) -> dict[str, tuple[str, ...]]:
+        """Each id's consumers, once per input reference, in declaration order."""
+        ids = [node.id for node in self.graph.nodes]
+        succ, ends = _consumers(np.diff(self.pred_start), self.pred_pos)
+        succ = [ids[k] for k in succ]
+        return {nid: tuple(succ[lo:hi]) for nid, lo, hi in zip(ids, [0] + ends, ends)}
 
     def __len__(self) -> int:
         return len(self.graph.nodes)
@@ -105,59 +131,113 @@ class ValidatedGraph:
         return iter(self.graph.nodes)
 
 
+def _check_references(raw: ComputeGraph) -> None:
+    """Raise the first fault, in this order: a duplicate id; in node
+    order, a self reference or a dangling reference; a declared id that
+    is unknown, or a declared input with in-edges. Return if none."""
+    index: dict[str, int] = {}
+    for k, node in enumerate(raw.nodes):
+        if node.id in index:
+            raise DuplicateNodeId(node.id)
+        index[node.id] = k
+    for node in raw.nodes:
+        for ref in node.inputs:
+            if ref == node.id:
+                raise CycleDetected(node.id)
+            if ref not in index:
+                raise DanglingReference(ref)
+    _check_declared(raw, index)
+
+
+def _check_declared(raw: ComputeGraph, index: Mapping[str, int]) -> None:
+    for declared in raw.declared_inputs:
+        if declared not in index:
+            raise DanglingReference(declared)
+        if raw.nodes[index[declared]].inputs:
+            raise GraphError(f"declared input {declared!r} has in-edges")
+    for declared in raw.declared_outputs:
+        if declared not in index:
+            raise DanglingReference(declared)
+
+
+def _consumers(fan_in, pred_pos: np.ndarray) -> tuple[list[int], list[int]]:
+    """Each position's consumers, once per input reference, in declaration
+    order: position i's are succ[ends[i - 1]:ends[i]] (from 0 for i = 0)."""
+    n = len(fan_in)
+    consumer = np.repeat(np.arange(n), fan_in)
+    # Sorted keys producer * n + consumer list each producer's consumers in
+    # declaration order; a repeated reference repeats its key.
+    succ = np.sort(pred_pos * n + consumer) % n
+    return succ.tolist(), np.cumsum(np.bincount(pred_pos, minlength=n)).tolist()
+
+
+def _kahn(fan_in: list[int], pred_pos: np.ndarray) -> tuple[list[int], list[int], list[int]]:
+    """FIFO Kahn over positions, sources in declaration order. Returns the
+    order, the levels (level[releaser] + 1, see the module docstring) and
+    each position's count of inputs never emitted, nonzero only on or
+    downstream of a cycle."""
+    n = len(fan_in)
+    succ, ends = _consumers(fan_in, pred_pos)
+    starts = [0] + ends
+    waiting = list(fan_in)
+    level = [0] * n
+    order = [i for i in range(n) if not waiting[i]]
+    for cur in order:  # the list is the FIFO queue: releases append to it
+        nxt = level[cur] + 1
+        for s in succ[starts[cur]:ends[cur]]:
+            waiting[s] -= 1
+            if not waiting[s]:
+                level[s] = nxt
+                order.append(s)
+    return order, level, waiting
+
+
+def _on_cycle(raw: ComputeGraph, index: Mapping[str, int], waiting: list[int]) -> str:
+    """The smallest id on a cycle reached from the smallest stuck id.
+
+    Every stuck node has a stuck input (else it would have been
+    released), so following first stuck inputs must close a cycle.
+    """
+    nodes = raw.nodes
+    cur = min(nodes[i].id for i, w in enumerate(waiting) if w)
+    path: list[str] = []
+    seen: dict[str, int] = {}
+    while cur not in seen:
+        seen[cur] = len(path)
+        path.append(cur)
+        cur = next(ref for ref in nodes[index[cur]].inputs if waiting[index[ref]])
+    return min(path[seen[cur]:])
+
+
 def validate_graph(raw: ComputeGraph) -> ValidatedGraph:
     """Check structure and return the graph with a topological order.
 
     Raises EmptyGraph for zero nodes, DuplicateNodeId on repeated ids,
     DanglingReference when an input or declared id is unknown, and
-    CycleDetected (naming one node on a cycle) when no topological order
+    CycleDetected (naming a node on a cycle) when no topological order
     exists. Declared inputs must have zero in-edges.
     """
-    if not raw.nodes:
+    nodes = raw.nodes
+    if not nodes:
         raise EmptyGraph("graph has no nodes")
-
-    by_id: dict[str, OpNode] = {}
-    for node in raw.nodes:
-        if node.id in by_id:
-            raise DuplicateNodeId(node.id)
-        by_id[node.id] = node
-
-    successors: dict[str, list[str]] = {n.id: [] for n in raw.nodes}
-    indegree: dict[str, int] = {n.id: 0 for n in raw.nodes}
-    for node in raw.nodes:
-        for ref in node.inputs:
-            if ref == node.id:
-                raise CycleDetected(node.id)
-            if ref not in by_id:
-                raise DanglingReference(ref)
-            successors[ref].append(node.id)
-            indegree[node.id] += 1
-
-    for declared in raw.declared_inputs:
-        if declared not in by_id:
-            raise DanglingReference(declared)
-        if by_id[declared].inputs:
-            raise GraphError(f"declared input {declared!r} has in-edges")
-    for declared in raw.declared_outputs:
-        if declared not in by_id:
-            raise DanglingReference(declared)
-
-    # Kahn's algorithm; FIFO over declaration order keeps the result stable.
-    order: list[str] = []
-    ready = deque(n.id for n in raw.nodes if indegree[n.id] == 0)
-    remaining = dict(indegree)
-    while ready:
-        current = ready.popleft()
-        order.append(current)
-        for succ in successors[current]:
-            remaining[succ] -= 1
-            if remaining[succ] == 0:
-                ready.append(succ)
-    if len(order) < len(raw.nodes):
-        stuck = min(nid for nid, deg in remaining.items() if deg > 0)
-        raise CycleDetected(stuck)
-
-    return ValidatedGraph(raw, tuple(order), {k: tuple(v) for k, v in successors.items()})
+    index = {node.id: k for k, node in enumerate(nodes)}
+    fan_in = [len(node.inputs) for node in nodes]
+    refs = chain.from_iterable([node.inputs for node in nodes])
+    try:
+        pred_pos = np.fromiter(map(index.__getitem__, refs), np.intp, sum(fan_in))
+    except KeyError:
+        pred_pos = None
+    if pred_pos is None or len(index) < len(nodes):
+        _check_references(raw)  # raises DuplicateNodeId or DanglingReference
+    order, level, waiting = _kahn(fan_in, pred_pos)
+    if len(order) < len(nodes):
+        _check_references(raw)  # a self reference or a declared-id fault comes first
+        raise CycleDetected(_on_cycle(raw, index, waiting))
+    _check_declared(raw, index)
+    pred_start = np.zeros(len(nodes) + 1, np.intp)
+    np.cumsum(fan_in, out=pred_start[1:])
+    return ValidatedGraph(raw, index, pred_start, pred_pos,
+                          np.array(order, np.intp), np.array(level, np.intp))
 
 
 @dataclass(frozen=True)
@@ -172,30 +252,19 @@ class GraphMetrics:
 
 
 def node_levels(vg: ValidatedGraph) -> dict[str, int]:
-    """Longest-path distance from sources, per node id."""
-    level: dict[str, int] = {}
-    for nid in vg.topo_order:
-        node = vg.node(nid)
-        level[nid] = 0 if not node.inputs else 1 + max(level[p] for p in node.inputs)
-    return level
+    """Longest-path distance from sources, per node id, in topological order."""
+    return dict(zip(vg.topo_order, vg.level[vg.order].tolist()))
 
 
 def compute_metrics(vg: ValidatedGraph) -> GraphMetrics:
-    """Work, depth and level widths from `node_levels`, plus fan extremes."""
-    level = node_levels(vg)
-    depth = max(level.values()) + 1
-    widths = [0] * depth
-    for nid in vg.topo_order:
-        widths[level[nid]] += 1
-
-    max_fan_in = max(len(vg.node(nid).inputs) for nid in vg.topo_order)
-    max_fan_out = max(len(vg.successors(nid)) for nid in vg.topo_order)
+    """Work, depth and level widths from the levels, plus fan extremes."""
+    widths = np.bincount(vg.level)
     return GraphMetrics(
         t1=len(vg),
-        t_inf=depth,
-        level_widths=tuple(widths),
-        max_fan_in=max_fan_in,
-        max_fan_out=max_fan_out,
+        t_inf=len(widths),
+        level_widths=tuple(widths.tolist()),
+        max_fan_in=int(np.diff(vg.pred_start).max()),
+        max_fan_out=int(np.bincount(vg.pred_pos, minlength=len(vg)).max()),
     )
 
 
@@ -212,25 +281,22 @@ def list_schedule(vg: ValidatedGraph, p: int) -> ScheduleResult:
     """Greedy level-by-level schedule on p identical processors.
 
     Level widths m give t_p = sum(ceil(m / p)); every node runs strictly
-    after all of its inputs because levels are scheduled in order.
+    after all of its inputs because levels are scheduled in order. The
+    assignment lists nodes by level, then in topological order.
     """
-    if not isinstance(p, int) or p < 1:
+    if isinstance(p, bool) or not isinstance(p, int) or p < 1:
         raise ValueError(f"processor count must be a positive integer, got {p!r}")
 
-    levels = node_levels(vg)
-    by_level: dict[int, list[str]] = {}
-    for nid in vg.topo_order:
-        by_level.setdefault(levels[nid], []).append(nid)
-
-    assignment: dict[str, tuple[int, int]] = {}
-    step = 0
-    for lvl in sorted(by_level):
-        members = by_level[lvl]
-        for offset, nid in enumerate(members):
-            assignment[nid] = (offset % p, step + offset // p)
-        step += math.ceil(len(members) / p)
-
-    return ScheduleResult(t_p=step, p=p, assignment=assignment)
+    # Topological order is level-sorted; no level is wider than len(vg),
+    # so any larger p schedules like len(vg) and stays within int64.
+    q = min(p, len(vg))
+    level = vg.level[vg.order]
+    widths = np.bincount(level)
+    steps = -(-widths // q)
+    offset = np.arange(len(vg)) - (np.cumsum(widths) - widths)[level]
+    step = (np.cumsum(steps) - steps)[level] + offset // q
+    assignment = dict(zip(vg.topo_order, zip((offset % q).tolist(), step.tolist())))
+    return ScheduleResult(t_p=int(steps.sum()), p=p, assignment=assignment)
 
 
 CouplingRule = Mapping[int, Sequence[int]] | Callable[[int], Sequence[int]]

@@ -24,16 +24,20 @@ directly; the (id, spec, x0) and SynapseSpec tuples are built lazily.
 Lowering maps every operation node of a computational DAG to a small
 assembly of neurons (a chain: first neuron is the entry, last the exit)
 and every DAG edge to a synapse from the source's exit to the target's
-entry. The AssemblyMap remembers which neurons and synapses each op owns,
-so resource counts stay additive.
+entry. Ops are lowered in topological order, so each op owns one
+contiguous run of neurons and one of synapses: the AssemblyMap stores
+them as two offset arrays (ranges), so resource counts stay additive and
+a per-neuron quantity sums per op in one np.add.reduceat.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -326,72 +330,132 @@ def relay_rules(op_kinds: Iterable[str], neuron_count: int = 1) -> dict[str, Low
     return {kind: rule for kind in op_kinds}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AssemblyMap:
-    """op id -> (neuron ids, synapse indices) ownership, plus counts."""
+    """Which neurons and synapses each lowered op owns, as ranges.
 
-    entries: Mapping[str, tuple[frozenset[str], frozenset[int]]]
-    per_op_neuron_count: Mapping[str, int]
+    Op k of `op_ids` (topological order) owns neurons
+    `neuron_start[k]:neuron_start[k + 1]`, whose ids are in `neuron_ids`,
+    and synapses `synapse_start[k]:synapse_start[k + 1]`. Both offset
+    arrays have len(op_ids) + 1 entries and are read-only. A per-neuron
+    quantity sums per op as `np.add.reduceat(x, neuron_start[:-1])`.
+    `entries` (op id -> (neuron ids, synapse indices)) and
+    `per_op_neuron_count` are read-only mappings built on first access.
+    """
+
+    op_ids: tuple[str, ...]
+    neuron_ids: tuple[str, ...]
+    neuron_start: np.ndarray
+    synapse_start: np.ndarray
+
+    def __post_init__(self):
+        for name in ("neuron_start", "synapse_start"):
+            arr = np.array(getattr(self, name), dtype=np.intp)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "op_ids", tuple(self.op_ids))
+        object.__setattr__(self, "neuron_ids", tuple(self.neuron_ids))
+
+    def __eq__(self, other):
+        if not isinstance(other, AssemblyMap):
+            return NotImplemented
+        return (self.op_ids == other.op_ids and self.neuron_ids == other.neuron_ids
+                and np.array_equal(self.neuron_start, other.neuron_start)
+                and np.array_equal(self.synapse_start, other.synapse_start))
+
+    __hash__ = None
+
+    @cached_property
+    def entries(self) -> Mapping[str, tuple[frozenset[str], frozenset[int]]]:
+        ns, ss = self.neuron_start.tolist(), self.synapse_start.tolist()
+        return MappingProxyType({
+            op: (frozenset(self.neuron_ids[ns[k]:ns[k + 1]]), frozenset(range(ss[k], ss[k + 1])))
+            for k, op in enumerate(self.op_ids)})
+
+    @cached_property
+    def per_op_neuron_count(self) -> Mapping[str, int]:
+        return MappingProxyType(dict(zip(self.op_ids, np.diff(self.neuron_start).tolist())))
+
+
+def _rule_column(rules: list[LoweringRule], name: str, kind: np.ndarray,
+                 dtype=None) -> np.ndarray:
+    """Field `name` of rule kind[j] for each synapse j. Only the rules of
+    kinds that own such a synapse are read, so values, dtype and errors
+    are those of a list built synapse by synapse."""
+    owns = np.bincount(kind, minlength=len(rules)) > 0
+    values = np.array([getattr(r, name) for r, o in zip(rules, owns.tolist()) if o], dtype=dtype)
+    return values[(np.cumsum(owns) - 1)[kind]]
 
 
 def lower_graph(vg: ValidatedGraph, rules: Mapping[str, LoweringRule] | None = None
                 ) -> tuple[NeuralGraph, AssemblyMap]:
     """Lower a validated DAG into a spiking network.
 
+    Ops are lowered in topological order. Op k's neurons are ids
+    "<op id>#0" to "<op id>#<count - 1>"; its synapses are its chain
+    links, then one from each input's exit neuron, in input order.
     Without `rules`, every op kind in the graph lowers to the one-neuron
     relay, `relay_rules(kinds)`. Raises NoRuleForOpKind when an op kind has
     no rule and FanInExceedsRule when a node's arity exceeds the rule's
-    max_fan_in.
+    max_fan_in, for the first such node in topological order.
     """
     if rules is None:
         rules = relay_rules({node.op_kind for node in vg.nodes})
-    ids: list[str] = []
-    table: dict[NeuronSpec, int] = {}
-    row_of_kind: dict[str, int] = {}  # op kind -> its rule's row in `table`
-    spec_index: list[int] = []
-    source: list[int] = []
-    target: list[int] = []
-    weight: list[float] = []
-    delay: list[int] = []
-    entries: dict[str, tuple[frozenset[str], frozenset[int]]] = {}
-    per_op: dict[str, int] = {}
-    exit_neuron: dict[str, int] = {}
-
-    for nid in vg.topo_order:
-        node = vg.node(nid)
-        rule = rules.get(node.op_kind)
+    nodes, order = vg.nodes, vg.order
+    kinds: dict[str, int] = {}  # op kind -> code, in order of first use
+    kind = np.array([kinds.setdefault(nodes[i].op_kind, len(kinds)) for i in order.tolist()],
+                    dtype=np.intp)
+    used = [rules.get(k) for k in kinds]
+    fan_in = np.diff(vg.pred_start)[order]
+    # A missing rule allows no fan-in, not even 0, so it is flagged too.
+    cap = np.array([-1 if r is None else math.inf if r.max_fan_in is None else r.max_fan_in
+                    for r in used])
+    if (k := _first(fan_in > cap[kind])) is not None:
+        node, rule = nodes[order[k]], used[kind[k]]
         if rule is None:
             raise NoRuleForOpKind(node.op_kind)
-        if rule.max_fan_in is not None and len(node.inputs) > rule.max_fan_in:
-            raise FanInExceedsRule(
-                f"op {nid!r} has fan-in {len(node.inputs)}, rule allows {rule.max_fan_in}")
+        raise FanInExceedsRule(
+            f"op {node.id!r} has fan-in {int(fan_in[k])}, rule allows {rule.max_fan_in}")
 
-        if node.op_kind not in row_of_kind:
-            row_of_kind[node.op_kind] = table.setdefault(rule.neuron, len(table))
-        first, count, fan_in = len(ids), rule.neuron_count, len(node.inputs)
-        member_ids = [f"{nid}#{k}" for k in range(count)]
-        ids += member_ids
-        spec_index += [row_of_kind[node.op_kind]] * count
-        exit_neuron[nid] = first + count - 1
+    table: dict[NeuronSpec, int] = {}
+    row = np.array([table.setdefault(r.neuron, len(table)) for r in used], dtype=np.intp)
+    count = np.array([operator.index(r.neuron_count) for r in used], np.intp)[kind]
+    neuron_start = np.zeros(len(order) + 1, np.intp)
+    np.cumsum(count, out=neuron_start[1:])
+    exit_of = np.empty(len(order), np.intp)  # by node position
+    exit_of[order] = neuron_start[1:] - 1
+    ids = [f"{nid}#{j}" for nid, c in zip(vg.topo_order, count.tolist()) for j in range(c)]
 
-        # Chain links first, then one synapse from each input's exit neuron.
-        owned_from = len(source)
-        source += range(first, first + count - 1)
-        source += [exit_neuron[ref] for ref in node.inputs]
-        target += range(first + 1, first + count)
-        target += [first] * fan_in
-        weight += [rule.chain_weight] * (count - 1) + [rule.input_weight] * fan_in
-        delay += [rule.delay] * (count - 1 + fan_in)
-
-        entries[nid] = (frozenset(member_ids), frozenset(range(owned_from, len(source))))
-        per_op[nid] = count
+    # Op k owns count[k] - 1 chain links, then fan_in[k] input synapses.
+    links = count - 1
+    synapse_start = np.zeros(len(order) + 1, np.intp)
+    np.cumsum(links + fan_in, out=synapse_start[1:])
+    op_of = np.repeat(np.arange(len(order)), links + fan_in)
+    chain = np.arange(len(op_of)) - synapse_start[op_of] < links[op_of]
+    # Every neuron but an op's exit links to the next one.
+    is_exit = np.zeros(neuron_start[-1], bool)
+    is_exit[neuron_start[1:] - 1] = True
+    link_src = np.flatnonzero(~is_exit)
+    # Input positions regrouped from declaration order into topological order.
+    first = vg.pred_start[order]
+    in_at = np.repeat(first - (np.cumsum(fan_in) - fan_in), fan_in) + np.arange(fan_in.sum())
+    source = np.empty(len(op_of), np.intp)
+    target = np.empty(len(op_of), np.intp)
+    weight = np.empty(len(op_of))
+    syn_kind = kind[op_of]
+    source[chain], target[chain] = link_src, link_src + 1
+    weight[chain] = _rule_column(used, "chain_weight", syn_kind[chain], float)
+    source[~chain] = exit_of[vg.pred_pos[in_at]]
+    target[~chain] = np.repeat(neuron_start[:-1], fan_in)
+    weight[~chain] = _rule_column(used, "input_weight", syn_kind[~chain], float)
+    delay = _rule_column(used, "delay", syn_kind)
 
     ng = NeuralGraph.from_columns(
-        ids, table, spec_index, np.zeros(len(ids)), source, target, weight, delay,
-        input_neurons=(f"{nid}#0" for nid in vg.declared_inputs),
-        output_neurons=(ids[exit_neuron[nid]] for nid in vg.declared_outputs),
-    )
-    return ng, AssemblyMap(entries=entries, per_op_neuron_count=per_op)
+        ids, table, np.repeat(row[kind], count), np.zeros(len(ids)), source, target, weight,
+        delay, input_neurons=(f"{nid}#0" for nid in vg.declared_inputs),
+        output_neurons=(ids[exit_of[vg.index[nid]]] for nid in vg.declared_outputs))
+    am = AssemblyMap(vg.topo_order, ng.neuron_ids, neuron_start, synapse_start)
+    return ng, am
 
 
 @dataclass(frozen=True)
@@ -414,20 +478,20 @@ def count_resources(ng: NeuralGraph, am: AssemblyMap | None = None) -> ResourceC
     if am is None:
         ops = n_total
     else:
-        mapped_neurons: set[str] = set()
-        mapped_synapses: set[int] = set()
-        counted = 0
-        for op_id, (nids, sids) in am.entries.items():
-            if mapped_neurons & nids:
-                raise InconsistentAssembly(f"neuron claimed by two ops near {op_id!r}")
-            mapped_neurons |= nids
-            mapped_synapses |= sids
-            counted += am.per_op_neuron_count[op_id]
-        if counted != n_total or mapped_neurons != set(ng.neuron_ids):
-            raise InconsistentAssembly("assembly map neuron totals disagree with graph")
-        if mapped_synapses != set(range(s_total)):
-            raise InconsistentAssembly("assembly map synapse totals disagree with graph")
-        ops = len(am.entries)
+        ops = len(am.op_ids)
+        ns, ss = am.neuron_start, am.synapse_start
+        if ns.shape != (ops + 1,) or ss.shape != (ops + 1,):
+            raise InconsistentAssembly("assembly map offsets must have one entry per op plus one")
+        if ns[0] != 0 or ss[0] != 0:
+            raise InconsistentAssembly("assembly map offsets must start at 0")
+        if np.any(np.diff(ns) < 1):
+            raise InconsistentAssembly("assembly map has an op that owns no neuron")
+        if np.any(np.diff(ss) < 0):
+            raise InconsistentAssembly("assembly map synapse offsets decrease")
+        if ns[-1] != n_total or ss[-1] != s_total or am.neuron_ids != ng.neuron_ids:
+            raise InconsistentAssembly("assembly map totals disagree with graph")
+        if len(set(am.op_ids)) != ops:
+            raise InconsistentAssembly("assembly map names an op twice")
     return ResourceCount(
         n_total=n_total,
         s_total=s_total,

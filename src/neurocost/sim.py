@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -401,12 +402,13 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
                 spike_y = spike_y[order]
         spike_list = spikes.tolist()
         spike_count = len(spike_list)
-        spike_ids = tuple([net.ids[i] for i in spike_list])
         if spike_count == 1:
+            spike_ids = (net.ids[spike_list[0]],)
             # One source: its synapses are one contiguous CSR slice.
             pos = slice(*net.out_indptr[spike_list[0]:spike_list[0] + 2].tolist())
             values = net.syn_weight[pos] * spike_y if scaled else net.syn_weight[pos]
         else:
+            spike_ids = itemgetter(*spike_list)(net.ids)
             lo = net.out_indptr[spikes]
             lens = net.out_indptr[spikes + 1] - lo
             ends = lens.cumsum()

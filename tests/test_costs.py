@@ -69,6 +69,12 @@ def test_conventional_time_footnote():
     assert (bmany.lower, bmany.upper) == (3, 4)
 
 
+@pytest.mark.parametrize("p", [True, False])
+def test_conventional_time_rejects_bool(p):
+    with pytest.raises(ValueError, match="p_threads must be an integer >= 1"):
+        conventional_time(FOOTNOTE_METRICS, p)
+
+
 def test_conventional_time_models_and_validation():
     assert conventional_time(FOOTNOTE_METRICS, 2, model="gpu").model == "gpu"
     with pytest.raises(ValueError):

@@ -86,6 +86,16 @@ def test_two_node_cycle():
     assert exc.value.node_id in ("x", "y")
 
 
+def test_cycle_names_a_node_on_the_cycle():
+    # "a" is stuck downstream of the cycle x <-> y, but is not on it.
+    g = ComputeGraph(nodes=(OpNode("x", "add", ("y",)),
+                            OpNode("y", "add", ("x",)),
+                            OpNode("a", "add", ("x",))))
+    with pytest.raises(CycleDetected) as exc:
+        validate_graph(g)
+    assert exc.value.node_id == "x"
+
+
 def test_dangling_input_reference():
     g = ComputeGraph(nodes=(OpNode("x", "add", ("ghost",)),))
     with pytest.raises(DanglingReference) as exc:
@@ -174,6 +184,12 @@ def test_schedule_rejects_bad_p(footnote):
         list_schedule(footnote, 0)
     with pytest.raises(ValueError):
         list_schedule(footnote, 2.0)
+
+
+@pytest.mark.parametrize("p", [True, False])
+def test_schedule_rejects_bool_p(footnote, p):
+    with pytest.raises(ValueError, match="processor count must be a positive integer"):
+        list_schedule(footnote, p)
 
 
 def test_schedule_monotone_in_p():

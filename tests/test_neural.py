@@ -380,12 +380,56 @@ def test_count_resources_without_map():
 
 def test_count_resources_inconsistent_map(footnote):
     ng, _am = lower_graph(footnote, relay_rules({"sub", "mul", "pow"}))
-    bogus = AssemblyMap(
-        entries={"a": (frozenset({"a#0"}), frozenset())},
-        per_op_neuron_count={"a": 1},
-    )
+    # op "a" owns neuron a#0 and no synapse; the other ops are missing
+    bogus = AssemblyMap(("a",), ("a#0",), neuron_start=[0, 1], synapse_start=[0, 0])
     with pytest.raises(InconsistentAssembly):
         count_resources(ng, bogus)
+
+
+_OPS = ("a", "b", "c", "d")
+
+
+@pytest.mark.parametrize("op_ids, neuron_start, synapse_start, match", [
+    (_OPS, [0, 1, 2, 3], [0, 0, 0, 2, 3], "one entry per op"),
+    (_OPS, [1, 2, 3, 4, 4], [0, 0, 0, 2, 3], "start at 0"),
+    (_OPS, [0, 1, 2, 3, 4], [1, 1, 1, 2, 3], "start at 0"),
+    (_OPS, [0, 1, 1, 3, 4], [0, 0, 0, 2, 3], "owns no neuron"),
+    (_OPS, [0, 1, 2, 3, 4], [0, 0, 2, 1, 3], "synapse offsets decrease"),
+    (_OPS, [0, 1, 2, 3, 5], [0, 0, 0, 2, 3], "totals disagree"),
+    (_OPS, [0, 1, 2, 3, 4], [0, 0, 0, 2, 4], "totals disagree"),
+    (("a", "b", "a", "d"), [0, 1, 2, 3, 4], [0, 0, 0, 2, 3], "names an op twice"),
+], ids=["length", "neuron_start", "synapse_start", "empty_op", "synapses_decrease",
+        "neuron_end", "synapse_end", "repeated_op"])
+def test_count_resources_rejects_inconsistent_offsets(footnote, op_ids, neuron_start,
+                                                      synapse_start, match):
+    ng, am = lower_graph(footnote, relay_rules({"sub", "mul", "pow"}))
+    assert (am.neuron_start.tolist(), am.synapse_start.tolist()) == (
+        [0, 1, 2, 3, 4], [0, 0, 0, 2, 3])
+    bogus = AssemblyMap(op_ids, ng.neuron_ids, neuron_start, synapse_start)
+    with pytest.raises(InconsistentAssembly, match=match):
+        count_resources(ng, bogus)
+
+
+def test_count_resources_rejects_other_neuron_ids(footnote):
+    ng, am = lower_graph(footnote, relay_rules({"sub", "mul", "pow"}))
+    renamed = AssemblyMap(am.op_ids, tuple(n + "'" for n in ng.neuron_ids),
+                          am.neuron_start, am.synapse_start)
+    with pytest.raises(InconsistentAssembly, match="totals disagree"):
+        count_resources(ng, renamed)
+
+
+def test_assembly_map_views(footnote):
+    ng, am = lower_graph(footnote, relay_rules({"sub", "mul", "pow"}, neuron_count=2))
+    assert am.op_ids == footnote.topo_order
+    assert "entries" not in vars(am) and "per_op_neuron_count" not in vars(am)
+    assert am.entries["c"] == (frozenset({"c#0", "c#1"}), frozenset({2, 3, 4}))
+    assert list(am.per_op_neuron_count.items()) == [(op, 2) for op in am.op_ids]
+    with pytest.raises(TypeError):
+        am.entries["c"] = (frozenset(), frozenset())
+    with pytest.raises(ValueError):
+        am.neuron_start[0] = 1
+    # Each op's neurons are one run, so a per-neuron quantity sums per op in one call.
+    assert np.add.reduceat(np.arange(8), am.neuron_start[:-1]).tolist() == [1, 5, 9, 13]
 
 
 def test_relay_rules_share_one_rule():
@@ -536,7 +580,7 @@ def _tuple_lowering(vg, rules=None):
         per_op[nid] = rule.neuron_count
     ng = NeuralGraph(neurons, synapses, tuple(entry[n] for n in vg.declared_inputs),
                      tuple(exit_[n] for n in vg.declared_outputs))
-    return ng, AssemblyMap(entries=entries, per_op_neuron_count=per_op)
+    return ng, entries, per_op
 
 
 _MIXED_RULES = {
@@ -556,11 +600,12 @@ _MIXED_RULES = {
 def test_columnar_lowering_equals_tuple_lowering(make, rules):
     vg = validate_graph(make())
     ng, am = lower_graph(vg, rules)
-    want, want_am = _tuple_lowering(vg, rules)
+    want, want_entries, want_per_op = _tuple_lowering(vg, rules)
     assert ng == want
     assert (ng.neurons, ng.synapses) == (want.neurons, want.synapses)
     assert (ng.input_neurons, ng.output_neurons) == (want.input_neurons, want.output_neurons)
-    assert am == want_am
+    assert am.entries == want_entries
+    assert am.per_op_neuron_count == want_per_op
 
 
 # SHA-256 of emit_neural_json output, recorded with the per-synapse IR that
