@@ -135,7 +135,6 @@ from .workloads import (
     Dtmc,
     FFLayerSpec,
     MeshSpec,
-    coupling_matrix,
     decode_mesh_state,
     ff_input_ids,
     ff_input_schedule,

@@ -59,7 +59,7 @@ class CostConstants:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name == "n_core":
-                if not isinstance(value, int) or value < 1:
+                if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                     raise ValueError(f"n_core must be an integer >= 1, got {value!r}")
             elif not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
@@ -153,7 +153,7 @@ def nmc_time(m: GraphMetrics, n_core: int | None = None) -> TimeBounds:
     n_core cores pays at most n_core times that."""
     if n_core is None:
         return TimeBounds(lower=m.t_inf, upper=m.t_inf, model="nmc_ideal")
-    if not isinstance(n_core, int) or n_core < 1:
+    if isinstance(n_core, bool) or not isinstance(n_core, int) or n_core < 1:
         raise ValueError(f"n_core must be an integer >= 1, got {n_core!r}")
     return TimeBounds(lower=m.t_inf, upper=n_core * m.t_inf, model="nmc_realized")
 
@@ -162,7 +162,7 @@ def conventional_space(c: CostConstants, p: int, program_size: float,
                        data_size: float) -> SpaceBounds:
     """Lower bound c_p * p + program + data; no useful upper bound exists
     (a conventional machine may cache and copy arbitrarily)."""
-    if not isinstance(p, int) or p < 1:
+    if isinstance(p, bool) or not isinstance(p, int) or p < 1:
         raise ValueError(f"processor count must be an integer >= 1, got {p!r}")
     if program_size < 0 or data_size < 0:
         raise ValueError("program_size and data_size must be nonnegative")
@@ -187,7 +187,7 @@ def nmc_space(r: ResourceCount, m: GraphMetrics, c: CostConstants,
     lower = upper / m.t_inf
     divisor = 1
     if n_core is not None:
-        if not isinstance(n_core, int) or n_core < 1:
+        if isinstance(n_core, bool) or not isinstance(n_core, int) or n_core < 1:
             raise ValueError(f"n_core must be an integer >= 1, got {n_core!r}")
         divisor = n_core
     return SpaceBounds(

@@ -37,7 +37,6 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -276,17 +275,9 @@ class NeuralGraph:
 
     @cached_property
     def synapses(self) -> tuple[SynapseSpec, ...]:
-        return self._synapse_specs(range(len(self.source)))
-
-    @property
-    def self_loops(self) -> tuple[SynapseSpec, ...]:
-        return self._synapse_specs(np.flatnonzero(self.source == self.target).tolist())
-
-    def _synapse_specs(self, positions: Iterable[int]) -> tuple[SynapseSpec, ...]:
         ids, src, tgt = self.neuron_ids, self.source.tolist(), self.target.tolist()
-        weight, delay = self.weight.tolist(), self.delay.tolist()
-        return tuple(SynapseSpec(ids[src[k]], ids[tgt[k]], weight[k], delay[k])
-                     for k in positions)
+        return tuple(SynapseSpec(ids[s], ids[t], w, d) for s, t, w, d in zip(
+            src, tgt, self.weight.tolist(), self.delay.tolist()))
 
 
 def _id_set(ids: tuple[str, ...]) -> set[str]:
@@ -320,8 +311,10 @@ class LoweringRule:
     max_fan_in: int | None = None
 
     def __post_init__(self):
-        if self.neuron_count < 1:
-            raise ValueError("neuron_count must be >= 1")
+        for name, what in (("neuron_count", "neuron_count"), ("delay", "synapse delay")):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{what} must be an integer >= 1, got {value!r}")
 
 
 def relay_rules(op_kinds: Iterable[str], neuron_count: int = 1) -> dict[str, LoweringRule]:
@@ -339,8 +332,6 @@ class AssemblyMap:
     and synapses `synapse_start[k]:synapse_start[k + 1]`. Both offset
     arrays have len(op_ids) + 1 entries and are read-only. A per-neuron
     quantity sums per op as `np.add.reduceat(x, neuron_start[:-1])`.
-    `entries` (op id -> (neuron ids, synapse indices)) and
-    `per_op_neuron_count` are read-only mappings built on first access.
     """
 
     op_ids: tuple[str, ...]
@@ -364,17 +355,6 @@ class AssemblyMap:
                 and np.array_equal(self.synapse_start, other.synapse_start))
 
     __hash__ = None
-
-    @cached_property
-    def entries(self) -> Mapping[str, tuple[frozenset[str], frozenset[int]]]:
-        ns, ss = self.neuron_start.tolist(), self.synapse_start.tolist()
-        return MappingProxyType({
-            op: (frozenset(self.neuron_ids[ns[k]:ns[k + 1]]), frozenset(range(ss[k], ss[k + 1])))
-            for k, op in enumerate(self.op_ids)})
-
-    @cached_property
-    def per_op_neuron_count(self) -> Mapping[str, int]:
-        return MappingProxyType(dict(zip(self.op_ids, np.diff(self.neuron_start).tolist())))
 
 
 def _rule_column(rules: list[LoweringRule], name: str, kind: np.ndarray,

@@ -16,8 +16,10 @@ the same internal in- and out-neighbours), since swapping twins cannot
 change the edge tuple: a fragment of one hub and seven identical leaves
 has one candidate layout instead of 7! = 5040.
 
-The greedy partition ranks nodes once and computes each fragment's exact
-signature once, for its label and for the family check.
+Both partitions label fragments through one helper that computes one
+exact signature per distinct fragment shape (nodes, edges), for the
+label and for the family check: a tiling of a regular graph repeats a
+handful of shapes, so the layout search runs a handful of times.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import hashlib
 import itertools
 import logging
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import FragmentTooLarge, GraphTooLargeForOracle
 from .graph import ValidatedGraph, node_levels
@@ -201,6 +203,39 @@ class PartitionResult:
     granularity: int
 
 
+def _check_granularity(granularity: int) -> None:
+    if isinstance(granularity, bool) or not isinstance(granularity, int) or granularity < 1:
+        raise ValueError(f"granularity must be a positive integer, got {granularity!r}")
+
+
+def _group_by_label(fragments: Iterable[Fragment]) -> dict[str, list[Fragment]]:
+    """Fragments grouped by canonical label, labels in order of first use.
+
+    A label is a pure function of the fragment's shape (nodes, edges), so
+    each distinct shape is labelled once. For <= 8-node shapes the exact
+    signature serves both the label and the family check: every shape's
+    full signature (not its digest) must equal that of the first shape
+    given its label, which alone is kept.
+    """
+    labels: dict[tuple, str] = {}
+    heads: dict[str, tuple] = {}
+    grouped: dict[str, list[Fragment]] = {}
+    for frag in fragments:
+        shape = (frag.nodes, frag.edges)
+        label = labels.get(shape)
+        if label is None:
+            if len(frag) <= EXACT_LIMIT:
+                signature = _exact_signature(frag)
+                label = _exact_label(signature)
+                if heads.setdefault(label, signature) != signature:
+                    raise AssertionError(f"family {label} contains non-isomorphic members")
+            else:
+                label = canonical_label(frag)
+            labels[shape] = label
+        grouped.setdefault(label, []).append(frag)
+    return grouped
+
+
 def partition_isomorphic(vg: ValidatedGraph, granularity: int) -> PartitionResult:
     """Greedy level-aligned tiling into connected fragments of exactly
     `granularity` nodes, grouped by canonical label.
@@ -209,8 +244,7 @@ def partition_isomorphic(vg: ValidatedGraph, granularity: int) -> PartitionResul
     fragments, every member's exact signature must equal the first
     member's.
     """
-    if granularity < 1:
-        raise ValueError("granularity must be >= 1")
+    _check_granularity(granularity)
     levels = node_levels(vg)
 
     def tiling_key(nid: str) -> tuple[int, str]:
@@ -244,20 +278,7 @@ def partition_isomorphic(vg: ValidatedGraph, granularity: int) -> PartitionResul
         else:
             residual |= member_set
 
-    # Each exact signature is computed once and serves both the label and
-    # the family check: every member's full signature (not its digest)
-    # must equal that of the family's first member, which alone is kept.
-    heads: dict[str, tuple] = {}
-    grouped: dict[str, list[Fragment]] = {}
-    for frag in fragments:
-        if len(frag) <= EXACT_LIMIT:
-            signature = _exact_signature(frag)
-            label = _exact_label(signature)
-            if heads.setdefault(label, signature) != signature:
-                raise AssertionError(f"family {label} contains non-isomorphic members")
-        else:
-            label = canonical_label(frag)
-        grouped.setdefault(label, []).append(frag)
+    grouped = _group_by_label(fragments)
     families = tuple(sorted(
         ((label, tuple(members)) for label, members in grouped.items()),
         key=lambda item: (-len(item[1]), item[0]),
@@ -326,13 +347,9 @@ def brute_force_partition(vg: ValidatedGraph, granularity: int) -> PartitionResu
     GraphTooLargeForOracle."""
     if len(vg) > ORACLE_CAP:
         raise GraphTooLargeForOracle(f"oracle capped at {ORACLE_CAP} nodes, got {len(vg)}")
-    if granularity < 1:
-        raise ValueError("granularity must be >= 1")
-
-    by_label: dict[str, list[Fragment]] = {}
-    for subset in _connected_subsets(vg, granularity):
-        frag = extract_fragment(vg, subset)
-        by_label.setdefault(canonical_label(frag), []).append(frag)
+    _check_granularity(granularity)
+    by_label = _group_by_label(extract_fragment(vg, subset)
+                               for subset in _connected_subsets(vg, granularity))
 
     best_label = None
     best_members: list[Fragment] = []
@@ -357,6 +374,6 @@ def brute_force_partition(vg: ValidatedGraph, granularity: int) -> PartitionResu
 
 def thread_efficiency(pr: PartitionResult, p: int) -> float:
     """Fraction of p processors the extracted threads keep busy."""
-    if not isinstance(p, int) or p < 1:
+    if isinstance(p, bool) or not isinstance(p, int) or p < 1:
         raise ValueError(f"p must be an integer >= 1, got {p!r}")
     return min(pr.p_threads, p) / p

@@ -137,18 +137,6 @@ def _coupling_rows(spec: MeshSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.repeat(point.ravel(), spec.k + 1), cols.ravel(), vals.ravel()
 
 
-def coupling_matrix(spec: MeshSpec) -> np.ndarray:
-    """The row-stochastic update matrix W with x(t+1) = x(t) @ W.
-
-    Dense, O(m_s^2), for inspection only; the generator and the oracle
-    work on the sparse rows it is built from.
-    """
-    rows, cols, vals = _coupling_rows(spec)
-    w = np.zeros((spec.m_s, spec.m_s))
-    w[rows, cols] = vals
-    return w
-
-
 def reference_mesh_solve(spec: MeshSpec) -> np.ndarray:
     """Oracle: iterate x <- x @ W for m_t steps over the sparse rows of W.
 

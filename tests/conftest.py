@@ -1,5 +1,9 @@
 """Shared builders for the test suite."""
 
+import importlib
+import sys
+from pathlib import Path
+
 import pytest
 
 from neurocost import ComputeGraph, OpNode, validate_graph
@@ -36,3 +40,18 @@ def footnote():
 @pytest.fixture
 def footnote_raw():
     return make_footnote()
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def bench_cases():
+    """The benchmark's `bench/cases.py`, imported as `bench/run.py` does
+    (its sibling `checks.py` on the path), writing no bytecode there."""
+    if str(BENCH) not in sys.path:
+        sys.path.insert(0, str(BENCH))
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        return importlib.import_module("cases")
+    finally:
+        sys.dont_write_bytecode = dont_write

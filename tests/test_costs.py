@@ -75,6 +75,19 @@ def test_conventional_time_rejects_bool(p):
         conventional_time(FOOTNOTE_METRICS, p)
 
 
+@pytest.mark.parametrize("bad", [True, False, 2.0])
+def test_core_and_processor_counts_reject_bool_and_float(bad):
+    # A bool used to pass as 1 (or fail only as 0), giving a bound.
+    with pytest.raises(ValueError, match="n_core must be an integer >= 1"):
+        nmc_time(FOOTNOTE_METRICS, bad)
+    with pytest.raises(ValueError, match="n_core must be an integer >= 1"):
+        nmc_space(FOOTNOTE_RESOURCES, FOOTNOTE_METRICS, UNIT, n_core=bad)
+    with pytest.raises(ValueError, match="processor count must be an integer >= 1"):
+        conventional_space(UNIT, bad, 1, 1)
+    with pytest.raises(ValueError, match="n_core must be an integer >= 1"):
+        CostConstants(n_core=bad)
+
+
 def test_conventional_time_models_and_validation():
     assert conventional_time(FOOTNOTE_METRICS, 2, model="gpu").model == "gpu"
     with pytest.raises(ValueError):

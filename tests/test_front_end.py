@@ -28,7 +28,7 @@ from neurocost import (
     SchemaError,
 )
 
-from test_neural import _MIXED_RULES, _tuple_lowering
+from test_neural import _MIXED_RULES, _assembly_views, _tuple_lowering
 
 
 # ------------------------------------------------------------------ references
@@ -278,8 +278,9 @@ def test_lowering_matches_reference(name, rules_name):
     assert ng == want
     assert (ng.neurons, ng.synapses) == (want.neurons, want.synapses)
     assert (ng.input_neurons, ng.output_neurons) == (want.input_neurons, want.output_neurons)
-    assert list(am.entries.items()) == list(want_entries.items())
-    assert list(am.per_op_neuron_count.items()) == list(want_per_op.items())
+    entries, per_op = _assembly_views(am)
+    assert list(entries.items()) == list(want_entries.items())
+    assert list(per_op.items()) == list(want_per_op.items())
     r = nc.count_resources(ng, am)
     assert (r.n_total, r.s_total, r.n_bar, r.s_bar) == (
         len(want.neurons), len(want.synapses),
@@ -456,24 +457,27 @@ def test_lowering_fault_order_is_topological_not_declared():
 _SRC_SINK = ComputeGraph((OpNode("s", "src"), OpNode("t", "sink", ("s",))))
 
 
-@pytest.mark.parametrize("rules, error", [
-    # A field no synapse carries is never read, so junk there lowers.
-    ({"src": LoweringRule(input_weight=None, chain_weight="x", delay=True),
-      "sink": LoweringRule(delay=2)}, None),
-    ({"src": LoweringRule(delay=3), "sink": LoweringRule(delay=True)}, ValueError),
-    ({"src": LoweringRule(neuron_count=2, chain_weight="x"), "sink": LoweringRule()},
+@pytest.mark.parametrize("make_rules, error", [
+    # A weight field no synapse carries is never read, so junk there lowers.
+    (lambda: {"src": LoweringRule(input_weight=None, chain_weight="x"),
+              "sink": LoweringRule(delay=2)}, None),
+    # The rule checks delay and neuron_count itself, used or not.
+    (lambda: {"src": LoweringRule(delay=3), "sink": LoweringRule(delay=True)}, ValueError),
+    (lambda: {"src": LoweringRule(neuron_count=2, chain_weight="x"), "sink": LoweringRule()},
      ValueError),
-    ({"src": LoweringRule(neuron_count=2.0), "sink": LoweringRule()}, TypeError),
-    ({"src": LoweringRule(neuron_count=True), "sink": LoweringRule(neuron_count=True)}, None),
+    (lambda: {"src": LoweringRule(neuron_count=2.0), "sink": LoweringRule()}, ValueError),
+    (lambda: {"src": LoweringRule(neuron_count=True),
+              "sink": LoweringRule(neuron_count=True)}, ValueError),
 ], ids=["unused_junk", "bool_delay", "junk_chain_weight", "float_count", "bool_count"])
-def test_rule_fields_are_read_as_per_synapse_lists(rules, error):
-    """Rule fields behave as the per-op loop's lists did: read only
-    where a synapse or neuron uses them, with the same dtype."""
+def test_rule_fields_are_read_as_per_synapse_lists(make_rules, error):
+    """Weight fields behave as the per-op loop's lists did: read only
+    where a synapse uses them, with the same dtype."""
     vg = nc.validate_graph(_SRC_SINK)
     if error is not None:
         with pytest.raises(error):
-            nc.lower_graph(vg, rules)
+            nc.lower_graph(vg, make_rules())
         return
+    rules = make_rules()
     ng, _am = nc.lower_graph(vg, rules)
     assert ng.neuron_ids == ("s#0", "t#0")
     assert (ng.weight.tolist(), ng.delay.tolist()) == ([1.5], [rules["sink"].delay])

@@ -271,7 +271,7 @@ def test_self_loop_introspection():
         neurons=(_one_neuron("x"), _one_neuron("y")),
         synapses=(SynapseSpec("x", "x", 0.5), SynapseSpec("x", "y", 0.5)),
     )
-    assert [s.target for s in ng.self_loops] == ["x"]
+    assert [s.target for s in _self_loops(ng)] == ["x"]
     assert ng.neuron_ids == ("x", "y")
 
 
@@ -344,19 +344,39 @@ def test_lowering_rule_validation():
         LoweringRule(neuron_count=0)
 
 
+@pytest.mark.parametrize("field, bad", [("delay", True), ("delay", 0), ("delay", 2.0),
+                                        ("neuron_count", True), ("neuron_count", 2.0)])
+def test_lowering_rule_rejects_bool_and_non_int(field, bad):
+    what = "synapse delay" if field == "delay" else "neuron_count"
+    with pytest.raises(ValueError, match=f"{what} must be an integer >= 1, got {bad!r}"):
+        LoweringRule(**{field: bad})
+
+
+def test_bool_delay_beside_an_int_delay_is_rejected():
+    # s(src) -> t(sink) -> u(src): the sink's bool delay used to lower as 1
+    # once the src rule's int delay set the column's dtype.
+    vg = validate_graph(ComputeGraph((OpNode("s", "src"), OpNode("t", "sink", ("s",)),
+                                      OpNode("u", "src", ("t",)))))
+    ng, _am = lower_graph(vg, {"src": LoweringRule(delay=2), "sink": LoweringRule(delay=3)})
+    assert ng.delay.tolist() == [3, 2]
+    with pytest.raises(ValueError, match="synapse delay must be an integer >= 1, got True"):
+        lower_graph(vg, {"src": LoweringRule(delay=2), "sink": LoweringRule(delay=True)})
+
+
 def test_assembly_map_covers_network(footnote):
     ng, am = lower_graph(footnote, relay_rules({"sub", "mul", "pow"},
                                                neuron_count=2))
     owned_neurons = set()
     owned_synapses = set()
-    for nid, (members, syn_ids) in am.entries.items():
+    entries, per_op = _assembly_views(am)
+    for nid, (members, syn_ids) in entries.items():
         assert not (members & owned_neurons), nid
         assert not (syn_ids & owned_synapses), nid
         owned_neurons |= members
         owned_synapses |= syn_ids
     assert owned_neurons == set(ng.neuron_ids)
     assert owned_synapses == set(range(len(ng.synapses)))
-    assert all(count == 2 for count in am.per_op_neuron_count.values())
+    assert all(count == 2 for count in per_op.values())
 
 
 def test_chain_lowering_counts():
@@ -421,11 +441,9 @@ def test_count_resources_rejects_other_neuron_ids(footnote):
 def test_assembly_map_views(footnote):
     ng, am = lower_graph(footnote, relay_rules({"sub", "mul", "pow"}, neuron_count=2))
     assert am.op_ids == footnote.topo_order
-    assert "entries" not in vars(am) and "per_op_neuron_count" not in vars(am)
-    assert am.entries["c"] == (frozenset({"c#0", "c#1"}), frozenset({2, 3, 4}))
-    assert list(am.per_op_neuron_count.items()) == [(op, 2) for op in am.op_ids]
-    with pytest.raises(TypeError):
-        am.entries["c"] = (frozenset(), frozenset())
+    entries, per_op = _assembly_views(am)
+    assert entries["c"] == (frozenset({"c#0", "c#1"}), frozenset({2, 3, 4}))
+    assert list(per_op.items()) == [(op, 2) for op in am.op_ids]
     with pytest.raises(ValueError):
         am.neuron_start[0] = 1
     # Each op's neurons are one run, so a per-neuron quantity sums per op in one call.
@@ -553,8 +571,22 @@ def test_self_loops_read_the_columns(caplog):
         ng = NeuralGraph.from_columns(("x", "y"), (_RELAY,), [0, 0], [0.0, 0.0],
                                       [0, 0, 1], [0, 1, 1], [0.5, 0.5, 2.0], [1, 1, 3])
     assert "2 self-loop synapse(s)" in caplog.text
-    assert ng.self_loops == (SynapseSpec("x", "x", 0.5), SynapseSpec("y", "y", 2.0, 3))
     assert "synapses" not in vars(ng)
+    assert _self_loops(ng) == (SynapseSpec("x", "x", 0.5), SynapseSpec("y", "y", 2.0, 3))
+
+
+def _self_loops(ng):
+    """Reference: the synapses whose source is their target, in order."""
+    return tuple(ng.synapses[k] for k in np.flatnonzero(ng.source == ng.target).tolist())
+
+
+def _assembly_views(am):
+    """Reference views of an AssemblyMap's ranges, in op order: op id ->
+    (neuron ids, synapse indices), and op id -> neuron count."""
+    ns, ss = am.neuron_start.tolist(), am.synapse_start.tolist()
+    entries = {op: (frozenset(am.neuron_ids[ns[k]:ns[k + 1]]), frozenset(range(ss[k], ss[k + 1])))
+               for k, op in enumerate(am.op_ids)}
+    return entries, {op: ns[k + 1] - ns[k] for k, op in enumerate(am.op_ids)}
 
 
 def _tuple_lowering(vg, rules=None):
@@ -604,8 +636,7 @@ def test_columnar_lowering_equals_tuple_lowering(make, rules):
     assert ng == want
     assert (ng.neurons, ng.synapses) == (want.neurons, want.synapses)
     assert (ng.input_neurons, ng.output_neurons) == (want.input_neurons, want.output_neurons)
-    assert am.entries == want_entries
-    assert am.per_op_neuron_count == want_per_op
+    assert _assembly_views(am) == (want_entries, want_per_op)
 
 
 # SHA-256 of emit_neural_json output, recorded with the per-synapse IR that

@@ -7,7 +7,10 @@ import random
 import pytest
 
 import neurocost as nc
+from neurocost import threads
 from neurocost.threads import extract_fragment
+
+from conftest import bench_cases
 
 
 def make_chain(n, prefix="n"):
@@ -144,6 +147,13 @@ class TestPartition:
         with pytest.raises(ValueError):
             nc.partition_isomorphic(vg, 0)
 
+    @pytest.mark.parametrize("bad", [True, False, 2.0, "2"])
+    def test_granularity_must_be_an_int_not_bool(self, bad):
+        vg = make_chain(4)
+        for partition in (nc.partition_isomorphic, nc.brute_force_partition):
+            with pytest.raises(ValueError, match="granularity must be a positive integer"):
+                partition(vg, bad)
+
     def test_assigned_plus_residual_cover_graph(self):
         for entry in nc.mini_corpus():
             vg = nc.validate_graph(entry.graph)
@@ -211,3 +221,70 @@ class TestEfficiency:
         pr = nc.partition_isomorphic(nc.validate_graph(entry.graph), entry.granularity)
         with pytest.raises(ValueError):
             nc.thread_efficiency(pr, 0)
+        for bad in (True, 2.0):
+            with pytest.raises(ValueError, match="p must be an integer >= 1"):
+                nc.thread_efficiency(pr, bad)
+
+
+def stencil():
+    """The stencil of the benchmark's stencil_threads workload."""
+    cases = bench_cases()
+    return nc.validate_graph(cases.stencil_generate(0, False).stencil)
+
+
+def shapes(pr):
+    return {(frag.nodes, frag.edges) for _label, members in pr.families for frag in members}
+
+
+@pytest.fixture
+def signature_calls(monkeypatch):
+    """Counts calls to the exact signature search."""
+    calls = []
+    real = threads._exact_signature
+
+    def counted(frag):
+        calls.append(frag)
+        return real(frag)
+
+    monkeypatch.setattr(threads, "_exact_signature", counted)
+    return calls
+
+
+class TestShapeMemo:
+    """Labels depend only on a fragment's (nodes, edges), so each distinct
+    shape is labelled once per partition call."""
+
+    @pytest.mark.parametrize("g, distinct", [(3, 3), (4, 5)])
+    def test_stencil_labels_each_shape_once(self, signature_calls, g, distinct):
+        pr = nc.partition_isomorphic(stencil(), g)
+        assert len(signature_calls) == distinct == len(shapes(pr))
+        assert sum(len(members) for _label, members in pr.families) > 100 * distinct
+
+    def test_chain_labels_each_shape_once(self, signature_calls):
+        pr = nc.partition_isomorphic(make_chain(800), 8)
+        assert len(signature_calls) == len(shapes(pr)) == 3
+        assert {(f.nodes, f.edges) for f in signature_calls} == shapes(pr)
+
+    def test_oracle_labels_each_shape_once(self, signature_calls):
+        vg, gran = corpus_entry("dense_rows_4x3")
+        nc.brute_force_partition(vg, gran)
+        subsets = threads._connected_subsets(vg, gran)
+        distinct = {(f.nodes, f.edges) for f in (extract_fragment(vg, s) for s in subsets)}
+        assert len(signature_calls) == len(distinct) < len(subsets)
+
+    @pytest.mark.parametrize("case", ["stencil3", "stencil4", "chain800", "corpus"])
+    def test_family_labels_are_canonical_labels(self, case):
+        if case.startswith("stencil"):
+            runs = [(stencil(), int(case[-1]))]
+        elif case == "chain800":
+            runs = [(make_chain(800), 8)]
+        else:
+            runs = [(nc.validate_graph(e.graph), e.granularity) for e in nc.mini_corpus()]
+        for vg, g in runs:
+            for label, members in nc.partition_isomorphic(vg, g).families:
+                assert all(nc.canonical_label(frag) == label for frag in members)
+
+    def test_colliding_digests_still_raise(self, monkeypatch):
+        monkeypatch.setattr(threads, "_exact_label", lambda signature: "x-collide")
+        with pytest.raises(AssertionError, match="non-isomorphic members"):
+            nc.partition_isomorphic(stencil(), 3)

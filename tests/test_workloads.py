@@ -11,6 +11,7 @@ import pytest
 import neurocost as nc
 from neurocost.workloads import (
     Dtmc,
+    _coupling_rows,
     FFLayerSpec,
     decode_mesh_state,
     ff_input_ids,
@@ -21,6 +22,15 @@ from neurocost.workloads import (
     rail_ids,
     reference_mesh_solve,
 )
+
+
+def coupling_matrix(spec):
+    """Reference: the dense row-stochastic W with x(t+1) = x(t) @ W,
+    built from the sparse rows the generator and the oracle use."""
+    rows, cols, vals = _coupling_rows(spec)
+    w = np.zeros((spec.m_s, spec.m_s))
+    w[rows, cols] = vals
+    return w
 
 
 def ring_spec(m_s, init, m_t=20, v_thresh=0.25, alpha=0.5, k=2):
@@ -124,7 +134,7 @@ class TestDtmc:
         spec = nc.MeshSpec(m_s=2, k=2, m_t=5, dynamics=Dtmc(matrix),
                            init=(1.0, 1.0), v_thresh=0.25)
         with pytest.raises(nc.NonStochasticMatrix):
-            nc.coupling_matrix(spec)
+            coupling_matrix(spec)
         with pytest.raises(nc.NonStochasticMatrix):
             nc.gen_mesh(spec)
 
@@ -264,7 +274,7 @@ class TestSelfExcitingLoop:
     def test_fires_every_step(self):
         ng = nc.gen_self_exciting_loop()
         assert len(ng.neurons) == 1
-        assert ng.self_loops == ng.synapses
+        assert all(s.source == s.target for s in ng.synapses)
         tr = nc.run_sim(nc.init_sim(ng, nc.AnalogEncoding(), 0), 40)
         assert [r.spikes for r in tr.records] == [1] * 40
         assert tr.e_n == 2.0 + 3.0 * 39
@@ -272,7 +282,7 @@ class TestSelfExcitingLoop:
 
 def _dense_solve(spec):
     """x <- x @ W on the dense coupling matrix, the oracle's reference."""
-    w = nc.coupling_matrix(spec)
+    w = coupling_matrix(spec)
     series = [np.asarray(spec.init, dtype=float)]
     for _ in range(spec.m_t):
         series.append(series[-1] @ w)
@@ -312,7 +322,7 @@ class TestSparseMesh:
         nc.MeshSpec(m_s=2, k=2, m_t=5, dynamics=Dtmc(_CHAINS[1]), init=(3.0, 1.0)),
     ])
     def test_gen_mesh_matches_dense_rows(self, spec):
-        w = nc.coupling_matrix(spec)
+        w = coupling_matrix(spec)
         pos, neg = rail_ids(spec)
         synapses = []
         for i in range(spec.m_s):
@@ -357,7 +367,7 @@ class TestSparseMesh:
 def _mesh_by_tuples(spec):
     """Reference: the per-synapse mesh build that preceded the columnar
     one (neurons and synapses as tuples, x0 through Python's max)."""
-    w = nc.coupling_matrix(spec)
+    w = coupling_matrix(spec)
     rows, cols = np.nonzero(w)
     deviation = np.asarray(spec.init, dtype=float) - mesh_equilibrium(spec)
     pos, neg = rail_ids(spec)
