@@ -61,6 +61,8 @@ class CostConstants:
             if f.name == "n_core":
                 if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                     raise ValueError(f"n_core must be an integer >= 1, got {value!r}")
+            elif isinstance(value, bool):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
             elif not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
             elif value < 0:

@@ -27,7 +27,7 @@ from .errors import (
     UnknownKey,
     UnknownPreset,
 )
-from .graph import ComputeGraph, OpNode
+from .graph import ComputeGraph
 from .neural import NeuralGraph
 from .sim import SimTrace
 
@@ -51,8 +51,8 @@ def _string_list(value: object, field: str) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _plain_nodes(raw_nodes: list) -> list[OpNode] | None:
-    """The nodes when every one is well formed, else None.
+def _plain_nodes(raw_nodes: list) -> tuple[list, list, list] | None:
+    """The ids, op kinds and input lists if every node is well formed, else None.
 
     json.loads yields exact dict, list and str objects, so these exact
     type tests accept what the per-field checks of _checked_nodes accept.
@@ -68,13 +68,13 @@ def _plain_nodes(raw_nodes: list) -> list[OpNode] | None:
             and set(map(type, inputs)) <= {list}
             and set(map(type, chain.from_iterable(inputs))) <= {str}):
         return None
-    return list(map(OpNode, ids, ops, map(tuple, inputs)))
+    return ids, ops, inputs
 
 
-def _checked_nodes(raw_nodes: list) -> list[OpNode]:
-    """The nodes, checked field by field; SchemaError names the first
-    bad field of the first bad node."""
-    nodes = []
+def _checked_nodes(raw_nodes: list) -> tuple[list, list, list]:
+    """The ids, op kinds and input tuples, checked field by field;
+    SchemaError names the first bad field of the first bad node."""
+    ids, ops, inputs = [], [], []
     seen: set[str] = set()
     for i, raw in enumerate(raw_nodes):
         where = f"nodes[{i}]"
@@ -88,9 +88,10 @@ def _checked_nodes(raw_nodes: list) -> list[OpNode]:
         nid = raw["id"]
         _require(nid not in seen, f"duplicate id {nid!r}", f"{where}.id")
         seen.add(nid)
-        inputs = _string_list(raw.get("inputs", []), f"{where}.inputs")
-        nodes.append(OpNode(nid, raw["op"], inputs))
-    return nodes
+        inputs.append(_string_list(raw.get("inputs", []), f"{where}.inputs"))
+        ids.append(nid)
+        ops.append(raw["op"])
+    return ids, ops, inputs
 
 
 def parse_graph_file(text: str) -> ComputeGraph:
@@ -112,21 +113,17 @@ def parse_graph_file(text: str) -> ComputeGraph:
     _require("nodes" in doc, "missing required key 'nodes'", "$")
     _require(isinstance(doc["nodes"], list), "expected a list", "nodes")
 
-    nodes = _plain_nodes(doc["nodes"])
-    if nodes is None:
-        nodes = _checked_nodes(doc["nodes"])
-    declared_inputs = _string_list(doc.get("inputs", []), "inputs")
-    declared_outputs = _string_list(doc.get("outputs", []), "outputs")
-    return ComputeGraph(nodes=tuple(nodes), declared_inputs=declared_inputs,
-                        declared_outputs=declared_outputs)
+    columns = _plain_nodes(doc["nodes"]) or _checked_nodes(doc["nodes"])
+    return ComputeGraph.from_columns(*columns, _string_list(doc.get("inputs", []), "inputs"),
+                                     _string_list(doc.get("outputs", []), "outputs"))
 
 
 def emit_graph(graph: ComputeGraph) -> str:
     """Serialize a compute graph; parse_graph_file inverts this exactly."""
     doc = {
         "nodes": [
-            {"id": node.id, "op": node.op_kind, "inputs": list(node.inputs)}
-            for node in graph.nodes
+            {"id": nid, "op": op, "inputs": list(refs)}
+            for nid, op, refs in zip(graph.ids, graph.op_kinds, graph.inputs)
         ],
         "inputs": list(graph.declared_inputs),
         "outputs": list(graph.declared_outputs),

@@ -7,6 +7,11 @@ parallel hardware can beat). Level widths refine the picture: level i holds
 the nodes whose longest-path distance from a source is i, and the widths
 sum back to t1.
 
+A ComputeGraph is columns, like a NeuralGraph: ids, op kinds and one
+tuple of input ids per node, in declaration order. Parsing and the
+generators fill them directly; the OpNode tuple `nodes` is built when
+first read, and nothing on the analyze, simulate or partition path reads it.
+
 Validation maps ids to integer positions once. One FIFO Kahn pass over
 the positions (Kahn 1962) gives both the topological order and the
 levels: FIFO emits nodes in non-decreasing level, so the input that
@@ -27,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -39,10 +44,6 @@ from .errors import (
     GraphError,
     StitchingMismatch,
 )
-
-
-def _freeze(seq) -> tuple:
-    return tuple(seq) if not isinstance(seq, tuple) else seq
 
 
 @dataclass(frozen=True)
@@ -59,25 +60,67 @@ class OpNode:
             object.__setattr__(self, "inputs", tuple(self.inputs))
 
 
-@dataclass(frozen=True)
 class ComputeGraph:
-    """Raw node list plus declared graph inputs and outputs (node ids)."""
+    """Operation nodes as columns, plus declared graph inputs and outputs.
 
-    nodes: tuple[OpNode, ...]
-    declared_inputs: tuple[str, ...] = ()
-    declared_outputs: tuple[str, ...] = ()
+    Node i has id `ids[i]`, op kind `op_kinds[i]` and the input ids
+    `inputs[i]` (a tuple). Build from OpNodes, whose payloads are kept, or
+    with `from_columns`; both give `==` graphs with equal hashes for the
+    same nodes. `nodes`, the OpNode tuple, is built on first access only.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", _freeze(self.nodes))
-        object.__setattr__(self, "declared_inputs", _freeze(self.declared_inputs))
-        object.__setattr__(self, "declared_outputs", _freeze(self.declared_outputs))
+    def __init__(self, nodes: Iterable[OpNode], declared_inputs: Iterable[str] = (),
+                 declared_outputs: Iterable[str] = ()):
+        nodes = tuple(nodes)
+        payloads = tuple(node.payload for node in nodes)
+        columns = ComputeGraph.from_columns(
+            [node.id for node in nodes], [node.op_kind for node in nodes],
+            [node.inputs for node in nodes], declared_inputs, declared_outputs)
+        self.__dict__.update(columns.__dict__, nodes=nodes, _payloads=(
+            payloads if any(p is not None for p in payloads) else None))
+
+    @classmethod
+    def from_columns(cls, ids: Iterable[str], op_kinds: Iterable[str],
+                     inputs: Iterable[Iterable[str]], declared_inputs: Iterable[str] = (),
+                     declared_outputs: Iterable[str] = ()) -> ComputeGraph:
+        """Build from the three node columns; every payload is None."""
+        cg = cls.__new__(cls)
+        cg.__dict__.update(ids=tuple(ids), op_kinds=tuple(op_kinds),
+                           inputs=tuple(map(tuple, inputs)), _payloads=None,
+                           declared_inputs=tuple(declared_inputs),
+                           declared_outputs=tuple(declared_outputs))
+        if not len(cg.ids) == len(cg.op_kinds) == len(cg.inputs):
+            raise ValueError("ids, op_kinds and inputs must have one entry per node")
+        return cg
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ComputeGraph is immutable; cannot set {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.ids, self.op_kinds, self.inputs, self._payloads,
+                self.declared_inputs, self.declared_outputs)
+
+    def __eq__(self, other):
+        if not isinstance(other, ComputeGraph):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"ComputeGraph({len(self.ids)} nodes, {sum(map(len, self.inputs))} edges)"
+
+    @cached_property
+    def nodes(self) -> tuple[OpNode, ...]:
+        return tuple(map(OpNode, self.ids, self.op_kinds, self.inputs))
 
 
 class ValidatedGraph:
     """A ComputeGraph proven acyclic, held by integer position.
 
-    Position i is `nodes[i]`; `index` maps each id to its position. Node
-    i's input positions are `pred_pos[pred_start[i]:pred_start[i + 1]]`,
+    Position i is node i of `graph`; `index` maps each id to its position.
+    Node i's input positions are `pred_pos[pred_start[i]:pred_start[i + 1]]`,
     in input order. `order` lists the positions in topological order and
     `level[i]` is position i's longest-path distance from a source. The
     arrays are read-only. Construct via validate_graph(); the constructor
@@ -92,8 +135,7 @@ class ValidatedGraph:
             pred_start, pred_pos, order, level)
         for arr in (pred_start, pred_pos, order, level):
             arr.flags.writeable = False
-        nodes = graph.nodes
-        self.topo_order: tuple[str, ...] = tuple([nodes[i].id for i in order.tolist()])
+        self.topo_order: tuple[str, ...] = tuple(map(graph.ids.__getitem__, order.tolist()))
 
     @property
     def nodes(self) -> tuple[OpNode, ...]:
@@ -111,7 +153,7 @@ class ValidatedGraph:
         return self.graph.nodes[self.index[node_id]]
 
     def predecessors(self, node_id: str) -> tuple[str, ...]:
-        return self.node(node_id).inputs
+        return self.graph.inputs[self.index[node_id]]
 
     def successors(self, node_id: str) -> tuple[str, ...]:
         return self._successors.get(node_id, ())
@@ -119,13 +161,13 @@ class ValidatedGraph:
     @cached_property
     def _successors(self) -> dict[str, tuple[str, ...]]:
         """Each id's consumers, once per input reference, in declaration order."""
-        ids = [node.id for node in self.graph.nodes]
+        ids = self.graph.ids
         succ, ends = _consumers(np.diff(self.pred_start), self.pred_pos)
         succ = [ids[k] for k in succ]
         return {nid: tuple(succ[lo:hi]) for nid, lo, hi in zip(ids, [0] + ends, ends)}
 
     def __len__(self) -> int:
-        return len(self.graph.nodes)
+        return len(self.graph.ids)
 
     def __iter__(self):
         return iter(self.graph.nodes)
@@ -136,14 +178,14 @@ def _check_references(raw: ComputeGraph) -> None:
     order, a self reference or a dangling reference; a declared id that
     is unknown, or a declared input with in-edges. Return if none."""
     index: dict[str, int] = {}
-    for k, node in enumerate(raw.nodes):
-        if node.id in index:
-            raise DuplicateNodeId(node.id)
-        index[node.id] = k
-    for node in raw.nodes:
-        for ref in node.inputs:
-            if ref == node.id:
-                raise CycleDetected(node.id)
+    for k, nid in enumerate(raw.ids):
+        if nid in index:
+            raise DuplicateNodeId(nid)
+        index[nid] = k
+    for nid, refs in zip(raw.ids, raw.inputs):
+        for ref in refs:
+            if ref == nid:
+                raise CycleDetected(nid)
             if ref not in index:
                 raise DanglingReference(ref)
     _check_declared(raw, index)
@@ -153,7 +195,7 @@ def _check_declared(raw: ComputeGraph, index: Mapping[str, int]) -> None:
     for declared in raw.declared_inputs:
         if declared not in index:
             raise DanglingReference(declared)
-        if raw.nodes[index[declared]].inputs:
+        if raw.inputs[index[declared]]:
             raise GraphError(f"declared input {declared!r} has in-edges")
     for declared in raw.declared_outputs:
         if declared not in index:
@@ -198,14 +240,14 @@ def _on_cycle(raw: ComputeGraph, index: Mapping[str, int], waiting: list[int]) -
     Every stuck node has a stuck input (else it would have been
     released), so following first stuck inputs must close a cycle.
     """
-    nodes = raw.nodes
-    cur = min(nodes[i].id for i, w in enumerate(waiting) if w)
+    ids, inputs = raw.ids, raw.inputs
+    cur = min(ids[i] for i, w in enumerate(waiting) if w)
     path: list[str] = []
     seen: dict[str, int] = {}
     while cur not in seen:
         seen[cur] = len(path)
         path.append(cur)
-        cur = next(ref for ref in nodes[index[cur]].inputs if waiting[index[ref]])
+        cur = next(ref for ref in inputs[index[cur]] if waiting[index[ref]])
     return min(path[seen[cur]:])
 
 
@@ -217,24 +259,24 @@ def validate_graph(raw: ComputeGraph) -> ValidatedGraph:
     CycleDetected (naming a node on a cycle) when no topological order
     exists. Declared inputs must have zero in-edges.
     """
-    nodes = raw.nodes
-    if not nodes:
+    n = len(raw.ids)
+    if not n:
         raise EmptyGraph("graph has no nodes")
-    index = {node.id: k for k, node in enumerate(nodes)}
-    fan_in = [len(node.inputs) for node in nodes]
-    refs = chain.from_iterable([node.inputs for node in nodes])
+    index = dict(zip(raw.ids, range(n)))
+    fan_in = list(map(len, raw.inputs))
     try:
-        pred_pos = np.fromiter(map(index.__getitem__, refs), np.intp, sum(fan_in))
+        pred_pos = np.fromiter(map(index.__getitem__, chain.from_iterable(raw.inputs)),
+                               np.intp, sum(fan_in))
     except KeyError:
         pred_pos = None
-    if pred_pos is None or len(index) < len(nodes):
+    if pred_pos is None or len(index) < n:
         _check_references(raw)  # raises DuplicateNodeId or DanglingReference
     order, level, waiting = _kahn(fan_in, pred_pos)
-    if len(order) < len(nodes):
+    if len(order) < n:
         _check_references(raw)  # a self reference or a declared-id fault comes first
         raise CycleDetected(_on_cycle(raw, index, waiting))
     _check_declared(raw, index)
-    pred_start = np.zeros(len(nodes) + 1, np.intp)
+    pred_start = np.zeros(n + 1, np.intp)
     np.cumsum(fan_in, out=pred_start[1:])
     return ValidatedGraph(raw, index, pred_start, pred_pos,
                           np.array(order, np.intp), np.array(level, np.intp))

@@ -70,6 +70,9 @@ class NeuronSpec:
     def __post_init__(self):
         if self.model_kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.model_kind!r}")
+        for name in ("v_thresh", "v_reset", "tau", "dt"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         for name in ("v_thresh", "v_reset", "dt"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -315,6 +318,9 @@ class LoweringRule:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ValueError(f"{what} must be an integer >= 1, got {value!r}")
+        for name in ("input_weight", "chain_weight", "max_fan_in"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
 
 
 def relay_rules(op_kinds: Iterable[str], neuron_count: int = 1) -> dict[str, LoweringRule]:
@@ -379,11 +385,11 @@ def lower_graph(vg: ValidatedGraph, rules: Mapping[str, LoweringRule] | None = N
     no rule and FanInExceedsRule when a node's arity exceeds the rule's
     max_fan_in, for the first such node in topological order.
     """
+    op_kinds, order = vg.graph.op_kinds, vg.order
     if rules is None:
-        rules = relay_rules({node.op_kind for node in vg.nodes})
-    nodes, order = vg.nodes, vg.order
+        rules = relay_rules(set(op_kinds))
     kinds: dict[str, int] = {}  # op kind -> code, in order of first use
-    kind = np.array([kinds.setdefault(nodes[i].op_kind, len(kinds)) for i in order.tolist()],
+    kind = np.array([kinds.setdefault(op_kinds[i], len(kinds)) for i in order.tolist()],
                     dtype=np.intp)
     used = [rules.get(k) for k in kinds]
     fan_in = np.diff(vg.pred_start)[order]
@@ -391,11 +397,11 @@ def lower_graph(vg: ValidatedGraph, rules: Mapping[str, LoweringRule] | None = N
     cap = np.array([-1 if r is None else math.inf if r.max_fan_in is None else r.max_fan_in
                     for r in used])
     if (k := _first(fan_in > cap[kind])) is not None:
-        node, rule = nodes[order[k]], used[kind[k]]
+        rule = used[kind[k]]
         if rule is None:
-            raise NoRuleForOpKind(node.op_kind)
-        raise FanInExceedsRule(
-            f"op {node.id!r} has fan-in {int(fan_in[k])}, rule allows {rule.max_fan_in}")
+            raise NoRuleForOpKind(op_kinds[order[k]])
+        raise FanInExceedsRule(f"op {vg.topo_order[k]!r} has fan-in {int(fan_in[k])}, "
+                               f"rule allows {rule.max_fan_in}")
 
     table: dict[NeuronSpec, int] = {}
     row = np.array([table.setdefault(r.neuron, len(table)) for r in used], dtype=np.intp)
@@ -404,7 +410,8 @@ def lower_graph(vg: ValidatedGraph, rules: Mapping[str, LoweringRule] | None = N
     np.cumsum(count, out=neuron_start[1:])
     exit_of = np.empty(len(order), np.intp)  # by node position
     exit_of[order] = neuron_start[1:] - 1
-    ids = [f"{nid}#{j}" for nid, c in zip(vg.topo_order, count.tolist()) for j in range(c)]
+    suffix = [f"#{j}" for j in range(int(count.max()))]
+    ids = [nid + s for nid, c in zip(vg.topo_order, count.tolist()) for s in suffix[:c]]
 
     # Op k owns count[k] - 1 chain links, then fan_in[k] input synapses.
     links = count - 1

@@ -61,14 +61,15 @@ def extract_fragment(vg: ValidatedGraph, node_ids: Sequence[str]) -> Fragment:
     ids = tuple(node_ids)
     members = set(ids)
     local = {nid: i for i, nid in enumerate(ids)}
+    op_kinds, inputs = vg.graph.op_kinds, vg.graph.inputs
     annotated: list[tuple[str, int, int]] = []
     edges: set[tuple[int, int]] = set()
     for nid in ids:
-        node = vg.node(nid)
-        ext_in = sum(1 for ref in node.inputs if ref not in members)
+        pos = vg.index[nid]
+        ext_in = sum(1 for ref in inputs[pos] if ref not in members)
         ext_out = sum(1 for succ in vg.successors(nid) if succ not in members)
-        annotated.append((node.op_kind, ext_in, ext_out))
-        for ref in node.inputs:
+        annotated.append((op_kinds[pos], ext_in, ext_out))
+        for ref in inputs[pos]:
             if ref in members:
                 edges.add((local[ref], local[nid]))
     return Fragment(tuple(annotated), frozenset(edges), ids)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -379,17 +380,12 @@ def gen_random_dag(n: int, edge_density: float, alphabet: Sequence[str],
         raise ValueError("alphabet must be non-empty")
     rng = np.random.default_rng(seed)
     kinds = [str(alphabet[int(k)]) for k in rng.integers(0, len(alphabet), size=n)]
-    inputs: list[list[str]] = [[] for _ in range(n)]
-    for j in range(1, n):
-        coins = rng.random(j)
-        for i in range(j):
-            if coins[i] < edge_density:
-                inputs[j].append(f"x{i}")
-    nodes = tuple(
-        OpNode(f"x{i}", kinds[i], tuple(inputs[i])) for i in range(n)
-    )
-    has_out = {ref for node in nodes for ref in node.inputs}
-    declared_inputs = tuple(node.id for node in nodes if not node.inputs)
-    declared_outputs = tuple(node.id for node in nodes if node.id not in has_out)
-    return ComputeGraph(nodes=nodes, declared_inputs=declared_inputs,
-                        declared_outputs=declared_outputs)
+    ids = [f"x{i}" for i in range(n)]
+    # Row j draws j coins, one per lower index; an edge i -> j where coin i wins.
+    inputs = [()] if n else []
+    inputs += [tuple(map(ids.__getitem__, np.flatnonzero(rng.random(j) < edge_density).tolist()))
+               for j in range(1, n)]
+    has_out = set(chain.from_iterable(inputs))
+    return ComputeGraph.from_columns(
+        ids, kinds, inputs, declared_inputs=[nid for nid, refs in zip(ids, inputs) if not refs],
+        declared_outputs=[nid for nid in ids if nid not in has_out])

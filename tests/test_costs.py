@@ -1,5 +1,6 @@
 """Analytic time, space, and energy bounds for both architectures."""
 
+import dataclasses
 import math
 
 import pytest
@@ -54,6 +55,15 @@ def test_constants_validation():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="e_spike must be finite"):
             CostConstants(e_spike=bad)
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(CostConstants)
+                                   if f.name != "n_core"])
+@pytest.mark.parametrize("bad", [True, False])
+def test_constants_reject_bool(field, bad):
+    # A bool used to build and be stored as the constant.
+    with pytest.raises(ValueError, match=f"{field} must be a number, got {bad!r}"):
+        CostConstants(**{field: bad})
 
 
 # ---------------------------------------------------------------------- time

@@ -28,6 +28,7 @@ from neurocost import (
     SchemaError,
 )
 
+from conftest import bench_cases
 from test_neural import _MIXED_RULES, _assembly_views, _tuple_lowering
 
 
@@ -497,3 +498,35 @@ def test_large_shuffled_graphs_match_reference():
         t_p, assignment = _ref_schedule(raw, topo, 5)
         sched = nc.list_schedule(vg, 5)
         assert (sched.t_p, list(sched.assignment.items())) == (t_p, list(assignment.items()))
+
+
+# ------------------------------------------------------------------ no OpNodes
+
+
+def test_no_opnode_is_built_from_parse_to_partition(monkeypatch):
+    """A parsed graph stays columns through the analyze, simulate and
+    partition path: no OpNode is built until something reads `nodes`."""
+    cases = bench_cases()
+    dag = cases.dag_generate(3, True)
+    files = [dag.text, cases.stencil_generate(3, False).stencil_text]
+    built = []
+    init = OpNode.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(OpNode, "__init__", counting_init)
+    for text in files:
+        vg = nc.validate_graph(nc.parse_graph_file(text))
+        nc.compute_metrics(vg)
+        nc.list_schedule(vg, 4)
+        ng, am = nc.lower_graph(vg)
+        nc.count_resources(ng, am)
+        nc.lower_graph(vg, nc.relay_rules(set(vg.graph.op_kinds), neuron_count=2))
+        for g in (3, 7):
+            nc.partition_isomorphic(vg, g)
+        kick = {0: tuple((nid, 1.5) for nid in ng.input_neurons)}
+        nc.run_sim(nc.init_sim(ng, nc.DigitalEncoding(), 0), 20, inputs=kick)
+    assert built == []
+    assert len(vg.nodes) == len(built) == len(vg)  # the counter does count

@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from neurocost import (
@@ -18,12 +19,99 @@ from neurocost import (
     expand_template,
     gen_random_dag,
     list_schedule,
+    mini_corpus,
     node_levels,
     ring_coupling,
     validate_graph,
 )
 
 from conftest import make_chain, make_footnote
+
+
+# ---------------------------------------------------------------- columns
+
+
+def _column_twin(graph: ComputeGraph) -> ComputeGraph:
+    """The same graph built with from_columns."""
+    return ComputeGraph.from_columns([n.id for n in graph.nodes], [n.op_kind for n in graph.nodes],
+                                     [list(n.inputs) for n in graph.nodes],
+                                     list(graph.declared_inputs), list(graph.declared_outputs))
+
+
+def _node_twin(graph: ComputeGraph) -> ComputeGraph:
+    """The same graph built from OpNodes."""
+    return ComputeGraph(tuple(map(OpNode, graph.ids, graph.op_kinds, graph.inputs)),
+                        graph.declared_inputs, graph.declared_outputs)
+
+
+COLUMN_CASES = {"footnote": make_footnote, "chain_7": lambda: make_chain(7)}
+COLUMN_CASES.update({f"corpus_{e.name}": (lambda e=e: e.graph) for e in mini_corpus()})
+for _n, _density, _seed in [(1, 0.5, 0), (40, 0.2, 1), (150, 0.05, 2)]:
+    COLUMN_CASES[f"random_{_n}"] = (lambda n=_n, d=_density, seed=_seed:
+                                    gen_random_dag(n, d, ("a", "b", "c"), seed=seed))
+
+
+@pytest.mark.parametrize("name", COLUMN_CASES)
+def test_column_and_node_built_graphs_are_equal(name):
+    graph = COLUMN_CASES[name]()
+    twin = _column_twin(graph) if "nodes" in vars(graph) else _node_twin(graph)
+    assert twin == graph and graph == twin and not twin != graph
+    assert hash(twin) == hash(graph)
+    assert (twin.ids, twin.op_kinds, twin.inputs) == (graph.ids, graph.op_kinds, graph.inputs)
+    assert twin.nodes == graph.nodes
+    assert all(type(refs) is tuple for refs in twin.inputs)
+    assert {twin, graph} == {graph}
+
+
+@pytest.mark.parametrize("name", COLUMN_CASES)
+def test_accessors_read_the_columns(name):
+    """node, predecessors and successors give on a column-built graph
+    what they give on the node-built one: successors once per input
+    reference, in declaration order."""
+    graph = _column_twin(COLUMN_CASES[name]())
+    vg = validate_graph(graph)
+    successors = {nid: [] for nid in graph.ids}
+    for nid, refs in zip(graph.ids, graph.inputs):
+        for ref in refs:
+            successors[ref].append(nid)
+    for nid, kind, refs in zip(graph.ids, graph.op_kinds, graph.inputs):
+        assert vg.node(nid) == OpNode(nid, kind, refs)
+        assert vg.predecessors(nid) == refs
+        assert vg.successors(nid) == tuple(successors[nid])
+    assert len(vg) == len(graph.ids)
+    assert [n.id for n in vg] == list(graph.ids)
+    assert vg.node(graph.ids[0]) is graph.nodes[0]
+
+
+def test_payloads_survive_and_take_part_in_equality():
+    with_payload = ComputeGraph((OpNode("x", "add", payload=1), OpNode("y", "mul", ("x",))))
+    assert with_payload.nodes[0].payload == 1
+    assert validate_graph(with_payload).node("x").payload == 1
+    same = ComputeGraph((OpNode("x", "add", payload=1), OpNode("y", "mul", ("x",))))
+    assert with_payload == same and hash(with_payload) == hash(same)
+    plain = ComputeGraph.from_columns(["x", "y"], ["add", "mul"], [(), ("x",)])
+    assert with_payload != plain
+    assert plain == ComputeGraph((OpNode("x", "add", payload=None), OpNode("y", "mul", ("x",))))
+    with pytest.raises(TypeError):  # an unhashable payload, as with the frozen dataclass
+        hash(ComputeGraph((OpNode("x", "add", payload=[1]),)))
+
+
+@pytest.mark.parametrize("make", [make_footnote, lambda: _column_twin(make_footnote())],
+                         ids=["nodes", "columns"])
+@pytest.mark.parametrize("name", ["ids", "op_kinds", "inputs", "nodes", "declared_inputs",
+                                  "declared_outputs", "other"])
+def test_compute_graph_is_immutable(make, name):
+    graph = make()
+    with pytest.raises(AttributeError, match="ComputeGraph is immutable"):
+        setattr(graph, name, ())
+    assert graph == make_footnote()
+
+
+def test_from_columns_needs_one_entry_per_node():
+    with pytest.raises(ValueError, match="one entry per node"):
+        ComputeGraph.from_columns(["a", "b"], ["add"], [(), ()])
+    with pytest.raises(ValueError, match="one entry per node"):
+        ComputeGraph.from_columns(["a"], ["add"], [(), ()])
 
 
 # ---------------------------------------------------------------- validation
@@ -331,6 +419,30 @@ def test_ring_coupling_shapes():
 
 
 # -------------------------------------------------------------- random DAGs
+
+
+def _ref_random_dag(n, edge_density, alphabet, seed):
+    """gen_random_dag's former double loop over coins, kept as the reference."""
+    rng = np.random.default_rng(seed)
+    kinds = [str(alphabet[int(k)]) for k in rng.integers(0, len(alphabet), size=n)]
+    inputs = [[] for _ in range(n)]
+    for j in range(1, n):
+        coins = rng.random(j)
+        for i in range(j):
+            if coins[i] < edge_density:
+                inputs[j].append(f"x{i}")
+    nodes = tuple(OpNode(f"x{i}", kinds[i], tuple(inputs[i])) for i in range(n))
+    has_out = {ref for node in nodes for ref in node.inputs}
+    return ComputeGraph(nodes, tuple(node.id for node in nodes if not node.inputs),
+                        tuple(node.id for node in nodes if node.id not in has_out))
+
+
+@pytest.mark.parametrize("n, density, seed", [(0, 0.5, 0), (1, 0.5, 0), (2, 1.0, 1),
+                                              (300, 0.3, 0), (2000, 0.002, 1),
+                                              (2000, 0.01, 29)])
+def test_gen_random_dag_matches_the_double_loop(n, density, seed):
+    kinds = ("add", "mul", "relay")
+    assert gen_random_dag(n, density, kinds, seed) == _ref_random_dag(n, density, kinds, seed)
 
 
 def test_gen_random_dag_deterministic():

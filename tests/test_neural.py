@@ -12,6 +12,7 @@ from neurocost import (
     FanInExceedsRule,
     InconsistentAssembly,
     LoweringRule,
+    MODEL_KINDS,
     NeuralGraph,
     NeuronSpec,
     NoRuleForOpKind,
@@ -350,6 +351,22 @@ def test_lowering_rule_rejects_bool_and_non_int(field, bad):
     what = "synapse delay" if field == "delay" else "neuron_count"
     with pytest.raises(ValueError, match=f"{what} must be an integer >= 1, got {bad!r}"):
         LoweringRule(**{field: bad})
+
+
+@pytest.mark.parametrize("bad", [True, False])
+@pytest.mark.parametrize("field", ["input_weight", "chain_weight", "max_fan_in"])
+def test_lowering_rule_rejects_bool_numbers(field, bad):
+    # A bool used to build; as max_fan_in it capped fan-in at 1 or 0.
+    with pytest.raises(ValueError, match=f"{field} must be a number, got {bad!r}"):
+        LoweringRule(**{field: bad})
+
+
+@pytest.mark.parametrize("bad", [True, False])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+@pytest.mark.parametrize("field", ["v_thresh", "v_reset", "tau", "dt"])
+def test_neuron_spec_rejects_bool_numbers(field, kind, bad):
+    with pytest.raises(ValueError, match=f"{field} must be a number, got {bad!r}"):
+        NeuronSpec(kind, **{field: bad})
 
 
 def test_bool_delay_beside_an_int_delay_is_rejected():
