@@ -31,7 +31,6 @@ from typing import Sequence
 from .costs import (
     ComparisonRow,
     ComparisonTable,
-    EnergyEstimate,
     conventional_energy,
     conventional_space,
     conventional_time,
@@ -83,10 +82,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     ng, _am = lower_graph(vg)
     r = count_resources(ng)
 
-    worst_step = nmc_energy_per_step(r, constants, f_t=1.0)
-    nmc_energy = EnergyEstimate(total=worst_step.total * m.t_inf,
-                                breakdown={"per_step_worst_case": worst_step.total,
-                                           "steps": float(m.t_inf)})
+    # Worst case: every neuron fires on each of the t_inf steps.
+    nmc_energy = nmc_energy_per_step(r, constants, f_t=1.0).times(m.t_inf)
     rows = [
         ComparisonRow(
             architecture="conventional",
@@ -104,8 +101,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             space=nmc_space(r, m, constants, n_core=args.ncore),
             energy=nmc_energy,
         ))
-    table = ComparisonTable(workload="graph", rows=tuple(rows),
-                            params={"p": p, "n_core": args.ncore or 0})
+    table = ComparisonTable(workload="graph", rows=tuple(rows))
 
     print(f"nodes={m.t1}")
     print(f"t1={m.t1}")

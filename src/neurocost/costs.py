@@ -20,14 +20,14 @@ per-step models evaluate it at expected counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
-from .errors import FiringRateOutOfRange
+from .errors import FiringRateOutOfRange, check_count
 from .graph import GraphMetrics
 from .neural import ResourceCount
 
-TIME_MODELS = ("cpu_ideal", "gpu", "nmc_ideal", "nmc_realized")
+TIME_MODELS = ("cpu_ideal", "nmc_ideal", "nmc_realized")
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,8 @@ class CostConstants:
     e_op / e_mem / b_p drive the conventional energy model; c_p / c_mem are
     conventional space constants; c_n / c_s are per-neuron and per-synapse
     space; e_voltage / e_spikegen / e_synapse / e_spike / ell drive the
-    event-driven energy model; n_core is the physical core count used by
-    the realized neuromorphic bounds.
+    event-driven energy model. The core count of a realized machine is an
+    argument of nmc_time and nmc_space, not a constant.
     """
 
     e_op: float = 1.0
@@ -53,15 +53,11 @@ class CostConstants:
     e_synapse: float = 1.0
     e_spike: float = 1.0
     ell: float = 1.0
-    n_core: int = 1
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.name == "n_core":
-                if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                    raise ValueError(f"n_core must be an integer >= 1, got {value!r}")
-            elif isinstance(value, bool):
+            if isinstance(value, bool):
                 raise ValueError(f"{f.name} must be a number, got {value!r}")
             elif not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
@@ -104,8 +100,11 @@ class TimeBounds:
 class SpaceBounds:
     lower: float
     upper: float
-    unbounded_above: bool = False
     breakdown: Mapping[str, float] | None = None
+
+    @property
+    def unbounded_above(self) -> bool:
+        return self.upper == math.inf
 
 
 @dataclass(frozen=True)
@@ -115,6 +114,10 @@ class EnergyEstimate:
 
     def __post_init__(self):
         object.__setattr__(self, "breakdown", dict(self.breakdown))
+
+    def times(self, steps: float) -> EnergyEstimate:
+        """Every term times `steps`, the total summed again from the terms."""
+        return _estimate({name: value * steps for name, value in self.breakdown.items()})
 
 
 def _estimate(breakdown: dict[str, float]) -> EnergyEstimate:
@@ -142,12 +145,11 @@ def energy_terms(c: CostConstants, touched: float, spikes: float,
     return voltage, spikegen, synapse, spike, voltage + spikegen + synapse + spike
 
 
-def conventional_time(m: GraphMetrics, p_threads: int, model: str = "cpu_ideal") -> TimeBounds:
+def conventional_time(m: GraphMetrics, p_threads: int) -> TimeBounds:
     """Work/span sandwich for p_threads parallel execution units."""
-    if isinstance(p_threads, bool) or not isinstance(p_threads, int) or p_threads < 1:
-        raise ValueError(f"p_threads must be an integer >= 1, got {p_threads!r}")
+    check_count("p_threads", p_threads)
     chunks = math.ceil(m.t1 / p_threads)
-    return TimeBounds(lower=max(m.t_inf, chunks), upper=chunks + m.t_inf, model=model)
+    return TimeBounds(lower=max(m.t_inf, chunks), upper=chunks + m.t_inf, model="cpu_ideal")
 
 
 def nmc_time(m: GraphMetrics, n_core: int | None = None) -> TimeBounds:
@@ -155,8 +157,7 @@ def nmc_time(m: GraphMetrics, n_core: int | None = None) -> TimeBounds:
     n_core cores pays at most n_core times that."""
     if n_core is None:
         return TimeBounds(lower=m.t_inf, upper=m.t_inf, model="nmc_ideal")
-    if isinstance(n_core, bool) or not isinstance(n_core, int) or n_core < 1:
-        raise ValueError(f"n_core must be an integer >= 1, got {n_core!r}")
+    check_count("n_core", n_core)
     return TimeBounds(lower=m.t_inf, upper=n_core * m.t_inf, model="nmc_realized")
 
 
@@ -164,12 +165,11 @@ def conventional_space(c: CostConstants, p: int, program_size: float,
                        data_size: float) -> SpaceBounds:
     """Lower bound c_p * p + program + data; no useful upper bound exists
     (a conventional machine may cache and copy arbitrarily)."""
-    if isinstance(p, bool) or not isinstance(p, int) or p < 1:
-        raise ValueError(f"processor count must be an integer >= 1, got {p!r}")
+    check_count("processor count", p)
     if program_size < 0 or data_size < 0:
         raise ValueError("program_size and data_size must be nonnegative")
     lower = c.c_p * p + program_size + data_size
-    return SpaceBounds(lower=lower, upper=math.inf, unbounded_above=True,
+    return SpaceBounds(lower=lower, upper=math.inf,
                        breakdown={"processors": c.c_p * p,
                                   "program": float(program_size),
                                   "data": float(data_size)})
@@ -189,13 +189,11 @@ def nmc_space(r: ResourceCount, m: GraphMetrics, c: CostConstants,
     lower = upper / m.t_inf
     divisor = 1
     if n_core is not None:
-        if isinstance(n_core, bool) or not isinstance(n_core, int) or n_core < 1:
-            raise ValueError(f"n_core must be an integer >= 1, got {n_core!r}")
+        check_count("n_core", n_core)
         divisor = n_core
     return SpaceBounds(
         lower=lower / divisor,
         upper=upper / divisor,
-        unbounded_above=False,
         breakdown={"neurons": c.c_n * r.n_bar * m.t1 / divisor,
                    "synapses": c.c_s * r.s_bar * m.t1 / divisor},
     )
@@ -209,22 +207,17 @@ def conventional_energy(m: GraphMetrics, c: CostConstants) -> EnergyEstimate:
     })
 
 
-def nmc_energy_per_step(r: ResourceCount, c: CostConstants, f_t: float,
-                        k: int = 1, refined: bool = False) -> EnergyEstimate:
+def nmc_energy_per_step(r: ResourceCount, c: CostConstants, f_t: float) -> EnergyEstimate:
     """Event-driven per-step energy at firing rate f_t.
 
-    Terms: membrane upkeep (e_voltage, over all neurons, or over the
-    expected touched fraction 1 - (1 - f_t)^k when refined), spike
+    Terms: membrane upkeep (e_voltage, over all neurons), spike
     generation (per firing neuron), synaptic operations and spike
     transport (per active synapse, transport scaled by wire length ell).
     """
     if not (0.0 <= f_t <= 1.0):
         raise FiringRateOutOfRange(f_t)
-    if refined and (not isinstance(k, int) or k < 1):
-        raise ValueError(f"refined model needs integer fan-in k >= 1, got {k!r}")
-    touched = r.n_total * (1.0 - (1.0 - f_t) ** k) if refined else r.n_total
     voltage, spikegen, synapse, spike, total = energy_terms(
-        c, touched, f_t * r.n_total, f_t * r.s_total)
+        c, r.n_total, f_t * r.n_total, f_t * r.s_total)
     return EnergyEstimate(total=total, breakdown={
         "voltage": voltage, "spikegen": spikegen, "synapse": synapse, "spike": spike})
 
@@ -251,7 +244,6 @@ class ComparisonTable:
 
     workload: str
     rows: tuple[ComparisonRow, ...]
-    params: Mapping[str, float]
     crossover_step: int | None = None
     nmc_energy_series: tuple[float, ...] = ()
     conv_energy_per_step: float | None = None
@@ -264,17 +256,15 @@ class ComparisonTable:
 
 
 def mesh_cost_report(m_s: int, m_t: int, k: int, t1s: int, t_infs: int,
-                     n_mesh: int, c: CostConstants, f_series: Sequence[float],
-                     p: int = 1, include_memory_comm: bool = False) -> ComparisonTable:
+                     n_mesh: int, c: CostConstants, f_series: Sequence[float]) -> ComparisonTable:
     """Compare both architectures on an iterated stencil of m_s points.
 
-    Conventional: the whole graph has work m_s * m_t * t1s and depth
-    m_t * t_infs; energy is e_op per operation (memory traffic optional,
-    off by default). Neuromorphic: the mesh instantiates n_total =
-    m_s * n_mesh neurons and s_total = k * n_total synapses; per-step
-    energy is `energy_terms` with every neuron touched and f_t * k *
-    n_total spikes and synaptic events, evaluated over the supplied
-    firing-rate series.
+    Conventional: one processor; the whole graph has work m_s * m_t * t1s
+    and depth m_t * t_infs; energy is e_op per operation. Neuromorphic:
+    the mesh instantiates n_total = m_s * n_mesh neurons and s_total =
+    k * n_total synapses; per-step energy is `energy_terms` with every
+    neuron touched and f_t * k * n_total spikes and synaptic events,
+    evaluated over the supplied firing-rate series.
 
     crossover_step is the earliest step index after which the cumulative
     neuromorphic energy stays strictly below the cumulative conventional
@@ -284,10 +274,7 @@ def mesh_cost_report(m_s: int, m_t: int, k: int, t1s: int, t_infs: int,
         raise ValueError("f_series must contain at least one firing rate")
     metrics = GraphMetrics(t1=m_s * m_t * t1s, t_inf=m_t * t_infs,
                            level_widths=(), max_fan_in=k, max_fan_out=k)
-    conv_breakdown = {"operations": c.e_op * m_s * m_t * t1s}
-    if include_memory_comm:
-        conv_breakdown["communication"] = c.e_mem * c.b_p * m_s * m_t * t1s
-    conv_energy = _estimate(conv_breakdown)
+    conv_energy = _estimate({"operations": c.e_op * m_s * m_t * t1s})
     conv_per_step = conv_energy.total / m_t
 
     n_total = m_s * n_mesh
@@ -313,8 +300,8 @@ def mesh_cost_report(m_s: int, m_t: int, k: int, t1s: int, t_infs: int,
 
     conv_row = ComparisonRow(
         architecture="conventional",
-        time=conventional_time(metrics, p),
-        space=conventional_space(c, p, program_size=t1s, data_size=c.c_mem * m_s),
+        time=conventional_time(metrics, 1),
+        space=conventional_space(c, 1, program_size=t1s, data_size=c.c_mem * m_s),
         energy=conv_energy,
     )
     nmc_row = ComparisonRow(
@@ -327,22 +314,20 @@ def mesh_cost_report(m_s: int, m_t: int, k: int, t1s: int, t_infs: int,
     return ComparisonTable(
         workload="mesh",
         rows=(conv_row, nmc_row),
-        params={"m_s": m_s, "m_t": m_t, "k": k, "t1s": t1s, "t_infs": t_infs,
-                "n_mesh": n_mesh, "p": p},
         crossover_step=crossover,
         nmc_energy_series=tuple(per_step),
         conv_energy_per_step=conv_per_step,
     )
 
 
-def ff_cost_report(n_i: int, n_j: int, c: CostConstants, f_t: float,
-                   p: int = 1) -> ComparisonTable:
+def ff_cost_report(n_i: int, n_j: int, c: CostConstants, f_t: float) -> ComparisonTable:
     """Compare both architectures on one dense feed-forward layer.
 
     The layer decomposes into n_i * n_j synaptic operations, n_j
     summations, and n_j nonlinearities (depth 3). The network form uses
     one neuron per unit (n_total = n_i + n_j, s_total = n_i * n_j), so the
-    firing-dependent synapse and spike terms carry the quadratic cost.
+    firing-dependent synapse and spike terms carry the quadratic cost. The
+    conventional side runs on one processor.
     """
     if n_i < 1 or n_j < 1:
         raise ValueError("layer dimensions must be >= 1")
@@ -357,8 +342,8 @@ def ff_cost_report(n_i: int, n_j: int, c: CostConstants, f_t: float,
                               n_bar=1.0, s_bar=s_total / n_total)
     conv_row = ComparisonRow(
         architecture="conventional",
-        time=conventional_time(metrics, p),
-        space=conventional_space(c, p, program_size=3, data_size=c.c_mem * s_total),
+        time=conventional_time(metrics, 1),
+        space=conventional_space(c, 1, program_size=3, data_size=c.c_mem * s_total),
         energy=conventional_energy(metrics, c),
     )
     nmc_row = ComparisonRow(
@@ -370,8 +355,4 @@ def ff_cost_report(n_i: int, n_j: int, c: CostConstants, f_t: float,
                                      "synapses": c.c_s * s_total}),
         energy=nmc_energy_per_step(resources, c, f_t),
     )
-    return ComparisonTable(
-        workload="ff_layer",
-        rows=(conv_row, nmc_row),
-        params={"n_i": n_i, "n_j": n_j, "f_t": f_t, "p": p},
-    )
+    return ComparisonTable(workload="ff_layer", rows=(conv_row, nmc_row))

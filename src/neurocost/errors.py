@@ -3,6 +3,7 @@
 Everything raised on bad user input derives from NeurocostError so the CLI
 can map it to a single exit code; internal consistency failures get their
 own branch (MismatchDetected) because they signal a bug, not bad input.
+`check_count` is the one check of every count-valued setting.
 """
 
 from __future__ import annotations
@@ -10,6 +11,12 @@ from __future__ import annotations
 
 class NeurocostError(Exception):
     """Base class for all package-specific errors."""
+
+
+def check_count(name: str, value: object, minimum: int = 1) -> None:
+    """Raise ValueError unless `value` is an int (a bool is not) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 # graph construction and validation

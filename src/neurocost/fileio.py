@@ -26,6 +26,7 @@ from .errors import (
     SchemaError,
     UnknownKey,
     UnknownPreset,
+    check_count,
 )
 from .graph import ComputeGraph
 from .neural import NeuralGraph
@@ -179,12 +180,12 @@ def parse_config(text: str, base: CostConstants | None = None) -> CostConstants:
     constants = base if base is not None else preset("unit")
 
     field_names = {f.name for f in dataclasses.fields(CostConstants)}
-    updates: dict[str, float | int] = {}
+    updates: dict[str, float] = {}
     for key, (value, lineno) in pairs.items():
         if key not in field_names:
             raise UnknownKey(key)
         try:
-            parsed: float | int = int(value) if key == "n_core" else float(value)
+            parsed = float(value)
         except ValueError as exc:
             raise FileSyntaxError(f"bad numeric value for {key}: {value!r}",
                                   line=lineno) from exc
@@ -248,8 +249,7 @@ TRACE_COLUMNS = (
 def emit_trace_csv(trace: SimTrace, window: int = 1) -> str:
     """One row per simulated step; f_window is the trailing mean firing
     rate over the given number of steps and e_cum the running energy."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
+    check_count("window", window)
     rows = []
     e_cum = 0.0
     for i, rec in enumerate(trace.records):

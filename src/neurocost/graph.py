@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .errors import (
     EmptyGraph,
     GraphError,
     StitchingMismatch,
+    check_count,
 )
 
 
@@ -53,7 +54,6 @@ class OpNode:
     id: str
     op_kind: str
     inputs: tuple[str, ...] = ()
-    payload: Any = None
 
     def __post_init__(self):
         if not isinstance(self.inputs, tuple):
@@ -64,29 +64,27 @@ class ComputeGraph:
     """Operation nodes as columns, plus declared graph inputs and outputs.
 
     Node i has id `ids[i]`, op kind `op_kinds[i]` and the input ids
-    `inputs[i]` (a tuple). Build from OpNodes, whose payloads are kept, or
-    with `from_columns`; both give `==` graphs with equal hashes for the
-    same nodes. `nodes`, the OpNode tuple, is built on first access only.
+    `inputs[i]` (a tuple). Build from OpNodes or with `from_columns`; both
+    give `==` graphs with equal hashes for the same nodes. `nodes`, the
+    OpNode tuple, is built on first access only.
     """
 
     def __init__(self, nodes: Iterable[OpNode], declared_inputs: Iterable[str] = (),
                  declared_outputs: Iterable[str] = ()):
         nodes = tuple(nodes)
-        payloads = tuple(node.payload for node in nodes)
         columns = ComputeGraph.from_columns(
             [node.id for node in nodes], [node.op_kind for node in nodes],
             [node.inputs for node in nodes], declared_inputs, declared_outputs)
-        self.__dict__.update(columns.__dict__, nodes=nodes, _payloads=(
-            payloads if any(p is not None for p in payloads) else None))
+        self.__dict__.update(columns.__dict__, nodes=nodes)
 
     @classmethod
     def from_columns(cls, ids: Iterable[str], op_kinds: Iterable[str],
                      inputs: Iterable[Iterable[str]], declared_inputs: Iterable[str] = (),
                      declared_outputs: Iterable[str] = ()) -> ComputeGraph:
-        """Build from the three node columns; every payload is None."""
+        """Build from the three node columns."""
         cg = cls.__new__(cls)
         cg.__dict__.update(ids=tuple(ids), op_kinds=tuple(op_kinds),
-                           inputs=tuple(map(tuple, inputs)), _payloads=None,
+                           inputs=tuple(map(tuple, inputs)),
                            declared_inputs=tuple(declared_inputs),
                            declared_outputs=tuple(declared_outputs))
         if not len(cg.ids) == len(cg.op_kinds) == len(cg.inputs):
@@ -97,8 +95,8 @@ class ComputeGraph:
         raise AttributeError(f"ComputeGraph is immutable; cannot set {name!r}")
 
     def _key(self) -> tuple:
-        return (self.ids, self.op_kinds, self.inputs, self._payloads,
-                self.declared_inputs, self.declared_outputs)
+        return (self.ids, self.op_kinds, self.inputs, self.declared_inputs,
+                self.declared_outputs)
 
     def __eq__(self, other):
         if not isinstance(other, ComputeGraph):
@@ -326,8 +324,7 @@ def list_schedule(vg: ValidatedGraph, p: int) -> ScheduleResult:
     after all of its inputs because levels are scheduled in order. The
     assignment lists nodes by level, then in topological order.
     """
-    if isinstance(p, bool) or not isinstance(p, int) or p < 1:
-        raise ValueError(f"processor count must be a positive integer, got {p!r}")
+    check_count("processor count", p)
 
     # Topological order is level-sorted; no level is wider than len(vg),
     # so any larger p schedules like len(vg) and stays within int64.
@@ -387,8 +384,7 @@ def expand_template(template: ComputeGraph, spatial_copies: int, temporal_copies
                     src_copy = nbrs[ix % len(nbrs)]
                     src_out = out_ids[ix % len(out_ids)]
                     inputs = [rename(src_out, src_copy, t - 1)]
-                nodes.append(OpNode(rename(node.id, s, t), node.op_kind,
-                                    tuple(inputs), node.payload))
+                nodes.append(OpNode(rename(node.id, s, t), node.op_kind, tuple(inputs)))
 
     declared_inputs = tuple(rename(nid, s, 0)
                             for s in range(spatial_copies) for nid in tvg.declared_inputs)

@@ -46,6 +46,7 @@ from .errors import (
     InconsistentAssembly,
     NoRuleForOpKind,
     NonFiniteInput,
+    check_count,
 )
 from .graph import ValidatedGraph
 
@@ -149,9 +150,7 @@ class SynapseSpec:
     delay: int = 1
 
     def __post_init__(self):
-        if isinstance(self.delay, bool) or not isinstance(self.delay, int) or self.delay < 1:
-            raise ValueError(f"synapse delay must be an integer >= 1, got {self.delay!r} "
-                             f"on {self.source!r} -> {self.target!r}")
+        check_count(f"delay of synapse {self.source!r} -> {self.target!r}", self.delay)
 
 
 def _int_column(name: str, values, length: int) -> np.ndarray:
@@ -237,8 +236,8 @@ class NeuralGraph:
         if (k := _first(~np.isfinite(ng.weight))) is not None:
             raise ValueError(f"synapse {ng._name(k)} has non-finite weight {ng.weight[k]}")
         if (k := _first(ng.delay < 1)) is not None:
-            raise ValueError(f"synapse delay must be an integer >= 1, got {ng.delay[k]} "
-                             f"on {ng._name(k)}")
+            raise ValueError(f"delay of synapse {ng._name(k)} must be an integer >= 1, "
+                             f"got {ng.delay[k]}")
         for nid in ng.input_neurons + ng.output_neurons:
             if nid not in known:
                 raise ValueError(f"declared neuron {nid!r} does not exist")
@@ -303,7 +302,8 @@ class LoweringRule:
     neuron_count is the chain length (and therefore the assembly depth);
     input_weight is put on synapses arriving from upstream assemblies,
     chain_weight on the internal chain. Defaults make a spike relay:
-    any single incoming spike crosses threshold.
+    any single incoming spike crosses threshold. max_fan_in, when set,
+    caps the inputs of each op of the kind (0 allows sources only).
     """
 
     neuron_count: int = 1
@@ -314,11 +314,11 @@ class LoweringRule:
     max_fan_in: int | None = None
 
     def __post_init__(self):
-        for name, what in (("neuron_count", "neuron_count"), ("delay", "synapse delay")):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ValueError(f"{what} must be an integer >= 1, got {value!r}")
-        for name in ("input_weight", "chain_weight", "max_fan_in"):
+        check_count("neuron_count", self.neuron_count)
+        check_count("synapse delay", self.delay)
+        if self.max_fan_in is not None:
+            check_count("max_fan_in", self.max_fan_in, minimum=0)
+        for name in ("input_weight", "chain_weight"):
             if isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
 

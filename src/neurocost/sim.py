@@ -64,6 +64,7 @@ from .errors import (
     NonFiniteInput,
     NonFiniteState,
     UnknownInputNeuron,
+    check_count,
 )
 from .neural import NeuralGraph, NeuronSpec, ResourceCount, advance, transfer
 
@@ -299,8 +300,7 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
         input_sum = np.zeros(net.n) if input_sum is None else input_sum
         np.add.at(input_sum, pos, injected)  # unbuffered, in order: a left-to-right sum
     if input_sum is not None:
-        fed_idx = input_sum.nonzero()[0]  # ascending
-        fed = [fed_idx] if len(net.groups) == 1 else net.by_group(fed_idx)
+        fed = net.by_group(input_sum.nonzero()[0])
 
     armed = s.armed
     if len(armed):
@@ -315,7 +315,6 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
     writes: list[tuple[int, np.ndarray, np.ndarray]] = []
     outs: list[tuple[np.ndarray, np.ndarray]] = []
     spike_idx: list[np.ndarray] = []
-    spike_out: list[np.ndarray] = []  # their outputs, kept only when scaled
     touched_count = 0
     delta_n = 0.0
 
@@ -368,8 +367,6 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
         firing = y.nonzero()[0]
         if len(firing):
             spike_idx.append(ev[firing])
-            if scaled:
-                spike_out.append(y[firing])
 
     for idx in s.y_written:
         s.last_y[idx] = 0.0
@@ -386,27 +383,23 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
     # 3. Emit: every outgoing synapse of the firing sources, in (source,
     # synapse) order, queued once per distinct delay. A spiking source's
     # output is exactly 1.0 and w * 1.0 == w bit for bit, so unless the
-    # network is scaled the weights are emitted as they are.
+    # network is scaled the weights are emitted as they are; a scaled
+    # network reads its sources' outputs from last_y, written above.
     spike_count = 0
     spike_ids: tuple[str, ...] = ()
     if spike_idx:
         spikes = spike_idx[0] if len(spike_idx) == 1 else np.concatenate(spike_idx)
-        if scaled:
-            spike_y = spike_out[0] if len(spike_out) == 1 else np.concatenate(spike_out)
         # One group's spikes are ascending, except on the first step, when
         # unfed armed neurons follow the group's evaluated neurons.
         if len(spike_idx) > 1 or len(armed):
-            order = np.argsort(spikes, kind="stable")
-            spikes = spikes[order]
-            if scaled:
-                spike_y = spike_y[order]
+            spikes = np.sort(spikes)
         spike_list = spikes.tolist()
         spike_count = len(spike_list)
         if spike_count == 1:
             spike_ids = (net.ids[spike_list[0]],)
             # One source: its synapses are one contiguous CSR slice.
             pos = slice(*net.out_indptr[spike_list[0]:spike_list[0] + 2].tolist())
-            values = net.syn_weight[pos] * spike_y if scaled else net.syn_weight[pos]
+            values = net.syn_weight[pos] * s.last_y[spikes] if scaled else net.syn_weight[pos]
         else:
             spike_ids = itemgetter(*spike_list)(net.ids)
             lo = net.out_indptr[spikes]
@@ -417,7 +410,7 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
             pos += np.arange(ends[-1])
             values = net.syn_weight[pos]
             if scaled:
-                values *= spike_y.repeat(lens)
+                values *= s.last_y[spikes].repeat(lens)
         if len(values):
             targets = net.syn_target[pos]
             if len(net.delays) == 1:
@@ -455,8 +448,7 @@ class ZeroActivity:
     window: int = 3
 
     def __post_init__(self):
-        if isinstance(self.window, bool) or not isinstance(self.window, int) or self.window < 1:
-            raise ValueError(f"window must be an integer >= 1, got {self.window!r}")
+        check_count("window", self.window)
 
 
 @dataclass(frozen=True)
@@ -484,8 +476,7 @@ def run_sim(s: SimState, max_steps: int, stop: StopCondition = None,
     `inputs` maps a step index to external (neuron id, value) injections,
     either as a mapping or a callable.
     """
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
+    check_count("max_steps", max_steps)
     net = s.net
     records: list[StepRecord] = []
     out_rows: list[np.ndarray] = []
@@ -527,8 +518,7 @@ def run_sim(s: SimState, max_steps: int, stop: StopCondition = None,
 
 def measure_firing_rate(tr: SimTrace, window: int) -> np.ndarray:
     """Mean firing rate per non-overlapping window of `window` steps."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
+    check_count("window", window)
     if window > len(tr.records):
         raise ValueError(f"window {window} exceeds trace length {len(tr.records)}")
     n_windows = len(tr.records) // window

@@ -9,6 +9,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .costs import CostConstants
+from .errors import check_count
 from .fileio import load_constants
 from .graph import validate_graph
 from .neural import count_resources, lower_graph
@@ -93,8 +94,7 @@ class SweepSpec:
                 raise ValueError(f"parameter {key!r} is fixed more than once")
         if len(self.values) < 2:
             raise ValueError("a sweep needs at least two values to regress over")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+        check_count("repetitions", self.repetitions)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ import logging
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import FragmentTooLarge, GraphTooLargeForOracle
+from .errors import FragmentTooLarge, GraphTooLargeForOracle, check_count
 from .graph import ValidatedGraph, node_levels
 
 logger = logging.getLogger(__name__)
@@ -204,11 +204,6 @@ class PartitionResult:
     granularity: int
 
 
-def _check_granularity(granularity: int) -> None:
-    if isinstance(granularity, bool) or not isinstance(granularity, int) or granularity < 1:
-        raise ValueError(f"granularity must be a positive integer, got {granularity!r}")
-
-
 def _group_by_label(fragments: Iterable[Fragment]) -> dict[str, list[Fragment]]:
     """Fragments grouped by canonical label, labels in order of first use.
 
@@ -245,7 +240,7 @@ def partition_isomorphic(vg: ValidatedGraph, granularity: int) -> PartitionResul
     fragments, every member's exact signature must equal the first
     member's.
     """
-    _check_granularity(granularity)
+    check_count("granularity", granularity)
     levels = node_levels(vg)
 
     def tiling_key(nid: str) -> tuple[int, str]:
@@ -348,7 +343,7 @@ def brute_force_partition(vg: ValidatedGraph, granularity: int) -> PartitionResu
     GraphTooLargeForOracle."""
     if len(vg) > ORACLE_CAP:
         raise GraphTooLargeForOracle(f"oracle capped at {ORACLE_CAP} nodes, got {len(vg)}")
-    _check_granularity(granularity)
+    check_count("granularity", granularity)
     by_label = _group_by_label(extract_fragment(vg, subset)
                                for subset in _connected_subsets(vg, granularity))
 
@@ -375,6 +370,5 @@ def brute_force_partition(vg: ValidatedGraph, granularity: int) -> PartitionResu
 
 def thread_efficiency(pr: PartitionResult, p: int) -> float:
     """Fraction of p processors the extracted threads keep busy."""
-    if isinstance(p, bool) or not isinstance(p, int) or p < 1:
-        raise ValueError(f"p must be an integer >= 1, got {p!r}")
+    check_count("p", p)
     return min(pr.p_threads, p) / p

@@ -80,6 +80,30 @@ class TestAnalyze:
         code, _out, _err = invoke(capsys, ["analyze", FOOTNOTE, "--preset", "nope"])
         assert code == 2
 
+    def test_core_count_is_not_a_config_key(self, capsys, tmp_path):
+        cfg = tmp_path / "cores.cfg"
+        cfg.write_text("n_core = 4\n")
+        code, out, err = invoke(capsys, ["analyze", FOOTNOTE, "--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert "unknown configuration key 'n_core'" in err
+
+    @pytest.mark.parametrize("preset, terms", [
+        ("unit", {"voltage": 12.0, "spikegen": 12.0, "synapse": 9.0, "spike": 9.0}),
+        ("digital-skew", {"voltage": 12.0, "spikegen": 120.0, "synapse": 45.0, "spike": 900.0}),
+    ])
+    def test_energy_breakdowns_sum_to_totals(self, capsys, tmp_path, monkeypatch, preset, terms):
+        # The nmc rows are the four per-step terms at f = 1 over t_inf = 3 steps;
+        # their breakdown used to be {"per_step_worst_case": 14, "steps": 3}.
+        tables = []
+        monkeypatch.setattr(cli, "emit_table_csv", lambda table: tables.append(table) or "")
+        code, _out, _err = invoke(capsys, ["analyze", FOOTNOTE, "--preset", preset,
+                                           "--ncore", "2", "--out", str(tmp_path / "t.csv")])
+        assert code == 0
+        for row in tables[0].rows:
+            assert row.energy.total == sum(row.energy.breakdown.values())
+        for arch in ("nmc_ideal", "nmc_realized"):
+            assert tables[0].row(arch).energy.breakdown == terms
+
 
 class TestLower:
     def test_emits_network_json(self, capsys):

@@ -97,16 +97,16 @@ class TestConfig:
             nc.parse_config(f"e_voltage = {value}")
         assert exc.value.key == "e_voltage"
 
-    @pytest.mark.parametrize("text", ["e_spike 2", "e_spike = abc", "n_core = 2.5"])
+    @pytest.mark.parametrize("text", ["e_spike 2", "e_spike = abc"])
     def test_malformed_lines(self, text):
         with pytest.raises(nc.FileSyntaxError) as exc:
             nc.parse_config(text)
         assert exc.value.line == 1
 
-    def test_n_core_parses_as_int(self):
-        c = nc.parse_config("n_core = 4")
-        assert c.n_core == 4
-        assert isinstance(c.n_core, int)
+    def test_n_core_is_not_a_config_key(self):
+        # the core count is analyze's --ncore; a constant of that name was never read
+        with pytest.raises(nc.UnknownKey, match="unknown configuration key 'n_core'"):
+            nc.parse_config("n_core = 4")
 
 
 class TestPresets:

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -346,17 +347,26 @@ def test_lowering_rule_validation():
 
 
 @pytest.mark.parametrize("field, bad", [("delay", True), ("delay", 0), ("delay", 2.0),
-                                        ("neuron_count", True), ("neuron_count", 2.0)])
+                                        ("neuron_count", True), ("neuron_count", 2.0),
+                                        ("max_fan_in", -1), ("max_fan_in", 1.5),
+                                        ("max_fan_in", "2"), ("max_fan_in", True)])
 def test_lowering_rule_rejects_bool_and_non_int(field, bad):
-    what = "synapse delay" if field == "delay" else "neuron_count"
-    with pytest.raises(ValueError, match=f"{what} must be an integer >= 1, got {bad!r}"):
+    # A max_fan_in of -1 used to build and reject every node, 1.5 to cap at 1,
+    # and "2" to fail inside lower_graph with numpy's UFuncTypeError.
+    what, least = {"delay": ("synapse delay", 1), "max_fan_in": ("max_fan_in", 0)}.get(
+        field, (field, 1))
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{what} must be an integer >= {least}, got {bad!r}")):
         LoweringRule(**{field: bad})
+    if field == "max_fan_in":
+        assert LoweringRule(max_fan_in=0).max_fan_in == 0
+        assert LoweringRule(max_fan_in=None).max_fan_in is None
 
 
 @pytest.mark.parametrize("bad", [True, False])
-@pytest.mark.parametrize("field", ["input_weight", "chain_weight", "max_fan_in"])
+@pytest.mark.parametrize("field", ["input_weight", "chain_weight"])
 def test_lowering_rule_rejects_bool_numbers(field, bad):
-    # A bool used to build; as max_fan_in it capped fan-in at 1 or 0.
+    # A bool used to build.
     with pytest.raises(ValueError, match=f"{field} must be a number, got {bad!r}"):
         LoweringRule(**{field: bad})
 
@@ -521,8 +531,8 @@ class TestConstructionErrors:
 
     @pytest.mark.parametrize("delay", [0, -3])
     def test_delay_below_one(self, how, delay):
-        with pytest.raises(ValueError,
-                           match=f"synapse delay must be an integer >= 1, got {delay} on 'a' -> 'b'"):
+        with pytest.raises(ValueError, match=f"delay of synapse 'a' -> 'b' must be an integer "
+                                             f">= 1, got {delay}"):
             _build(how, _AB, [("a", "b", 1.0, 1), ("a", "b", 1.0, delay)])
 
     @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
@@ -532,7 +542,8 @@ class TestConstructionErrors:
             _build(how, _AB, [("a", "b", weight, 1)])
 
     def test_bool_delay(self, how):
-        with pytest.raises(ValueError, match="got True on 'a' -> 'b'" if how == "tuples"
+        with pytest.raises(ValueError, match="'a' -> 'b' must be an integer >= 1, got True"
+                           if how == "tuples"
                            else "delay must hold integers, got dtype bool"):
             _build(how, _AB, [("a", "b", 1.0, True)])
 

@@ -515,6 +515,9 @@ class TestEnergyAudit:
         rep = nc.reconcile_energy(footnote_trace, r, nc.preset("unit"))
         assert rep.steps == 6
         assert rep.f_mean == pytest.approx(1 / 6, abs=1e-15)
+        assert rep.voltage_unrefined_prediction == 4.0
+        # the refined touch model: n_total * (1 - (1 - f_mean) ** (s_total / n_total))
+        assert rep.voltage_refined_prediction == pytest.approx(4 * (1 - (5 / 6) ** 0.75))
         assert set(rep.terms) == {"spikegen", "synapse", "spike"}
         for term in rep.terms.values():
             assert term.ratio == pytest.approx(1.0, abs=1e-12)

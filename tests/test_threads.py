@@ -151,7 +151,7 @@ class TestPartition:
     def test_granularity_must_be_an_int_not_bool(self, bad):
         vg = make_chain(4)
         for partition in (nc.partition_isomorphic, nc.brute_force_partition):
-            with pytest.raises(ValueError, match="granularity must be a positive integer"):
+            with pytest.raises(ValueError, match="granularity must be an integer >= 1"):
                 partition(vg, bad)
 
     def test_assigned_plus_residual_cover_graph(self):
