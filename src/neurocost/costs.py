@@ -329,8 +329,8 @@ def ff_cost_report(n_i: int, n_j: int, c: CostConstants, f_t: float) -> Comparis
     firing-dependent synapse and spike terms carry the quadratic cost. The
     conventional side runs on one processor.
     """
-    if n_i < 1 or n_j < 1:
-        raise ValueError("layer dimensions must be >= 1")
+    check_count("n_i", n_i)
+    check_count("n_j", n_j)
     if not (0.0 <= f_t <= 1.0):
         raise FiringRateOutOfRange(f_t)
     s_total = n_i * n_j

@@ -3,7 +3,8 @@
 Everything raised on bad user input derives from NeurocostError so the CLI
 can map it to a single exit code; internal consistency failures get their
 own branch (MismatchDetected) because they signal a bug, not bad input.
-`check_count` is the one check of every count-valued setting.
+`check_count` is the shared check of count-valued settings; no module
+tests a count by hand.
 """
 
 from __future__ import annotations

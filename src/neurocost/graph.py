@@ -356,8 +356,8 @@ def expand_template(template: ComputeGraph, spatial_copies: int, temporal_copies
     Raises StitchingMismatch when a neighbor index falls outside
     [0, spatial_copies).
     """
-    if spatial_copies < 1 or temporal_copies < 1:
-        raise ValueError("spatial_copies and temporal_copies must be >= 1")
+    check_count("spatial_copies", spatial_copies)
+    check_count("temporal_copies", temporal_copies)
     tvg = validate_graph(template)
 
     def neighbors_of(s: int) -> tuple[int, ...]:

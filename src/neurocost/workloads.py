@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateMesh, NonStochasticMatrix
+from .errors import DegenerateMesh, NonStochasticMatrix, check_count
 from .graph import ComputeGraph, OpNode
 from .neural import NeuralGraph, NeuronSpec
 from .sim import SimState
@@ -68,14 +68,10 @@ class MeshSpec:
     v_thresh: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.m_s < 1:
-            raise ValueError("m_s must be >= 1")
-        if self.k < 0:
-            raise ValueError("k must be >= 0")
-        if self.m_t < 1:
-            raise ValueError("m_t must be >= 1")
-        if self.n_mesh < 2:
-            raise ValueError("n_mesh must be >= 2 (one rail per residual sign)")
+        check_count("m_s", self.m_s)
+        check_count("k", self.k, minimum=0)
+        check_count("m_t", self.m_t)
+        check_count("n_mesh", self.n_mesh, minimum=2)  # one rail per residual sign
         if self.v_thresh <= 0:
             raise ValueError("v_thresh must be positive")
         object.__setattr__(self, "init", tuple(float(v) for v in self.init))
@@ -277,8 +273,8 @@ class FFLayerSpec:
         )
 
     def __post_init__(self) -> None:
-        if self.n_i < 1 or self.n_j < 1:
-            raise ValueError("layer widths must be >= 1")
+        check_count("n_i", self.n_i)
+        check_count("n_j", self.n_j)
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (self.n_i, self.n_j):
             raise ValueError(f"weights shape {w.shape} does not match {self.n_i}x{self.n_j}")
@@ -289,8 +285,7 @@ class FFLayerSpec:
             raise ValueError(f"rate code has {len(rates)} rates for n_i={self.n_i}")
         if any(not (0.0 <= r <= 1.0) for r in rates):
             raise ValueError("rates must lie in [0, 1]")
-        if steps < 1:
-            raise ValueError("steps per presentation must be >= 1")
+        check_count("steps per presentation", steps)
 
 
 FF_INPUT_THRESH = 0.5

@@ -334,7 +334,8 @@ def test_ff_report_synapse_terms_quadratic():
 
 
 def test_ff_report_validation():
-    with pytest.raises(ValueError):
-        ff_cost_report(0, 4, UNIT, 0.5)
+    for bad in (0, 2.5, True):
+        with pytest.raises(ValueError, match="n_i must be an integer >= 1"):
+            ff_cost_report(bad, 4, UNIT, 0.5)
     with pytest.raises(FiringRateOutOfRange):
         ff_cost_report(4, 4, UNIT, 1.5)

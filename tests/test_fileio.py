@@ -162,8 +162,9 @@ class TestTraceCsv:
         assert fileio.emit_trace_csv(empty) == ",".join(fileio.TRACE_COLUMNS) + "\n"
 
     def test_window_validation(self, kick_trace):
-        with pytest.raises(ValueError):
-            fileio.emit_trace_csv(kick_trace, window=0)
+        for bad in (0, 1.5, True):
+            with pytest.raises(ValueError, match="window must be an integer >= 1"):
+                fileio.emit_trace_csv(kick_trace, window=bad)
 
     def test_deterministic_bytes(self, kick_trace):
         a = fileio.emit_trace_csv(kick_trace, window=3)

@@ -394,10 +394,11 @@ def test_expand_template_bad_neighbor():
 
 
 def test_expand_template_bad_counts():
-    with pytest.raises(ValueError):
-        expand_template(_two_source_template(), 0, 2, ring_coupling(1))
-    with pytest.raises(ValueError):
-        expand_template(_two_source_template(), 2, 0, ring_coupling(2))
+    for bad in (0, 1.5, True):
+        with pytest.raises(ValueError, match="spatial_copies must be an integer >= 1"):
+            expand_template(_two_source_template(), bad, 2, ring_coupling(1))
+        with pytest.raises(ValueError, match="temporal_copies must be an integer >= 1"):
+            expand_template(_two_source_template(), 2, bad, ring_coupling(2))
 
 
 def test_ring_coupling_shapes():

@@ -349,7 +349,8 @@ def test_lowering_rule_validation():
 @pytest.mark.parametrize("field, bad", [("delay", True), ("delay", 0), ("delay", 2.0),
                                         ("neuron_count", True), ("neuron_count", 2.0),
                                         ("max_fan_in", -1), ("max_fan_in", 1.5),
-                                        ("max_fan_in", "2"), ("max_fan_in", True)])
+                                        ("max_fan_in", "2"), ("max_fan_in", True),
+                                        ("max_fan_in", False)])
 def test_lowering_rule_rejects_bool_and_non_int(field, bad):
     # A max_fan_in of -1 used to build and reject every node, 1.5 to cap at 1,
     # and "2" to fail inside lower_graph with numpy's UFuncTypeError.

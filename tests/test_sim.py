@@ -279,8 +279,9 @@ class TestRunControl:
     def test_max_steps_validation(self):
         ng = two_neuron(2.0)
         state = nc.init_sim(ng, nc.AnalogEncoding(), 0)
-        with pytest.raises(ValueError):
-            nc.run_sim(state, 0)
+        for bad in (0, 1.5, True):
+            with pytest.raises(ValueError, match="max_steps must be an integer >= 1"):
+                nc.run_sim(state, bad)
 
     def test_zero_activity_stop_length(self):
         ng = nc.NeuralGraph(
@@ -496,8 +497,9 @@ class TestFiringRates:
 
     def test_window_validation(self):
         tr = self._synthetic_trace()
-        with pytest.raises(ValueError):
-            nc.measure_firing_rate(tr, 0)
+        for bad in (0, 1.5, True):
+            with pytest.raises(ValueError, match="window must be an integer >= 1"):
+                nc.measure_firing_rate(tr, bad)
         with pytest.raises(ValueError):
             nc.measure_firing_rate(tr, 51)
 

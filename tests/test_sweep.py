@@ -29,3 +29,9 @@ def test_fixed_key_given_twice_is_rejected():
     with pytest.raises(ValueError, match="'k' is fixed more than once"):
         nc.SweepSpec(workload="mesh", param="m_s", values=(64.0, 128.0),
                      fixed=(("k", 4.0), ("k", 6.0)))
+
+
+@pytest.mark.parametrize("bad", [0, 1.5, True])
+def test_repetitions_must_be_a_count(bad):
+    with pytest.raises(ValueError, match="repetitions must be an integer >= 1"):
+        nc.SweepSpec(workload="mesh", param="m_s", values=(64.0, 128.0), repetitions=bad)

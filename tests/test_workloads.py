@@ -119,6 +119,11 @@ class TestMeshValidation:
         with pytest.raises(ValueError):
             nc.MeshSpec(m_s=0, k=2, m_t=5, dynamics=nc.Diffusion(0.5),
                         init=(), v_thresh=0.25)
+        for field, bad, least in (("m_s", 2.0, 1), ("k", True, 0), ("m_t", 1.5, 1),
+                                  ("n_mesh", 1, 2)):
+            args = dict(m_s=2, k=2, m_t=5, init=(1.0, 1.0)) | {field: bad}
+            with pytest.raises(ValueError, match=f"{field} must be an integer >= {least}"):
+                nc.MeshSpec(dynamics=nc.Diffusion(0.5), **args)
         with pytest.raises(ValueError):
             nc.MeshSpec(m_s=4, k=2, m_t=5, dynamics=nc.Diffusion(0.5),
                         init=(1.0,) * 3, v_thresh=0.25)
@@ -266,8 +271,11 @@ class TestFFLayer:
             FFLayerSpec.from_arrays(wts, [0.5] * 8, 0)
         with pytest.raises(ValueError):
             FFLayerSpec.from_arrays(np.ones(8), [0.5] * 8, 10)
-        with pytest.raises(ValueError):
-            FFLayerSpec(n_i=0, n_j=4, weights=(), rate_code=((), 10))
+        for bad in (0, 1.5, True):
+            with pytest.raises(ValueError, match="n_i must be an integer >= 1"):
+                FFLayerSpec(n_i=bad, n_j=4, weights=(), rate_code=((), 10))
+        with pytest.raises(ValueError, match="steps per presentation must be an integer >= 1"):
+            FFLayerSpec(n_i=1, n_j=1, weights=((1.0,),), rate_code=((0.5,), 2.5))
 
 
 class TestSelfExcitingLoop:
