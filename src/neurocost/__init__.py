@@ -45,13 +45,12 @@ from .errors import (
     GraphTooLargeForOracle,
     InconsistentAssembly,
     MismatchDetected,
-    NegativeConstant,
     NeurocostError,
     NoRuleForOpKind,
-    NonFiniteConstant,
     NonFiniteInput,
     NonFiniteState,
     NonStochasticMatrix,
+    PresetCycle,
     SchemaError,
     StitchingMismatch,
     UnknownInputNeuron,

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+import textwrap
+from dataclasses import astuple
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
@@ -50,7 +52,7 @@ from .fileio import (
 from .graph import ValidatedGraph, compute_metrics, list_schedule, validate_graph
 from .neural import count_resources, lower_graph
 from .sim import DigitalEncoding, ZeroActivity, init_sim, reconcile_energy, run_sim
-from .sweep import SWEEP_COLUMNS, SWEEP_WORKLOADS, SweepSpec, run_sweep
+from .sweep import SWEEP_COLUMNS, SWEEP_TABLE, SWEEP_WORKLOADS, SweepSpec, run_sweep
 from .threads import partition_isomorphic, thread_efficiency
 
 
@@ -182,11 +184,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         repetitions=args.reps,
         constants=constants,
     )
-    rows, reg = run_sweep(spec, seed=args.seed, window=args.window)
-    _write_or_print(emit_rows_csv(
-        SWEEP_COLUMNS,
-        [(row.value, row.mean_e_t, row.total_e_n, row.steps) for row in rows],
-    ), args.out)
+    rows, reg = run_sweep(spec, seed=args.seed)
+    _write_or_print(emit_rows_csv(SWEEP_COLUMNS, map(astuple, rows)), args.out)
     if reg is None:
         print("regression skipped (zero energy measured)")
     else:
@@ -244,6 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = command("sweep", _cmd_sweep, "sweep a workload parameter, fit scaling",
                       graph=False, constants=True)
+    p_sweep.formatter_class = argparse.RawDescriptionHelpFormatter
+    p_sweep.epilog = "parameters and defaults (* a count, whole numbers only):\n" + "\n".join(
+        textwrap.fill(" ".join(f"{key}={p.shown or p.default}{'*' * (p.minimum is not None)}"
+                               for key, p in params.items()),
+                      78, initial_indent=f"  {workload + ':':<8}", subsequent_indent=" " * 10)
+        for workload, (_runner, params) in SWEEP_TABLE.items())
     p_sweep.add_argument("--workload", choices=SWEEP_WORKLOADS, required=True)
     p_sweep.add_argument("--param", required=True, help="swept parameter name")
     p_sweep.add_argument("--values", required=True,
@@ -253,9 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--reps", type=int, default=1,
                          help="repetitions per value (averaged)")
     p_sweep.add_argument("--seed", type=int, default=0, help="workload seed")
-    p_sweep.add_argument("--window", type=int,
-                         help="warm-up window of steps for mean_e_t "
-                              "(mesh and random only; default 5)")
     p_sweep.add_argument("--out", help="write the sweep CSV to this file")
 
     return parser

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
-from .errors import FiringRateOutOfRange, check_count
+from .errors import FiringRateOutOfRange, UnknownPreset, check_count
 from .graph import GraphMetrics
 from .neural import ResourceCount
 
@@ -75,8 +75,6 @@ PRESETS: Mapping[str, CostConstants] = {
 
 
 def preset(name: str) -> CostConstants:
-    from .errors import UnknownPreset
-
     try:
         return PRESETS[name]
     except KeyError:
@@ -101,10 +99,6 @@ class SpaceBounds:
     lower: float
     upper: float
     breakdown: Mapping[str, float] | None = None
-
-    @property
-    def unbounded_above(self) -> bool:
-        return self.upper == math.inf
 
 
 @dataclass(frozen=True)

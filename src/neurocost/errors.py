@@ -151,21 +151,15 @@ class UnknownKey(NeurocostError):
         self.key = key
 
 
-class NegativeConstant(NeurocostError):
-    def __init__(self, key: str, value: float):
-        super().__init__(f"constant {key!r} must be nonnegative, got {value}")
-        self.key = key
-        self.value = value
-
-
-class NonFiniteConstant(NeurocostError):
-    def __init__(self, key: str, value: float):
-        super().__init__(f"constant {key!r} must be finite, got {value}")
-        self.key = key
-        self.value = value
-
-
 class UnknownPreset(NeurocostError):
     def __init__(self, name: str):
         super().__init__(f"unknown constants preset {name!r}")
         self.name = name
+
+
+class PresetCycle(NeurocostError):
+    """Custom presets whose bases lead back to one of them; `chain` names them."""
+
+    def __init__(self, chain: tuple[str, ...]):
+        super().__init__("preset cycle: " + " -> ".join(map(repr, chain)))
+        self.chain = chain

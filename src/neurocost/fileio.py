@@ -12,7 +12,6 @@ import csv
 import dataclasses
 import io
 import json
-import math
 import os
 from itertools import chain
 from pathlib import Path
@@ -21,8 +20,7 @@ from typing import Iterable, Sequence
 from .costs import ComparisonTable, CostConstants, PRESETS, preset
 from .errors import (
     FileSyntaxError,
-    NegativeConstant,
-    NonFiniteConstant,
+    PresetCycle,
     SchemaError,
     UnknownKey,
     UnknownPreset,
@@ -158,12 +156,14 @@ def emit_neural_json(ng: NeuralGraph) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def parse_config(text: str, base: CostConstants | None = None) -> CostConstants:
+def parse_config(text: str, base: CostConstants | None = None,
+                 _presets: tuple[str, ...] = ()) -> CostConstants:
     """Layer key=value lines over a preset base.
 
     Lines are `key = value` with `#` comments; a `preset = name` line
     picks the base (default "unit"). Keys must be cost-constant fields;
-    NaN, infinite and negative values are rejected.
+    CostConstants rejects NaN, infinite and negative values.
+    `_presets` names the custom presets being loaded, outermost first.
     """
     pairs: dict[str, tuple[str, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -176,7 +176,7 @@ def parse_config(text: str, base: CostConstants | None = None) -> CostConstants:
         pairs[key.strip()] = (value.strip(), lineno)
 
     if "preset" in pairs:
-        base = load_preset(pairs.pop("preset")[0])
+        base = load_preset(pairs.pop("preset")[0], _presets)
     constants = base if base is not None else preset("unit")
 
     field_names = {f.name for f in dataclasses.fields(CostConstants)}
@@ -185,27 +185,25 @@ def parse_config(text: str, base: CostConstants | None = None) -> CostConstants:
         if key not in field_names:
             raise UnknownKey(key)
         try:
-            parsed = float(value)
+            updates[key] = float(value)
         except ValueError as exc:
             raise FileSyntaxError(f"bad numeric value for {key}: {value!r}",
                                   line=lineno) from exc
-        if not math.isfinite(parsed):
-            raise NonFiniteConstant(key, parsed)
-        if parsed < 0:
-            raise NegativeConstant(key, parsed)
-        updates[key] = parsed
     return dataclasses.replace(constants, **updates)
 
 
-def load_preset(name: str) -> CostConstants:
-    """Built-in preset, or <name>.cfg from $NEUROCOST_PRESET_DIR."""
+def load_preset(name: str, _presets: tuple[str, ...] = ()) -> CostConstants:
+    """Built-in preset, or <name>.cfg from $NEUROCOST_PRESET_DIR, whose
+    base must not lead back to it (PresetCycle)."""
     if name in PRESETS:
         return PRESETS[name]
+    if name in _presets:
+        raise PresetCycle((*_presets, name))
     preset_dir = os.environ.get(PRESET_DIR_ENV)
     if preset_dir:
         path = Path(preset_dir) / f"{name}.cfg"
         if path.is_file():
-            return parse_config(path.read_text(encoding="utf-8"))
+            return parse_config(path.read_text(encoding="utf-8"), _presets=(*_presets, name))
     raise UnknownPreset(name)
 
 

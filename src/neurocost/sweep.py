@@ -3,17 +3,16 @@ scaling exponent with a log-log regression."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .costs import CostConstants
+from .costs import PRESETS, CostConstants
 from .errors import check_count
-from .fileio import load_constants
 from .graph import validate_graph
-from .neural import count_resources, lower_graph
-from .sim import AnalogEncoding, ZeroActivity, init_sim, reconcile_energy, run_sim
+from .neural import NeuralGraph, count_resources, lower_graph
+from .sim import AnalogEncoding, SimTrace, ZeroActivity, init_sim, reconcile_energy, run_sim
 from .workloads import (
     Diffusion,
     FFLayerSpec,
@@ -24,17 +23,6 @@ from .workloads import (
     gen_random_dag,
     sinusoid_init,
 )
-
-SWEEP_WORKLOADS = ("mesh", "ff", "random")
-
-#: The parameters each workload's point runner reads; a sweep may vary or
-#: fix only these.
-SWEEP_PARAMS: Mapping[str, frozenset[str]] = {
-    "mesh": frozenset({"m_s", "k", "m_t", "n_mesh", "v_thresh", "amplitude", "mean",
-                       "cycles", "alpha"}),
-    "ff": frozenset({"n_i", "n_j", "n", "rate", "steps_per_presentation", "presentations"}),
-    "random": frozenset({"n", "density", "steps"}),
-}
 
 
 @dataclass(frozen=True)
@@ -68,20 +56,113 @@ def fit_loglog(xs: Sequence[float], ys: Sequence[float]) -> RegressionResult:
 
 
 @dataclass(frozen=True)
+class SweepRow:
+    value: float
+    mean_e_t: float
+    total_e_n: float
+    steps: int
+
+
+SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow))
+
+#: One point's measurement: (mean_e_t, total_e_n, steps).
+PointResult = tuple[float, float, int]
+
+
+def _simulate(ng: NeuralGraph, constants: CostConstants, seed: int, max_steps: int,
+              **run_args) -> SimTrace:
+    """Init, run and reconcile one network under the analog encoding."""
+    state = init_sim(ng, AnalogEncoding(), seed, constants)
+    trace = run_sim(state, max_steps=max_steps, **run_args)
+    reconcile_energy(trace, count_resources(ng), constants)
+    return trace
+
+
+def _warm_up(trace: SimTrace, window: int) -> PointResult:
+    """mean_e_t as the mean energy of the first `window` steps."""
+    warm = [rec.e_t for rec in trace.records[:window]]
+    return float(sum(warm) / len(warm)), trace.e_n, len(trace.records)
+
+
+def _mesh_point(p: Mapping[str, float], constants: CostConstants, seed: int) -> PointResult:
+    init = sinusoid_init(p["m_s"], amplitude=p["amplitude"], mean=p["mean"], cycles=p["cycles"])
+    _template, ng = gen_mesh(MeshSpec(m_s=p["m_s"], k=p["k"], m_t=p["m_t"], init=init,
+                                      dynamics=Diffusion(p["alpha"]), n_mesh=p["n_mesh"],
+                                      v_thresh=p["v_thresh"]))
+    trace = _simulate(ng, constants, seed, p["m_t"], stop=ZeroActivity(window=3))
+    return _warm_up(trace, p["window"])
+
+
+def _ff_point(p: Mapping[str, float], constants: CostConstants, seed: int) -> PointResult:
+    n_i, spp = p["n_i"], p["steps_per_presentation"]
+    weights = np.random.default_rng(seed).uniform(0.2, 1.0, size=(n_i, p["n_j"]))
+    spec = FFLayerSpec.from_arrays(weights, [p["rate"]] * n_i, spp)
+    trace = _simulate(gen_ff_layer(spec), constants, seed, p["presentations"] * spp,
+                      inputs=ff_input_schedule(spec))
+    return float(trace.e_n / p["presentations"]), trace.e_n, len(trace.records)
+
+
+def _random_point(p: Mapping[str, float], constants: CostConstants, seed: int) -> PointResult:
+    graph = gen_random_dag(p["n"], p["density"], ("add", "mul", "relay"), seed)
+    ng, _am = lower_graph(validate_graph(graph))
+    kick = tuple((nid, 1.5) for nid in ng.input_neurons)
+    trace = _simulate(ng, constants, seed, p["steps"], stop=ZeroActivity(window=3),
+                      inputs={0: kick})
+    return _warm_up(trace, p["window"])
+
+
+@dataclass(frozen=True)
+class Param:
+    """A workload parameter: its default (a number, or a function of the parameters
+    listed before it, written out as `shown`) and, for a count, its least value."""
+
+    default: float | Callable[[Mapping[str, float]], float]
+    minimum: int | None = None
+    shown: str = ""
+
+    def read(self, name: str, value: float) -> float:
+        """A count as a checked int, any other value as a float."""
+        if self.minimum is None:
+            return float(value)
+        check_count(name, int(value) if float(value).is_integer() else value, self.minimum)
+        return int(value)
+
+
+#: Each workload's point runner and its parameters in help order, each as
+#: Param(default, least value if a count, text of a derived default).
+SWEEP_TABLE: Mapping[str, tuple[Callable[..., PointResult], Mapping[str, Param]]] = {
+    "mesh": (_mesh_point, {
+        "m_s": Param(64, 1), "k": Param(4, 0), "m_t": Param(60, 1), "n_mesh": Param(2, 2),
+        "v_thresh": Param(0.25), "amplitude": Param(1.0), "mean": Param(1.0),
+        "cycles": Param(lambda p: max(1, p["m_s"] // 16), 0, "max(1,m_s//16)"),
+        "alpha": Param(0.5), "window": Param(5, 1)}),
+    "ff": (_ff_point, {
+        "n": Param(8, 1), "n_i": Param(lambda p: p["n"], 1, "n"),
+        "n_j": Param(lambda p: p["n"], 1, "n"), "rate": Param(0.5),
+        "steps_per_presentation": Param(10, 1), "presentations": Param(3, 1)}),
+    "random": (_random_point, {
+        "n": Param(32, 1), "density": Param(0.2), "steps": Param(50, 1),
+        "window": Param(5, 1)}),
+}
+SWEEP_WORKLOADS = tuple(SWEEP_TABLE)
+
+
+@dataclass(frozen=True)
 class SweepSpec:
-    """One sweep: a workload, the parameter to vary, and fixed context."""
+    """One sweep: a workload, the parameter to vary, and fixed context.
+    Every swept and fixed value is checked when the spec is built."""
 
     workload: str
     param: str
     values: tuple[float, ...]
     fixed: tuple[tuple[str, float], ...] = ()
     repetitions: int = 1
-    constants: CostConstants | None = None
+    constants: CostConstants = PRESETS["unit"]
 
     def __post_init__(self) -> None:
-        if self.workload not in SWEEP_WORKLOADS:
+        if self.workload not in SWEEP_TABLE:
             raise ValueError(f"workload must be one of {SWEEP_WORKLOADS}, got {self.workload!r}")
-        known = SWEEP_PARAMS[self.workload]
+        known = SWEEP_TABLE[self.workload][1]
         keys = [self.param, *(key for key, _value in self.fixed)]
         for key in keys:
             if key not in known:
@@ -95,115 +176,33 @@ class SweepSpec:
         if len(self.values) < 2:
             raise ValueError("a sweep needs at least two values to regress over")
         check_count("repetitions", self.repetitions)
+        for value in self.values:
+            self.point(value)
+
+    def point(self, value: float) -> dict[str, float]:
+        """Every parameter at the swept `value`, in table order, as the runner reads it."""
+        given = {**dict(self.fixed), self.param: value}
+        point: dict[str, float] = {}
+        for key, param in SWEEP_TABLE[self.workload][1].items():
+            point[key] = (param.read(key, given[key]) if key in given else
+                          param.default(point) if callable(param.default) else param.default)
+        return point
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    value: float
-    mean_e_t: float
-    total_e_n: float
-    steps: int
-
-
-SWEEP_COLUMNS = ("value", "mean_e_t", "total_e_n", "steps")
-
-#: One point's measurement: (mean_e_t, total_e_n, steps).
-PointResult = tuple[float, float, int]
-
-
-def _mesh_point(params: Mapping[str, float], constants: CostConstants,
-                seed: int, window: int) -> PointResult:
-    m_s = int(params.get("m_s", 64))
-    k = int(params.get("k", 4))
-    m_t = int(params.get("m_t", 60))
-    n_mesh = int(params.get("n_mesh", 2))
-    v_thresh = float(params.get("v_thresh", 0.25))
-    amplitude = float(params.get("amplitude", 1.0))
-    mean = float(params.get("mean", 1.0))
-    cycles = int(params.get("cycles", max(1, m_s // 16)))
-    alpha = float(params.get("alpha", 0.5))
-    spec = MeshSpec(
-        m_s=m_s, k=k, m_t=m_t, dynamics=Diffusion(alpha),
-        init=sinusoid_init(m_s, amplitude=amplitude, mean=mean, cycles=cycles),
-        n_mesh=n_mesh, v_thresh=v_thresh,
-    )
-    _template, ng = gen_mesh(spec)
-    state = init_sim(ng, AnalogEncoding(), seed, constants)
-    trace = run_sim(state, max_steps=m_t, stop=ZeroActivity(window=3))
-    reconcile_energy(trace, count_resources(ng), constants)
-    warm = [rec.e_t for rec in trace.records[:window]]
-    return float(sum(warm) / len(warm)), trace.e_n, len(trace.records)
-
-
-def _ff_point(params: Mapping[str, float], constants: CostConstants,
-              seed: int, window: int) -> PointResult:
-    n_i = int(params.get("n_i", params.get("n", 8)))
-    n_j = int(params.get("n_j", params.get("n", 8)))
-    rate = float(params.get("rate", 0.5))
-    spp = int(params.get("steps_per_presentation", 10))
-    presentations = int(params.get("presentations", 3))
-    rng = np.random.default_rng(seed)
-    weights = rng.uniform(0.2, 1.0, size=(n_i, n_j))
-    spec = FFLayerSpec.from_arrays(weights, [rate] * n_i, spp)
-    ng = gen_ff_layer(spec)
-    state = init_sim(ng, AnalogEncoding(), seed, constants)
-    trace = run_sim(state, max_steps=presentations * spp,
-                    inputs=ff_input_schedule(spec))
-    reconcile_energy(trace, count_resources(ng), constants)
-    return float(trace.e_n / presentations), trace.e_n, len(trace.records)
-
-
-def _random_point(params: Mapping[str, float], constants: CostConstants,
-                  seed: int, window: int) -> PointResult:
-    n = int(params.get("n", 32))
-    density = float(params.get("density", 0.2))
-    steps = int(params.get("steps", 50))
-    graph = gen_random_dag(n, density, ("add", "mul", "relay"), seed)
-    ng, _am = lower_graph(validate_graph(graph))
-    kick = tuple((nid, 1.5) for nid in ng.input_neurons)
-    state = init_sim(ng, AnalogEncoding(), seed, constants)
-    trace = run_sim(state, max_steps=steps, stop=ZeroActivity(window=3),
-                    inputs={0: kick})
-    reconcile_energy(trace, count_resources(ng), constants)
-    warm = [rec.e_t for rec in trace.records[:window]]
-    return float(sum(warm) / len(warm)), trace.e_n, len(trace.records)
-
-
-#: The workloads whose mean_e_t averages a warm-up window of steps.
-WINDOWED_WORKLOADS = ("mesh", "random")
-DEFAULT_WINDOW = 5
-
-_POINT_RUNNERS: dict[str, Callable[..., PointResult]] = {
-    "mesh": _mesh_point,
-    "ff": _ff_point,
-    "random": _random_point,
-}
-
-
-def run_sweep(spec: SweepSpec, seed: int = 0, window: int | None = None
+def run_sweep(spec: SweepSpec, seed: int = 0
               ) -> tuple[tuple[SweepRow, ...], RegressionResult | None]:
     """Execute the sweep and fit the scaling exponent.
 
-    `window` is the number of warm-up steps averaged into mean_e_t
-    (default 5) for the workloads in WINDOWED_WORKLOADS; the ff workload
-    reports energy per presentation instead and rejects a window.
-    Repetitions at each value are averaged before fitting. The
-    regression is skipped (None) when any averaged energy is zero,
-    since a log-log fit is undefined there.
+    mean_e_t is the mean energy of the first `window` steps for mesh and
+    random, and the energy per presentation for ff. Repetitions at each
+    value are averaged before fitting. The regression is skipped (None)
+    when any averaged energy is zero, since a log-log fit is undefined.
     """
-    if window is None:
-        window = DEFAULT_WINDOW
-    elif spec.workload not in WINDOWED_WORKLOADS:
-        raise ValueError(f"workload {spec.workload!r} has no warm-up window; "
-                         f"window applies to {', '.join(WINDOWED_WORKLOADS)}")
-    constants = spec.constants if spec.constants is not None else load_constants()
-    runner = _POINT_RUNNERS[spec.workload]
+    runner = SWEEP_TABLE[spec.workload][0]
     rows: list[SweepRow] = []
     for value in sorted(spec.values):
-        params = dict(spec.fixed)
-        params[spec.param] = value
-        reps = [runner(params, constants, seed + r, window)
-                for r in range(spec.repetitions)]
+        point = spec.point(value)
+        reps = [runner(point, spec.constants, seed + r) for r in range(spec.repetitions)]
         mean_e_t, total_e_n, steps = (sum(column) / len(reps) for column in zip(*reps))
         rows.append(SweepRow(value=float(value), mean_e_t=float(mean_e_t),
                              total_e_n=float(total_e_n), steps=round(steps)))

@@ -3,8 +3,10 @@ module entry points in a subprocess."""
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -14,7 +16,7 @@ import pytest
 
 import neurocost as nc
 import neurocost.cli as cli
-from neurocost import fileio
+from neurocost import fileio, sweep
 
 FOOTNOTE = str(resources.files("neurocost") / "data" / "footnote.graph")
 
@@ -79,6 +81,24 @@ class TestAnalyze:
     def test_unknown_preset(self, capsys):
         code, _out, _err = invoke(capsys, ["analyze", FOOTNOTE, "--preset", "nope"])
         assert code == 2
+
+    @pytest.mark.parametrize("files", [{"loop": "loop"}, {"a": "b", "b": "a"}])
+    @pytest.mark.parametrize("how", ["--preset", "--config"])
+    def test_preset_cycle_is_bad_input(self, capsys, tmp_path, monkeypatch, files, how):
+        for name, base in files.items():
+            (tmp_path / f"{name}.cfg").write_text(f"preset = {base}\n")
+        monkeypatch.setenv(fileio.PRESET_DIR_ENV, str(tmp_path))
+        first = next(iter(files))
+        if how == "--preset":
+            extra = ["--preset", first]
+        else:
+            cfg = tmp_path / "run.conf"
+            cfg.write_text(f"preset = {first}\n")
+            extra = ["--config", str(cfg)]
+        code, out, err = invoke(capsys, ["analyze", FOOTNOTE] + extra)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: preset cycle: ") and f"{first!r}" in err
 
     def test_core_count_is_not_a_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "cores.cfg"
@@ -154,7 +174,7 @@ class TestSimulate:
         code, _out, err = invoke(capsys, command + ["--config", str(cfg)])
         assert code == 2
         key = line.split(" =")[0]
-        assert f"constant {key!r} must be finite" in err
+        assert f"{key} must be finite" in err
 
 
 class TestPartition:
@@ -220,6 +240,7 @@ class TestOptions:
         ["analyze", FOOTNOTE, "--steps", "5"],
         ["simulate", FOOTNOTE, "--seed", "1"],
         ["analyze", "--graph", FOOTNOTE],
+        ["sweep", "--workload", "mesh", "--param", "m_s", "--values", "16,32", "--window", "5"],
     ])
     def test_unread_option_is_usage_error(self, capsys, argv):
         code, _out, err = invoke(capsys, argv)
@@ -261,10 +282,37 @@ class TestSweepOptions:
 
     def test_window_with_ff_is_bad_input(self, capsys):
         code, out, err = invoke(capsys, ["sweep", "--workload", "ff", "--param", "n",
-                                         "--values", "4,8", "--window", "9"])
+                                         "--values", "4,8", "--set", "window=9"])
         assert code == 2
         assert "window" in err and "'ff'" in err
         assert out == ""
+
+    @pytest.mark.parametrize("workload, extra, key", [
+        ("mesh", ["--param", "m_s", "--values", "64.9,128"], "m_s"),
+        ("mesh", ["--param", "m_s", "--values", "64,inf"], "m_s"),
+        ("mesh", ["--param", "m_s", "--values", "nan,64"], "m_s"),
+        ("mesh", ["--param", "m_s", "--values", "16,32", "--set", "window=0"], "window"),
+        ("mesh", ["--param", "m_s", "--values", "16,32", "--set", "window=-2"], "window"),
+        ("random", ["--param", "n", "--values", "12,24", "--set", "window=0"], "window"),
+        ("ff", ["--param", "n_i", "--values", "4,8", "--set", "n=2.5"], "n"),
+    ])
+    def test_count_must_be_whole_and_in_range(self, capsys, workload, extra, key):
+        code, out, err = invoke(capsys, ["sweep", "--workload", workload] + extra)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {key} must be an integer >= 1, got ")
+        assert err.count("\n") == 1
+
+    def test_help_lists_each_workload_parameter(self, capsys):
+        code, out, _err = invoke(capsys, ["sweep", "--help"])
+        assert code == 0
+        text = " ".join(out.split())
+        assert "mesh: m_s=64* k=4*" in text and "cycles=max(1,m_s//16)*" in text
+        assert "ff: n=8* n_i=n*" in text and "rate=0.5 " in text
+        for workload, (_runner, params) in sweep.SWEEP_TABLE.items():
+            assert f"{workload}: " in text
+            for key in params:
+                assert f" {key}=" in text
 
     @pytest.mark.parametrize("workload, param, values", [
         ("mesh", "m_s", "16,32"),
@@ -274,8 +322,8 @@ class TestSweepOptions:
         argv = ["sweep", "--workload", workload, "--param", param, "--values", values]
         code, out, _err = invoke(capsys, argv)
         assert code == 0
-        assert invoke(capsys, argv + ["--window", "5"]) == (0, out, "")
-        assert invoke(capsys, argv + ["--window", "1"])[1] != out
+        assert invoke(capsys, argv + ["--set", "window=5"]) == (0, out, "")
+        assert invoke(capsys, argv + ["--set", "window=1"])[1] != out
 
     def test_set_key_given_twice_is_bad_input(self, capsys):
         code, out, err = invoke(capsys, ["sweep", "--workload", "mesh", "--param", "m_s",
@@ -283,3 +331,18 @@ class TestSweepOptions:
         assert code == 2
         assert "'k'" in err
         assert out == ""
+
+
+def test_readme_options_table_matches_the_parser():
+    """Each row of README's command-line table lists exactly the long
+    options that its subcommand's parser accepts."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n")[1].split("\n## ")[0]
+    rows = dict(re.findall(r"^\| `(\w+)[^`]*` \| (.*) \|$", section, flags=re.MULTILINE))
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert set(rows) == set(subparsers.choices)
+    for name, parser in subparsers.choices.items():
+        accepted = {opt for action in parser._actions for opt in action.option_strings
+                    if opt.startswith("--")} - {"--help"}
+        assert set(re.findall(r"--[a-z]+", rows[name])) == accepted, name

@@ -138,7 +138,6 @@ def test_conventional_space():
     s = conventional_space(UNIT, 2, program_size=10.0, data_size=100.0)
     assert s.lower == 2 + 10 + 100
     assert s.upper == math.inf
-    assert s.unbounded_above
     assert s.breakdown == {"processors": 2.0, "program": 10.0, "data": 100.0}
     with pytest.raises(ValueError):
         conventional_space(UNIT, 0, 1.0, 1.0)
@@ -151,7 +150,7 @@ def test_nmc_space_footnote():
     # (c_n * n_bar + c_s * s_bar) * t1 = 1.75 * 4, compressible by t_inf.
     assert s.upper == 7.0
     assert s.lower == pytest.approx(7.0 / 3.0)
-    assert not s.unbounded_above
+    assert s.upper < math.inf
     assert s.breakdown == {"neurons": 4.0, "synapses": 3.0}
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 import neurocost as nc
+from neurocost import sweep
 
 
 def test_swept_key_cannot_be_fixed():
@@ -14,15 +15,72 @@ def test_swept_key_cannot_be_fixed():
 
 
 def test_ff_rejects_a_window():
-    spec = nc.SweepSpec(workload="ff", param="n", values=(4.0, 8.0))
-    with pytest.raises(ValueError, match="window"):
-        nc.run_sweep(spec, window=9)
+    with pytest.raises(ValueError, match="'ff' has no parameter 'window'"):
+        nc.SweepSpec(workload="ff", param="n", values=(4.0, 8.0), fixed=(("window", 9.0),))
 
 
 def test_window_defaults_to_five():
-    spec = nc.SweepSpec(workload="mesh", param="m_s", values=(16.0, 32.0))
-    assert nc.run_sweep(spec) == nc.run_sweep(spec, window=5)
-    assert nc.run_sweep(spec) != nc.run_sweep(spec, window=1)
+    def run(*fixed):
+        return nc.run_sweep(nc.SweepSpec(workload="mesh", param="m_s", values=(16.0, 32.0),
+                                         fixed=fixed))
+
+    assert run() == run(("window", 5.0))
+    assert run() != run(("window", 1.0))
+
+
+@pytest.mark.parametrize("workload, param, values, fixed, message", [
+    ("mesh", "m_s", (64.9, 128.0), (), "m_s must be an integer >= 1, got 64.9"),
+    ("mesh", "m_s", (64.0, float("inf")), (), "m_s must be an integer >= 1, got inf"),
+    ("mesh", "m_s", (float("nan"), 64.0), (), "m_s must be an integer >= 1, got nan"),
+    ("ff", "n_i", (4.0, 8.0), (("n", 2.5),), "n must be an integer >= 1, got 2.5"),
+    ("mesh", "m_s", (16.0, 32.0), (("window", 0.0),), "window must be an integer >= 1, got 0"),
+    ("mesh", "m_s", (16.0, 32.0), (("window", -2.0),), "window must be an integer >= 1, got -2"),
+    ("random", "window", (0.0, 2.0), (), "window must be an integer >= 1, got 0"),
+    ("mesh", "n_mesh", (1.0, 2.0), (), "n_mesh must be an integer >= 2, got 1"),
+])
+def test_counts_are_checked_when_the_spec_is_built(workload, param, values, fixed, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        nc.SweepSpec(workload=workload, param=param, values=values, fixed=fixed)
+
+
+def test_point_holds_every_parameter_and_counts_as_ints():
+    spec = nc.SweepSpec(workload="ff", param="n_i", values=(4.0, 8.0),
+                        fixed=(("n", 6.0), ("rate", 1)))
+    assert spec.point(4.0) == {"n": 6, "n_i": 4, "n_j": 6, "rate": 1.0,
+                               "steps_per_presentation": 10, "presentations": 3}
+    assert [type(v) for v in spec.point(4.0).values()] == [int, int, int, float, int, int]
+    mesh = nc.SweepSpec(workload="mesh", param="m_s", values=(64.0, 128.0))
+    assert (mesh.point(128.0)["cycles"], mesh.point(128.0)["window"]) == (8, 5)
+
+
+class _Recording(dict):
+    """A point that records every parameter read from it."""
+
+    def __init__(self, point):
+        super().__init__(point)
+        self.read = set()
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return super().__getitem__(name)
+
+
+@pytest.mark.parametrize("workload, param, value, fixed", [
+    ("mesh", "m_s", 16.0, (("m_t", 4.0),)),
+    ("ff", "n", 2.0, (("presentations", 1.0), ("steps_per_presentation", 2.0))),
+    ("random", "n", 4.0, (("steps", 4.0),)),
+])
+def test_each_runner_reads_exactly_its_table_keys(workload, param, value, fixed):
+    """Every parameter in the table is read, by the runner or by a default
+    derived from it, so none is listed without taking effect."""
+    runner, params = sweep.SWEEP_TABLE[workload]
+    spec = nc.SweepSpec(workload=workload, param=param, values=(value, 2 * value), fixed=fixed)
+    point = _Recording(spec.point(value))
+    runner(point, nc.preset("unit"), 0)
+    for p in params.values():
+        if callable(p.default):
+            p.default(point)
+    assert point.read == set(params)
 
 
 def test_fixed_key_given_twice_is_rejected():
