@@ -28,7 +28,6 @@ from .costs import (
     nmc_energy_per_step,
     nmc_space,
     nmc_time,
-    nmc_total_energy,
     preset,
 )
 from .errors import (
@@ -101,7 +100,6 @@ from .neural import (
 from .sim import (
     AnalogEncoding,
     DigitalEncoding,
-    OutputConvergence,
     ReconciliationReport,
     SimState,
     SimTrace,

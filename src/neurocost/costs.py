@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import FiringRateOutOfRange, UnknownPreset, check_count
 from .graph import GraphMetrics
@@ -216,14 +216,6 @@ def nmc_energy_per_step(r: ResourceCount, c: CostConstants, f_t: float) -> Energ
         "voltage": voltage, "spikegen": spikegen, "synapse": synapse, "spike": spike})
 
 
-def nmc_total_energy(per_step: Iterable[EnergyEstimate | float]) -> float:
-    """Sum per-step energies over a run."""
-    total = 0.0
-    for item in per_step:
-        total += item.total if isinstance(item, EnergyEstimate) else float(item)
-    return total
-
-
 @dataclass(frozen=True)
 class ComparisonRow:
     architecture: str
@@ -278,7 +270,6 @@ def mesh_cost_report(m_s: int, m_t: int, k: int, t1s: int, t_infs: int,
             raise FiringRateOutOfRange(f_t)
         events = f_t * k * n_total
         per_step.append(energy_terms(c, n_total, events, events)[-1])
-    nmc_energy = _estimate({"per_step_series": nmc_total_energy(per_step)})
 
     crossover = None
     conv_cum = 0.0
@@ -291,6 +282,7 @@ def mesh_cost_report(m_s: int, m_t: int, k: int, t1s: int, t_infs: int,
                 crossover = t
         else:
             crossover = None  # must stay below through the end of the series
+    nmc_energy = _estimate({"per_step_series": nmc_cum})
 
     conv_row = ComparisonRow(
         architecture="conventional",

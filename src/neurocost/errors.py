@@ -126,12 +126,13 @@ class NonStochasticMatrix(NeurocostError):
 
 
 class FileSyntaxError(NeurocostError):
-    """Unparseable input text; carries 1-based line and column when known."""
+    """Unparseable input text; names its file and 1-based line and column when known."""
 
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        loc = ""
+    def __init__(self, message: str, line: int | None = None, column: int | None = None,
+                 source: str | None = None):
+        loc = "" if source is None else f" in {source}"
         if line is not None:
-            loc = f" at line {line}" + (f", column {column}" if column is not None else "")
+            loc += f" at line {line}" + (f", column {column}" if column is not None else "")
         super().__init__(message + loc)
         self.line = line
         self.column = column
@@ -146,8 +147,9 @@ class SchemaError(NeurocostError):
 
 
 class UnknownKey(NeurocostError):
-    def __init__(self, key: str):
-        super().__init__(f"unknown configuration key {key!r}")
+    def __init__(self, key: str, source: str | None = None):
+        super().__init__(f"unknown configuration key {key!r}"
+                         + ("" if source is None else f" in {source}"))
         self.key = key
 
 

@@ -156,13 +156,14 @@ def emit_neural_json(ng: NeuralGraph) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def parse_config(text: str, base: CostConstants | None = None,
+def parse_config(text: str, base: CostConstants | None = None, source: str | None = None,
                  _presets: tuple[str, ...] = ()) -> CostConstants:
     """Layer key=value lines over a preset base.
 
     Lines are `key = value` with `#` comments; a `preset = name` line
     picks the base (default "unit"). Keys must be cost-constant fields;
-    CostConstants rejects NaN, infinite and negative values.
+    CostConstants rejects NaN, infinite and negative values. `source`
+    names the file the text was read from in syntax and unknown-key errors.
     `_presets` names the custom presets being loaded, outermost first.
     """
     pairs: dict[str, tuple[str, int]] = {}
@@ -171,7 +172,7 @@ def parse_config(text: str, base: CostConstants | None = None,
         if not line:
             continue
         if "=" not in line:
-            raise FileSyntaxError(f"expected key=value, got {line!r}", line=lineno)
+            raise FileSyntaxError(f"expected key=value, got {line!r}", line=lineno, source=source)
         key, _, value = line.partition("=")
         pairs[key.strip()] = (value.strip(), lineno)
 
@@ -183,12 +184,12 @@ def parse_config(text: str, base: CostConstants | None = None,
     updates: dict[str, float] = {}
     for key, (value, lineno) in pairs.items():
         if key not in field_names:
-            raise UnknownKey(key)
+            raise UnknownKey(key, source)
         try:
             updates[key] = float(value)
         except ValueError as exc:
             raise FileSyntaxError(f"bad numeric value for {key}: {value!r}",
-                                  line=lineno) from exc
+                                  line=lineno, source=source) from exc
     return dataclasses.replace(constants, **updates)
 
 
@@ -203,7 +204,8 @@ def load_preset(name: str, _presets: tuple[str, ...] = ()) -> CostConstants:
     if preset_dir:
         path = Path(preset_dir) / f"{name}.cfg"
         if path.is_file():
-            return parse_config(path.read_text(encoding="utf-8"), _presets=(*_presets, name))
+            return parse_config(path.read_text(encoding="utf-8"), source=str(path),
+                                _presets=(*_presets, name))
     raise UnknownPreset(name)
 
 
@@ -215,7 +217,7 @@ def load_constants(preset_name: str | None = None,
     if config_path is None:
         return base
     text = Path(config_path).read_text(encoding="utf-8")
-    return parse_config(text, base=base)
+    return parse_config(text, base=base, source=str(config_path))
 
 
 def _cell(value: object) -> str:

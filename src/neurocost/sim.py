@@ -19,11 +19,11 @@ a two's-complement fixed-point word and measure change as Hamming
 distance; the analog encoding measures summed |dx|.
 
 Event core: outgoing synapses are compiled once into a read-only CSR
-sorted stably by source (zero-weight synapses left out unless they are
-delivered). Emit gathers the synapses of all of a step's firing sources,
-in source order, with one CSR gather (one contiguous slice when a single
-source fires) and appends one (targets, values) pair per distinct delay
-to the slot of the step it falls due. A value is the weight times the
+sorted stably by source; zero-weight synapses are always left out. Emit
+gathers the synapses of all of a step's firing sources, in source order,
+with one CSR gather (one contiguous slice when a single source fires)
+and appends one (targets, values) pair per distinct delay to the slot of
+the step it falls due. A value is the weight times the
 source's output y. Spiking sources (gate, lif) fire with y exactly 1.0 and
 w * 1.0 == w bit for bit, so they emit their weights as they are; only a
 network where a relu or tanh neuron has outgoing synapses multiplies.
@@ -77,10 +77,11 @@ class DigitalEncoding:
     scale: float = 1.0
 
     def __post_init__(self):
-        if not (4 <= self.word_width <= 64):
-            raise ValueError(f"word_width must be in [4, 64], got {self.word_width}")
-        if not self.scale > 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        check_count("word_width", self.word_width, minimum=4)
+        if self.word_width > 64:
+            raise ValueError(f"word_width must be at most 64, got {self.word_width}")
+        if isinstance(self.scale, bool) or not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"scale must be a finite positive number, got {self.scale!r}")
 
     def words(self, x: np.ndarray) -> np.ndarray:
         w = self.word_width
@@ -150,13 +151,13 @@ class _CompiledNet:
     Groups follow the graph's spec table (first-appearance order), each
     with its neuron indices ascending. Synapses are sorted stably by
     source, so each source's slice keeps declaration order. Zero-weight
-    synapses are left out unless they are delivered. The CSR columns are
-    read-only, because emit may queue a view of `syn_weight`. `scaled` is
-    true when some non-spiking neuron has an outgoing synapse: only then
-    must an emitted weight be multiplied by its source's output.
+    synapses are always left out. The CSR columns are read-only, because
+    emit may queue a view of `syn_weight`. `scaled` is true when some
+    non-spiking neuron has an outgoing synapse: only then must an emitted
+    weight be multiplied by its source's output.
     """
 
-    def __init__(self, ng: NeuralGraph, deliver_zero_weight: bool = False):
+    def __init__(self, ng: NeuralGraph):
         self.graph = ng
         self.ids = ng.neuron_ids
         self.n = len(self.ids)
@@ -167,7 +168,7 @@ class _CompiledNet:
             zip(ng.specs, np.split(by_spec, np.cumsum(sizes)[:-1])))
 
         source = ng.source
-        kept = np.arange(len(source)) if deliver_zero_weight else np.flatnonzero(ng.weight)
+        kept = np.flatnonzero(ng.weight)
         order = kept[np.argsort(source[kept], kind="stable")]
         self.syn_target = ng.target[order]
         self.syn_weight = ng.weight[order]
@@ -216,28 +217,22 @@ class SimState:
     last_y: np.ndarray
     y_written: list[np.ndarray] = field(default_factory=list)  # entries of last_y now set
 
-    @property
-    def n_total(self) -> int:
-        return self.net.n
-
     def membrane(self, neuron_id: str) -> float:
         return float(self.x[self.net.graph.index[neuron_id]])
 
 
 def init_sim(ng: NeuralGraph, encoding: EncodingMode, seed: int,
-             constants: CostConstants = PRESETS["unit"],
-             deliver_zero_weight: bool = False) -> SimState:
+             constants: CostConstants = PRESETS["unit"]) -> SimState:
     """Compile the graph and seed initial state.
 
     Armed neurons, whose initial output `transfer(spec, x0)` is nonzero,
     are marked for evaluation on the first step; an event-driven engine
-    would otherwise never notice them. `deliver_zero_weight` is compiled
-    into the synapse table; `seed` is unused (the engine is deterministic).
-    Raises EmptyGraph for a network without neurons.
+    would otherwise never notice them. `seed` is unused (the engine is
+    deterministic). Raises EmptyGraph for a network without neurons.
     """
     if not ng.neuron_ids:
         raise EmptyGraph("network has no neurons")
-    net = _CompiledNet(ng, deliver_zero_weight)
+    net = _CompiledNet(ng)
     x = ng.x0.copy()
     if not np.all(np.isfinite(x)):
         bad = net.ids[int(np.flatnonzero(~np.isfinite(x))[0])]
@@ -451,20 +446,7 @@ class ZeroActivity:
         check_count("window", self.window)
 
 
-@dataclass(frozen=True)
-class OutputConvergence:
-    """Stop when output neuron emissions change by < tol over `window` steps."""
-
-    window: int = 3
-    tol: float = 1e-6
-
-    def __post_init__(self):
-        ZeroActivity.__post_init__(self)
-        if not (math.isfinite(self.tol) and self.tol >= 0):
-            raise ValueError(f"tol must be finite and >= 0, got {self.tol!r}")
-
-
-StopCondition = ZeroActivity | OutputConvergence | None
+StopCondition = ZeroActivity | None
 
 InputSchedule = Callable[[int], Sequence[tuple[str, float]]] | Mapping[int, Sequence[tuple[str, float]]] | None
 
@@ -483,23 +465,15 @@ def run_sim(s: SimState, max_steps: int, stop: StopCondition = None,
     zero_run = 0
     schedule = {} if inputs is None else inputs
     lookup = schedule if callable(schedule) else schedule.get
-    quiet_stop = isinstance(stop, ZeroActivity)
-    converge_stop = isinstance(stop, OutputConvergence)
 
     for _ in range(max_steps):
         rec = step_sim(s, lookup(s.t) or ())
         records.append(rec)
         out_rows.append(s.last_y[net.output_idx])
 
-        if quiet_stop:
+        if stop is not None:
             zero_run = zero_run + 1 if rec.spikes == 0 else 0
             if zero_run >= stop.window:
-                break
-        elif converge_stop and len(records) > stop.window:
-            recent = out_rows[-(stop.window + 1):]
-            deltas = [float(np.max(np.abs(a - b))) if len(a) else 0.0
-                      for a, b in zip(recent[1:], recent)]
-            if max(deltas) < stop.tol:
                 break
 
     e_n = 0.0

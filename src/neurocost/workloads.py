@@ -57,7 +57,8 @@ class Dtmc:
 @dataclass(frozen=True)
 class MeshSpec:
     """A mesh relaxation problem: m_s points, fan-out k, m_t timesteps,
-    n_mesh neurons per point, and an initial state vector."""
+    n_mesh neurons per point, and an initial state vector. A chain's
+    transition matrix is checked once, here."""
 
     m_s: int
     k: int
@@ -79,6 +80,8 @@ class MeshSpec:
             raise ValueError(f"init has {len(self.init)} entries for m_s={self.m_s}")
         if not all(math.isfinite(v) for v in self.init):
             raise ValueError("init must be finite")
+        if isinstance(self.dynamics, Dtmc):
+            _check_dtmc(self, self.dynamics.as_array())
 
 
 def _ring_offsets(spec: MeshSpec) -> list[int]:
@@ -122,7 +125,6 @@ def _coupling_rows(spec: MeshSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     validated matrix for a chain."""
     if isinstance(spec.dynamics, Dtmc):
         p = spec.dynamics.as_array()
-        _check_dtmc(spec, p)
         rows, cols = np.nonzero(p)
         return rows, cols, p[rows, cols]
     offsets = _ring_offsets(spec)
@@ -159,7 +161,6 @@ def mesh_equilibrium(spec: MeshSpec) -> np.ndarray:
     if isinstance(spec.dynamics, Diffusion):
         return np.full(spec.m_s, init.mean())
     p = spec.dynamics.as_array()
-    _check_dtmc(spec, p)
     a = np.vstack([p.T - np.eye(spec.m_s), np.ones((1, spec.m_s))])
     b = np.zeros(spec.m_s + 1)
     b[-1] = 1.0
@@ -269,7 +270,7 @@ class FFLayerSpec:
             n_i=arr.shape[0],
             n_j=arr.shape[1],
             weights=tuple(tuple(float(v) for v in row) for row in arr),
-            rate_code=(tuple(float(r) for r in rates), int(steps_per_presentation)),
+            rate_code=(tuple(float(r) for r in rates), steps_per_presentation),
         )
 
     def __post_init__(self) -> None:

@@ -100,12 +100,25 @@ class TestAnalyze:
         assert out == ""
         assert err.startswith("error: preset cycle: ") and f"{first!r}" in err
 
+    @pytest.mark.parametrize("how", ["--preset", "--config naming the preset", "--config"])
+    def test_bad_line_names_its_file(self, capsys, tmp_path, monkeypatch, how):
+        bad = "e_spike = 2\ne_op = abc\n"
+        (tmp_path / "mine.cfg").write_text(bad)
+        monkeypatch.setenv(fileio.PRESET_DIR_ENV, str(tmp_path))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("preset = mine\n" if how == "--config naming the preset" else bad)
+        extra = ["--preset", "mine"] if how == "--preset" else ["--config", str(cfg)]
+        code, out, err = invoke(capsys, ["analyze", FOOTNOTE] + extra)
+        assert (code, out) == (2, "")
+        bad_file = cfg if how == "--config" else tmp_path / "mine.cfg"
+        assert err == f"error: bad numeric value for e_op: 'abc' in {bad_file} at line 2\n"
+
     def test_core_count_is_not_a_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "cores.cfg"
         cfg.write_text("n_core = 4\n")
         code, out, err = invoke(capsys, ["analyze", FOOTNOTE, "--config", str(cfg)])
         assert (code, out) == (2, "")
-        assert "unknown configuration key 'n_core'" in err
+        assert f"unknown configuration key 'n_core' in {cfg}" in err
 
     @pytest.mark.parametrize("preset, terms", [
         ("unit", {"voltage": 12.0, "spikegen": 12.0, "synapse": 9.0, "spike": 9.0}),

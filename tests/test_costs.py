@@ -7,7 +7,6 @@ import pytest
 
 from neurocost import (
     CostConstants,
-    EnergyEstimate,
     FiringRateOutOfRange,
     GraphMetrics,
     PRESETS,
@@ -23,7 +22,6 @@ from neurocost import (
     nmc_energy_per_step,
     nmc_space,
     nmc_time,
-    nmc_total_energy,
     preset,
 )
 
@@ -236,13 +234,17 @@ def test_energy_breakdown_sums_to_total():
     assert e.total == sum(e.breakdown.values())
 
 
-def test_nmc_total_energy_mixes_estimates_and_floats():
-    est = EnergyEstimate(total=2.5, breakdown={"x": 2.5})
-    assert nmc_total_energy([est, 1.5, est]) == 6.5
-    assert nmc_total_energy([]) == 0.0
-
-
 # -------------------------------------------------------------- mesh report
+
+
+def test_mesh_report_nmc_total_is_left_to_right_series_sum():
+    f_series = [(t * 0.618034) % 1.0 for t in range(200)]
+    table = mesh_cost_report(1024, 200, 4, 3, 3, 2, SKEW, f_series)
+    total = 0.0
+    for e_t in table.nmc_energy_series:
+        total += e_t
+    assert table.row("nmc").energy.total == total
+    assert total != math.fsum(table.nmc_energy_series)  # the order is visible in the bits
 
 
 def test_mesh_report_conventional_energy_exact():

@@ -136,12 +136,9 @@ class TestDtmc:
         ((0.5, 0.5, 0.0), (0.1, 0.9, 0.0)),   # shape mismatch with m_s
     ])
     def test_non_stochastic_rejected(self, matrix):
-        spec = nc.MeshSpec(m_s=2, k=2, m_t=5, dynamics=Dtmc(matrix),
-                           init=(1.0, 1.0), v_thresh=0.25)
         with pytest.raises(nc.NonStochasticMatrix):
-            coupling_matrix(spec)
-        with pytest.raises(nc.NonStochasticMatrix):
-            nc.gen_mesh(spec)
+            nc.MeshSpec(m_s=2, k=2, m_t=5, dynamics=Dtmc(matrix),
+                        init=(1.0, 1.0), v_thresh=0.25)
 
     def test_coupling_wider_than_fanout_rejected(self):
         dense = Dtmc((
@@ -150,10 +147,9 @@ class TestDtmc:
             (0.25, 0.25, 0.25, 0.25),
             (0.2, 0.3, 0.3, 0.2),
         ))
-        spec = nc.MeshSpec(m_s=4, k=2, m_t=5, dynamics=dense,
-                           init=(1.0,) * 4, v_thresh=0.25)
-        with pytest.raises(ValueError):
-            nc.gen_mesh(spec)
+        with pytest.raises(ValueError, match="couples to 3 neighbors, limit is k=2"):
+            nc.MeshSpec(m_s=4, k=2, m_t=5, dynamics=dense,
+                        init=(1.0,) * 4, v_thresh=0.25)
 
     def test_two_state_chain_equilibrium(self):
         # pi = (1/6, 5/6), scaled to the initial mass of 4
@@ -276,6 +272,9 @@ class TestFFLayer:
                 FFLayerSpec(n_i=bad, n_j=4, weights=(), rate_code=((), 10))
         with pytest.raises(ValueError, match="steps per presentation must be an integer >= 1"):
             FFLayerSpec(n_i=1, n_j=1, weights=((1.0,),), rate_code=((0.5,), 2.5))
+        for bad in (2.5, True):  # from_arrays passes the count on unconverted
+            with pytest.raises(ValueError, match="steps per presentation must be an integer >= 1"):
+                FFLayerSpec.from_arrays(np.ones((2, 2)), [0.5, 0.5], bad)
 
 
 class TestSelfExcitingLoop:
