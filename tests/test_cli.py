@@ -113,6 +113,18 @@ class TestAnalyze:
         bad_file = cfg if how == "--config" else tmp_path / "mine.cfg"
         assert err == f"error: bad numeric value for e_op: 'abc' in {bad_file} at line 2\n"
 
+    @pytest.mark.parametrize("text, message", [
+        ("e_spike = 2\nn_core = 4\n", "unknown configuration key 'n_core' in {}"),
+        ("e_spike = 2\ne_op 3\n", "expected key=value, got 'e_op 3' in {} at line 2"),
+    ], ids=["unknown key", "no equals sign"])
+    def test_preset_file_error_names_it(self, capsys, tmp_path, monkeypatch, text, message):
+        preset_file = tmp_path / "mine.cfg"
+        preset_file.write_text(text)
+        monkeypatch.setenv(fileio.PRESET_DIR_ENV, str(tmp_path))
+        code, out, err = invoke(capsys, ["analyze", FOOTNOTE, "--preset", "mine"])
+        assert (code, out) == (2, "")
+        assert err == f"error: {message.format(preset_file)}\n"
+
     def test_core_count_is_not_a_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "cores.cfg"
         cfg.write_text("n_core = 4\n")

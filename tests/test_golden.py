@@ -255,11 +255,17 @@ def test_random_networks_exercise_multi_delay_and_zero_weights():
     ng = random_network(0)
     assert {s.delay for s in ng.synapses} == {1, 2, 3, 4}
     assert any(s.weight == 0.0 for s in ng.synapses)
-    tr, state = case_random(0, "analog")
+    tr, _ = case_random(0, "analog")
     assert sum(r.synaptic_events for r in tr.records) > 100
-    # The compiled table holds exactly the nonzero-weight synapses.
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_networks_compile_only_nonzero_weights(seed):
+    # Zero-weight synapses, +0.0 and -0.0 alike, are left out of the table.
+    ng = random_network(seed)
     kept = sorted((s.source, s.target, s.weight, s.delay) for s in ng.synapses if s.weight != 0.0)
-    net = state.net
+    assert len(kept) < len(ng.synapses)
+    net = nc.init_sim(ng, ENCODINGS["analog"], 0).net
     src = np.repeat(np.arange(net.n), np.diff(net.out_indptr))
     table = sorted((net.ids[a], net.ids[b], w, d) for a, b, w, d in zip(
         src.tolist(), net.syn_target.tolist(), net.syn_weight.tolist(), net.syn_delay.tolist()))

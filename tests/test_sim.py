@@ -111,6 +111,24 @@ class TestStepAccounting:
         assert [r.synaptic_events for r in tr.records] == [0, 0, 0]
         assert [r.e_t for r in tr.records] == [2.0, 0.0, 0.0]
 
+    def test_zero_weight_fanout_is_not_delivered(self):
+        # A fires into B over a zero and a nonzero synapse and into C over
+        # -0.0: only the nonzero one is compiled, carried and billed.
+        ng = nc.NeuralGraph(
+            neurons=(("A", RELAY, 1.5), ("B", RELAY, 0.0), ("C", RELAY, 0.0)),
+            synapses=(nc.SynapseSpec("A", "B", 0.0), nc.SynapseSpec("A", "B", 0.5),
+                      nc.SynapseSpec("A", "C", -0.0)),
+            input_neurons=("A",),
+            output_neurons=("B", "C"),
+        )
+        state = nc.init_sim(ng, nc.AnalogEncoding(), 0)
+        assert state.net.out_indptr.tolist() == [0, 1, 1, 1]
+        assert state.net.syn_weight.tolist() == [0.5]
+        tr = nc.run_sim(state, 3)
+        assert [r.synaptic_events for r in tr.records] == [0, 1, 0]
+        assert tr.records[1].neurons_touched == 1
+        assert (state.membrane("B"), state.membrane("C")) == (0.5, 0.0)
+
     def test_armed_relu_emits_without_state_write(self):
         ann = nc.NeuronSpec(model_kind="ann_relu")
         ng = nc.NeuralGraph(
@@ -242,6 +260,13 @@ class TestDigitalEncoding:
         with pytest.raises(ValueError):
             nc.DigitalEncoding(**{"word_width": 8, "scale": 1.0, **bad})
 
+    @pytest.mark.parametrize("width, scale", [(4, 1.0), (64, 1.0), (8, 2)])
+    def test_encoding_accepts_bounds_and_int_scale(self, width, scale):
+        enc = nc.DigitalEncoding(width, scale=scale)
+        ref = nc.DigitalEncoding(width, scale=float(scale))
+        x = np.array([0.3, -0.7, 1.9, -5.0])
+        assert enc.words(x).tolist() == ref.words(x).tolist()
+
     def test_digital_decay_freezes_below_quantum(self):
         leaky = nc.NeuronSpec(model_kind="lif", v_thresh=10.0, tau=3.0)
         ng = nc.NeuralGraph(
@@ -292,6 +317,17 @@ class TestRunControl:
         # window 0 used to stop a still-firing loop after one step
         with pytest.raises(ValueError, match="window"):
             make()
+
+    def test_no_stop_runs_every_step(self):
+        ng = nc.NeuralGraph(
+            neurons=(("q", RELAY, 0.0),),
+            synapses=(),
+            input_neurons=("q",),
+            output_neurons=("q",),
+        )
+        tr = run(ng, 9, stop=None)
+        assert len(tr.records) == 9
+        assert [r.e_t for r in tr.records] == [0.0] * 9
 
     def test_window_one_never_stops_a_firing_loop(self):
         tr = run(nc.gen_self_exciting_loop(), 12, stop=nc.ZeroActivity(1))

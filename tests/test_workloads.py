@@ -151,6 +151,26 @@ class TestDtmc:
             nc.MeshSpec(m_s=4, k=2, m_t=5, dynamics=dense,
                         init=(1.0,) * 4, v_thresh=0.25)
 
+    def test_chain_is_checked_once_at_construction(self, monkeypatch):
+        import neurocost.workloads as workloads
+        calls = []
+        check = workloads._check_dtmc
+
+        def counted(spec, p):
+            calls.append(p.shape)
+            check(spec, p)
+
+        monkeypatch.setattr(workloads, "_check_dtmc", counted)
+        spec = nc.MeshSpec(m_s=2, k=2, m_t=10, dynamics=Dtmc(((0.5, 0.5), (0.1, 0.9))),
+                           init=(3.0, 1.0), v_thresh=0.05)
+        assert calls == [(2, 2)]
+        _, ng = nc.gen_mesh(spec)
+        state = nc.init_sim(ng, nc.AnalogEncoding(), 0)
+        nc.run_sim(state, 10)
+        decode_mesh_state(spec, state)
+        mesh_equilibrium(spec)
+        assert calls == [(2, 2)]
+
     def test_two_state_chain_equilibrium(self):
         # pi = (1/6, 5/6), scaled to the initial mass of 4
         chain = Dtmc(((0.5, 0.5), (0.1, 0.9)))
