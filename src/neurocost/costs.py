@@ -256,6 +256,9 @@ def mesh_cost_report(m_s: int, m_t: int, k: int, t1s: int, t_infs: int,
     neuromorphic energy stays strictly below the cumulative conventional
     energy, or None if that never happens within the series.
     """
+    m_s, m_t, k, t1s, t_infs, n_mesh = map(
+        check_count, ("m_s", "m_t", "k", "t1s", "t_infs", "n_mesh"),
+        (m_s, m_t, k, t1s, t_infs, n_mesh), (1, 1, 0, 1, 1, 2))
     if len(f_series) == 0:
         raise ValueError("f_series must contain at least one firing rate")
     metrics = GraphMetrics(t1=m_s * m_t * t1s, t_inf=m_t * t_infs,
@@ -315,8 +318,7 @@ def ff_cost_report(n_i: int, n_j: int, c: CostConstants, f_t: float) -> Comparis
     firing-dependent synapse and spike terms carry the quadratic cost. The
     conventional side runs on one processor.
     """
-    check_count("n_i", n_i)
-    check_count("n_j", n_j)
+    n_i, n_j = check_count("n_i", n_i), check_count("n_j", n_j)
     if not (0.0 <= f_t <= 1.0):
         raise FiringRateOutOfRange(f_t)
     s_total = n_i * n_j

@@ -9,15 +9,22 @@ tests a count by hand.
 
 from __future__ import annotations
 
+import operator
+from contextlib import suppress
+
 
 class NeurocostError(Exception):
     """Base class for all package-specific errors."""
 
 
-def check_count(name: str, value: object, minimum: int = 1) -> None:
-    """Raise ValueError unless `value` is an int (a bool is not) >= minimum."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+def check_count(name: str, value: object, minimum: int = 1) -> int:
+    """`value` as a Python int; ValueError unless it is an integer, Python's
+    or numpy's (a bool is not), and >= minimum."""
+    if not isinstance(value, bool):
+        with suppress(TypeError):
+            if (count := operator.index(value)) >= minimum:
+                return count
+    raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 # graph construction and validation

@@ -163,7 +163,7 @@ def parse_config(text: str, base: CostConstants | None = None, source: str | Non
     Lines are `key = value` with `#` comments; a `preset = name` line
     picks the base (default "unit"). Keys must be cost-constant fields;
     CostConstants rejects NaN, infinite and negative values. `source`
-    names the file the text was read from in syntax and unknown-key errors.
+    names the file the text was read from in every error its lines raise.
     `_presets` names the custom presets being loaded, outermost first.
     """
     pairs: dict[str, tuple[str, int]] = {}
@@ -190,7 +190,12 @@ def parse_config(text: str, base: CostConstants | None = None, source: str | Non
         except ValueError as exc:
             raise FileSyntaxError(f"bad numeric value for {key}: {value!r}",
                                   line=lineno, source=source) from exc
-    return dataclasses.replace(constants, **updates)
+    try:
+        return dataclasses.replace(constants, **updates)
+    except ValueError as exc:
+        if source is None:
+            raise
+        raise ValueError(f"{exc} in {source}") from exc
 
 
 def load_preset(name: str, _presets: tuple[str, ...] = ()) -> CostConstants:

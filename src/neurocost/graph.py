@@ -324,7 +324,7 @@ def list_schedule(vg: ValidatedGraph, p: int) -> ScheduleResult:
     after all of its inputs because levels are scheduled in order. The
     assignment lists nodes by level, then in topological order.
     """
-    check_count("processor count", p)
+    p = check_count("processor count", p)
 
     # Topological order is level-sorted; no level is wider than len(vg),
     # so any larger p schedules like len(vg) and stays within int64.
@@ -356,8 +356,8 @@ def expand_template(template: ComputeGraph, spatial_copies: int, temporal_copies
     Raises StitchingMismatch when a neighbor index falls outside
     [0, spatial_copies).
     """
-    check_count("spatial_copies", spatial_copies)
-    check_count("temporal_copies", temporal_copies)
+    spatial_copies = check_count("spatial_copies", spatial_copies)
+    temporal_copies = check_count("temporal_copies", temporal_copies)
     tvg = validate_graph(template)
 
     def neighbors_of(s: int) -> tuple[int, ...]:

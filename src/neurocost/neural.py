@@ -150,7 +150,8 @@ class SynapseSpec:
     delay: int = 1
 
     def __post_init__(self):
-        check_count(f"delay of synapse {self.source!r} -> {self.target!r}", self.delay)
+        object.__setattr__(self, "delay", check_count(
+            f"delay of synapse {self.source!r} -> {self.target!r}", self.delay))
 
 
 def _int_column(name: str, values, length: int) -> np.ndarray:
@@ -314,10 +315,10 @@ class LoweringRule:
     max_fan_in: int | None = None
 
     def __post_init__(self):
-        check_count("neuron_count", self.neuron_count)
-        check_count("synapse delay", self.delay)
+        object.__setattr__(self, "neuron_count", check_count("neuron_count", self.neuron_count))
+        object.__setattr__(self, "delay", check_count("synapse delay", self.delay))
         if self.max_fan_in is not None:
-            check_count("max_fan_in", self.max_fan_in, minimum=0)
+            object.__setattr__(self, "max_fan_in", check_count("max_fan_in", self.max_fan_in, 0))
         for name in ("input_weight", "chain_weight"):
             if isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")

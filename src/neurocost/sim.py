@@ -77,7 +77,7 @@ class DigitalEncoding:
     scale: float = 1.0
 
     def __post_init__(self):
-        check_count("word_width", self.word_width, minimum=4)
+        object.__setattr__(self, "word_width", check_count("word_width", self.word_width, 4))
         if self.word_width > 64:
             raise ValueError(f"word_width must be at most 64, got {self.word_width}")
         if isinstance(self.scale, bool) or not (math.isfinite(self.scale) and self.scale > 0):
@@ -443,7 +443,7 @@ class ZeroActivity:
     window: int = 3
 
     def __post_init__(self):
-        check_count("window", self.window)
+        object.__setattr__(self, "window", check_count("window", self.window))
 
 
 StopCondition = ZeroActivity | None
@@ -517,9 +517,6 @@ class ReconciliationReport:
     steps: int
     f_mean: float
     terms: Mapping[str, TermComparison]
-    voltage_measured_mean: float
-    voltage_unrefined_prediction: float
-    voltage_refined_prediction: float
 
 
 def reconcile_energy(tr: SimTrace, r: ResourceCount, c: CostConstants) -> ReconciliationReport:
@@ -527,16 +524,15 @@ def reconcile_energy(tr: SimTrace, r: ResourceCount, c: CostConstants) -> Reconc
     bit-exactly; MismatchDetected otherwise) and compare the measured
     firing-dependent terms against their closed-form predictions at the
     trace's mean firing rate."""
-    # One pass in step order: the check, e_n and the four term sums, each
-    # a left-to-right sum from 0.0.
-    e_n = voltage = spikegen = synapse = spike = 0.0
+    # One pass in step order: the check, e_n and the three firing-dependent
+    # term sums, each a left-to-right sum from 0.0.
+    e_n = spikegen = synapse = spike = 0.0
     for rec in tr.records:
         recorded = (rec.e_voltage_term, rec.e_spikegen_term, rec.e_synapse_term,
                     rec.e_spike_term, rec.e_t)
         if energy_terms(c, rec.neurons_touched, rec.spikes, rec.synaptic_events) != recorded:
             raise MismatchDetected(f"recorded energy at t={rec.t} disagrees with its events")
         e_n += recorded[4]
-        voltage += recorded[0]
         spikegen += recorded[1]
         synapse += recorded[2]
         spike += recorded[3]
@@ -545,15 +541,11 @@ def reconcile_energy(tr: SimTrace, r: ResourceCount, c: CostConstants) -> Reconc
 
     steps = len(tr.records)
     f_mean = float(np.mean(tr.f_series)) if steps else 0.0
-    sums = {"voltage": voltage, "spikegen": spikegen, "synapse": synapse, "spike": spike}
-    mean = {name: total / steps if steps else 0.0 for name, total in sums.items()}
-
+    sums = {"spikegen": spikegen, "synapse": synapse, "spike": spike}
     predicted = nmc_energy_per_step(r, c, f_mean).breakdown
-    analytic = {name: predicted[name] for name in ("spikegen", "synapse", "spike")}
-    measured = {name: mean[name] for name in analytic}
     terms = {}
-    for name in analytic:
-        a, m = analytic[name], measured[name]
+    for name, total in sums.items():
+        a, m = predicted[name], total / steps if steps else 0.0
         if a == 0.0 and m == 0.0:
             ratio = 1.0
         elif m == 0.0:
@@ -561,14 +553,4 @@ def reconcile_energy(tr: SimTrace, r: ResourceCount, c: CostConstants) -> Reconc
         else:
             ratio = a / m
         terms[name] = TermComparison(analytic=a, measured=m, ratio=ratio)
-
-    k_bar = r.s_total / r.n_total if r.n_total else 0.0
-    refined = c.e_voltage * r.n_total * (1.0 - (1.0 - f_mean) ** k_bar)
-    return ReconciliationReport(
-        steps=steps,
-        f_mean=f_mean,
-        terms=terms,
-        voltage_measured_mean=mean["voltage"],
-        voltage_unrefined_prediction=predicted["voltage"],
-        voltage_refined_prediction=refined,
-    )
+    return ReconciliationReport(steps=steps, f_mean=f_mean, terms=terms)

@@ -96,7 +96,7 @@ def _mesh_point(p: Mapping[str, float], constants: CostConstants, seed: int) -> 
 def _ff_point(p: Mapping[str, float], constants: CostConstants, seed: int) -> PointResult:
     n_i, spp = p["n_i"], p["steps_per_presentation"]
     weights = np.random.default_rng(seed).uniform(0.2, 1.0, size=(n_i, p["n_j"]))
-    spec = FFLayerSpec.from_arrays(weights, [p["rate"]] * n_i, spp)
+    spec = FFLayerSpec(weights, [p["rate"]] * n_i, spp)
     trace = _simulate(gen_ff_layer(spec), constants, seed, p["presentations"] * spp,
                       inputs=ff_input_schedule(spec))
     return float(trace.e_n / p["presentations"]), trace.e_n, len(trace.records)
@@ -124,8 +124,7 @@ class Param:
         """A count as a checked int, any other value as a float."""
         if self.minimum is None:
             return float(value)
-        check_count(name, int(value) if float(value).is_integer() else value, self.minimum)
-        return int(value)
+        return check_count(name, int(value) if float(value).is_integer() else value, self.minimum)
 
 
 #: Each workload's point runner and its parameters in help order, each as
@@ -175,7 +174,7 @@ class SweepSpec:
                 raise ValueError(f"parameter {key!r} is fixed more than once")
         if len(self.values) < 2:
             raise ValueError("a sweep needs at least two values to regress over")
-        check_count("repetitions", self.repetitions)
+        object.__setattr__(self, "repetitions", check_count("repetitions", self.repetitions))
         for value in self.values:
             self.point(value)
 

@@ -240,7 +240,7 @@ def partition_isomorphic(vg: ValidatedGraph, granularity: int) -> PartitionResul
     fragments, every member's exact signature must equal the first
     member's.
     """
-    check_count("granularity", granularity)
+    granularity = check_count("granularity", granularity)
     levels = node_levels(vg)
 
     def tiling_key(nid: str) -> tuple[int, str]:
@@ -343,7 +343,7 @@ def brute_force_partition(vg: ValidatedGraph, granularity: int) -> PartitionResu
     GraphTooLargeForOracle."""
     if len(vg) > ORACLE_CAP:
         raise GraphTooLargeForOracle(f"oracle capped at {ORACLE_CAP} nodes, got {len(vg)}")
-    check_count("granularity", granularity)
+    granularity = check_count("granularity", granularity)
     by_label = _group_by_label(extract_fragment(vg, subset)
                                for subset in _connected_subsets(vg, granularity))
 

@@ -12,6 +12,9 @@ tests:
 The mesh oracle iterates the sparse rows of the coupling matrix, so it
 costs O(m_s * k) memory like the network itself; the spiking version is
 compared against it by decoding membrane state back to mesh values.
+
+Specs hold their numbers as read-only float copies of the caller's
+values, and compare by identity.
 """
 
 from __future__ import annotations
@@ -31,6 +34,13 @@ from .sim import SimState
 _STOCHASTIC_TOL = 1e-9
 
 
+def _frozen(values) -> np.ndarray:
+    """A read-only float copy of `values`."""
+    arr = np.array(values, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class Diffusion:
     """Nearest-neighbor averaging on a ring: each point keeps (1 - alpha)
@@ -43,18 +53,18 @@ class Diffusion:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dtmc:
     """Expected-value iteration of a discrete-time Markov chain: the state
     row-vector is multiplied by the transition matrix each step."""
 
-    matrix: tuple[tuple[float, ...], ...]
+    matrix: np.ndarray
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.matrix, dtype=float)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "matrix", _frozen(self.matrix))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeshSpec:
     """A mesh relaxation problem: m_s points, fan-out k, m_t timesteps,
     n_mesh neurons per point, and an initial state vector. A chain's
@@ -64,24 +74,23 @@ class MeshSpec:
     k: int
     m_t: int
     dynamics: Diffusion | Dtmc
-    init: tuple[float, ...]
+    init: np.ndarray
     n_mesh: int = 2
     v_thresh: float = 0.05
 
     def __post_init__(self) -> None:
-        check_count("m_s", self.m_s)
-        check_count("k", self.k, minimum=0)
-        check_count("m_t", self.m_t)
-        check_count("n_mesh", self.n_mesh, minimum=2)  # one rail per residual sign
+        # n_mesh is at least 2: one rail per residual sign
+        for name, least in (("m_s", 1), ("k", 0), ("m_t", 1), ("n_mesh", 2)):
+            object.__setattr__(self, name, check_count(name, getattr(self, name), least))
         if self.v_thresh <= 0:
             raise ValueError("v_thresh must be positive")
-        object.__setattr__(self, "init", tuple(float(v) for v in self.init))
-        if len(self.init) != self.m_s:
-            raise ValueError(f"init has {len(self.init)} entries for m_s={self.m_s}")
-        if not all(math.isfinite(v) for v in self.init):
+        object.__setattr__(self, "init", _frozen(self.init))
+        if self.init.shape != (self.m_s,):
+            raise ValueError(f"init has {self.init.size} entries for m_s={self.m_s}")
+        if not np.all(np.isfinite(self.init)):
             raise ValueError("init must be finite")
         if isinstance(self.dynamics, Dtmc):
-            _check_dtmc(self, self.dynamics.as_array())
+            _check_dtmc(self, self.dynamics.matrix)
 
 
 def _ring_offsets(spec: MeshSpec) -> list[int]:
@@ -124,7 +133,7 @@ def _coupling_rows(spec: MeshSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the diagonal, alpha/k on each ring offset), the nonzeros of the
     validated matrix for a chain."""
     if isinstance(spec.dynamics, Dtmc):
-        p = spec.dynamics.as_array()
+        p = spec.dynamics.matrix
         rows, cols = np.nonzero(p)
         return rows, cols, p[rows, cols]
     offsets = _ring_offsets(spec)
@@ -144,7 +153,7 @@ def reference_mesh_solve(spec: MeshSpec) -> np.ndarray:
     """
     rows, cols, vals = _coupling_rows(spec)
     series = np.empty((spec.m_t + 1, spec.m_s))
-    series[0] = np.asarray(spec.init, dtype=float)
+    series[0] = spec.init
     for t in range(spec.m_t):
         series[t + 1] = np.bincount(cols, weights=series[t][rows] * vals, minlength=spec.m_s)
     return series
@@ -157,15 +166,13 @@ def mesh_equilibrium(spec: MeshSpec) -> np.ndarray:
     vector pi (pi = pi @ P, sum 1) is solved by least squares, so
     reducible chains get the minimum-norm stationary vector.
     """
-    init = np.asarray(spec.init, dtype=float)
     if isinstance(spec.dynamics, Diffusion):
-        return np.full(spec.m_s, init.mean())
-    p = spec.dynamics.as_array()
-    a = np.vstack([p.T - np.eye(spec.m_s), np.ones((1, spec.m_s))])
+        return np.full(spec.m_s, spec.init.mean())
+    a = np.vstack([spec.dynamics.matrix.T - np.eye(spec.m_s), np.ones((1, spec.m_s))])
     b = np.zeros(spec.m_s + 1)
     b[-1] = 1.0
     pi, *_ = np.linalg.lstsq(a, b, rcond=None)
-    return pi * init.sum()
+    return pi * spec.init.sum()
 
 
 def rail_ids(spec: MeshSpec) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -202,7 +209,7 @@ def gen_mesh(spec: MeshSpec) -> tuple[ComputeGraph, NeuralGraph]:
 
     rows, cols, vals = _coupling_rows(spec)
     equilibrium = mesh_equilibrium(spec)
-    deviation = np.asarray(spec.init, dtype=float) - equilibrium
+    deviation = spec.init - equilibrium
     pos_ids, neg_ids = rail_ids(spec)
 
     # Rails: every pos neuron, every neg neuron, then the padding. x0 is
@@ -242,51 +249,47 @@ def decode_mesh_state(spec: MeshSpec, state: SimState) -> np.ndarray:
 
 
 def sinusoid_init(m_s: int, amplitude: float = 1.0, mean: float = 1.0,
-                  cycles: int = 1) -> tuple[float, ...]:
+                  cycles: int = 1) -> np.ndarray:
     """Smooth periodic initial state, handy for size sweeps."""
     phase = 2.0 * math.pi * cycles * np.arange(m_s) / m_s
-    return tuple(float(v) for v in mean + amplitude * np.sin(phase))
+    return mean + amplitude * np.sin(phase)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FFLayerSpec:
-    """A dense layer: n_i sources, n_j units, an n_i x n_j weight matrix,
-    and a deterministic rate code (per-source rates, steps per
+    """A dense layer: an n_i x n_j weight matrix from n_i sources to n_j
+    units, and a deterministic rate code (one rate per source, steps per
     presentation)."""
 
-    n_i: int
-    n_j: int
-    weights: tuple[tuple[float, ...], ...]
-    rate_code: tuple[tuple[float, ...], int]
-
-    @staticmethod
-    def from_arrays(weights: np.ndarray | Sequence[Sequence[float]],
-                    rates: Sequence[float],
-                    steps_per_presentation: int) -> "FFLayerSpec":
-        arr = np.asarray(weights, dtype=float)
-        if arr.ndim != 2:
-            raise ValueError("weights must be a 2-d matrix")
-        return FFLayerSpec(
-            n_i=arr.shape[0],
-            n_j=arr.shape[1],
-            weights=tuple(tuple(float(v) for v in row) for row in arr),
-            rate_code=(tuple(float(r) for r in rates), steps_per_presentation),
-        )
+    weights: np.ndarray
+    rates: np.ndarray
+    steps_per_presentation: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "weights", _frozen(self.weights))
+        object.__setattr__(self, "rates", _frozen(self.rates))
+        if self.weights.ndim != 2:
+            raise ValueError("weights must be a 2-d matrix")
         check_count("n_i", self.n_i)
         check_count("n_j", self.n_j)
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (self.n_i, self.n_j):
-            raise ValueError(f"weights shape {w.shape} does not match {self.n_i}x{self.n_j}")
-        if not np.all(np.isfinite(w)):
+        if not np.all(np.isfinite(self.weights)):
             raise ValueError("weights must be finite")
-        rates, steps = self.rate_code
-        if len(rates) != self.n_i:
-            raise ValueError(f"rate code has {len(rates)} rates for n_i={self.n_i}")
-        if any(not (0.0 <= r <= 1.0) for r in rates):
+        if self.rates.shape != (self.n_i,):
+            raise ValueError(f"rate code has {self.rates.size} rates for n_i={self.n_i}")
+        if not np.all((self.rates >= 0.0) & (self.rates <= 1.0)):
             raise ValueError("rates must lie in [0, 1]")
-        check_count("steps per presentation", steps)
+        object.__setattr__(self, "steps_per_presentation", check_count(
+            "steps per presentation", self.steps_per_presentation))
+
+    from_arrays = classmethod(lambda cls, *args: cls(*args))  # the constructor's earlier name
+
+    @property
+    def n_i(self) -> int:
+        return self.weights.shape[0]
+
+    @property
+    def n_j(self) -> int:
+        return self.weights.shape[1]
 
 
 FF_INPUT_THRESH = 0.5
@@ -318,7 +321,7 @@ def gen_ff_layer(spec: FFLayerSpec) -> NeuralGraph:
         np.repeat([0, 1], [spec.n_i, spec.n_j]), np.zeros(spec.n_i + spec.n_j),
         source=np.repeat(np.arange(spec.n_i), spec.n_j),
         target=np.tile(np.arange(spec.n_i, spec.n_i + spec.n_j), spec.n_i),
-        weight=np.asarray(spec.weights, dtype=float).reshape(m),
+        weight=spec.weights.reshape(m),
         delay=np.ones(m, dtype=np.int64),
         input_neurons=sources,
         output_neurons=units,
@@ -334,7 +337,7 @@ def ff_input_schedule(spec: FFLayerSpec) -> Callable[[int], tuple[tuple[str, flo
     maps a step index to (neuron id, injected value) pairs; each phase's
     pairs are computed on its first use and then reused.
     """
-    rates, steps = spec.rate_code
+    rates, steps = spec.rates.tolist(), spec.steps_per_presentation
     sources = ff_input_ids(spec)
     phases: dict[int, tuple[tuple[str, float], ...]] = {}
 

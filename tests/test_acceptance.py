@@ -191,7 +191,7 @@ def test_criterion_07_energy_reconciliation(capsys):
     suite["mesh256"] = mesh_trace(256, cycles=1, steps=200)
 
     rng = np.random.default_rng(11)
-    fspec = nc.FFLayerSpec.from_arrays(rng.uniform(0.5, 1.0, size=(16, 16)),
+    fspec = nc.FFLayerSpec(rng.uniform(0.5, 1.0, size=(16, 16)),
                                        [0.5] * 16, 10)
     ngf = nc.gen_ff_layer(fspec)
     trf = nc.run_sim(nc.init_sim(ngf, nc.AnalogEncoding(), 0), 30,

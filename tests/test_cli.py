@@ -125,6 +125,26 @@ class TestAnalyze:
         assert (code, out) == (2, "")
         assert err == f"error: {message.format(preset_file)}\n"
 
+    @pytest.mark.parametrize("how", ["--config naming the preset", "--preset"])
+    def test_bad_constant_in_preset_file_names_it(self, capsys, tmp_path, monkeypatch, how):
+        # The message used to name no file at all.
+        preset_file = tmp_path / "neg.cfg"
+        preset_file.write_text("e_spike = -2\n")
+        monkeypatch.setenv(fileio.PRESET_DIR_ENV, str(tmp_path))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("preset = neg\n")
+        extra = ["--preset", "neg"] if how == "--preset" else ["--config", str(cfg)]
+        code, out, err = invoke(capsys, ["analyze", FOOTNOTE] + extra)
+        assert (code, out) == (2, "")
+        assert err == f"error: e_spike must be nonnegative, got -2.0 in {preset_file}\n"
+
+    def test_bad_constant_in_config_file_names_it(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("preset = digital-skew\ne_op = nan\n")
+        code, out, err = invoke(capsys, ["analyze", FOOTNOTE, "--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert err == f"error: e_op must be finite, got nan in {cfg}\n"
+
     def test_core_count_is_not_a_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "cores.cfg"
         cfg.write_text("n_core = 4\n")

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from neurocost import (
@@ -305,6 +306,29 @@ def test_mesh_report_validation():
         mesh_cost_report(10, 5, 2, 3, 3, 2, UNIT, [0.5, 1.5])
 
 
+@pytest.mark.parametrize("sizes, message", [
+    # These used to give nmc energy 80.0 and -16.0.
+    ((2.5, 4, 2, 3, 3, 2), "m_s must be an integer >= 1, got 2.5"),
+    ((True, 4, -2, 3, 3, 2), "m_s must be an integer >= 1, got True"),
+    ((4, 4, -2, 3, 3, 2), "k must be an integer >= 0, got -2"),
+    ((4, 0, 2, 3, 3, 2), "m_t must be an integer >= 1, got 0"),
+    ((4, 4, 2, 1.5, 3, 2), "t1s must be an integer >= 1, got 1.5"),
+    ((4, 4, 2, 3, 0, 2), "t_infs must be an integer >= 1, got 0"),
+    ((4, 4, 2, 3, 3, 1), "n_mesh must be an integer >= 2, got 1"),
+])
+def test_mesh_report_sizes_are_counts(sizes, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        mesh_cost_report(*sizes, UNIT, [0.5] * 4)
+
+
+def test_mesh_report_accepts_numpy_counts():
+    sizes = (100, 31, 4, 3, 3, 2)
+    f_series = [1.0] * 3 + [0.0] * 28
+    got = mesh_cost_report(*map(np.int64, sizes), UNIT, f_series)
+    want = mesh_cost_report(*sizes, UNIT, f_series)
+    assert got == want
+
+
 def test_comparison_table_row_lookup():
     table = mesh_cost_report(10, 5, 2, 3, 3, 2, UNIT, [0.0] * 5)
     assert table.row("nmc").architecture == "nmc"
@@ -335,8 +359,9 @@ def test_ff_report_synapse_terms_quadratic():
 
 
 def test_ff_report_validation():
-    for bad in (0, 2.5, True):
+    for bad in (0, 2.5, True, np.True_, np.float64(4.0)):
         with pytest.raises(ValueError, match="n_i must be an integer >= 1"):
             ff_cost_report(bad, 4, UNIT, 0.5)
+    assert ff_cost_report(np.int64(8), np.int32(4), UNIT, 0.5) == ff_cost_report(8, 4, UNIT, 0.5)
     with pytest.raises(FiringRateOutOfRange):
         ff_cost_report(4, 4, UNIT, 1.5)

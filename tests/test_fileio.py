@@ -88,6 +88,8 @@ class TestConfig:
     def test_negative_value(self):
         with pytest.raises(ValueError, match="^e_spike must be nonnegative, got -2.0$"):
             nc.parse_config("e_spike = -2")
+        with pytest.raises(ValueError, match="^e_spike must be nonnegative, got -2.0 in a.cfg$"):
+            nc.parse_config("e_spike = -2", source="a.cfg")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_value(self, value):

@@ -83,7 +83,7 @@ def case_ff_layer():
     rng = np.random.default_rng(11)
     w = rng.uniform(-0.5, 1.0, size=(24, 16))
     w[rng.random(w.shape) < 0.1] = 0.0
-    spec = nc.FFLayerSpec.from_arrays(w, rng.uniform(0.05, 0.6, size=24), 10)
+    spec = nc.FFLayerSpec(w, rng.uniform(0.05, 0.6, size=24), 10)
     ng = nc.gen_ff_layer(spec)
     return _run(ng, nc.DigitalEncoding(), 30, inputs=nc.ff_input_schedule(spec))
 

@@ -248,6 +248,10 @@ def test_synapse_delay_validation():
         SynapseSpec("a", "b", 1.0, delay=-1)
     with pytest.raises(ValueError):
         SynapseSpec("a", "b", 1.0, delay=1.5)
+    with pytest.raises(ValueError):
+        SynapseSpec("a", "b", 1.0, delay=np.float64(2.0))
+    delay = SynapseSpec("a", "b", 1.0, delay=np.int64(2)).delay
+    assert type(delay) is int and delay == 2
 
 
 def _one_neuron(nid="n"):
@@ -350,7 +354,8 @@ def test_lowering_rule_validation():
                                         ("neuron_count", True), ("neuron_count", 2.0),
                                         ("max_fan_in", -1), ("max_fan_in", 1.5),
                                         ("max_fan_in", "2"), ("max_fan_in", True),
-                                        ("max_fan_in", False)])
+                                        ("max_fan_in", False), ("delay", np.True_),
+                                        ("neuron_count", np.float64(3.0))])
 def test_lowering_rule_rejects_bool_and_non_int(field, bad):
     # A max_fan_in of -1 used to build and reject every node, 1.5 to cap at 1,
     # and "2" to fail inside lower_graph with numpy's UFuncTypeError.
@@ -362,6 +367,12 @@ def test_lowering_rule_rejects_bool_and_non_int(field, bad):
     if field == "max_fan_in":
         assert LoweringRule(max_fan_in=0).max_fan_in == 0
         assert LoweringRule(max_fan_in=None).max_fan_in is None
+
+
+def test_lowering_rule_keeps_numpy_counts_as_ints():
+    rule = LoweringRule(neuron_count=np.int64(2), delay=np.int32(3), max_fan_in=np.int64(0))
+    counts = (rule.neuron_count, rule.delay, rule.max_fan_in)
+    assert counts == (2, 3, 0) and all(type(c) is int for c in counts)
 
 
 @pytest.mark.parametrize("bad", [True, False])

@@ -255,6 +255,7 @@ class TestDigitalEncoding:
         dict(word_width=3), dict(word_width=65), dict(word_width=16.5), dict(word_width=True),
         dict(scale=0.0), dict(scale=-1.0), dict(scale=True), dict(scale=float("inf")),
         dict(scale=float("nan")),
+        dict(word_width=np.True_), dict(word_width=np.float64(16.0)), dict(word_width=np.int64(65)),
     ])
     def test_encoding_validation(self, bad):
         with pytest.raises(ValueError):
@@ -266,6 +267,14 @@ class TestDigitalEncoding:
         ref = nc.DigitalEncoding(width, scale=float(scale))
         x = np.array([0.3, -0.7, 1.9, -5.0])
         assert enc.words(x).tolist() == ref.words(x).tolist()
+
+    @pytest.mark.parametrize("width", [np.int64(4), np.int32(16), np.int64(64), np.uint8(53)])
+    def test_encoding_accepts_numpy_word_width(self, width):
+        # A numpy width used to be rejected; kept as numpy, 2 ** 63 would overflow at 64.
+        enc = nc.DigitalEncoding(width)
+        assert type(enc.word_width) is int and enc.word_width == width
+        x = np.array([0.3, -0.7, 1.9, -5.0, 1e-9])
+        assert enc.words(x).tolist() == nc.DigitalEncoding(int(width)).words(x).tolist()
 
     def test_digital_decay_freezes_below_quantum(self):
         leaky = nc.NeuronSpec(model_kind="lif", v_thresh=10.0, tau=3.0)
@@ -306,8 +315,9 @@ class TestRunControl:
             input_neurons=("q",),
             output_neurons=("q",),
         )
-        tr = run(ng, 50, stop=nc.ZeroActivity(3))
+        tr = run(ng, 50, stop=nc.ZeroActivity(np.int64(3)))
         assert len(tr.records) == 3
+        assert type(nc.ZeroActivity(np.int64(3)).window) is int
 
     @pytest.mark.parametrize("make", [
         lambda: nc.ZeroActivity(0), lambda: nc.ZeroActivity(-2), lambda: nc.ZeroActivity(1.5),
@@ -526,9 +536,6 @@ class TestEnergyAudit:
         rep = nc.reconcile_energy(footnote_trace, r, nc.preset("unit"))
         assert rep.steps == 6
         assert rep.f_mean == pytest.approx(1 / 6, abs=1e-15)
-        assert rep.voltage_unrefined_prediction == 4.0
-        # the refined touch model: n_total * (1 - (1 - f_mean) ** (s_total / n_total))
-        assert rep.voltage_refined_prediction == pytest.approx(4 * (1 - (5 / 6) ** 0.75))
         assert set(rep.terms) == {"spikegen", "synapse", "spike"}
         for term in rep.terms.values():
             assert term.ratio == pytest.approx(1.0, abs=1e-12)

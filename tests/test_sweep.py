@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 import neurocost as nc
@@ -89,7 +90,13 @@ def test_fixed_key_given_twice_is_rejected():
                      fixed=(("k", 4.0), ("k", 6.0)))
 
 
-@pytest.mark.parametrize("bad", [0, 1.5, True])
+@pytest.mark.parametrize("bad", [0, 1.5, True, np.True_])
 def test_repetitions_must_be_a_count(bad):
     with pytest.raises(ValueError, match="repetitions must be an integer >= 1"):
         nc.SweepSpec(workload="mesh", param="m_s", values=(64.0, 128.0), repetitions=bad)
+
+
+def test_numpy_repetitions_are_kept_as_an_int():
+    spec = nc.SweepSpec(workload="mesh", param="m_s", values=(64.0, 128.0),
+                        repetitions=np.int64(2))
+    assert type(spec.repetitions) is int and spec.repetitions == 2

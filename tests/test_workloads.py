@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -120,13 +121,23 @@ class TestMeshValidation:
             nc.MeshSpec(m_s=0, k=2, m_t=5, dynamics=nc.Diffusion(0.5),
                         init=(), v_thresh=0.25)
         for field, bad, least in (("m_s", 2.0, 1), ("k", True, 0), ("m_t", 1.5, 1),
-                                  ("n_mesh", 1, 2)):
+                                  ("n_mesh", 1, 2), ("m_s", np.float64(2.0), 1),
+                                  ("k", np.True_, 0), ("n_mesh", np.int64(1), 2)):
             args = dict(m_s=2, k=2, m_t=5, init=(1.0, 1.0)) | {field: bad}
             with pytest.raises(ValueError, match=f"{field} must be an integer >= {least}"):
                 nc.MeshSpec(dynamics=nc.Diffusion(0.5), **args)
         with pytest.raises(ValueError):
             nc.MeshSpec(m_s=4, k=2, m_t=5, dynamics=nc.Diffusion(0.5),
                         init=(1.0,) * 3, v_thresh=0.25)
+
+    def test_numpy_counts_are_kept_as_ints(self):
+        # A count read off an array's shape used to be rejected as a non-integer.
+        init = np.ones(4)
+        spec = nc.MeshSpec(m_s=init.shape[0], k=np.int64(2), m_t=np.int32(5),
+                           n_mesh=np.int64(3), dynamics=nc.Diffusion(0.5), init=init)
+        counts = (spec.m_s, spec.k, spec.m_t, spec.n_mesh)
+        assert counts == (4, 2, 5, 3) and all(type(c) is int for c in counts)
+        assert len(nc.gen_mesh(spec)[1].neurons) == 12
 
 
 class TestDtmc:
@@ -170,6 +181,22 @@ class TestDtmc:
         decode_mesh_state(spec, state)
         mesh_equilibrium(spec)
         assert calls == [(2, 2)]
+
+    def test_spec_owns_read_only_copies(self):
+        init, matrix = np.array([3.0, 1.0]), np.array([[0.5, 0.5], [0.1, 0.9]])
+        spec = nc.MeshSpec(m_s=2, k=2, m_t=10, dynamics=Dtmc(matrix), init=init, v_thresh=0.05)
+        _template, net = nc.gen_mesh(spec)
+        ref, equil = reference_mesh_solve(spec), mesh_equilibrium(spec)
+        init[:] = 0.0
+        matrix[:] = np.eye(2)
+        assert spec.init.tolist() == [3.0, 1.0]
+        assert spec.dynamics.matrix.tolist() == [[0.5, 0.5], [0.1, 0.9]]
+        assert nc.gen_mesh(spec)[1] == net
+        assert np.array_equal(reference_mesh_solve(spec), ref)
+        assert np.array_equal(mesh_equilibrium(spec), equil)
+        for arr, index in ((spec.init, 0), (spec.dynamics.matrix, (0, 0))):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[index] = 9.0
 
     def test_two_state_chain_equilibrium(self):
         # pi = (1/6, 5/6), scaled to the initial mass of 4
@@ -222,7 +249,7 @@ class TestFFLayer:
     def make_spec(self, n_i=8, n_j=4, rate=0.5, steps=10, seed=3):
         rng = np.random.default_rng(seed)
         weights = rng.uniform(0.5, 1.0, size=(n_i, n_j))
-        return FFLayerSpec.from_arrays(weights, [rate] * n_i, steps)
+        return FFLayerSpec(weights, [rate] * n_i, steps)
 
     def test_structure(self):
         spec = self.make_spec()
@@ -233,7 +260,7 @@ class TestFFLayer:
         assert ng.output_neurons == ff_output_ids(spec)
 
     def test_zero_weights_are_materialized(self):
-        spec = FFLayerSpec.from_arrays(np.zeros((8, 4)), [0.5] * 8, 10)
+        spec = FFLayerSpec(np.zeros((8, 4)), [0.5] * 8, 10)
         assert len(gen_ff_layer(spec).synapses) == 32
 
     def test_schedule_spacing(self):
@@ -252,7 +279,7 @@ class TestFFLayer:
     @pytest.mark.parametrize("steps", [1, 7, 20])
     def test_schedule_matches_the_per_step_formula(self, steps):
         rates = (0.0, 0.05, 0.5, 1.0)
-        spec = FFLayerSpec.from_arrays(np.ones((4, 2)), rates, steps)
+        spec = FFLayerSpec(np.ones((4, 2)), rates, steps)
         ids = ff_input_ids(spec)
 
         def formula(t):
@@ -279,22 +306,47 @@ class TestFFLayer:
     def test_spec_validation(self):
         rng = np.random.default_rng(0)
         wts = rng.uniform(0.5, 1.0, size=(8, 4))
-        with pytest.raises(ValueError):
-            FFLayerSpec.from_arrays(wts, [1.5] * 8, 10)
-        with pytest.raises(ValueError):
-            FFLayerSpec.from_arrays(wts, [0.5] * 7, 10)
-        with pytest.raises(ValueError):
-            FFLayerSpec.from_arrays(wts, [0.5] * 8, 0)
-        with pytest.raises(ValueError):
-            FFLayerSpec.from_arrays(np.ones(8), [0.5] * 8, 10)
-        for bad in (0, 1.5, True):
-            with pytest.raises(ValueError, match="n_i must be an integer >= 1"):
-                FFLayerSpec(n_i=bad, n_j=4, weights=(), rate_code=((), 10))
-        with pytest.raises(ValueError, match="steps per presentation must be an integer >= 1"):
-            FFLayerSpec(n_i=1, n_j=1, weights=((1.0,),), rate_code=((0.5,), 2.5))
-        for bad in (2.5, True):  # from_arrays passes the count on unconverted
+        for rate in (1.5, -0.1, math.nan):
+            with pytest.raises(ValueError, match=re.escape("rates must lie in [0, 1]")):
+                FFLayerSpec(wts, [rate] * 8, 10)
+        with pytest.raises(ValueError, match="rate code has 7 rates for n_i=8"):
+            FFLayerSpec(wts, [0.5] * 7, 10)
+        with pytest.raises(ValueError, match="weights must be a 2-d matrix"):
+            FFLayerSpec(np.ones(8), [0.5] * 8, 10)
+        with pytest.raises(ValueError, match="weights must be finite"):
+            FFLayerSpec(np.where(wts > 0.9, math.inf, wts), [0.5] * 8, 10)
+        # n_i and n_j are the shape of the weights; an empty side is a count of 0
+        for shape, name in (((0, 4), "n_i"), ((4, 0), "n_j"), ((0, 0), "n_i")):
+            with pytest.raises(ValueError, match=f"{name} must be an integer >= 1, got 0"):
+                FFLayerSpec(np.ones(shape), [0.5] * shape[0], 10)
+        for bad in (0, 2.5, True, np.True_, np.float64(2.0)):
             with pytest.raises(ValueError, match="steps per presentation must be an integer >= 1"):
-                FFLayerSpec.from_arrays(np.ones((2, 2)), [0.5, 0.5], bad)
+                FFLayerSpec(np.ones((2, 2)), [0.5, 0.5], bad)
+        spec = FFLayerSpec(wts, [0.5] * 8, np.int64(10))
+        assert (spec.n_i, spec.n_j) == (8, 4)
+        assert type(spec.steps_per_presentation) is int and spec.steps_per_presentation == 10
+
+    def test_spec_owns_read_only_copies(self):
+        weights, rates = np.arange(6.0).reshape(3, 2), np.array([0.5, 0.25, 1.0])
+        spec = FFLayerSpec(weights, rates, 4)
+        net, schedule = gen_ff_layer(spec), ff_input_schedule(spec)
+        phases = [schedule(t) for t in range(4)]
+        weights[:] = 7.0
+        rates[:] = 0.0
+        assert spec.weights.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+        assert spec.rates.tolist() == [0.5, 0.25, 1.0]
+        assert gen_ff_layer(spec) == net
+        assert [ff_input_schedule(spec)(t) for t in range(4)] == phases
+        for arr, index in ((spec.weights, (0, 0)), (spec.rates, 0)):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[index] = 9.0
+        assert np.shares_memory(gen_ff_layer(spec).weight, spec.weights)
+
+    def test_from_arrays_is_the_constructor(self):
+        spec = FFLayerSpec.from_arrays(np.ones((2, 3)), [0.5, 0.5], 4)
+        assert type(spec) is FFLayerSpec
+        assert spec.weights.tolist() == [[1.0] * 3] * 2 and spec.rates.tolist() == [0.5, 0.5]
+        assert spec.steps_per_presentation == 4
 
 
 class TestSelfExcitingLoop:
@@ -452,7 +504,7 @@ class TestColumnarBuilders:
         w = rng.uniform(-0.5, 1.0, size=shape)
         w[rng.random(shape) < 0.2] = 0.0
         w[0, 0] = -0.0
-        spec = FFLayerSpec.from_arrays(w, rng.uniform(0.0, 1.0, size=shape[0]), 10)
+        spec = FFLayerSpec(w, rng.uniform(0.0, 1.0, size=shape[0]), 10)
         _assert_same_network(gen_ff_layer(spec), _ff_by_tuples(spec))
         assert math.copysign(1.0, gen_ff_layer(spec).synapses[0].weight) == -1.0
 
@@ -475,7 +527,7 @@ class TestColumnarBuilders:
         monkeypatch.setattr(nc.SynapseSpec, "__post_init__", counting)
         spec = ring_spec(256, nc.sinusoid_init(256, cycles=16), k=4, v_thresh=0.05)
         _, mesh = nc.gen_mesh(spec)
-        layer = gen_ff_layer(FFLayerSpec.from_arrays(np.ones((8, 4)), [0.5] * 8, 4))
+        layer = gen_ff_layer(FFLayerSpec(np.ones((8, 4)), [0.5] * 8, 4))
         for ng in (mesh, layer, nc.gen_self_exciting_loop()):
             nc.run_sim(nc.init_sim(ng, nc.AnalogEncoding(), 0), 3)
             assert "synapses" not in vars(ng) and "neurons" not in vars(ng)
@@ -484,7 +536,7 @@ class TestColumnarBuilders:
         assert len(made) == 1  # the counter does see a construction
 
     def test_count_resources_reads_column_lengths(self):
-        ng = gen_ff_layer(FFLayerSpec.from_arrays(np.ones((16, 8)), [0.5] * 16, 4))
+        ng = gen_ff_layer(FFLayerSpec(np.ones((16, 8)), [0.5] * 16, 4))
         r = nc.count_resources(ng)
         assert (r.n_total, r.s_total) == (24, 128)
         assert "synapses" not in vars(ng) and "neurons" not in vars(ng)
