@@ -18,21 +18,22 @@ under the configured encoding. Digital encodings quantize the membrane to
 a two's-complement fixed-point word and measure change as Hamming
 distance; the analog encoding measures summed |dx|.
 
-Event core: outgoing synapses are compiled once into a read-only CSR
-sorted stably by source; zero-weight synapses are always left out. Emit
-gathers the synapses of all of a step's firing sources, in source order,
-with one CSR gather (one contiguous slice when a single source fires)
-and appends one (targets, values) pair per distinct delay to the slot of
-the step it falls due. A value is the weight times the
-source's output y. Spiking sources (gate, lif) fire with y exactly 1.0 and
-w * 1.0 == w bit for bit, so they emit their weights as they are; only a
-network where a relu or tanh neuron has outgoing synapses multiplies.
-Delivery concatenates the due slot's pairs in append order and sums them
-into the input vector with one `np.bincount`, then adds external
-injections with `np.add.at`, which is unbuffered and in order. Summation
-order is part of the contract: each target's input is the left-to-right
-sum of its events in (emit step, source, synapse) order, never pre-summed
-at emit time, so traces stay bitwise stable.
+Event core: outgoing synapses are compiled once, in linear time, into a
+read-only CSR without zero-weight synapses, sorted stably by source on
+the narrowest unsigned key (a radix sort up to 16 bits). Emit gathers
+the synapses of a step's firing sources, in source order, with one CSR
+gather (one slice when a single source fires) and appends one (targets,
+values) pair per distinct delay, one pair if all kept delays are equal,
+to the slot of the step it falls due. A value is the weight times the
+source's output y. Spiking sources (gate, lif) fire with y exactly 1.0
+and w * 1.0 == w bit for bit, so they emit their weights as they are;
+only a network where a relu or tanh neuron has outgoing synapses
+multiplies. Delivery concatenates the due slot's pairs in append order
+and sums them into the input vector with one `np.bincount`, then adds
+external injections with `np.add.at`, which is unbuffered and in order.
+Summation order is part of the contract: each target's input is the
+left-to-right sum of its events in (emit step, source, synapse) order,
+never pre-summed at emit time, so traces stay bitwise stable.
 
 Evaluation set: a step's work follows touched neurons and events, not
 network size. The fed neurons, the nonzero entries of the input vector
@@ -149,12 +150,13 @@ class _CompiledNet:
     """Index view of a NeuralGraph: spec groups plus CSR outgoing synapses.
 
     Groups follow the graph's spec table (first-appearance order), each
-    with its neuron indices ascending. Synapses are sorted stably by
-    source, so each source's slice keeps declaration order. Zero-weight
-    synapses are always left out. The CSR columns are read-only, because
-    emit may queue a view of `syn_weight`. `scaled` is true when some
-    non-spiking neuron has an outgoing synapse: only then must an emitted
-    weight be multiplied by its source's output.
+    with its neuron indices ascending. Nonzero-weight synapses are sorted
+    stably by source on the narrowest unsigned key (the permutation an
+    intp key gives), so a source's slice keeps declaration order. `delay`
+    is the one delay when every kept synapse has it, else None. The CSR
+    columns are read-only, because emit may queue a view of `syn_weight`.
+    `scaled` is true when some non-spiking neuron has an outgoing synapse:
+    only then must an emitted weight be multiplied by its source's output.
     """
 
     def __init__(self, ng: NeuralGraph):
@@ -167,15 +169,15 @@ class _CompiledNet:
         self.groups: list[tuple[NeuronSpec, np.ndarray]] = list(
             zip(ng.specs, np.split(by_spec, np.cumsum(sizes)[:-1])))
 
-        source = ng.source
         kept = np.flatnonzero(ng.weight)
-        order = kept[np.argsort(source[kept], kind="stable")]
+        source = ng.source[kept]
+        order = kept[np.argsort(source.astype(np.min_scalar_type(self.n - 1)), kind="stable")]
         self.syn_target = ng.target[order]
         self.syn_weight = ng.weight[order]
-        self.syn_delay = ng.delay[order]
-        self.delays: list[int] = np.unique(self.syn_delay).tolist()  # distinct, ascending
+        self.syn_delay = d = ng.delay[order]
+        self.delay = int(d[0]) if len(d) and d.min() == d.max() else None
         self.out_indptr = np.zeros(self.n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(source[kept], minlength=self.n), out=self.out_indptr[1:])
+        np.cumsum(np.bincount(source, minlength=self.n), out=self.out_indptr[1:])
         for col in (self.syn_target, self.syn_weight, self.syn_delay, self.out_indptr):
             col.flags.writeable = False
         indptr = self.out_indptr
@@ -257,11 +259,6 @@ def init_sim(ng: NeuralGraph, encoding: EncodingMode, seed: int,
     )
 
 
-def _join(pairs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate (index, value) array pairs in order."""
-    return np.concatenate([p[0] for p in pairs]), np.concatenate([p[1] for p in pairs])
-
-
 def _diverged(net: _CompiledNet, ev: np.ndarray, x_next: np.ndarray, t: int) -> NonFiniteState:
     bad = net.ids[int(ev[int(np.flatnonzero(~np.isfinite(x_next))[0])])]
     return NonFiniteState(f"state of {bad!r} diverged at t={t}")
@@ -279,7 +276,7 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
     synaptic_events = 0
     input_sum = fed = None
     if due is not None:
-        targets, values = due[0] if len(due) == 1 else _join(due)
+        targets, values = due[0] if len(due) == 1 else map(np.concatenate, zip(*due))
         synaptic_events = len(targets)
         input_sum = np.bincount(targets, weights=values, minlength=net.n)
     if external_inputs:
@@ -408,8 +405,8 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
                 values *= s.last_y[spikes].repeat(lens)
         if len(values):
             targets = net.syn_target[pos]
-            if len(net.delays) == 1:
-                s.pending.setdefault(t + net.delays[0], []).append((targets, values))
+            if net.delay is not None:
+                s.pending.setdefault(t + net.delay, []).append((targets, values))
             else:
                 delays = net.syn_delay[pos]
                 for d in np.unique(delays).tolist():

@@ -82,8 +82,9 @@ class MeshSpec:
         # n_mesh is at least 2: one rail per residual sign
         for name, least in (("m_s", 1), ("k", 0), ("m_t", 1), ("n_mesh", 2)):
             object.__setattr__(self, name, check_count(name, getattr(self, name), least))
-        if self.v_thresh <= 0:
-            raise ValueError("v_thresh must be positive")
+        if isinstance(self.v_thresh, bool) or not (math.isfinite(self.v_thresh)
+                                                   and self.v_thresh > 0):
+            raise ValueError(f"v_thresh must be a finite positive number, got {self.v_thresh!r}")
         object.__setattr__(self, "init", _frozen(self.init))
         if self.init.shape != (self.m_s,):
             raise ValueError(f"init has {self.init.size} entries for m_s={self.m_s}")

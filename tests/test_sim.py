@@ -210,6 +210,73 @@ class TestStepAccounting:
                 col[0] = 0
 
 
+def compiled(n, source, target, weight, delay):
+    """The compiled table of n relays joined by the given synapse columns."""
+    ng = nc.NeuralGraph.from_columns([f"n{i}" for i in range(n)], [RELAY], np.zeros(n, int),
+                                     np.zeros(n), source, target, weight, delay)
+    return nc.init_sim(ng, nc.AnalogEncoding(), 0).net
+
+
+def fan_out(*synapses):
+    """A (armed) fires once at t=0 into B and C over (target, weight, delay) synapses."""
+    return nc.NeuralGraph(
+        neurons=(("A", RELAY, 1.5), ("B", RELAY, 0.0), ("C", RELAY, 0.0)),
+        synapses=tuple(nc.SynapseSpec("A", tgt, w, d) for tgt, w, d in synapses),
+        input_neurons=("A",), output_neurons=("B", "C"))
+
+
+class TestCompile:
+    # 256 neurons still key on uint8, 65,536 on uint16; 65,537 need uint32.
+    @pytest.mark.parametrize("n", [255, 256, 65_535, 65_536, 65_537])
+    def test_csr_matches_stable_sort_at_each_key_width(self, n):
+        rng = np.random.default_rng(n)
+        m = 3000
+        source = rng.integers(0, n, m)
+        source[:6] = [n - 1, 0, n - 1, n // 2, 0, n - 1]  # out of order, repeated
+        target = rng.integers(0, n, m)
+        weight = rng.uniform(0.5, 1.5, m) * rng.choice([-1.0, 1.0], m)
+        weight[[2, 7]] = [0.0, -0.0]
+        delay = rng.integers(1, 4, m)
+        net = compiled(n, source, target, weight, delay)
+
+        order = np.lexsort((np.arange(m), source))
+        order = order[weight[order] != 0.0]
+        assert len(order) == m - 2
+        assert np.array_equal(net.syn_target, target[order])
+        assert net.syn_weight.tobytes() == weight[order].tobytes()
+        assert np.array_equal(net.syn_delay, delay[order])
+        counts = np.bincount(source[order], minlength=n)
+        assert np.array_equal(net.out_indptr, np.concatenate(([0], np.cumsum(counts))))
+        assert net.delay is None
+
+    def test_one_delay_lands_every_event_that_many_steps_later(self):
+        state = nc.init_sim(fan_out(("B", 2.0, 3), ("C", 2.0, 3)), nc.AnalogEncoding(), 0)
+        assert state.net.delay == 3 and type(state.net.delay) is int
+        tr = nc.run_sim(state, 6)
+        assert [r.synaptic_events for r in tr.records] == [0, 0, 0, 2, 0, 0]
+        assert [r.spikes for r in tr.records] == [1, 0, 0, 2, 0, 0]
+
+    def test_delay_of_a_zero_weight_synapse_does_not_count(self):
+        state = nc.init_sim(fan_out(("B", 2.0, 3), ("C", -0.0, 1), ("C", 0.0, 2)),
+                            nc.AnalogEncoding(), 0)
+        assert state.net.delay == 3
+        tr = nc.run_sim(state, 5)
+        assert [r.synaptic_events for r in tr.records] == [0, 0, 0, 1, 0]
+        assert tr.records[3].spike_ids == ("B",)
+
+    def test_two_kept_delays_deliver_each_on_its_own_step(self):
+        state = nc.init_sim(fan_out(("B", 2.0, 1), ("C", 2.0, 3)), nc.AnalogEncoding(), 0)
+        assert state.net.delay is None
+        tr = nc.run_sim(state, 5)
+        assert [r.spike_ids for r in tr.records] == [("A",), ("B",), (), ("C",), ()]
+        assert [r.synaptic_events for r in tr.records] == [0, 1, 0, 1, 0]
+
+    def test_no_synapses_have_no_delay(self):
+        net = compiled(3, [], [], [], [])
+        assert net.delay is None and net.out_indptr.tolist() == [0, 0, 0, 0]
+        assert nc.init_sim(fan_out(("B", 0.0, 2)), nc.AnalogEncoding(), 0).net.delay is None
+
+
 class TestDigitalEncoding:
     def test_word_transition_bit_counts(self):
         spec = nc.NeuronSpec(model_kind="lif", v_thresh=1000.0)

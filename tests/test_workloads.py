@@ -130,6 +130,16 @@ class TestMeshValidation:
             nc.MeshSpec(m_s=4, k=2, m_t=5, dynamics=nc.Diffusion(0.5),
                         init=(1.0,) * 3, v_thresh=0.25)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, 0, -0.05])
+    def test_v_thresh_must_be_finite_positive_number(self, bad):
+        # The oracle and the equilibrium read v_thresh before any neuron is built.
+        with pytest.raises(ValueError, match="v_thresh must be a finite positive number"):
+            ring_spec(4, (1.0,) * 4, v_thresh=bad)
+
+    @pytest.mark.parametrize("good", [1, np.float64(0.05), 1e-300])
+    def test_v_thresh_accepts_positive_numbers(self, good):
+        assert ring_spec(4, (1.0,) * 4, v_thresh=good).v_thresh == good
+
     def test_numpy_counts_are_kept_as_ints(self):
         # A count read off an array's shape used to be rejected as a non-integer.
         init = np.ones(4)
