@@ -78,7 +78,6 @@ from .graph import (
     compute_metrics,
     expand_template,
     list_schedule,
-    node_levels,
     ring_coupling,
     validate_graph,
 )

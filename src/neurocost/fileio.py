@@ -132,24 +132,16 @@ def emit_graph(graph: ComputeGraph) -> str:
 
 def emit_neural_json(ng: NeuralGraph) -> str:
     """Serialize a neural graph (infinite tau encoded as null)."""
+    models = [{"model": spec.model_kind, "v_thresh": spec.v_thresh, "v_reset": spec.v_reset,
+               "tau": None if spec.tau == float("inf") else spec.tau, "dt": spec.dt}
+              for spec in ng.specs]
+    ids = ng.neuron_ids
     doc = {
-        "neurons": [
-            {
-                "id": nid,
-                "model": spec.model_kind,
-                "v_thresh": spec.v_thresh,
-                "v_reset": spec.v_reset,
-                "tau": None if spec.tau == float("inf") else spec.tau,
-                "dt": spec.dt,
-                "x0": x0,
-            }
-            for nid, spec, x0 in ng.neurons
-        ],
-        "synapses": [
-            {"source": s.source, "target": s.target,
-             "weight": s.weight, "delay": s.delay}
-            for s in ng.synapses
-        ],
+        "neurons": [{"id": nid, **models[row], "x0": x0} for nid, row, x0 in zip(
+            ids, ng.spec_index.tolist(), ng.x0.tolist())],
+        "synapses": [{"source": ids[s], "target": ids[t], "weight": w, "delay": d}
+                     for s, t, w, d in zip(ng.source.tolist(), ng.target.tolist(),
+                                           ng.weight.tolist(), ng.delay.tolist())],
         "inputs": list(ng.input_neurons),
         "outputs": list(ng.output_neurons),
     }

@@ -9,14 +9,16 @@ sum back to t1.
 
 A ComputeGraph is columns, like a NeuralGraph: ids, op kinds and one
 tuple of input ids per node, in declaration order. Parsing and the
-generators fill them directly; the OpNode tuple `nodes` is built when
-first read, and nothing on the analyze, simulate or partition path reads it.
+generators fill them directly, and so does template expansion; the
+OpNode tuple `nodes` is built when first read, and nothing on the
+analyze, simulate or partition path reads it.
 
-Validation maps ids to integer positions once. One FIFO Kahn pass over
-the positions (Kahn 1962) gives both the topological order and the
+Validation maps ids to integer positions once and keeps two CSRs over
+them: each node's inputs and each node's consumers. One FIFO Kahn pass
+over the consumers (Kahn 1962) gives both the topological order and the
 levels: FIFO emits nodes in non-decreasing level, so the input that
-releases a node has its highest level. Metrics, the schedule and
-node_levels all read these stored levels.
+releases a node has its highest level. Metrics, the schedule and the
+partitioner all read these stored levels.
 
 The scheduler here is the classic greedy level-by-level list schedule: each
 level of width m is executed in ceil(m / p) steps on p processors. Its
@@ -119,56 +121,32 @@ class ValidatedGraph:
 
     Position i is node i of `graph`; `index` maps each id to its position.
     Node i's input positions are `pred_pos[pred_start[i]:pred_start[i + 1]]`,
-    in input order. `order` lists the positions in topological order and
-    `level[i]` is position i's longest-path distance from a source. The
-    arrays are read-only. Construct via validate_graph(); the constructor
-    trusts its arguments.
+    in input order, and its consumers `succ_pos[succ_start[i]:succ_start[i + 1]]`,
+    once per input reference, in declaration order. `order` lists the
+    positions in topological order and `level[i]` is position i's
+    longest-path distance from a source. The arrays are read-only.
+    Construct via validate_graph(); the constructor trusts its arguments.
     """
 
     def __init__(self, graph: ComputeGraph, index: Mapping[str, int], pred_start: np.ndarray,
-                 pred_pos: np.ndarray, order: np.ndarray, level: np.ndarray):
-        self.graph = graph
-        self.index = index
-        self.pred_start, self.pred_pos, self.order, self.level = (
-            pred_start, pred_pos, order, level)
-        for arr in (pred_start, pred_pos, order, level):
+                 pred_pos: np.ndarray, succ_start: np.ndarray, succ_pos: np.ndarray,
+                 order: np.ndarray, level: np.ndarray):
+        self.graph, self.index = graph, index
+        self.pred_start, self.pred_pos, self.succ_start, self.succ_pos, self.order, self.level = (
+            pred_start, pred_pos, succ_start, succ_pos, order, level)
+        for arr in (pred_start, pred_pos, succ_start, succ_pos, order, level):
             arr.flags.writeable = False
         self.topo_order: tuple[str, ...] = tuple(map(graph.ids.__getitem__, order.tolist()))
 
-    @property
-    def nodes(self) -> tuple[OpNode, ...]:
-        return self.graph.nodes
-
-    @property
-    def declared_inputs(self) -> tuple[str, ...]:
-        return self.graph.declared_inputs
-
-    @property
-    def declared_outputs(self) -> tuple[str, ...]:
-        return self.graph.declared_outputs
-
-    def node(self, node_id: str) -> OpNode:
-        return self.graph.nodes[self.index[node_id]]
-
-    def predecessors(self, node_id: str) -> tuple[str, ...]:
-        return self.graph.inputs[self.index[node_id]]
-
-    def successors(self, node_id: str) -> tuple[str, ...]:
-        return self._successors.get(node_id, ())
-
     @cached_property
-    def _successors(self) -> dict[str, tuple[str, ...]]:
-        """Each id's consumers, once per input reference, in declaration order."""
-        ids = self.graph.ids
-        succ, ends = _consumers(np.diff(self.pred_start), self.pred_pos)
-        succ = [ids[k] for k in succ]
-        return {nid: tuple(succ[lo:hi]) for nid, lo, hi in zip(ids, [0] + ends, ends)}
+    def adjacency(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """(pred_start, pred_pos, succ_start, succ_pos) as lists, for
+        per-node loops; built on first use, once per graph."""
+        return (self.pred_start.tolist(), self.pred_pos.tolist(), self.succ_start.tolist(),
+                self.succ_pos.tolist())
 
     def __len__(self) -> int:
         return len(self.graph.ids)
-
-    def __iter__(self):
-        return iter(self.graph.nodes)
 
 
 def _check_references(raw: ComputeGraph) -> None:
@@ -200,31 +178,33 @@ def _check_declared(raw: ComputeGraph, index: Mapping[str, int]) -> None:
             raise DanglingReference(declared)
 
 
-def _consumers(fan_in, pred_pos: np.ndarray) -> tuple[list[int], list[int]]:
-    """Each position's consumers, once per input reference, in declaration
-    order: position i's are succ[ends[i - 1]:ends[i]] (from 0 for i = 0)."""
+def _consumers(fan_in, pred_pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The consumer CSR (succ_start, succ_pos): each position's consumers,
+    once per input reference, in declaration order."""
     n = len(fan_in)
     consumer = np.repeat(np.arange(n), fan_in)
     # Sorted keys producer * n + consumer list each producer's consumers in
     # declaration order; a repeated reference repeats its key.
-    succ = np.sort(pred_pos * n + consumer) % n
-    return succ.tolist(), np.cumsum(np.bincount(pred_pos, minlength=n)).tolist()
+    succ_pos = np.sort(pred_pos * n + consumer) % n
+    succ_start = np.zeros(n + 1, np.intp)
+    np.cumsum(np.bincount(pred_pos, minlength=n), out=succ_start[1:])
+    return succ_start, succ_pos
 
 
-def _kahn(fan_in: list[int], pred_pos: np.ndarray) -> tuple[list[int], list[int], list[int]]:
+def _kahn(fan_in: list[int], succ_start: np.ndarray, succ_pos: np.ndarray
+          ) -> tuple[list[int], list[int], list[int]]:
     """FIFO Kahn over positions, sources in declaration order. Returns the
     order, the levels (level[releaser] + 1, see the module docstring) and
     each position's count of inputs never emitted, nonzero only on or
     downstream of a cycle."""
     n = len(fan_in)
-    succ, ends = _consumers(fan_in, pred_pos)
-    starts = [0] + ends
+    succ, start = succ_pos.tolist(), succ_start.tolist()
     waiting = list(fan_in)
     level = [0] * n
     order = [i for i in range(n) if not waiting[i]]
     for cur in order:  # the list is the FIFO queue: releases append to it
         nxt = level[cur] + 1
-        for s in succ[starts[cur]:ends[cur]]:
+        for s in succ[start[cur]:start[cur + 1]]:
             waiting[s] -= 1
             if not waiting[s]:
                 level[s] = nxt
@@ -269,14 +249,15 @@ def validate_graph(raw: ComputeGraph) -> ValidatedGraph:
         pred_pos = None
     if pred_pos is None or len(index) < n:
         _check_references(raw)  # raises DuplicateNodeId or DanglingReference
-    order, level, waiting = _kahn(fan_in, pred_pos)
+    succ_start, succ_pos = _consumers(fan_in, pred_pos)
+    order, level, waiting = _kahn(fan_in, succ_start, succ_pos)
     if len(order) < n:
         _check_references(raw)  # a self reference or a declared-id fault comes first
         raise CycleDetected(_on_cycle(raw, index, waiting))
     _check_declared(raw, index)
     pred_start = np.zeros(n + 1, np.intp)
     np.cumsum(fan_in, out=pred_start[1:])
-    return ValidatedGraph(raw, index, pred_start, pred_pos,
+    return ValidatedGraph(raw, index, pred_start, pred_pos, succ_start, succ_pos,
                           np.array(order, np.intp), np.array(level, np.intp))
 
 
@@ -291,11 +272,6 @@ class GraphMetrics:
     max_fan_out: int
 
 
-def node_levels(vg: ValidatedGraph) -> dict[str, int]:
-    """Longest-path distance from sources, per node id, in topological order."""
-    return dict(zip(vg.topo_order, vg.level[vg.order].tolist()))
-
-
 def compute_metrics(vg: ValidatedGraph) -> GraphMetrics:
     """Work, depth and level widths from the levels, plus fan extremes."""
     widths = np.bincount(vg.level)
@@ -304,7 +280,7 @@ def compute_metrics(vg: ValidatedGraph) -> GraphMetrics:
         t_inf=len(widths),
         level_widths=tuple(widths.tolist()),
         max_fan_in=int(np.diff(vg.pred_start).max()),
-        max_fan_out=int(np.bincount(vg.pred_pos, minlength=len(vg)).max()),
+        max_fan_out=int(np.diff(vg.succ_start).max()),
     )
 
 
@@ -358,7 +334,7 @@ def expand_template(template: ComputeGraph, spatial_copies: int, temporal_copies
     """
     spatial_copies = check_count("spatial_copies", spatial_copies)
     temporal_copies = check_count("temporal_copies", temporal_copies)
-    tvg = validate_graph(template)
+    validate_graph(template)
 
     def neighbors_of(s: int) -> tuple[int, ...]:
         nbrs = stitching(s) if callable(stitching) else stitching.get(s, ())
@@ -369,29 +345,32 @@ def expand_template(template: ComputeGraph, spatial_copies: int, temporal_copies
                     f"copy {s} references neighbor {nb}, outside 0..{spatial_copies - 1}")
         return nbrs
 
-    def rename(nid: str, s: int, t: int) -> str:
-        return f"{nid}~s{s}t{t}"
+    def tag(s: int, t: int) -> str:  # copy (s, t) renames id x to x + tag(s, t)
+        return f"~s{s}t{t}"
 
-    out_ids = tvg.declared_outputs
-    nodes: list[OpNode] = []
-    for t in range(temporal_copies):
-        for s in range(spatial_copies):
-            nbrs = neighbors_of(s) if t > 0 else ()
-            for node in tvg.nodes:
-                inputs = [rename(ref, s, t) for ref in node.inputs]
-                if t > 0 and node.id in tvg.declared_inputs and nbrs and out_ids:
-                    ix = tvg.declared_inputs.index(node.id)
-                    src_copy = nbrs[ix % len(nbrs)]
-                    src_out = out_ids[ix % len(out_ids)]
-                    inputs = [rename(src_out, src_copy, t - 1)]
-                nodes.append(OpNode(rename(node.id, s, t), node.op_kind, tuple(inputs)))
+    out_ids = template.declared_outputs
+    slot: dict[str, int] = {}  # declared input -> its first index
+    for ix, nid in enumerate(template.declared_inputs):
+        slot.setdefault(nid, ix)
+    copies = [(s, t) for t in range(temporal_copies) for s in range(spatial_copies)]
+    new_inputs: list[list[str]] = []
+    for s, t in copies:
+        nbrs = neighbors_of(s) if t > 0 else ()
+        stitched = bool(nbrs and out_ids)
+        suffix = tag(s, t)
+        for nid, refs in zip(template.ids, template.inputs):
+            ix = slot.get(nid) if stitched else None
+            if ix is None:
+                new_inputs.append([ref + suffix for ref in refs])
+            else:
+                new_inputs.append([out_ids[ix % len(out_ids)] + tag(nbrs[ix % len(nbrs)], t - 1)])
 
-    declared_inputs = tuple(rename(nid, s, 0)
-                            for s in range(spatial_copies) for nid in tvg.declared_inputs)
     last = temporal_copies - 1
-    declared_outputs = tuple(rename(nid, s, last)
-                             for s in range(spatial_copies) for nid in tvg.declared_outputs)
-    return ComputeGraph(tuple(nodes), declared_inputs, declared_outputs)
+    return ComputeGraph.from_columns(
+        [nid + tag(s, t) for s, t in copies for nid in template.ids],
+        template.op_kinds * len(copies), new_inputs,
+        [nid + tag(s, 0) for s in range(spatial_copies) for nid in template.declared_inputs],
+        [nid + tag(s, last) for s in range(spatial_copies) for nid in out_ids])
 
 
 def ring_coupling(spatial_copies: int) -> dict[int, tuple[int, ...]]:

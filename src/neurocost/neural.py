@@ -440,8 +440,8 @@ def lower_graph(vg: ValidatedGraph, rules: Mapping[str, LoweringRule] | None = N
 
     ng = NeuralGraph.from_columns(
         ids, table, np.repeat(row[kind], count), np.zeros(len(ids)), source, target, weight,
-        delay, input_neurons=(f"{nid}#0" for nid in vg.declared_inputs),
-        output_neurons=(ids[exit_of[vg.index[nid]]] for nid in vg.declared_outputs))
+        delay, input_neurons=(f"{nid}#0" for nid in vg.graph.declared_inputs),
+        output_neurons=(ids[exit_of[vg.index[nid]]] for nid in vg.graph.declared_outputs))
     am = AssemblyMap(vg.topo_order, ng.neuron_ids, neuron_start, synapse_start)
     return ng, am
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import FragmentTooLarge, GraphTooLargeForOracle, check_count
-from .graph import ValidatedGraph, node_levels
+from .graph import ValidatedGraph
 
 logger = logging.getLogger(__name__)
 
@@ -57,22 +57,34 @@ class Fragment:
 
 
 def extract_fragment(vg: ValidatedGraph, node_ids: Sequence[str]) -> Fragment:
-    """Induce a fragment on the given host-graph node ids."""
-    ids = tuple(node_ids)
-    members = set(ids)
-    local = {nid: i for i, nid in enumerate(ids)}
-    op_kinds, inputs = vg.graph.op_kinds, vg.graph.inputs
+    """Induce a fragment on the given host-graph node ids. Raises
+    ValueError naming an id that the graph lacks or that repeats."""
+    members: dict[str, int] = {}
+    for nid in node_ids:
+        if nid not in vg.index:
+            raise ValueError(f"node {nid!r} is not in the graph")
+        if nid in members:
+            raise ValueError(f"node {nid!r} is listed twice")
+        members[nid] = vg.index[nid]
+    return _fragment(vg, list(members.values()))
+
+
+def _fragment(vg: ValidatedGraph, members: Sequence[int]) -> Fragment:
+    """Induce a fragment on distinct host-graph positions, in the given order."""
+    pred_start, pred, succ_start, succ = vg.adjacency
+    local = {pos: i for i, pos in enumerate(members)}
+    op_kinds = vg.graph.op_kinds
     annotated: list[tuple[str, int, int]] = []
     edges: set[tuple[int, int]] = set()
-    for nid in ids:
-        pos = vg.index[nid]
-        ext_in = sum(1 for ref in inputs[pos] if ref not in members)
-        ext_out = sum(1 for succ in vg.successors(nid) if succ not in members)
-        annotated.append((op_kinds[pos], ext_in, ext_out))
-        for ref in inputs[pos]:
-            if ref in members:
-                edges.add((local[ref], local[nid]))
-    return Fragment(tuple(annotated), frozenset(edges), ids)
+    for i, pos in enumerate(members):
+        preds = pred[pred_start[pos]:pred_start[pos + 1]]
+        inside = [local[ref] for ref in preds if ref in local]
+        outside = [s for s in succ[succ_start[pos]:succ_start[pos + 1]] if s not in local]
+        annotated.append((op_kinds[pos], len(preds) - len(inside), len(outside)))
+        for j in inside:
+            edges.add((j, i))
+    return Fragment(tuple(annotated), frozenset(edges),
+                    tuple(map(vg.graph.ids.__getitem__, members)))
 
 
 def _arrangements(groups: Sequence[Sequence[int]]) -> Iterator[tuple[int, ...]]:
@@ -241,15 +253,14 @@ def partition_isomorphic(vg: ValidatedGraph, granularity: int) -> PartitionResul
     member's.
     """
     granularity = check_count("granularity", granularity)
-    levels = node_levels(vg)
-
-    def tiling_key(nid: str) -> tuple[int, str]:
-        return levels[nid], nid
-
-    order = sorted(vg.topo_order, key=tiling_key)
-    assigned: set[str] = set()
+    # Tiling order: by level, then by id (a stable sort by level of the id order).
+    order = sorted(range(len(vg)), key=vg.graph.ids.__getitem__)
+    order.sort(key=vg.level.tolist().__getitem__)
+    rank = sorted(range(len(vg)), key=order.__getitem__)  # rank[pos] is pos's place in order
+    pred_start, pred, succ_start, succ = vg.adjacency
+    assigned: set[int] = set()
     fragments: list[Fragment] = []
-    residual: set[str] = set()
+    residual: set[int] = set()
 
     for seed in order:
         if seed in assigned:
@@ -257,20 +268,21 @@ def partition_isomorphic(vg: ValidatedGraph, granularity: int) -> PartitionResul
         members = [seed]
         member_set = {seed}
         while len(members) < granularity:
-            candidates: set[str] = set()
-            for nid in members:
-                for nb in vg.predecessors(nid) + vg.successors(nid):
+            candidates: set[int] = set()
+            for pos in members:
+                for nb in (pred[pred_start[pos]:pred_start[pos + 1]]
+                           + succ[succ_start[pos]:succ_start[pos + 1]]):
                     if nb not in assigned and nb not in member_set:
                         candidates.add(nb)
             if not candidates:
                 break
-            pick = min(candidates, key=tiling_key)
+            pick = min(candidates, key=rank.__getitem__)
             members.append(pick)
             member_set.add(pick)
         assigned |= member_set
         if len(members) == granularity:
             # Members listed in tiling order, as in `order` (same key).
-            fragments.append(extract_fragment(vg, sorted(members, key=tiling_key)))
+            fragments.append(_fragment(vg, sorted(members, key=rank.__getitem__)))
         else:
             residual |= member_set
 
@@ -282,7 +294,7 @@ def partition_isomorphic(vg: ValidatedGraph, granularity: int) -> PartitionResul
     p_threads = max((len(members) for _label, members in families), default=1)
     return PartitionResult(
         families=families,
-        residual=frozenset(residual),
+        residual=frozenset(map(vg.graph.ids.__getitem__, residual)),
         p_threads=max(p_threads, 1),
         granularity=granularity,
     )
@@ -290,8 +302,10 @@ def partition_isomorphic(vg: ValidatedGraph, granularity: int) -> PartitionResul
 
 def _connected_subsets(vg: ValidatedGraph, size: int) -> list[tuple[str, ...]]:
     """All weakly connected node subsets of the given size."""
-    neighbors = {nid: set(vg.predecessors(nid)) | set(vg.successors(nid))
-                 for nid in vg.topo_order}
+    neighbors = {nid: set(refs) for nid, refs in zip(vg.graph.ids, vg.graph.inputs)}
+    for nid, refs in zip(vg.graph.ids, vg.graph.inputs):
+        for ref in refs:
+            neighbors[ref].add(nid)
     order = list(vg.topo_order)
     rank = {nid: i for i, nid in enumerate(order)}
     found: set[frozenset[str]] = set()

@@ -155,7 +155,7 @@ def _ref_schedule(raw, topo, p):
 
 def _ref_lowering_fault(vg, rules):
     for nid in vg.topo_order:
-        node = vg.node(nid)
+        node = vg.graph.nodes[vg.index[nid]]
         rule = rules.get(node.op_kind)
         if rule is None:
             return NoRuleForOpKind(node.op_kind)
@@ -253,13 +253,14 @@ def test_validate_levels_metrics_schedule_match_reference(name):
     vg = nc.validate_graph(raw)
     topo, successors = _ref_validate(raw)
     assert vg.topo_order == topo
-    assert [n.id for n in vg] == [n.id for n in raw.nodes]
-    for node in raw.nodes:
-        assert vg.node(node.id) is node
-        assert vg.predecessors(node.id) == node.inputs
-        assert vg.successors(node.id) == successors[node.id]
+    ids = raw.ids
+    for k, nid in enumerate(ids):
+        preds = vg.pred_pos[vg.pred_start[k]:vg.pred_start[k + 1]]
+        assert tuple(ids[p] for p in preds) == raw.inputs[k]
+        succs = vg.succ_pos[vg.succ_start[k]:vg.succ_start[k + 1]]
+        assert tuple(ids[p] for p in succs) == successors[nid]
     want_levels = _ref_levels(raw, topo)
-    assert list(nc.node_levels(vg).items()) == list(want_levels.items())
+    assert vg.level.tolist() == [want_levels[nid] for nid in ids]
     assert nc.compute_metrics(vg) == _ref_metrics(raw, topo, successors)
     for p in (1, 2, 3, 4, 7, len(raw.nodes), 10**6, 2**70):
         sched = nc.list_schedule(vg, p)
@@ -405,13 +406,13 @@ def test_cycles_are_named_on_the_cycle(seed):
     downstream of it. The reference names the smallest stuck id; the
     front end names the smallest id on the cycle its walk finds."""
     graph = _shuffled(_random(40, 0.1, ("add",), seed), seed)
-    vg = nc.validate_graph(graph)
+    _topo, successors = _ref_validate(graph)
     rng = np.random.default_rng(seed)
     # Walk forward from an edge u -> v, then close the cycle back into u.
-    u = str(rng.choice([n.id for n in graph.nodes if vg.successors(n.id)]))
-    last = str(rng.choice(vg.successors(u)))
-    while vg.successors(last) and rng.random() < 0.7:
-        last = str(rng.choice(vg.successors(last)))
+    u = str(rng.choice([n.id for n in graph.nodes if successors[n.id]]))
+    last = str(rng.choice(successors[u]))
+    while successors[last] and rng.random() < 0.7:
+        last = str(rng.choice(successors[last]))
     nodes = [OpNode(n.id, n.op_kind, n.inputs + (last,)) if n.id == u else n
              for n in graph.nodes]
     raw = ComputeGraph(tuple(nodes))
@@ -493,7 +494,7 @@ def test_large_shuffled_graphs_match_reference():
         vg = nc.validate_graph(raw)
         topo, successors = _ref_validate(raw)
         assert vg.topo_order == topo
-        assert nc.node_levels(vg) == _ref_levels(raw, topo)
+        assert dict(zip(raw.ids, vg.level.tolist())) == _ref_levels(raw, topo)
         assert nc.compute_metrics(vg) == _ref_metrics(raw, topo, successors)
         t_p, assignment = _ref_schedule(raw, topo, 5)
         sched = nc.list_schedule(vg, 5)
@@ -505,10 +506,14 @@ def test_large_shuffled_graphs_match_reference():
 
 def test_no_opnode_is_built_from_parse_to_partition(monkeypatch):
     """A parsed graph stays columns through the analyze, simulate and
-    partition path: no OpNode is built until something reads `nodes`."""
+    partition path, and template expansion builds columns too: no OpNode
+    is built until something reads `nodes`."""
     cases = bench_cases()
     dag = cases.dag_generate(3, True)
     files = [dag.text, cases.stencil_generate(3, False).stencil_text]
+    template = ComputeGraph.from_columns(MESH_TEMPLATE.ids, MESH_TEMPLATE.op_kinds,
+                                         MESH_TEMPLATE.inputs, MESH_TEMPLATE.declared_inputs,
+                                         MESH_TEMPLATE.declared_outputs)
     built = []
     init = OpNode.__init__
 
@@ -517,6 +522,8 @@ def test_no_opnode_is_built_from_parse_to_partition(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(OpNode, "__init__", counting_init)
+    stencil = nc.expand_template(template, 4, 3, nc.ring_coupling(4))
+    files.append(nc.emit_graph(stencil))
     for text in files:
         vg = nc.validate_graph(nc.parse_graph_file(text))
         nc.compute_metrics(vg)
@@ -529,4 +536,4 @@ def test_no_opnode_is_built_from_parse_to_partition(monkeypatch):
         kick = {0: tuple((nid, 1.5) for nid in ng.input_neurons)}
         nc.run_sim(nc.init_sim(ng, nc.DigitalEncoding(), 0), 20, inputs=kick)
     assert built == []
-    assert len(vg.nodes) == len(built) == len(vg)  # the counter does count
+    assert len(vg.graph.nodes) == len(built) == len(vg)  # the counter does count

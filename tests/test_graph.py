@@ -1,5 +1,10 @@
-"""Graph validation, work/span metrics, list scheduling, and tiling."""
+"""Graph validation, work/span metrics, list scheduling, and tiling.
 
+`PYTHONPATH=src python tests/test_graph.py` prints the expansion digests
+of the `expand_template` on the path, one `name: digest` line per case.
+"""
+
+import hashlib
 import itertools
 import math
 
@@ -16,11 +21,11 @@ from neurocost import (
     OpNode,
     StitchingMismatch,
     compute_metrics,
+    emit_graph,
     expand_template,
     gen_random_dag,
     list_schedule,
     mini_corpus,
-    node_levels,
     ring_coupling,
     validate_graph,
 )
@@ -65,22 +70,26 @@ def test_column_and_node_built_graphs_are_equal(name):
 
 @pytest.mark.parametrize("name", COLUMN_CASES)
 def test_accessors_read_the_columns(name):
-    """node, predecessors and successors give on a column-built graph
-    what they give on the node-built one: successors once per input
-    reference, in declaration order."""
+    """On a column-built graph the two CSRs give each node's inputs, and
+    its consumers once per input reference, in declaration order; the
+    adjacency view holds the same four lists."""
     graph = _column_twin(COLUMN_CASES[name]())
     vg = validate_graph(graph)
     successors = {nid: [] for nid in graph.ids}
     for nid, refs in zip(graph.ids, graph.inputs):
         for ref in refs:
             successors[ref].append(nid)
-    for nid, kind, refs in zip(graph.ids, graph.op_kinds, graph.inputs):
-        assert vg.node(nid) == OpNode(nid, kind, refs)
-        assert vg.predecessors(nid) == refs
-        assert vg.successors(nid) == tuple(successors[nid])
-    assert len(vg) == len(graph.ids)
-    assert [n.id for n in vg] == list(graph.ids)
-    assert vg.node(graph.ids[0]) is graph.nodes[0]
+    ids = graph.ids
+    for k, nid in enumerate(ids):
+        assert vg.index[nid] == k
+        preds = vg.pred_pos[vg.pred_start[k]:vg.pred_start[k + 1]]
+        assert tuple(ids[p] for p in preds) == graph.inputs[k]
+        succs = vg.succ_pos[vg.succ_start[k]:vg.succ_start[k + 1]]
+        assert [ids[p] for p in succs] == successors[nid]
+    assert len(vg) == len(ids) == len(vg.pred_start) - 1 == len(vg.succ_start) - 1
+    assert vg.adjacency == tuple(a.tolist() for a in (vg.pred_start, vg.pred_pos,
+                                                      vg.succ_start, vg.succ_pos))
+    assert vg.adjacency is vg.adjacency  # built once per graph
 
 
 @pytest.mark.parametrize("make", [make_footnote, lambda: _column_twin(make_footnote())],
@@ -114,25 +123,27 @@ def test_footnote_metrics(footnote):
 
 
 def test_footnote_levels(footnote):
-    assert node_levels(footnote) == {"a": 0, "b": 0, "c": 1, "d": 2}
+    assert footnote.level.tolist() == [0, 0, 1, 2]  # a, b, c, d
 
 
 def test_topo_order_respects_edges(footnote):
     pos = {nid: i for i, nid in enumerate(footnote.topo_order)}
-    for node in footnote.nodes:
-        for ref in node.inputs:
-            assert pos[ref] < pos[node.id]
+    for nid, refs in zip(footnote.graph.ids, footnote.graph.inputs):
+        for ref in refs:
+            assert pos[ref] < pos[nid]
 
 
 def test_validated_graph_accessors(footnote):
     assert len(footnote) == 4
-    assert footnote.node("c").op_kind == "mul"
-    assert footnote.predecessors("c") == ("a", "b")
-    assert set(footnote.successors("a")) == {"c"}
-    assert footnote.successors("d") == ()
-    assert [n.id for n in footnote] == ["a", "b", "c", "d"]
-    assert footnote.declared_inputs == ("a", "b")
-    assert footnote.declared_outputs == ("d",)
+    assert footnote.index == {"a": 0, "b": 1, "c": 2, "d": 3}
+    assert (footnote.pred_start.tolist(), footnote.pred_pos.tolist()) == ([0, 0, 0, 2, 3],
+                                                                          [0, 1, 2])
+    assert (footnote.succ_start.tolist(), footnote.succ_pos.tolist()) == ([0, 1, 2, 3, 3],
+                                                                          [2, 2, 3])
+    assert (footnote.order.tolist(), footnote.topo_order) == ([0, 1, 2, 3], ("a", "b", "c", "d"))
+    for arr in (footnote.pred_start, footnote.pred_pos, footnote.succ_start, footnote.succ_pos,
+                footnote.order, footnote.level):
+        assert not arr.flags.writeable
 
 
 def test_empty_graph_rejected():
@@ -235,14 +246,13 @@ def test_footnote_schedule_parallel(footnote, p):
 
 def test_schedule_assignment_is_consistent(footnote):
     sched = list_schedule(footnote, 2)
-    levels = node_levels(footnote)
     steps = {nid: step for nid, (_proc, step) in sched.assignment.items()}
     assert set(steps) == {"a", "b", "c", "d"}
     assert max(steps.values()) + 1 == sched.t_p
     # Every node runs strictly after all of its inputs.
-    for node in footnote.nodes:
-        for ref in node.inputs:
-            assert steps[ref] < steps[node.id]
+    for nid, refs in zip(footnote.graph.ids, footnote.graph.inputs):
+        for ref in refs:
+            assert steps[ref] < steps[nid]
     # No more than p nodes share a step.
     by_step = {}
     for nid, (proc, step) in sched.assignment.items():
@@ -251,7 +261,6 @@ def test_schedule_assignment_is_consistent(footnote):
     for procs in by_step.values():
         assert len(procs) <= 2
         assert len(set(procs)) == len(procs)
-    del levels
 
 
 def test_schedule_rejects_bad_p(footnote):
@@ -299,7 +308,7 @@ def _optimal_makespan(vg, p: int) -> int:
     earlier never hurts), so only full steps are expanded.
     """
     all_ids = frozenset(vg.topo_order)
-    preds = {nid: set(vg.predecessors(nid)) for nid in vg.topo_order}
+    preds = dict(zip(vg.graph.ids, map(set, vg.graph.inputs)))
     frontier = {frozenset()}
     steps = 0
     while all_ids not in frontier:
@@ -406,6 +415,57 @@ def test_ring_coupling_shapes():
     assert ring_coupling(4) == {0: (3, 1), 1: (0, 2), 2: (1, 3), 3: (2, 0)}
 
 
+def _stencil_template() -> ComputeGraph:
+    return ComputeGraph(
+        nodes=(OpNode("gather", "dot"), OpNode("residual", "sub", ("gather",)),
+               OpNode("update", "add", ("residual",))),
+        declared_inputs=("gather",), declared_outputs=("update",))
+
+
+def _repeated_input_template() -> ComputeGraph:
+    """Declared input "a" listed twice (it stitches by its first index),
+    outputs declared out of node order, and an input read twice."""
+    return ComputeGraph(
+        nodes=(OpNode("a", "load"), OpNode("b", "load"), OpNode("c", "mul", ("a", "b", "a")),
+               OpNode("d", "add", ("c",)), OpNode("e", "sub", ("c", "b"))),
+        declared_inputs=("b", "a", "a"), declared_outputs=("e", "d"))
+
+
+EXPANSIONS = {
+    "ring_4x5": lambda: expand_template(_two_source_template(), 4, 5, ring_coupling(4)),
+    "one_copy_1x3": lambda: expand_template(_two_source_template(), 1, 3, ring_coupling(1)),
+    "callable_stencil_3x4": lambda: expand_template(_stencil_template(), 3, 4,
+                                                    lambda s: ((s + 2) % 3, s)),
+    "partial_mapping_3x3": lambda: expand_template(_two_source_template(), 3, 3,
+                                                   {0: (2,), 2: (1, 0, 2)}),
+    "repeated_input_ring_3x3": lambda: expand_template(_repeated_input_template(), 3, 3,
+                                                       ring_coupling(3)),
+    "no_outputs_2x2": lambda: expand_template(
+        ComputeGraph(_two_source_template().nodes, ("a", "b")), 2, 2, ring_coupling(2)),
+}
+
+
+def expansion_digest(graph: ComputeGraph) -> str:
+    return hashlib.sha256(emit_graph(graph).encode()).hexdigest()
+
+
+# Recorded with the expansion that built OpNodes and looked each declared
+# input up with `declared_inputs.index`.
+EXPANSION_GOLDEN: dict[str, str] = {
+    'callable_stencil_3x4': 'bc74c7fb92a0f59f02c096d23e843bd84a4a3cd1cfeaa3761643caebdbc6d320',
+    'no_outputs_2x2': '76b08c17547fed54e6c8f10b9f0d1212fc4aa94a54e038ee8af2f31f5e2b6978',
+    'one_copy_1x3': '5af52017f404981c8894852bee4d295c1de0f659ab49029f9a3e7f29c165142b',
+    'partial_mapping_3x3': '2ca5530186ab7c608b82550363f9f0fe47a24337b02ecd39111ed29d1655de2a',
+    'repeated_input_ring_3x3': 'ab3642f210a87d8fdafee3c213fb1aeec5f4ef22b388b4e8b534807ac787ef6b',
+    'ring_4x5': 'efb21aca9956dd80930f9bb26fd4c64be13fe7b1dd11e5a9618fae71b3bcd057',
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPANSIONS))
+def test_expansion_matches_golden_digest(name):
+    assert expansion_digest(EXPANSIONS[name]()) == EXPANSION_GOLDEN[name]
+
+
 # -------------------------------------------------------------- random DAGs
 
 
@@ -469,3 +529,8 @@ def test_gen_random_dag_validation():
         gen_random_dag(5, 1.5, ("k",), seed=0)
     with pytest.raises(ValueError):
         gen_random_dag(5, 0.5, (), seed=0)
+
+
+if __name__ == "__main__":
+    for case_name in sorted(EXPANSIONS):
+        print(f"    {case_name!r}: {expansion_digest(EXPANSIONS[case_name]())!r},")

@@ -322,7 +322,8 @@ def test_lowering_preserves_graph_shape(footnote):
         for s in ng.synapses
         if owner(s.source) != owner(s.target)
     }
-    want = {(ref, node.id) for node in footnote.nodes for ref in node.inputs}
+    want = {(ref, nid) for nid, refs in zip(footnote.graph.ids, footnote.graph.inputs)
+            for ref in refs}
     assert cross_edges == want
     # Internal chain edges always run k -> k+1 within one assembly.
     for s in ng.synapses:
@@ -501,7 +502,7 @@ def test_relay_rules_share_one_rule():
                          ids=["footnote", "random_dag"])
 def test_default_rules_are_relay_rules(make):
     vg = validate_graph(make())
-    kinds = {node.op_kind for node in vg.nodes}
+    kinds = set(vg.graph.op_kinds)
     assert lower_graph(vg) == lower_graph(vg, relay_rules(kinds))
 
 
@@ -633,10 +634,10 @@ def _tuple_lowering(vg, rules=None):
     """Reference: the per-synapse lowering that preceded the columnar
     one, building SynapseSpecs and the tuple constructor."""
     if rules is None:
-        rules = relay_rules({node.op_kind for node in vg.nodes})
+        rules = relay_rules(set(vg.graph.op_kinds))
     neurons, synapses, entries, per_op, entry, exit_ = [], [], {}, {}, {}, {}
     for nid in vg.topo_order:
-        node = vg.node(nid)
+        node = vg.graph.nodes[vg.index[nid]]
         rule = rules[node.op_kind]
         members = [f"{nid}#{k}" for k in range(rule.neuron_count)]
         neurons += [(mid, rule.neuron, 0.0) for mid in members]
@@ -650,8 +651,8 @@ def _tuple_lowering(vg, rules=None):
             synapses.append(SynapseSpec(exit_[ref], members[0], rule.input_weight, rule.delay))
         entries[nid] = (frozenset(members), frozenset(owned))
         per_op[nid] = rule.neuron_count
-    ng = NeuralGraph(neurons, synapses, tuple(entry[n] for n in vg.declared_inputs),
-                     tuple(exit_[n] for n in vg.declared_outputs))
+    ng = NeuralGraph(neurons, synapses, tuple(entry[n] for n in vg.graph.declared_inputs),
+                     tuple(exit_[n] for n in vg.graph.declared_outputs))
     return ng, entries, per_op
 
 

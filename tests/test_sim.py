@@ -271,6 +271,19 @@ class TestCompile:
         assert [r.spike_ids for r in tr.records] == [("A",), ("B",), (), ("C",), ()]
         assert [r.synaptic_events for r in tr.records] == [0, 1, 0, 1, 0]
 
+    # Four events: delays up to 4 are found by a bincount, a farther one by np.unique.
+    @pytest.mark.parametrize("delays", [(3, 1, 3, 2), (7, 1, 10**6, 7)])
+    def test_each_distinct_delay_is_queued_once_in_ascending_order(self, delays):
+        targets = ("C", "B", "C", "B")
+        state = nc.init_sim(fan_out(*zip(targets, (2.0, 2.5, 3.0, 3.5), delays)),
+                            nc.AnalogEncoding(), 0)
+        nc.step_sim(state)
+        assert list(state.pending) == sorted(set(delays))  # keys are t + d at t = 0
+        for d, [(tgt, values)] in state.pending.items():
+            sel = [k for k in range(4) if delays[k] == d]
+            assert [state.net.ids[i] for i in tgt.tolist()] == [targets[k] for k in sel]
+            assert values.tolist() == [(2.0, 2.5, 3.0, 3.5)[k] for k in sel]
+
     def test_no_synapses_have_no_delay(self):
         net = compiled(3, [], [], [], [])
         assert net.delay is None and net.out_indptr.tolist() == [0, 0, 0, 0]

@@ -98,6 +98,36 @@ class TestCanonicalLabels:
         assert nc.isomorphic(g12, g34)
         assert nc.canonical_label(g12) == nc.canonical_label(g34)
 
+    def test_extract_fragment_rejects_repeated_and_unknown_ids(self, footnote):
+        with pytest.raises(ValueError, match="node 'a' is listed twice"):
+            extract_fragment(footnote, ["a", "c", "a"])
+        with pytest.raises(ValueError, match="node 'ghost' is not in the graph"):
+            extract_fragment(footnote, ["c", "ghost", "c"])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_extract_fragment_matches_id_reference(self, seed):
+        """Annotations count an input or a consumer once per reference;
+        edges are the distinct internal pairs."""
+        rng = random.Random(seed)
+        nodes = []
+        for i in range(14):
+            refs = tuple(f"v{rng.randrange(i)}" for _ in range(rng.randrange(4))) if i else ()
+            nodes.append(nc.OpNode(f"v{i}", rng.choice("ab"), refs))
+        vg = nc.validate_graph(nc.ComputeGraph(tuple(nodes)))
+        for _ in range(20):
+            ids = rng.sample([n.id for n in nodes], rng.randrange(1, 8))
+            members = set(ids)
+            want_nodes, want_edges = [], set()
+            for nid in ids:
+                node = vg.graph.nodes[vg.index[nid]]
+                consumers = [m.id for m in nodes for ref in m.inputs if ref == nid]
+                want_nodes.append((node.op_kind, sum(r not in members for r in node.inputs),
+                                   sum(c not in members for c in consumers)))
+                want_edges |= {(ids.index(r), ids.index(nid)) for r in node.inputs if r in members}
+            frag = extract_fragment(vg, ids)
+            assert (frag.nodes, frag.edges, frag.node_ids) == (
+                tuple(want_nodes), frozenset(want_edges), tuple(ids))
+
     def test_wl_label_equal_for_shifted_interior_windows(self):
         vg = make_chain(20)
         f_lo = extract_fragment(vg, tuple(f"n{i}" for i in range(1, 10)))
