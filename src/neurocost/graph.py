@@ -198,13 +198,13 @@ def _kahn(fan_in: list[int], succ_start: np.ndarray, succ_pos: np.ndarray
     each position's count of inputs never emitted, nonzero only on or
     downstream of a cycle."""
     n = len(fan_in)
-    succ, start = succ_pos.tolist(), succ_start.tolist()
+    succ, start, end = succ_pos.tolist(), succ_start[:-1].tolist(), succ_start[1:].tolist()
     waiting = list(fan_in)
     level = [0] * n
     order = [i for i in range(n) if not waiting[i]]
     for cur in order:  # the list is the FIFO queue: releases append to it
         nxt = level[cur] + 1
-        for s in succ[start[cur]:start[cur + 1]]:
+        for s in succ[start[cur]:end[cur]]:
             waiting[s] -= 1
             if not waiting[s]:
                 level[s] = nxt

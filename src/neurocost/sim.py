@@ -409,10 +409,7 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
                 s.pending.setdefault(t + net.delay, []).append((targets, values))
             else:
                 delays = net.syn_delay[pos]
-                # Distinct delays, ascending: a bincount unless its table outgrows the events.
-                found = (np.flatnonzero(np.bincount(delays)) if delays.max() <= len(delays)
-                         else np.unique(delays))
-                for d in found.tolist():
+                for d in np.unique(delays).tolist():
                     sel = delays == d
                     s.pending.setdefault(t + d, []).append((targets[sel], values[sel]))
 

@@ -256,7 +256,9 @@ def partition_isomorphic(vg: ValidatedGraph, granularity: int) -> PartitionResul
     # Tiling order: by level, then by id (a stable sort by level of the id order).
     order = sorted(range(len(vg)), key=vg.graph.ids.__getitem__)
     order.sort(key=vg.level.tolist().__getitem__)
-    rank = sorted(range(len(vg)), key=order.__getitem__)  # rank[pos] is pos's place in order
+    rank = [0] * len(vg)  # rank[pos] is pos's place in order
+    for i, pos in enumerate(order):
+        rank[pos] = i
     pred_start, pred, succ_start, succ = vg.adjacency
     assigned: set[int] = set()
     fragments: list[Fragment] = []

@@ -271,7 +271,7 @@ class TestCompile:
         assert [r.spike_ids for r in tr.records] == [("A",), ("B",), (), ("C",), ()]
         assert [r.synaptic_events for r in tr.records] == [0, 1, 0, 1, 0]
 
-    # Four events: delays up to 4 are found by a bincount, a farther one by np.unique.
+    # Four events, two with a repeated delay; a delay may exceed the event count.
     @pytest.mark.parametrize("delays", [(3, 1, 3, 2), (7, 1, 10**6, 7)])
     def test_each_distinct_delay_is_queued_once_in_ascending_order(self, delays):
         targets = ("C", "B", "C", "B")
