@@ -88,7 +88,6 @@ from .neural import (
     NeuralGraph,
     NeuronSpec,
     ResourceCount,
-    SynapseSpec,
     advance,
     count_resources,
     lower_graph,

@@ -18,8 +18,10 @@ w * y(t - d) to its target, d >= 1 steps after the source emitted y.
 
 A NeuralGraph is columns: neuron ids, a table of distinct NeuronSpecs with
 one index per neuron, initial states, and synapse source/target index,
-weight and delay arrays. Generators and lowering fill the columns
-directly; the (id, spec, x0) and SynapseSpec tuples are built lazily.
+weight and delay arrays. Its one constructor takes the columns, which
+generators and lowering fill directly. (A ComputeGraph still offers its
+OpNode form beside its columns, because the benchmark's cases build graphs
+from OpNodes and its checks read `graph.nodes`.)
 
 Lowering maps every operation node of a computational DAG to a small
 assembly of neurons (a chain: first neuron is the entry, last the exit)
@@ -42,6 +44,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import (
+    EmptyGraph,
     FanInExceedsRule,
     InconsistentAssembly,
     NoRuleForOpKind,
@@ -142,18 +145,6 @@ def step_neuron(spec: NeuronSpec, x: float, input_sum: float) -> tuple[float, fl
     return float(x_next[0]), float(y[0])
 
 
-@dataclass(frozen=True)
-class SynapseSpec:
-    source: str
-    target: str
-    weight: float
-    delay: int = 1
-
-    def __post_init__(self):
-        object.__setattr__(self, "delay", check_count(
-            f"delay of synapse {self.source!r} -> {self.target!r}", self.delay))
-
-
 def _int_column(name: str, values, length: int) -> np.ndarray:
     """`values` as an intp array of shape (length,); bool is not an integer."""
     arr = np.asarray(values)
@@ -175,40 +166,15 @@ class NeuralGraph:
     Neurons: `neuron_ids` (str tuple), `specs` (the distinct NeuronSpecs in
     order of first appearance), `spec_index` (each neuron's row of `specs`)
     and `x0`. Synapses, in declaration order: `source` and `target` neuron
-    indices, `weight` (float) and `delay` (int64). Arrays are read-only;
-    `index` maps each id to its position.
-    Build from (id, spec, x0) triples and SynapseSpecs, or with
-    `from_columns`; both give `==` graphs for one network. `neurons` and
-    `synapses` are those tuples, built on first access only.
+    indices, `weight` (float) and `delay` (int64). The constructor takes
+    these columns; an array that needs no conversion is kept, not copied,
+    and made read-only. `specs` must list distinct specs in order of first
+    use. `index` maps each id to its position.
     """
 
-    def __init__(self, neurons: Iterable[tuple[str, NeuronSpec, float]],
-                 synapses: Iterable[SynapseSpec],
-                 input_neurons: Iterable[str] = (), output_neurons: Iterable[str] = ()):
-        neurons, synapses = tuple(neurons), tuple(synapses)
-        ids = tuple(nid for nid, _spec, _x0 in neurons)
-        known = _id_set(ids)
-        for syn in synapses:
-            for role, nid in (("source", syn.source), ("target", syn.target)):
-                if nid not in known:
-                    raise ValueError(f"synapse {role} {nid!r} is not a neuron")
-        index = dict(zip(ids, range(len(ids))))
-        table: dict[NeuronSpec, int] = {}
-        spec_index = [table.setdefault(spec, len(table)) for _nid, spec, _x0 in neurons]
-        columns = NeuralGraph.from_columns(
-            ids, table, spec_index, [x0 for _n, _s, x0 in neurons],
-            [index[syn.source] for syn in synapses], [index[syn.target] for syn in synapses],
-            [syn.weight for syn in synapses], [syn.delay for syn in synapses],
-            input_neurons, output_neurons)
-        self.__dict__.update(columns.__dict__, neurons=neurons, synapses=synapses, index=index)
-
-    @classmethod
-    def from_columns(cls, neuron_ids: Iterable[str], specs: Iterable[NeuronSpec], spec_index,
-                     x0, source, target, weight, delay, input_neurons: Iterable[str] = (),
-                     output_neurons: Iterable[str] = ()) -> NeuralGraph:
-        """Build from columns. An array that needs no conversion is kept,
-        not copied, and made read-only. `specs` must list distinct specs in
-        order of first use."""
+    def __init__(self, neuron_ids: Iterable[str], specs: Iterable[NeuronSpec], spec_index, x0,
+                 source, target, weight, delay, input_neurons: Iterable[str] = (),
+                 output_neurons: Iterable[str] = ()):
         ids, specs = tuple(neuron_ids), tuple(specs)
         n, m = len(ids), len(source)
         cols = dict(spec_index=_int_column("spec_index", spec_index, n),
@@ -219,32 +185,33 @@ class NeuralGraph:
                     delay=_int_column("delay", delay, m).astype(np.int64, copy=False))
         for col in cols.values():
             col.flags.writeable = False
-        known = _id_set(ids)
-        ng = cls.__new__(cls)
-        ng.__dict__.update(cols, neuron_ids=ids, specs=specs,
-                           input_neurons=tuple(input_neurons),
-                           output_neurons=tuple(output_neurons))
-        row = ng.spec_index
+        self.__dict__.update(cols, neuron_ids=ids, specs=specs,
+                             input_neurons=tuple(input_neurons),
+                             output_neurons=tuple(output_neurons))
+        known = set(ids)
+        if len(known) != n:
+            dup = next(nid for k, nid in enumerate(ids) if self.index[nid] != k)
+            raise ValueError(f"duplicate neuron id {dup!r}")
+        row = self.spec_index
         top = np.maximum.accumulate(np.concatenate(([-1], row)))  # highest row so far
         if (len(set(specs)) != len(specs) or top[-1] != len(specs) - 1
                 or np.any(row < 0) or np.any(row > top[:-1] + 1)):
             raise ValueError("spec_index must use every spec of a distinct `specs` "
                              "in order of first use")
-        src, tgt = ng.source, ng.target
+        src, tgt = self.source, self.target
         if (k := _first((src < 0) | (src >= n) | (tgt < 0) | (tgt >= n))) is not None:
             role, v = ("source", src[k]) if not 0 <= src[k] < n else ("target", tgt[k])
             raise ValueError(f"synapse {k} {role} index {v} is not a neuron")
-        if (k := _first(~np.isfinite(ng.weight))) is not None:
-            raise ValueError(f"synapse {ng._name(k)} has non-finite weight {ng.weight[k]}")
-        if (k := _first(ng.delay < 1)) is not None:
-            raise ValueError(f"delay of synapse {ng._name(k)} must be an integer >= 1, "
-                             f"got {ng.delay[k]}")
-        for nid in ng.input_neurons + ng.output_neurons:
+        if (k := _first(~np.isfinite(self.weight))) is not None:
+            raise ValueError(f"synapse {self._name(k)} has non-finite weight {self.weight[k]}")
+        if (k := _first(self.delay < 1)) is not None:
+            raise ValueError(f"delay of synapse {self._name(k)} must be an integer >= 1, "
+                             f"got {self.delay[k]}")
+        for nid in self.input_neurons + self.output_neurons:
             if nid not in known:
                 raise ValueError(f"declared neuron {nid!r} does not exist")
         if loops := int(np.count_nonzero(src == tgt)):
             logger.info("neural graph contains %d self-loop synapse(s)", loops)
-        return ng
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -270,27 +237,6 @@ class NeuralGraph:
 
     def __repr__(self):
         return f"NeuralGraph({len(self.neuron_ids)} neurons, {len(self.source)} synapses)"
-
-    @cached_property
-    def neurons(self) -> tuple[tuple[str, NeuronSpec, float], ...]:
-        specs = [self.specs[g] for g in self.spec_index.tolist()]
-        return tuple(zip(self.neuron_ids, specs, self.x0.tolist()))
-
-    @cached_property
-    def synapses(self) -> tuple[SynapseSpec, ...]:
-        ids, src, tgt = self.neuron_ids, self.source.tolist(), self.target.tolist()
-        return tuple(SynapseSpec(ids[s], ids[t], w, d) for s, t, w, d in zip(
-            src, tgt, self.weight.tolist(), self.delay.tolist()))
-
-
-def _id_set(ids: tuple[str, ...]) -> set[str]:
-    """The ids as a set; ValueError naming the first id that repeats."""
-    known = set(ids)
-    if len(known) != len(ids):
-        last = dict(zip(ids, range(len(ids))))
-        dup = next(nid for k, nid in enumerate(ids) if last[nid] != k)
-        raise ValueError(f"duplicate neuron id {dup!r}")
-    return known
 
 
 _RELAY_NEURON = NeuronSpec("lif", v_thresh=1.0, v_reset=0.0)
@@ -438,7 +384,7 @@ def lower_graph(vg: ValidatedGraph, rules: Mapping[str, LoweringRule] | None = N
     weight[~chain] = _rule_column(used, "input_weight", syn_kind[~chain], float)
     delay = _rule_column(used, "delay", syn_kind)
 
-    ng = NeuralGraph.from_columns(
+    ng = NeuralGraph(
         ids, table, np.repeat(row[kind], count), np.zeros(len(ids)), source, target, weight,
         delay, input_neurons=(f"{nid}#0" for nid in vg.graph.declared_inputs),
         output_neurons=(ids[exit_of[vg.index[nid]]] for nid in vg.graph.declared_outputs))
@@ -459,9 +405,11 @@ def count_resources(ng: NeuralGraph, am: AssemblyMap | None = None) -> ResourceC
 
     With an AssemblyMap the means are per lowered op and the map must
     cover the graph exactly (InconsistentAssembly otherwise). Without one,
-    each neuron counts as its own unit.
+    each neuron counts as its own unit. Raises EmptyGraph without neurons.
     """
     n_total = len(ng.neuron_ids)
+    if not n_total:
+        raise EmptyGraph("network has no neurons")
     s_total = len(ng.source)
     if am is None:
         ops = n_total

@@ -3,6 +3,7 @@ scaling exponent with a log-log regression."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Callable, Mapping, Sequence
 
@@ -35,12 +36,12 @@ class RegressionResult:
 
 
 def fit_loglog(xs: Sequence[float], ys: Sequence[float]) -> RegressionResult:
-    """Ordinary least squares on the log-log points; requires strictly
-    positive data and at least two distinct x values."""
+    """Ordinary least squares on the log-log points; requires finite,
+    strictly positive data and at least two distinct x values."""
     if len(xs) != len(ys) or len(xs) < 2:
         raise ValueError("need at least two (x, y) pairs")
-    if any(x <= 0 for x in xs) or any(y <= 0 for y in ys):
-        raise ValueError("log-log regression needs strictly positive data")
+    if not all(0 < v < math.inf for v in (*xs, *ys)):  # false for nan too
+        raise ValueError("log-log regression needs finite, strictly positive data")
     lx = np.log(np.asarray(xs, dtype=float))
     ly = np.log(np.asarray(ys, dtype=float))
     vx = float(np.var(lx))

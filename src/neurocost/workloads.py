@@ -225,7 +225,7 @@ def gen_mesh(spec: MeshSpec) -> tuple[ComputeGraph, NeuralGraph]:
     # One threshold quantum scaled by each coupling weight, row i then
     # column j ascending, the pos rail before the neg rail.
     m = 2 * len(rows)
-    network = NeuralGraph.from_columns(
+    network = NeuralGraph(
         ids, (rail,), np.zeros(len(ids), dtype=np.intp), x0,
         source=np.column_stack([rows, rows + spec.m_s]).reshape(m),
         target=np.column_stack([cols, cols + spec.m_s]).reshape(m),
@@ -317,7 +317,7 @@ def gen_ff_layer(spec: FFLayerSpec) -> NeuralGraph:
     source_spec = NeuronSpec("lif", v_thresh=FF_INPUT_THRESH, v_reset=0.0)
     unit_spec = NeuronSpec("ann_relu")
     m = spec.n_i * spec.n_j
-    return NeuralGraph.from_columns(
+    return NeuralGraph(
         sources + units, (source_spec, unit_spec),
         np.repeat([0, 1], [spec.n_i, spec.n_j]), np.zeros(spec.n_i + spec.n_j),
         source=np.repeat(np.arange(spec.n_i), spec.n_j),
@@ -365,9 +365,8 @@ def gen_self_exciting_loop(v_thresh: float = 1.0,
     if weight is None:
         weight = 1.5 * v_thresh
     spec = NeuronSpec("lif", v_thresh=v_thresh, v_reset=0.0)
-    return NeuralGraph.from_columns(("loop0",), (spec,), [0], [1.5 * v_thresh],
-                                    source=[0], target=[0], weight=[weight], delay=[1],
-                                    output_neurons=("loop0",))
+    return NeuralGraph(("loop0",), (spec,), [0], [1.5 * v_thresh], source=[0], target=[0],
+                       weight=[weight], delay=[1], output_neurons=("loop0",))
 
 
 def gen_random_dag(n: int, edge_density: float, alphabet: Sequence[str],

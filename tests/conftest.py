@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from neurocost import ComputeGraph, OpNode, validate_graph
+from neurocost import ComputeGraph, NeuralGraph, OpNode, validate_graph
 
 
 def make_footnote() -> ComputeGraph:
@@ -30,6 +30,24 @@ def make_chain(n: int, kind: str = "relay") -> ComputeGraph:
     )
     return ComputeGraph(nodes=nodes, declared_inputs=("n0",),
                         declared_outputs=(f"n{n - 1}",))
+
+
+def network(neurons, synapses, input_neurons=(), output_neurons=()) -> NeuralGraph:
+    """A NeuralGraph from (id, spec, x0) triples and (source, target,
+    weight, delay=1) tuples. Specs are tabled in order of first use and
+    endpoint ids become positions; an unknown id becomes len(neurons), a
+    position the constructor rejects."""
+    neurons = tuple(neurons)
+    ids = [nid for nid, _spec, _x0 in neurons]
+    specs = list(dict.fromkeys(spec for _nid, spec, _x0 in neurons))
+    row = {spec: k for k, spec in enumerate(specs)}
+    pos = {nid: k for k, nid in enumerate(ids)}
+    synapses = [(*s, 1)[:4] for s in synapses]  # a missing delay is 1
+    src, tgt, weight, delay = zip(*synapses) if synapses else [()] * 4
+    return NeuralGraph(ids, specs, [row[spec] for _nid, spec, _x0 in neurons],
+                       [x0 for _nid, _spec, x0 in neurons],
+                       [pos.get(a, len(ids)) for a in src], [pos.get(b, len(ids)) for b in tgt],
+                       weight, delay, input_neurons, output_neurons)
 
 
 @pytest.fixture

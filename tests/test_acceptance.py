@@ -15,6 +15,7 @@ import numpy as np
 
 import neurocost as nc
 import neurocost.cli as cli
+from conftest import network
 
 FOOTNOTE = str(resources.files("neurocost") / "data" / "footnote.graph")
 
@@ -219,8 +220,8 @@ def test_criterion_08_word_transition_bits(capsys):
     unit_ok = nc.hamming_bits(np.array([63]), np.array([64]), 8).tolist() == [7]
 
     spec = nc.NeuronSpec(model_kind="lif", v_thresh=1000.0)
-    ng = nc.NeuralGraph(neurons=(("m", spec, 63.0),), synapses=(),
-                        input_neurons=("m",), output_neurons=("m",))
+    ng = network(neurons=(("m", spec, 63.0),), synapses=(),
+                 input_neurons=("m",), output_neurons=("m",))
     state = nc.init_sim(ng, nc.DigitalEncoding(8, scale=128.0), 0)
     tr = nc.run_sim(state, 1, inputs={0: (("m", 1.0),)})
     sim_ok = tr.records[0].delta_n == 7.0

@@ -278,15 +278,14 @@ def test_lowering_matches_reference(name, rules_name):
     ng, am = nc.lower_graph(vg, rules)
     want, want_entries, want_per_op = _tuple_lowering(vg, rules)
     assert ng == want
-    assert (ng.neurons, ng.synapses) == (want.neurons, want.synapses)
     assert (ng.input_neurons, ng.output_neurons) == (want.input_neurons, want.output_neurons)
     entries, per_op = _assembly_views(am)
     assert list(entries.items()) == list(want_entries.items())
     assert list(per_op.items()) == list(want_per_op.items())
     r = nc.count_resources(ng, am)
     assert (r.n_total, r.s_total, r.n_bar, r.s_bar) == (
-        len(want.neurons), len(want.synapses),
-        len(want.neurons) / len(raw.nodes), len(want.synapses) / len(raw.nodes))
+        len(want.neuron_ids), len(want.source),
+        len(want.neuron_ids) / len(raw.nodes), len(want.source) / len(raw.nodes))
 
 
 # ------------------------------------------------------------------ error parity

@@ -22,7 +22,7 @@ import pytest
 
 import neurocost as nc
 import neurocost.sim as sim
-from conftest import make_footnote
+from conftest import make_footnote, network
 
 RANDOM_SPECS = (
     nc.NeuronSpec("threshold_gate", v_thresh=0.3),
@@ -117,10 +117,10 @@ def random_network(seed: int) -> nc.NeuralGraph:
     weight[zero] = np.where(rng.random(n_syn) < 0.5, 0.0, -0.0)[zero]
     delay = rng.integers(1, 5, size=n_syn)
     synapses = tuple(
-        nc.SynapseSpec(f"u{int(a)}", f"u{int(b)}", float(w), int(d))
+        (f"u{int(a)}", f"u{int(b)}", float(w), int(d))
         for a, b, w, d in zip(src, tgt, weight, delay)
     )
-    return nc.NeuralGraph(
+    return network(
         neurons=tuple(neurons),
         synapses=synapses,
         input_neurons=("u0", "u1", "u2", "u3"),
@@ -146,15 +146,14 @@ def case_cancelled_input():
     """Inputs that sum to exactly 0.0 wake nothing: the gate (which would
     fire on input 0) stays silent and the relu keeps its held state."""
     relay = nc.NeuronSpec("lif", v_thresh=1.0)
-    ng = nc.NeuralGraph(
+    ng = network(
         neurons=(("a", relay, 1.5),
                  ("g", nc.NeuronSpec("threshold_gate", v_thresh=-0.5), 0.0),
                  ("r", nc.NeuronSpec("ann_relu"), 0.7),
                  ("l", nc.NeuronSpec("lif", v_thresh=1.0, tau=4.0), 0.5),
                  ("o", relay, 0.0)),
-        synapses=(nc.SynapseSpec("a", "g", 0.5), nc.SynapseSpec("a", "r", 0.25, 2),
-                  nc.SynapseSpec("g", "o", 1.5), nc.SynapseSpec("r", "o", 2.0),
-                  nc.SynapseSpec("l", "o", 1.5)),
+        synapses=(("a", "g", 0.5), ("a", "r", 0.25, 2), ("g", "o", 1.5), ("r", "o", 2.0),
+                  ("l", "o", 1.5)),
         input_neurons=("g", "r", "l"),
         output_neurons=("g", "r", "o"),
     )
@@ -176,10 +175,9 @@ def case_narrow_decay():
     for i, x0 in enumerate((0.9, -0.01, 0.13, 1.4, -1.2, 0.0)):
         neurons.append((f"s{i}", slow, x0))
         neurons.append((f"f{i}", fast, -x0))
-    synapses = tuple(nc.SynapseSpec("src", nid, 0.3, 1 + k % 3)
-                     for k, (nid, _s, _x) in enumerate(neurons[1:]))
-    ng = nc.NeuralGraph(neurons=tuple(neurons), synapses=synapses,
-                        input_neurons=("src",), output_neurons=("s0", "f0", "s3"))
+    synapses = tuple(("src", nid, 0.3, 1 + k % 3) for k, (nid, _s, _x) in enumerate(neurons[1:]))
+    ng = network(neurons=tuple(neurons), synapses=synapses,
+                 input_neurons=("src",), output_neurons=("s0", "f0", "s3"))
     inputs = {t: (("src", 1.25),) for t in (3, 11, 12, 20)}
     return _run(ng, nc.DigitalEncoding(word_width=6, scale=4.0), 30, inputs=inputs)
 
@@ -194,13 +192,12 @@ def case_armed_groups():
     neurons = tuple((f"v{i}", specs[i % 4], (1.3, 0.6, -0.4, 0.0, 0.0, 0.9)[i % 6])
                     for i in range(24))
     delays = (1, 2, 3, 5)
-    synapses = tuple(nc.SynapseSpec(f"v{i}", f"v{(i * 7 + 3) % 24}", 0.45 - 0.1 * (i % 5),
-                                    delays[i % 4])
+    synapses = tuple((f"v{i}", f"v{(i * 7 + 3) % 24}", 0.45 - 0.1 * (i % 5), delays[i % 4])
                      for i in range(24))
-    synapses += tuple(nc.SynapseSpec(f"v{i}", f"v{(i + 5) % 24}", 0.6, delays[(i + 1) % 4])
+    synapses += tuple((f"v{i}", f"v{(i + 5) % 24}", 0.6, delays[(i + 1) % 4])
                       for i in range(0, 24, 3))
-    ng = nc.NeuralGraph(neurons=neurons, synapses=synapses, input_neurons=("v0",),
-                        output_neurons=("v1", "v2", "v8"))
+    ng = network(neurons=neurons, synapses=synapses, input_neurons=("v0",),
+                 output_neurons=("v1", "v2", "v8"))
     return _run(ng, nc.DigitalEncoding(), 25)
 
 
@@ -253,8 +250,8 @@ def test_random_networks_exercise_multi_delay_and_zero_weights():
     # The digests only protect the multi-delay and zero-weight paths if the
     # random runs actually carry events over them.
     ng = random_network(0)
-    assert {s.delay for s in ng.synapses} == {1, 2, 3, 4}
-    assert any(s.weight == 0.0 for s in ng.synapses)
+    assert set(ng.delay.tolist()) == {1, 2, 3, 4}
+    assert np.any(ng.weight == 0.0)
     tr, _ = case_random(0, "analog")
     assert sum(r.synaptic_events for r in tr.records) > 100
 
@@ -263,8 +260,10 @@ def test_random_networks_exercise_multi_delay_and_zero_weights():
 def test_random_networks_compile_only_nonzero_weights(seed):
     # Zero-weight synapses, +0.0 and -0.0 alike, are left out of the table.
     ng = random_network(seed)
-    kept = sorted((s.source, s.target, s.weight, s.delay) for s in ng.synapses if s.weight != 0.0)
-    assert len(kept) < len(ng.synapses)
+    ids = ng.neuron_ids
+    kept = sorted((ids[a], ids[b], w, d) for a, b, w, d in zip(
+        ng.source.tolist(), ng.target.tolist(), ng.weight.tolist(), ng.delay.tolist()) if w != 0.0)
+    assert len(kept) < len(ng.source)
     net = nc.init_sim(ng, ENCODINGS["analog"], 0).net
     src = np.repeat(np.arange(net.n), np.diff(net.out_indptr))
     table = sorted((net.ids[a], net.ids[b], w, d) for a, b, w, d in zip(

@@ -10,6 +10,7 @@ import pytest
 from neurocost import (
     AnalogEncoding,
     AssemblyMap,
+    EmptyGraph,
     FanInExceedsRule,
     InconsistentAssembly,
     LoweringRule,
@@ -20,7 +21,6 @@ from neurocost import (
     NonFiniteInput,
     OpNode,
     ComputeGraph,
-    SynapseSpec,
     gen_random_dag,
     advance,
     count_resources,
@@ -34,7 +34,7 @@ from neurocost import (
     validate_graph,
 )
 
-from conftest import make_chain, make_footnote
+from conftest import make_chain, make_footnote, network
 from test_golden import (ENCODINGS, GOLDEN, RANDOM_SPECS, random_inputs, random_network,
                          trace_digest, _run as golden_run)
 
@@ -228,7 +228,7 @@ def test_armed_set_and_first_output_follow_the_transfer_rule(spec):
     th = spec.v_thresh
     x0 = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, th, math.nextafter(th, math.inf),
           math.nextafter(th, -math.inf), 1.0, -1.0]
-    ng = NeuralGraph([(f"n{k}", spec, v) for k, v in enumerate(x0)], [])
+    ng = network([(f"n{k}", spec, v) for k, v in enumerate(x0)], [])
     state = init_sim(ng, AnalogEncoding(), seed=0)
     assert state.armed.tolist() == [k for k, v in enumerate(x0) if _armed_rule(spec, v)]
     step_sim(state)
@@ -241,17 +241,20 @@ def test_armed_set_and_first_output_follow_the_transfer_rule(spec):
 # ------------------------------------------------------------ graph plumbing
 
 
+_RELAY = NeuronSpec("lif", v_thresh=1.0)
+_AB = (("a", _RELAY, 0.0), ("b", _RELAY, 0.0))
+
+
 def test_synapse_delay_validation():
-    with pytest.raises(ValueError):
-        SynapseSpec("a", "b", 1.0, delay=0)
-    with pytest.raises(ValueError):
-        SynapseSpec("a", "b", 1.0, delay=-1)
-    with pytest.raises(ValueError):
-        SynapseSpec("a", "b", 1.0, delay=1.5)
-    with pytest.raises(ValueError):
-        SynapseSpec("a", "b", 1.0, delay=np.float64(2.0))
-    delay = SynapseSpec("a", "b", 1.0, delay=np.int64(2)).delay
-    assert type(delay) is int and delay == 2
+    for delay in (0, -1):
+        with pytest.raises(ValueError, match=f"delay of synapse 'a' -> 'b' must be an integer "
+                                             f">= 1, got {delay}"):
+            network(_AB, [("a", "b", 1.0, delay)])
+    for delay in (1.5, np.float64(2.0)):
+        with pytest.raises(ValueError, match="delay must hold integers, got dtype float64"):
+            network(_AB, [("a", "b", 1.0, delay)])
+    ng = network(_AB, [("a", "b", 1.0, np.int64(2))])
+    assert ng.delay.dtype == np.int64 and ng.delay.tolist() == [2]
 
 
 def _one_neuron(nid="n"):
@@ -260,24 +263,18 @@ def _one_neuron(nid="n"):
 
 def test_neural_graph_validation():
     with pytest.raises(ValueError):
-        NeuralGraph(neurons=(_one_neuron("x"), _one_neuron("x")), synapses=())
+        network((_one_neuron("x"), _one_neuron("x")), ())
     with pytest.raises(ValueError):
-        NeuralGraph(neurons=(_one_neuron("x"),),
-                    synapses=(SynapseSpec("ghost", "x", 1.0),))
+        network((_one_neuron("x"),), (("ghost", "x", 1.0),))
     with pytest.raises(ValueError):
-        NeuralGraph(neurons=(_one_neuron("x"),),
-                    synapses=(SynapseSpec("x", "ghost", 1.0),))
+        network((_one_neuron("x"),), (("x", "ghost", 1.0),))
     with pytest.raises(ValueError):
-        NeuralGraph(neurons=(_one_neuron("x"),), synapses=(),
-                    input_neurons=("ghost",))
+        network((_one_neuron("x"),), (), input_neurons=("ghost",))
 
 
 def test_self_loop_introspection():
-    ng = NeuralGraph(
-        neurons=(_one_neuron("x"), _one_neuron("y")),
-        synapses=(SynapseSpec("x", "x", 0.5), SynapseSpec("x", "y", 0.5)),
-    )
-    assert [s.target for s in _self_loops(ng)] == ["x"]
+    ng = network((_one_neuron("x"), _one_neuron("y")), (("x", "x", 0.5), ("x", "y", 0.5)))
+    assert [target for _source, target, _w, _d in _self_loops(ng)] == ["x"]
     assert ng.neuron_ids == ("x", "y")
 
 
@@ -286,8 +283,8 @@ def test_self_loop_introspection():
 
 def test_lower_footnote_relay(footnote):
     ng, am = lower_graph(footnote, relay_rules({"sub", "mul", "pow"}))
-    assert len(ng.neurons) == 4
-    assert len(ng.synapses) == 3
+    assert len(ng.neuron_ids) == 4
+    assert len(ng.source) == 3
     assert ng.input_neurons == ("a#0", "b#0")
     assert ng.output_neurons == ("d#0",)
     r = count_resources(ng, am)
@@ -299,9 +296,9 @@ def test_lower_footnote_relay(footnote):
 def test_lower_footnote_depth_two(footnote):
     ng, am = lower_graph(footnote, relay_rules({"sub", "mul", "pow"},
                                                neuron_count=2))
-    assert len(ng.neurons) == 8
+    assert len(ng.neuron_ids) == 8
     # One chain synapse per op plus one synapse per graph edge.
-    assert len(ng.synapses) == 4 + 3
+    assert len(ng.source) == 4 + 3
     assert ng.input_neurons == ("a#0", "b#0")
     assert ng.output_neurons == ("d#1",)
     r = count_resources(ng, am)
@@ -317,20 +314,16 @@ def test_lowering_preserves_graph_shape(footnote):
     def owner(neuron_id: str) -> str:
         return neuron_id.rsplit("#", 1)[0]
 
-    cross_edges = {
-        (owner(s.source), owner(s.target))
-        for s in ng.synapses
-        if owner(s.source) != owner(s.target)
-    }
+    ids = ng.neuron_ids
+    pairs = [(ids[a], ids[b]) for a, b in zip(ng.source.tolist(), ng.target.tolist())]
+    cross_edges = {(owner(a), owner(b)) for a, b in pairs if owner(a) != owner(b)}
     want = {(ref, nid) for nid, refs in zip(footnote.graph.ids, footnote.graph.inputs)
             for ref in refs}
     assert cross_edges == want
     # Internal chain edges always run k -> k+1 within one assembly.
-    for s in ng.synapses:
-        if owner(s.source) == owner(s.target):
-            k_src = int(s.source.rsplit("#", 1)[1])
-            k_dst = int(s.target.rsplit("#", 1)[1])
-            assert k_dst == k_src + 1
+    for a, b in pairs:
+        if owner(a) == owner(b):
+            assert int(b.rsplit("#", 1)[1]) == int(a.rsplit("#", 1)[1]) + 1
 
 
 def test_lower_missing_rule(footnote):
@@ -415,7 +408,7 @@ def test_assembly_map_covers_network(footnote):
         owned_neurons |= members
         owned_synapses |= syn_ids
     assert owned_neurons == set(ng.neuron_ids)
-    assert owned_synapses == set(range(len(ng.synapses)))
+    assert owned_synapses == set(range(len(ng.source)))
     assert all(count == 2 for count in per_op.values())
 
 
@@ -428,14 +421,19 @@ def test_chain_lowering_counts():
 
 
 def test_count_resources_without_map():
-    ng = NeuralGraph(
-        neurons=(_one_neuron("x"), _one_neuron("y"), _one_neuron("z")),
-        synapses=(SynapseSpec("x", "y", 1.0), SynapseSpec("y", "z", 1.0)),
-    )
+    ng = network((_one_neuron("x"), _one_neuron("y"), _one_neuron("z")),
+                 (("x", "y", 1.0), ("y", "z", 1.0)))
     r = count_resources(ng)
     assert (r.n_total, r.s_total) == (3, 2)
     assert r.n_bar == 1.0
     assert r.s_bar == pytest.approx(2 / 3)
+
+
+@pytest.mark.parametrize("am", [None, AssemblyMap((), (), [0], [0])], ids=["no_map", "empty_map"])
+def test_count_resources_rejects_an_empty_network(am):
+    # Both used to raise ZeroDivisionError.
+    with pytest.raises(EmptyGraph, match="network has no neurons"):
+        count_resources(NeuralGraph((), (), [], [], [], [], [], []), am)
 
 
 def test_count_resources_inconsistent_map(footnote):
@@ -508,81 +506,49 @@ def test_default_rules_are_relay_rules(make):
 
 # ------------------------------------------------------------ columnar IR
 
-_RELAY = NeuronSpec("lif", v_thresh=1.0)
-
-
-def _build(how, neurons, synapses, **kw):
-    """One network through either constructor; endpoints are ids for the
-    tuple form and become positions (an unknown id -> 99) for columns."""
-    if how == "tuples":
-        return NeuralGraph(neurons, [SynapseSpec(*syn) for syn in synapses], **kw)
-    ids = [nid for nid, _s, _x in neurons]
-    specs = list(dict.fromkeys(spec for _n, spec, _x in neurons))
-    pos = {nid: i for i, nid in enumerate(ids)}
-    cols = list(zip(*synapses)) if synapses else [(), (), (), ()]
-    return NeuralGraph.from_columns(
-        ids, specs, [specs.index(spec) for _n, spec, _x in neurons],
-        [x0 for _n, _s, x0 in neurons], [pos.get(a, 99) for a in cols[0]],
-        [pos.get(b, 99) for b in cols[1]], cols[2], cols[3], **kw)
-
-
-_AB = (("a", _RELAY, 0.0), ("b", _RELAY, 0.0))
-
-
-@pytest.mark.parametrize("how", ["tuples", "columns"])
 class TestConstructionErrors:
-    def test_duplicate_id(self, how):
+    def test_duplicate_id(self):
         with pytest.raises(ValueError, match="duplicate neuron id 'a'"):
-            _build(how, _AB + (("a", _RELAY, 1.0),), [])
+            network(_AB + (("a", _RELAY, 1.0),), [])
 
     @pytest.mark.parametrize("role, syn", [("source", ("ghost", "a", 1.0, 1)),
                                            ("target", ("a", "ghost", 1.0, 1))])
-    def test_unknown_endpoint(self, how, role, syn):
-        with pytest.raises(ValueError, match=f"synapse {role} .* is not a neuron"
-                           if how == "tuples" else f"synapse 0 {role} index 99 is not a neuron"):
-            _build(how, _AB, [syn])
+    def test_unknown_endpoint(self, role, syn):
+        # the builder turns the unknown id into position len(neurons) = 2
+        with pytest.raises(ValueError, match=f"synapse 0 {role} index 2 is not a neuron"):
+            network(_AB, [syn])
 
     @pytest.mark.parametrize("delay", [0, -3])
-    def test_delay_below_one(self, how, delay):
+    def test_delay_below_one(self, delay):
         with pytest.raises(ValueError, match=f"delay of synapse 'a' -> 'b' must be an integer "
                                              f">= 1, got {delay}"):
-            _build(how, _AB, [("a", "b", 1.0, 1), ("a", "b", 1.0, delay)])
+            network(_AB, [("a", "b", 1.0, 1), ("a", "b", 1.0, delay)])
 
     @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
-    def test_non_finite_weight_names_the_synapse(self, how, weight):
+    def test_non_finite_weight_names_the_synapse(self, weight):
         # a NaN weight used to surface at run time as a diverged state of 'b'
         with pytest.raises(ValueError, match=f"synapse 'a' -> 'b' has non-finite weight {weight}"):
-            _build(how, _AB, [("a", "b", weight, 1)])
+            network(_AB, [("a", "b", weight, 1)])
 
-    def test_bool_delay(self, how):
-        with pytest.raises(ValueError, match="'a' -> 'b' must be an integer >= 1, got True"
-                           if how == "tuples"
-                           else "delay must hold integers, got dtype bool"):
-            _build(how, _AB, [("a", "b", 1.0, True)])
+    def test_bool_delay(self):
+        with pytest.raises(ValueError, match="delay must hold integers, got dtype bool"):
+            network(_AB, [("a", "b", 1.0, True)])
 
-    def test_undeclared_io(self, how):
+    def test_undeclared_io(self):
         with pytest.raises(ValueError, match="declared neuron 'ghost' does not exist"):
-            _build(how, _AB, [], output_neurons=("ghost",))
-
-    def test_both_forms_agree(self, how):
-        ng = _build(how, _AB + (("c", NeuronSpec("ann_relu"), 0.5),),
-                    [("a", "b", 1.5, 2), ("c", "a", -0.0, 1)], input_neurons=("a",))
-        assert ng == _build("tuples" if how == "columns" else "columns", _AB + (
-            ("c", NeuronSpec("ann_relu"), 0.5),), [("a", "b", 1.5, 2), ("c", "a", -0.0, 1)],
-            input_neurons=("a",))
-        assert ng.synapses == (SynapseSpec("a", "b", 1.5, 2), SynapseSpec("c", "a", -0.0, 1))
+            network(_AB, [], output_neurons=("ghost",))
 
 
 def test_empty_columns_make_an_empty_graph():
-    ng = NeuralGraph.from_columns((), (), [], [], [], [], [], [])
-    assert ng == NeuralGraph((), ()) and ng.neurons == () and ng.synapses == ()
+    ng = NeuralGraph((), (), [], [], [], [], [], [])
+    assert (ng.neuron_ids, ng.specs, len(ng.x0), len(ng.source)) == ((), (), 0, 0)
     with pytest.raises(ValueError, match="spec_index must use every spec"):
-        NeuralGraph.from_columns((), (_RELAY,), [], [], [], [], [], [])
+        NeuralGraph((), (_RELAY,), [], [], [], [], [], [])
 
 
 def test_float_delay_column_is_rejected():
     with pytest.raises(ValueError, match="delay must hold integers"):
-        NeuralGraph.from_columns(("a",), (_RELAY,), [0], [0.0], [0], [0], [1.0], [1.5])
+        NeuralGraph(("a",), (_RELAY,), [0], [0.0], [0], [0], [1.0], [1.5])
 
 
 @pytest.mark.parametrize("specs, spec_index", [
@@ -595,11 +561,11 @@ def test_float_delay_column_is_rejected():
 ])
 def test_spec_table_must_be_canonical(specs, spec_index):
     with pytest.raises(ValueError, match="spec_index must use every spec"):
-        NeuralGraph.from_columns(("a", "b"), specs, spec_index, [0.0, 0.0], [], [], [], [])
+        NeuralGraph(("a", "b"), specs, spec_index, [0.0, 0.0], [], [], [], [])
 
 
 def test_column_graph_is_immutable():
-    ng = NeuralGraph(_AB, (SynapseSpec("a", "b", 1.0),))
+    ng = network(_AB, (("a", "b", 1.0),))
     with pytest.raises(AttributeError):
         ng.weight = np.zeros(1)
     with pytest.raises(ValueError):
@@ -609,16 +575,18 @@ def test_column_graph_is_immutable():
 
 def test_self_loops_read_the_columns(caplog):
     with caplog.at_level("INFO", logger="neurocost.neural"):
-        ng = NeuralGraph.from_columns(("x", "y"), (_RELAY,), [0, 0], [0.0, 0.0],
-                                      [0, 0, 1], [0, 1, 1], [0.5, 0.5, 2.0], [1, 1, 3])
+        ng = NeuralGraph(("x", "y"), (_RELAY,), [0, 0], [0.0, 0.0],
+                         [0, 0, 1], [0, 1, 1], [0.5, 0.5, 2.0], [1, 1, 3])
     assert "2 self-loop synapse(s)" in caplog.text
-    assert "synapses" not in vars(ng)
-    assert _self_loops(ng) == (SynapseSpec("x", "x", 0.5), SynapseSpec("y", "y", 2.0, 3))
+    assert _self_loops(ng) == (("x", "x", 0.5, 1), ("y", "y", 2.0, 3))
 
 
 def _self_loops(ng):
-    """Reference: the synapses whose source is their target, in order."""
-    return tuple(ng.synapses[k] for k in np.flatnonzero(ng.source == ng.target).tolist())
+    """Reference: (source, target, weight, delay) of each synapse whose
+    source is its target, in order."""
+    ids = ng.neuron_ids
+    return tuple((ids[ng.source[k]], ids[ng.target[k]], float(ng.weight[k]), int(ng.delay[k]))
+                 for k in np.flatnonzero(ng.source == ng.target).tolist())
 
 
 def _assembly_views(am):
@@ -632,7 +600,7 @@ def _assembly_views(am):
 
 def _tuple_lowering(vg, rules=None):
     """Reference: the per-synapse lowering that preceded the columnar
-    one, building SynapseSpecs and the tuple constructor."""
+    one, building (id, spec, x0) and synapse tuples."""
     if rules is None:
         rules = relay_rules(set(vg.graph.op_kinds))
     neurons, synapses, entries, per_op, entry, exit_ = [], [], {}, {}, {}, {}
@@ -645,14 +613,14 @@ def _tuple_lowering(vg, rules=None):
         owned = []
         for a, b in zip(members, members[1:]):
             owned.append(len(synapses))
-            synapses.append(SynapseSpec(a, b, rule.chain_weight, rule.delay))
+            synapses.append((a, b, rule.chain_weight, rule.delay))
         for ref in node.inputs:
             owned.append(len(synapses))
-            synapses.append(SynapseSpec(exit_[ref], members[0], rule.input_weight, rule.delay))
+            synapses.append((exit_[ref], members[0], rule.input_weight, rule.delay))
         entries[nid] = (frozenset(members), frozenset(owned))
         per_op[nid] = rule.neuron_count
-    ng = NeuralGraph(neurons, synapses, tuple(entry[n] for n in vg.graph.declared_inputs),
-                     tuple(exit_[n] for n in vg.graph.declared_outputs))
+    ng = network(neurons, synapses, tuple(entry[n] for n in vg.graph.declared_inputs),
+                 tuple(exit_[n] for n in vg.graph.declared_outputs))
     return ng, entries, per_op
 
 
@@ -675,7 +643,6 @@ def test_columnar_lowering_equals_tuple_lowering(make, rules):
     ng, am = lower_graph(vg, rules)
     want, want_entries, want_per_op = _tuple_lowering(vg, rules)
     assert ng == want
-    assert (ng.neurons, ng.synapses) == (want.neurons, want.synapses)
     assert (ng.input_neurons, ng.output_neurons) == (want.input_neurons, want.output_neurons)
     assert _assembly_views(am) == (want_entries, want_per_op)
 
@@ -714,7 +681,7 @@ def _random_network_columns(seed: int) -> NeuralGraph:
     weight[zero] = np.where(rng.random(n_syn) < 0.5, 0.0, -0.0)[zero]
     delay = rng.integers(1, 5, size=n_syn)
     used = list(dict.fromkeys(rows))
-    return NeuralGraph.from_columns(
+    return NeuralGraph(
         [f"u{i}" for i in range(n)], [RANDOM_SPECS[r] for r in used],
         [used.index(r) for r in rows], x0, src, tgt, weight, delay,
         input_neurons=("u0", "u1", "u2", "u3"), output_neurons=("u4", "u5", "u6"))
@@ -724,10 +691,9 @@ def _random_network_columns(seed: int) -> NeuralGraph:
 def test_golden_random_networks_equal_as_columns(seed):
     ng, want = _random_network_columns(seed), random_network(seed)
     assert ng == want
-    assert (ng.neurons, ng.synapses) == (want.neurons, want.synapses)
     # the sign of each zero weight survives the columns
-    assert [math.copysign(1, s.weight) for s in ng.synapses] == [
-        math.copysign(1, s.weight) for s in want.synapses]
+    assert [math.copysign(1, w) for w in ng.weight.tolist()] == [
+        math.copysign(1, w) for w in want.weight.tolist()]
     for encoding in ENCODINGS:
         tr, state = golden_run(ng, ENCODINGS[encoding], 40, inputs=random_inputs(seed, 40))
         assert trace_digest(tr, state) == GOLDEN[f"random_s{seed}_{encoding}_dzw0"]

@@ -9,15 +9,16 @@ import numpy as np
 import pytest
 
 import neurocost as nc
+from conftest import network
 
 RELAY = nc.NeuronSpec(model_kind="lif", v_thresh=1.0)
 
 
 def two_neuron(weight, delay=1, a0=1.5):
     """A -> B with one synapse; A starts at a0 so it is armed when a0 > 1."""
-    return nc.NeuralGraph(
+    return network(
         neurons=(("A", RELAY, a0), ("B", RELAY, 0.0)),
-        synapses=(nc.SynapseSpec("A", "B", weight, delay),),
+        synapses=(("A", "B", weight, delay),),
         input_neurons=("A",),
         output_neurons=("B",),
     )
@@ -49,7 +50,7 @@ def footnote_trace(footnote_net):
 
 class TestStepAccounting:
     def test_quiescent_network_records_all_zero(self):
-        ng = nc.NeuralGraph(
+        ng = network(
             neurons=(("q", RELAY, 0.0),),
             synapses=(),
             input_neurons=("q",),
@@ -65,7 +66,7 @@ class TestStepAccounting:
         assert tr.e_n == 0.0
 
     def test_armed_neuron_fires_on_first_step(self):
-        ng = nc.NeuralGraph(
+        ng = network(
             neurons=(("A", RELAY, 1.5),),
             synapses=(),
             input_neurons=("A",),
@@ -114,10 +115,9 @@ class TestStepAccounting:
     def test_zero_weight_fanout_is_not_delivered(self):
         # A fires into B over a zero and a nonzero synapse and into C over
         # -0.0: only the nonzero one is compiled, carried and billed.
-        ng = nc.NeuralGraph(
+        ng = network(
             neurons=(("A", RELAY, 1.5), ("B", RELAY, 0.0), ("C", RELAY, 0.0)),
-            synapses=(nc.SynapseSpec("A", "B", 0.0), nc.SynapseSpec("A", "B", 0.5),
-                      nc.SynapseSpec("A", "C", -0.0)),
+            synapses=(("A", "B", 0.0), ("A", "B", 0.5), ("A", "C", -0.0)),
             input_neurons=("A",),
             output_neurons=("B", "C"),
         )
@@ -131,7 +131,7 @@ class TestStepAccounting:
 
     def test_armed_relu_emits_without_state_write(self):
         ann = nc.NeuronSpec(model_kind="ann_relu")
-        ng = nc.NeuralGraph(
+        ng = network(
             neurons=(("r", ann, 2.0),),
             synapses=(),
             input_neurons=("r",),
@@ -166,11 +166,9 @@ class TestStepAccounting:
         # (emit step, source) order gives 4.0 (3 + 1e16 rounds up to the
         # even neighbour); pre-summing each emit step would give 3.0.
         relu = nc.NeuronSpec(model_kind="ann_relu")
-        ng = nc.NeuralGraph(
+        ng = network(
             neurons=tuple((nid, relu, 0.0) for nid in ("A", "B", "C", "T")),
-            synapses=(nc.SynapseSpec("A", "T", 3.0, 2),
-                      nc.SynapseSpec("B", "T", 1e16, 1),
-                      nc.SynapseSpec("C", "T", -1e16, 1)),
+            synapses=(("A", "T", 3.0, 2), ("B", "T", 1e16, 1), ("C", "T", -1e16, 1)),
             input_neurons=("A", "B", "C"),
             output_neurons=("T",),
         )
@@ -193,9 +191,9 @@ class TestStepAccounting:
     def test_only_non_spiking_senders_scale_emitted_weights(self, kind, weight, scaled):
         relu = nc.NeuronSpec("ann_relu")
         sender = nc.NeuronSpec(kind, v_thresh=1.0 if kind == "lif" else 0.0)
-        ng = nc.NeuralGraph(neurons=(("s", sender, 0.0), ("t", relu, 0.0)),
-                            synapses=(nc.SynapseSpec("s", "t", weight),),
-                            input_neurons=("s",), output_neurons=("t",))
+        ng = network(neurons=(("s", sender, 0.0), ("t", relu, 0.0)),
+                     synapses=(("s", "t", weight),),
+                     input_neurons=("s",), output_neurons=("t",))
         state = nc.init_sim(ng, nc.AnalogEncoding(), 0)
         assert state.net.scaled is scaled
         tr = nc.run_sim(state, 2, inputs={0: (("s", 3.0),)})
@@ -212,16 +210,16 @@ class TestStepAccounting:
 
 def compiled(n, source, target, weight, delay):
     """The compiled table of n relays joined by the given synapse columns."""
-    ng = nc.NeuralGraph.from_columns([f"n{i}" for i in range(n)], [RELAY], np.zeros(n, int),
-                                     np.zeros(n), source, target, weight, delay)
+    ng = nc.NeuralGraph([f"n{i}" for i in range(n)], [RELAY], np.zeros(n, int), np.zeros(n),
+                        source, target, weight, delay)
     return nc.init_sim(ng, nc.AnalogEncoding(), 0).net
 
 
 def fan_out(*synapses):
     """A (armed) fires once at t=0 into B and C over (target, weight, delay) synapses."""
-    return nc.NeuralGraph(
+    return network(
         neurons=(("A", RELAY, 1.5), ("B", RELAY, 0.0), ("C", RELAY, 0.0)),
-        synapses=tuple(nc.SynapseSpec("A", tgt, w, d) for tgt, w, d in synapses),
+        synapses=tuple(("A", tgt, w, d) for tgt, w, d in synapses),
         input_neurons=("A",), output_neurons=("B", "C"))
 
 
@@ -293,7 +291,7 @@ class TestCompile:
 class TestDigitalEncoding:
     def test_word_transition_bit_counts(self):
         spec = nc.NeuronSpec(model_kind="lif", v_thresh=1000.0)
-        ng = nc.NeuralGraph(
+        ng = network(
             neurons=(("m", spec, 63.0),),
             synapses=(),
             input_neurons=("m",),
@@ -358,7 +356,7 @@ class TestDigitalEncoding:
 
     def test_digital_decay_freezes_below_quantum(self):
         leaky = nc.NeuronSpec(model_kind="lif", v_thresh=10.0, tau=3.0)
-        ng = nc.NeuralGraph(
+        ng = network(
             neurons=(("d", leaky, 0.8),),
             synapses=(),
             input_neurons=("d",),
@@ -377,7 +375,7 @@ class TestDigitalEncoding:
 
 class TestRunControl:
     def test_empty_network_is_named_error(self):
-        empty = nc.NeuralGraph(neurons=(), synapses=())
+        empty = network(neurons=(), synapses=())
         with pytest.raises(nc.EmptyGraph):
             nc.init_sim(empty, nc.AnalogEncoding(), 0)
 
@@ -389,7 +387,7 @@ class TestRunControl:
                 nc.run_sim(state, bad)
 
     def test_zero_activity_stop_length(self):
-        ng = nc.NeuralGraph(
+        ng = network(
             neurons=(("q", RELAY, 0.0),),
             synapses=(),
             input_neurons=("q",),
@@ -409,7 +407,7 @@ class TestRunControl:
             make()
 
     def test_no_stop_runs_every_step(self):
-        ng = nc.NeuralGraph(
+        ng = network(
             neurons=(("q", RELAY, 0.0),),
             synapses=(),
             input_neurons=("q",),
@@ -460,8 +458,8 @@ class TestRunControl:
     def test_injections_add_left_to_right(self):
         # 1e16 + 1.0 + 1.0 rounds twice to 1e16; pre-summing gives 1e16 + 2.
         relu = nc.NeuronSpec("ann_relu")
-        ng = nc.NeuralGraph(neurons=(("R", relu, 0.0), ("S", relu, 0.0)), synapses=(),
-                            input_neurons=("R", "S"))
+        ng = network(neurons=(("R", relu, 0.0), ("S", relu, 0.0)), synapses=(),
+                     input_neurons=("R", "S"))
         state = nc.init_sim(ng, nc.AnalogEncoding(), 0)
         nc.step_sim(state, (("R", 1e16), ("S", 3.0), ("R", 1.0), ("R", 1.0)))
         assert state.membrane("R") == (1e16 + 1.0) + 1.0 == 1e16
@@ -476,9 +474,9 @@ class TestRunControl:
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_runaway_state_detected(self):
         ann = nc.NeuronSpec(model_kind="ann_relu")
-        ng = nc.NeuralGraph(
+        ng = network(
             neurons=(("r", ann, 1e308),),
-            synapses=(nc.SynapseSpec("r", "r", 2.0),),
+            synapses=(("r", "r", 2.0),),
             input_neurons=("r",),
             output_neurons=("r",),
         )
@@ -490,8 +488,8 @@ class TestRunControl:
     def test_overflowing_change_sum_is_not_divergence(self):
         # Both new states are finite; only their summed |dx| overflows.
         relu = nc.NeuronSpec("ann_relu")
-        ng = nc.NeuralGraph(neurons=(("a", relu, 0.0), ("b", relu, 0.0)), synapses=(),
-                            input_neurons=("a", "b"))
+        ng = network(neurons=(("a", relu, 0.0), ("b", relu, 0.0)), synapses=(),
+                     input_neurons=("a", "b"))
         state = nc.init_sim(ng, nc.AnalogEncoding(), 0)
         rec = nc.step_sim(state, (("a", 1e308), ("b", 1e308)))
         assert rec.delta_n == float("inf") and rec.neurons_touched == 2
@@ -546,10 +544,10 @@ class TestInPlaceState:
     def test_non_finite_state_leaves_state_untouched(self):
         # "a" (first group) integrates a finite input on the same step on
         # which "r" receives inf; neither write may land.
-        ng = nc.NeuralGraph(
+        ng = network(
             neurons=(("a", nc.NeuronSpec("lif", v_thresh=1e308), 0.0),
                      ("r", nc.NeuronSpec("ann_relu"), 1e308)),
-            synapses=(nc.SynapseSpec("r", "a", 0.5), nc.SynapseSpec("r", "r", 2.0)),
+            synapses=(("r", "a", 0.5), ("r", "r", 2.0)),
         )
         state = nc.init_sim(ng, nc.AnalogEncoding(), 0)
         nc.step_sim(state)

@@ -100,3 +100,18 @@ def test_numpy_repetitions_are_kept_as_an_int():
     spec = nc.SweepSpec(workload="mesh", param="m_s", values=(64.0, 128.0),
                         repetitions=np.int64(2))
     assert type(spec.repetitions) is int and spec.repetitions == 2
+
+
+def test_fit_loglog_recovers_a_power_law():
+    reg = nc.fit_loglog([1.0, 2.0, 4.0], [3.0, 12.0, 48.0])
+    assert reg.slope == pytest.approx(2.0) and reg.r_squared == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("axis", ["xs", "ys"])
+def test_fit_loglog_needs_finite_positive_data(axis, bad):
+    # inf and nan used to pass the `<= 0` check and return slope=nan.
+    data = {"xs": [1.0, 2.0], "ys": [1.0, 2.0]}
+    data[axis][1] = bad
+    with pytest.raises(ValueError, match="needs finite, strictly positive data"):
+        nc.fit_loglog(**data)

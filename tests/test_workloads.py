@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import neurocost as nc
+from conftest import network
 from neurocost.workloads import (
     Dtmc,
     _coupling_rows,
@@ -80,7 +81,7 @@ class TestMeshTransport:
                            init=(2.0,), v_thresh=0.25)
         _, ng = nc.gen_mesh(spec)
         state = nc.init_sim(ng, nc.AnalogEncoding(), 0)
-        assert len(ng.neurons) == 2  # one rail pair
+        assert len(ng.neuron_ids) == 2  # one rail pair
         assert decode_mesh_state(spec, state).tolist() == [2.0]
         tr = nc.run_sim(state, 5)
         assert sum(r.spikes for r in tr.records) == 0
@@ -147,7 +148,7 @@ class TestMeshValidation:
                            n_mesh=np.int64(3), dynamics=nc.Diffusion(0.5), init=init)
         counts = (spec.m_s, spec.k, spec.m_t, spec.n_mesh)
         assert counts == (4, 2, 5, 3) and all(type(c) is int for c in counts)
-        assert len(nc.gen_mesh(spec)[1].neurons) == 12
+        assert len(nc.gen_mesh(spec)[1].neuron_ids) == 12
 
 
 class TestDtmc:
@@ -264,14 +265,14 @@ class TestFFLayer:
     def test_structure(self):
         spec = self.make_spec()
         ng = gen_ff_layer(spec)
-        assert len(ng.neurons) == 12
-        assert len(ng.synapses) == 8 * 4
+        assert len(ng.neuron_ids) == 12
+        assert len(ng.source) == 8 * 4
         assert ng.input_neurons == ff_input_ids(spec)
         assert ng.output_neurons == ff_output_ids(spec)
 
     def test_zero_weights_are_materialized(self):
         spec = FFLayerSpec(np.zeros((8, 4)), [0.5] * 8, 10)
-        assert len(gen_ff_layer(spec).synapses) == 32
+        assert len(gen_ff_layer(spec).source) == 32
 
     def test_schedule_spacing(self):
         sched = ff_input_schedule(self.make_spec(rate=0.5))
@@ -362,8 +363,8 @@ class TestFFLayer:
 class TestSelfExcitingLoop:
     def test_fires_every_step(self):
         ng = nc.gen_self_exciting_loop()
-        assert len(ng.neurons) == 1
-        assert all(s.source == s.target for s in ng.synapses)
+        assert len(ng.neuron_ids) == 1
+        assert np.all(ng.source == ng.target)
         tr = nc.run_sim(nc.init_sim(ng, nc.AnalogEncoding(), 0), 40)
         assert [r.spikes for r in tr.records] == [1] * 40
         assert tr.e_n == 2.0 + 3.0 * 39
@@ -417,10 +418,11 @@ class TestSparseMesh:
         for i in range(spec.m_s):
             for j in np.nonzero(w[i])[0]:
                 quantum = spec.v_thresh * float(w[i, j])
-                synapses.append(nc.SynapseSpec(pos[i], pos[int(j)], quantum))
-                synapses.append(nc.SynapseSpec(neg[i], neg[int(j)], quantum))
+                synapses.append((pos[i], pos[int(j)], quantum))
+                synapses.append((neg[i], neg[int(j)], quantum))
         _, ng = nc.gen_mesh(spec)
-        assert ng == nc.NeuralGraph(neurons=ng.neurons, synapses=tuple(synapses))
+        neurons = zip(ng.neuron_ids, [ng.specs[k] for k in ng.spec_index], ng.x0)
+        assert ng == network(neurons, synapses)
 
     def test_decode_matches_membrane_loop(self):
         spec = ring_spec(16, nc.sinusoid_init(16, amplitude=1.0, cycles=2), k=4)
@@ -467,27 +469,27 @@ def _mesh_by_tuples(spec):
     synapses = []
     for i, j in zip(rows.tolist(), cols.tolist()):
         quantum = spec.v_thresh * float(w[i, j])
-        synapses += [nc.SynapseSpec(pos[i], pos[j], quantum), nc.SynapseSpec(neg[i], neg[j], quantum)]
-    return nc.NeuralGraph(neurons, synapses)
+        synapses += [(pos[i], pos[j], quantum), (neg[i], neg[j], quantum)]
+    return network(neurons, synapses)
 
 
 def _ff_by_tuples(spec):
     sources, units = ff_input_ids(spec), ff_output_ids(spec)
     lif = nc.NeuronSpec("lif", v_thresh=nc.FF_INPUT_THRESH, v_reset=0.0)
     relu = nc.NeuronSpec("ann_relu")
-    return nc.NeuralGraph(
+    return network(
         [(nid, lif, 0.0) for nid in sources] + [(nid, relu, 0.0) for nid in units],
-        [nc.SynapseSpec(sources[i], units[j], float(spec.weights[i][j]))
+        [(sources[i], units[j], float(spec.weights[i][j]))
          for i in range(spec.n_i) for j in range(spec.n_j)],
         sources, units)
 
 
 def _assert_same_network(ng, want):
     assert ng == want
-    assert ng.neurons == want.neurons
-    assert ng.synapses == want.synapses
-    assert [math.copysign(1.0, x) for _n, _s, x in ng.neurons] == [
-        math.copysign(1.0, x) for _n, _s, x in want.neurons]
+    # == compares values, so the sign of each zero is checked apart
+    for col in ("x0", "weight"):
+        assert [math.copysign(1.0, x) for x in getattr(ng, col).tolist()] == [
+            math.copysign(1.0, x) for x in getattr(want, col).tolist()]
 
 
 class TestColumnarBuilders:
@@ -516,45 +518,25 @@ class TestColumnarBuilders:
         w[0, 0] = -0.0
         spec = FFLayerSpec(w, rng.uniform(0.0, 1.0, size=shape[0]), 10)
         _assert_same_network(gen_ff_layer(spec), _ff_by_tuples(spec))
-        assert math.copysign(1.0, gen_ff_layer(spec).synapses[0].weight) == -1.0
+        assert math.copysign(1.0, gen_ff_layer(spec).weight[0]) == -1.0
 
     @pytest.mark.parametrize("v_thresh, weight", [(1.0, None), (0.4, 0.1)])
     def test_loop_equals_tuple_build(self, v_thresh, weight):
         spec = nc.NeuronSpec("lif", v_thresh=v_thresh, v_reset=0.0)
         w = 1.5 * v_thresh if weight is None else weight
-        want = nc.NeuralGraph((("loop0", spec, 1.5 * v_thresh),),
-                              (nc.SynapseSpec("loop0", "loop0", w),), (), ("loop0",))
+        want = network((("loop0", spec, 1.5 * v_thresh),), (("loop0", "loop0", w),), (),
+                       ("loop0",))
         _assert_same_network(nc.gen_self_exciting_loop(v_thresh, weight), want)
-
-    def test_builders_and_init_construct_no_synapse_objects(self, monkeypatch):
-        made = []
-        post_init = nc.SynapseSpec.__post_init__
-
-        def counting(self):
-            made.append(self)
-            post_init(self)
-
-        monkeypatch.setattr(nc.SynapseSpec, "__post_init__", counting)
-        spec = ring_spec(256, nc.sinusoid_init(256, cycles=16), k=4, v_thresh=0.05)
-        _, mesh = nc.gen_mesh(spec)
-        layer = gen_ff_layer(FFLayerSpec(np.ones((8, 4)), [0.5] * 8, 4))
-        for ng in (mesh, layer, nc.gen_self_exciting_loop()):
-            nc.run_sim(nc.init_sim(ng, nc.AnalogEncoding(), 0), 3)
-            assert "synapses" not in vars(ng) and "neurons" not in vars(ng)
-        assert made == []
-        nc.SynapseSpec("a", "b", 1.0)
-        assert len(made) == 1  # the counter does see a construction
 
     def test_count_resources_reads_column_lengths(self):
         ng = gen_ff_layer(FFLayerSpec(np.ones((16, 8)), [0.5] * 16, 4))
         r = nc.count_resources(ng)
         assert (r.n_total, r.s_total) == (24, 128)
-        assert "synapses" not in vars(ng) and "neurons" not in vars(ng)
 
     def test_mesh_build_and_compile_memory_is_linear(self):
         # gen_mesh + init_sim hold columns and the compiled CSR, about 113
-        # bytes per synapse at the peak; one frozen SynapseSpec per synapse
-        # took more than that on its own.
+        # bytes per synapse at the peak; one Python object per synapse
+        # would take more than that on its own.
         spec = ring_spec(65536, nc.sinusoid_init(65536, cycles=4096), m_t=4, k=4, v_thresh=0.05)
         tracemalloc.start()
         try:
