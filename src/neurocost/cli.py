@@ -6,8 +6,8 @@ Subcommands:
               comparison table for a graph file
 * lower     — translate a graph to its spiking network and report
               resource counts
-* simulate  — run the event-driven simulator on a lowered graph and
-              emit the per-step trace as CSV
+* simulate  — kick the inputs of a lowered graph, run the event-driven
+              simulator and emit the per-step trace as CSV
 * partition — isomorphic-fragment tiling and thread-efficiency report
 * sweep     — run a workload across a swept parameter, emit per-point
               rows, and fit a log-log regression
@@ -136,11 +136,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     constants = load_constants(args.preset, args.config)
     ng, _am = lower_graph(_load_graph(args))
     state = init_sim(ng, DigitalEncoding(), seed=0, constants=constants)
-    schedule = None
-    if args.kick:
-        schedule = {0: tuple((nid, 1.5) for nid in ng.input_neurons)}
-    trace = run_sim(state, max_steps=args.steps, stop=ZeroActivity(window=3),
-                    inputs=schedule)
+    # Lowering starts every neuron at rest, so the run begins with one
+    # suprathreshold pulse into every input neuron.
+    kick = {0: tuple((nid, 1.5) for nid in ng.input_neurons)}
+    trace = run_sim(state, max_steps=args.steps, stop=ZeroActivity(window=3), inputs=kick)
     report = reconcile_energy(trace, count_resources(ng), constants)
     _write_or_print(emit_trace_csv(trace, window=args.window), args.out)
     if args.out:
@@ -230,9 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--steps", type=int, default=50, help="step budget")
     p_sim.add_argument("--window", type=int, default=5,
                        help="trailing window for rate/energy summaries")
-    p_sim.add_argument("--kick", action="store_true",
-                       help="inject one suprathreshold pulse into every "
-                            "input neuron at step 0")
     p_sim.add_argument("--out", help="write the trace CSV to this file")
 
     p_part = command("partition", _cmd_partition, "isomorphic-fragment thread report")

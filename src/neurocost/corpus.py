@@ -117,7 +117,7 @@ def _dk(n: int) -> list[str]:
 
 
 def mini_corpus() -> tuple[CorpusEntry, ...]:
-    """The benchmark corpus, rebuilt identically on every call."""
+    """The partition and pipeline check corpus, rebuilt identically on every call."""
     entries = [
         CorpusEntry("dense_rows_4x3", "homogeneous", 3, _dense_rows(4)),
         CorpusEntry("relay_fan_3x3", "homogeneous", 3,

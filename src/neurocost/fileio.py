@@ -54,7 +54,7 @@ def _plain_nodes(raw_nodes: list) -> tuple[list, list, list] | None:
     """The ids, op kinds and input lists if every node is well formed, else None.
 
     json.loads yields exact dict, list and str objects, so these exact
-    type tests accept what the per-field checks of _checked_nodes accept.
+    type tests accept what the per-field checks of _diagnose_nodes accept.
     """
     if not set(map(type, raw_nodes)) <= {dict}:
         return None
@@ -70,10 +70,9 @@ def _plain_nodes(raw_nodes: list) -> tuple[list, list, list] | None:
     return ids, ops, inputs
 
 
-def _checked_nodes(raw_nodes: list) -> tuple[list, list, list]:
-    """The ids, op kinds and input tuples, checked field by field;
-    SchemaError names the first bad field of the first bad node."""
-    ids, ops, inputs = [], [], []
+def _diagnose_nodes(raw_nodes: list) -> None:
+    """Raise SchemaError naming the first bad field of the first bad node;
+    runs only on nodes that _plain_nodes rejected, which always hold one."""
     seen: set[str] = set()
     for i, raw in enumerate(raw_nodes):
         where = f"nodes[{i}]"
@@ -87,10 +86,7 @@ def _checked_nodes(raw_nodes: list) -> tuple[list, list, list]:
         nid = raw["id"]
         _require(nid not in seen, f"duplicate id {nid!r}", f"{where}.id")
         seen.add(nid)
-        inputs.append(_string_list(raw.get("inputs", []), f"{where}.inputs"))
-        ids.append(nid)
-        ops.append(raw["op"])
-    return ids, ops, inputs
+        _string_list(raw.get("inputs", []), f"{where}.inputs")
 
 
 def parse_graph_file(text: str) -> ComputeGraph:
@@ -112,7 +108,9 @@ def parse_graph_file(text: str) -> ComputeGraph:
     _require("nodes" in doc, "missing required key 'nodes'", "$")
     _require(isinstance(doc["nodes"], list), "expected a list", "nodes")
 
-    columns = _plain_nodes(doc["nodes"]) or _checked_nodes(doc["nodes"])
+    columns = _plain_nodes(doc["nodes"])
+    if columns is None:
+        _diagnose_nodes(doc["nodes"])
     return ComputeGraph.from_columns(*columns, _string_list(doc.get("inputs", []), "inputs"),
                                      _string_list(doc.get("outputs", []), "outputs"))
 

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import logging
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -352,7 +351,7 @@ def lower_graph(vg: ValidatedGraph, rules: Mapping[str, LoweringRule] | None = N
 
     table: dict[NeuronSpec, int] = {}
     row = np.array([table.setdefault(r.neuron, len(table)) for r in used], dtype=np.intp)
-    count = np.array([operator.index(r.neuron_count) for r in used], np.intp)[kind]
+    count = np.array([r.neuron_count for r in used], np.intp)[kind]
     neuron_start = np.zeros(len(order) + 1, np.intp)
     np.cumsum(count, out=neuron_start[1:])
     exit_of = np.empty(len(order), np.intp)  # by node position

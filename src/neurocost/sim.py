@@ -40,9 +40,11 @@ network size. The fed neurons, the nonzero entries of the input vector
 (inputs that cancel to exactly 0.0 wake nothing), are split by spec group.
 Each leaky LIF group keeps the set of its nonzero-state neurons, tests
 decay on that set only and updates it from the neurons the step wrote.
-Armed neurons join on the first step. A quiet step (no slot due, no
-injection) skips delivery and allocates nothing of size n. State is
-written in place; `last_y` is cleared only where the previous step wrote.
+On the first step an armed integrator is evaluated with its input (zero
+if unfed), and an unfed armed memoryless neuron is fed its own state and
+keeps it. A quiet step (no slot due, no injection) skips delivery and
+allocates nothing of size n. State is written in place; `last_y` is
+cleared only where the previous step wrote.
 
 Determinism: identical graph, encoding and inputs reproduce the trace
 bitwise. The engine draws no random numbers; `init_sim` accepts a seed
@@ -214,7 +216,7 @@ class SimState:
     encoding: EncodingMode
     constants: CostConstants
     pending: dict[int, list[tuple[np.ndarray, np.ndarray]]]  # due step -> pairs in append order
-    armed: np.ndarray  # indices to evaluate at the first step, then empty
+    armed: list[np.ndarray] | None  # per group, evaluated at the first step, then None
     decaying: list[np.ndarray | None]
     last_y: np.ndarray
     y_written: list[np.ndarray] = field(default_factory=list)  # entries of last_y now set
@@ -253,7 +255,7 @@ def init_sim(ng: NeuralGraph, encoding: EncodingMode, seed: int,
         encoding=encoding,
         constants=constants,
         pending={},
-        armed=np.sort(np.concatenate(armed)),
+        armed=armed,
         decaying=decaying,
         last_y=np.zeros(net.n, dtype=float),
     )
@@ -293,19 +295,14 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
         np.add.at(input_sum, pos, injected)  # unbuffered, in order: a left-to-right sum
     if input_sum is not None:
         fed = net.by_group(input_sum.nonzero()[0])
-
-    armed = s.armed
-    if len(armed):
-        s.armed = _NO_INDEX
-        armed = net.by_group(armed)
+    armed, s.armed = s.armed, None
 
     # 2. Evaluate neurons with input, with a decay-visible change, or armed.
     # Writes wait until every group passed the finite check.
     encoding = s.encoding
     digital = isinstance(encoding, DigitalEncoding)
     scaled = net.scaled
-    writes: list[tuple[int, np.ndarray, np.ndarray]] = []
-    outs: list[tuple[np.ndarray, np.ndarray]] = []
+    done: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []  # (group, ev, x_next, y)
     spike_idx: list[np.ndarray] = []
     touched_count = 0
     delta_n = 0.0
@@ -318,28 +315,24 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
                 xd = s.x[decaying]
                 decaying = decaying[encoding.words(xd * spec.decay_factor) != encoding.words(xd)]
             ev = np.union1d(ev, decaying)
-        unfed = _NO_INDEX
-        if len(armed) and len(armed[g]):
+        u = np.zeros(len(ev)) if input_sum is None else input_sum[ev]
+        if armed is not None and len(armed[g]):  # the first step
             if spec.memoryless:
+                # g(x, u) = u: fed its own state, an unfed armed neuron keeps it
+                # and outputs f(x0). Appended last, their zero diffs end the
+                # pairwise np.add.reduce for delta_n and leave its bits as they are.
                 unfed = np.setdiff1d(armed[g], ev, assume_unique=True)
-            else:
-                # Reset is part of the integration rule; a zero-input
-                # evaluation handles an armed integrator correctly.
+                ev = np.concatenate((ev, unfed))
+                u = np.concatenate((u, s.x[unfed]))
+            else:  # an integrator's zero-input evaluation applies its decay and reset
                 ev = np.union1d(ev, armed[g])
-        if not len(ev) and not len(unfed):
+                u = np.zeros(len(ev)) if input_sum is None else input_sum[ev]
+        if not len(ev):
             continue
         old = s.x[ev]
-        x_next, y = advance(spec, old, np.zeros(len(ev)) if input_sum is None else input_sum[ev])
+        x_next, y = advance(spec, old, u)
         if digital and not np.isfinite(x_next).all():  # words() needs finite states
             raise _diverged(net, ev, x_next, t)
-        if len(unfed):  # output only: their state is kept, so it counts as unchanged
-            # Appended after the evaluated neurons: their zero diffs are terms
-            # of the pairwise np.add.reduce that gives delta_n, and moving or
-            # dropping them regroups that sum, which can change its bits.
-            y = np.concatenate((y, transfer(spec, s.x[unfed])))
-            x_next = np.concatenate((x_next, s.x[unfed]))
-            ev = np.concatenate((ev, unfed))
-            old = s.x[ev]
 
         # 4. Change-of-state accounting under the configured encoding.
         if digital:
@@ -353,8 +346,7 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
             raise _diverged(net, ev, x_next, t)
         touched_count += int(np.count_nonzero(diffs))
         delta_n += delta
-        writes.append((g, ev, x_next))
-        outs.append((ev, y))
+        done.append((g, ev, x_next, y))
 
         firing = y.nonzero()[0]
         if len(firing):
@@ -362,15 +354,14 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
 
     for idx in s.y_written:
         s.last_y[idx] = 0.0
-    for idx, y in outs:
-        s.last_y[idx] = y
-    s.y_written = [idx for idx, _y in outs]
-    for g, ev, x_next in writes:
+    s.y_written = []
+    for g, ev, x_next, y in done:
+        s.last_y[ev] = y
         s.x[ev] = x_next
-        if s.decaying[g] is not None:
-            rest = (np.setdiff1d(s.decaying[g], ev, assume_unique=True) if digital
-                    else _NO_INDEX)  # analog evaluates every nonzero state
-            s.decaying[g] = np.union1d(rest, ev[x_next.nonzero()[0]])
+        s.y_written.append(ev)
+        if s.decaying[g] is not None:  # analog evaluated every nonzero state: nothing stays
+            s.decaying[g] = np.union1d(np.setdiff1d(s.decaying[g], ev, assume_unique=True),
+                                       ev[x_next != 0])
 
     # 3. Emit: every outgoing synapse of the firing sources, in (source,
     # synapse) order, queued once per distinct delay. A spiking source's
@@ -383,7 +374,7 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
         spikes = spike_idx[0] if len(spike_idx) == 1 else np.concatenate(spike_idx)
         # One group's spikes are ascending, except on the first step, when
         # unfed armed neurons follow the group's evaluated neurons.
-        if len(spike_idx) > 1 or len(armed):
+        if len(spike_idx) > 1 or armed is not None:
             spikes = np.sort(spikes)
         spike_list = spikes.tolist()
         spike_count = len(spike_list)
@@ -463,9 +454,11 @@ def run_sim(s: SimState, max_steps: int, stop: StopCondition = None,
     schedule = {} if inputs is None else inputs
     lookup = schedule if callable(schedule) else schedule.get
 
+    e_n = 0.0
     for _ in range(max_steps):
         rec = step_sim(s, lookup(s.t) or ())
         records.append(rec)
+        e_n += rec.e_t
         out_rows.append(s.last_y[net.output_idx])
 
         if stop is not None:
@@ -473,9 +466,6 @@ def run_sim(s: SimState, max_steps: int, stop: StopCondition = None,
             if zero_run >= stop.window:
                 break
 
-    e_n = 0.0
-    for rec in records:
-        e_n += rec.e_t
     f_series = np.array([rec.spikes / net.n for rec in records], dtype=float)
     return SimTrace(
         records=tuple(records),

@@ -293,11 +293,10 @@ def partition_isomorphic(vg: ValidatedGraph, granularity: int) -> PartitionResul
         ((label, tuple(members)) for label, members in grouped.items()),
         key=lambda item: (-len(item[1]), item[0]),
     ))
-    p_threads = max((len(members) for _label, members in families), default=1)
     return PartitionResult(
         families=families,
         residual=frozenset(map(vg.graph.ids.__getitem__, residual)),
-        p_threads=max(p_threads, 1),
+        p_threads=max((len(members) for _label, members in families), default=1),
         granularity=granularity,
     )
 

@@ -184,8 +184,7 @@ class TestLower:
 
 class TestSimulate:
     def test_kick_trace_to_stdout(self, capsys):
-        code, out, _err = invoke(capsys, ["simulate", FOOTNOTE, "--kick",
-                                          "--steps", "10"])
+        code, out, _err = invoke(capsys, ["simulate", FOOTNOTE, "--steps", "10"])
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == ",".join(fileio.TRACE_COLUMNS)
@@ -193,8 +192,8 @@ class TestSimulate:
 
     def test_out_file_and_summary(self, capsys, tmp_path):
         dest = tmp_path / "trace.csv"
-        code, out, _err = invoke(capsys, ["simulate", FOOTNOTE, "--kick",
-                                          "--steps", "10", "--out", str(dest)])
+        code, out, _err = invoke(capsys, ["simulate", FOOTNOTE, "--steps", "10",
+                                          "--out", str(dest)])
         assert code == 0
         assert "steps=6 e_n=10.0 f_mean=0.16666666666666666" in out
         assert f"wrote {dest}" in out
@@ -205,12 +204,11 @@ class TestSimulate:
             raise nc.MismatchDetected("forced")
 
         monkeypatch.setattr(cli, "reconcile_energy", tampered)
-        code, _out, err = invoke(capsys, ["simulate", FOOTNOTE, "--kick",
-                                          "--steps", "5"])
+        code, _out, err = invoke(capsys, ["simulate", FOOTNOTE, "--steps", "5"])
         assert code == 3
         assert "reconciliation failed" in err
 
-    @pytest.mark.parametrize("command", [["simulate", FOOTNOTE, "--kick"],
+    @pytest.mark.parametrize("command", [["simulate", FOOTNOTE],
                                          ["analyze", FOOTNOTE]])
     @pytest.mark.parametrize("line", ["e_voltage = nan", "e_spike = inf"])
     def test_non_finite_constant_is_bad_input(self, capsys, tmp_path, command, line):
@@ -284,6 +282,7 @@ class TestOptions:
         ["lower", FOOTNOTE, "--preset", "nope"],
         ["analyze", FOOTNOTE, "--steps", "5"],
         ["simulate", FOOTNOTE, "--seed", "1"],
+        ["simulate", FOOTNOTE, "--kick"],
         ["analyze", "--graph", FOOTNOTE],
         ["sweep", "--workload", "mesh", "--param", "m_s", "--values", "16,32", "--window", "5"],
     ])

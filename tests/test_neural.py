@@ -230,7 +230,7 @@ def test_armed_set_and_first_output_follow_the_transfer_rule(spec):
           math.nextafter(th, -math.inf), 1.0, -1.0]
     ng = network([(f"n{k}", spec, v) for k, v in enumerate(x0)], [])
     state = init_sim(ng, AnalogEncoding(), seed=0)
-    assert state.armed.tolist() == [k for k, v in enumerate(x0) if _armed_rule(spec, v)]
+    assert state.armed[0].tolist() == [k for k, v in enumerate(x0) if _armed_rule(spec, v)]
     step_sim(state)
     if spec.memoryless:  # an unfed armed neuron keeps its state and emits f(x0)
         want = np.where([_armed_rule(spec, v) for v in x0], transfer(spec, np.array(x0)), 0.0)

@@ -145,6 +145,22 @@ class TestStepAccounting:
         assert tr.outputs[0].tolist() == [2.0]
         assert tr.records[1].e_t == 0.0
 
+    @pytest.mark.parametrize("encoding", [nc.AnalogEncoding(), nc.DigitalEncoding()],
+                             ids=["analog", "digital"])
+    def test_fed_armed_memoryless_neuron_is_evaluated_once(self, encoding):
+        ng = network(
+            neurons=(("r", nc.NeuronSpec(model_kind="ann_relu"), 0.7),
+                     ("g", nc.NeuronSpec(model_kind="threshold_gate", v_thresh=0.2), 0.6)),
+            synapses=(),
+            input_neurons=("r", "g"),
+            output_neurons=("r", "g"),
+        )
+        state = nc.init_sim(ng, encoding, 0)
+        tr = nc.run_sim(state, 1, inputs={0: (("r", 0.25), ("g", 0.1))})
+        assert tr.records[0].spike_ids == ("r",)
+        assert tr.outputs[0].tolist() == [0.25, 0.0]
+        assert (state.membrane("r"), state.membrane("g")) == (0.25, 0.1)
+
     def test_self_exciting_loop_energy_series(self):
         ng = nc.gen_self_exciting_loop()
         tr = run(ng, 8)
