@@ -63,6 +63,10 @@ class CostConstants:
                 raise ValueError(f"{f.name} must be finite, got {value}")
             elif value < 0:
                 raise ValueError(f"{f.name} must be nonnegative, got {value}")
+        # energy_terms charges e_spike * ell per event: an overflow to inf
+        # would make a step without events cost inf * 0 = nan.
+        if not math.isfinite(self.e_spike * self.ell):
+            raise ValueError(f"e_spike * ell must be finite, got {self.e_spike} * {self.ell}")
 
 
 #: Built-in presets: "unit" sets every constant to 1; "digital-skew" makes

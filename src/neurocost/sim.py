@@ -46,6 +46,13 @@ keeps it. A quiet step (no slot due, no injection) skips delivery and
 allocates nothing of size n. State is written in place; `last_y` is
 cleared only where the previous step wrote.
 
+Per-step fixed cost: a step's `StepRecord` is a slotted dataclass, not a
+frozen one, whose `__init__` would set each field through
+`object.__setattr__` at about four times the cost. Index sets are joined
+by `_union`, not `np.union1d`: its `np.unique` imports `numpy.ma` on
+first use (about 1.7 MB of peak RSS), which now only a network with
+several synaptic delays pays, in emit.
+
 Determinism: identical graph, encoding and inputs reproduce the trace
 bitwise. The engine draws no random numbers; `init_sim` accepts a seed
 and ignores it.
@@ -109,6 +116,15 @@ EncodingMode = DigitalEncoding | AnalogEncoding
 _NO_INDEX = np.zeros(0, dtype=np.intp)
 
 
+def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.union1d(a, b) for 1-D integer arrays: sort, then drop repeats."""
+    c = np.concatenate((a, b))
+    c.sort()
+    keep = np.ones(len(c), dtype=bool)
+    np.not_equal(c[1:], c[:-1], out=keep[1:])
+    return c[keep]
+
+
 def hamming_bits(old_words: np.ndarray, new_words: np.ndarray, word_width: int) -> np.ndarray:
     """Per-element changed-bit counts between two's-complement words."""
     mask = np.uint64((1 << word_width) - 1) if word_width < 64 else np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -116,7 +132,7 @@ def hamming_bits(old_words: np.ndarray, new_words: np.ndarray, word_width: int) 
     return np.bitwise_count(xor).astype(np.int64)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StepRecord:
     """Events and energy of one simulation step."""
 
@@ -314,7 +330,7 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
             if digital:
                 xd = s.x[decaying]
                 decaying = decaying[encoding.words(xd * spec.decay_factor) != encoding.words(xd)]
-            ev = np.union1d(ev, decaying)
+            ev = _union(ev, decaying)
         u = np.zeros(len(ev)) if input_sum is None else input_sum[ev]
         if armed is not None and len(armed[g]):  # the first step
             if spec.memoryless:
@@ -325,7 +341,7 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
                 ev = np.concatenate((ev, unfed))
                 u = np.concatenate((u, s.x[unfed]))
             else:  # an integrator's zero-input evaluation applies its decay and reset
-                ev = np.union1d(ev, armed[g])
+                ev = _union(ev, armed[g])
                 u = np.zeros(len(ev)) if input_sum is None else input_sum[ev]
         if not len(ev):
             continue
@@ -360,8 +376,8 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
         s.x[ev] = x_next
         s.y_written.append(ev)
         if s.decaying[g] is not None:  # analog evaluated every nonzero state: nothing stays
-            s.decaying[g] = np.union1d(np.setdiff1d(s.decaying[g], ev, assume_unique=True),
-                                       ev[x_next != 0])
+            s.decaying[g] = _union(np.setdiff1d(s.decaying[g], ev, assume_unique=True),
+                                  ev[x_next != 0])
 
     # 3. Emit: every outgoing synapse of the firing sources, in (source,
     # synapse) order, queued once per distinct delay. A spiking source's

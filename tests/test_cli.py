@@ -145,6 +145,14 @@ class TestAnalyze:
         assert (code, out) == (2, "")
         assert err == f"error: e_op must be finite, got nan in {cfg}\n"
 
+    def test_overflowing_spike_cost_in_config_file_is_bad_input(self, capsys, tmp_path):
+        # simulate used to record nan energy on its quiet steps and exit 3
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("e_spike = 1e308\nell = 1e308\n")
+        code, out, err = invoke(capsys, ["simulate", FOOTNOTE, "--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert err == f"error: e_spike * ell must be finite, got 1e+308 * 1e+308 in {cfg}\n"
+
     def test_core_count_is_not_a_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "cores.cfg"
         cfg.write_text("n_core = 4\n")

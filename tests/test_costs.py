@@ -52,6 +52,13 @@ def test_constants_validation():
             CostConstants(e_spike=bad)
 
 
+def test_constants_reject_overflowing_spike_cost():
+    # Each value is finite, but e_spike * ell is inf, and inf * 0 events is nan.
+    with pytest.raises(ValueError, match=r"e_spike \* ell must be finite, got 1e\+308 \* 1e\+308"):
+        CostConstants(e_spike=1e308, ell=1e308)
+    assert CostConstants(e_spike=1e154, ell=1e154).e_spike == 1e154
+
+
 @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(CostConstants)])
 @pytest.mark.parametrize("bad", [True, False])
 def test_constants_reject_bool(field, bad):

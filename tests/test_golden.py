@@ -213,7 +213,7 @@ CASES = {
 }
 for _seed in range(4):
     for _enc in ENCODINGS:
-        CASES[f"random_s{_seed}_{_enc}_dzw0"] = lambda s=_seed, e=_enc: case_random(s, e)
+        CASES[f"random_s{_seed}_{_enc}"] = lambda s=_seed, e=_enc: case_random(s, e)
 
 GOLDEN: dict[str, str] = {
     'armed_groups': '7044d9be1423e8adac167d9b174b29d677be72a861666acca34099b36ca52d66',
@@ -223,14 +223,14 @@ GOLDEN: dict[str, str] = {
     'mesh': '3f39499499525f0aff38381a287216939ac83bda121e22e1a793655d534749a6',
     'narrow_decay': 'a28a8e4ea90032e88ccfdd7b7fef65cdb5c92dafb11aab01749c2dce8af5c1e8',
     'random_dag': '43cc73caa38ad1387af0f18d6fbb3fe428c4b0d09f88363f045aecd1b8f8ee10',
-    'random_s0_analog_dzw0': 'd61c8a5ced99fd4a311376df7284802bfe132e7b9b1636baa064949141167b30',
-    'random_s0_digital_dzw0': 'edbf266abc1cec83cbb8931f4063599cb7260e3a7ce97e2a11dc9841e406e8d6',
-    'random_s1_analog_dzw0': '9eafd0b9677fa34c84340b337fabaa48ff757a85b48bd40a8487c0f336e09640',
-    'random_s1_digital_dzw0': '4bb3b5ba8f39990f283cc9f454ced9dc045685bc4896a042728eca27eb7436d5',
-    'random_s2_analog_dzw0': '62c87594f60d5bdcc2e8cacff34a7fdb4639fbfb73682e1eff4b97956a57b5fe',
-    'random_s2_digital_dzw0': 'bbb1683aad6b7f899be1e6f5a8af1e3c3556272a70515072d05d446b20e6da93',
-    'random_s3_analog_dzw0': 'd7e7da48781788f9438fec52c354fb057d5902eeab2b1fb70598593ee678181b',
-    'random_s3_digital_dzw0': '635f859145c68b72681a4c1e2e17503ec0bfda0496337a350f51b1d39aec4acd',
+    'random_s0_analog': 'd61c8a5ced99fd4a311376df7284802bfe132e7b9b1636baa064949141167b30',
+    'random_s0_digital': 'edbf266abc1cec83cbb8931f4063599cb7260e3a7ce97e2a11dc9841e406e8d6',
+    'random_s1_analog': '9eafd0b9677fa34c84340b337fabaa48ff757a85b48bd40a8487c0f336e09640',
+    'random_s1_digital': '4bb3b5ba8f39990f283cc9f454ced9dc045685bc4896a042728eca27eb7436d5',
+    'random_s2_analog': '62c87594f60d5bdcc2e8cacff34a7fdb4639fbfb73682e1eff4b97956a57b5fe',
+    'random_s2_digital': 'bbb1683aad6b7f899be1e6f5a8af1e3c3556272a70515072d05d446b20e6da93',
+    'random_s3_analog': 'd7e7da48781788f9438fec52c354fb057d5902eeab2b1fb70598593ee678181b',
+    'random_s3_digital': '635f859145c68b72681a4c1e2e17503ec0bfda0496337a350f51b1d39aec4acd',
     'self_exciting_loop': '827db37041ae6a013d361f6404ae1dee9efabac390a05b30b08585124533fac4',
 }
 

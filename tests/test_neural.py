@@ -696,4 +696,4 @@ def test_golden_random_networks_equal_as_columns(seed):
         math.copysign(1, w) for w in want.weight.tolist()]
     for encoding in ENCODINGS:
         tr, state = golden_run(ng, ENCODINGS[encoding], 40, inputs=random_inputs(seed, 40))
-        assert trace_digest(tr, state) == GOLDEN[f"random_s{seed}_{encoding}_dzw0"]
+        assert trace_digest(tr, state) == GOLDEN[f"random_s{seed}_{encoding}"]

@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import neurocost as nc
 from conftest import network
+from neurocost.sim import _union
 
 RELAY = nc.NeuronSpec(model_kind="lif", v_thresh=1.0)
 
@@ -530,6 +536,49 @@ class TestRunControl:
         assert a.e_n == b.e_n
 
 
+class TestUnion:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_union1d_on_ascending_indices(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            n = int(rng.integers(0, 40))
+            # densities of 0 and 1 make either input empty or full
+            a, b = (np.flatnonzero(rng.random(n) < p) for p in rng.choice([0.0, 0.2, 0.7, 1.0], 2))
+            got, want = _union(a, b), np.union1d(a, b)
+            assert got.dtype == want.dtype
+            assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("sizes", [(0, 0), (0, 3), (3, 0), (4, 5)])
+    def test_empty_inputs(self, sizes):
+        a, b = (np.arange(k) * (i + 2) for i, k in enumerate(sizes))
+        got, want = _union(a, b), np.union1d(a, b)
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()
+
+
+def test_single_delay_run_never_imports_numpy_ma():
+    # np.unique's first call in a process imports numpy.ma, about 1.7 MB of
+    # peak RSS. The leaky group of "a" and "b" takes the decay union, the
+    # decaying update and, "a" being armed, the first-step integrator union.
+    script = textwrap.dedent("""
+        import sys
+        import neurocost as nc
+        leaky = nc.NeuronSpec("lif", v_thresh=1.0, tau=4.0)
+        relay = nc.NeuronSpec("lif", v_thresh=1.0)
+        ng = nc.NeuralGraph(["a", "b", "c"], [leaky, relay], [0, 0, 1], [1.5, 0.0, 0.0],
+                            [0, 1, 2], [1, 2, 0], [1.2, 1.5, 1.5], [1, 1, 1], ("a",), ("c",))
+        tr = nc.run_sim(nc.init_sim(ng, nc.AnalogEncoding(), 0), 6)
+        print(sum(r.spikes for r in tr.records), "numpy.ma" in sys.modules)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(nc.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    spikes, imported = proc.stdout.split()
+    assert int(spikes) > 0
+    assert imported == "False"
+
+
 def silent_mesh(m_s: int) -> nc.SimState:
     """A mesh started at its fixed point: every rail holds 0, nothing fires."""
     spec = nc.MeshSpec(m_s=m_s, k=4, m_t=1, dynamics=nc.Diffusion(0.5), init=(1.0,) * m_s)
@@ -645,6 +694,21 @@ class TestEnergyAudit:
         with pytest.raises(nc.MismatchDetected):
             nc.reconcile_energy(tampered, nc.count_resources(footnote_net),
                                 nc.preset("unit"))
+
+    def test_records_are_slotted_and_replaceable(self, footnote_trace):
+        rec = footnote_trace.records[1]
+        assert not hasattr(rec, "__dict__")
+        bumped = dataclasses.replace(rec, spikes=rec.spikes + 1)
+        assert bumped.spikes == rec.spikes + 1
+        assert dataclasses.replace(bumped, spikes=rec.spikes) == rec
+
+    @pytest.mark.parametrize("field, change", [("spikes", 1), ("synaptic_events", -1)])
+    def test_reconcile_detects_replaced_count(self, footnote_net, footnote_trace, field, change):
+        records = list(footnote_trace.records)
+        records[1] = dataclasses.replace(records[1], **{field: getattr(records[1], field) + change})
+        tampered = dataclasses.replace(footnote_trace, records=tuple(records))
+        with pytest.raises(nc.MismatchDetected, match="at t=1 "):
+            nc.reconcile_energy(tampered, nc.count_resources(footnote_net), nc.preset("unit"))
 
     def test_reconcile_detects_total_tamper(self, footnote_net, footnote_trace):
         tampered = dataclasses.replace(footnote_trace, e_n=footnote_trace.e_n + 0.5)
