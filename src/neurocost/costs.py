@@ -107,10 +107,15 @@ class SpaceBounds:
 
 @dataclass(frozen=True)
 class EnergyEstimate:
+    """An energy total and its terms; a total that overflows raises ValueError."""
+
     total: float
     breakdown: Mapping[str, float]
 
     def __post_init__(self):
+        if not math.isfinite(self.total):
+            raise ValueError(
+                f"energy total overflows to {self.total}: a cost constant is too large")
         object.__setattr__(self, "breakdown", dict(self.breakdown))
 
     def times(self, steps: float) -> EnergyEstimate:
@@ -323,8 +328,6 @@ def ff_cost_report(n_i: int, n_j: int, c: CostConstants, f_t: float) -> Comparis
     conventional side runs on one processor.
     """
     n_i, n_j = check_count("n_i", n_i), check_count("n_j", n_j)
-    if not (0.0 <= f_t <= 1.0):
-        raise FiringRateOutOfRange(f_t)
     s_total = n_i * n_j
     n_total = n_i + n_j
     t1 = n_i * n_j + 2 * n_j

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -48,6 +49,7 @@ from .errors import (
     InconsistentAssembly,
     NoRuleForOpKind,
     NonFiniteInput,
+    NonFiniteState,
     check_count,
 )
 from .graph import ValidatedGraph
@@ -168,13 +170,16 @@ class NeuralGraph:
     indices, `weight` (float) and `delay` (int64). The constructor takes
     these columns; an array that needs no conversion is kept, not copied,
     and made read-only. `specs` must list distinct specs in order of first
-    use. `index` maps each id to its position.
+    use. It needs a neuron (EmptyGraph) and finite x0 (NonFiniteState).
+    `index` maps each id to its position.
     """
 
     def __init__(self, neuron_ids: Iterable[str], specs: Iterable[NeuronSpec], spec_index, x0,
                  source, target, weight, delay, input_neurons: Iterable[str] = (),
                  output_neurons: Iterable[str] = ()):
         ids, specs = tuple(neuron_ids), tuple(specs)
+        if not ids:
+            raise EmptyGraph("network has no neurons")
         n, m = len(ids), len(source)
         cols = dict(spec_index=_int_column("spec_index", spec_index, n),
                     x0=np.asarray(x0, dtype=float).reshape(n),
@@ -197,6 +202,8 @@ class NeuralGraph:
                 or np.any(row < 0) or np.any(row > top[:-1] + 1)):
             raise ValueError("spec_index must use every spec of a distinct `specs` "
                              "in order of first use")
+        if (k := _first(~np.isfinite(self.x0))) is not None:
+            raise NonFiniteState(f"initial state of {ids[k]!r} is not finite")
         src, tgt = self.source, self.target
         if (k := _first((src < 0) | (src >= n) | (tgt < 0) | (tgt >= n))) is not None:
             role, v = ("source", src[k]) if not 0 <= src[k] < n else ("target", tgt[k])
@@ -249,7 +256,8 @@ class LoweringRule:
     input_weight is put on synapses arriving from upstream assemblies,
     chain_weight on the internal chain. Defaults make a spike relay:
     any single incoming spike crosses threshold. max_fan_in, when set,
-    caps the inputs of each op of the kind (0 allows sources only).
+    caps the inputs of each op of the kind (0 allows sources only). Every
+    field is checked here, at construction, whether a synapse uses it or not.
     """
 
     neuron_count: int = 1
@@ -265,8 +273,12 @@ class LoweringRule:
         if self.max_fan_in is not None:
             object.__setattr__(self, "max_fan_in", check_count("max_fan_in", self.max_fan_in, 0))
         for name in ("input_weight", "chain_weight"):
-            if isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                               and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        if not isinstance(self.neuron, NeuronSpec):
+            raise ValueError(f"neuron must be a NeuronSpec, got {self.neuron!r}")
 
 
 def relay_rules(op_kinds: Iterable[str], neuron_count: int = 1) -> dict[str, LoweringRule]:
@@ -307,16 +319,6 @@ class AssemblyMap:
                 and np.array_equal(self.synapse_start, other.synapse_start))
 
     __hash__ = None
-
-
-def _rule_column(rules: list[LoweringRule], name: str, kind: np.ndarray,
-                 dtype=None) -> np.ndarray:
-    """Field `name` of rule kind[j] for each synapse j. Only the rules of
-    kinds that own such a synapse are read, so values, dtype and errors
-    are those of a list built synapse by synapse."""
-    owns = np.bincount(kind, minlength=len(rules)) > 0
-    values = np.array([getattr(r, name) for r, o in zip(rules, owns.tolist()) if o], dtype=dtype)
-    return values[(np.cumsum(owns) - 1)[kind]]
 
 
 def lower_graph(vg: ValidatedGraph, rules: Mapping[str, LoweringRule] | None = None
@@ -377,11 +379,11 @@ def lower_graph(vg: ValidatedGraph, rules: Mapping[str, LoweringRule] | None = N
     weight = np.empty(len(op_of))
     syn_kind = kind[op_of]
     source[chain], target[chain] = link_src, link_src + 1
-    weight[chain] = _rule_column(used, "chain_weight", syn_kind[chain], float)
+    weight[chain] = np.array([r.chain_weight for r in used], float)[syn_kind[chain]]
     source[~chain] = exit_of[vg.pred_pos[in_at]]
     target[~chain] = np.repeat(neuron_start[:-1], fan_in)
-    weight[~chain] = _rule_column(used, "input_weight", syn_kind[~chain], float)
-    delay = _rule_column(used, "delay", syn_kind)
+    weight[~chain] = np.array([r.input_weight for r in used], float)[syn_kind[~chain]]
+    delay = np.array([r.delay for r in used], np.int64)[syn_kind]
 
     ng = NeuralGraph(
         ids, table, np.repeat(row[kind], count), np.zeros(len(ids)), source, target, weight,
@@ -404,11 +406,9 @@ def count_resources(ng: NeuralGraph, am: AssemblyMap | None = None) -> ResourceC
 
     With an AssemblyMap the means are per lowered op and the map must
     cover the graph exactly (InconsistentAssembly otherwise). Without one,
-    each neuron counts as its own unit. Raises EmptyGraph without neurons.
+    each neuron counts as its own unit; a NeuralGraph is never empty.
     """
     n_total = len(ng.neuron_ids)
-    if not n_total:
-        raise EmptyGraph("network has no neurons")
     s_total = len(ng.source)
     if am is None:
         ops = n_total

@@ -69,7 +69,6 @@ import numpy as np
 
 from .costs import PRESETS, CostConstants, energy_terms, nmc_energy_per_step
 from .errors import (
-    EmptyGraph,
     MismatchDetected,
     NonFiniteInput,
     NonFiniteState,
@@ -127,7 +126,7 @@ def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def hamming_bits(old_words: np.ndarray, new_words: np.ndarray, word_width: int) -> np.ndarray:
     """Per-element changed-bit counts between two's-complement words."""
-    mask = np.uint64((1 << word_width) - 1) if word_width < 64 else np.uint64(0xFFFFFFFFFFFFFFFF)
+    mask = np.uint64((1 << word_width) - 1)
     xor = (old_words.view(np.uint64) ^ new_words.view(np.uint64)) & mask
     return np.bitwise_count(xor).astype(np.int64)
 
@@ -248,15 +247,10 @@ def init_sim(ng: NeuralGraph, encoding: EncodingMode, seed: int,
     Armed neurons, whose initial output `transfer(spec, x0)` is nonzero,
     are marked for evaluation on the first step; an event-driven engine
     would otherwise never notice them. `seed` is unused (the engine is
-    deterministic). Raises EmptyGraph for a network without neurons.
+    deterministic). NeuralGraph has already checked emptiness and x0.
     """
-    if not ng.neuron_ids:
-        raise EmptyGraph("network has no neurons")
     net = _CompiledNet(ng)
     x = ng.x0.copy()
-    if not np.all(np.isfinite(x)):
-        bad = net.ids[int(np.flatnonzero(~np.isfinite(x))[0])]
-        raise NonFiniteState(f"initial state of {bad!r} is not finite")
 
     armed, decaying = [], []
     for spec, idx in net.groups:
@@ -460,7 +454,7 @@ def run_sim(s: SimState, max_steps: int, stop: StopCondition = None,
     """Run up to max_steps, optionally stopping early, and build the trace.
 
     `inputs` maps a step index to external (neuron id, value) injections,
-    either as a mapping or a callable.
+    either as a mapping or a callable. Raises ValueError if e_n overflows.
     """
     check_count("max_steps", max_steps)
     net = s.net
@@ -481,6 +475,8 @@ def run_sim(s: SimState, max_steps: int, stop: StopCondition = None,
             zero_run = zero_run + 1 if rec.spikes == 0 else 0
             if zero_run >= stop.window:
                 break
+    if not math.isfinite(e_n):
+        raise ValueError(f"total energy e_n overflows to {e_n}: a cost constant is too large")
 
     f_series = np.array([rec.spikes / net.n for rec in records], dtype=float)
     return SimTrace(

@@ -67,8 +67,8 @@ class Dtmc:
 @dataclass(frozen=True, eq=False)
 class MeshSpec:
     """A mesh relaxation problem: m_s points, fan-out k, m_t timesteps,
-    n_mesh neurons per point, and an initial state vector. A chain's
-    transition matrix is checked once, here."""
+    n_mesh neurons per point, and an initial state vector. A diffusion
+    ring and a chain's transition matrix are checked once, here."""
 
     m_s: int
     k: int
@@ -92,20 +92,14 @@ class MeshSpec:
             raise ValueError("init must be finite")
         if isinstance(self.dynamics, Dtmc):
             _check_dtmc(self, self.dynamics.matrix)
-
-
-def _ring_offsets(spec: MeshSpec) -> list[int]:
-    """Signed ring offsets covered by fan-out k; validates degeneracy."""
-    if spec.m_s == 1:
-        return []
-    if spec.k == 0:
-        raise DegenerateMesh("k=0 with more than one mesh point leaves the mesh uncoupled")
-    if spec.k % 2 != 0:
-        raise DegenerateMesh(f"ring diffusion needs an even fan-out, got k={spec.k}")
-    if spec.k >= spec.m_s:
-        raise DegenerateMesh(f"fan-out k={spec.k} does not fit a ring of {spec.m_s} points")
-    half = spec.k // 2
-    return [off for d in range(1, half + 1) for off in (d, -d)]
+        elif self.m_s > 1:
+            if self.k == 0:
+                raise DegenerateMesh("k=0 with more than one mesh point leaves the mesh uncoupled")
+            if self.k % 2 != 0:
+                raise DegenerateMesh(f"ring diffusion needs an even fan-out, got k={self.k}")
+            if self.k >= self.m_s:
+                raise DegenerateMesh(
+                    f"fan-out k={self.k} does not fit a ring of {self.m_s} points")
 
 
 def _check_dtmc(spec: MeshSpec, p: np.ndarray) -> None:
@@ -137,11 +131,11 @@ def _coupling_rows(spec: MeshSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         p = spec.dynamics.matrix
         rows, cols = np.nonzero(p)
         return rows, cols, p[rows, cols]
-    offsets = _ring_offsets(spec)
     if spec.m_s == 1:
         return np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp), np.ones(1)
+    offsets = [0] + [off for d in range(1, spec.k // 2 + 1) for off in (d, -d)]
     point = np.arange(spec.m_s)[:, None]
-    cols = np.sort((point + np.array([0] + offsets)) % spec.m_s, axis=1)
+    cols = np.sort((point + np.array(offsets)) % spec.m_s, axis=1)
     vals = np.where(cols == point, 1.0 - spec.dynamics.alpha, spec.dynamics.alpha / spec.k)
     return np.repeat(point.ravel(), spec.k + 1), cols.ravel(), vals.ravel()
 

@@ -4,7 +4,10 @@ module entry points in a subprocess."""
 from __future__ import annotations
 
 import argparse
+import csv
+import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -12,6 +15,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import neurocost as nc
@@ -383,6 +387,70 @@ class TestSweepOptions:
         assert code == 2
         assert "'k'" in err
         assert out == ""
+
+
+_SIMULATE = ["simulate", FOOTNOTE, "--steps", "10"]
+_SWEEP = ["sweep", "--workload", "mesh", "--param", "m_s", "--values", "16,32"]
+
+
+@pytest.mark.parametrize("argv, key, overflows", [
+    (["analyze", FOOTNOTE], "e_voltage", "energy total"),
+    (["analyze", FOOTNOTE], "ell", "energy total"),
+    (["analyze", FOOTNOTE], "e_op", "energy total"),
+    (["analyze", FOOTNOTE], "b_p", "energy total"),
+    (_SIMULATE, "ell", "total energy e_n"),
+    # A relay graph's trace stays finite: only the audit's prediction overflows.
+    (_SIMULATE, "e_voltage", "energy total"),
+    # This one used to exit 2 only at the log-log fit, which rejected inf.
+    (_SWEEP, "e_voltage", "total energy e_n"),
+], ids=["analyze-e_voltage", "analyze-ell", "analyze-e_op", "analyze-b_p", "simulate-ell",
+        "simulate-e_voltage", "sweep-e_voltage"])
+def test_overflowing_energy_is_bad_input(capsys, tmp_path, argv, key, overflows):
+    # One finite constant whose energy overflows used to print or write inf and exit 0.
+    cfg, dest = tmp_path / "big.cfg", tmp_path / "out.csv"
+    cfg.write_text(f"{key} = 1e308\n")
+    code, out, err = invoke(capsys, argv + ["--config", str(cfg), "--out", str(dest)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {overflows} overflows to inf: a cost constant is too large\n"
+    assert not dest.exists()
+
+
+_FUZZ_KEYS = [f.name for f in dataclasses.fields(nc.CostConstants)] + ["preset", "wattage"]
+_FUZZ_VALUES = ["0", "1", "-1", "0.5", "2", "1e308", "1e-320", "1e400", "nan", "inf", "-inf",
+                "abc", "True", "", "unit", "digital-skew", "nope"]
+# Each command, and the CSV column of the energies its --out file holds.
+_FUZZ_COMMANDS = [
+    (["analyze", FOOTNOTE], "energy_total"),
+    (_SIMULATE, "e_cum"),
+    (["sweep", "--workload", "mesh", "--param", "m_s", "--values", "8,16", "--set", "m_t=10"],
+     "total_e_n"),
+]
+
+
+def test_config_fuzz_exits_0_or_2(capsys, tmp_path, monkeypatch):
+    """Bad input exits 2, never 3: 200 seeded config files of 1 to 4 lines,
+    each through three commands. An exit 2 says why on stderr, and a run
+    that exits 0 writes only finite energies."""
+    monkeypatch.delenv(fileio.PRESET_DIR_ENV, raising=False)
+    rng = np.random.default_rng(2203)
+    cfg, dest = tmp_path / "fuzz.cfg", tmp_path / "out.csv"
+    for _ in range(200):
+        n = int(rng.integers(1, 5))
+        lines = [f"{_FUZZ_KEYS[k]} = {_FUZZ_VALUES[v]}"
+                 for k, v in zip(rng.integers(len(_FUZZ_KEYS), size=n).tolist(),
+                                 rng.integers(len(_FUZZ_VALUES), size=n).tolist())]
+        cfg.write_text("\n".join(lines) + "\n")
+        for argv, column in _FUZZ_COMMANDS:
+            dest.unlink(missing_ok=True)
+            code = cli.run_command(argv + ["--config", str(cfg), "--out", str(dest)])
+            err = capsys.readouterr().err
+            assert code in (0, 2), (argv[0], lines, code, err)
+            if code == 2:
+                assert err.startswith("error: "), (argv[0], lines, err)
+            else:
+                with dest.open(encoding="utf-8") as f:
+                    energies = [float(row[column]) for row in csv.DictReader(f)]
+                assert energies and all(map(math.isfinite, energies)), (argv[0], lines)
 
 
 def test_readme_options_table_matches_the_parser():

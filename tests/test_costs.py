@@ -59,6 +59,27 @@ def test_constants_reject_overflowing_spike_cost():
     assert CostConstants(e_spike=1e154, ell=1e154).e_spike == 1e154
 
 
+_MESH = (100, 33, 4, 3, 3, 2)
+
+
+@pytest.mark.parametrize("evaluate, field", [
+    (lambda c: conventional_energy(FOOTNOTE_METRICS, c), "e_op"),
+    (lambda c: conventional_energy(FOOTNOTE_METRICS, c), "b_p"),
+    (lambda c: nmc_energy_per_step(FOOTNOTE_RESOURCES, c, 1.0), "e_voltage"),
+    (lambda c: nmc_energy_per_step(FOOTNOTE_RESOURCES, c, 1.0), "ell"),
+    (lambda c: nmc_energy_per_step(FOOTNOTE_RESOURCES, c, 1.0).times(3), "e_spikegen"),
+    (lambda c: mesh_cost_report(*_MESH, c, [1.0] * 33).row("conventional").energy, "e_op"),
+    (lambda c: mesh_cost_report(*_MESH, c, [1.0] * 33).row("nmc").energy, "e_voltage"),
+], ids=["conv_e_op", "conv_b_p", "nmc_e_voltage", "nmc_ell", "nmc_times", "mesh_conv",
+        "mesh_nmc"])
+def test_energy_that_overflows_raises(evaluate, field):
+    # Each constant is finite, but the energy it prices is not: the estimate
+    # used to hold inf, which the CLI printed with exit 0.
+    assert math.isfinite(evaluate(CostConstants(**{field: 1e300})).total)
+    with pytest.raises(ValueError, match="energy total overflows to inf"):
+        evaluate(CostConstants(**{field: 1e308}))
+
+
 @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(CostConstants)])
 @pytest.mark.parametrize("bad", [True, False])
 def test_constants_reject_bool(field, bad):

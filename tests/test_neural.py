@@ -19,6 +19,7 @@ from neurocost import (
     NeuronSpec,
     NoRuleForOpKind,
     NonFiniteInput,
+    NonFiniteState,
     OpNode,
     ComputeGraph,
     gen_random_dag,
@@ -342,6 +343,9 @@ def test_lower_fan_in_cap(footnote):
 def test_lowering_rule_validation():
     with pytest.raises(ValueError):
         LoweringRule(neuron_count=0)
+    for bad in ("lif", None, (NeuronSpec("lif", v_thresh=1.0),)):
+        with pytest.raises(ValueError, match="neuron must be a NeuronSpec"):
+            LoweringRule(neuron=bad)
 
 
 @pytest.mark.parametrize("field, bad", [("delay", True), ("delay", 0), ("delay", 2.0),
@@ -369,11 +373,13 @@ def test_lowering_rule_keeps_numpy_counts_as_ints():
     assert counts == (2, 3, 0) and all(type(c) is int for c in counts)
 
 
-@pytest.mark.parametrize("bad", [True, False])
+@pytest.mark.parametrize("bad", [True, False, math.nan, math.inf, "x", None])
 @pytest.mark.parametrize("field", ["input_weight", "chain_weight"])
 def test_lowering_rule_rejects_bool_numbers(field, bad):
-    # A bool used to build.
-    with pytest.raises(ValueError, match=f"{field} must be a number, got {bad!r}"):
+    # A bool used to build; "x" and None used to build too, and lowering
+    # read them only when some synapse carried the field.
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{field} must be a finite number, got {bad!r}")):
         LoweringRule(**{field: bad})
 
 
@@ -530,6 +536,12 @@ class TestConstructionErrors:
         with pytest.raises(ValueError, match=f"synapse 'a' -> 'b' has non-finite weight {weight}"):
             network(_AB, [("a", "b", weight, 1)])
 
+    @pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
+    def test_non_finite_initial_state_names_the_neuron(self, x0):
+        # init_sim used to be the one that checked
+        with pytest.raises(NonFiniteState, match="initial state of 'b' is not finite"):
+            network((("a", _RELAY, 0.0), ("b", _RELAY, x0), ("c", _RELAY, x0)), [])
+
     def test_bool_delay(self):
         with pytest.raises(ValueError, match="delay must hold integers, got dtype bool"):
             network(_AB, [("a", "b", 1.0, True)])
@@ -540,10 +552,11 @@ class TestConstructionErrors:
 
 
 def test_empty_columns_make_an_empty_graph():
-    ng = NeuralGraph((), (), [], [], [], [], [], [])
-    assert (ng.neuron_ids, ng.specs, len(ng.x0), len(ng.source)) == ((), (), 0, 0)
-    with pytest.raises(ValueError, match="spec_index must use every spec"):
-        NeuralGraph((), (_RELAY,), [], [], [], [], [], [])
+    # A network without neurons used to build and fail later, in init_sim
+    # or count_resources; the emptiness check now comes before the others.
+    for specs in ((), (_RELAY,)):
+        with pytest.raises(EmptyGraph, match="network has no neurons"):
+            NeuralGraph((), specs, [], [], [], [], [], [])
 
 
 def test_float_delay_column_is_rejected():

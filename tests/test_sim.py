@@ -397,9 +397,9 @@ class TestDigitalEncoding:
 
 class TestRunControl:
     def test_empty_network_is_named_error(self):
-        empty = network(neurons=(), synapses=())
-        with pytest.raises(nc.EmptyGraph):
-            nc.init_sim(empty, nc.AnalogEncoding(), 0)
+        # The network rejects itself when built, before init_sim sees it.
+        with pytest.raises(nc.EmptyGraph, match="network has no neurons"):
+            network(neurons=(), synapses=())
 
     def test_max_steps_validation(self):
         ng = two_neuron(2.0)
@@ -407,6 +407,15 @@ class TestRunControl:
         for bad in (0, 1.5, True):
             with pytest.raises(ValueError, match="max_steps must be an integer >= 1"):
                 nc.run_sim(state, bad)
+
+    def test_energy_that_overflows_raises(self):
+        # Every step costs about 1e308, which is finite; their sum is not,
+        # and used to be returned as e_n = inf.
+        c = nc.CostConstants(e_spikegen=1e308)
+        state = nc.init_sim(nc.gen_self_exciting_loop(), nc.AnalogEncoding(), 0, c)
+        assert nc.run_sim(state, 1).e_n == 1e308
+        with pytest.raises(ValueError, match="total energy e_n overflows to inf"):
+            nc.run_sim(state, 2)
 
     def test_zero_activity_stop_length(self):
         ng = network(

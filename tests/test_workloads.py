@@ -112,10 +112,16 @@ class TestMeshTransport:
 class TestMeshValidation:
     @pytest.mark.parametrize("k", [0, 3, 4, 6])
     def test_degenerate_rings(self, k):
-        spec = nc.MeshSpec(m_s=4, k=k, m_t=5, dynamics=nc.Diffusion(0.5),
-                           init=(1.0,) * 4, v_thresh=0.25)
-        with pytest.raises(nc.DegenerateMesh):
-            nc.gen_mesh(spec)
+        # The ring is checked when the spec is built, not by gen_mesh.
+        match = {0: "k=0 with more than one mesh point leaves the mesh uncoupled",
+                 3: "ring diffusion needs an even fan-out, got k=3"}.get(
+                     k, f"fan-out k={k} does not fit a ring of 4 points")
+        with pytest.raises(nc.DegenerateMesh, match=match):
+            nc.MeshSpec(m_s=4, k=k, m_t=5, dynamics=nc.Diffusion(0.5),
+                        init=(1.0,) * 4, v_thresh=0.25)
+        # The ring rules are a diffusion's: a chain of the same fan-out builds.
+        nc.gen_mesh(nc.MeshSpec(m_s=4, k=k, m_t=5, dynamics=Dtmc(np.eye(4)),
+                                init=(1.0,) * 4, v_thresh=0.25))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
