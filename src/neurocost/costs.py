@@ -100,9 +100,17 @@ class TimeBounds:
 
 @dataclass(frozen=True)
 class SpaceBounds:
+    """Space bounds; `upper` may be inf, but a lower bound or term that overflows raises."""
+
     lower: float
     upper: float
     breakdown: Mapping[str, float] | None = None
+
+    def __post_init__(self):
+        for name, value in (("lower bound", self.lower), *(self.breakdown or {}).items()):
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"space {name} overflows to {value}: a cost constant is too large")
 
 
 @dataclass(frozen=True)

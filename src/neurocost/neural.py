@@ -92,7 +92,7 @@ class NeuronSpec:
     def decay_factor(self) -> float:
         return math.exp(-self.dt / self.tau)
 
-    @property
+    @cached_property  # advance reads it on every step
     def memoryless(self) -> bool:
         """Gate and ann kinds: the state is the last input."""
         return self.model_kind != "lif"
@@ -121,10 +121,11 @@ def advance(spec: NeuronSpec, x: np.ndarray, input_sum: np.ndarray):
     """Vectorized one-step update; returns (x_next, y) arrays.
 
     Single source of truth for the model semantics; step_neuron and the
-    simulator both call through here.
+    simulator both call through here. For a memoryless kind x_next is
+    `input_sum` itself when that is a float array.
     """
     if spec.memoryless:
-        x_next = input_sum.astype(float, copy=True)
+        x_next = np.asarray(input_sum, dtype=float)
         return x_next, transfer(spec, x_next)
     # x * 1.0 is x bit for bit, so a non-leaking integrator skips it.
     x_next = (x if spec.decay_factor == 1.0 else x * spec.decay_factor) + input_sum

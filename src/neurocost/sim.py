@@ -46,12 +46,17 @@ keeps it. A quiet step (no slot due, no injection) skips delivery and
 allocates nothing of size n. State is written in place; `last_y` is
 cleared only where the previous step wrote.
 
-Per-step fixed cost: a step's `StepRecord` is a slotted dataclass, not a
-frozen one, whose `__init__` would set each field through
-`object.__setattr__` at about four times the cost. Index sets are joined
-by `_union`, not `np.union1d`: its `np.unique` imports `numpy.ma` on
-first use (about 1.7 MB of peak RSS), which now only a network with
-several synaptic delays pays, in emit.
+Per-step fixed cost: what is fixed for a run is computed once. The
+compiled net keeps one row per spec group (index, spec, `memoryless`,
+`leaky`), the state whether the encoding is digital, a `DigitalEncoding`
+its word bounds, word step and Hamming mask, and `run_sim` its appends,
+`last_y` and the output indices; without `inputs` it looks up no
+schedule. A `StepRecord` is built positionally and is a slotted
+dataclass, not a frozen one, whose `__init__` would set each field
+through `object.__setattr__` at about four times the cost. Index sets
+are joined by `_union`, not `np.union1d`: its `np.unique` imports
+`numpy.ma` on first use (about 1.7 MB of peak RSS), which now only a
+network with several synaptic delays pays, in emit.
 
 Determinism: identical graph, encoding and inputs reproduce the trace
 bitwise. The engine draws no random numbers; `init_sim` accepts a seed
@@ -80,7 +85,8 @@ from .neural import NeuralGraph, NeuronSpec, ResourceCount, advance, transfer
 
 @dataclass(frozen=True)
 class DigitalEncoding:
-    """Fixed-point state words: clamp to [-scale, +scale), word_width bits."""
+    """Fixed-point state words: clamp to [-scale, +scale), word_width bits.
+    The word bounds, word step and Hamming mask are computed once."""
 
     word_width: int = 16
     scale: float = 1.0
@@ -91,17 +97,18 @@ class DigitalEncoding:
             raise ValueError(f"word_width must be at most 64, got {self.word_width}")
         if isinstance(self.scale, bool) or not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"scale must be a finite positive number, got {self.scale!r}")
-
-    def words(self, x: np.ndarray) -> np.ndarray:
-        w = self.word_width
-        lo = -(2 ** (w - 1))
-        hi = 2 ** (w - 1) - 1
-        step = self.scale / 2 ** (w - 1)
-        q = np.floor(np.asarray(x, dtype=float) / step)
+        half = 2 ** (self.word_width - 1)
         # For w > 53 the exact ceiling is not float-representable; snap to
         # the largest representable value below it (clamp-edge artifact).
-        hi_f = float(hi) if w <= 53 else math.nextafter(float(2 ** (w - 1)), 0.0)
-        q = np.clip(q, float(lo), hi_f)
+        hi = float(half - 1) if self.word_width <= 53 else math.nextafter(float(half), 0.0)
+        for name, value in (("_lo", float(-half)), ("_hi", hi), ("_step", self.scale / half),
+                            ("_mask", np.uint64((1 << self.word_width) - 1))):
+            object.__setattr__(self, name, value)
+
+    def words(self, x: np.ndarray) -> np.ndarray:
+        q = np.floor(np.asarray(x, dtype=float) / self._step)
+        # np.maximum and np.minimum clamp faster, but raised peak RSS in the benchmark.
+        np.clip(q, self._lo, self._hi, out=q)
         return q.astype(np.int64)
 
 
@@ -124,11 +131,15 @@ def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return c[keep]
 
 
+def _hamming(old_words: np.ndarray, new_words: np.ndarray, mask: np.uint64) -> np.ndarray:
+    xor = np.bitwise_xor(old_words.view(np.uint64), new_words.view(np.uint64))
+    xor &= mask
+    return np.bitwise_count(xor).astype(np.int64)
+
+
 def hamming_bits(old_words: np.ndarray, new_words: np.ndarray, word_width: int) -> np.ndarray:
     """Per-element changed-bit counts between two's-complement words."""
-    mask = np.uint64((1 << word_width) - 1)
-    xor = (old_words.view(np.uint64) ^ new_words.view(np.uint64)) & mask
-    return np.bitwise_count(xor).astype(np.int64)
+    return _hamming(old_words, new_words, np.uint64((1 << word_width) - 1))
 
 
 @dataclass(slots=True)
@@ -167,11 +178,13 @@ class _CompiledNet:
     """Index view of a NeuralGraph: spec groups plus CSR outgoing synapses.
 
     Groups follow the graph's spec table (first-appearance order), each
-    with its neuron indices ascending. Nonzero-weight synapses are sorted
-    stably by source on the narrowest unsigned key (the permutation an
-    intp key gives), so a source's slice keeps declaration order. `delay`
-    is the one delay when every kept synapse has it, else None. The CSR
-    columns are read-only, because emit may queue a view of `syn_weight`.
+    with its neuron indices ascending; `rows` holds each group's index,
+    spec and the spec's `memoryless` and `leaky` flags, read every step.
+    Nonzero-weight synapses are sorted stably by source on the narrowest
+    unsigned key (the permutation an intp key gives), so a source's slice
+    keeps declaration order. `delay` is the one delay when every kept
+    synapse has it, else None. The CSR columns are read-only, because emit
+    may queue a view of `syn_weight`.
     `scaled` is true when some non-spiking neuron has an outgoing synapse:
     only then must an emitted weight be multiplied by its source's output.
     """
@@ -185,6 +198,7 @@ class _CompiledNet:
         sizes = np.bincount(ng.spec_index, minlength=len(ng.specs))
         self.groups: list[tuple[NeuronSpec, np.ndarray]] = list(
             zip(ng.specs, np.split(by_spec, np.cumsum(sizes)[:-1])))
+        self.rows = [(g, spec, spec.memoryless, spec.leaky) for g, spec in enumerate(ng.specs)]
 
         kept = np.flatnonzero(ng.weight)
         source = ng.source[kept]
@@ -219,16 +233,18 @@ class _CompiledNet:
 class SimState:
     """Mutable simulation state; create with init_sim.
 
-    `x` is the same array object for the whole run; a step writes it in
-    place only after every group passed the finite check, so a step that
-    raises NonFiniteState leaves it as it was. `decaying[g]` holds the
-    ascending indices of a leaky LIF group's nonzero-state neurons.
+    `x` and `last_y` are the same array objects for the whole run; a step
+    writes `x` in place only after every group passed the finite check, so
+    a step that raises NonFiniteState leaves it as it was. `decaying[g]`
+    holds the ascending indices of a leaky LIF group's nonzero-state
+    neurons.
     """
 
     net: _CompiledNet
     x: np.ndarray
     t: int
     encoding: EncodingMode
+    digital: bool  # the encoding is a DigitalEncoding
     constants: CostConstants
     pending: dict[int, list[tuple[np.ndarray, np.ndarray]]]  # due step -> pairs in append order
     armed: list[np.ndarray] | None  # per group, evaluated at the first step, then None
@@ -258,17 +274,9 @@ def init_sim(ng: NeuralGraph, encoding: EncodingMode, seed: int,
         armed.append(idx[transfer(spec, xi) != 0.0])
         decaying.append(idx[xi != 0.0] if spec.leaky else None)
 
-    return SimState(
-        net=net,
-        x=x,
-        t=0,
-        encoding=encoding,
-        constants=constants,
-        pending={},
-        armed=armed,
-        decaying=decaying,
-        last_y=np.zeros(net.n, dtype=float),
-    )
+    return SimState(net=net, x=x, t=0, encoding=encoding,
+                    digital=isinstance(encoding, DigitalEncoding), constants=constants,
+                    pending={}, armed=armed, decaying=decaying, last_y=np.zeros(net.n))
 
 
 def _diverged(net: _CompiledNet, ev: np.ndarray, x_next: np.ndarray, t: int) -> NonFiniteState:
@@ -310,43 +318,43 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
     # 2. Evaluate neurons with input, with a decay-visible change, or armed.
     # Writes wait until every group passed the finite check.
     encoding = s.encoding
-    digital = isinstance(encoding, DigitalEncoding)
-    scaled = net.scaled
-    done: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []  # (group, ev, x_next, y)
+    digital = s.digital
+    x = s.x
+    done: list[tuple[int, bool, np.ndarray, np.ndarray, np.ndarray]] = []  # g, leaky, ev, x', y
     spike_idx: list[np.ndarray] = []
     touched_count = 0
     delta_n = 0.0
 
-    for g, (spec, _idx) in enumerate(net.groups):
+    for g, spec, memoryless, leaky in net.rows:
         ev = _NO_INDEX if fed is None else fed[g]
-        decaying = s.decaying[g]
-        if decaying is not None and len(decaying):
+        if leaky and len(decaying := s.decaying[g]):
             if digital:
-                xd = s.x[decaying]
+                xd = x[decaying]
                 decaying = decaying[encoding.words(xd * spec.decay_factor) != encoding.words(xd)]
             ev = _union(ev, decaying)
-        u = np.zeros(len(ev)) if input_sum is None else input_sum[ev]
+        unfed = None
         if armed is not None and len(armed[g]):  # the first step
-            if spec.memoryless:
+            if memoryless:
                 # g(x, u) = u: fed its own state, an unfed armed neuron keeps it
                 # and outputs f(x0). Appended last, their zero diffs end the
                 # pairwise np.add.reduce for delta_n and leave its bits as they are.
                 unfed = np.setdiff1d(armed[g], ev, assume_unique=True)
                 ev = np.concatenate((ev, unfed))
-                u = np.concatenate((u, s.x[unfed]))
             else:  # an integrator's zero-input evaluation applies its decay and reset
                 ev = _union(ev, armed[g])
-                u = np.zeros(len(ev)) if input_sum is None else input_sum[ev]
         if not len(ev):
             continue
-        old = s.x[ev]
+        u = np.zeros(len(ev)) if input_sum is None else input_sum[ev]
+        if unfed is not None:  # their input is 0.0: overwrite it with their state
+            u[len(ev) - len(unfed):] = x[unfed]
+        old = x[ev]
         x_next, y = advance(spec, old, u)
         if digital and not np.isfinite(x_next).all():  # words() needs finite states
             raise _diverged(net, ev, x_next, t)
 
         # 4. Change-of-state accounting under the configured encoding.
         if digital:
-            diffs = hamming_bits(encoding.words(old), encoding.words(x_next), encoding.word_width)
+            diffs = _hamming(encoding.words(old), encoding.words(x_next), encoding._mask)
         else:
             diffs = np.abs(x_next - old)
         delta = float(np.add.reduce(diffs))
@@ -356,20 +364,21 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
             raise _diverged(net, ev, x_next, t)
         touched_count += int(np.count_nonzero(diffs))
         delta_n += delta
-        done.append((g, ev, x_next, y))
+        done.append((g, leaky, ev, x_next, y))
 
         firing = y.nonzero()[0]
         if len(firing):
             spike_idx.append(ev[firing])
 
+    last_y = s.last_y
     for idx in s.y_written:
-        s.last_y[idx] = 0.0
+        last_y[idx] = 0.0
     s.y_written = []
-    for g, ev, x_next, y in done:
-        s.last_y[ev] = y
-        s.x[ev] = x_next
+    for g, leaky, ev, x_next, y in done:
+        last_y[ev] = y
+        x[ev] = x_next
         s.y_written.append(ev)
-        if s.decaying[g] is not None:  # analog evaluated every nonzero state: nothing stays
+        if leaky:  # analog evaluated every nonzero state: nothing stays
             s.decaying[g] = _union(np.setdiff1d(s.decaying[g], ev, assume_unique=True),
                                   ev[x_next != 0])
 
@@ -392,7 +401,7 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
             spike_ids = (net.ids[spike_list[0]],)
             # One source: its synapses are one contiguous CSR slice.
             pos = slice(*net.out_indptr[spike_list[0]:spike_list[0] + 2].tolist())
-            values = net.syn_weight[pos] * s.last_y[spikes] if scaled else net.syn_weight[pos]
+            values = net.syn_weight[pos] * last_y[spikes] if net.scaled else net.syn_weight[pos]
         else:
             spike_ids = itemgetter(*spike_list)(net.ids)
             lo = net.out_indptr[spikes]
@@ -402,8 +411,8 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
             pos = (lo - ends + lens).repeat(lens)
             pos += np.arange(ends[-1])
             values = net.syn_weight[pos]
-            if scaled:
-                values *= s.last_y[spikes].repeat(lens)
+            if net.scaled:
+                values *= last_y[spikes].repeat(lens)
         if len(values):
             targets = net.syn_target[pos]
             if net.delay is not None:
@@ -415,23 +424,9 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
                     s.pending.setdefault(t + d, []).append((targets[sel], values[sel]))
 
     # 5. Energy from this step's events, fixed term order.
-    e_voltage_term, e_spikegen_term, e_synapse_term, e_spike_term, e_t = energy_terms(
-        s.constants, touched_count, spike_count, synaptic_events)
-
     s.t = t + 1
-    return StepRecord(
-        t=t,
-        spikes=spike_count,
-        spike_ids=spike_ids,
-        synaptic_events=synaptic_events,
-        neurons_touched=touched_count,
-        delta_n=delta_n,
-        e_voltage_term=e_voltage_term,
-        e_spikegen_term=e_spikegen_term,
-        e_synapse_term=e_synapse_term,
-        e_spike_term=e_spike_term,
-        e_t=e_t,
-    )
+    return StepRecord(t, spike_count, spike_ids, synaptic_events, touched_count, delta_n,
+                      *energy_terms(s.constants, touched_count, spike_count, synaptic_events))
 
 
 @dataclass(frozen=True)
@@ -460,16 +455,17 @@ def run_sim(s: SimState, max_steps: int, stop: StopCondition = None,
     net = s.net
     records: list[StepRecord] = []
     out_rows: list[np.ndarray] = []
+    add_record, add_row = records.append, out_rows.append
+    last_y, output_idx = s.last_y, net.output_idx
+    lookup = None if inputs is None else inputs if callable(inputs) else inputs.get
     zero_run = 0
-    schedule = {} if inputs is None else inputs
-    lookup = schedule if callable(schedule) else schedule.get
 
     e_n = 0.0
     for _ in range(max_steps):
-        rec = step_sim(s, lookup(s.t) or ())
-        records.append(rec)
+        rec = step_sim(s) if lookup is None else step_sim(s, lookup(s.t) or ())
+        add_record(rec)
         e_n += rec.e_t
-        out_rows.append(s.last_y[net.output_idx])
+        add_row(last_y[output_idx])
 
         if stop is not None:
             zero_run = zero_run + 1 if rec.spikes == 0 else 0
@@ -479,14 +475,8 @@ def run_sim(s: SimState, max_steps: int, stop: StopCondition = None,
         raise ValueError(f"total energy e_n overflows to {e_n}: a cost constant is too large")
 
     f_series = np.array([rec.spikes / net.n for rec in records], dtype=float)
-    return SimTrace(
-        records=tuple(records),
-        f_series=f_series,
-        e_n=e_n,
-        outputs=np.array(out_rows),
-        output_ids=s.net.graph.output_neurons,
-        n_total=net.n,
-    )
+    return SimTrace(records=tuple(records), f_series=f_series, e_n=e_n, outputs=np.array(out_rows),
+                    output_ids=net.graph.output_neurons, n_total=net.n)
 
 
 def measure_firing_rate(tr: SimTrace, window: int) -> np.ndarray:

@@ -398,13 +398,15 @@ _SWEEP = ["sweep", "--workload", "mesh", "--param", "m_s", "--values", "16,32"]
     (["analyze", FOOTNOTE], "ell", "energy total"),
     (["analyze", FOOTNOTE], "e_op", "energy total"),
     (["analyze", FOOTNOTE], "b_p", "energy total"),
+    # The nmc_ideal space bound used to print as [inf,inf] with exit 0.
+    (["analyze", FOOTNOTE], "c_n", "space lower bound"),
     (_SIMULATE, "ell", "total energy e_n"),
     # A relay graph's trace stays finite: only the audit's prediction overflows.
     (_SIMULATE, "e_voltage", "energy total"),
     # This one used to exit 2 only at the log-log fit, which rejected inf.
     (_SWEEP, "e_voltage", "total energy e_n"),
-], ids=["analyze-e_voltage", "analyze-ell", "analyze-e_op", "analyze-b_p", "simulate-ell",
-        "simulate-e_voltage", "sweep-e_voltage"])
+], ids=["analyze-e_voltage", "analyze-ell", "analyze-e_op", "analyze-b_p", "analyze-c_n",
+        "simulate-ell", "simulate-e_voltage", "sweep-e_voltage"])
 def test_overflowing_energy_is_bad_input(capsys, tmp_path, argv, key, overflows):
     # One finite constant whose energy overflows used to print or write inf and exit 0.
     cfg, dest = tmp_path / "big.cfg", tmp_path / "out.csv"
@@ -430,7 +432,8 @@ _FUZZ_COMMANDS = [
 def test_config_fuzz_exits_0_or_2(capsys, tmp_path, monkeypatch):
     """Bad input exits 2, never 3: 200 seeded config files of 1 to 4 lines,
     each through three commands. An exit 2 says why on stderr, and a run
-    that exits 0 writes only finite energies."""
+    that exits 0 writes only finite energies; `analyze` also writes a finite
+    space lower bound on every row and a finite upper bound on the nmc rows."""
     monkeypatch.delenv(fileio.PRESET_DIR_ENV, raising=False)
     rng = np.random.default_rng(2203)
     cfg, dest = tmp_path / "fuzz.cfg", tmp_path / "out.csv"
@@ -449,8 +452,14 @@ def test_config_fuzz_exits_0_or_2(capsys, tmp_path, monkeypatch):
                 assert err.startswith("error: "), (argv[0], lines, err)
             else:
                 with dest.open(encoding="utf-8") as f:
-                    energies = [float(row[column]) for row in csv.DictReader(f)]
+                    rows = list(csv.DictReader(f))
+                energies = [float(row[column]) for row in rows]
                 assert energies and all(map(math.isfinite, energies)), (argv[0], lines)
+                if argv[0] == "analyze":
+                    spaces = [float(row["space_lower"]) for row in rows] + [
+                        float(row["space_upper"]) for row in rows
+                        if row["architecture"].startswith("nmc")]
+                    assert all(map(math.isfinite, spaces)), (lines, spaces)
 
 
 def test_readme_options_table_matches_the_parser():

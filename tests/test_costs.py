@@ -12,6 +12,7 @@ from neurocost import (
     GraphMetrics,
     PRESETS,
     ResourceCount,
+    SpaceBounds,
     TimeBounds,
     UnknownPreset,
     conventional_energy,
@@ -78,6 +79,28 @@ def test_energy_that_overflows_raises(evaluate, field):
     assert math.isfinite(evaluate(CostConstants(**{field: 1e300})).total)
     with pytest.raises(ValueError, match="energy total overflows to inf"):
         evaluate(CostConstants(**{field: 1e308}))
+
+
+@pytest.mark.parametrize("evaluate, field", [
+    (lambda c: nmc_space(FOOTNOTE_RESOURCES, FOOTNOTE_METRICS, c), "c_n"),
+    (lambda c: nmc_space(FOOTNOTE_RESOURCES, FOOTNOTE_METRICS, c, n_core=2), "c_s"),
+    (lambda c: conventional_space(c, 2, program_size=4, data_size=4), "c_p"),
+    (lambda c: mesh_cost_report(*_MESH, c, [1.0] * 33).row("nmc").space, "c_n"),
+    (lambda c: ff_cost_report(8, 4, c, 0.5).row("nmc").space, "c_s"),
+], ids=["nmc_c_n", "nmc_realized_c_s", "conv_c_p", "mesh_nmc", "ff_nmc"])
+def test_space_that_overflows_raises(evaluate, field):
+    # A finite constant whose space bound is not: nmc_ideal used to hold [inf, inf].
+    space = evaluate(CostConstants(**{field: 1e300}))
+    assert math.isfinite(space.lower) and all(map(math.isfinite, space.breakdown.values()))
+    with pytest.raises(ValueError, match="space lower bound overflows to inf"):
+        evaluate(CostConstants(**{field: 1e308}))
+
+
+def test_space_term_that_overflows_raises():
+    # Each bound is finite, but a term of the breakdown is not.
+    with pytest.raises(ValueError, match="space neurons overflows to inf"):
+        SpaceBounds(lower=1.0, upper=1.0, breakdown={"neurons": math.inf})
+    assert SpaceBounds(lower=1.0, upper=math.inf).upper == math.inf
 
 
 @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(CostConstants)])

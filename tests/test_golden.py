@@ -241,6 +241,17 @@ def test_trace_matches_golden_digest(name):
     assert trace_digest(tr, state) == GOLDEN[name]
 
 
+@pytest.mark.parametrize("inputs", [None, {}, lambda t: ()], ids=["none", "mapping", "callable"])
+@pytest.mark.parametrize("name", ["mesh", "self_exciting_loop"])
+def test_empty_input_schedule_is_no_schedule(monkeypatch, name, inputs):
+    # run_sim steps without a schedule lookup when inputs is None; an empty
+    # mapping or a callable that injects nothing must give the same trace.
+    run_sim = nc.run_sim
+    monkeypatch.setattr(nc, "run_sim",
+                        lambda s, steps, **kw: run_sim(s, steps, inputs=inputs, **kw))
+    assert trace_digest(*CASES[name]()) == GOLDEN[name]
+
+
 def test_golden_digests_match_cases():
     # An orphan digest would never be checked; a case without one fails.
     assert set(GOLDEN) == set(CASES)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ import pytest
 
 import neurocost as nc
 from conftest import network
-from neurocost.sim import _union
+from neurocost.sim import _hamming, _union
 
 RELAY = nc.NeuronSpec(model_kind="lif", v_thresh=1.0)
 
@@ -350,6 +351,36 @@ class TestDigitalEncoding:
         enc = nc.DigitalEncoding(8, scale=1.0)
         w = enc.words(np.array([2.0, -1.0, 0.4, -2.0]))
         assert w.tolist() == [127, -128, 51, -128]
+
+    @staticmethod
+    def _words_formula(x, width, scale):
+        """The word formula, every constant derived on each call."""
+        lo = -(2 ** (width - 1))
+        hi = 2 ** (width - 1) - 1
+        step = scale / 2 ** (width - 1)
+        q = np.floor(np.asarray(x, dtype=float) / step)
+        hi_f = float(hi) if width <= 53 else math.nextafter(float(2 ** (width - 1)), 0.0)
+        return np.clip(q, float(lo), hi_f).astype(np.int64)
+
+    @pytest.mark.parametrize("scale", [1.0, 4.0, 0.3])
+    @pytest.mark.parametrize("width", [4, 16, 53, 54, 64])
+    def test_precomputed_words_and_bits_equal_the_formula(self, width, scale):
+        enc = nc.DigitalEncoding(width, scale)
+        step = scale / 2 ** (width - 1)
+        rng = np.random.default_rng(width)
+        x = np.concatenate(([scale, -scale, scale - step, -0.0, 0.0, 1e300, -1e300],
+                            rng.normal(scale=scale, size=300),
+                            rng.uniform(-2 * scale, 2 * scale, size=300)))
+        with np.errstate(over="ignore"):  # 1e300 / step is inf at the wide widths; both clamp it
+            words, formula = enc.words(x), self._words_formula(x, width, scale)
+        assert words.dtype == np.int64
+        assert words.tobytes() == formula.tobytes()
+        old, new = words, np.roll(words, 1)
+        mask = np.uint64((1 << width) - 1)
+        expect = np.bitwise_count((old.view(np.uint64) ^ new.view(np.uint64)) & mask)
+        for got in (_hamming(old, new, enc._mask), nc.hamming_bits(old, new, width)):
+            assert got.dtype == np.int64
+            assert got.tolist() == expect.tolist()
 
     @pytest.mark.parametrize("bad", [
         dict(word_width=3), dict(word_width=65), dict(word_width=16.5), dict(word_width=True),
