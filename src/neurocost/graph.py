@@ -138,13 +138,6 @@ class ValidatedGraph:
             arr.flags.writeable = False
         self.topo_order: tuple[str, ...] = tuple(map(graph.ids.__getitem__, order.tolist()))
 
-    @cached_property
-    def adjacency(self) -> tuple[list[int], list[int], list[int], list[int]]:
-        """(pred_start, pred_pos, succ_start, succ_pos) as lists, for
-        per-node loops; built on first use, once per graph."""
-        return (self.pred_start.tolist(), self.pred_pos.tolist(), self.succ_start.tolist(),
-                self.succ_pos.tolist())
-
     def __len__(self) -> int:
         return len(self.graph.ids)
 

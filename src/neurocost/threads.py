@@ -16,6 +16,12 @@ the same internal in- and out-neighbours), since swapping twins cannot
 change the edge tuple: a fragment of one hub and seven identical leaves
 has one candidate layout instead of 7! = 5040.
 
+The greedy partition tiles in rank space, positions ranked once by
+(level, id), with one forward-only pointer per rank into its ascending
+neighbour list: for a fixed granularity, tiling is linear in nodes plus
+edges. It then builds all fragments of a call in bulk from the tile
+array, one `nodes` tuple and one `edges` set per distinct shape.
+
 Both partitions label fragments through one helper that computes one
 exact signature per distinct fragment shape (nodes, edges), for the
 label and for the family check: a tiling of a regular graph repeats a
@@ -29,6 +35,8 @@ import itertools
 import logging
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import FragmentTooLarge, GraphTooLargeForOracle, check_count
 from .graph import ValidatedGraph
@@ -66,25 +74,57 @@ def extract_fragment(vg: ValidatedGraph, node_ids: Sequence[str]) -> Fragment:
         if nid in members:
             raise ValueError(f"node {nid!r} is listed twice")
         members[nid] = vg.index[nid]
-    return _fragment(vg, list(members.values()))
+    if not members:
+        return Fragment((), frozenset(), ())
+    return _fragments(vg, np.array(list(members.values()), np.intp).reshape(1, -1))[0]
 
 
-def _fragment(vg: ValidatedGraph, members: Sequence[int]) -> Fragment:
-    """Induce a fragment on distinct host-graph positions, in the given order."""
-    pred_start, pred, succ_start, succ = vg.adjacency
-    local = {pos: i for i, pos in enumerate(members)}
-    op_kinds = vg.graph.op_kinds
-    annotated: list[tuple[str, int, int]] = []
-    edges: set[tuple[int, int]] = set()
-    for i, pos in enumerate(members):
-        preds = pred[pred_start[pos]:pred_start[pos + 1]]
-        inside = [local[ref] for ref in preds if ref in local]
-        outside = [s for s in succ[succ_start[pos]:succ_start[pos + 1]] if s not in local]
-        annotated.append((op_kinds[pos], len(preds) - len(inside), len(outside)))
-        for j in inside:
-            edges.add((j, i))
-    return Fragment(tuple(annotated), frozenset(edges),
-                    tuple(map(vg.graph.ids.__getitem__, members)))
+def _fragments(vg: ValidatedGraph, tiles: np.ndarray) -> list[Fragment]:
+    """Induce one fragment per row of `tiles`, a (fragments x k) array of
+    host-graph positions, each used at most once in the whole array. Local
+    index i of a row's fragment is the row's i-th position.
+
+    An input reference is internal when its source and its consumer lie
+    in the same row. A node's external in- and out-arity are its fan-in
+    and fan-out less its internal references, counted with repeats; the
+    edge set holds each internal (source slot, consumer slot) pair once.
+    Rows of one shape share one `nodes` tuple and one `edges` frozenset.
+    """
+    count, k = tiles.shape
+    members = tiles.ravel()
+    member = np.full(len(vg), -1, np.intp)  # position -> its index in `members`
+    member[members] = np.arange(len(members))
+    # The input references of every member, as (source position, consumer member).
+    starts = vg.pred_start[members]
+    fan_in = vg.pred_start[members + 1] - starts
+    consumer = np.repeat(np.arange(len(members)), fan_in)
+    refs = np.arange(len(consumer)) + np.repeat(starts - (np.cumsum(fan_in) - fan_in), fan_in)
+    source = member[vg.pred_pos[refs]]
+    internal = (source >= 0) & (source // k == consumer // k)
+    source, consumer = source[internal], consumer[internal]
+    ext_in = fan_in - np.bincount(consumer, minlength=len(members))
+    ext_out = (vg.succ_start[members + 1] - vg.succ_start[members]
+               - np.bincount(source, minlength=len(members)))
+    # Internal edges as sorted codes (row, source slot, consumer slot), once each.
+    codes = np.unique(consumer // k * k * k + source % k * k + consumer % k)
+    row = codes // (k * k)
+    per_row = np.bincount(row, minlength=count)
+    edge_cols = np.full((count, int(per_row.max(initial=0))), -1, np.intp)
+    edge_cols[row, np.arange(len(codes)) - (np.cumsum(per_row) - per_row)[row]] = codes % (k * k)
+    kinds = list(map(vg.graph.op_kinds.__getitem__, members.tolist()))
+    kind_code = {kind: c for c, kind in enumerate(dict.fromkeys(kinds))}
+    key = np.hstack((np.array(list(map(kind_code.__getitem__, kinds)), np.intp).reshape(count, k),
+                     ext_in.reshape(count, k), ext_out.reshape(count, k), edge_cols))
+    # Rows compare as raw bytes: one void item per row.
+    rows = np.ascontiguousarray(key).view(np.dtype((np.void, key.itemsize * key.shape[1])))
+    _keys, heads, shape_of = np.unique(rows.ravel(), return_index=True, return_inverse=True)
+    shapes = [(tuple(zip(kinds[h * k:(h + 1) * k], ext_in[h * k:(h + 1) * k].tolist(),
+                         ext_out[h * k:(h + 1) * k].tolist())),
+               frozenset(divmod(c, k) for c in edge_cols[h].tolist() if c >= 0))
+              for h in heads.tolist()]
+    ids = list(map(vg.graph.ids.__getitem__, members.tolist()))
+    return [Fragment(*shapes[s], node_ids)
+            for s, node_ids in zip(shape_of.tolist(), zip(*[iter(ids)] * k))]
 
 
 def _arrangements(groups: Sequence[Sequence[int]]) -> Iterator[tuple[int, ...]]:
@@ -248,46 +288,62 @@ def partition_isomorphic(vg: ValidatedGraph, granularity: int) -> PartitionResul
     """Greedy level-aligned tiling into connected fragments of exactly
     `granularity` nodes, grouped by canonical label.
 
+    Seeds come in rank order, (level, id). A fragment grows by the
+    smallest-rank untaken neighbour of any member, which each member's
+    forward-only pointer into its ascending neighbour list gives, so
+    every list entry is passed once. Full fragments, members in rank
+    order, are built in one bulk pass.
+
     Undersized leftovers go to the residual. In families of <= 8-node
     fragments, every member's exact signature must equal the first
     member's.
     """
     granularity = check_count("granularity", granularity)
-    # Tiling order: by level, then by id (a stable sort by level of the id order).
-    order = sorted(range(len(vg)), key=vg.graph.ids.__getitem__)
-    order.sort(key=vg.level.tolist().__getitem__)
-    rank = [0] * len(vg)  # rank[pos] is pos's place in order
-    for i, pos in enumerate(order):
-        rank[pos] = i
-    pred_start, pred, succ_start, succ = vg.adjacency
-    assigned: set[int] = set()
-    fragments: list[Fragment] = []
-    residual: set[int] = set()
-
-    for seed in order:
-        if seed in assigned:
+    n = len(vg)
+    # Tiling order: by level, then by id (a stable sort by level of the id
+    # order). Python sorts the ids: numpy's str dtype drops trailing NULs.
+    by_id = np.array(sorted(range(n), key=vg.graph.ids.__getitem__), np.intp)
+    order = by_id[np.argsort(vg.level[by_id], kind="stable")]
+    rank = np.empty(n, np.intp)
+    rank[order] = np.arange(n)
+    # Neighbour CSR over ranks: each rank's inputs and consumers, once per
+    # input reference, in ascending rank.
+    producer = rank[vg.pred_pos]
+    consumer = rank[np.repeat(np.arange(n), np.diff(vg.pred_start))]
+    owner = np.concatenate((consumer, producer))
+    neighbour = (np.sort(owner * n + np.concatenate((producer, consumer))) % n).tolist()
+    start = np.zeros(n + 1, np.intp)
+    np.cumsum(np.bincount(owner, minlength=n), out=start[1:])
+    head, end = start[:-1].tolist(), start[1:].tolist()
+    # head[r] only moves forward: the ranks it passes are taken for good,
+    # so once it skips the newly taken ones it points at r's smallest
+    # untaken neighbour.
+    taken = bytearray(n)
+    tiled: list[int] = []
+    residual: list[int] = []
+    for seed in range(n):
+        if taken[seed]:
             continue
+        taken[seed] = 1
         members = [seed]
-        member_set = {seed}
         while len(members) < granularity:
-            candidates: set[int] = set()
-            for pos in members:
-                for nb in (pred[pred_start[pos]:pred_start[pos + 1]]
-                           + succ[succ_start[pos]:succ_start[pos + 1]]):
-                    if nb not in assigned and nb not in member_set:
-                        candidates.add(nb)
-            if not candidates:
+            pick = n  # the smallest untaken neighbour of any member
+            for r in members:
+                i, stop = head[r], end[r]
+                while i < stop and taken[neighbour[i]]:
+                    i += 1
+                head[r] = i
+                if i < stop and neighbour[i] < pick:
+                    pick = neighbour[i]
+            if pick == n:
                 break
-            pick = min(candidates, key=rank.__getitem__)
+            taken[pick] = 1
             members.append(pick)
-            member_set.add(pick)
-        assigned |= member_set
-        if len(members) == granularity:
-            # Members listed in tiling order, as in `order` (same key).
-            fragments.append(_fragment(vg, sorted(members, key=rank.__getitem__)))
-        else:
-            residual |= member_set
+        (tiled if len(members) == granularity else residual).extend(members)
 
+    # Members listed in tiling order, as in `order`.
+    tiles = np.sort(np.array(tiled, np.intp).reshape(-1, granularity), axis=1)
+    fragments = _fragments(vg, order[tiles])
     grouped = _group_by_label(fragments)
     families = tuple(sorted(
         ((label, tuple(members)) for label, members in grouped.items()),
@@ -295,7 +351,7 @@ def partition_isomorphic(vg: ValidatedGraph, granularity: int) -> PartitionResul
     ))
     return PartitionResult(
         families=families,
-        residual=frozenset(map(vg.graph.ids.__getitem__, residual)),
+        residual=frozenset(map(vg.graph.ids.__getitem__, order[residual].tolist())),
         p_threads=max((len(members) for _label, members in families), default=1),
         granularity=granularity,
     )

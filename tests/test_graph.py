@@ -71,8 +71,7 @@ def test_column_and_node_built_graphs_are_equal(name):
 @pytest.mark.parametrize("name", COLUMN_CASES)
 def test_accessors_read_the_columns(name):
     """On a column-built graph the two CSRs give each node's inputs, and
-    its consumers once per input reference, in declaration order; the
-    adjacency view holds the same four lists."""
+    its consumers once per input reference, in declaration order."""
     graph = _column_twin(COLUMN_CASES[name]())
     vg = validate_graph(graph)
     successors = {nid: [] for nid in graph.ids}
@@ -87,9 +86,6 @@ def test_accessors_read_the_columns(name):
         succs = vg.succ_pos[vg.succ_start[k]:vg.succ_start[k + 1]]
         assert [ids[p] for p in succs] == successors[nid]
     assert len(vg) == len(ids) == len(vg.pred_start) - 1 == len(vg.succ_start) - 1
-    assert vg.adjacency == tuple(a.tolist() for a in (vg.pred_start, vg.pred_pos,
-                                                      vg.succ_start, vg.succ_pos))
-    assert vg.adjacency is vg.adjacency  # built once per graph
 
 
 @pytest.mark.parametrize("make", [make_footnote, lambda: _column_twin(make_footnote())],

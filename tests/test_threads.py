@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 import neurocost as nc
@@ -318,3 +319,199 @@ class TestShapeMemo:
         monkeypatch.setattr(threads, "_exact_label", lambda signature: "x-collide")
         with pytest.raises(AssertionError, match="non-isomorphic members"):
             nc.partition_isomorphic(stencil(), 3)
+
+
+def reference_fragment(vg, adjacency, members):
+    """The per-fragment builder the bulk builder replaced: induce a
+    fragment on distinct host-graph positions, in the given order."""
+    pred_start, pred, succ_start, succ = adjacency
+    local = {pos: i for i, pos in enumerate(members)}
+    annotated = []
+    edges = set()
+    for i, pos in enumerate(members):
+        preds = pred[pred_start[pos]:pred_start[pos + 1]]
+        inside = [local[ref] for ref in preds if ref in local]
+        outside = [s for s in succ[succ_start[pos]:succ_start[pos + 1]] if s not in local]
+        annotated.append((vg.graph.op_kinds[pos], len(preds) - len(inside), len(outside)))
+        for j in inside:
+            edges.add((j, i))
+    return threads.Fragment(tuple(annotated), frozenset(edges),
+                            tuple(vg.graph.ids[pos] for pos in members))
+
+
+def reference_partition(vg, granularity):
+    """The set-based greedy tiler that `partition_isomorphic` replaced:
+    each growth step gathers every member's untaken neighbours into a set
+    and adds the one of smallest rank."""
+    adjacency = tuple(a.tolist() for a in (vg.pred_start, vg.pred_pos,
+                                           vg.succ_start, vg.succ_pos))
+    pred_start, pred, succ_start, succ = adjacency
+    order = sorted(range(len(vg)), key=vg.graph.ids.__getitem__)
+    order.sort(key=vg.level.tolist().__getitem__)
+    rank = [0] * len(vg)
+    for i, pos in enumerate(order):
+        rank[pos] = i
+    assigned, fragments, residual = set(), [], set()
+    for seed in order:
+        if seed in assigned:
+            continue
+        members, member_set = [seed], {seed}
+        while len(members) < granularity:
+            candidates = set()
+            for pos in members:
+                for nb in (pred[pred_start[pos]:pred_start[pos + 1]]
+                           + succ[succ_start[pos]:succ_start[pos + 1]]):
+                    if nb not in assigned and nb not in member_set:
+                        candidates.add(nb)
+            if not candidates:
+                break
+            pick = min(candidates, key=rank.__getitem__)
+            members.append(pick)
+            member_set.add(pick)
+        assigned |= member_set
+        if len(members) == granularity:
+            fragments.append(reference_fragment(vg, adjacency,
+                                                sorted(members, key=rank.__getitem__)))
+        else:
+            residual |= member_set
+    grouped = threads._group_by_label(fragments)
+    families = tuple(sorted(((label, tuple(members)) for label, members in grouped.items()),
+                            key=lambda item: (-len(item[1]), item[0])))
+    return nc.PartitionResult(
+        families=families,
+        residual=frozenset(vg.graph.ids[pos] for pos in residual),
+        p_threads=max((len(members) for _label, members in families), default=1),
+        granularity=granularity,
+    )
+
+
+def with_repeats(graph, seed):
+    """The graph with about a third of its input references listed twice."""
+    rng = random.Random(seed)
+    inputs = [tuple(ref for ref in refs for _ in range(1 + (rng.random() < 0.3)))
+              for refs in graph.inputs]
+    return nc.ComputeGraph.from_columns(graph.ids, graph.op_kinds, inputs,
+                                        graph.declared_inputs, graph.declared_outputs)
+
+
+def star(n, inward):
+    """A hub with n inputs (inward) or n consumers."""
+    leaves = [nc.OpNode(f"leaf{i}", "leaf", () if inward else ("hub",)) for i in range(n)]
+    hub = nc.OpNode("hub", "hub", tuple(leaf.id for leaf in leaves) if inward else ())
+    return nc.ComputeGraph((*leaves, hub) if inward else (hub, *leaves))
+
+
+ONE_KIND, THREE_KINDS = ("op",), ("add", "mul", "sub")
+RANDOM_DAGS = [(n, density, alphabet, seed)
+               for seed, (n, density) in enumerate([(8, 0.3), (40, 0.1), (60, 0.3), (120, 0.05),
+                                                    (200, 0.01), (300, 0.02)])
+               for alphabet in (ONE_KIND, THREE_KINDS)]
+
+
+def differential_graphs():
+    graphs = {f"random_n{n}_d{d}_{len(a)}kinds_s{s}": nc.gen_random_dag(n, d, a, seed=s)
+              for n, d, a, s in RANDOM_DAGS}
+    graphs.update({f"repeats_{name}": with_repeats(graph, k)
+                   for k, (name, graph) in enumerate(list(graphs.items())[::3])})
+    graphs.update({"chain": make_chain(50).graph, "in_star": star(30, True),
+                   "out_star": star(30, False)})
+    graphs.update({f"corpus_{e.name}": e.graph for e in nc.mini_corpus()})
+    inp = bench_cases().stencil_generate(0, False)
+    graphs.update({"stencil_64x32": inp.stencil, "dense_32x6": inp.dense})
+    return graphs
+
+
+DIFFERENTIAL = differential_graphs()
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
+def test_partition_matches_reference_tiler(name):
+    """Rank-space tiling and the bulk build give the set-based tiler's
+    result field for field, whole fragments included, at g = 1..9."""
+    vg = nc.validate_graph(DIFFERENTIAL[name])
+    for g in range(1, 10):
+        assert nc.partition_isomorphic(vg, g) == reference_partition(vg, g), g
+
+
+def all_fragments(pr):
+    return [frag for _label, members in pr.families for frag in members]
+
+
+def assert_fragments_extract(vg, pr):
+    for frag in all_fragments(pr):
+        assert extract_fragment(vg, frag.node_ids) == frag
+
+
+class TestBulkBuild:
+    def test_repeated_input_counts_twice_in_arity_once_in_edges(self):
+        vg = nc.validate_graph(nc.ComputeGraph((
+            nc.OpNode("a", "src"), nc.OpNode("b", "mid", ("a", "a")),
+            nc.OpNode("c", "sink", ("b",)))))
+        pr = nc.partition_isomorphic(vg, 2)
+        [frag] = all_fragments(pr)
+        assert frag == threads.Fragment((("src", 0, 0), ("mid", 0, 1)),
+                                        frozenset({(0, 1)}), ("a", "b"))
+        assert pr.residual == frozenset({"c"})
+        assert extract_fragment(vg, ("b", "c")) == threads.Fragment(
+            (("mid", 2, 0), ("sink", 0, 0)), frozenset({(0, 1)}), ("b", "c"))
+        assert extract_fragment(vg, ("c", "a")) == threads.Fragment(
+            (("sink", 1, 0), ("src", 0, 2)), frozenset(), ("c", "a"))
+        assert_fragments_extract(vg, pr)
+        [whole] = all_fragments(nc.partition_isomorphic(vg, 3))
+        assert whole.nodes == (("src", 0, 0), ("mid", 0, 0), ("sink", 0, 0))
+        assert whole.edges == frozenset({(0, 1), (1, 2)})
+
+    def test_granularity_one(self):
+        vg = nc.validate_graph(nc.gen_random_dag(40, 0.1, THREE_KINDS, seed=3))
+        pr = nc.partition_isomorphic(vg, 1)
+        frags = all_fragments(pr)
+        assert pr.residual == frozenset() and len(frags) == len(vg)
+        fan_in, fan_out = np.diff(vg.pred_start), np.diff(vg.succ_start)
+        for frag in frags:
+            pos = vg.index[frag.node_ids[0]]
+            assert frag.nodes == ((vg.graph.op_kinds[pos], fan_in[pos], fan_out[pos]),)
+            assert frag.edges == frozenset()
+        assert_fragments_extract(vg, pr)
+
+    def test_granularity_above_graph_size(self):
+        vg = nc.validate_graph(nc.gen_random_dag(12, 0.3, ONE_KIND, seed=4))
+        pr = nc.partition_isomorphic(vg, 13)
+        assert pr.families == () and pr.p_threads == 1
+        assert pr.residual == frozenset(vg.graph.ids)
+
+    def test_hub_with_2000_consumers(self):
+        vg = nc.validate_graph(star(2000, False))
+        pr = nc.partition_isomorphic(vg, 3)
+        [frag] = all_fragments(pr)
+        assert frag == threads.Fragment((("hub", 0, 1998), ("leaf", 0, 0), ("leaf", 0, 0)),
+                                        frozenset({(0, 1), (0, 2)}), ("hub", "leaf0", "leaf1"))
+        assert len(pr.residual) == 1998
+        assert_fragments_extract(vg, pr)
+        singles = nc.partition_isomorphic(vg, 1)
+        assert singles.p_threads == 2000
+        assert_fragments_extract(vg, singles)
+
+    def test_graph_without_edges(self):
+        vg = nc.validate_graph(nc.ComputeGraph(
+            nc.OpNode(f"v{i}", "op") for i in range(50)))
+        singles = nc.partition_isomorphic(vg, 1)
+        assert singles.p_threads == 50 and singles.residual == frozenset()
+        assert {frag.nodes for frag in all_fragments(singles)} == {(("op", 0, 0),)}
+        assert_fragments_extract(vg, singles)
+        pairs = nc.partition_isomorphic(vg, 2)
+        assert pairs.families == () and pairs.residual == frozenset(vg.graph.ids)
+
+    @pytest.mark.parametrize("g", [3, 4])
+    def test_stencil_fragments_extract(self, g):
+        vg = stencil()
+        assert_fragments_extract(vg, nc.partition_isomorphic(vg, g))
+
+    @pytest.mark.parametrize("g", [3, 4])
+    def test_fragments_of_one_shape_share_nodes_and_edges(self, g):
+        by_shape = {}
+        for frag in all_fragments(nc.partition_isomorphic(stencil(), g)):
+            head = by_shape.setdefault((frag.nodes, frag.edges), frag)
+            assert frag.nodes is head.nodes and frag.edges is head.edges
+        for nodes, edges in by_shape:  # plain ints: labels hash the repr of a shape
+            assert {type(x) for node in nodes for x in node[1:]} == {int}
+            assert {type(x) for edge in edges for x in edge} <= {int}
