@@ -49,7 +49,7 @@ cleared only where the previous step wrote.
 Per-step fixed cost: what is fixed for a run is computed once. The
 compiled net keeps one row per spec group (index, spec, `memoryless`,
 `leaky`), the state whether the encoding is digital, a `DigitalEncoding`
-its word bounds, word step and Hamming mask, and `run_sim` its appends,
+its word bounds, word step and Hamming mask, and `run_sim` its append,
 `last_y` and the output indices; without `inputs` it looks up no
 schedule. A `StepRecord` is built positionally and is a slotted
 dataclass, not a frozen one, whose `__init__` would set each field
@@ -57,6 +57,16 @@ through `object.__setattr__` at about four times the cost. Index sets
 are joined by `_union`, not `np.union1d`: its `np.unique` imports
 `numpy.ma` on first use (about 1.7 MB of peak RSS), which now only a
 network with several synaptic delays pays, in emit.
+
+Trace memory: a step keeps only its record. `run_sim` writes each step's
+output row into one float64 array that doubles when full and is trimmed
+in place at the end; consecutive steps with equal counts share one
+`energy_terms` tuple (a one-entry memo in the run state); a step where one
+neuron fires alone reuses that neuron's `(id,)` tuple and CSR slice. A
+one-spike step of the self-exciting loop keeps about 200 B (tracemalloc),
+of which 120 B are its `StepRecord`; the rest is the list slot, its own
+`t` and `delta_n`, and the output row. A network whose kept synapses all
+share one delay keeps no delay column.
 
 Determinism: identical graph, encoding and inputs reproduce the trace
 bitwise. The engine draws no random numbers; `init_sim` accepts a seed
@@ -67,7 +77,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -120,6 +130,7 @@ class AnalogEncoding:
 EncodingMode = DigitalEncoding | AnalogEncoding
 
 _NO_INDEX = np.zeros(0, dtype=np.intp)
+_FIRST_ROWS = 64  # run_sim's output rows before the first doubling
 
 
 def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -161,7 +172,12 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class SimTrace:
-    """Whole-run record: per-step events, firing-rate series, outputs."""
+    """Whole-run record: per-step events, firing-rate series, outputs.
+
+    `outputs` is one float64 array of shape (steps, len(output_ids)): row t
+    holds the outputs y of the output neurons after step t, 0.0 where one
+    was not evaluated. `f_series[t]` is step t's spike count over `n_total`.
+    """
 
     records: tuple[StepRecord, ...]
     f_series: np.ndarray
@@ -183,8 +199,9 @@ class _CompiledNet:
     Nonzero-weight synapses are sorted stably by source on the narrowest
     unsigned key (the permutation an intp key gives), so a source's slice
     keeps declaration order. `delay` is the one delay when every kept
-    synapse has it, else None. The CSR columns are read-only, because emit
-    may queue a view of `syn_weight`.
+    synapse has it, else None; the sorted delay column `syn_delay` is kept
+    only when `delay` is None, and is None otherwise. The CSR columns are
+    read-only, because emit may queue a view of `syn_weight`.
     `scaled` is true when some non-spiking neuron has an outgoing synapse:
     only then must an emitted weight be multiplied by its source's output.
     """
@@ -203,14 +220,17 @@ class _CompiledNet:
         kept = np.flatnonzero(ng.weight)
         source = ng.source[kept]
         order = kept[np.argsort(source.astype(np.min_scalar_type(self.n - 1)), kind="stable")]
-        self.syn_target = ng.target[order]
-        self.syn_weight = ng.weight[order]
         self.syn_delay = d = ng.delay[order]
         self.delay = int(d[0]) if len(d) and d.min() == d.max() else None
+        if self.delay is not None:  # `delay` is every kept synapse's: free the column first
+            self.syn_delay = d = None
+        self.syn_target = ng.target[order]
+        self.syn_weight = ng.weight[order]
         self.out_indptr = np.zeros(self.n + 1, dtype=np.intp)
         np.cumsum(np.bincount(source, minlength=self.n), out=self.out_indptr[1:])
         for col in (self.syn_target, self.syn_weight, self.syn_delay, self.out_indptr):
-            col.flags.writeable = False
+            if col is not None:
+                col.flags.writeable = False
         indptr = self.out_indptr
         self.scaled = any(bool((indptr[idx + 1] > indptr[idx]).any())
                           for spec, idx in self.groups if not spec.spiking)
@@ -237,7 +257,10 @@ class SimState:
     writes `x` in place only after every group passed the finite check, so
     a step that raises NonFiniteState leaves it as it was. `decaying[g]`
     holds the ascending indices of a leaky LIF group's nonzero-state
-    neurons.
+    neurons. `energy` is a one-entry memo, the last step's counts
+    `(touched, spikes, events)` and their `energy_terms`, which the next
+    step with equal counts shares. `solo[i]` holds, once neuron i has
+    fired alone, its spike-id tuple `(id,)` and its CSR slice.
     """
 
     net: _CompiledNet
@@ -251,6 +274,8 @@ class SimState:
     decaying: list[np.ndarray | None]
     last_y: np.ndarray
     y_written: list[np.ndarray] = field(default_factory=list)  # entries of last_y now set
+    energy: tuple[tuple, tuple] = ((), ())
+    solo: dict[int, tuple[tuple[str], slice]] = field(default_factory=dict)
 
     def membrane(self, neuron_id: str) -> float:
         return float(self.x[self.net.graph.index[neuron_id]])
@@ -398,9 +423,11 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
         spike_list = spikes.tolist()
         spike_count = len(spike_list)
         if spike_count == 1:
-            spike_ids = (net.ids[spike_list[0]],)
             # One source: its synapses are one contiguous CSR slice.
-            pos = slice(*net.out_indptr[spike_list[0]:spike_list[0] + 2].tolist())
+            i = spike_list[0]
+            if (solo := s.solo.get(i)) is None:
+                solo = s.solo[i] = ((net.ids[i],), slice(*net.out_indptr[i:i + 2].tolist()))
+            spike_ids, pos = solo
             values = net.syn_weight[pos] * last_y[spikes] if net.scaled else net.syn_weight[pos]
         else:
             spike_ids = itemgetter(*spike_list)(net.ids)
@@ -425,8 +452,11 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
 
     # 5. Energy from this step's events, fixed term order.
     s.t = t + 1
+    counts = (touched_count, spike_count, synaptic_events)
+    if s.energy[0] != counts:
+        s.energy = (counts, energy_terms(s.constants, *counts))
     return StepRecord(t, spike_count, spike_ids, synaptic_events, touched_count, delta_n,
-                      *energy_terms(s.constants, touched_count, spike_count, synaptic_events))
+                      *s.energy[1])
 
 
 @dataclass(frozen=True)
@@ -450,22 +480,29 @@ def run_sim(s: SimState, max_steps: int, stop: StopCondition = None,
 
     `inputs` maps a step index to external (neuron id, value) injections,
     either as a mapping or a callable. Raises ValueError if e_n overflows.
+    Each step's output row is written into one array that holds 64 rows,
+    doubles when full (at most to max_steps) and is trimmed in place to the
+    steps run, so the trace's `outputs` is that array, not a copy.
     """
     check_count("max_steps", max_steps)
     net = s.net
     records: list[StepRecord] = []
-    out_rows: list[np.ndarray] = []
-    add_record, add_row = records.append, out_rows.append
+    add_record = records.append
     last_y, output_idx = s.last_y, net.output_idx
+    width = len(output_idx)
+    outputs = np.empty((rows := min(max_steps, _FIRST_ROWS), width))
     lookup = None if inputs is None else inputs if callable(inputs) else inputs.get
     zero_run = 0
 
     e_n = 0.0
-    for _ in range(max_steps):
+    for k in range(max_steps):
         rec = step_sim(s) if lookup is None else step_sim(s, lookup(s.t) or ())
         add_record(rec)
         e_n += rec.e_t
-        add_row(last_y[output_idx])
+        if k == rows:
+            # No view of `outputs` exists before the run ends, so resizing in place is safe.
+            outputs.resize((rows := min(2 * rows, max_steps), width), refcheck=False)
+        outputs[k] = last_y[output_idx]
 
         if stop is not None:
             zero_run = zero_run + 1 if rec.spikes == 0 else 0
@@ -474,8 +511,13 @@ def run_sim(s: SimState, max_steps: int, stop: StopCondition = None,
     if not math.isfinite(e_n):
         raise ValueError(f"total energy e_n overflows to {e_n}: a cost constant is too large")
 
-    f_series = np.array([rec.spikes / net.n for rec in records], dtype=float)
-    return SimTrace(records=tuple(records), f_series=f_series, e_n=e_n, outputs=np.array(out_rows),
+    steps = len(records)
+    if steps < rows:
+        outputs.resize((steps, width), refcheck=False)
+    # Counts below 2**53 convert exactly, so this is rec.spikes / n bit for bit.
+    f_series = np.fromiter(map(attrgetter("spikes"), records), dtype=float, count=steps)
+    f_series /= net.n
+    return SimTrace(records=tuple(records), f_series=f_series, e_n=e_n, outputs=outputs,
                     output_ids=net.graph.output_neurons, n_total=net.n)
 
 

@@ -4,6 +4,7 @@ Each test copies the package and the benchmark into a temporary checkout,
 so the runs write their results there and nothing under `bench/`.
 """
 
+import importlib.util
 import os
 import shutil
 import subprocess
@@ -35,12 +36,14 @@ def test_one_tiny_pair_of_the_same_checkout(tmp_path):
     assert done.returncode == 0, done.stderr
     pair, header, *rows = done.stdout.splitlines()
     assert pair.startswith("pair 1 (AB): wall_s ")
-    assert header.split()[0] == "metric" and header.endswith("B lower")
+    assert header.split()[0] == "metric" and header.endswith("B lower  B higher")
     cells = {row.split()[0]: row.split() for row in rows}
     assert set(cells) == {"wall_s", "setup_s", "peak_rss_mb"}
     for name, row in cells.items():
-        assert row[-1] in ("0/1", "1/1"), name
-        assert float(row[1]) > 0 and float(row[-2]) > 0, name
+        lower, higher = row[-2:]
+        assert lower in ("0/1", "1/1") and higher in ("0/1", "1/1"), name
+        assert (lower, higher) != ("1/1", "1/1"), name
+        assert float(row[1]) > 0 and float(row[-3]) > 0, name
     assert list((checkout / "bench" / "results").glob("dag_kick-seed5-trace0-tiny.json"))
 
 
@@ -50,3 +53,13 @@ def test_a_failed_run_stops_the_comparison(tmp_path):
     assert done.returncode == 1
     assert "error: bench/run.py in" in done.stderr and "exited 1" in done.stderr
     assert "B lower" not in done.stdout
+
+
+def test_summary_counts_pairs_lower_and_higher():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    # B reads lower in pair 1, equal in pair 2 (a tie counts for neither), higher in pair 3.
+    _header, row = bench_pairs.summary([{"wall_s": 1.0}, {"wall_s": 2.0}, {"wall_s": 3.0}],
+                                       [{"wall_s": 0.5}, {"wall_s": 2.0}, {"wall_s": 4.0}])
+    assert row.split()[-2:] == ["1/3", "1/3"]

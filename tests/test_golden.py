@@ -276,6 +276,7 @@ def test_random_networks_compile_only_nonzero_weights(seed):
         ng.source.tolist(), ng.target.tolist(), ng.weight.tolist(), ng.delay.tolist()) if w != 0.0)
     assert len(kept) < len(ng.source)
     net = nc.init_sim(ng, ENCODINGS["analog"], 0).net
+    assert net.delay is None  # kept delays differ, so the sorted delay column is kept
     src = np.repeat(np.arange(net.n), np.diff(net.out_indptr))
     table = sorted((net.ids[a], net.ids[b], w, d) for a, b, w, d in zip(
         src.tolist(), net.syn_target.tolist(), net.syn_weight.tolist(), net.syn_delay.tolist()))

@@ -225,8 +225,10 @@ class TestStepAccounting:
 
     def test_compiled_synapse_columns_are_read_only(self):
         # Emit may queue a view of the weight column; a write must raise.
+        # One delay keeps no delay column, so that one comes from two delays.
         net = nc.init_sim(two_neuron(2.0), nc.AnalogEncoding(), 0).net
-        for col in (net.syn_target, net.syn_weight, net.syn_delay, net.out_indptr):
+        two_delays = compiled(2, [0, 0], [1, 1], [1.0, 1.0], [1, 2])
+        for col in (net.syn_target, net.syn_weight, net.out_indptr, two_delays.syn_delay):
             with pytest.raises(ValueError):
                 col[0] = 0
 
@@ -265,14 +267,14 @@ class TestCompile:
         assert len(order) == m - 2
         assert np.array_equal(net.syn_target, target[order])
         assert net.syn_weight.tobytes() == weight[order].tobytes()
-        assert np.array_equal(net.syn_delay, delay[order])
+        assert net.delay is None and np.array_equal(net.syn_delay, delay[order])
         counts = np.bincount(source[order], minlength=n)
         assert np.array_equal(net.out_indptr, np.concatenate(([0], np.cumsum(counts))))
-        assert net.delay is None
 
     def test_one_delay_lands_every_event_that_many_steps_later(self):
         state = nc.init_sim(fan_out(("B", 2.0, 3), ("C", 2.0, 3)), nc.AnalogEncoding(), 0)
         assert state.net.delay == 3 and type(state.net.delay) is int
+        assert state.net.syn_delay is None  # `delay` stands for every kept synapse's
         tr = nc.run_sim(state, 6)
         assert [r.synaptic_events for r in tr.records] == [0, 0, 0, 2, 0, 0]
         assert [r.spikes for r in tr.records] == [1, 0, 0, 2, 0, 0]
@@ -280,7 +282,7 @@ class TestCompile:
     def test_delay_of_a_zero_weight_synapse_does_not_count(self):
         state = nc.init_sim(fan_out(("B", 2.0, 3), ("C", -0.0, 1), ("C", 0.0, 2)),
                             nc.AnalogEncoding(), 0)
-        assert state.net.delay == 3
+        assert state.net.delay == 3 and state.net.syn_delay is None
         tr = nc.run_sim(state, 5)
         assert [r.synaptic_events for r in tr.records] == [0, 0, 0, 1, 0]
         assert tr.records[3].spike_ids == ("B",)
@@ -574,6 +576,95 @@ class TestRunControl:
         assert np.array_equal(a.f_series, b.f_series)
         assert np.array_equal(a.outputs, b.outputs)
         assert a.e_n == b.e_n
+
+
+def reference_outputs(ng, encoding, max_steps, stop=None):
+    """Outputs and f_series built the plain way: step, then stack last_y[output_idx]."""
+    state = nc.init_sim(ng, encoding, 0)
+    rows, rates, zero_run = [], [], 0
+    for _ in range(max_steps):
+        rec = nc.step_sim(state)
+        rows.append(state.last_y[state.net.output_idx].copy())
+        rates.append(rec.spikes / state.net.n)
+        zero_run = zero_run + 1 if rec.spikes == 0 else 0
+        if stop is not None and zero_run >= stop.window:
+            break
+    return np.array(rows).reshape(len(rows), len(state.net.output_idx)), np.array(rates)
+
+
+def relu_driver():
+    """An armed relu source (output 0.7, not 1.0) driving a lif relay: a scaled network."""
+    return network(neurons=(("r", nc.NeuronSpec("ann_relu"), 0.7), ("q", RELAY, 0.0)),
+                   synapses=(("r", "q", 2.0), ("q", "q", 1.5)), output_neurons=("r", "q"))
+
+
+def small_mesh():
+    spec = nc.MeshSpec(m_s=16, k=4, m_t=1, dynamics=nc.Diffusion(0.5),
+                       init=nc.sinusoid_init(16, cycles=2), v_thresh=0.25)
+    return nc.gen_mesh(spec)[1]
+
+
+class TestTraceStorage:
+    # The output buffer holds 64 rows, then doubles: 1, 63, 64 and 65 steps
+    # sit at the first boundary, 600 crosses 64, 128, 256 and 512.
+    @pytest.mark.parametrize("encoding", [nc.AnalogEncoding(), nc.DigitalEncoding()],
+                             ids=["analog", "digital"])
+    @pytest.mark.parametrize("make, max_steps, stop", [
+        (nc.gen_self_exciting_loop, 1, None),
+        (nc.gen_self_exciting_loop, 63, None),
+        (nc.gen_self_exciting_loop, 64, None),
+        (nc.gen_self_exciting_loop, 65, None),
+        (nc.gen_self_exciting_loop, 600, None),
+        (lambda: two_neuron(2.0), 200, nc.ZeroActivity(3)),
+        (lambda: network(neurons=(("q", RELAY, 1.5),), synapses=()), 70, None),
+        (relu_driver, 130, None),
+        (small_mesh, 90, nc.ZeroActivity(5)),
+    ], ids=["loop1", "loop63", "loop64", "loop65", "loop600", "early_stop", "no_outputs",
+            "scaled", "mesh"])
+    def test_outputs_and_rates_equal_step_by_step_reference(self, make, max_steps, stop,
+                                                             encoding):
+        ng = make()
+        rows, rates = reference_outputs(ng, encoding, max_steps, stop)
+        tr = nc.run_sim(nc.init_sim(ng, encoding, 0), max_steps, stop=stop)
+        assert tr.outputs.shape == rows.shape == (len(tr.records), len(ng.output_neurons))
+        assert tr.outputs.dtype == rows.dtype and tr.outputs.tobytes() == rows.tobytes()
+        assert tr.f_series.dtype == rates.dtype and tr.f_series.tobytes() == rates.tobytes()
+        if stop is not None:
+            assert len(tr.records) < max_steps
+
+    def test_energy_memo_misses_on_each_change_of_counts(self):
+        # Counts (touched, spikes, events) run A, B, A, A: a sub-threshold
+        # input, a spike that resets the state, then two sub-threshold inputs.
+        ng = network(neurons=(("q", RELAY, 0.0),), synapses=(), input_neurons=("q",))
+        drive = {0: (("q", 0.5),), 1: (("q", 2.0),), 2: (("q", 0.5),), 3: (("q", 0.25),)}
+        constants = nc.PRESETS["digital-skew"]
+        tr = run(ng, 4, inputs=drive, constants=constants)
+        counts = [(r.neurons_touched, r.spikes, r.synaptic_events) for r in tr.records]
+        assert counts == [(1, 0, 0), (1, 1, 0), (1, 0, 0), (1, 0, 0)]
+        for rec, (touched, spikes, events) in zip(tr.records, counts):
+            assert (rec.e_voltage_term, rec.e_spikegen_term, rec.e_synapse_term,
+                    rec.e_spike_term, rec.e_t) == nc.energy_terms(constants, touched, spikes,
+                                                                  events)
+        assert tr.records[0].e_t != tr.records[1].e_t
+        assert tr.records[3].e_t is tr.records[2].e_t  # equal counts share one tuple
+
+    def test_sparse_run_keeps_only_its_records(self):
+        # Bytes per step of the 20,000-step self-exciting loop (tracemalloc):
+        # 368 kept and 537 at peak when each step kept its own output row,
+        # energy floats and (id,) tuple; about 200 and 210 with one output
+        # array, shared energy terms and one-spike ids.
+        steps = 20_000
+        state = nc.init_sim(nc.gen_self_exciting_loop(), nc.AnalogEncoding(), 0)
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            tr = nc.run_sim(state, steps)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tr.records) == steps and tr.records[5].spike_ids is tr.records[6].spike_ids
+        assert (kept - base) / steps <= 240
+        assert (peak - base) / steps <= 280
 
 
 class TestUnion:

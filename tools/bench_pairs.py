@@ -10,8 +10,8 @@ does not favour one side. A run that exits non-zero, reads
 
 The tool prints every pair's metrics as they come, then, for each
 metric, the median and quartiles of A and of B, the ratio of the medians
-(B / A) and in how many pairs B read strictly lower (ties count for
-neither). Stdlib only; each checkout's benchmark imports its own `src/`.
+(B / A) and in how many pairs B read strictly lower and strictly higher
+(ties count for neither), so "no metric worse" reads from one line. Stdlib only; each checkout's benchmark imports its own `src/`.
 """
 
 from __future__ import annotations
@@ -47,17 +47,20 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def summary(runs_a: list[dict], runs_b: list[dict]) -> list[str]:
-    """One line per metric: A and B medians with quartiles, B / A, B lower in k/N."""
+    """One line per metric: A and B medians with quartiles, B / A, and in how
+    many of N pairs B read lower and higher."""
     lines = [f"{'metric':<24} {'median A':>11} {'[q1, q3] A':>23} {'median B':>11} "
-             f"{'[q1, q3] B':>23} {'B/A':>7}  B lower"]
+             f"{'[q1, q3] B':>23} {'B/A':>7}  B lower  B higher"]
     for name in runs_a[0]:
         a = [run[name] for run in runs_a]
         b = [run[name] for run in runs_b]
         (a1, am, a3), (b1, bm, b3) = quartiles(a), quartiles(b)
         ratio = f"{bm / am:.4f}" if am else "-"
         lower = sum(y < x for x, y in zip(a, b))
+        higher = sum(y > x for x, y in zip(a, b))
         lines.append(f"{name:<24} {am:>11.5g} {f'[{a1:.5g}, {a3:.5g}]':>23} {bm:>11.5g} "
-                     f"{f'[{b1:.5g}, {b3:.5g}]':>23} {ratio:>7}  {lower}/{len(a)}")
+                     f"{f'[{b1:.5g}, {b3:.5g}]':>23} {ratio:>7}  "
+                     f"{f'{lower}/{len(a)}':>7}  {f'{higher}/{len(a)}':>8}")
     return lines
 
 
