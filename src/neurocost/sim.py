@@ -61,12 +61,12 @@ network with several synaptic delays pays, in emit.
 Trace memory: a step keeps only its record. `run_sim` writes each step's
 output row into one float64 array that doubles when full and is trimmed
 in place at the end; consecutive steps with equal counts share one
-`energy_terms` tuple (a one-entry memo in the run state); a step where one
-neuron fires alone reuses that neuron's `(id,)` tuple and CSR slice. A
-one-spike step of the self-exciting loop keeps about 200 B (tracemalloc),
-of which 120 B are its `StepRecord`; the rest is the list slot, its own
-`t` and `delta_n`, and the output row. A network whose kept synapses all
-share one delay keeps no delay column.
+`energy_terms` tuple (a one-entry memo in the run state), and consecutive
+steps where the same neuron fires alone share its `(id,)` tuple and CSR
+slice (another one-entry memo). A one-spike step of the self-exciting
+loop keeps about 200 B (tracemalloc), of which 120 B are its `StepRecord`;
+the rest is the list slot, its own `t` and `delta_n`, and the output row.
+A network whose kept synapses all share one delay keeps no delay column.
 
 Determinism: identical graph, encoding and inputs reproduce the trace
 bitwise. The engine draws no random numbers; `init_sim` accepts a seed
@@ -259,8 +259,9 @@ class SimState:
     holds the ascending indices of a leaky LIF group's nonzero-state
     neurons. `energy` is a one-entry memo, the last step's counts
     `(touched, spikes, events)` and their `energy_terms`, which the next
-    step with equal counts shares. `solo[i]` holds, once neuron i has
-    fired alone, its spike-id tuple `(id,)` and its CSR slice.
+    step with equal counts shares. `solo` is one too: the last neuron that
+    fired alone, its spike-id tuple `(id,)` and its CSR slice, which the
+    next step where that neuron fires alone reuses.
     """
 
     net: _CompiledNet
@@ -275,7 +276,7 @@ class SimState:
     last_y: np.ndarray
     y_written: list[np.ndarray] = field(default_factory=list)  # entries of last_y now set
     energy: tuple[tuple, tuple] = ((), ())
-    solo: dict[int, tuple[tuple[str], slice]] = field(default_factory=dict)
+    solo: tuple[int, tuple[str, ...], slice | None] = (-1, (), None)
 
     def membrane(self, neuron_id: str) -> float:
         return float(self.x[self.net.graph.index[neuron_id]])
@@ -425,9 +426,9 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
         if spike_count == 1:
             # One source: its synapses are one contiguous CSR slice.
             i = spike_list[0]
-            if (solo := s.solo.get(i)) is None:
-                solo = s.solo[i] = ((net.ids[i],), slice(*net.out_indptr[i:i + 2].tolist()))
-            spike_ids, pos = solo
+            if s.solo[0] != i:
+                s.solo = (i, (net.ids[i],), slice(*net.out_indptr[i:i + 2].tolist()))
+            _, spike_ids, pos = s.solo
             values = net.syn_weight[pos] * last_y[spikes] if net.scaled else net.syn_weight[pos]
         else:
             spike_ids = itemgetter(*spike_list)(net.ids)

@@ -666,6 +666,34 @@ class TestTraceStorage:
         assert (kept - base) / steps <= 240
         assert (peak - base) / steps <= 280
 
+    def test_new_firer_each_step_keeps_no_more_than_a_fresh_id(self):
+        # A relay chain kicked once fires a new neuron alone on every step,
+        # so the one-spike id memo misses each time. Bytes per step of a
+        # 4,000-step chain (tracemalloc): 367 kept and 535 at peak when each
+        # step kept its own output row, energy floats and (id,) tuple; 481
+        # and 489 with a per-neuron cache of ids and slices; about 246 and
+        # 254 with the one-entry memo.
+        n = 4000
+        relay = nc.NeuronSpec("lif", v_thresh=1.0)
+        ids = [f"c{i}" for i in range(n)]
+        x0 = np.zeros(n)
+        x0[0] = 1.5
+        ng = nc.NeuralGraph(ids, [relay], np.zeros(n, dtype=np.intp), x0, np.arange(n - 1),
+                            np.arange(1, n), np.full(n - 1, 1.5), np.ones(n - 1, dtype=np.intp),
+                            (), (ids[-1],))
+        state = nc.init_sim(ng, nc.AnalogEncoding(), 0)
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            tr = nc.run_sim(state, n)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [r.spike_ids for r in tr.records] == [(i,) for i in ids]
+        assert [r.synaptic_events for r in tr.records] == [0] + [1] * (n - 1)
+        assert (kept - base) / n <= 280
+        assert (peak - base) / n <= 300
+
 
 class TestUnion:
     @pytest.mark.parametrize("seed", range(4))

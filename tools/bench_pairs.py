@@ -11,7 +11,8 @@ does not favour one side. A run that exits non-zero, reads
 The tool prints every pair's metrics as they come, then, for each
 metric, the median and quartiles of A and of B, the ratio of the medians
 (B / A) and in how many pairs B read strictly lower and strictly higher
-(ties count for neither), so "no metric worse" reads from one line. Stdlib only; each checkout's benchmark imports its own `src/`.
+(ties count for neither), so "no metric worse" reads from one line.
+Stdlib only; each checkout's benchmark imports its own `src/`.
 """
 
 from __future__ import annotations
