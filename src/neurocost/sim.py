@@ -48,15 +48,19 @@ cleared only where the previous step wrote.
 
 Per-step fixed cost: what is fixed for a run is computed once. The
 compiled net keeps one row per spec group (index, spec, `memoryless`,
-`leaky`), the state whether the encoding is digital, a `DigitalEncoding`
-its word bounds, word step and Hamming mask, and `run_sim` its append,
-`last_y` and the output indices; without `inputs` it looks up no
-schedule. A `StepRecord` is built positionally and is a slotted
-dataclass, not a frozen one, whose `__init__` would set each field
-through `object.__setattr__` at about four times the cost. Index sets
-are joined by `_union`, not `np.union1d`: its `np.unique` imports
-`numpy.ma` on first use (about 1.7 MB of peak RSS), which now only a
-network with several synaptic delays pays, in emit.
+`leaky`) and an object array of the ids, the state whether the encoding
+is digital, a `DigitalEncoding` its word bounds, word step and Hamming
+mask, and `run_sim` its append, `last_y` and the output indices. A wide
+step's pieces are C-level calls, not Python work or numpy wrappers: the
+spike ids are one gather from the id array; words are converted in
+place (divide, floor, maximum, minimum, not `np.clip`) and their uint8
+bit counts summed without a copy; injections are checked by one Python
+float sum, non-finite if any value is, and scanned pair by pair only
+then. A `StepRecord` is built positionally and is a slotted dataclass,
+not a frozen one, whose `__init__` would set each field through
+`object.__setattr__` at about four times the cost. Index sets are
+joined by `_union`, not `np.union1d`, whose `np.unique` imports
+`numpy.ma` on first use (1.7 MB of peak RSS, paid in emit on several delays).
 
 Trace memory: a step keeps only its record. `run_sim` writes each step's
 output row into one float64 array that doubles when full and is trimmed
@@ -64,8 +68,7 @@ in place at the end; consecutive steps with equal counts share one
 `energy_terms` tuple (a one-entry memo in the run state), and consecutive
 steps where the same neuron fires alone share its `(id,)` tuple and CSR
 slice (another one-entry memo). A one-spike step of the self-exciting
-loop keeps about 200 B (tracemalloc), of which 120 B are its `StepRecord`;
-the rest is the list slot, its own `t` and `delta_n`, and the output row.
+loop keeps about 200 B (tracemalloc), 120 B of them its `StepRecord`.
 A network whose kept synapses all share one delay keeps no delay column.
 
 Determinism: identical graph, encoding and inputs reproduce the trace
@@ -77,7 +80,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -116,9 +119,10 @@ class DigitalEncoding:
             object.__setattr__(self, name, value)
 
     def words(self, x: np.ndarray) -> np.ndarray:
-        q = np.floor(np.asarray(x, dtype=float) / self._step)
-        # np.maximum and np.minimum clamp faster, but raised peak RSS in the benchmark.
-        np.clip(q, self._lo, self._hi, out=q)
+        q = np.divide(x, self._step, dtype=float)
+        np.floor(q, out=q)
+        np.maximum(q, self._lo, out=q)
+        np.minimum(q, self._hi, out=q)
         return q.astype(np.int64)
 
 
@@ -142,10 +146,11 @@ def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return c[keep]
 
 
-def _hamming(old_words: np.ndarray, new_words: np.ndarray, mask: np.uint64) -> np.ndarray:
+def _hamming(old_words: np.ndarray, new_words: np.ndarray, mask: np.uint64,
+             dtype=np.int64) -> np.ndarray:
     xor = np.bitwise_xor(old_words.view(np.uint64), new_words.view(np.uint64))
     xor &= mask
-    return np.bitwise_count(xor).astype(np.int64)
+    return np.bitwise_count(xor).astype(dtype, copy=False)  # uint8 is the count's own dtype
 
 
 def hamming_bits(old_words: np.ndarray, new_words: np.ndarray, word_width: int) -> np.ndarray:
@@ -210,6 +215,8 @@ class _CompiledNet:
         self.graph = ng
         self.ids = ng.neuron_ids
         self.n = len(self.ids)
+        # The same str objects, for one gather; fromiter skips np.array's shape discovery.
+        self.id_array = np.fromiter(self.ids, dtype=object, count=self.n)
 
         by_spec = np.argsort(ng.spec_index, kind="stable")
         sizes = np.bincount(ng.spec_index, minlength=len(ng.specs))
@@ -217,17 +224,22 @@ class _CompiledNet:
             zip(ng.specs, np.split(by_spec, np.cumsum(sizes)[:-1])))
         self.rows = [(g, spec, spec.memoryless, spec.leaky) for g, spec in enumerate(ng.specs)]
 
+        # Each temporary is freed once used, so the compile peaks near what it keeps.
         kept = np.flatnonzero(ng.weight)
         source = ng.source[kept]
-        order = kept[np.argsort(source.astype(np.min_scalar_type(self.n - 1)), kind="stable")]
+        self.out_indptr = np.zeros(self.n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(source, minlength=self.n), out=self.out_indptr[1:])
+        source = source.astype(np.min_scalar_type(self.n - 1))  # the sort key
+        order = np.argsort(source, kind="stable")
+        del source
+        order = kept[order]
+        del kept
         self.syn_delay = d = ng.delay[order]
         self.delay = int(d[0]) if len(d) and d.min() == d.max() else None
         if self.delay is not None:  # `delay` is every kept synapse's: free the column first
             self.syn_delay = d = None
         self.syn_target = ng.target[order]
         self.syn_weight = ng.weight[order]
-        self.out_indptr = np.zeros(self.n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(source, minlength=self.n), out=self.out_indptr[1:])
         for col in (self.syn_target, self.syn_weight, self.syn_delay, self.out_indptr):
             if col is not None:
                 col.flags.writeable = False
@@ -244,8 +256,8 @@ class _CompiledNet:
         if len(self.groups) == 1:
             return [idx]
         g = self.graph.spec_index[idx]
-        bounds = np.cumsum(np.bincount(g, minlength=len(self.groups))).tolist()
-        idx = idx[np.argsort(g, kind="stable")]
+        bounds = np.bincount(g, minlength=len(self.groups)).cumsum().tolist()
+        idx = idx[g.argsort(kind="stable")]  # methods skip np.argsort's Python wrapper
         return [idx[a:b] for a, b in zip([0] + bounds, bounds)]
 
 
@@ -327,16 +339,16 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
         input_sum = np.bincount(targets, weights=values, minlength=net.n)
     if external_inputs:
         ids, given = zip(*external_inputs)
-        pos = [net.input_pos.get(nid) for nid in ids]
-        injected = np.array(given, dtype=float)
-        if None in pos or not np.isfinite(injected).all():
+        pos = list(map(net.input_pos.get, ids))
+        injected = list(map(float, given))
+        if None in pos or not math.isfinite(sum(injected)):  # a bad value, or an overflow
             for neuron_id, value, idx in zip(ids, given, pos):  # the first bad pair decides
                 if idx is None:
                     raise UnknownInputNeuron(neuron_id)
                 if not math.isfinite(value):
                     raise NonFiniteInput(f"external input to {neuron_id!r} is {value}")
         input_sum = np.zeros(net.n) if input_sum is None else input_sum
-        np.add.at(input_sum, pos, injected)  # unbuffered, in order: a left-to-right sum
+        np.add.at(input_sum, np.array(pos, dtype=np.intp), injected)  # unbuffered, in order
     if input_sum is not None:
         fed = net.by_group(input_sum.nonzero()[0])
     armed, s.armed = s.armed, None
@@ -375,12 +387,12 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
             u[len(ev) - len(unfed):] = x[unfed]
         old = x[ev]
         x_next, y = advance(spec, old, u)
-        if digital and not np.isfinite(x_next).all():  # words() needs finite states
+        if digital and not np.logical_and.reduce(np.isfinite(x_next)):  # words() needs finite x
             raise _diverged(net, ev, x_next, t)
 
         # 4. Change-of-state accounting under the configured encoding.
-        if digital:
-            diffs = _hamming(encoding.words(old), encoding.words(x_next), encoding._mask)
+        if digital:  # uint8 bit counts: np.add.reduce sums them in 64 bits, without a copy
+            diffs = _hamming(encoding.words(old), encoding.words(x_next), encoding._mask, np.uint8)
         else:
             diffs = np.abs(x_next - old)
         delta = float(np.add.reduce(diffs))
@@ -420,18 +432,17 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
         # One group's spikes are ascending, except on the first step, when
         # unfed armed neurons follow the group's evaluated neurons.
         if len(spike_idx) > 1 or armed is not None:
-            spikes = np.sort(spikes)
-        spike_list = spikes.tolist()
-        spike_count = len(spike_list)
+            spikes.sort()  # a fresh array: the concatenation, or ev[firing]
+        spike_count = len(spikes)
         if spike_count == 1:
             # One source: its synapses are one contiguous CSR slice.
-            i = spike_list[0]
+            i = spikes.item()
             if s.solo[0] != i:
                 s.solo = (i, (net.ids[i],), slice(*net.out_indptr[i:i + 2].tolist()))
             _, spike_ids, pos = s.solo
             values = net.syn_weight[pos] * last_y[spikes] if net.scaled else net.syn_weight[pos]
         else:
-            spike_ids = itemgetter(*spike_list)(net.ids)
+            spike_ids = tuple(net.id_array[spikes].tolist())
             lo = net.out_indptr[spikes]
             lens = net.out_indptr[spikes + 1] - lo
             ends = lens.cumsum()
@@ -455,7 +466,7 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
     s.t = t + 1
     counts = (touched_count, spike_count, synaptic_events)
     if s.energy[0] != counts:
-        s.energy = (counts, energy_terms(s.constants, *counts))
+        s.energy = (counts, energy_terms(s.constants, touched_count, spike_count, synaptic_events))
     return StepRecord(t, spike_count, spike_ids, synaptic_events, touched_count, delta_n,
                       *s.energy[1])
 
@@ -556,13 +567,17 @@ def reconcile_energy(tr: SimTrace, r: ResourceCount, c: CostConstants) -> Reconc
     bit-exactly; MismatchDetected otherwise) and compare the measured
     firing-dependent terms against their closed-form predictions at the
     trace's mean firing rate."""
-    # One pass in step order: the check, e_n and the three firing-dependent
-    # term sums, each a left-to-right sum from 0.0.
+    # One pass in step order: the check (equal consecutive counts share one
+    # recomputation), e_n and the three term sums, left to right from 0.0.
     e_n = spikegen = synapse = spike = 0.0
+    last = terms = None
     for rec in tr.records:
         recorded = (rec.e_voltage_term, rec.e_spikegen_term, rec.e_synapse_term,
                     rec.e_spike_term, rec.e_t)
-        if energy_terms(c, rec.neurons_touched, rec.spikes, rec.synaptic_events) != recorded:
+        if (counts := (rec.neurons_touched, rec.spikes, rec.synaptic_events)) != last:
+            last = counts
+            terms = energy_terms(c, rec.neurons_touched, rec.spikes, rec.synaptic_events)
+        if terms != recorded:
             raise MismatchDetected(f"recorded energy at t={rec.t} disagrees with its events")
         e_n += recorded[4]
         spikegen += recorded[1]
