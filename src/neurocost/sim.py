@@ -146,16 +146,15 @@ def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return c[keep]
 
 
-def _hamming(old_words: np.ndarray, new_words: np.ndarray, mask: np.uint64,
-             dtype=np.int64) -> np.ndarray:
+def _hamming(old_words: np.ndarray, new_words: np.ndarray, mask: np.uint64) -> np.ndarray:
     xor = np.bitwise_xor(old_words.view(np.uint64), new_words.view(np.uint64))
     xor &= mask
-    return np.bitwise_count(xor).astype(dtype, copy=False)  # uint8 is the count's own dtype
+    return np.bitwise_count(xor)  # uint8
 
 
 def hamming_bits(old_words: np.ndarray, new_words: np.ndarray, word_width: int) -> np.ndarray:
     """Per-element changed-bit counts between two's-complement words."""
-    return _hamming(old_words, new_words, np.uint64((1 << word_width) - 1))
+    return _hamming(old_words, new_words, np.uint64((1 << word_width) - 1)).astype(np.int64)
 
 
 @dataclass(slots=True)
@@ -340,8 +339,9 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
     if external_inputs:
         ids, given = zip(*external_inputs)
         pos = list(map(net.input_pos.get, ids))
-        injected = list(map(float, given))
-        if None in pos or not math.isfinite(sum(injected)):  # a bad value, or an overflow
+        injected = np.array(given, dtype=float)
+        # Python's float sum never warns; it is non-finite if any value is (ravel: 2-D fails below)
+        if None in pos or not math.isfinite(sum(injected.ravel().tolist())):  # or it overflows
             for neuron_id, value, idx in zip(ids, given, pos):  # the first bad pair decides
                 if idx is None:
                     raise UnknownInputNeuron(neuron_id)
@@ -392,7 +392,7 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
 
         # 4. Change-of-state accounting under the configured encoding.
         if digital:  # uint8 bit counts: np.add.reduce sums them in 64 bits, without a copy
-            diffs = _hamming(encoding.words(old), encoding.words(x_next), encoding._mask, np.uint8)
+            diffs = _hamming(encoding.words(old), encoding.words(x_next), encoding._mask)
         else:
             diffs = np.abs(x_next - old)
         delta = float(np.add.reduce(diffs))

@@ -23,45 +23,32 @@ def _checkout(dest: Path, with_src: bool = True) -> Path:
     return dest
 
 
-def _pairs(a: Path, b: Path, *extra: str) -> subprocess.CompletedProcess:
+def _pairs(a: Path, b: Path) -> subprocess.CompletedProcess:
     cmd = [sys.executable, str(ROOT / "tools" / "bench_pairs.py"), str(a), str(b),
            "--workload", "dag_kick", "--pairs", "1", "--seed", "5", "--seconds", "0.2",
-           "--size", "tiny", *extra]
+           "--size", "tiny"]
     return subprocess.run(cmd, capture_output=True, text=True, timeout=300, check=False,
                           env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
 
 
 def test_one_tiny_pair_of_the_same_checkout(tmp_path):
     checkout = _checkout(tmp_path / "checkout")
-    done = _pairs(checkout, checkout, "--claim", "wall_s")
+    done = _pairs(checkout, checkout)
     assert done.returncode == 0, done.stderr
-    pair, header, *rows, claim, bound_wall, bound_setup, bound_rss = done.stdout.splitlines()
+    pair, header, *rows = done.stdout.splitlines()
     assert pair.startswith("pair 1 (AB): wall_s ")
-    assert header.split()[0] == "metric" and header.endswith("B lower  B higher")
+    assert header.split()[0] == "metric"
+    assert header.endswith("B lower  B higher  claim    bound")
     cells = {row.split()[0]: row.split() for row in rows}
     assert set(cells) == {"wall_s", "setup_s", "peak_rss_mb"}
     for name, row in cells.items():
-        lower, higher = row[-2:]
+        lower, higher, claim, bound = row[-4:]
         assert lower in ("0/1", "1/1") and higher in ("0/1", "1/1"), name
         assert (lower, higher) != ("1/1", "1/1"), name
-        assert float(row[1]) > 0 and float(row[-3]) > 0, name
+        assert float(row[1]) > 0 and float(row[-5]) > 0, name
+        # The rule needs at least 10 pairs; each end-to-end metric has a bound.
+        assert claim == "no" and bound in ("within", "OUTSIDE"), name
     assert list((checkout / "bench" / "results").glob("dag_kick-seed5-trace0-tiny.json"))
-    # The rule needs at least 10 pairs, so the claim is not met; each bound has its verdict.
-    assert claim.startswith("claim wall_s: not met (B better in ")
-    for line, name in ((bound_wall, "wall_s"), (bound_setup, "setup_s"),
-                       (bound_rss, "peak_rss_mb")):
-        assert line.startswith((f"bound {name}: within ", f"bound {name}: OUTSIDE ")), line
-
-
-def test_an_unknown_claim_is_refused_before_any_run(tmp_path):
-    checkout = _checkout(tmp_path / "checkout")
-    done = _pairs(checkout, checkout, "--claim", "wall_ms")
-    assert done.returncode == 2 and "'wall_ms' is not one of the end_to_end metrics" in done.stderr
-    # A traced run reports per-layer metrics only: an end-to-end claim is refused too.
-    traced = _pairs(checkout, checkout, "--trace", "1", "--claim", "wall_s")
-    assert traced.returncode == 2
-    assert "'wall_s' is not one of the per_layer metrics" in traced.stderr
-    assert not (checkout / "bench" / "results").exists()
 
 
 def test_a_failed_run_stops_the_comparison(tmp_path):
@@ -72,18 +59,11 @@ def test_a_failed_run_stops_the_comparison(tmp_path):
     assert "B lower" not in done.stdout
 
 
-def _tool():
+def _summary(runs_a, runs_b):
     spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
-    return bench_pairs
-
-
-def test_summary_counts_pairs_lower_and_higher():
-    # B reads lower in pair 1, equal in pair 2 (a tie counts for neither), higher in pair 3.
-    _header, row = _tool().summary([{"wall_s": 1.0}, {"wall_s": 2.0}, {"wall_s": 3.0}],
-                                   [{"wall_s": 0.5}, {"wall_s": 2.0}, {"wall_s": 4.0}])
-    assert row.split()[-2:] == ["1/3", "1/3"]
+    return bench_pairs.summary(runs_a, runs_b, SPEC)
 
 
 SPEC = {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25},
@@ -91,39 +71,34 @@ SPEC = {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25},
         "per_layer": [{"name": "coverage", "better": "higher"}]}
 
 
-def _runs(wall, rss=50.0):
-    return [{"wall_s": w, "peak_rss_mb": rss, "coverage": 2.0 - w} for w in wall]
+def test_summary_counts_pairs_lower_and_higher():
+    # B reads lower in pair 1, equal in pair 2 (a tie counts for neither), higher in pair 3.
+    _header, row = _summary([{"wall_s": 1.0}, {"wall_s": 2.0}, {"wall_s": 3.0}],
+                            [{"wall_s": 0.5}, {"wall_s": 2.0}, {"wall_s": 4.0}])
+    assert row.split()[-4:-2] == ["1/3", "1/3"]
+
+
+def _verdicts(wall_a, wall_b, rss_b=50.0):
+    """Each metric's claim and bound verdicts on synthetic runs."""
+    def runs(wall, rss):
+        return [{"wall_s": w, "peak_rss_mb": rss, "coverage": 2.0 - w} for w in wall]
+    _header, *rows = _summary(runs(wall_a, 50.0), runs(wall_b, rss_b))
+    return {row.split()[0]: tuple(row.split()[-2:]) for row in rows}
 
 
 def test_claim_rule_and_bounds_on_synthetic_runs():
-    verdicts = _tool().verdicts
-    a = _runs([1.0 + 0.01 * k for k in range(10)])  # median 1.045, quartiles 1.0225 and 1.0675
+    a = [1.0 + 0.01 * k for k in range(10)]  # median 1.045, interquartile range 0.045
     b = [0.9 + 0.01 * k for k in range(10)]
-    b[3] = 2.0  # B is worse in one pair of ten: 9/10 still wins
-    claim, wall, rss = verdicts(a, _runs(b), SPEC, "wall_s")
-    assert claim.startswith("claim wall_s: holds (B better in 9/10 pairs and by 0.09")
-    assert wall.startswith("bound wall_s: within (B worse by -8.61%")
-    assert rss.startswith("bound peak_rss_mb: within (B worse by +0.00%")
-    assert verdicts(a, _runs(b), SPEC, "coverage")[0].startswith("claim coverage: holds ")
-
-    # B worse in every pair: the gap reads negative.
-    assert verdicts(a, _runs([w + 0.5 for w in b]), SPEC, "wall_s")[0].startswith(
-        "claim wall_s: not met (B better in 0/10 pairs and by -0.41")
-    b[4] = 2.0  # 8/10 wins: not met
-    assert verdicts(a, _runs(b), SPEC, "wall_s")[0].startswith("claim wall_s: not met (B better "
-                                                               "in 8/10 pairs")
+    b[3] = 2.0  # B is worse in one pair of ten: 9/10 still wins, medians 0.09 apart
+    assert _verdicts(a, b) == {"wall_s": ("holds", "within"), "peak_rss_mb": ("no", "within"),
+                               "coverage": ("holds", "-")}  # higher is better: B's is
+    # B worse in every pair and its median 39% above A's: outside the 25% bound.
+    assert _verdicts(a, [w + 0.5 for w in b])["wall_s"] == ("no", "OUTSIDE")
+    assert _verdicts(a, b[:4] + [2.0] + b[5:])["wall_s"] == ("no", "within")  # 8/10 wins
     # 10/10 wins, but the medians differ by less than A's interquartile range.
-    close = _runs([x["wall_s"] - 0.01 for x in a])
-    assert verdicts(a, close, SPEC, "wall_s")[0].startswith("claim wall_s: not met (B better "
-                                                            "in 10/10 pairs")
+    assert _verdicts(a, [w - 0.01 for w in a])["wall_s"] == ("no", "within")
     # Fewer than 10 pairs never hold a claim, however clear.
-    assert verdicts(a[:5], _runs([0.5] * 5), SPEC, "wall_s")[0].startswith(
-        "claim wall_s: not met (B better in 5/5 pairs and by 0.52")
-    # Traced runs carry no end-to-end metric, so no bound is judged.
-    traced = [{"coverage": 1.0}] * 10
-    assert verdicts(traced, traced, SPEC, "coverage") == [
-        "claim coverage: not met (B better in 0/10 pairs and by 0 in the median, A's IQR 0)"]
-    # Peak RSS 12% above A's is outside its 10% bound; with no claim only bounds print.
-    assert verdicts(a, _runs(b, rss=56.0), SPEC) == [
-        verdicts(a, _runs(b), SPEC)[0], "bound peak_rss_mb: OUTSIDE (B worse by +12.00%, "
-        "bound 10%)"]
+    assert _verdicts(a[:5], [0.5] * 5)["wall_s"] == ("no", "within")
+    # Peak RSS 10% above A's is at its bound; 12% is outside it.
+    assert _verdicts(a, b, rss_b=55.0)["peak_rss_mb"] == ("no", "within")
+    assert _verdicts(a, b, rss_b=56.0)["peak_rss_mb"] == ("no", "OUTSIDE")

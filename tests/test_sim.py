@@ -408,9 +408,10 @@ class TestDigitalEncoding:
         old, new = words, np.roll(words, 1)
         mask = np.uint64((1 << width) - 1)
         expect = np.bitwise_count((old.view(np.uint64) ^ new.view(np.uint64)) & mask)
-        for got in (_hamming(old, new, enc._mask), nc.hamming_bits(old, new, width)):
-            assert got.dtype == np.int64
-            assert got.tolist() == expect.tolist()
+        got = _hamming(old, new, enc._mask)
+        assert got.dtype == np.uint8 and got.tolist() == expect.tolist()
+        got = nc.hamming_bits(old, new, width)
+        assert got.dtype == np.int64 and got.tolist() == expect.tolist()
 
     @pytest.mark.parametrize("bad", [
         dict(word_width=3), dict(word_width=65), dict(word_width=16.5), dict(word_width=True),
@@ -599,12 +600,16 @@ class TestRunControl:
         assert rec.delta_n == 30.0 and rec.neurons_touched == 2
         assert state.x.tolist() == [1e308, 1e308]
 
-    @pytest.mark.parametrize("value, error", [("abc", ValueError), (None, TypeError),
-                                              (object(), TypeError), (1j, TypeError)])
-    def test_non_numeric_injection_raises_the_float_conversion_error(self, value, error):
+    @pytest.mark.parametrize("given, error", [
+        ((0.5, "abc"), ValueError), ((0.5, None), TypeError), ((0.5, object()), TypeError),
+        ((0.5, 1j), TypeError), ((0.5, [0.5, 0.5]), ValueError),
+        ((0.5, np.array([0.5])), ValueError),
+        (([0.5, 0.5], [0.5, 0.5]), ValueError),  # one shared length: rejected by np.add.at
+    ])
+    def test_non_numeric_injection_raises_the_float_conversion_error(self, given, error):
         ng = two_neuron(2.0, a0=0.0)
         with pytest.raises(error) as exc:
-            nc.step_sim(nc.init_sim(ng, nc.AnalogEncoding(), 0), (("A", 0.5), ("A", value)))
+            nc.step_sim(nc.init_sim(ng, nc.AnalogEncoding(), 0), [("A", v) for v in given])
         assert type(exc.value) is error
 
     def test_deterministic_repeat(self):

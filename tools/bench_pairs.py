@@ -1,7 +1,7 @@
 """Compare two checkouts on the benchmark in alternating pairs.
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload mesh_relax --pairs 10 \
-        --seed 13 --seconds 8 --claim wall_s
+        --seed 13 --seconds 8
 
 Each pair runs `bench/run.py` once in checkout A and once in checkout B,
 A first in odd pairs and B first in even ones, so a drift in host speed
@@ -12,14 +12,12 @@ The tool prints every pair's metrics as they come, then, for each
 metric, the median and quartiles of A and of B, the ratio of the medians
 (B / A) and in how many pairs B read strictly lower and strictly higher
 (ties count for neither), so "no metric worse" reads from one line.
-
-After the summary come the verdicts. With `--claim METRIC`, whether the
-claim rule holds on it: of at least 10 pairs, B is better in at least
-9/10, and the medians differ by more than A's interquartile range. For every
-end-to-end metric in A's `BENCHMARK.json`, whether B's median is worse
-than A's by no more than the metric's `bound`, a fraction of A's median.
-A traced run (`--trace 1`) reports per-layer metrics only, so it is
-claimed on those and has no bounds.
+Two verdicts end each line, with each metric's direction (`better`) read
+from A's `BENCHMARK.json`. "claim": whether the claim rule holds, that
+of at least 10 pairs B is better in at least 9/10 and its median beats
+A's by more than A's interquartile range. "bound": for an end-to-end
+metric, whether B's median is worse than A's by at most the metric's
+`bound`, a fraction of A's median; a per-layer metric has none ("-").
 Stdlib only; each checkout's benchmark imports its own `src/`.
 """
 
@@ -55,11 +53,14 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summary(runs_a: list[dict], runs_b: list[dict]) -> list[str]:
-    """One line per metric: A and B medians with quartiles, B / A, and in how
-    many of N pairs B read lower and higher."""
+def summary(runs_a: list[dict], runs_b: list[dict], spec: dict) -> list[str]:
+    """One line per metric: A and B medians with quartiles, B / A, in how
+    many of N pairs B read lower and higher, whether the claim rule holds
+    and whether B's median is within the metric's bound. `spec` is A's
+    `BENCHMARK.json`: its `better` gives each metric's direction."""
+    metrics = {m["name"]: m for m in spec["end_to_end"] + spec["per_layer"]}
     lines = [f"{'metric':<24} {'median A':>11} {'[q1, q3] A':>23} {'median B':>11} "
-             f"{'[q1, q3] B':>23} {'B/A':>7}  B lower  B higher"]
+             f"{'[q1, q3] B':>23} {'B/A':>7}  B lower  B higher  claim    bound"]
     for name in runs_a[0]:
         a = [run[name] for run in runs_a]
         b = [run[name] for run in runs_b]
@@ -67,38 +68,15 @@ def summary(runs_a: list[dict], runs_b: list[dict]) -> list[str]:
         ratio = f"{bm / am:.4f}" if am else "-"
         lower = sum(y < x for x, y in zip(a, b))
         higher = sum(y > x for x, y in zip(a, b))
+        metric = metrics[name]  # bench/selftest.py checks that run.py reports these
+        wins, gain = (higher, bm - am) if metric["better"] == "higher" else (lower, am - bm)
+        claim = "holds" if len(a) >= 10 and wins >= 0.9 * len(a) and gain > a3 - a1 else "no"
+        bound = metric.get("bound")  # end-to-end metrics only
+        within = "-" if bound is None else "within" if -gain <= bound * am else "OUTSIDE"
         lines.append(f"{name:<24} {am:>11.5g} {f'[{a1:.5g}, {a3:.5g}]':>23} {bm:>11.5g} "
                      f"{f'[{b1:.5g}, {b3:.5g}]':>23} {ratio:>7}  "
-                     f"{f'{lower}/{len(a)}':>7}  {f'{higher}/{len(a)}':>8}")
-    return lines
-
-
-def verdicts(runs_a: list[dict], runs_b: list[dict], spec: dict,
-             claim: str | None = None) -> list[str]:
-    """The claim rule on `claim`, then for each of `spec`'s end-to-end
-    metrics whether B's median stays within its bound of A's. `spec` is a
-    `BENCHMARK.json`, whose `better` gives each metric's direction."""
-    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
-    lines = []
-    if claim is not None:
-        sign = -1.0 if better[claim] == "higher" else 1.0
-        a = [sign * run[claim] for run in runs_a]
-        b = [sign * run[claim] for run in runs_b]
-        (a1, am, a3), bm = quartiles(a), statistics.median(b)
-        wins = sum(y < x for x, y in zip(a, b))
-        holds = len(a) >= 10 and wins >= 0.9 * len(a) and am - bm > a3 - a1
-        lines.append(f"claim {claim}: {'holds' if holds else 'not met'} (B better in "
-                     f"{wins}/{len(a)} pairs and by {am - bm:.5g} in the median, "
-                     f"A's IQR {a3 - a1:.5g})")
-    for metric in spec["end_to_end"]:
-        if metric["name"] not in runs_a[0]:  # a traced run reports per-layer metrics only
-            continue
-        name, bound = metric["name"], metric["bound"]
-        am = statistics.median(run[name] for run in runs_a)
-        bm = statistics.median(run[name] for run in runs_b)
-        worse = (am - bm if better[name] == "higher" else bm - am) / am if am else 0.0
-        verdict = "within" if worse <= bound else "OUTSIDE"
-        lines.append(f"bound {name}: {verdict} (B worse by {worse:+.2%}, bound {bound:.0%})")
+                     f"{f'{lower}/{len(a)}':>7}  {f'{higher}/{len(a)}':>8}  "
+                     f"{claim:>5}  {within:>7}")
     return lines
 
 
@@ -114,16 +92,9 @@ def parse_args(argv) -> argparse.Namespace:
                         help="passed to bench/run.py")
     parser.add_argument("--size", choices=("full", "tiny"), default="full",
                         help="passed to bench/run.py")
-    parser.add_argument("--claim", metavar="METRIC",
-                        help="also print whether the claim rule holds on this metric")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    args.spec = json.loads((args.a / "BENCHMARK.json").read_text(encoding="utf-8"))
-    kind = "per_layer" if args.trace else "end_to_end"  # the metrics bench/run.py reports
-    if args.claim is not None and args.claim not in [m["name"] for m in args.spec[kind]]:
-        parser.error(f"--claim {args.claim!r} is not one of the {kind} metrics "
-                     "in A's BENCHMARK.json")
     return args
 
 
@@ -137,8 +108,8 @@ def main(argv=None) -> int:
         cells = "  ".join(f"{name} {runs['A'][-1][name]:.6g} -> {runs['B'][-1][name]:.6g}"
                           for name in runs["A"][-1])
         print(f"pair {pair} ({''.join(order)}): {cells}", flush=True)
-    print("\n".join(summary(runs["A"], runs["B"])))
-    print("\n".join(verdicts(runs["A"], runs["B"], args.spec, args.claim)))
+    spec = json.loads((args.a / "BENCHMARK.json").read_text(encoding="utf-8"))
+    print("\n".join(summary(runs["A"], runs["B"], spec)))
     return 0
 
 
