@@ -171,6 +171,14 @@ def _check_declared(raw: ComputeGraph, index: Mapping[str, int]) -> None:
             raise DanglingReference(declared)
 
 
+def sorted_unique(a: np.ndarray) -> np.ndarray:
+    """np.unique(a) of a 1-D integer array without the numpy.ma import."""
+    c = np.sort(a)
+    keep = np.ones(len(c), dtype=bool)
+    np.not_equal(c[1:], c[:-1], out=keep[1:])
+    return c[keep]
+
+
 def _consumers(fan_in, pred_pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The consumer CSR (succ_start, succ_pos): each position's consumers,
     once per input reference, in declaration order."""

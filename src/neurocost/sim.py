@@ -59,8 +59,8 @@ float sum, non-finite if any value is, and scanned pair by pair only
 then. A `StepRecord` is built positionally and is a slotted dataclass,
 not a frozen one, whose `__init__` would set each field through
 `object.__setattr__` at about four times the cost. Index sets are
-joined by `_union`, not `np.union1d`, whose `np.unique` imports
-`numpy.ma` on first use (1.7 MB of peak RSS, paid in emit on several delays).
+joined, and a multi-delay emit's delays found, by `graph.sorted_unique`:
+a bare `np.unique` imports `numpy.ma` on first use (1.7 MB of peak RSS).
 
 Trace memory: a step keeps only its record. `run_sim` writes each step's
 output row into one float64 array that doubles when full and is trimmed
@@ -93,6 +93,7 @@ from .errors import (
     UnknownInputNeuron,
     check_count,
 )
+from .graph import sorted_unique
 from .neural import NeuralGraph, NeuronSpec, ResourceCount, advance, transfer
 
 
@@ -138,12 +139,8 @@ _FIRST_ROWS = 64  # run_sim's output rows before the first doubling
 
 
 def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.union1d(a, b) for 1-D integer arrays: sort, then drop repeats."""
-    c = np.concatenate((a, b))
-    c.sort()
-    keep = np.ones(len(c), dtype=bool)
-    np.not_equal(c[1:], c[:-1], out=keep[1:])
-    return c[keep]
+    """np.union1d(a, b) for 1-D integer arrays."""
+    return sorted_unique(np.concatenate((a, b)))
 
 
 def _hamming(old_words: np.ndarray, new_words: np.ndarray, mask: np.uint64) -> np.ndarray:
@@ -458,7 +455,7 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
                 s.pending.setdefault(t + net.delay, []).append((targets, values))
             else:
                 delays = net.syn_delay[pos]
-                for d in np.unique(delays).tolist():
+                for d in sorted_unique(delays).tolist():
                     sel = delays == d
                     s.pending.setdefault(t + d, []).append((targets[sel], values[sel]))
 

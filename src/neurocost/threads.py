@@ -20,17 +20,19 @@ The greedy partition tiles in rank space, positions ranked once by
 (level, id), with one forward-only pointer per rank into its ascending
 neighbour list: for a fixed granularity, tiling is linear in nodes plus
 edges. It then builds all fragments of a call in bulk from the tile
-array, one `nodes` tuple and one `edges` set per distinct shape.
+array, one `nodes` tuple and one `edges` set per distinct shape; the
+exhaustive oracle builds its overlapping candidates in one call too.
 
 Both partitions label fragments through one helper that computes one
 exact signature per distinct fragment shape (nodes, edges), for the
 label and for the family check: a tiling of a regular graph repeats a
-handful of shapes, so the layout search runs a handful of times.
+handful of shapes, so the layout search runs a handful of times. The
+digests are `_blake2.blake2b`, which is `hashlib.blake2b`: importing
+hashlib would also load OpenSSL (about 3.5 MB of peak RSS), unused.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import logging
 from dataclasses import dataclass
@@ -39,7 +41,12 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import FragmentTooLarge, GraphTooLargeForOracle, check_count
-from .graph import ValidatedGraph
+from .graph import ValidatedGraph, sorted_unique
+
+try:
+    from _blake2 import blake2b  # hashlib's own blake2b, without loading OpenSSL
+except ImportError:
+    from hashlib import blake2b
 
 logger = logging.getLogger(__name__)
 
@@ -81,32 +88,33 @@ def extract_fragment(vg: ValidatedGraph, node_ids: Sequence[str]) -> Fragment:
 
 def _fragments(vg: ValidatedGraph, tiles: np.ndarray) -> list[Fragment]:
     """Induce one fragment per row of `tiles`, a (fragments x k) array of
-    host-graph positions, each used at most once in the whole array. Local
-    index i of a row's fragment is the row's i-th position.
+    host-graph positions, distinct within a row; rows may share positions.
+    Local index i of a row's fragment is the row's i-th position.
 
-    An input reference is internal when its source and its consumer lie
-    in the same row. A node's external in- and out-arity are its fan-in
-    and fan-out less its internal references, counted with repeats; the
-    edge set holds each internal (source slot, consumer slot) pair once.
+    An input reference is internal when its source is in its consumer's
+    row. A node's external in- and out-arity are its fan-in and fan-out
+    less its internal references, counted with repeats; the edge set
+    holds each internal (source slot, consumer slot) pair once.
     Rows of one shape share one `nodes` tuple and one `edges` frozenset.
     """
     count, k = tiles.shape
     members = tiles.ravel()
-    member = np.full(len(vg), -1, np.intp)  # position -> its index in `members`
-    member[members] = np.arange(len(members))
     # The input references of every member, as (source position, consumer member).
     starts = vg.pred_start[members]
     fan_in = vg.pred_start[members + 1] - starts
     consumer = np.repeat(np.arange(len(members)), fan_in)
     refs = np.arange(len(consumer)) + np.repeat(starts - (np.cumsum(fan_in) - fan_in), fan_in)
-    source = member[vg.pred_pos[refs]]
-    internal = (source >= 0) & (source // k == consumer // k)
-    source, consumer = source[internal], consumer[internal]
+    # 8 columns a pass keep memory linear in k; a flat hit reads (slot, reference).
+    row, source_pos = consumer // k, vg.pred_pos[refs]
+    hit = np.concatenate([np.flatnonzero(tiles.T[j:j + 8].take(row, 1) == source_pos)
+                          + j * len(refs) for j in range(0, k, 8)])
+    slot, internal = np.divmod(hit, len(refs))
+    source, consumer = row[internal] * k + slot, consumer[internal]
     ext_in = fan_in - np.bincount(consumer, minlength=len(members))
     ext_out = (vg.succ_start[members + 1] - vg.succ_start[members]
                - np.bincount(source, minlength=len(members)))
     # Internal edges as sorted codes (row, source slot, consumer slot), once each.
-    codes = np.unique(consumer // k * k * k + source % k * k + consumer % k)
+    codes = sorted_unique(source * k + consumer % k)
     row = codes // (k * k)
     per_row = np.bincount(row, minlength=count)
     edge_cols = np.full((count, int(per_row.max(initial=0))), -1, np.intp)
@@ -210,7 +218,7 @@ def _wl_hash(frag: Fragment) -> str:
     labels = [repr(annot) for annot in frag.nodes]
     for _round in range(n):
         labels = [
-            hashlib.blake2b(
+            blake2b(
                 (labels[i] + "|" + ",".join(sorted(labels[j] for j in preds[i]))
                  + "|" + ",".join(sorted(labels[j] for j in succs[i]))).encode(),
                 digest_size=16,
@@ -218,7 +226,7 @@ def _wl_hash(frag: Fragment) -> str:
             for i in range(n)
         ]
     summary = f"{n};{len(frag.edges)};" + ",".join(sorted(labels))
-    return hashlib.blake2b(summary.encode(), digest_size=16).hexdigest()
+    return blake2b(summary.encode(), digest_size=16).hexdigest()
 
 
 def canonical_label(frag: Fragment) -> str:
@@ -232,7 +240,7 @@ def canonical_label(frag: Fragment) -> str:
 
 
 def _exact_label(signature: tuple) -> str:
-    return "x" + hashlib.blake2b(repr(signature).encode(), digest_size=16).hexdigest()
+    return "x" + blake2b(repr(signature).encode(), digest_size=16).hexdigest()
 
 
 def isomorphic(a: Fragment, b: Fragment) -> bool:
@@ -415,28 +423,18 @@ def brute_force_partition(vg: ValidatedGraph, granularity: int) -> PartitionResu
     if len(vg) > ORACLE_CAP:
         raise GraphTooLargeForOracle(f"oracle capped at {ORACLE_CAP} nodes, got {len(vg)}")
     granularity = check_count("granularity", granularity)
-    by_label = _group_by_label(extract_fragment(vg, subset)
-                               for subset in _connected_subsets(vg, granularity))
-
-    best_label = None
-    best_members: list[Fragment] = []
+    subsets = [list(map(vg.index.__getitem__, s)) for s in _connected_subsets(vg, granularity)]
+    by_label = _group_by_label(_fragments(vg, np.array(subsets, np.intp).reshape(-1, granularity)))
+    best_label, best_members = None, []
     for label in sorted(by_label):
         frags = by_label[label]
         chosen = _max_disjoint([frozenset(f.node_ids) for f in frags])
         if len(chosen) > len(best_members):
-            best_label = label
-            best_members = [frags[i] for i in chosen]
-
-    if best_label is None:
-        return PartitionResult(families=(), residual=frozenset(vg.topo_order),
-                               p_threads=1, granularity=granularity)
+            best_label, best_members = label, [frags[i] for i in chosen]
     covered = {nid for f in best_members for nid in f.node_ids}
-    return PartitionResult(
-        families=((best_label, tuple(best_members)),),
-        residual=frozenset(set(vg.topo_order) - covered),
-        p_threads=len(best_members),
-        granularity=granularity,
-    )
+    return PartitionResult(families=((best_label, tuple(best_members)),) if best_members else (),
+                           residual=frozenset(vg.topo_order) - covered,
+                           p_threads=max(len(best_members), 1), granularity=granularity)
 
 
 def thread_efficiency(pr: PartitionResult, p: int) -> float:

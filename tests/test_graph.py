@@ -30,6 +30,8 @@ from neurocost import (
     validate_graph,
 )
 
+from neurocost.graph import sorted_unique
+
 from conftest import make_chain, make_footnote
 
 
@@ -525,6 +527,33 @@ def test_gen_random_dag_validation():
         gen_random_dag(5, 1.5, ("k",), seed=0)
     with pytest.raises(ValueError):
         gen_random_dag(5, 0.5, (), seed=0)
+
+
+# ---------------------------------------------------------------- sorted_unique
+
+
+INT64 = np.iinfo(np.int64)
+
+
+def _unique_cases(seed):
+    rng = np.random.default_rng(seed)
+    yield np.zeros(0, np.int64)
+    yield rng.integers(-5, 5, 1)
+    yield np.full(int(rng.integers(2, 20)), rng.integers(-9, 9))
+    yield rng.integers(-50, 50, int(rng.integers(1, 200)))
+    yield rng.integers(0, 8, 64).astype(np.intp)
+    yield np.concatenate((rng.integers(INT64.min, INT64.max, 30, endpoint=True),
+                          [INT64.min, INT64.max, INT64.min, -1, 0, INT64.max]))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sorted_unique_matches_np_unique(seed):
+    for values in _unique_cases(seed):
+        given = values.copy()
+        got, want = sorted_unique(values), np.unique(values)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert values.tobytes() == given.tobytes()  # the input keeps its order
 
 
 if __name__ == "__main__":

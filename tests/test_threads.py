@@ -110,24 +110,25 @@ class TestCanonicalLabels:
         """Annotations count an input or a consumer once per reference;
         edges are the distinct internal pairs."""
         rng = random.Random(seed)
-        nodes = []
-        for i in range(14):
-            refs = tuple(f"v{rng.randrange(i)}" for _ in range(rng.randrange(4))) if i else ()
-            nodes.append(nc.OpNode(f"v{i}", rng.choice("ab"), refs))
-        vg = nc.validate_graph(nc.ComputeGraph(tuple(nodes)))
+        vg = random_multigraph(rng)
         for _ in range(20):
-            ids = rng.sample([n.id for n in nodes], rng.randrange(1, 8))
-            members = set(ids)
-            want_nodes, want_edges = [], set()
-            for nid in ids:
-                node = vg.graph.nodes[vg.index[nid]]
-                consumers = [m.id for m in nodes for ref in m.inputs if ref == nid]
-                want_nodes.append((node.op_kind, sum(r not in members for r in node.inputs),
-                                   sum(c not in members for c in consumers)))
-                want_edges |= {(ids.index(r), ids.index(nid)) for r in node.inputs if r in members}
+            ids = rng.sample(vg.graph.ids, rng.randrange(1, 8))
             frag = extract_fragment(vg, ids)
-            assert (frag.nodes, frag.edges, frag.node_ids) == (
-                tuple(want_nodes), frozenset(want_edges), tuple(ids))
+            assert (frag.nodes, frag.edges, frag.node_ids) == id_reference_fragment(vg, ids)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_overlapping_and_wide_rows_match_id_reference(self, seed):
+        """One bulk call builds rows that share positions, as the oracle's
+        candidates do, and rows wider than one 8-column comparison pass;
+        each row is the fragment of its own ids."""
+        rng = random.Random(seed)
+        vg = random_multigraph(rng)
+        for k in (1, 3, 8, 9, 14):
+            rows = [rng.sample(range(len(vg)), k) for _ in range(12)]
+            frags = threads._fragments(vg, np.array(rows, np.intp))
+            for row, frag in zip(rows, frags):
+                ids = [vg.graph.ids[i] for i in row]
+                assert (frag.nodes, frag.edges, frag.node_ids) == id_reference_fragment(vg, ids)
 
     def test_wl_label_equal_for_shifted_interior_windows(self):
         vg = make_chain(20)
@@ -152,6 +153,28 @@ class TestCanonicalLabels:
         assert nc.EXACT_LIMIT == 8
         assert nc.HARD_CAP == 64
         assert nc.ORACLE_CAP == 12
+
+
+def random_multigraph(rng):
+    """14 nodes of two kinds, each with up to 3 inputs, repeats allowed."""
+    nodes = []
+    for i in range(14):
+        refs = tuple(f"v{rng.randrange(i)}" for _ in range(rng.randrange(4))) if i else ()
+        nodes.append(nc.OpNode(f"v{i}", rng.choice("ab"), refs))
+    return nc.validate_graph(nc.ComputeGraph(tuple(nodes)))
+
+
+def id_reference_fragment(vg, ids):
+    """(nodes, edges, node_ids) of the fragment on `ids`, from the OpNodes."""
+    members = set(ids)
+    want_nodes, want_edges = [], set()
+    for nid in ids:
+        node = vg.graph.nodes[vg.index[nid]]
+        consumers = [m.id for m in vg.graph.nodes for ref in m.inputs if ref == nid]
+        want_nodes.append((node.op_kind, sum(r not in members for r in node.inputs),
+                           sum(c not in members for c in consumers)))
+        want_edges |= {(ids.index(r), ids.index(nid)) for r in node.inputs if r in members}
+    return tuple(want_nodes), frozenset(want_edges), tuple(ids)
 
 
 def corpus_entry(name):
