@@ -179,17 +179,14 @@ def sorted_unique(a: np.ndarray) -> np.ndarray:
     return c[keep]
 
 
-def _consumers(fan_in, pred_pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The consumer CSR (succ_start, succ_pos): each position's consumers,
-    once per input reference, in declaration order."""
-    n = len(fan_in)
-    consumer = np.repeat(np.arange(n), fan_in)
-    # Sorted keys producer * n + consumer list each producer's consumers in
-    # declaration order; a repeated reference repeats its key.
-    succ_pos = np.sort(pred_pos * n + consumer) % n
-    succ_start = np.zeros(n + 1, np.intp)
-    np.cumsum(np.bincount(pred_pos, minlength=n), out=succ_start[1:])
-    return succ_start, succ_pos
+def owner_csr(owner: np.ndarray, value: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Group (owner, value) pairs over n owners, both in range(n), as a
+    CSR (start, values): owner o's values are values[start[o]:start[o + 1]],
+    ascending, a repeated pair repeated."""
+    start = np.zeros(n + 1, np.intp)
+    np.cumsum(np.bincount(owner, minlength=n), out=start[1:])
+    # Sorted keys owner * n + value group by owner, values ascending.
+    return start, np.sort(owner * n + value) % n
 
 
 def _kahn(fan_in: list[int], succ_start: np.ndarray, succ_pos: np.ndarray
@@ -250,7 +247,8 @@ def validate_graph(raw: ComputeGraph) -> ValidatedGraph:
         pred_pos = None
     if pred_pos is None or len(index) < n:
         _check_references(raw)  # raises DuplicateNodeId or DanglingReference
-    succ_start, succ_pos = _consumers(fan_in, pred_pos)
+    # Each producer's consumers ascending: in declaration order.
+    succ_start, succ_pos = owner_csr(pred_pos, np.repeat(np.arange(n), fan_in), n)
     order, level, waiting = _kahn(fan_in, succ_start, succ_pos)
     if len(order) < n:
         _check_references(raw)  # a self reference or a declared-id fault comes first

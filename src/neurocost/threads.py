@@ -10,11 +10,14 @@ in/out arity, so a fragment embedded differently in the host graph gets a
 different label. Labels are exact canonical forms up to 8 nodes and
 neighborhood-refinement hashes above that; the two namespaces never
 collide. An exact label is the lexicographically smallest edge tuple over
-the relabelings that list nodes by sorted annotation. The search skips
-relabelings that only reorder twins (nodes with the same annotation and
-the same internal in- and out-neighbours), since swapping twins cannot
-change the edge tuple: a fragment of one hub and seven identical leaves
-has one candidate layout instead of 7! = 5040.
+the relabelings that list nodes by sorted annotation. Twins (nodes with
+the same annotation and the same internal in- and out-neighbours) can
+swap without changing the edge tuple, so the search tags each member of
+an annotation class with its twin group and tries one layout per
+distinct ordering of the tags (`itertools.permutations`, repeats
+dropped). A class that is one twin group has one ordering and is not
+enumerated: a fragment of one hub and seven identical leaves has one
+candidate layout instead of 7! = 5040.
 
 The greedy partition tiles in rank space, positions ranked once by
 (level, id), with one forward-only pointer per rank into its ascending
@@ -41,7 +44,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import FragmentTooLarge, GraphTooLargeForOracle, check_count
-from .graph import ValidatedGraph, sorted_unique
+from .graph import ValidatedGraph, owner_csr, sorted_unique
 
 try:
     from _blake2 import blake2b  # hashlib's own blake2b, without loading OpenSSL
@@ -135,55 +138,44 @@ def _fragments(vg: ValidatedGraph, tiles: np.ndarray) -> list[Fragment]:
             for s, node_ids in zip(shape_of.tolist(), zip(*[iter(ids)] * k))]
 
 
-def _arrangements(groups: Sequence[Sequence[int]]) -> Iterator[tuple[int, ...]]:
-    """Every ordering of the union of `groups` that keeps each group's
-    members in their given order (the distinct permutations of a
-    multiset of group ids)."""
-    if len(groups) == 1:
-        return iter((tuple(groups[0]),))
-    total = sum(len(group) for group in groups)
-    heads = [0] * len(groups)
-    placed: list[int] = []
-
-    def extend() -> Iterator[tuple[int, ...]]:
-        if len(placed) == total:
-            yield tuple(placed)
-            return
-        for g, group in enumerate(groups):
-            if heads[g] < len(group):
-                placed.append(group[heads[g]])
-                heads[g] += 1
-                yield from extend()
-                heads[g] -= 1
-                placed.pop()
-
-    return extend()
+def _neighbours(frag: Fragment) -> tuple[list[set[int]], list[set[int]]]:
+    """Each local index's internal in- and out-neighbour sets."""
+    preds: list[set[int]] = [set() for _ in range(len(frag))]
+    succs: list[set[int]] = [set() for _ in range(len(frag))]
+    for u, v in frag.edges:
+        succs[u].add(v)
+        preds[v].add(u)
+    return preds, succs
 
 
 def _layouts(frag: Fragment) -> Iterator[tuple[int, ...]]:
     """Candidate layouts (position -> original index) for the exact
     signature: annotation classes in sorted order and, inside each class,
-    every arrangement of its twin groups with each group's members in
-    ascending index.
+    one layout per distinct ordering of its members' twin-group tags,
+    each tag taking its group's next member in ascending index.
 
     Twins share their annotation and their internal in- and out-neighbour
     sets; swapping two twins is an automorphism and leaves the edge tuple
     unchanged, so skipping the layouts that only reorder twins cannot
     change the minimum. A class of c members in twin groups of sizes t1,
-    t2, ... gives c! / (t1! t2! ...) arrangements instead of c!.
+    t2, ... gives c! / (t1! t2! ...) layouts instead of c!; a class that
+    is one twin group gives one, without enumerating its tag orderings.
     """
-    n = len(frag)
-    preds: list[set[int]] = [set() for _ in range(n)]
-    succs: list[set[int]] = [set() for _ in range(n)]
-    for u, v in frag.edges:
-        succs[u].add(v)
-        preds[v].add(u)
+    preds, succs = _neighbours(frag)
     classes: dict[tuple[str, int, int], dict[tuple, list[int]]] = {}
     for i, annot in enumerate(frag.nodes):
         twins = classes.setdefault(annot, {})
         twins.setdefault((frozenset(preds[i]), frozenset(succs[i])), []).append(i)
-    per_class = [list(_arrangements(list(classes[annot].values())))
-                 for annot in sorted(classes)]
+    per_class = []
+    for annot in sorted(classes):
+        groups = list(classes[annot].values())
+        tags = tuple(g for g, group in enumerate(groups) for _ in group)
+        orders = dict.fromkeys(itertools.permutations(tags)) if len(groups) > 1 else (tags,)
+        arrangements = []
+        for order in orders:
+            members = list(map(iter, groups))
+            arrangements.append(tuple(next(members[g]) for g in order))
+        per_class.append(arrangements)
     for parts in itertools.product(*per_class):
         yield tuple(i for part in parts for i in part)
 
@@ -210,11 +202,7 @@ def _wl_hash(frag: Fragment) -> str:
     """Iterative neighborhood refinement; equal hashes are isomorphic in
     practice but not guaranteed (used above EXACT_LIMIT only)."""
     n = len(frag)
-    preds: list[list[int]] = [[] for _ in range(n)]
-    succs: list[list[int]] = [[] for _ in range(n)]
-    for u, v in frag.edges:
-        succs[u].append(v)
-        preds[v].append(u)
+    preds, succs = _neighbours(frag)
     labels = [repr(annot) for annot in frag.nodes]
     for _round in range(n):
         labels = [
@@ -318,11 +306,9 @@ def partition_isomorphic(vg: ValidatedGraph, granularity: int) -> PartitionResul
     # input reference, in ascending rank.
     producer = rank[vg.pred_pos]
     consumer = rank[np.repeat(np.arange(n), np.diff(vg.pred_start))]
-    owner = np.concatenate((consumer, producer))
-    neighbour = (np.sort(owner * n + np.concatenate((producer, consumer))) % n).tolist()
-    start = np.zeros(n + 1, np.intp)
-    np.cumsum(np.bincount(owner, minlength=n), out=start[1:])
-    head, end = start[:-1].tolist(), start[1:].tolist()
+    start, neighbour = owner_csr(np.concatenate((consumer, producer)),
+                                 np.concatenate((producer, consumer)), n)
+    neighbour, head, end = neighbour.tolist(), start[:-1].tolist(), start[1:].tolist()
     # head[r] only moves forward: the ranks it passes are taken for good,
     # so once it skips the newly taken ones it points at r's smallest
     # untaken neighbour.

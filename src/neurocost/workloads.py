@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateMesh, NonStochasticMatrix, check_count
-from .graph import ComputeGraph, OpNode
+from .graph import ComputeGraph
 from .neural import NeuralGraph, NeuronSpec
 from .sim import SimState
 
@@ -192,15 +192,9 @@ def gen_mesh(spec: MeshSpec) -> tuple[ComputeGraph, NeuralGraph]:
     threshold. Points beyond the two rails (n_mesh > 2) are padded with
     silent neurons so resource counts match the configured density.
     """
-    template = ComputeGraph(
-        nodes=(
-            OpNode("gather", "dot"),
-            OpNode("residual", "sub", ("gather",)),
-            OpNode("update", "add", ("residual",)),
-        ),
-        declared_inputs=("gather",),
-        declared_outputs=("update",),
-    )
+    template = ComputeGraph.from_columns(
+        ("gather", "residual", "update"), ("dot", "sub", "add"), ((), ("gather",), ("residual",)),
+        declared_inputs=("gather",), declared_outputs=("update",))
 
     rows, cols, vals = _coupling_rows(spec)
     equilibrium = mesh_equilibrium(spec)

@@ -255,6 +255,15 @@ class TestSweep:
         assert "r_squared=1.0" in out
         assert out.splitlines()[0] == "value,mean_e_t,total_e_n,steps"
 
+    def test_zero_energy_skips_the_regression(self, capsys):
+        # Amplitudes this far below v_thresh never fire a rail.
+        code, out, _err = invoke(capsys, ["sweep", "--workload", "mesh",
+                                          "--param", "amplitude",
+                                          "--values", "0.01,0.02", "--set", "m_s=64"])
+        assert code == 0
+        assert out.splitlines()[-1] == "regression skipped (zero energy measured)"
+        assert "slope=" not in out
+
     def test_single_value_rejected(self, capsys):
         code, _out, _err = invoke(capsys, ["sweep", "--workload", "mesh",
                                            "--param", "m_s", "--values", "64"])
@@ -317,6 +326,7 @@ class TestOptions:
     @pytest.mark.parametrize("extra, key", [
         (["--param", "mss"], "mss"),
         (["--param", "m_s", "--set", "kk=6"], "kk"),
+        (["--param", "m_s", "--set", "bogus"], "bogus"),
     ])
     def test_unknown_sweep_key_is_bad_input(self, capsys, extra, key):
         code, out, err = invoke(capsys, ["sweep", "--workload", "mesh",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 
 import neurocost as nc
 from neurocost.threads import Fragment, _exact_signature, _layouts, extract_fragment
@@ -182,3 +183,17 @@ def test_layout_count_is_multinomial_in_twin_groups():
     split = fragment([("mul", 0, 0)] * 4 + [("add", 0, 0)] * 2,
                      {(0, 4), (1, 4), (2, 5), (3, 5)})
     assert sum(1 for _ in _layouts(split)) == 6 * 2
+
+
+def test_layouts_are_distinct_and_multinomial_in_twin_groups():
+    # Per annotation class c! / (t1! t2! ...), twins by internal neighbour sets.
+    for frag in sample_fragments(2400, seed=5):
+        twin_groups = Counter(
+            (annot, frozenset(u for u, v in frag.edges if v == i),
+             frozenset(v for u, v in frag.edges if u == i))
+            for i, annot in enumerate(frag.nodes))
+        expected = (math.prod(map(math.factorial, Counter(frag.nodes).values()))
+                    // math.prod(map(math.factorial, twin_groups.values())))
+        layouts = list(_layouts(frag))
+        assert len(set(layouts)) == len(layouts) == expected, frag
+        assert all(sorted(layout) == list(range(len(frag))) for layout in layouts)

@@ -564,6 +564,11 @@ def test_float_delay_column_is_rejected():
         NeuralGraph(("a",), (_RELAY,), [0], [0.0], [0], [0], [1.0], [1.5])
 
 
+def test_spec_index_of_the_wrong_length_is_rejected():
+    with pytest.raises(ValueError, match=r"spec_index has shape \(1,\), expected \(2,\)"):
+        NeuralGraph(("a", "b"), (_RELAY,), [0], [0.0, 0.0], [], [], [], [])
+
+
 @pytest.mark.parametrize("specs, spec_index", [
     ((_RELAY, NeuronSpec("ann_relu")), [1, 0]),   # not in order of first use
     ((_RELAY, _RELAY), [0, 1]),                   # not distinct

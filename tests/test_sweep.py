@@ -15,6 +15,18 @@ def test_swept_key_cannot_be_fixed():
                      fixed=(("k", 4.0), ("m_s", 32.0)))
 
 
+def test_unknown_workload_is_rejected():
+    with pytest.raises(ValueError, match="workload must be one of .* got 'ring'"):
+        nc.SweepSpec(workload="ring", param="m_s", values=(64.0, 128.0))
+
+
+def test_zero_energy_skips_the_regression():
+    rows, reg = nc.run_sweep(nc.SweepSpec(workload="mesh", param="amplitude",
+                                          values=(0.01, 0.02), fixed=(("m_s", 64.0),)))
+    assert reg is None
+    assert [row.mean_e_t for row in rows] == [0.0, 0.0]
+
+
 def test_ff_rejects_a_window():
     with pytest.raises(ValueError, match="'ff' has no parameter 'window'"):
         nc.SweepSpec(workload="ff", param="n", values=(4.0, 8.0), fixed=(("window", 9.0),))
@@ -105,6 +117,15 @@ def test_numpy_repetitions_are_kept_as_an_int():
 def test_fit_loglog_recovers_a_power_law():
     reg = nc.fit_loglog([1.0, 2.0, 4.0], [3.0, 12.0, 48.0])
     assert reg.slope == pytest.approx(2.0) and reg.r_squared == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("xs, ys, message", [
+    ([2.0], [3.0], "need at least two"),
+    ([2.0, 2.0], [1.0, 3.0], "must not all be equal"),
+])
+def test_fit_loglog_needs_two_distinct_x_values(xs, ys, message):
+    with pytest.raises(ValueError, match=message):
+        nc.fit_loglog(xs, ys)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf, 0.0, -1.0])

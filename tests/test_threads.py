@@ -9,7 +9,7 @@ import pytest
 
 import neurocost as nc
 from neurocost import threads
-from neurocost.threads import extract_fragment
+from neurocost.threads import Fragment, extract_fragment
 
 from conftest import bench_cases
 
@@ -104,6 +104,9 @@ class TestCanonicalLabels:
             extract_fragment(footnote, ["a", "c", "a"])
         with pytest.raises(ValueError, match="node 'ghost' is not in the graph"):
             extract_fragment(footnote, ["c", "ghost", "c"])
+
+    def test_extract_fragment_of_no_ids_is_empty(self, footnote):
+        assert extract_fragment(footnote, []) == Fragment((), frozenset(), ())
 
     @pytest.mark.parametrize("seed", range(4))
     def test_extract_fragment_matches_id_reference(self, seed):

@@ -11,6 +11,7 @@ import pytest
 
 import neurocost as nc
 from conftest import network
+from test_front_end import MESH_TEMPLATE
 from neurocost.workloads import (
     Dtmc,
     _coupling_rows,
@@ -136,6 +137,12 @@ class TestMeshValidation:
         with pytest.raises(ValueError):
             nc.MeshSpec(m_s=4, k=2, m_t=5, dynamics=nc.Diffusion(0.5),
                         init=(1.0,) * 3, v_thresh=0.25)
+        with pytest.raises(ValueError, match="init must be finite"):
+            nc.MeshSpec(m_s=4, k=2, m_t=5, dynamics=nc.Diffusion(0.5),
+                        init=(1.0, math.nan, 1.0, 1.0), v_thresh=0.25)
+        for alpha in (0.0, 1.0):
+            with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+                nc.Diffusion(alpha)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, 0, -0.05])
     def test_v_thresh_must_be_finite_positive_number(self, bad):
@@ -162,6 +169,7 @@ class TestDtmc:
         ((0.5, 0.4), (0.1, 0.9)),            # row does not sum to one
         ((1.1, -0.1), (0.1, 0.9)),            # negative entry
         ((0.5, 0.5, 0.0), (0.1, 0.9, 0.0)),   # shape mismatch with m_s
+        ((0.5, math.nan), (0.1, 0.9)),        # not finite
     ])
     def test_non_stochastic_rejected(self, matrix):
         with pytest.raises(nc.NonStochasticMatrix):
@@ -513,8 +521,9 @@ class TestColumnarBuilders:
             ((0.2, 0.8, 0.0), (0.0, 0.3, 0.7), (0.6, 0.0, 0.4)))),
     ], ids=lambda spec: f"m{spec.m_s}k{spec.k}n{spec.n_mesh}{type(spec.dynamics).__name__}")
     def test_gen_mesh_equals_tuple_build(self, spec):
-        _, ng = nc.gen_mesh(spec)
+        template, ng = nc.gen_mesh(spec)
         _assert_same_network(ng, _mesh_by_tuples(spec))
+        assert template == MESH_TEMPLATE
 
     @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (24, 16)])
     def test_gen_ff_layer_equals_tuple_build(self, shape):
