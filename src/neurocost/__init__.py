@@ -48,7 +48,6 @@ from .errors import (
     NoRuleForOpKind,
     NonFiniteInput,
     NonFiniteState,
-    NonStochasticMatrix,
     PresetCycle,
     SchemaError,
     StitchingMismatch,
@@ -127,7 +126,6 @@ from .threads import (
 from .workloads import (
     FF_INPUT_THRESH,
     Diffusion,
-    Dtmc,
     FFLayerSpec,
     MeshSpec,
     decode_mesh_state,

@@ -125,10 +125,6 @@ class DegenerateMesh(NeurocostError):
     pass
 
 
-class NonStochasticMatrix(NeurocostError):
-    pass
-
-
 # file formats and configuration
 
 

@@ -150,7 +150,8 @@ SWEEP_WORKLOADS = tuple(SWEEP_TABLE)
 @dataclass(frozen=True)
 class SweepSpec:
     """One sweep: a workload, the parameter to vary, and fixed context.
-    Every swept and fixed value is checked when the spec is built."""
+    Every swept and fixed value is checked when the spec is built, the
+    swept ones also for what the log-log fit needs."""
 
     workload: str
     param: str
@@ -178,6 +179,10 @@ class SweepSpec:
         object.__setattr__(self, "repetitions", check_count("repetitions", self.repetitions))
         for value in self.values:
             self.point(value)
+        if not all(0 < v < math.inf for v in self.values):
+            raise ValueError(f"swept values must be finite and positive, got {self.values}")
+        if len(set(self.values)) == 1:
+            raise ValueError("swept values must not all be equal")
 
     def point(self, value: float) -> dict[str, float]:
         """Every parameter at the swept `value`, in table order, as the runner reads it."""

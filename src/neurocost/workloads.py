@@ -3,8 +3,8 @@
 Two families of benchmark workloads plus random-graph fuel for property
 tests:
 
-* an iterative mesh relaxation (local diffusion or a discrete-time Markov
-  chain) realized as a spiking network that transports residual in
+* an iterative mesh relaxation (nearest-neighbour diffusion on a ring)
+  realized as a spiking network that transports residual in
   threshold-sized quanta, so activity dies out as the solution converges;
 * a dense feed-forward layer (vector-matrix multiply plus nonlinearity)
   driven by deterministic rate-coded spike trains.
@@ -26,12 +26,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateMesh, NonStochasticMatrix, check_count
+from .errors import DegenerateMesh, check_count
 from .graph import ComputeGraph
 from .neural import NeuralGraph, NeuronSpec
 from .sim import SimState
-
-_STOCHASTIC_TOL = 1e-9
 
 
 def _frozen(values) -> np.ndarray:
@@ -54,26 +52,15 @@ class Diffusion:
 
 
 @dataclass(frozen=True, eq=False)
-class Dtmc:
-    """Expected-value iteration of a discrete-time Markov chain: the state
-    row-vector is multiplied by the transition matrix each step."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", _frozen(self.matrix))
-
-
-@dataclass(frozen=True, eq=False)
 class MeshSpec:
-    """A mesh relaxation problem: m_s points, fan-out k, m_t timesteps,
-    n_mesh neurons per point, and an initial state vector. A diffusion
-    ring and a chain's transition matrix are checked once, here."""
+    """A mesh relaxation problem: a diffusion ring of m_s points, fan-out
+    k, m_t timesteps, n_mesh neurons per point, and an initial state
+    vector. The ring is checked once, here."""
 
     m_s: int
     k: int
     m_t: int
-    dynamics: Diffusion | Dtmc
+    dynamics: Diffusion
     init: np.ndarray
     n_mesh: int = 2
     v_thresh: float = 0.05
@@ -90,9 +77,9 @@ class MeshSpec:
             raise ValueError(f"init has {self.init.size} entries for m_s={self.m_s}")
         if not np.all(np.isfinite(self.init)):
             raise ValueError("init must be finite")
-        if isinstance(self.dynamics, Dtmc):
-            _check_dtmc(self, self.dynamics.matrix)
-        elif self.m_s > 1:
+        if not isinstance(self.dynamics, Diffusion):
+            raise ValueError(f"dynamics must be a Diffusion, got {type(self.dynamics).__name__}")
+        if self.m_s > 1:
             if self.k == 0:
                 raise DegenerateMesh("k=0 with more than one mesh point leaves the mesh uncoupled")
             if self.k % 2 != 0:
@@ -102,35 +89,10 @@ class MeshSpec:
                     f"fan-out k={self.k} does not fit a ring of {self.m_s} points")
 
 
-def _check_dtmc(spec: MeshSpec, p: np.ndarray) -> None:
-    if p.shape != (spec.m_s, spec.m_s):
-        raise NonStochasticMatrix(
-            f"transition matrix shape {p.shape} does not match m_s={spec.m_s}")
-    if not np.all(np.isfinite(p)):
-        raise NonStochasticMatrix("transition matrix must be finite")
-    if np.any(p < 0):
-        raise NonStochasticMatrix("transition matrix entries must be nonnegative")
-    sums = p.sum(axis=1)
-    bad = np.nonzero(np.abs(sums - 1.0) > _STOCHASTIC_TOL)[0]
-    if bad.size:
-        raise NonStochasticMatrix(
-            f"row {bad[0]} sums to {sums[bad[0]]!r}, expected 1 within {_STOCHASTIC_TOL}")
-    off_diag = (p > 0).sum(axis=1) - (np.diag(p) > 0).astype(int)
-    if np.any(off_diag > spec.k):
-        worst = int(np.argmax(off_diag))
-        raise ValueError(
-            f"mesh point {worst} couples to {int(off_diag[worst])} neighbors, limit is k={spec.k}")
-
-
 def _coupling_rows(spec: MeshSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nonzeros of the update matrix W as (rows, cols, vals), row by row
-    with columns ascending: O(m_s * k) for a diffusion ring (1 - alpha on
-    the diagonal, alpha/k on each ring offset), the nonzeros of the
-    validated matrix for a chain."""
-    if isinstance(spec.dynamics, Dtmc):
-        p = spec.dynamics.matrix
-        rows, cols = np.nonzero(p)
-        return rows, cols, p[rows, cols]
+    """Nonzeros of the ring's update matrix W as (rows, cols, vals), row
+    by row with columns ascending, in O(m_s * k): 1 - alpha on the
+    diagonal, alpha/k on each ring offset."""
     if spec.m_s == 1:
         return np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp), np.ones(1)
     offsets = [0] + [off for d in range(1, spec.k // 2 + 1) for off in (d, -d)]
@@ -155,19 +117,9 @@ def reference_mesh_solve(spec: MeshSpec) -> np.ndarray:
 
 
 def mesh_equilibrium(spec: MeshSpec) -> np.ndarray:
-    """Fixed point the iteration relaxes toward, scaled to initial mass.
-
-    Diffusion mixes toward the mean. For a chain the stationary row
-    vector pi (pi = pi @ P, sum 1) is solved by least squares, so
-    reducible chains get the minimum-norm stationary vector.
-    """
-    if isinstance(spec.dynamics, Diffusion):
-        return np.full(spec.m_s, spec.init.mean())
-    a = np.vstack([spec.dynamics.matrix.T - np.eye(spec.m_s), np.ones((1, spec.m_s))])
-    b = np.zeros(spec.m_s + 1)
-    b[-1] = 1.0
-    pi, *_ = np.linalg.lstsq(a, b, rcond=None)
-    return pi * spec.init.sum()
+    """Fixed point the iteration relaxes toward: diffusion mixes toward
+    the mean of the initial state."""
+    return np.full(spec.m_s, spec.init.mean())
 
 
 def rail_ids(spec: MeshSpec) -> tuple[tuple[str, ...], tuple[str, ...]]:

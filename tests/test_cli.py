@@ -269,6 +269,21 @@ class TestSweep:
                                            "--param", "m_s", "--values", "64"])
         assert code == 2
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--param", "m_s", "--values", "16,16"], "swept values must not all be equal"),
+        (["--param", "mean", "--values=-1,1"],
+         "swept values must be finite and positive, got (-1.0, 1.0)"),
+    ])
+    def test_values_the_fit_cannot_use_fail_before_any_point(self, capsys, monkeypatch,
+                                                             extra, message):
+        # These used to run every point and then exit 2 from fit_loglog.
+        ran = []
+        params = sweep.SWEEP_TABLE["mesh"][1]
+        monkeypatch.setitem(sweep.SWEEP_TABLE, "mesh", (lambda *a: ran.append(a), params))
+        code, out, err = invoke(capsys, ["sweep", "--workload", "mesh"] + extra)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert ran == []
+
     def test_out_file(self, capsys, tmp_path):
         dest = tmp_path / "sweep.csv"
         code, out, _err = invoke(capsys, ["sweep", "--workload", "mesh",

@@ -101,6 +101,22 @@ def test_compute_graph_is_immutable(make, name):
     assert graph == make_footnote()
 
 
+def test_op_node_stores_a_list_of_inputs_as_a_tuple():
+    node = OpNode("s", "add", ["a", "b"])
+    assert node.inputs == ("a", "b") and type(node.inputs) is tuple
+    graph = ComputeGraph((OpNode("a", "in"), OpNode("b", "in"), node), ("a", "b"), ("s",))
+    twin = ComputeGraph.from_columns(("a", "b", "s"), ("in", "in", "add"), ((), (), ("a", "b")),
+                                     ("a", "b"), ("s",))
+    assert graph == twin and hash(graph) == hash(twin)
+
+
+@pytest.mark.parametrize("other", [None, 0, "footnote", (), make_footnote().nodes])
+def test_compute_graph_is_unequal_to_a_non_graph(other):
+    graph = make_footnote()
+    assert graph.__eq__(other) is NotImplemented
+    assert (graph == other) is False and (other == graph) is False and graph != other
+
+
 def test_from_columns_needs_one_entry_per_node():
     with pytest.raises(ValueError, match="one entry per node"):
         ComputeGraph.from_columns(["a", "b"], ["add"], [(), ()])

@@ -712,6 +712,14 @@ def test_golden_random_networks_equal_as_columns(seed):
     # the sign of each zero weight survives the columns
     assert [math.copysign(1, w) for w in ng.weight.tolist()] == [
         math.copysign(1, w) for w in want.weight.tolist()]
+    assert hash(ng) == hash(want) and {ng, want} == {want}
     for encoding in ENCODINGS:
         tr, state = golden_run(ng, ENCODINGS[encoding], 40, inputs=random_inputs(seed, 40))
         assert trace_digest(tr, state) == GOLDEN[f"random_s{seed}_{encoding}"]
+
+
+@pytest.mark.parametrize("other", [None, 0, "u0", (), make_footnote()])
+def test_neural_graph_is_unequal_to_a_non_network(other):
+    ng = _random_network_columns(0)
+    assert ng.__eq__(other) is NotImplemented
+    assert (ng == other) is False and (other == ng) is False and ng != other

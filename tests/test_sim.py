@@ -487,7 +487,7 @@ class TestRunControl:
             output_neurons=("q",),
         )
         tr = run(ng, 50, stop=nc.ZeroActivity(np.int64(3)))
-        assert len(tr.records) == 3
+        assert len(tr) == len(tr.records) == 3
         assert type(nc.ZeroActivity(np.int64(3)).window) is int
 
     @pytest.mark.parametrize("make", [
@@ -507,7 +507,7 @@ class TestRunControl:
             output_neurons=("q",),
         )
         tr = run(ng, 9, stop=None)
-        assert len(tr.records) == 9
+        assert len(tr) == len(tr.records) == 9
         assert [r.e_t for r in tr.records] == [0.0] * 9
 
     def test_window_one_never_stops_a_firing_loop(self):

@@ -56,6 +56,22 @@ def test_counts_are_checked_when_the_spec_is_built(workload, param, values, fixe
         nc.SweepSpec(workload=workload, param=param, values=values, fixed=fixed)
 
 
+@pytest.mark.parametrize("param, values, message", [
+    ("mean", (-1.0, 1.0), r"must be finite and positive, got \(-1.0, 1.0\)$"),
+    ("amplitude", (0.0, 1.0), "must be finite and positive"),
+    ("amplitude", (1.0, float("inf")), "must be finite and positive"),
+    ("alpha", (float("nan"), 0.5), "must be finite and positive"),
+    ("m_s", (16.0, 16.0), "must not all be equal$"),
+    ("v_thresh", (0.25, 0.25, 0.25), "must not all be equal$"),
+])
+def test_swept_values_meet_the_fit_when_the_spec_is_built(param, values, message):
+    with pytest.raises(ValueError, match=f"^swept values {message}"):
+        nc.SweepSpec(workload="mesh", param=param, values=values)
+    # A point's own count check still speaks first.
+    with pytest.raises(ValueError, match="^window must be an integer >= 1, got 0$"):
+        nc.SweepSpec(workload="mesh", param=param, values=values, fixed=(("window", 0.0),))
+
+
 def test_point_holds_every_parameter_and_counts_as_ints():
     spec = nc.SweepSpec(workload="ff", param="n_i", values=(4.0, 8.0),
                         fixed=(("n", 6.0), ("rate", 1)))

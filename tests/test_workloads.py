@@ -13,7 +13,6 @@ import neurocost as nc
 from conftest import network
 from test_front_end import MESH_TEMPLATE
 from neurocost.workloads import (
-    Dtmc,
     _coupling_rows,
     FFLayerSpec,
     decode_mesh_state,
@@ -120,9 +119,6 @@ class TestMeshValidation:
         with pytest.raises(nc.DegenerateMesh, match=match):
             nc.MeshSpec(m_s=4, k=k, m_t=5, dynamics=nc.Diffusion(0.5),
                         init=(1.0,) * 4, v_thresh=0.25)
-        # The ring rules are a diffusion's: a chain of the same fan-out builds.
-        nc.gen_mesh(nc.MeshSpec(m_s=4, k=k, m_t=5, dynamics=Dtmc(np.eye(4)),
-                                init=(1.0,) * 4, v_thresh=0.25))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -154,6 +150,26 @@ class TestMeshValidation:
     def test_v_thresh_accepts_positive_numbers(self, good):
         assert ring_spec(4, (1.0,) * 4, v_thresh=good).v_thresh == good
 
+    @pytest.mark.parametrize("dynamics", [0.5, None, (0.5,), np.eye(4)])
+    def test_dynamics_must_be_a_diffusion(self, dynamics):
+        # Checked when the spec is built, not as an AttributeError in gen_mesh.
+        name = type(dynamics).__name__
+        with pytest.raises(ValueError, match=f"dynamics must be a Diffusion, got {name}$"):
+            nc.MeshSpec(m_s=4, k=2, m_t=5, dynamics=dynamics, init=(1.0,) * 4)
+
+    def test_spec_owns_a_read_only_init(self):
+        init = np.array([3.0, 1.0, 0.0, 2.0])
+        spec = ring_spec(4, init, m_t=10)
+        _template, net = nc.gen_mesh(spec)
+        ref, equil = reference_mesh_solve(spec), mesh_equilibrium(spec)
+        init[:] = 0.0
+        assert spec.init.tolist() == [3.0, 1.0, 0.0, 2.0]
+        assert nc.gen_mesh(spec)[1] == net
+        assert np.array_equal(reference_mesh_solve(spec), ref)
+        assert np.array_equal(mesh_equilibrium(spec), equil)
+        with pytest.raises(ValueError, match="read-only"):
+            spec.init[0] = 9.0
+
     def test_numpy_counts_are_kept_as_ints(self):
         # A count read off an array's shape used to be rejected as a non-integer.
         init = np.ones(4)
@@ -162,97 +178,6 @@ class TestMeshValidation:
         counts = (spec.m_s, spec.k, spec.m_t, spec.n_mesh)
         assert counts == (4, 2, 5, 3) and all(type(c) is int for c in counts)
         assert len(nc.gen_mesh(spec)[1].neuron_ids) == 12
-
-
-class TestDtmc:
-    @pytest.mark.parametrize("matrix", [
-        ((0.5, 0.4), (0.1, 0.9)),            # row does not sum to one
-        ((1.1, -0.1), (0.1, 0.9)),            # negative entry
-        ((0.5, 0.5, 0.0), (0.1, 0.9, 0.0)),   # shape mismatch with m_s
-        ((0.5, math.nan), (0.1, 0.9)),        # not finite
-    ])
-    def test_non_stochastic_rejected(self, matrix):
-        with pytest.raises(nc.NonStochasticMatrix):
-            nc.MeshSpec(m_s=2, k=2, m_t=5, dynamics=Dtmc(matrix),
-                        init=(1.0, 1.0), v_thresh=0.25)
-
-    def test_coupling_wider_than_fanout_rejected(self):
-        dense = Dtmc((
-            (0.2, 0.3, 0.3, 0.2),
-            (0.25, 0.25, 0.25, 0.25),
-            (0.25, 0.25, 0.25, 0.25),
-            (0.2, 0.3, 0.3, 0.2),
-        ))
-        with pytest.raises(ValueError, match="couples to 3 neighbors, limit is k=2"):
-            nc.MeshSpec(m_s=4, k=2, m_t=5, dynamics=dense,
-                        init=(1.0,) * 4, v_thresh=0.25)
-
-    def test_chain_is_checked_once_at_construction(self, monkeypatch):
-        import neurocost.workloads as workloads
-        calls = []
-        check = workloads._check_dtmc
-
-        def counted(spec, p):
-            calls.append(p.shape)
-            check(spec, p)
-
-        monkeypatch.setattr(workloads, "_check_dtmc", counted)
-        spec = nc.MeshSpec(m_s=2, k=2, m_t=10, dynamics=Dtmc(((0.5, 0.5), (0.1, 0.9))),
-                           init=(3.0, 1.0), v_thresh=0.05)
-        assert calls == [(2, 2)]
-        _, ng = nc.gen_mesh(spec)
-        state = nc.init_sim(ng, nc.AnalogEncoding(), 0)
-        nc.run_sim(state, 10)
-        decode_mesh_state(spec, state)
-        mesh_equilibrium(spec)
-        assert calls == [(2, 2)]
-
-    def test_spec_owns_read_only_copies(self):
-        init, matrix = np.array([3.0, 1.0]), np.array([[0.5, 0.5], [0.1, 0.9]])
-        spec = nc.MeshSpec(m_s=2, k=2, m_t=10, dynamics=Dtmc(matrix), init=init, v_thresh=0.05)
-        _template, net = nc.gen_mesh(spec)
-        ref, equil = reference_mesh_solve(spec), mesh_equilibrium(spec)
-        init[:] = 0.0
-        matrix[:] = np.eye(2)
-        assert spec.init.tolist() == [3.0, 1.0]
-        assert spec.dynamics.matrix.tolist() == [[0.5, 0.5], [0.1, 0.9]]
-        assert nc.gen_mesh(spec)[1] == net
-        assert np.array_equal(reference_mesh_solve(spec), ref)
-        assert np.array_equal(mesh_equilibrium(spec), equil)
-        for arr, index in ((spec.init, 0), (spec.dynamics.matrix, (0, 0))):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[index] = 9.0
-
-    def test_two_state_chain_equilibrium(self):
-        # pi = (1/6, 5/6), scaled to the initial mass of 4
-        chain = Dtmc(((0.5, 0.5), (0.1, 0.9)))
-        spec = nc.MeshSpec(m_s=2, k=2, m_t=60, dynamics=chain,
-                           init=(3.0, 1.0), v_thresh=0.05)
-        equil = mesh_equilibrium(spec)
-        assert equil.tolist() == pytest.approx([2 / 3, 10 / 3], rel=1e-9)
-        ref = reference_mesh_solve(spec)
-        assert ref[-1].tolist() == pytest.approx([2 / 3, 10 / 3], rel=1e-6)
-
-        _, ng = nc.gen_mesh(spec)
-        state = nc.init_sim(ng, nc.AnalogEncoding(), 0)
-        nc.run_sim(state, 60)
-        decoded = decode_mesh_state(spec, state)
-        assert np.max(np.abs(decoded - ref[-1])) <= 0.05
-
-    def test_reducible_chain_gets_min_norm_equilibrium(self):
-        # an identity chain holds (3, 1) exactly; the least-squares
-        # stationary vector is the uniform split, and the transported
-        # network relaxes to that artifact instead
-        ident = Dtmc(((1.0, 0.0), (0.0, 1.0)))
-        spec = nc.MeshSpec(m_s=2, k=2, m_t=30, dynamics=ident,
-                           init=(3.0, 1.0), v_thresh=0.05)
-        assert mesh_equilibrium(spec).tolist() == pytest.approx([2.0, 2.0])
-        assert reference_mesh_solve(spec)[-1].tolist() == [3.0, 1.0]
-        _, ng = nc.gen_mesh(spec)
-        state = nc.init_sim(ng, nc.AnalogEncoding(), 0)
-        nc.run_sim(state, 30)
-        decoded = decode_mesh_state(spec, state)
-        assert np.max(np.abs(decoded - np.array([2.0, 2.0]))) <= 0.1
 
 
 class TestSinusoidInit:
@@ -400,8 +325,6 @@ def _ring_cases():
                 yield m_s, k, alpha
 
 
-_CHAINS = [((0.5, 0.5), (0.1, 0.9)), ((1.0, 0.0), (0.0, 1.0))]
-
 
 class TestSparseMesh:
     @pytest.mark.parametrize("m_s,k,alpha", list(_ring_cases()))
@@ -412,18 +335,10 @@ class TestSparseMesh:
         assert ref.shape == (16, m_s)
         assert np.max(np.abs(ref - _dense_solve(spec))) <= 1e-12
 
-    @pytest.mark.parametrize("matrix", _CHAINS)
-    def test_oracle_matches_dense_chain(self, matrix):
-        spec = nc.MeshSpec(m_s=2, k=2, m_t=30, dynamics=Dtmc(matrix),
-                           init=(3.0, 1.0), v_thresh=0.05)
-        assert np.max(np.abs(reference_mesh_solve(spec) - _dense_solve(spec))) <= 1e-12
-
     @pytest.mark.parametrize("spec", [
         ring_spec(33, nc.sinusoid_init(33, cycles=3), k=6, alpha=0.3),
         ring_spec(8, (1.0, 0.0) * 4, k=4),
         ring_spec(1, (2.0,), k=0),
-        nc.MeshSpec(m_s=2, k=2, m_t=5, dynamics=Dtmc(_CHAINS[0]), init=(3.0, 1.0)),
-        nc.MeshSpec(m_s=2, k=2, m_t=5, dynamics=Dtmc(_CHAINS[1]), init=(3.0, 1.0)),
     ])
     def test_gen_mesh_matches_dense_rows(self, spec):
         w = coupling_matrix(spec)
@@ -516,9 +431,6 @@ class TestColumnarBuilders:
         ring_spec(6, (-0.0, 0.0, 1.0, -1.0, 0.5, -0.5), k=2),
         nc.MeshSpec(m_s=5, k=2, m_t=4, dynamics=nc.Diffusion(0.4),
                     init=(3.0, 1.0, 0.0, 2.0, 4.0), n_mesh=4),
-        nc.MeshSpec(m_s=2, k=2, m_t=5, dynamics=Dtmc(_CHAINS[0]), init=(3.0, 1.0)),
-        nc.MeshSpec(m_s=3, k=2, m_t=5, init=(1.0, 2.0, 0.5), dynamics=Dtmc(
-            ((0.2, 0.8, 0.0), (0.0, 0.3, 0.7), (0.6, 0.0, 0.4)))),
     ], ids=lambda spec: f"m{spec.m_s}k{spec.k}n{spec.n_mesh}{type(spec.dynamics).__name__}")
     def test_gen_mesh_equals_tuple_build(self, spec):
         template, ng = nc.gen_mesh(spec)
