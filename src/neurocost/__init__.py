@@ -112,7 +112,6 @@ from .sim import (
 )
 from .threads import (
     EXACT_LIMIT,
-    HARD_CAP,
     ORACLE_CAP,
     Fragment,
     PartitionResult,

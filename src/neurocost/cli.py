@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_part.add_argument("--p", type=int,
                         help="processor count (default: the extracted thread count)")
     p_part.add_argument("--granularity", type=int, default=2,
-                        help="fragment size for partitioning")
+                        help="fragment size for partitioning, 1 to 8 (exact labels stop at 8)")
 
     p_sweep = command("sweep", _cmd_sweep, "sweep a workload parameter, fit scaling",
                       graph=False, constants=True)
@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
         textwrap.fill(" ".join(f"{key}={p.shown or p.default}{'*' * (p.minimum is not None)}"
                                for key, p in params.items()),
                       78, initial_indent=f"  {workload + ':':<8}", subsequent_indent=" " * 10)
-        for workload, (_runner, params) in SWEEP_TABLE.items())
+        for workload, (_build, _run, params) in SWEEP_TABLE.items())
     p_sweep.add_argument("--workload", choices=SWEEP_WORKLOADS, required=True)
     p_sweep.add_argument("--param", required=True, help="swept parameter name")
     p_sweep.add_argument("--values", required=True,

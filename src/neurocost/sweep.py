@@ -11,7 +11,7 @@ import numpy as np
 
 from .costs import PRESETS, CostConstants
 from .errors import check_count
-from .graph import validate_graph
+from .graph import ComputeGraph, validate_graph
 from .neural import NeuralGraph, count_resources, lower_graph
 from .sim import AnalogEncoding, SimTrace, ZeroActivity, init_sim, reconcile_energy, run_sim
 from .workloads import (
@@ -66,7 +66,8 @@ class SweepRow:
 
 SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
-#: One point's measurement: (mean_e_t, total_e_n, steps).
+#: One point's parameters by name, and its measurement: (mean_e_t, total_e_n, steps).
+Point = Mapping[str, float]
 PointResult = tuple[float, float, int]
 
 
@@ -85,26 +86,36 @@ def _warm_up(trace: SimTrace, window: int) -> PointResult:
     return float(sum(warm) / len(warm)), trace.e_n, len(trace.records)
 
 
-def _mesh_point(p: Mapping[str, float], constants: CostConstants, seed: int) -> PointResult:
+def _mesh_spec(p: Point, _seed: int) -> MeshSpec:
     init = sinusoid_init(p["m_s"], amplitude=p["amplitude"], mean=p["mean"], cycles=p["cycles"])
-    _template, ng = gen_mesh(MeshSpec(m_s=p["m_s"], k=p["k"], m_t=p["m_t"], init=init,
-                                      dynamics=Diffusion(p["alpha"]), n_mesh=p["n_mesh"],
-                                      v_thresh=p["v_thresh"]))
+    return MeshSpec(m_s=p["m_s"], k=p["k"], m_t=p["m_t"], init=init,
+                    dynamics=Diffusion(p["alpha"]), n_mesh=p["n_mesh"], v_thresh=p["v_thresh"])
+
+
+def _mesh_point(spec: MeshSpec, p: Point, constants: CostConstants, seed: int) -> PointResult:
+    _template, ng = gen_mesh(spec)
     trace = _simulate(ng, constants, seed, p["m_t"], stop=ZeroActivity(window=3))
     return _warm_up(trace, p["window"])
 
 
-def _ff_point(p: Mapping[str, float], constants: CostConstants, seed: int) -> PointResult:
-    n_i, spp = p["n_i"], p["steps_per_presentation"]
-    weights = np.random.default_rng(seed).uniform(0.2, 1.0, size=(n_i, p["n_j"]))
-    spec = FFLayerSpec(weights, [p["rate"]] * n_i, spp)
-    trace = _simulate(gen_ff_layer(spec), constants, seed, p["presentations"] * spp,
+def _ff_spec(p: Point, seed: int) -> FFLayerSpec:
+    weights = np.random.default_rng(seed).uniform(0.2, 1.0, size=(p["n_i"], p["n_j"]))
+    return FFLayerSpec(weights, [p["rate"]] * p["n_i"], p["steps_per_presentation"])
+
+
+def _ff_point(spec: FFLayerSpec, p: Point, constants: CostConstants, seed: int) -> PointResult:
+    trace = _simulate(gen_ff_layer(spec), constants, seed,
+                      p["presentations"] * p["steps_per_presentation"],
                       inputs=ff_input_schedule(spec))
     return float(trace.e_n / p["presentations"]), trace.e_n, len(trace.records)
 
 
-def _random_point(p: Mapping[str, float], constants: CostConstants, seed: int) -> PointResult:
-    graph = gen_random_dag(p["n"], p["density"], ("add", "mul", "relay"), seed)
+def _random_graph(p: Point, seed: int) -> ComputeGraph:
+    return gen_random_dag(p["n"], p["density"], ("add", "mul", "relay"), seed)
+
+
+def _random_point(graph: ComputeGraph, p: Point, constants: CostConstants,
+                  seed: int) -> PointResult:
     ng, _am = lower_graph(validate_graph(graph))
     kick = tuple((nid, 1.5) for nid in ng.input_neurons)
     trace = _simulate(ng, constants, seed, p["steps"], stop=ZeroActivity(window=3),
@@ -117,7 +128,7 @@ class Param:
     """A workload parameter: its default (a number, or a function of the parameters
     listed before it, written out as `shown`) and, for a count, its least value."""
 
-    default: float | Callable[[Mapping[str, float]], float]
+    default: float | Callable[[Point], float]
     minimum: int | None = None
     shown: str = ""
 
@@ -128,19 +139,21 @@ class Param:
         return check_count(name, int(value) if float(value).is_integer() else value, self.minimum)
 
 
-#: Each workload's point runner and its parameters in help order, each as
-#: Param(default, least value if a count, text of a derived default).
-SWEEP_TABLE: Mapping[str, tuple[Callable[..., PointResult], Mapping[str, Param]]] = {
-    "mesh": (_mesh_point, {
+#: Each workload's build half, (point, seed) -> its checked spec or graph, its
+#: run half, (built, point, constants, seed) -> PointResult, and its parameters in
+#: help order, each as Param(default, least value if a count, text of a derived default).
+SWEEP_TABLE: Mapping[str, tuple[Callable[..., object], Callable[..., PointResult],
+                                Mapping[str, Param]]] = {
+    "mesh": (_mesh_spec, _mesh_point, {
         "m_s": Param(64, 1), "k": Param(4, 0), "m_t": Param(60, 1), "n_mesh": Param(2, 2),
         "v_thresh": Param(0.25), "amplitude": Param(1.0), "mean": Param(1.0),
         "cycles": Param(lambda p: max(1, p["m_s"] // 16), 0, "max(1,m_s//16)"),
         "alpha": Param(0.5), "window": Param(5, 1)}),
-    "ff": (_ff_point, {
+    "ff": (_ff_spec, _ff_point, {
         "n": Param(8, 1), "n_i": Param(lambda p: p["n"], 1, "n"),
         "n_j": Param(lambda p: p["n"], 1, "n"), "rate": Param(0.5),
         "steps_per_presentation": Param(10, 1), "presentations": Param(3, 1)}),
-    "random": (_random_point, {
+    "random": (_random_graph, _random_point, {
         "n": Param(32, 1), "density": Param(0.2), "steps": Param(50, 1),
         "window": Param(5, 1)}),
 }
@@ -151,7 +164,9 @@ SWEEP_WORKLOADS = tuple(SWEEP_TABLE)
 class SweepSpec:
     """One sweep: a workload, the parameter to vary, and fixed context.
     Every swept and fixed value is checked when the spec is built, the
-    swept ones also for what the log-log fit needs."""
+    swept ones also for what the log-log fit needs; then each point's
+    workload spec or graph is built once, at seed 0, and dropped, so a
+    value the workload rejects fails before any point runs."""
 
     workload: str
     param: str
@@ -163,7 +178,7 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.workload not in SWEEP_TABLE:
             raise ValueError(f"workload must be one of {SWEEP_WORKLOADS}, got {self.workload!r}")
-        known = SWEEP_TABLE[self.workload][1]
+        known = SWEEP_TABLE[self.workload][2]
         keys = [self.param, *(key for key, _value in self.fixed)]
         for key in keys:
             if key not in known:
@@ -183,12 +198,14 @@ class SweepSpec:
             raise ValueError(f"swept values must be finite and positive, got {self.values}")
         if len(set(self.values)) == 1:
             raise ValueError("swept values must not all be equal")
+        for value in self.values:
+            SWEEP_TABLE[self.workload][0](self.point(value), 0)
 
     def point(self, value: float) -> dict[str, float]:
-        """Every parameter at the swept `value`, in table order, as the runner reads it."""
+        """Every parameter at the swept `value`, in table order, as the halves read it."""
         given = {**dict(self.fixed), self.param: value}
         point: dict[str, float] = {}
-        for key, param in SWEEP_TABLE[self.workload][1].items():
+        for key, param in SWEEP_TABLE[self.workload][2].items():
             point[key] = (param.read(key, given[key]) if key in given else
                           param.default(point) if callable(param.default) else param.default)
         return point
@@ -203,11 +220,12 @@ def run_sweep(spec: SweepSpec, seed: int = 0
     value are averaged before fitting. The regression is skipped (None)
     when any averaged energy is zero, since a log-log fit is undefined.
     """
-    runner = SWEEP_TABLE[spec.workload][0]
+    build, run, _params = SWEEP_TABLE[spec.workload]
     rows: list[SweepRow] = []
     for value in sorted(spec.values):
         point = spec.point(value)
-        reps = [runner(point, spec.constants, seed + r) for r in range(spec.repetitions)]
+        reps = [run(build(point, seed + r), point, spec.constants, seed + r)
+                for r in range(spec.repetitions)]
         mean_e_t, total_e_n, steps = (sum(column) / len(reps) for column in zip(*reps))
         rows.append(SweepRow(value=float(value), mean_e_t=float(mean_e_t),
                              total_e_n=float(total_e_n), steps=round(steps)))

@@ -7,17 +7,19 @@ min(p_threads, p) / p.
 
 Fragments are compared on internal structure plus each node's external
 in/out arity, so a fragment embedded differently in the host graph gets a
-different label. Labels are exact canonical forms up to 8 nodes and
-neighborhood-refinement hashes above that; the two namespaces never
-collide. An exact label is the lexicographically smallest edge tuple over
-the relabelings that list nodes by sorted annotation. Twins (nodes with
-the same annotation and the same internal in- and out-neighbours) can
-swap without changing the edge tuple, so the search tags each member of
-an annotation class with its twin group and tries one layout per
-distinct ordering of the tags (`itertools.permutations`, repeats
-dropped). A class that is one twin group has one ordering and is not
-enumerated: a fragment of one hub and seven identical leaves has one
-candidate layout instead of 7! = 5040.
+different label. Every label is an exact canonical form, so equal labels
+mean isomorphic fragments, and fragments stop at 8 nodes (`EXACT_LIMIT`):
+a larger fragment, or a partition at a larger granularity, raises
+FragmentTooLarge. (A neighbourhood-refinement hash would reach further,
+but it gives some non-isomorphic fragments one label.) A label is the
+lexicographically smallest edge tuple over the relabelings that list
+nodes by sorted annotation. Twins (nodes with the same annotation and
+the same internal in- and out-neighbours) can swap without changing the
+edge tuple, so the search tags each member of an annotation class with
+its twin group and tries one layout per distinct ordering of the tags
+(`itertools.permutations`, repeats dropped). A class that is one twin
+group has one ordering and is not enumerated: a fragment of one hub and
+seven identical leaves has one candidate layout instead of 7! = 5040.
 
 The greedy partition tiles in rank space, positions ranked once by
 (level, id), with one forward-only pointer per rank into its ascending
@@ -37,7 +39,6 @@ hashlib would also load OpenSSL (about 3.5 MB of peak RSS), unused.
 from __future__ import annotations
 
 import itertools
-import logging
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -51,10 +52,7 @@ try:
 except ImportError:
     from hashlib import blake2b
 
-logger = logging.getLogger(__name__)
-
 EXACT_LIMIT = 8
-HARD_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -138,16 +136,6 @@ def _fragments(vg: ValidatedGraph, tiles: np.ndarray) -> list[Fragment]:
             for s, node_ids in zip(shape_of.tolist(), zip(*[iter(ids)] * k))]
 
 
-def _neighbours(frag: Fragment) -> tuple[list[set[int]], list[set[int]]]:
-    """Each local index's internal in- and out-neighbour sets."""
-    preds: list[set[int]] = [set() for _ in range(len(frag))]
-    succs: list[set[int]] = [set() for _ in range(len(frag))]
-    for u, v in frag.edges:
-        succs[u].add(v)
-        preds[v].add(u)
-    return preds, succs
-
-
 def _layouts(frag: Fragment) -> Iterator[tuple[int, ...]]:
     """Candidate layouts (position -> original index) for the exact
     signature: annotation classes in sorted order and, inside each class,
@@ -161,7 +149,11 @@ def _layouts(frag: Fragment) -> Iterator[tuple[int, ...]]:
     t2, ... gives c! / (t1! t2! ...) layouts instead of c!; a class that
     is one twin group gives one, without enumerating its tag orderings.
     """
-    preds, succs = _neighbours(frag)
+    preds: list[set[int]] = [set() for _ in range(len(frag))]
+    succs: list[set[int]] = [set() for _ in range(len(frag))]
+    for u, v in frag.edges:
+        succs[u].add(v)
+        preds[v].add(u)
     classes: dict[tuple[str, int, int], dict[tuple, list[int]]] = {}
     for i, annot in enumerate(frag.nodes):
         twins = classes.setdefault(annot, {})
@@ -187,8 +179,12 @@ def _exact_signature(frag: Fragment) -> tuple:
     Admissible relabelings list nodes by sorted annotation. The search
     visits only the layouts of `_layouts`, one per arrangement of each
     class's twin groups, which reach the same minimum as trying every
-    ordering of every class.
+    ordering of every class. Raises FragmentTooLarge above EXACT_LIMIT
+    nodes.
     """
+    if len(frag) > EXACT_LIMIT:
+        raise FragmentTooLarge(f"fragment has {len(frag)} nodes, exact labels stop at "
+                               f"{EXACT_LIMIT}")
     best_edges: tuple[tuple[int, int], ...] | None = None
     for layout in _layouts(frag):
         position = {orig: pos for pos, orig in enumerate(layout)}
@@ -198,33 +194,10 @@ def _exact_signature(frag: Fragment) -> tuple:
     return (tuple(sorted(frag.nodes)), best_edges)
 
 
-def _wl_hash(frag: Fragment) -> str:
-    """Iterative neighborhood refinement; equal hashes are isomorphic in
-    practice but not guaranteed (used above EXACT_LIMIT only)."""
-    n = len(frag)
-    preds, succs = _neighbours(frag)
-    labels = [repr(annot) for annot in frag.nodes]
-    for _round in range(n):
-        labels = [
-            blake2b(
-                (labels[i] + "|" + ",".join(sorted(labels[j] for j in preds[i]))
-                 + "|" + ",".join(sorted(labels[j] for j in succs[i]))).encode(),
-                digest_size=16,
-            ).hexdigest()
-            for i in range(n)
-        ]
-    summary = f"{n};{len(frag.edges)};" + ",".join(sorted(labels))
-    return blake2b(summary.encode(), digest_size=16).hexdigest()
-
-
 def canonical_label(frag: Fragment) -> str:
-    """Stable text label; equal labels mean isomorphic fragments (exactly
-    so for fragments of <= 8 nodes). Raises FragmentTooLarge above 64."""
-    if len(frag) > HARD_CAP:
-        raise FragmentTooLarge(f"fragment has {len(frag)} nodes, cap is {HARD_CAP}")
-    if len(frag) <= EXACT_LIMIT:
-        return _exact_label(_exact_signature(frag))
-    return "h" + _wl_hash(frag)
+    """Stable text label: "x" and a digest of the exact signature, so equal
+    labels mean isomorphic fragments. Raises FragmentTooLarge above 8 nodes."""
+    return _exact_label(_exact_signature(frag))
 
 
 def _exact_label(signature: tuple) -> str:
@@ -237,8 +210,6 @@ def isomorphic(a: Fragment, b: Fragment) -> bool:
         return False
     if sorted(a.nodes) != sorted(b.nodes):
         return False
-    if len(a) > EXACT_LIMIT:
-        raise FragmentTooLarge(f"exact verification capped at {EXACT_LIMIT} nodes")
     return _exact_signature(a) == _exact_signature(b)
 
 
@@ -256,10 +227,10 @@ def _group_by_label(fragments: Iterable[Fragment]) -> dict[str, list[Fragment]]:
     """Fragments grouped by canonical label, labels in order of first use.
 
     A label is a pure function of the fragment's shape (nodes, edges), so
-    each distinct shape is labelled once. For <= 8-node shapes the exact
-    signature serves both the label and the family check: every shape's
-    full signature (not its digest) must equal that of the first shape
-    given its label, which alone is kept.
+    each distinct shape is labelled once. The exact signature serves both
+    the label and the family check: every shape's full signature (not its
+    digest) must equal that of the first shape given its label, which
+    alone is kept.
     """
     labels: dict[tuple, str] = {}
     heads: dict[str, tuple] = {}
@@ -268,21 +239,27 @@ def _group_by_label(fragments: Iterable[Fragment]) -> dict[str, list[Fragment]]:
         shape = (frag.nodes, frag.edges)
         label = labels.get(shape)
         if label is None:
-            if len(frag) <= EXACT_LIMIT:
-                signature = _exact_signature(frag)
-                label = _exact_label(signature)
-                if heads.setdefault(label, signature) != signature:
-                    raise AssertionError(f"family {label} contains non-isomorphic members")
-            else:
-                label = canonical_label(frag)
-            labels[shape] = label
+            signature = _exact_signature(frag)
+            label = labels[shape] = _exact_label(signature)
+            if heads.setdefault(label, signature) != signature:
+                raise AssertionError(f"family {label} contains non-isomorphic members")
         grouped.setdefault(label, []).append(frag)
     return grouped
 
 
+def _check_granularity(granularity: int) -> int:
+    """A fragment size from 1 to EXACT_LIMIT; FragmentTooLarge above it."""
+    granularity = check_count("granularity", granularity)
+    if granularity > EXACT_LIMIT:
+        raise FragmentTooLarge(
+            f"granularity {granularity} exceeds the exact-label limit of {EXACT_LIMIT}")
+    return granularity
+
+
 def partition_isomorphic(vg: ValidatedGraph, granularity: int) -> PartitionResult:
     """Greedy level-aligned tiling into connected fragments of exactly
-    `granularity` nodes, grouped by canonical label.
+    `granularity` nodes, 1 to 8, grouped by canonical label; a larger
+    granularity raises FragmentTooLarge before any tiling.
 
     Seeds come in rank order, (level, id). A fragment grows by the
     smallest-rank untaken neighbour of any member, which each member's
@@ -290,11 +267,10 @@ def partition_isomorphic(vg: ValidatedGraph, granularity: int) -> PartitionResul
     every list entry is passed once. Full fragments, members in rank
     order, are built in one bulk pass.
 
-    Undersized leftovers go to the residual. In families of <= 8-node
-    fragments, every member's exact signature must equal the first
-    member's.
+    Undersized leftovers go to the residual. In every family, each
+    member's exact signature must equal the first member's.
     """
-    granularity = check_count("granularity", granularity)
+    granularity = _check_granularity(granularity)
     n = len(vg)
     # Tiling order: by level, then by id (a stable sort by level of the id
     # order). Python sorts the ids: numpy's str dtype drops trailing NULs.
@@ -405,10 +381,10 @@ ORACLE_CAP = 12
 def brute_force_partition(vg: ValidatedGraph, granularity: int) -> PartitionResult:
     """Exhaustive reference: the true maximum family of disjoint isomorphic
     connected fragments of the given size. Graphs above 12 nodes raise
-    GraphTooLargeForOracle."""
+    GraphTooLargeForOracle, granularities above 8 FragmentTooLarge."""
     if len(vg) > ORACLE_CAP:
         raise GraphTooLargeForOracle(f"oracle capped at {ORACLE_CAP} nodes, got {len(vg)}")
-    granularity = check_count("granularity", granularity)
+    granularity = _check_granularity(granularity)
     subsets = [list(map(vg.index.__getitem__, s)) for s in _connected_subsets(vg, granularity)]
     by_label = _group_by_label(_fragments(vg, np.array(subsets, np.intp).reshape(-1, granularity)))
     best_label, best_members = None, []

@@ -278,9 +278,27 @@ class TestSweep:
                                                              extra, message):
         # These used to run every point and then exit 2 from fit_loglog.
         ran = []
-        params = sweep.SWEEP_TABLE["mesh"][1]
-        monkeypatch.setitem(sweep.SWEEP_TABLE, "mesh", (lambda *a: ran.append(a), params))
+        build, _run, params = sweep.SWEEP_TABLE["mesh"]
+        monkeypatch.setitem(sweep.SWEEP_TABLE, "mesh", (build, lambda *a: ran.append(a), params))
         code, out, err = invoke(capsys, ["sweep", "--workload", "mesh"] + extra)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert ran == []
+
+    @pytest.mark.parametrize("workload, param, fixed, message", [
+        ("ff", "rate", ["--set", "n=512", "--set", "presentations=40"],
+         "rates must lie in [0, 1]"),
+        ("mesh", "alpha", [], "alpha must lie in (0, 1), got 1.5"),
+        ("random", "density", [], "edge_density must lie in [0, 1], got 1.5"),
+    ])
+    def test_a_value_the_workload_rejects_fails_before_any_point(
+            self, capsys, monkeypatch, workload, param, fixed, message):
+        # These used to run the good value in full before the bad one failed.
+        ran = []
+        for name, (build, _run, params) in sweep.SWEEP_TABLE.items():
+            monkeypatch.setitem(sweep.SWEEP_TABLE, name,
+                                (build, lambda *a: ran.append(a), params))
+        code, out, err = invoke(capsys, ["sweep", "--workload", workload, "--param", param,
+                                         "--values", "0.5,1.5"] + fixed)
         assert (code, out, err) == (2, "", f"error: {message}\n")
         assert ran == []
 
@@ -390,7 +408,7 @@ class TestSweepOptions:
         text = " ".join(out.split())
         assert "mesh: m_s=64* k=4*" in text and "cycles=max(1,m_s//16)*" in text
         assert "ff: n=8* n_i=n*" in text and "rate=0.5 " in text
-        for workload, (_runner, params) in sweep.SWEEP_TABLE.items():
+        for workload, (_build, _run, params) in sweep.SWEEP_TABLE.items():
             assert f"{workload}: " in text
             for key in params:
                 assert f" {key}=" in text

@@ -205,3 +205,7 @@ class TestTableCsv:
     def test_rows_csv_reprs(self):
         text = fileio.emit_rows_csv(("a", "b"), [(0.1, float("inf")), (2, -3.5)])
         assert text == "a,b\n0.1,inf\n2,-3.5\n"
+
+    def test_rows_csv_writes_bools_as_digits(self):
+        text = fileio.emit_rows_csv(("ok", "n"), [(True, 1), (False, 0)])
+        assert text == "ok,n\n1,1\n0,0\n"

@@ -117,6 +117,10 @@ def test_compute_graph_is_unequal_to_a_non_graph(other):
     assert (graph == other) is False and (other == graph) is False and graph != other
 
 
+def test_compute_graph_repr_counts_nodes_and_edges():
+    assert repr(make_footnote()) == "ComputeGraph(4 nodes, 3 edges)"
+
+
 def test_from_columns_needs_one_entry_per_node():
     with pytest.raises(ValueError, match="one entry per node"):
         ComputeGraph.from_columns(["a", "b"], ["add"], [(), ()])

@@ -294,6 +294,20 @@ def test_lower_footnote_relay(footnote):
     assert r.s_bar == 0.75
 
 
+def test_neural_graph_repr_counts_neurons_and_synapses(footnote):
+    ng, _am = lower_graph(footnote, relay_rules({"sub", "mul", "pow"}))
+    assert repr(ng) == "NeuralGraph(4 neurons, 3 synapses)"
+
+
+@pytest.mark.parametrize("other", [None, 0, "a", ()])
+def test_assembly_map_is_unequal_to_a_non_map_and_unhashable(footnote, other):
+    _ng, am = lower_graph(footnote, relay_rules({"sub", "mul", "pow"}))
+    assert am.__eq__(other) is NotImplemented
+    assert (am == other) is False and (other == am) is False and am != other
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(am)
+
+
 def test_lower_footnote_depth_two(footnote):
     ng, am = lower_graph(footnote, relay_rules({"sub", "mul", "pow"},
                                                neuron_count=2))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import neurocost as nc
+import neurocost.cli as cli
 from neurocost import threads
 from neurocost.threads import Fragment, extract_fragment
 
@@ -51,19 +52,12 @@ class TestCanonicalLabels:
         assert nc.canonical_label(fa) == nc.canonical_label(fb)
         assert nc.isomorphic(fa, fb)
 
-    def test_hashed_label_invariant_under_renaming(self):
-        vg = make_chain(10)
-        pg = permute_ids(vg, 23)
-        fa = extract_fragment(vg, tuple(n.id for n in vg.graph.nodes))
-        fb = extract_fragment(pg, tuple(n.id for n in pg.graph.nodes))
-        assert nc.canonical_label(fa).startswith("h")
-        assert nc.canonical_label(fa) == nc.canonical_label(fb)
-
     def test_label_prefixes_by_size(self):
         small = extract_fragment(make_chain(6), tuple(f"n{i}" for i in range(6)))
         big = extract_fragment(make_chain(12), tuple(f"n{i}" for i in range(12)))
         assert nc.canonical_label(small).startswith("x")
-        assert nc.canonical_label(big).startswith("h")
+        with pytest.raises(nc.FragmentTooLarge, match="12 nodes, exact labels stop at 8"):
+            nc.canonical_label(big)
 
     def test_chain_and_fan_get_different_labels(self):
         chain3 = nc.validate_graph(nc.ComputeGraph(
@@ -133,12 +127,6 @@ class TestCanonicalLabels:
                 ids = [vg.graph.ids[i] for i in row]
                 assert (frag.nodes, frag.edges, frag.node_ids) == id_reference_fragment(vg, ids)
 
-    def test_wl_label_equal_for_shifted_interior_windows(self):
-        vg = make_chain(20)
-        f_lo = extract_fragment(vg, tuple(f"n{i}" for i in range(1, 10)))
-        f_hi = extract_fragment(vg, tuple(f"n{i}" for i in range(10, 19)))
-        assert nc.canonical_label(f_lo) == nc.canonical_label(f_hi)
-
     def test_exact_matcher_size_cap(self):
         vg = make_chain(20)
         f9a = extract_fragment(vg, tuple(f"n{i}" for i in range(1, 10)))
@@ -154,7 +142,6 @@ class TestCanonicalLabels:
 
     def test_caps_exported(self):
         assert nc.EXACT_LIMIT == 8
-        assert nc.HARD_CAP == 64
         assert nc.ORACLE_CAP == 12
 
 
@@ -203,6 +190,16 @@ class TestPartition:
         vg = make_chain(4)
         with pytest.raises(ValueError):
             nc.partition_isomorphic(vg, 0)
+
+    @pytest.mark.parametrize("g", [9, 10, 64])
+    def test_granularity_above_the_exact_limit(self, g):
+        """Both partitions refuse before tiling, even on a graph too small
+        to fill one fragment."""
+        for vg in (make_chain(4), make_chain(12)):
+            for partition in (nc.partition_isomorphic, nc.brute_force_partition):
+                with pytest.raises(nc.FragmentTooLarge,
+                                   match=f"^granularity {g} exceeds the exact-label limit of 8$"):
+                    partition(vg, g)
 
     @pytest.mark.parametrize("bad", [True, False, 2.0, "2"])
     def test_granularity_must_be_an_int_not_bool(self, bad):
@@ -453,10 +450,13 @@ DIFFERENTIAL = differential_graphs()
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
 def test_partition_matches_reference_tiler(name):
     """Rank-space tiling and the bulk build give the set-based tiler's
-    result field for field, whole fragments included, at g = 1..9."""
+    result field for field, whole fragments included, at g = 1..8; g = 9
+    is past the exact-label limit."""
     vg = nc.validate_graph(DIFFERENTIAL[name])
-    for g in range(1, 10):
+    for g in range(1, 9):
         assert nc.partition_isomorphic(vg, g) == reference_partition(vg, g), g
+    with pytest.raises(nc.FragmentTooLarge):
+        nc.partition_isomorphic(vg, 9)
 
 
 def all_fragments(pr):
@@ -500,8 +500,8 @@ class TestBulkBuild:
         assert_fragments_extract(vg, pr)
 
     def test_granularity_above_graph_size(self):
-        vg = nc.validate_graph(nc.gen_random_dag(12, 0.3, ONE_KIND, seed=4))
-        pr = nc.partition_isomorphic(vg, 13)
+        vg = nc.validate_graph(nc.gen_random_dag(6, 0.3, ONE_KIND, seed=4))
+        pr = nc.partition_isomorphic(vg, 7)
         assert pr.families == () and pr.p_threads == 1
         assert pr.residual == frozenset(vg.graph.ids)
 
@@ -541,3 +541,58 @@ class TestBulkBuild:
         for nodes, edges in by_shape:  # plain ints: labels hash the repr of a shape
             assert {type(x) for node in nodes for x in node[1:]} == {int}
             assert {type(x) for edge in edges for x in edge} <= {int}
+
+
+# Two 10-node DAGs of one op kind: sources 0-4, sinks 5-9, and (a, b) means
+# sink b lists source a as an input. A 1-WL neighbourhood hash gives both
+# one label, but they are not isomorphic.
+TWIN_SOURCES = ((0, 5), (0, 7), (0, 9), (1, 6), (1, 7), (1, 8), (2, 6), (2, 8), (2, 9),
+                (3, 5), (3, 7), (3, 9), (4, 5), (4, 6), (4, 8))
+NO_TWINS = ((0, 5), (0, 6), (0, 8), (1, 5), (1, 7), (1, 9), (2, 6), (2, 7), (2, 8),
+            (3, 6), (3, 7), (3, 9), (4, 5), (4, 8), (4, 9))
+
+
+def wl_collision_graph():
+    """TWIN_SOURCES as nodes p0..p9 and NO_TWINS as q0..q9, in one graph."""
+    return nc.ComputeGraph(tuple(
+        nc.OpNode(f"{name}{v}", "op", tuple(f"{name}{a}" for a, b in edges if b == v))
+        for name, edges in (("p", TWIN_SOURCES), ("q", NO_TWINS)) for v in range(10)))
+
+
+class TestWLCollision:
+    """Fragments above the exact-label limit are refused, not hashed into
+    one family with a fragment they are not isomorphic to."""
+
+    def test_the_two_components_are_not_isomorphic(self):
+        def shared_sinks(edges):
+            sinks = [{b for a, b in edges if a == source} for source in range(5)]
+            return max(len(sinks[i] & sinks[j]) for i in range(5) for j in range(i))
+
+        for edges in (TWIN_SOURCES, NO_TWINS):
+            assert len(edges) == 15
+            assert sorted({a for a, _b in edges}) == [0, 1, 2, 3, 4]
+            assert all(sum(a == s for a, _b in edges) == 3 for s in range(5))
+            assert all(sum(b == s for _a, b in edges) == 3 for s in range(5, 10))
+        # Sources 0 and 3 feed the same three sinks in one, no two sources
+        # share more than two sinks in the other.
+        assert {b for a, b in TWIN_SOURCES if a == 0} == {b for a, b in TWIN_SOURCES if a == 3}
+        assert (shared_sinks(TWIN_SOURCES), shared_sinks(NO_TWINS)) == (3, 2)
+
+    def test_granularity_10_raises(self):
+        with pytest.raises(nc.FragmentTooLarge):
+            nc.partition_isomorphic(nc.validate_graph(wl_collision_graph()), 10)
+
+    def test_cli_exits_2_with_empty_stdout(self, capsys, tmp_path):
+        path = tmp_path / "collide.graph"
+        path.write_text(nc.emit_graph(wl_collision_graph()))
+        code = cli.main(["partition", str(path), "--granularity", "10"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == "error: granularity 10 exceeds the exact-label limit of 8\n"
+
+    @pytest.mark.parametrize("g", range(1, 9))
+    def test_every_family_is_isomorphic(self, g):
+        for label, members in nc.partition_isomorphic(
+                nc.validate_graph(wl_collision_graph()), g).families:
+            head = threads._exact_signature(members[0])
+            assert all(threads._exact_signature(frag) == head for frag in members), label
