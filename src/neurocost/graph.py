@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -116,6 +116,10 @@ class ComputeGraph:
         return tuple(map(OpNode, self.ids, self.op_kinds, self.inputs))
 
 
+Tiling = NamedTuple("Tiling", [("order", np.ndarray), ("start", np.ndarray),
+                               ("neighbour", np.ndarray), ("kind_code", np.ndarray)])
+
+
 class ValidatedGraph:
     """A ComputeGraph proven acyclic, held by integer position.
 
@@ -124,7 +128,8 @@ class ValidatedGraph:
     in input order, and its consumers `succ_pos[succ_start[i]:succ_start[i + 1]]`,
     once per input reference, in declaration order. `order` lists the
     positions in topological order and `level[i]` is position i's
-    longest-path distance from a source. The arrays are read-only.
+    longest-path distance from a source. The arrays are read-only;
+    `tiling` is built when first read.
     Construct via validate_graph(); the constructor trusts its arguments.
     """
 
@@ -140,6 +145,29 @@ class ValidatedGraph:
 
     def __len__(self) -> int:
         return len(self.graph.ids)
+
+    @cached_property
+    def tiling(self) -> Tiling:
+        """The partitioner's read-only arrays for every granularity: `order`
+        ranks the positions by (level, id), rank r's inputs and consumers are
+        `neighbour[start[r]:start[r + 1]]` (ascending, once per input
+        reference) and `kind_code[i]` numbers position i's op kind."""
+        n = len(self)
+        # A stable sort by level of the id order. Python sorts the ids:
+        # numpy's str dtype drops trailing NULs.
+        by_id = np.array(sorted(range(n), key=self.graph.ids.__getitem__), np.intp)
+        order = by_id[np.argsort(self.level[by_id], kind="stable")]
+        rank = np.empty(n, np.intp)
+        rank[order] = np.arange(n)
+        producer = rank[self.pred_pos]
+        consumer = rank[np.repeat(np.arange(n), np.diff(self.pred_start))]
+        start, neighbour = owner_csr(np.concatenate((consumer, producer)),
+                                     np.concatenate((producer, consumer)), n)
+        codes = {kind: c for c, kind in enumerate(dict.fromkeys(self.graph.op_kinds))}
+        kind_code = np.fromiter(map(codes.__getitem__, self.graph.op_kinds), np.intp, n)
+        for arr in (order, start, neighbour, kind_code):
+            arr.flags.writeable = False
+        return Tiling(order, start, neighbour, kind_code)
 
 
 def _check_references(raw: ComputeGraph) -> None:

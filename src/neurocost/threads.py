@@ -16,17 +16,18 @@ lexicographically smallest edge tuple over the relabelings that list
 nodes by sorted annotation. Twins (nodes with the same annotation and
 the same internal in- and out-neighbours) can swap without changing the
 edge tuple, so the search tags each member of an annotation class with
-its twin group and tries one layout per distinct ordering of the tags
-(`itertools.permutations`, repeats dropped). A class that is one twin
-group has one ordering and is not enumerated: a fragment of one hub and
-seven identical leaves has one candidate layout instead of 7! = 5040.
+its twin group and tries each distinct ordering of the tags once
+(Knuth's Algorithm L): twin groups (4, 4) give 70 layouts, not 8!, and
+a fragment of one hub and seven identical leaves one, not 7! = 5040.
 
-The greedy partition tiles in rank space, positions ranked once by
-(level, id), with one forward-only pointer per rank into its ascending
-neighbour list: for a fixed granularity, tiling is linear in nodes plus
-edges. It then builds all fragments of a call in bulk from the tile
-array, one `nodes` tuple and one `edges` set per distinct shape; the
-exhaustive oracle builds its overlapping candidates in one call too.
+The greedy partition tiles in rank space with one forward-only pointer
+per rank into its ascending neighbour list: for a fixed granularity,
+tiling is linear in nodes plus edges. Rank order, neighbour lists and
+op-kind codes are `ValidatedGraph.tiling`, built once per graph for
+every granularity; a call copies only its pointers. A call's fragments
+are built in bulk, slotted and without `__init__`, one `nodes` tuple and
+one `edges` set per distinct shape; the exhaustive oracle builds its
+overlapping candidates in one call too.
 
 Both partitions label fragments through one helper that computes one
 exact signature per distinct fragment shape (nodes, edges), for the
@@ -45,7 +46,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import FragmentTooLarge, GraphTooLargeForOracle, check_count
-from .graph import ValidatedGraph, owner_csr, sorted_unique
+from .graph import ValidatedGraph, sorted_unique
 
 try:
     from _blake2 import blake2b  # hashlib's own blake2b, without loading OpenSSL
@@ -55,13 +56,13 @@ except ImportError:
 EXACT_LIMIT = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fragment:
     """An induced subgraph with boundary arity annotations.
 
     nodes[i] = (op_kind, external_in, external_out); edges are internal,
     as local index pairs. node_ids preserves the host-graph identity of
-    each local index.
+    each local index. Slotted; a partition fills the slots without `__init__`.
     """
 
     nodes: tuple[tuple[str, int, int], ...]
@@ -120,56 +121,66 @@ def _fragments(vg: ValidatedGraph, tiles: np.ndarray) -> list[Fragment]:
     per_row = np.bincount(row, minlength=count)
     edge_cols = np.full((count, int(per_row.max(initial=0))), -1, np.intp)
     edge_cols[row, np.arange(len(codes)) - (np.cumsum(per_row) - per_row)[row]] = codes % (k * k)
-    kinds = list(map(vg.graph.op_kinds.__getitem__, members.tolist()))
-    kind_code = {kind: c for c, kind in enumerate(dict.fromkeys(kinds))}
-    key = np.hstack((np.array(list(map(kind_code.__getitem__, kinds)), np.intp).reshape(count, k),
-                     ext_in.reshape(count, k), ext_out.reshape(count, k), edge_cols))
+    key = np.hstack((vg.tiling.kind_code[tiles], ext_in.reshape(count, k),
+                     ext_out.reshape(count, k), edge_cols))
     # Rows compare as raw bytes: one void item per row.
     rows = np.ascontiguousarray(key).view(np.dtype((np.void, key.itemsize * key.shape[1])))
     _keys, heads, shape_of = np.unique(rows.ravel(), return_index=True, return_inverse=True)
-    shapes = [(tuple(zip(kinds[h * k:(h + 1) * k], ext_in[h * k:(h + 1) * k].tolist(),
-                         ext_out[h * k:(h + 1) * k].tolist())),
-               frozenset(divmod(c, k) for c in edge_cols[h].tolist() if c >= 0))
-              for h in heads.tolist()]
+    nodes = [tuple(zip(map(vg.graph.op_kinds.__getitem__, tiles[h].tolist()),
+                       ext_in[h * k:(h + 1) * k].tolist(), ext_out[h * k:(h + 1) * k].tolist()))
+             for h in heads.tolist()]
+    edges = [frozenset(divmod(c, k) for c in edge_cols[h].tolist() if c >= 0)
+             for h in heads.tolist()]
     ids = list(map(vg.graph.ids.__getitem__, members.tolist()))
-    return [Fragment(*shapes[s], node_ids)
-            for s, node_ids in zip(shape_of.tolist(), zip(*[iter(ids)] * k))]
+    fragments, shape_of = list(map(object.__new__, [Fragment] * count)), shape_of.tolist()
+    for slot, values in ((Fragment.nodes, map(nodes.__getitem__, shape_of)),
+                         (Fragment.edges, map(edges.__getitem__, shape_of)),
+                         (Fragment.node_ids, zip(*[iter(ids)] * k))):
+        list(map(slot.__set__, fragments, values))
+    return fragments
 
 
 def _layouts(frag: Fragment) -> Iterator[tuple[int, ...]]:
     """Candidate layouts (position -> original index) for the exact
     signature: annotation classes in sorted order and, inside each class,
-    one layout per distinct ordering of its members' twin-group tags,
-    each tag taking its group's next member in ascending index.
+    one layout per distinct ordering of its members' twin-group tags.
 
     Twins share their annotation and their internal in- and out-neighbour
     sets; swapping two twins is an automorphism and leaves the edge tuple
     unchanged, so skipping the layouts that only reorder twins cannot
     change the minimum. A class of c members in twin groups of sizes t1,
     t2, ... gives c! / (t1! t2! ...) layouts instead of c!; a class that
-    is one twin group gives one, without enumerating its tag orderings.
+    is one twin group gives one.
     """
-    preds: list[set[int]] = [set() for _ in range(len(frag))]
-    succs: list[set[int]] = [set() for _ in range(len(frag))]
-    for u, v in frag.edges:
-        succs[u].add(v)
-        preds[v].add(u)
     classes: dict[tuple[str, int, int], dict[tuple, list[int]]] = {}
     for i, annot in enumerate(frag.nodes):
-        twins = classes.setdefault(annot, {})
-        twins.setdefault((frozenset(preds[i]), frozenset(succs[i])), []).append(i)
-    per_class = []
-    for annot in sorted(classes):
-        groups = list(classes[annot].values())
-        tags = tuple(g for g, group in enumerate(groups) for _ in group)
-        orders = dict.fromkeys(itertools.permutations(tags)) if len(groups) > 1 else (tags,)
-        arrangements = []
-        for order in orders:
-            members = list(map(iter, groups))
-            arrangements.append(tuple(next(members[g]) for g in order))
-        per_class.append(arrangements)
+        neighbours = (frozenset(u for u, v in frag.edges if v == i),
+                      frozenset(v for u, v in frag.edges if u == i))
+        classes.setdefault(annot, {}).setdefault(neighbours, []).append(i)
+    per_class = [list(_arrangements(list(classes[annot].values()))) for annot in sorted(classes)]
     for parts in itertools.product(*per_class):
-        yield tuple(i for part in parts for i in part)
+        yield tuple(itertools.chain.from_iterable(parts))
+
+
+def _arrangements(groups: list[list[int]]) -> Iterator[tuple[int, ...]]:
+    """The members of `groups` in one order per distinct ordering of their
+    group tags, each once: Knuth's Algorithm L (TAOCP 7.2.1.2) steps the
+    sorted tags to the next larger ordering in place, and every swap and
+    reversal moves the members alongside, so twins keep no fixed order."""
+    tags = [g for g, group in enumerate(groups) for _ in group]
+    members = [i for group in groups for i in group]
+    while True:
+        yield tuple(members)
+        j = len(tags) - 2
+        while j >= 0 and tags[j] >= tags[j + 1]:
+            j -= 1
+        if j < 0:
+            return
+        m = len(tags) - 1
+        while tags[j] >= tags[m]:
+            m -= 1
+        tags[j], tags[m], members[j], members[m] = tags[m], tags[j], members[m], members[j]
+        tags[j + 1:], members[j + 1:] = tags[:j:-1], members[:j:-1]
 
 
 def _exact_signature(frag: Fragment) -> tuple:
@@ -272,18 +283,7 @@ def partition_isomorphic(vg: ValidatedGraph, granularity: int) -> PartitionResul
     """
     granularity = _check_granularity(granularity)
     n = len(vg)
-    # Tiling order: by level, then by id (a stable sort by level of the id
-    # order). Python sorts the ids: numpy's str dtype drops trailing NULs.
-    by_id = np.array(sorted(range(n), key=vg.graph.ids.__getitem__), np.intp)
-    order = by_id[np.argsort(vg.level[by_id], kind="stable")]
-    rank = np.empty(n, np.intp)
-    rank[order] = np.arange(n)
-    # Neighbour CSR over ranks: each rank's inputs and consumers, once per
-    # input reference, in ascending rank.
-    producer = rank[vg.pred_pos]
-    consumer = rank[np.repeat(np.arange(n), np.diff(vg.pred_start))]
-    start, neighbour = owner_csr(np.concatenate((consumer, producer)),
-                                 np.concatenate((producer, consumer)), n)
+    order, start, neighbour, _kind_code = vg.tiling
     neighbour, head, end = neighbour.tolist(), start[:-1].tolist(), start[1:].tolist()
     # head[r] only moves forward: the ranks it passes are taken for good,
     # so once it skips the newly taken ones it points at r's smallest

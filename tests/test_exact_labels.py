@@ -197,3 +197,12 @@ def test_layouts_are_distinct_and_multinomial_in_twin_groups():
         layouts = list(_layouts(frag))
         assert len(set(layouts)) == len(layouts) == expected, frag
         assert all(sorted(layout) == list(range(len(frag))) for layout in layouts)
+
+
+def test_two_twin_groups_of_four_give_70_layouts():
+    # a0..a3 -> b0..b3 complete, one annotation: one class, twin groups
+    # (4, 4), 8! / (4! 4!) = 70 distinct layouts, each generated once.
+    crown = fragment([("f", 0, 0)] * 8, {(a, b) for a in range(4) for b in range(4, 8)})
+    layouts = list(_layouts(crown))
+    assert len(layouts) == len(set(layouts)) == 70
+    assert _exact_signature(crown) == reference_signature(crown.nodes, crown.edges)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
 import random
 
 import numpy as np
@@ -319,6 +321,13 @@ class TestShapeMemo:
         assert len(signature_calls) == len(shapes(pr)) == 3
         assert {(f.nodes, f.edges) for f in signature_calls} == shapes(pr)
 
+    def test_8000_node_relay_chain_labels_three_shapes(self, signature_calls):
+        # Three shapes (head, interior, tail), each with a class of six
+        # non-twin relays: 720 layouts a label, so a lost memo is seconds.
+        pr = nc.partition_isomorphic(make_chain(8000), 8)
+        assert len(signature_calls) == len(pr.families) == 3
+        assert pr.p_threads == 998
+
     def test_oracle_labels_each_shape_once(self, signature_calls):
         vg, gran = corpus_entry("dense_rows_4x3")
         nc.brute_force_partition(vg, gran)
@@ -541,6 +550,52 @@ class TestBulkBuild:
         for nodes, edges in by_shape:  # plain ints: labels hash the repr of a shape
             assert {type(x) for node in nodes for x in node[1:]} == {int}
             assert {type(x) for edge in edges for x in edge} <= {int}
+
+
+class TestSlottedFragment:
+    def test_bulk_built_fragment_is_a_frozen_slotted_dataclass(self):
+        vg = stencil()
+        frag = all_fragments(nc.partition_isomorphic(vg, 3))[0]
+        assert not hasattr(frag, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            frag.nodes = ()
+        twin = Fragment(frag.nodes, frag.edges, frag.node_ids)
+        assert frag == twin and hash(frag) == hash(twin) and len(frag) == 3
+        assert pickle.loads(pickle.dumps(frag)) == frag
+        moved = dataclasses.replace(frag, node_ids=("x", "y", "z"))
+        assert (moved.nodes, moved.edges, moved.node_ids) == (frag.nodes, frag.edges,
+                                                              ("x", "y", "z"))
+
+
+class TestTilingState:
+    """`ValidatedGraph.tiling` is built once and shared by every call."""
+
+    def test_reused_state_partitions_as_a_fresh_graph(self):
+        vg = stencil()
+        for g in (3, 4, 3, *range(1, 9)):
+            assert nc.partition_isomorphic(vg, g) == nc.partition_isomorphic(stencil(), g), g
+        assert vg.tiling is vg.tiling
+
+    def test_cached_arrays_are_read_only(self):
+        vg = stencil()
+        nc.partition_isomorphic(vg, 4)
+        for name, arr in vg.tiling._asdict().items():
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        assert sorted(vg.tiling.order.tolist()) == list(range(len(vg)))
+        codes = vg.tiling.kind_code.tolist()
+        assert len(set(zip(codes, vg.graph.op_kinds))) == len(set(codes)) == len(
+            set(vg.graph.op_kinds)) > 1
+
+    @pytest.mark.parametrize("entry", nc.mini_corpus(), ids=lambda e: e.name)
+    def test_oracle_and_extract_after_a_greedy_call(self, entry):
+        g = entry.granularity
+        fresh, used = nc.validate_graph(entry.graph), nc.validate_graph(entry.graph)
+        nc.partition_isomorphic(used, g)
+        assert nc.brute_force_partition(used, g) == nc.brute_force_partition(fresh, g)
+        for subset in threads._connected_subsets(fresh, g):
+            assert extract_fragment(used, subset) == extract_fragment(fresh, subset)
 
 
 # Two 10-node DAGs of one op kind: sources 0-4, sinks 5-9, and (a, b) means
