@@ -92,6 +92,13 @@ class NeuronSpec:
     def decay_factor(self) -> float:
         return math.exp(-self.dt / self.tau)
 
+    @cached_property  # numpy compares with and assigns a 0-d array faster than a Python float
+    def thresh_reset(self) -> tuple[np.ndarray, np.ndarray]:
+        """v_thresh and v_reset as read-only 0-d float arrays."""
+        pair = np.array([self.v_thresh, self.v_reset], dtype=float)
+        pair.flags.writeable = False
+        return pair[0, ...], pair[1, ...]
+
     @cached_property  # advance reads it on every step
     def memoryless(self) -> bool:
         """Gate and ann kinds: the state is the last input."""
@@ -114,7 +121,7 @@ def transfer(spec: NeuronSpec, x: np.ndarray) -> np.ndarray:
         return np.maximum(0.0, x)
     if spec.model_kind == "ann_tanh":
         return np.tanh(x)
-    return (x > spec.v_thresh).astype(float)  # threshold_gate, lif
+    return (x > spec.thresh_reset[0]).astype(float)  # threshold_gate, lif
 
 
 def advance(spec: NeuronSpec, x: np.ndarray, input_sum: np.ndarray):
@@ -122,7 +129,8 @@ def advance(spec: NeuronSpec, x: np.ndarray, input_sum: np.ndarray):
 
     Single source of truth for the model semantics; step_neuron and the
     simulator both call through here. For a memoryless kind x_next is
-    `input_sum` itself when that is a float array.
+    `input_sum` itself when that is a float array. An integrator compares
+    with and resets to the 0-d arrays of `spec.thresh_reset`, converted once.
     """
     if spec.memoryless:
         x_next = np.asarray(input_sum, dtype=float)
@@ -130,9 +138,10 @@ def advance(spec: NeuronSpec, x: np.ndarray, input_sum: np.ndarray):
     # x * 1.0 is x bit for bit, so a non-leaking integrator skips it.
     x_next = (x if spec.decay_factor == 1.0 else x * spec.decay_factor) + input_sum
     # y is transfer(spec, x_next) before the reset; its mask also drives the reset.
-    fired = x_next > spec.v_thresh
+    thresh, reset = spec.thresh_reset
+    fired = x_next > thresh
     y = fired.astype(float)
-    x_next[fired] = spec.v_reset
+    x_next[fired] = reset
     return x_next, y
 
 

@@ -48,19 +48,27 @@ cleared only where the previous step wrote.
 
 Per-step fixed cost: what is fixed for a run is computed once. The
 compiled net keeps one row per spec group (index, spec, `memoryless`,
-`leaky`) and an object array of the ids, the state whether the encoding
-is digital, a `DigitalEncoding` its word bounds, word step and Hamming
-mask, and `run_sim` its append, `last_y` and the output indices. A wide
-step's pieces are C-level calls, not Python work or numpy wrappers: the
-spike ids are one gather from the id array; words are converted in
-place (divide, floor, maximum, minimum, not `np.clip`) and their uint8
-bit counts summed without a copy; injections are checked by one Python
-float sum, non-finite if any value is, and scanned pair by pair only
-then. A `StepRecord` is built positionally and is a slotted dataclass,
-not a frozen one, whose `__init__` would set each field through
-`object.__setattr__` at about four times the cost. Index sets are
-joined, and a multi-delay emit's delays found, by `graph.sorted_unique`:
-a bare `np.unique` imports `numpy.ma` on first use (1.7 MB of peak RSS).
+`leaky`), whether it has one group (then the fed set is not split), and
+an object array of the ids; a spec its threshold and reset as 0-d arrays
+(`NeuronSpec.thresh_reset`, which numpy reads without converting a
+Python float); the state whether the encoding is digital, a
+`DigitalEncoding` its word bounds, word step and Hamming mask, and
+`run_sim` its append, `last_y` and the output indices. Each group counts
+its changed words first, with numpy's C `count_nonzero` (`int()` keeps
+numpy scalars out of the records), and sums |dx| or bit counts only when
+some word changed: otherwise every diff is 0 (NaN counts as changed) and
+the sum would add +0.0, so a step that changed nothing keeps the shared
+0.0 as its `delta_n`. A wide step's pieces are C-level calls, not Python
+work or numpy wrappers: the spike ids are one gather from the id array;
+words are converted in place (divide, floor, maximum, minimum, not
+`np.clip`) and their uint8 bit counts summed without a copy; injections
+are checked by one Python float sum, non-finite if any value is, and
+scanned pair by pair only then. A `StepRecord` is built positionally and
+is a slotted dataclass, not a frozen one, whose `__init__` would set
+each field through `object.__setattr__` at about four times the cost.
+Index sets are joined, and a multi-delay emit's delays found, by
+`graph.sorted_unique`: a bare `np.unique` imports `numpy.ma` on first
+use (1.7 MB of peak RSS).
 
 Trace memory: a step keeps only its record. `run_sim` writes each step's
 output row into one float64 array that doubles when full and is trimmed
@@ -68,7 +76,7 @@ in place at the end; consecutive steps with equal counts share one
 `energy_terms` tuple (a one-entry memo in the run state), and consecutive
 steps where the same neuron fires alone share its `(id,)` tuple and CSR
 slice (another one-entry memo). A one-spike step of the self-exciting
-loop keeps about 200 B (tracemalloc), 120 B of them its `StepRecord`.
+loop keeps about 176 B (tracemalloc), 120 B of them its `StepRecord`.
 A network whose kept synapses all share one delay keeps no delay column.
 
 Determinism: identical graph, encoding and inputs reproduce the trace
@@ -84,6 +92,7 @@ from operator import attrgetter
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
+from numpy._core.multiarray import count_nonzero  # np.count_nonzero's C function, no wrapper
 
 from .costs import PRESETS, CostConstants, energy_terms, nmc_energy_per_step
 from .errors import (
@@ -135,6 +144,7 @@ class AnalogEncoding:
 EncodingMode = DigitalEncoding | AnalogEncoding
 
 _NO_INDEX = np.zeros(0, dtype=np.intp)
+_ZERO = np.zeros(())  # a 0-d +0.0: numpy assigns it without converting a Python float
 _FIRST_ROWS = 64  # run_sim's output rows before the first doubling
 
 
@@ -219,6 +229,7 @@ class _CompiledNet:
         self.groups: list[tuple[NeuronSpec, np.ndarray]] = list(
             zip(ng.specs, np.split(by_spec, np.cumsum(sizes)[:-1])))
         self.rows = [(g, spec, spec.memoryless, spec.leaky) for g, spec in enumerate(ng.specs)]
+        self.one_group = len(self.groups) == 1
 
         # Each temporary is freed once used, so the compile peaks near what it keeps.
         kept = np.flatnonzero(ng.weight)
@@ -248,9 +259,7 @@ class _CompiledNet:
                                    dtype=np.intp)
 
     def by_group(self, idx: np.ndarray) -> list[np.ndarray]:
-        """Ascending neuron indices split into one ascending part per group."""
-        if len(self.groups) == 1:
-            return [idx]
+        """Ascending indices split into one ascending part per group, of several."""
         g = self.graph.spec_index[idx]
         bounds = np.bincount(g, minlength=len(self.groups)).cumsum().tolist()
         idx = idx[g.argsort(kind="stable")]  # methods skip np.argsort's Python wrapper
@@ -347,7 +356,8 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
         input_sum = np.zeros(net.n) if input_sum is None else input_sum
         np.add.at(input_sum, np.array(pos, dtype=np.intp), injected)  # unbuffered, in order
     if input_sum is not None:
-        fed = net.by_group(input_sum.nonzero()[0])
+        fed = input_sum.nonzero()[0]
+        fed = [fed] if net.one_group else net.by_group(fed)
     armed, s.armed = s.armed, None
 
     # 2. Evaluate neurons with input, with a decay-visible change, or armed.
@@ -390,15 +400,18 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
         # 4. Change-of-state accounting under the configured encoding.
         if digital:  # uint8 bit counts: np.add.reduce sums them in 64 bits, without a copy
             diffs = _hamming(encoding.words(old), encoding.words(x_next), encoding._mask)
-        else:
-            diffs = np.abs(x_next - old)
-        delta = float(np.add.reduce(diffs))
-        # Old states are finite, so a finite |dx| sum proves the new ones are;
-        # only a non-finite sum (a bad state, or an overflow) needs the scan.
-        if not digital and not math.isfinite(delta) and not np.isfinite(x_next).all():
-            raise _diverged(net, ev, x_next, t)
-        touched_count += int(np.count_nonzero(diffs))
-        delta_n += delta
+        else:  # dx, made |dx| in place only if some state changed
+            diffs = x_next - old
+        # Counted first: with no changed word every diff is 0 (NaN counts as
+        # changed), so the skipped sum would add +0.0 and change no bit.
+        if changed := count_nonzero(diffs):
+            delta = float(np.add.reduce(diffs if digital else np.abs(diffs, out=diffs)))
+            # Old states are finite, so a finite |dx| sum proves the new ones are;
+            # only a non-finite sum (a bad state, or an overflow) needs the scan.
+            if not digital and not math.isfinite(delta) and not np.isfinite(x_next).all():
+                raise _diverged(net, ev, x_next, t)
+            touched_count += int(changed)
+            delta_n += delta
         done.append((g, leaky, ev, x_next, y))
 
         firing = y.nonzero()[0]
@@ -407,7 +420,7 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
 
     last_y = s.last_y
     for idx in s.y_written:
-        last_y[idx] = 0.0
+        last_y[idx] = _ZERO
     s.y_written = []
     for g, leaky, ev, x_next, y in done:
         last_y[ev] = y

@@ -11,13 +11,14 @@ import numpy as np
 
 from .costs import PRESETS, CostConstants
 from .errors import check_count
-from .graph import ComputeGraph, validate_graph
+from .graph import validate_graph
 from .neural import NeuralGraph, count_resources, lower_graph
 from .sim import AnalogEncoding, SimTrace, ZeroActivity, init_sim, reconcile_energy, run_sim
 from .workloads import (
     Diffusion,
     FFLayerSpec,
     MeshSpec,
+    check_random_dag,
     ff_input_schedule,
     gen_ff_layer,
     gen_mesh,
@@ -110,12 +111,17 @@ def _ff_point(spec: FFLayerSpec, p: Point, constants: CostConstants, seed: int) 
     return float(trace.e_n / p["presentations"]), trace.e_n, len(trace.records)
 
 
-def _random_graph(p: Point, seed: int) -> ComputeGraph:
-    return gen_random_dag(p["n"], p["density"], ("add", "mul", "relay"), seed)
+_ALPHABET = ("add", "mul", "relay")
 
 
-def _random_point(graph: ComputeGraph, p: Point, constants: CostConstants,
+def _random_check(p: Point, _seed: int) -> None:
+    """Only checks: the run half draws each graph once, at its own seed."""
+    check_random_dag(p["density"], _ALPHABET)
+
+
+def _random_point(_checked: None, p: Point, constants: CostConstants,
                   seed: int) -> PointResult:
+    graph = gen_random_dag(p["n"], p["density"], _ALPHABET, seed)
     ng, _am = lower_graph(validate_graph(graph))
     kick = tuple((nid, 1.5) for nid in ng.input_neurons)
     trace = _simulate(ng, constants, seed, p["steps"], stop=ZeroActivity(window=3),
@@ -139,9 +145,10 @@ class Param:
         return check_count(name, int(value) if float(value).is_integer() else value, self.minimum)
 
 
-#: Each workload's build half, (point, seed) -> its checked spec or graph, its
-#: run half, (built, point, constants, seed) -> PointResult, and its parameters in
-#: help order, each as Param(default, least value if a count, text of a derived default).
+#: Each workload's build half, (point, seed) -> its checked spec (None for random,
+#: which draws its graph in the run half), its run half, (built, point, constants,
+#: seed) -> PointResult, and its parameters in help order, each as
+#: Param(default, least value if a count, text of a derived default).
 SWEEP_TABLE: Mapping[str, tuple[Callable[..., object], Callable[..., PointResult],
                                 Mapping[str, Param]]] = {
     "mesh": (_mesh_spec, _mesh_point, {
@@ -153,7 +160,7 @@ SWEEP_TABLE: Mapping[str, tuple[Callable[..., object], Callable[..., PointResult
         "n": Param(8, 1), "n_i": Param(lambda p: p["n"], 1, "n"),
         "n_j": Param(lambda p: p["n"], 1, "n"), "rate": Param(0.5),
         "steps_per_presentation": Param(10, 1), "presentations": Param(3, 1)}),
-    "random": (_random_graph, _random_point, {
+    "random": (_random_check, _random_point, {
         "n": Param(32, 1), "density": Param(0.2), "steps": Param(50, 1),
         "window": Param(5, 1)}),
 }
@@ -165,8 +172,9 @@ class SweepSpec:
     """One sweep: a workload, the parameter to vary, and fixed context.
     Every swept and fixed value is checked when the spec is built, the
     swept ones also for what the log-log fit needs; then each point's
-    workload spec or graph is built once, at seed 0, and dropped, so a
-    value the workload rejects fails before any point runs."""
+    build half runs once, at seed 0, and its result is dropped, so a value
+    the workload rejects fails before any point runs. Random's build half
+    draws no graph, so each graph is drawn once, by `run_sweep`."""
 
     workload: str
     param: str

@@ -309,14 +309,19 @@ def gen_self_exciting_loop(v_thresh: float = 1.0,
                        weight=[weight], delay=[1], output_neurons=("loop0",))
 
 
-def gen_random_dag(n: int, edge_density: float, alphabet: Sequence[str],
-                   seed: int) -> ComputeGraph:
-    """Seed-deterministic random DAG; edges only run from lower to
-    higher index, so the result is acyclic by construction."""
+def check_random_dag(edge_density: float, alphabet: Sequence[str]) -> None:
+    """Raise ValueError unless gen_random_dag takes these; draws nothing."""
     if not (0.0 <= edge_density <= 1.0):
         raise ValueError(f"edge_density must lie in [0, 1], got {edge_density}")
     if not alphabet:
         raise ValueError("alphabet must be non-empty")
+
+
+def gen_random_dag(n: int, edge_density: float, alphabet: Sequence[str],
+                   seed: int) -> ComputeGraph:
+    """Seed-deterministic random DAG; edges only run from lower to
+    higher index, so the result is acyclic by construction."""
+    check_random_dag(edge_density, alphabet)
     rng = np.random.default_rng(seed)
     kinds = [str(alphabet[int(k)]) for k in rng.integers(0, len(alphabet), size=n)]
     ids = [f"x{i}" for i in range(n)]

@@ -252,6 +252,29 @@ def test_empty_input_schedule_is_no_schedule(monkeypatch, name, inputs):
     assert trace_digest(*CASES[name]()) == GOLDEN[name]
 
 
+COUNT_FIELDS = ("t", "spikes", "synaptic_events", "neurons_touched")
+FLOAT_FIELDS = ("delta_n", "e_voltage_term", "e_spikegen_term", "e_synapse_term",
+                "e_spike_term", "e_t")
+
+
+@pytest.mark.parametrize("encoding", sorted(ENCODINGS))
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_records_hold_builtin_types(monkeypatch, name, encoding):
+    # A numpy scalar leaked from a C-level call hashes like its value but
+    # prints as np.float64(...) in the trace CSV; every record field is a
+    # built-in int, float or tuple of str, whichever encoding the case runs.
+    init_sim = nc.init_sim
+    monkeypatch.setattr(nc, "init_sim", lambda ng, _encoding, seed, constants:
+                        init_sim(ng, ENCODINGS[encoding], seed, constants))
+    tr, _state = CASES[name]()
+    assert type(tr.e_n) is float
+    for rec in tr.records:
+        assert [type(getattr(rec, f)) for f in COUNT_FIELDS] == [int] * len(COUNT_FIELDS)
+        assert [type(getattr(rec, f)) for f in FLOAT_FIELDS] == [float] * len(FLOAT_FIELDS)
+        assert type(rec.spike_ids) is tuple
+        assert all(type(nid) is str for nid in rec.spike_ids)
+
+
 def test_golden_digests_match_cases():
     # An orphan digest would never be checked; a case without one fails.
     assert set(GOLDEN) == set(CASES)

@@ -855,6 +855,51 @@ class TestInPlaceState:
         assert ng.x0.tobytes() == x0.tobytes()
 
 
+class TestCountBeforeSum:
+    """A group whose state words all hold adds nothing to delta_n; the
+    changed words are counted first and only a nonzero count is summed."""
+
+    @pytest.mark.parametrize("encoding", [nc.AnalogEncoding(), nc.DigitalEncoding()],
+                             ids=["analog", "digital"])
+    def test_loop_steps_change_no_word(self, encoding):
+        # After the armed first step the neuron goes 0 -> 1.5 -> reset 0.
+        tr = run(nc.gen_self_exciting_loop(), 6, encoding=encoding)
+        assert tr.records[0].neurons_touched == 1 and tr.records[0].delta_n > 0.0
+        for rec in tr.records[1:]:
+            assert (rec.spikes, rec.synaptic_events, rec.neurons_touched) == (1, 1, 0)
+            assert rec.delta_n == 0.0 and math.copysign(1.0, rec.delta_n) == 1.0
+
+    def test_digital_input_that_keeps_the_word(self):
+        # Words of 0.5: 0.1 and 0.1 + 0.2 both floor to word 0.
+        ng = network(neurons=(("q", RELAY, 0.1),), synapses=(), input_neurons=("q",))
+        state = nc.init_sim(ng, nc.DigitalEncoding(word_width=4, scale=4.0), 0)
+        rec = nc.step_sim(state, (("q", 0.2),))
+        assert state.membrane("q") == 0.1 + 0.2  # evaluated and written
+        assert (rec.spikes, rec.neurons_touched) == (0, 0)
+        assert rec.delta_n == 0.0 and math.copysign(1.0, rec.delta_n) == 1.0
+        assert type(rec.neurons_touched) is int and type(rec.delta_n) is float
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_analog_nan_state_raises(self):
+        # Two armed relus send +inf and -inf to "o", whose new state is NaN.
+        relu = nc.NeuronSpec("ann_relu")
+        ng = network(neurons=(("p", relu, 1e308), ("q", relu, 1e308), ("o", relu, 0.0)),
+                     synapses=(("p", "o", 10.0), ("q", "o", -10.0)))
+        state = nc.init_sim(ng, nc.AnalogEncoding(), 0)
+        nc.step_sim(state)
+        before = state.x.copy()
+        with pytest.raises(nc.NonFiniteState, match=r"^state of 'o' diverged at t=1$"):
+            nc.step_sim(state)
+        assert state.x.tobytes() == before.tobytes() and state.t == 1
+
+    def test_nan_input_is_refused_before_any_write(self):
+        ng = two_neuron(2.0, a0=0.5)
+        state = nc.init_sim(ng, nc.AnalogEncoding(), 0)
+        with pytest.raises(nc.NonFiniteInput, match=r"^external input to 'A' is nan$"):
+            nc.step_sim(state, (("A", 0.25), ("A", float("nan"))))
+        assert state.x.tolist() == [0.5, 0.0] and state.t == 0
+
+
 class TestFiringRates:
     def _synthetic_trace(self):
         zeros = dict(synaptic_events=0, neurons_touched=0, delta_n=0.0,

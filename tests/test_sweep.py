@@ -112,6 +112,22 @@ def test_each_runner_reads_exactly_its_table_keys(workload, param, value, fixed)
     assert point.read == set(params)
 
 
+def test_a_random_sweep_draws_each_graph_once(monkeypatch):
+    # The spec used to draw every point's graph at seed 0 only to check it.
+    drawn = []
+    gen = sweep.gen_random_dag
+
+    def counted(n, density, alphabet, seed):
+        drawn.append((n, seed))
+        return gen(n, density, alphabet, seed)
+
+    monkeypatch.setattr(sweep, "gen_random_dag", counted)
+    spec = nc.SweepSpec(workload="random", param="n", values=(24.0, 12.0), repetitions=2)
+    assert drawn == []
+    nc.run_sweep(spec, seed=3)
+    assert drawn == [(12, 3), (12, 4), (24, 3), (24, 4)]
+
+
 def test_fixed_key_given_twice_is_rejected():
     with pytest.raises(ValueError, match="'k' is fixed more than once"):
         nc.SweepSpec(workload="mesh", param="m_s", values=(64.0, 128.0),
