@@ -51,24 +51,28 @@ compiled net keeps one row per spec group (index, spec, `memoryless`,
 `leaky`), whether it has one group (then the fed set is not split), and
 an object array of the ids; a spec its threshold and reset as 0-d arrays
 (`NeuronSpec.thresh_reset`, which numpy reads without converting a
-Python float); the state whether the encoding is digital, a
-`DigitalEncoding` its word bounds, word step and Hamming mask, and
-`run_sim` its append, `last_y` and the output indices. Each group counts
-its changed words first, with numpy's C `count_nonzero` (`int()` keeps
-numpy scalars out of the records), and sums |dx| or bit counts only when
-some word changed: otherwise every diff is 0 (NaN counts as changed) and
-the sum would add +0.0, so a step that changed nothing keeps the shared
-0.0 as its `delta_n`. A wide step's pieces are C-level calls, not Python
-work or numpy wrappers: the spike ids are one gather from the id array;
-words are converted in place (divide, floor, maximum, minimum, not
-`np.clip`) and their uint8 bit counts summed without a copy; injections
-are checked by one Python float sum, non-finite if any value is, and
-scanned pair by pair only then. A `StepRecord` is built positionally and
-is a slotted dataclass, not a frozen one, whose `__init__` would set
-each field through `object.__setattr__` at about four times the cost.
-Index sets are joined, and a multi-delay emit's delays found, by
-`graph.sorted_unique`: a bare `np.unique` imports `numpy.ma` on first
-use (1.7 MB of peak RSS).
+Python float); the state every neuron's state word under a digital
+encoding (None under analog), a `DigitalEncoding` its word bounds, word
+step and Hamming mask, and `run_sim` its append, `last_y` and the output
+indices. Each group counts its changed words first, with numpy's C
+`count_nonzero` (`int()` keeps numpy scalars out of the records), and
+sums |dx| or bit counts only when some word changed: otherwise every
+diff is 0 (NaN counts as changed) and the sum would add +0.0, so a step
+that changed nothing keeps the shared 0.0 as its `delta_n`. A wide
+step's pieces are C-level calls, not Python work or numpy wrappers: the
+spike ids are one gather from the id array; a digital group reads its
+old words from the state and converts only its new states, one `words()`
+call a step (two when a leaky group tests decay against the kept words),
+and a word is converted in place (divide, floor, then numpy's `clip`
+ufunc, not the `np.clip` wrapper) and its uint8 bit count summed without
+a copy; injections are resolved to positions in one pass (`np.fromiter`
+over the input map), checked by one Python float sum, non-finite if any
+value is, and scanned pair by pair only on an unknown id or such a sum.
+A `StepRecord` is built positionally and is a slotted dataclass, not a
+frozen one, whose `__init__` would set each field through
+`object.__setattr__` at about four times the cost. Index sets are
+joined, and a multi-delay emit's delays found, by `graph.sorted_unique`:
+a bare `np.unique` imports `numpy.ma` on first use (1.7 MB of peak RSS).
 
 Trace memory: a step keeps only its record. `run_sim` writes each step's
 output row into one float64 array that doubles when full and is trimmed
@@ -93,6 +97,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from numpy._core.multiarray import count_nonzero  # np.count_nonzero's C function, no wrapper
+from numpy._core.umath import clip  # the ufunc behind np.clip, one C call
 
 from .costs import PRESETS, CostConstants, energy_terms, nmc_energy_per_step
 from .errors import (
@@ -131,8 +136,7 @@ class DigitalEncoding:
     def words(self, x: np.ndarray) -> np.ndarray:
         q = np.divide(x, self._step, dtype=float)
         np.floor(q, out=q)
-        np.maximum(q, self._lo, out=q)
-        np.minimum(q, self._hi, out=q)
+        clip(q, self._lo, self._hi, out=q)  # x is finite: the same bits as maximum, then minimum
         return q.astype(np.int64)
 
 
@@ -270,9 +274,11 @@ class _CompiledNet:
 class SimState:
     """Mutable simulation state; create with init_sim.
 
-    `x` and `last_y` are the same array objects for the whole run; a step
-    writes `x` in place only after every group passed the finite check, so
-    a step that raises NonFiniteState leaves it as it was. `decaying[g]`
+    `x`, `words` and `last_y` are the same array objects for the whole run.
+    `words` is `encoding.words(x)` under a DigitalEncoding, kept so that a
+    step converts only its new states, and None under analog. A step writes
+    `x` and `words` in place only after every group passed the finite check,
+    so a step that raises NonFiniteState leaves both as they were. `decaying[g]`
     holds the ascending indices of a leaky LIF group's nonzero-state
     neurons. `energy` is a one-entry memo, the last step's counts
     `(touched, spikes, events)` and their `energy_terms`, which the next
@@ -285,7 +291,7 @@ class SimState:
     x: np.ndarray
     t: int
     encoding: EncodingMode
-    digital: bool  # the encoding is a DigitalEncoding
+    words: np.ndarray | None
     constants: CostConstants
     pending: dict[int, list[tuple[np.ndarray, np.ndarray]]]  # due step -> pairs in append order
     armed: list[np.ndarray] | None  # per group, evaluated at the first step, then None
@@ -317,8 +323,8 @@ def init_sim(ng: NeuralGraph, encoding: EncodingMode, seed: int,
         armed.append(idx[transfer(spec, xi) != 0.0])
         decaying.append(idx[xi != 0.0] if spec.leaky else None)
 
-    return SimState(net=net, x=x, t=0, encoding=encoding,
-                    digital=isinstance(encoding, DigitalEncoding), constants=constants,
+    words = encoding.words(x) if isinstance(encoding, DigitalEncoding) else None
+    return SimState(net=net, x=x, t=0, encoding=encoding, words=words, constants=constants,
                     pending={}, armed=armed, decaying=decaying, last_y=np.zeros(net.n))
 
 
@@ -344,17 +350,20 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
         input_sum = np.bincount(targets, weights=values, minlength=net.n)
     if external_inputs:
         ids, given = zip(*external_inputs)
-        pos = list(map(net.input_pos.get, ids))
         injected = np.array(given, dtype=float)
+        try:
+            pos = np.fromiter(map(net.input_pos.__getitem__, ids), np.intp, len(ids))
+        except KeyError:  # an unknown id: the scan below names the first bad pair
+            pos = None
         # Python's float sum never warns; it is non-finite if any value is (ravel: 2-D fails below)
-        if None in pos or not math.isfinite(sum(injected.ravel().tolist())):  # or it overflows
-            for neuron_id, value, idx in zip(ids, given, pos):  # the first bad pair decides
-                if idx is None:
+        if pos is None or not math.isfinite(sum(injected.ravel().tolist())):  # or it overflows
+            for neuron_id, value in zip(ids, given):  # the first bad pair decides
+                if neuron_id not in net.input_pos:
                     raise UnknownInputNeuron(neuron_id)
                 if not math.isfinite(value):
                     raise NonFiniteInput(f"external input to {neuron_id!r} is {value}")
         input_sum = np.zeros(net.n) if input_sum is None else input_sum
-        np.add.at(input_sum, np.array(pos, dtype=np.intp), injected)  # unbuffered, in order
+        np.add.at(input_sum, pos, injected)  # unbuffered, in order
     if input_sum is not None:
         fed = input_sum.nonzero()[0]
         fed = [fed] if net.one_group else net.by_group(fed)
@@ -363,9 +372,10 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
     # 2. Evaluate neurons with input, with a decay-visible change, or armed.
     # Writes wait until every group passed the finite check.
     encoding = s.encoding
-    digital = s.digital
-    x = s.x
-    done: list[tuple[int, bool, np.ndarray, np.ndarray, np.ndarray]] = []  # g, leaky, ev, x', y
+    x, words = s.x, s.words
+    digital = words is not None
+    # g, leaky, ev, x', y and, under a digital encoding, the new words
+    done: list[tuple[int, bool, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]] = []
     spike_idx: list[np.ndarray] = []
     touched_count = 0
     delta_n = 0.0
@@ -374,8 +384,8 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
         ev = _NO_INDEX if fed is None else fed[g]
         if leaky and len(decaying := s.decaying[g]):
             if digital:
-                xd = x[decaying]
-                decaying = decaying[encoding.words(xd * spec.decay_factor) != encoding.words(xd)]
+                decaying = decaying[encoding.words(x[decaying] * spec.decay_factor)
+                                    != words[decaying]]
             ev = _union(ev, decaying)
         unfed = None
         if armed is not None and len(armed[g]):  # the first step
@@ -399,7 +409,8 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
 
         # 4. Change-of-state accounting under the configured encoding.
         if digital:  # uint8 bit counts: np.add.reduce sums them in 64 bits, without a copy
-            diffs = _hamming(encoding.words(old), encoding.words(x_next), encoding._mask)
+            new_words = encoding.words(x_next)
+            diffs = _hamming(words[ev], new_words, encoding._mask)
         else:  # dx, made |dx| in place only if some state changed
             diffs = x_next - old
         # Counted first: with no changed word every diff is 0 (NaN counts as
@@ -412,7 +423,7 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
                 raise _diverged(net, ev, x_next, t)
             touched_count += int(changed)
             delta_n += delta
-        done.append((g, leaky, ev, x_next, y))
+        done.append((g, leaky, ev, x_next, y, new_words if digital else None))
 
         firing = y.nonzero()[0]
         if len(firing):
@@ -422,9 +433,11 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
     for idx in s.y_written:
         last_y[idx] = _ZERO
     s.y_written = []
-    for g, leaky, ev, x_next, y in done:
+    for g, leaky, ev, x_next, y, new_words in done:
         last_y[ev] = y
         x[ev] = x_next
+        if digital:
+            words[ev] = new_words
         s.y_written.append(ev)
         if leaky:  # analog evaluated every nonzero state: nothing stays
             s.decaying[g] = _union(np.setdiff1d(s.decaying[g], ev, assume_unique=True),

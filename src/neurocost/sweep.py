@@ -99,12 +99,14 @@ def _mesh_point(spec: MeshSpec, p: Point, constants: CostConstants, seed: int) -
     return _warm_up(trace, p["window"])
 
 
-def _ff_spec(p: Point, seed: int) -> FFLayerSpec:
+def _ff_check(p: Point, _seed: int) -> None:
+    """Only checks: the run half draws the weights once, at its own seed."""
+    FFLayerSpec(np.ones((1, 1)), [p["rate"]], p["steps_per_presentation"])  # one source, one unit
+
+
+def _ff_point(_checked: None, p: Point, constants: CostConstants, seed: int) -> PointResult:
     weights = np.random.default_rng(seed).uniform(0.2, 1.0, size=(p["n_i"], p["n_j"]))
-    return FFLayerSpec(weights, [p["rate"]] * p["n_i"], p["steps_per_presentation"])
-
-
-def _ff_point(spec: FFLayerSpec, p: Point, constants: CostConstants, seed: int) -> PointResult:
+    spec = FFLayerSpec(weights, [p["rate"]] * p["n_i"], p["steps_per_presentation"])
     trace = _simulate(gen_ff_layer(spec), constants, seed,
                       p["presentations"] * p["steps_per_presentation"],
                       inputs=ff_input_schedule(spec))
@@ -145,10 +147,10 @@ class Param:
         return check_count(name, int(value) if float(value).is_integer() else value, self.minimum)
 
 
-#: Each workload's build half, (point, seed) -> its checked spec (None for random,
-#: which draws its graph in the run half), its run half, (built, point, constants,
-#: seed) -> PointResult, and its parameters in help order, each as
-#: Param(default, least value if a count, text of a derived default).
+#: Each workload's build half, (point, seed) -> its checked spec (None for ff and
+#: random, which draw their weights or graph in the run half), its run half,
+#: (built, point, constants, seed) -> PointResult, and its parameters in help
+#: order, each as Param(default, least value if a count, text of a derived default).
 SWEEP_TABLE: Mapping[str, tuple[Callable[..., object], Callable[..., PointResult],
                                 Mapping[str, Param]]] = {
     "mesh": (_mesh_spec, _mesh_point, {
@@ -156,7 +158,7 @@ SWEEP_TABLE: Mapping[str, tuple[Callable[..., object], Callable[..., PointResult
         "v_thresh": Param(0.25), "amplitude": Param(1.0), "mean": Param(1.0),
         "cycles": Param(lambda p: max(1, p["m_s"] // 16), 0, "max(1,m_s//16)"),
         "alpha": Param(0.5), "window": Param(5, 1)}),
-    "ff": (_ff_spec, _ff_point, {
+    "ff": (_ff_check, _ff_point, {
         "n": Param(8, 1), "n_i": Param(lambda p: p["n"], 1, "n"),
         "n_j": Param(lambda p: p["n"], 1, "n"), "rate": Param(0.5),
         "steps_per_presentation": Param(10, 1), "presentations": Param(3, 1)}),
@@ -173,8 +175,9 @@ class SweepSpec:
     Every swept and fixed value is checked when the spec is built, the
     swept ones also for what the log-log fit needs; then each point's
     build half runs once, at seed 0, and its result is dropped, so a value
-    the workload rejects fails before any point runs. Random's build half
-    draws no graph, so each graph is drawn once, by `run_sweep`."""
+    the workload rejects fails before any point runs. The ff and random
+    build halves draw nothing, so each weight matrix or graph is drawn
+    once, by `run_sweep`."""
 
     workload: str
     param: str

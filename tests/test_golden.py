@@ -275,6 +275,32 @@ def test_records_hold_builtin_types(monkeypatch, name, encoding):
         assert all(type(nid) is str for nid in rec.spike_ids)
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_kept_words_are_the_words_of_x(monkeypatch, name):
+    # A digital state keeps every neuron's word; after every step it must be
+    # encoding.words(x) bit for bit (decay tests and unfed armed neurons included).
+    # A case run under the analog encoding runs here under the digital one.
+    init_sim, step_sim = nc.init_sim, sim.step_sim
+    checked = []
+
+    def digital_init(ng, encoding, seed, constants):
+        if not isinstance(encoding, nc.DigitalEncoding):
+            encoding = ENCODINGS["digital"]
+        return init_sim(ng, encoding, seed, constants)
+
+    def watched(s, external_inputs=()):
+        rec = step_sim(s, external_inputs)
+        assert s.words.dtype == np.int64
+        assert s.words.tobytes() == s.encoding.words(s.x).tobytes()
+        checked.append(s.t)
+        return rec
+
+    monkeypatch.setattr(nc, "init_sim", digital_init)
+    monkeypatch.setattr(sim, "step_sim", watched)
+    tr, _state = CASES[name]()
+    assert checked == list(range(1, len(tr.records) + 1))
+
+
 def test_golden_digests_match_cases():
     # An orphan digest would never be checked; a case without one fails.
     assert set(GOLDEN) == set(CASES)

@@ -829,9 +829,15 @@ class TestInPlaceState:
         state = nc.init_sim(ng, encoding, 0)
         nc.step_sim(state)
         before = state.x.copy()
+        words = None if state.words is None else state.words.copy()
         with pytest.raises(nc.NonFiniteState, match="'r'"):
             nc.step_sim(state)
         assert state.x.tobytes() == before.tobytes()
+        if words is None:  # an analog state keeps no words
+            assert isinstance(encoding, nc.AnalogEncoding) and state.words is None
+        else:  # "a"'s new word was converted, and left unwritten
+            assert state.words.tobytes() == words.tobytes()
+            assert state.words.tobytes() == encoding.words(state.x).tobytes()
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_state_leaves_state_untouched(self):
@@ -853,6 +859,23 @@ class TestInPlaceState:
         assert sum(r.neurons_touched for r in tr.records) > 0
         assert state.x is x and x is not ng.x0
         assert ng.x0.tobytes() == x0.tobytes()
+
+    def test_a_digital_step_converts_each_word_once(self, monkeypatch):
+        # The old words are kept with the state, so init_sim converts x0 once
+        # and a step converts only its new states: one words() call per group.
+        calls = []
+        words = nc.DigitalEncoding.words
+
+        def counted(encoding, x):
+            calls.append(len(x))
+            return words(encoding, x)
+
+        monkeypatch.setattr(nc.DigitalEncoding, "words", counted)
+        state = nc.init_sim(nc.gen_self_exciting_loop(), nc.DigitalEncoding(), 0)
+        assert calls == [1]
+        tr = nc.run_sim(state, 50)
+        assert [r.spikes for r in tr.records] == [1] * 50
+        assert calls == [1] * 51
 
 
 class TestCountBeforeSum:

@@ -128,6 +128,24 @@ def test_a_random_sweep_draws_each_graph_once(monkeypatch):
     assert drawn == [(12, 3), (12, 4), (24, 3), (24, 4)]
 
 
+def test_an_ff_sweep_draws_each_weight_matrix_once(monkeypatch):
+    # The spec used to draw every point's weights at seed 0 only to check a rate.
+    drawn = []
+    default_rng = np.random.default_rng
+
+    def counted(seed):
+        drawn.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    spec = nc.SweepSpec(workload="ff", param="n", values=(4.0, 2.0), repetitions=2,
+                        fixed=(("presentations", 1.0),))
+    assert drawn == []
+    rows, _reg = nc.run_sweep(spec, seed=3)
+    assert drawn == [3, 4, 3, 4]
+    assert [row.value for row in rows] == [2.0, 4.0]
+
+
 def test_fixed_key_given_twice_is_rejected():
     with pytest.raises(ValueError, match="'k' is fixed more than once"):
         nc.SweepSpec(workload="mesh", param="m_s", values=(64.0, 128.0),
