@@ -74,13 +74,25 @@ frozen one, whose `__init__` would set each field through
 joined, and a multi-delay emit's delays found, by `graph.sorted_unique`:
 a bare `np.unique` imports `numpy.ma` on first use (1.7 MB of peak RSS).
 
+A neuron that fires alone on consecutive steps pays once for its events.
+The `solo` memo holds its CSR views, and an unscaled net with one delay
+queues them as the memo's own read-only (targets, weights) pair, so no
+step slices them again. When that pair was a step's only due events and
+the neuron fires alone again, the memo keeps the input vector and fed
+split that delivery gave, read-only; a later step whose due slot is that
+same pair object reuses them without `bincount` or `nonzero`, and one
+with an injection adds it to a copy. Scaled values (w * y), multi-delay
+splits and every other slot are made fresh and never kept, so a wide
+step, or a new lone firer on each step, keeps no delivered vector.
+
 Trace memory: a step keeps only its record. `run_sim` writes each step's
 output row into one float64 array that doubles when full and is trimmed
 in place at the end; consecutive steps with equal counts share one
 `energy_terms` tuple (a one-entry memo in the run state), and consecutive
-steps where the same neuron fires alone share its `(id,)` tuple and CSR
-slice (another one-entry memo). A one-spike step of the self-exciting
-loop keeps about 176 B (tracemalloc), 120 B of them its `StepRecord`.
+steps where the same neuron fires alone share its `(id,)` tuple, CSR
+views and delivered input (another one-entry memo, so at most one kept
+vector of n floats). A one-spike step of the self-exciting loop keeps
+about 176 B (tracemalloc), 120 B of them its `StepRecord`.
 A network whose kept synapses all share one delay keeps no delay column.
 
 Determinism: identical graph, encoding and inputs reproduce the trace
@@ -93,7 +105,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from numpy._core.multiarray import count_nonzero  # np.count_nonzero's C function, no wrapper
@@ -270,6 +282,18 @@ class _CompiledNet:
         return [idx[a:b] for a, b in zip([0] + bounds, bounds)]
 
 
+class _Solo(NamedTuple):
+    """The last neuron that fired alone (`SimState.solo`) and its event path."""
+
+    i: int
+    spike_ids: tuple[str, ...]
+    pair: tuple[np.ndarray, np.ndarray] | None  # its CSR views (targets, weights)
+    delays: np.ndarray | None  # its delay view, when the net keeps a delay column
+    # What its pair delivers when due alone (input vector, fed split), read-only;
+    # kept once the neuron fires alone again after such a delivery.
+    delivered: tuple[np.ndarray, tuple[np.ndarray, ...]] | None = None
+
+
 @dataclass
 class SimState:
     """Mutable simulation state; create with init_sim.
@@ -282,9 +306,12 @@ class SimState:
     holds the ascending indices of a leaky LIF group's nonzero-state
     neurons. `energy` is a one-entry memo, the last step's counts
     `(touched, spikes, events)` and their `energy_terms`, which the next
-    step with equal counts shares. `solo` is one too: the last neuron that
-    fired alone, its spike-id tuple `(id,)` and its CSR slice, which the
-    next step where that neuron fires alone reuses.
+    step with equal counts shares. `solo` is one too (`_Solo`): the last
+    neuron that fired alone, its spike-id tuple `(id,)`, its CSR views
+    (a read-only (targets, weights) pair and, when the net keeps one, its
+    delay view) and, once the pair was delivered alone and the neuron fired
+    alone again, the read-only input vector and fed split of that delivery,
+    reused while that pair object is a step's only due events.
     """
 
     net: _CompiledNet
@@ -299,7 +326,7 @@ class SimState:
     last_y: np.ndarray
     y_written: list[np.ndarray] = field(default_factory=list)  # entries of last_y now set
     energy: tuple[tuple, tuple] = ((), ())
-    solo: tuple[int, tuple[str, ...], slice | None] = (-1, (), None)
+    solo: _Solo = _Solo(-1, (), None, None)
 
     def membrane(self, neuron_id: str) -> float:
         return float(self.x[self.net.graph.index[neuron_id]])
@@ -344,7 +371,12 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
     due = s.pending.pop(t, None)
     synaptic_events = 0
     input_sum = fed = None
-    if due is not None:
+    # Due alone, the lone firer's own pair delivers the same every time.
+    own = due is not None and len(due) == 1 and due[0] is s.solo.pair
+    if own and s.solo.delivered is not None:
+        input_sum, fed = s.solo.delivered
+        synaptic_events = len(due[0][0])
+    elif due is not None:
         targets, values = due[0] if len(due) == 1 else map(np.concatenate, zip(*due))
         synaptic_events = len(targets)
         input_sum = np.bincount(targets, weights=values, minlength=net.n)
@@ -362,9 +394,13 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
                     raise UnknownInputNeuron(neuron_id)
                 if not math.isfinite(value):
                     raise NonFiniteInput(f"external input to {neuron_id!r} is {value}")
-        input_sum = np.zeros(net.n) if input_sum is None else input_sum
+        if input_sum is None:
+            input_sum = np.zeros(net.n)
+        elif fed is not None:  # the memo's read-only vector: inject into a copy
+            input_sum = input_sum.copy()
         np.add.at(input_sum, pos, injected)  # unbuffered, in order
-    if input_sum is not None:
+        fed, own = None, False
+    if fed is None and input_sum is not None:
         fed = input_sum.nonzero()[0]
         fed = [fed] if net.one_group else net.by_group(fed)
     armed, s.armed = s.armed, None
@@ -458,12 +494,25 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
             spikes.sort()  # a fresh array: the concatenation, or ev[firing]
         spike_count = len(spikes)
         if spike_count == 1:
-            # One source: its synapses are one contiguous CSR slice.
+            # One source: its synapses are one contiguous CSR slice, kept as
+            # views in the memo. Unscaled, one delay: the memo's pair is queued.
             i = spikes.item()
-            if s.solo[0] != i:
-                s.solo = (i, (net.ids[i],), slice(*net.out_indptr[i:i + 2].tolist()))
-            _, spike_ids, pos = s.solo
-            values = net.syn_weight[pos] * last_y[spikes] if net.scaled else net.syn_weight[pos]
+            solo = s.solo
+            if solo.i != i:
+                a, b = net.out_indptr[i:i + 2].tolist()
+                s.solo = solo = _Solo(i, (net.ids[i],), (net.syn_target[a:b], net.syn_weight[a:b]),
+                                      None if net.syn_delay is None else net.syn_delay[a:b])
+            elif own and solo.delivered is None:
+                # It fired alone again after its pair was delivered alone: keep
+                # that delivery, read-only, for the next. A new firer each step
+                # (a relay chain) keeps nothing and pays nothing for it.
+                fed = tuple(fed)
+                for part in (input_sum, *fed):
+                    part.flags.writeable = False
+                s.solo = solo = solo._replace(delivered=(input_sum, fed))
+            spike_ids, events, delays = solo.spike_ids, solo.pair, solo.delays
+            if net.scaled:
+                events = (events[0], events[1] * last_y[spikes])
         else:
             spike_ids = tuple(net.id_array[spikes].tolist())
             lo = net.out_indptr[spikes]
@@ -475,12 +524,13 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
             values = net.syn_weight[pos]
             if net.scaled:
                 values *= last_y[spikes].repeat(lens)
-        if len(values):
-            targets = net.syn_target[pos]
-            if net.delay is not None:
-                s.pending.setdefault(t + net.delay, []).append((targets, values))
+            events = (net.syn_target[pos], values)
+            delays = None if net.syn_delay is None else net.syn_delay[pos]
+        if len(events[0]):
+            if delays is None:
+                s.pending.setdefault(t + net.delay, []).append(events)
             else:
-                delays = net.syn_delay[pos]
+                targets, values = events
                 for d in sorted_unique(delays).tolist():
                     sel = delays == d
                     s.pending.setdefault(t + d, []).append((targets[sel], values[sel]))

@@ -30,18 +30,19 @@ one `edges` set per distinct shape; the exhaustive oracle builds its
 overlapping candidates in one call too.
 
 Both partitions label fragments through one helper that computes one
-exact signature per distinct fragment shape (nodes, edges), for the
-label and for the family check: a tiling of a regular graph repeats a
-handful of shapes, so the layout search runs a handful of times. The
-digests are `_blake2.blake2b`, which is `hashlib.blake2b`: importing
-hashlib would also load OpenSSL (about 3.5 MB of peak RSS), unused.
+exact signature per distinct fragment shape (nodes, edges), as the bulk
+builder numbers them, for the label and for the family check: a tiling
+of a regular graph repeats a handful of shapes, so the layout search
+runs a handful of times. The digests are `_blake2.blake2b`, which is
+`hashlib.blake2b`: importing hashlib would also load OpenSSL (about
+3.5 MB of peak RSS), unused.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -85,10 +86,10 @@ def extract_fragment(vg: ValidatedGraph, node_ids: Sequence[str]) -> Fragment:
         members[nid] = vg.index[nid]
     if not members:
         return Fragment((), frozenset(), ())
-    return _fragments(vg, np.array(list(members.values()), np.intp).reshape(1, -1))[0]
+    return _fragments(vg, np.array(list(members.values()), np.intp).reshape(1, -1))[0][0]
 
 
-def _fragments(vg: ValidatedGraph, tiles: np.ndarray) -> list[Fragment]:
+def _fragments(vg: ValidatedGraph, tiles: np.ndarray) -> tuple[list[Fragment], list[int]]:
     """Induce one fragment per row of `tiles`, a (fragments x k) array of
     host-graph positions, distinct within a row; rows may share positions.
     Local index i of a row's fragment is the row's i-th position.
@@ -98,6 +99,8 @@ def _fragments(vg: ValidatedGraph, tiles: np.ndarray) -> list[Fragment]:
     less its internal references, counted with repeats; the edge set
     holds each internal (source slot, consumer slot) pair once.
     Rows of one shape share one `nodes` tuple and one `edges` frozenset.
+    Returns the fragments and each one's shape index (equal indices, equal
+    `nodes` and `edges`).
     """
     count, k = tiles.shape
     members = tiles.ravel()
@@ -137,7 +140,7 @@ def _fragments(vg: ValidatedGraph, tiles: np.ndarray) -> list[Fragment]:
                          (Fragment.edges, map(edges.__getitem__, shape_of)),
                          (Fragment.node_ids, zip(*[iter(ids)] * k))):
         list(map(slot.__set__, fragments, values))
-    return fragments
+    return fragments, shape_of
 
 
 def _layouts(frag: Fragment) -> Iterator[tuple[int, ...]]:
@@ -234,20 +237,19 @@ class PartitionResult:
     granularity: int
 
 
-def _group_by_label(fragments: Iterable[Fragment]) -> dict[str, list[Fragment]]:
+def _group_by_label(fragments: list[Fragment], shape_of: list[int]) -> dict[str, list[Fragment]]:
     """Fragments grouped by canonical label, labels in order of first use.
 
     A label is a pure function of the fragment's shape (nodes, edges), so
-    each distinct shape is labelled once. The exact signature serves both
-    the label and the family check: every shape's full signature (not its
-    digest) must equal that of the first shape given its label, which
-    alone is kept.
+    each distinct shape, as `_fragments` numbers them in `shape_of`, is
+    labelled once. The exact signature serves both the label and the
+    family check: every shape's full signature (not its digest) must equal
+    that of the first shape given its label, which alone is kept.
     """
-    labels: dict[tuple, str] = {}
+    labels: dict[int, str] = {}
     heads: dict[str, tuple] = {}
     grouped: dict[str, list[Fragment]] = {}
-    for frag in fragments:
-        shape = (frag.nodes, frag.edges)
+    for frag, shape in zip(fragments, shape_of):
         label = labels.get(shape)
         if label is None:
             signature = _exact_signature(frag)
@@ -313,8 +315,7 @@ def partition_isomorphic(vg: ValidatedGraph, granularity: int) -> PartitionResul
 
     # Members listed in tiling order, as in `order`.
     tiles = np.sort(np.array(tiled, np.intp).reshape(-1, granularity), axis=1)
-    fragments = _fragments(vg, order[tiles])
-    grouped = _group_by_label(fragments)
+    grouped = _group_by_label(*_fragments(vg, order[tiles]))
     families = tuple(sorted(
         ((label, tuple(members)) for label, members in grouped.items()),
         key=lambda item: (-len(item[1]), item[0]),
@@ -386,7 +387,7 @@ def brute_force_partition(vg: ValidatedGraph, granularity: int) -> PartitionResu
         raise GraphTooLargeForOracle(f"oracle capped at {ORACLE_CAP} nodes, got {len(vg)}")
     granularity = _check_granularity(granularity)
     subsets = [list(map(vg.index.__getitem__, s)) for s in _connected_subsets(vg, granularity)]
-    by_label = _group_by_label(_fragments(vg, np.array(subsets, np.intp).reshape(-1, granularity)))
+    by_label = _group_by_label(*_fragments(vg, np.array(subsets, np.intp).reshape(-1, granularity)))
     best_label, best_members = None, []
     for label in sorted(by_label):
         frags = by_label[label]

@@ -108,11 +108,13 @@ def reference_mesh_solve(spec: MeshSpec) -> np.ndarray:
     Returns an (m_t + 1, m_s) array whose row t is the state after t
     steps; row 0 is the initial state.
     """
-    rows, cols, vals = _coupling_rows(spec)
+    _rows, cols, vals = _coupling_rows(spec)
+    vals = vals.reshape(spec.m_s, -1)  # row i's nonzeros: x[i] scales them with one broadcast
     series = np.empty((spec.m_t + 1, spec.m_s))
     series[0] = spec.init
     for t in range(spec.m_t):
-        series[t + 1] = np.bincount(cols, weights=series[t][rows] * vals, minlength=spec.m_s)
+        products = series[t][:, None] * vals  # x[rows] * vals, in the same order
+        series[t + 1] = np.bincount(cols, weights=products.ravel(), minlength=spec.m_s)
     return series
 
 

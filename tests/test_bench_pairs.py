@@ -35,6 +35,7 @@ def test_one_tiny_pair_of_the_same_checkout(tmp_path):
     checkout = _checkout(tmp_path / "checkout")
     done = _pairs(checkout, checkout)
     assert done.returncode == 0, done.stderr
+    assert "warning" not in done.stderr  # one checkout: its paths are one length
     pair, header, *rows = done.stdout.splitlines()
     assert pair.startswith("pair 1 (AB): wall_s ")
     assert header.split()[0] == "metric"
@@ -59,11 +60,28 @@ def test_a_failed_run_stops_the_comparison(tmp_path):
     assert "B lower" not in done.stdout
 
 
-def _summary(runs_a, runs_b):
+def _bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
-    return bench_pairs.summary(runs_a, runs_b, SPEC)
+    return bench_pairs
+
+
+def _summary(runs_a, runs_b):
+    return _bench_pairs().summary(runs_a, runs_b, SPEC)
+
+
+def test_checkout_paths_of_different_lengths_warn(tmp_path):
+    warning = _bench_pairs().path_length_warning
+    for name in ("parent", "change", "base_a", "base_a2"):
+        (tmp_path / name).mkdir()
+    assert warning(tmp_path / "parent", tmp_path / "change") is None
+    assert warning(tmp_path / "base_a", tmp_path / "base_a") is None
+    # A relative path counts as what it resolves to.
+    assert warning(tmp_path / "parent", tmp_path / "change" / ".." / "parent") is None
+    message = warning(tmp_path / "base_a", tmp_path / "base_a2")
+    assert message.startswith("warning: checkout paths differ in length")
+    assert str(tmp_path / "base_a2") in message
 
 
 SPEC = {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25},

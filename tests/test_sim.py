@@ -748,6 +748,93 @@ class TestTraceStorage:
         assert (peak - base) / n <= 300
 
 
+SILENT = nc.NeuronSpec("lif", v_thresh=1e9)  # an integrator that never fires
+
+
+def loop_with_integrator(delay=1):
+    """The self-exciting loop L also feeding 0.25 to a silent integrator."""
+    return network(neurons=(("L", RELAY, 1.5), ("acc", SILENT, 0.0)),
+                   synapses=(("L", "L", 1.5), ("L", "acc", 0.25, delay)),
+                   input_neurons=("acc",), output_neurons=("acc",))
+
+
+def count_deliveries(monkeypatch) -> list:
+    """Records each weighted np.bincount call: one per summed delivery."""
+    calls, real = [], np.bincount
+
+    def bincount(*args, **kwargs):
+        if "weights" in kwargs:
+            calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", bincount)
+    return calls
+
+
+def memo_arrays(solo) -> list[np.ndarray]:
+    input_sum, fed = solo.delivered or (None, ())
+    return [a for a in (*solo.pair, solo.delays, input_sum, *fed) if a is not None]
+
+
+class TestLoneFirerMemo:
+    @pytest.mark.parametrize("encoding", [nc.AnalogEncoding(), nc.DigitalEncoding()],
+                             ids=["analog", "digital"])
+    def test_loop_queues_its_pair_and_reuses_its_delivery(self, monkeypatch, encoding):
+        s = nc.init_sim(nc.gen_self_exciting_loop(), encoding, 0)
+        nc.step_sim(s)  # step 0: the armed neuron fires alone and queues its pair
+        nc.step_sim(s)  # step 1: that pair is delivered alone; L fires alone again: kept
+        delivered = s.solo.delivered
+        assert delivered is not None and delivered[0].tolist() == [1.5]
+        calls = count_deliveries(monkeypatch)
+        for t in range(2, 40):
+            due = s.pending[t]
+            assert len(due) == 1 and due[0] is s.solo.pair
+            rec = nc.step_sim(s)
+            assert (rec.spikes, rec.synaptic_events) == (1, 1)
+            assert s.solo.delivered is delivered
+        assert calls == []
+        assert all(not a.flags.writeable for a in memo_arrays(s.solo))
+
+    def test_injection_on_a_reuse_step_stays_out_of_the_kept_vector(self, monkeypatch):
+        calls = count_deliveries(monkeypatch)
+        s = nc.init_sim(loop_with_integrator(), nc.AnalogEncoding(), 0)
+        tr = nc.run_sim(s, 20, inputs={5: (("acc", 2.0),)})
+        assert [r.spike_ids for r in tr.records] == [("L",)] * 20
+        assert len(calls) == 1  # step 1 delivers; steps 2 to 19 reuse, step 5 on a copy
+        # 0.25 on each of steps 1 to 19, and 2.0 once: exact in binary.
+        assert s.membrane("acc") == 0.25 * 19 + 2.0
+        assert tr.outputs[:, 0].tolist() == [0.0] * 20
+        assert s.solo.delivered[0].tolist() == [1.5, 0.25]
+        assert all(not a.flags.writeable for a in memo_arrays(s.solo))
+
+    @pytest.mark.parametrize("make", [
+        # a relu source outputs 0.7, not 1.0, so its values are w * y: a scaled net
+        lambda: network(neurons=(("r", nc.NeuronSpec("ann_relu"), 0.7),),
+                        synapses=(("r", "r", 1.0),)),
+        lambda: loop_with_integrator(delay=2),  # delays 1 and 2: the emit splits
+    ], ids=["scaled", "multi_delay"])
+    def test_fresh_events_are_never_stored(self, monkeypatch, make):
+        s = nc.init_sim(make(), nc.AnalogEncoding(), 0)
+        calls = count_deliveries(monkeypatch)
+        for t in range(30):
+            rec = nc.step_sim(s)
+            assert rec.spikes == 1
+            assert all(pair is not s.solo.pair for pair in s.pending[t + 1])
+            assert s.solo.delivered is None
+        assert len(calls) == 29  # each step after the first delivers its own events
+        assert all(not a.flags.writeable for a in memo_arrays(s.solo))
+
+    def test_a_new_firer_each_step_keeps_no_vector(self):
+        # A relay chain: each pair is due alone once, and its firer never again.
+        n = 50
+        ng = network(neurons=[(f"c{i}", RELAY, 1.5 if i == 0 else 0.0) for i in range(n)],
+                     synapses=[(f"c{i}", f"c{i + 1}", 1.5) for i in range(n - 1)])
+        s = nc.init_sim(ng, nc.AnalogEncoding(), 0)
+        for t in range(n):
+            assert nc.step_sim(s).spike_ids == (f"c{t}",)
+            assert s.solo.delivered is None
+
+
 class TestUnion:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_union1d_on_ascending_indices(self, seed):

@@ -124,10 +124,13 @@ class TestCanonicalLabels:
         vg = random_multigraph(rng)
         for k in (1, 3, 8, 9, 14):
             rows = [rng.sample(range(len(vg)), k) for _ in range(12)]
-            frags = threads._fragments(vg, np.array(rows, np.intp))
+            frags, shape_of = threads._fragments(vg, np.array(rows, np.intp))
             for row, frag in zip(rows, frags):
                 ids = [vg.graph.ids[i] for i in row]
                 assert (frag.nodes, frag.edges, frag.node_ids) == id_reference_fragment(vg, ids)
+            # One shape index per distinct (nodes, edges), as _group_by_label needs.
+            shapes = {(f.nodes, f.edges): shape for f, shape in zip(frags, shape_of)}
+            assert sorted(shapes.values()) == sorted(set(shape_of))
 
     def test_exact_matcher_size_cap(self):
         vg = make_chain(20)
@@ -406,7 +409,9 @@ def reference_partition(vg, granularity):
                                                 sorted(members, key=rank.__getitem__)))
         else:
             residual |= member_set
-    grouped = threads._group_by_label(fragments)
+    shapes: dict = {}  # shape indices as the bulk builder gives them: equal for equal shapes
+    grouped = threads._group_by_label(
+        fragments, [shapes.setdefault((f.nodes, f.edges), len(shapes)) for f in fragments])
     families = tuple(sorted(((label, tuple(members)) for label, members in grouped.items()),
                             key=lambda item: (-len(item[1]), item[0])))
     return nc.PartitionResult(

@@ -335,6 +335,17 @@ class TestSparseMesh:
         assert ref.shape == (16, m_s)
         assert np.max(np.abs(ref - _dense_solve(spec))) <= 1e-12
 
+    @pytest.mark.parametrize("m_s,k", [(1, 0)] + [(m_s, k) for m_s in (5, 7, 9, 64)
+                                                  for k in (2, 4, 6) if k < m_s])
+    def test_oracle_equals_the_gather_formula_bit_for_bit(self, m_s, k):
+        init = np.random.default_rng(m_s * 10 + k).normal(size=m_s)
+        spec = ring_spec(m_s, tuple(init), m_t=12, alpha=0.3, k=k)
+        rows, cols, vals = _coupling_rows(spec)
+        want = [init]
+        for _ in range(spec.m_t):
+            want.append(np.bincount(cols, weights=want[-1][rows] * vals, minlength=m_s))
+        assert reference_mesh_solve(spec).tobytes() == np.array(want).tobytes()
+
     @pytest.mark.parametrize("spec", [
         ring_spec(33, nc.sinusoid_init(33, cycles=3), k=6, alpha=0.3),
         ring_spec(8, (1.0, 0.0) * 4, k=4),

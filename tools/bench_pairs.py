@@ -19,6 +19,11 @@ A's by more than A's interquartile range. "bound": for an end-to-end
 metric, whether B's median is worse than A's by at most the metric's
 `bound`, a fraction of A's median; a per-layer metric has none ("-").
 Stdlib only; each checkout's benchmark imports its own `src/`.
+
+Results can depend on where a checkout lies: identical commits in
+directories whose paths differ in length have read a few tenths of a MB
+apart in `peak_rss_mb`. The tool warns on stderr when the two resolved
+paths differ in length; give both checkouts names of one length.
 """
 
 from __future__ import annotations
@@ -43,6 +48,15 @@ def run_bench(checkout: Path, args: argparse.Namespace) -> dict[str, float]:
         raise SystemExit(f"error: bench/run.py in {checkout} failed {result['failed']} of "
                          f"{result['attempted']} checks")
     return {name: entry["value"] for name, entry in result["metrics"].items()}
+
+
+def path_length_warning(a: Path, b: Path) -> str | None:
+    """A warning when the resolved paths of checkouts `a` and `b` differ in length."""
+    a, b = a.resolve(), b.resolve()
+    if len(str(a)) == len(str(b)):
+        return None
+    return (f"warning: checkout paths differ in length ({len(str(a))} and {len(str(b))} "
+            f"characters: {a}, {b}); results can shift with a path's length")
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -100,6 +114,8 @@ def parse_args(argv) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    if warning := path_length_warning(args.a, args.b):
+        print(warning, file=sys.stderr, flush=True)
     runs = {"A": [], "B": []}
     for pair in range(1, args.pairs + 1):
         order = ("A", "B") if pair % 2 else ("B", "A")
