@@ -14,8 +14,7 @@ from neurocost import fileio
 text = (resources.files("neurocost") / "data" / "footnote.graph").read_text()
 vg = nc.validate_graph(nc.parse_graph_file(text))
 
-rules = nc.relay_rules({n.op_kind for n in vg.graph.nodes})
-ng, assembly = nc.lower_graph(vg, rules)
+ng, assembly = nc.lower_graph(vg)  # one relay neuron per op, whatever its kind
 counts = nc.count_resources(ng, assembly)
 print(f"lowered: n_total={counts.n_total} s_total={counts.s_total} "
       f"n_bar={counts.n_bar} s_bar={counts.s_bar}")

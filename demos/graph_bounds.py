@@ -18,7 +18,7 @@ vg = nc.validate_graph(nc.parse_graph_file(text))
 m = nc.compute_metrics(vg)
 
 print("bundled graph")
-print(f"  nodes={len(vg.graph.nodes)} t1={m.t1} t_inf={m.t_inf}")
+print(f"  nodes={len(vg.graph.ids)} t1={m.t1} t_inf={m.t_inf}")
 for p in (1, 2, 4):
     sched = nc.list_schedule(vg, p)
     print(f"  p={p}: t_p={sched.t_p}")
@@ -31,7 +31,7 @@ for seed, n in ((1, 30), (2, 80), (3, 150)):
     g = nc.gen_random_dag(n, 0.1, ("relay", "mix"), seed=seed)
     rvg = nc.validate_graph(g)
     rm = nc.compute_metrics(rvg)
-    n_nodes = len(rvg.graph.nodes)
+    n_nodes = len(rvg.graph.ids)
     for p in (1, 4, 16, 10**9):
         t_p = nc.list_schedule(rvg, p).t_p
         lo = max(rm.t_inf, math.ceil(rm.t1 / p))

@@ -105,7 +105,6 @@ from .sim import (
     ZeroActivity,
     hamming_bits,
     init_sim,
-    measure_firing_rate,
     reconcile_energy,
     run_sim,
     step_sim,
@@ -116,8 +115,6 @@ from .threads import (
     Fragment,
     PartitionResult,
     brute_force_partition,
-    canonical_label,
-    extract_fragment,
     isomorphic,
     partition_isomorphic,
     thread_efficiency,

@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
         textwrap.fill(" ".join(f"{key}={p.shown or p.default}{'*' * (p.minimum is not None)}"
                                for key, p in params.items()),
                       78, initial_indent=f"  {workload + ':':<8}", subsequent_indent=" " * 10)
-        for workload, (_build, _run, params) in SWEEP_TABLE.items())
+        for workload, (_check, _run, params) in SWEEP_TABLE.items())
     p_sweep.add_argument("--workload", choices=SWEEP_WORKLOADS, required=True)
     p_sweep.add_argument("--param", required=True, help="swept parameter name")
     p_sweep.add_argument("--values", required=True,

@@ -19,8 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import ComputeGraph, OpNode
+from .graph import ComputeGraph
 from .workloads import gen_random_dag
+
+#: One node as (id, op kind, input ids).
+_Node = tuple[str, str, tuple[str, ...]]
 
 
 @dataclass(frozen=True)
@@ -31,85 +34,73 @@ class CorpusEntry:
     graph: ComputeGraph
 
 
-def _graph(nodes: list[OpNode]) -> ComputeGraph:
-    has_out = {ref for node in nodes for ref in node.inputs}
-    return ComputeGraph(
-        nodes=tuple(nodes),
-        declared_inputs=tuple(n.id for n in nodes if not n.inputs),
-        declared_outputs=tuple(n.id for n in nodes if n.id not in has_out),
+def _graph(nodes: list[_Node]) -> ComputeGraph:
+    """Columns from (id, kind, inputs) triples; sources are the declared
+    inputs and sinks the declared outputs."""
+    ids, kinds, inputs = zip(*nodes)
+    has_out = {ref for refs in inputs for ref in refs}
+    return ComputeGraph.from_columns(
+        ids, kinds, inputs,
+        declared_inputs=[nid for nid, refs in zip(ids, inputs) if not refs],
+        declared_outputs=[nid for nid in ids if nid not in has_out],
     )
 
 
 def _dense_rows(rows: int, kinds: tuple[str, str, str] = ("mul", "mul", "add"),
-                prefix: str = "r") -> ComputeGraph:
+                prefix: str = "r") -> list[_Node]:
     """rows disjoint multiply-accumulate rows: two products into one sum."""
-    nodes: list[OpNode] = []
+    nodes: list[_Node] = []
     for j in range(rows):
         a, b, s = f"{prefix}{j}a", f"{prefix}{j}b", f"{prefix}{j}s"
-        nodes += [OpNode(a, kinds[0]), OpNode(b, kinds[1]),
-                  OpNode(s, kinds[2], (a, b))]
-    return _graph(nodes)
+        nodes += [(a, kinds[0], ()), (b, kinds[1], ()), (s, kinds[2], (a, b))]
+    return nodes
 
 
-def _chain(n: int, kinds: list[str], prefix: str = "n") -> ComputeGraph:
-    nodes = [
-        OpNode(f"{prefix}{i}", kinds[i % len(kinds)],
-               (f"{prefix}{i - 1}",) if i else ())
-        for i in range(n)
-    ]
-    return _graph(nodes)
+def _chain(n: int, kinds: list[str], prefix: str = "n") -> list[_Node]:
+    return [(f"{prefix}{i}", kinds[i % len(kinds)], (f"{prefix}{i - 1}",) if i else ())
+            for i in range(n)]
 
 
-def _parallel_chains(copies: int, length: int, kinds: list[str]) -> ComputeGraph:
-    nodes: list[OpNode] = []
-    for j in range(copies):
-        for i in range(length):
-            nodes.append(OpNode(f"c{j}n{i}", kinds[i % len(kinds)],
-                                (f"c{j}n{i - 1}",) if i else ()))
-    return _graph(nodes)
+def _parallel_chains(copies: int, length: int, kinds: list[str]) -> list[_Node]:
+    return [node for j in range(copies) for node in _chain(length, kinds, f"c{j}n")]
 
 
-def _diamonds(copies: int) -> ComputeGraph:
-    nodes: list[OpNode] = []
+def _diamonds(copies: int) -> list[_Node]:
+    nodes: list[_Node] = []
     for j in range(copies):
         i, l, r, o = f"d{j}i", f"d{j}l", f"d{j}r", f"d{j}o"
-        nodes += [OpNode(i, "split"), OpNode(l, "arm", (i,)),
-                  OpNode(r, "arm", (i,)), OpNode(o, "join", (l, r))]
-    return _graph(nodes)
+        nodes += [(i, "split", ()), (l, "arm", (i,)), (r, "arm", (i,)), (o, "join", (l, r))]
+    return nodes
 
 
-def _fanouts(copies: int) -> ComputeGraph:
-    nodes: list[OpNode] = []
+def _fanouts(copies: int) -> list[_Node]:
+    nodes: list[_Node] = []
     for j in range(copies):
         s = f"s{j}"
-        nodes += [OpNode(s, "src"), OpNode(f"t{j}a", "sink", (s,)),
-                  OpNode(f"t{j}b", "sink", (s,))]
-    return _graph(nodes)
+        nodes += [(s, "src", ()), (f"t{j}a", "sink", (s,)), (f"t{j}b", "sink", (s,))]
+    return nodes
 
 
-def _star(arms: int) -> ComputeGraph:
-    nodes = [OpNode(f"p{i}", "f") for i in range(arms)]
-    nodes.append(OpNode("c", "h", tuple(f"p{i}" for i in range(arms))))
-    nodes += [OpNode(f"s{i}", "f", ("c",)) for i in range(arms)]
-    return _graph(nodes)
+def _star(arms: int) -> list[_Node]:
+    return ([(f"p{i}", "f", ()) for i in range(arms)]
+            + [("c", "h", tuple(f"p{i}" for i in range(arms)))]
+            + [(f"s{i}", "f", ("c",)) for i in range(arms)])
 
 
-def _distinct_diamond() -> ComputeGraph:
-    return _graph([
-        OpNode("in0", "op0"),
-        OpNode("mid1", "op1", ("in0",)),
-        OpNode("mid2", "op2", ("in0",)),
-        OpNode("join", "op3", ("mid1", "mid2")),
-        OpNode("tail", "op4", ("join",)),
-        OpNode("out", "op5", ("tail",)),
-    ])
+_DISTINCT_DIAMOND: list[_Node] = [
+    ("in0", "op0", ()),
+    ("mid1", "op1", ("in0",)),
+    ("mid2", "op2", ("in0",)),
+    ("join", "op3", ("mid1", "mid2")),
+    ("tail", "op4", ("join",)),
+    ("out", "op5", ("tail",)),
+]
 
 
-def _mixed_rows() -> ComputeGraph:
+def _mixed_rows() -> list[_Node]:
     """Two motif families side by side, two copies each."""
-    a = _dense_rows(2, ("mul", "mul", "add"), prefix="m")
-    b = _dense_rows(2, ("neg", "neg", "mul"), prefix="q")
-    return _graph(list(a.nodes) + list(b.nodes))
+    return (_dense_rows(2, ("mul", "mul", "add"), prefix="m")
+            + _dense_rows(2, ("neg", "neg", "mul"), prefix="q"))
 
 
 def _dk(n: int) -> list[str]:
@@ -118,37 +109,31 @@ def _dk(n: int) -> list[str]:
 
 def mini_corpus() -> tuple[CorpusEntry, ...]:
     """The partition and pipeline check corpus, rebuilt identically on every call."""
-    entries = [
-        CorpusEntry("dense_rows_4x3", "homogeneous", 3, _dense_rows(4)),
-        CorpusEntry("relay_fan_3x3", "homogeneous", 3,
-                    _parallel_chains(3, 3, ["f"])),
-        CorpusEntry("diamonds_3x4", "homogeneous", 4, _diamonds(3)),
-        CorpusEntry("pairs_6x2", "homogeneous", 2,
-                    _parallel_chains(6, 2, ["u", "v"])),
-        CorpusEntry("path12_singletons", "homogeneous", 1,
-                    _chain(12, ["acc"])),
-        CorpusEntry("fanouts_4x3", "homogeneous", 3, _fanouts(4)),
-        CorpusEntry("distinct_chain8_g2", "chain", 2, _chain(8, _dk(8))),
-        CorpusEntry("distinct_chain12_g3", "chain", 3, _chain(12, _dk(12))),
-        CorpusEntry("distinct_chain6_whole", "chain", 6, _chain(6, _dk(6))),
-        CorpusEntry("twin_chains5_g5", "chain", 5,
-                    _parallel_chains(2, 5, _dk(5))),
-        CorpusEntry("distinct_chain10_g5", "chain", 5, _chain(10, _dk(10))),
-        CorpusEntry("distinct_diamond6_g3", "chain", 3, _distinct_diamond()),
-        CorpusEntry("offset_chain12_f_g3", "adversarial", 3,
-                    _chain(12, ["f"])),
-        CorpusEntry("offset_chain12_fg_g2", "adversarial", 2,
-                    _chain(12, ["f", "g"])),
-        CorpusEntry("offset_chain10_f_g2", "adversarial", 2,
-                    _chain(10, ["f"])),
-        CorpusEntry("mixed_rows_2x2", "adversarial", 3, _mixed_rows()),
-        CorpusEntry("trap_star9", "adversarial", 3, _star(4)),
+    built = [
+        ("dense_rows_4x3", "homogeneous", 3, _dense_rows(4)),
+        ("relay_fan_3x3", "homogeneous", 3, _parallel_chains(3, 3, ["f"])),
+        ("diamonds_3x4", "homogeneous", 4, _diamonds(3)),
+        ("pairs_6x2", "homogeneous", 2, _parallel_chains(6, 2, ["u", "v"])),
+        ("path12_singletons", "homogeneous", 1, _chain(12, ["acc"])),
+        ("fanouts_4x3", "homogeneous", 3, _fanouts(4)),
+        ("distinct_chain8_g2", "chain", 2, _chain(8, _dk(8))),
+        ("distinct_chain12_g3", "chain", 3, _chain(12, _dk(12))),
+        ("distinct_chain6_whole", "chain", 6, _chain(6, _dk(6))),
+        ("twin_chains5_g5", "chain", 5, _parallel_chains(2, 5, _dk(5))),
+        ("distinct_chain10_g5", "chain", 5, _chain(10, _dk(10))),
+        ("distinct_diamond6_g3", "chain", 3, _DISTINCT_DIAMOND),
+        ("offset_chain12_f_g3", "adversarial", 3, _chain(12, ["f"])),
+        ("offset_chain12_fg_g2", "adversarial", 2, _chain(12, ["f", "g"])),
+        ("offset_chain10_f_g2", "adversarial", 2, _chain(10, ["f"])),
+        ("mixed_rows_2x2", "adversarial", 3, _mixed_rows()),
+        ("trap_star9", "adversarial", 3, _star(4)),
+    ]
+    return tuple([CorpusEntry(name, category, g, _graph(nodes))
+                  for name, category, g, nodes in built] + [
         CorpusEntry("random_dag_a", "random", 2,
                     gen_random_dag(10, 0.25, ("add", "mul"), seed=101)),
         CorpusEntry("random_dag_b", "random", 3,
                     gen_random_dag(12, 0.3, ("f", "g", "h"), seed=202)),
         CorpusEntry("random_dag_c", "random", 2,
                     gen_random_dag(11, 0.15, ("op",), seed=303)),
-    ]
-    return tuple(entries)
-
+    ])

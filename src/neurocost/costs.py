@@ -251,12 +251,6 @@ class ComparisonTable:
     nmc_energy_series: tuple[float, ...] = ()
     conv_energy_per_step: float | None = None
 
-    def row(self, architecture: str) -> ComparisonRow:
-        for r in self.rows:
-            if r.architecture == architecture:
-                return r
-        raise KeyError(architecture)
-
 
 def mesh_cost_report(m_s: int, m_t: int, k: int, t1s: int, t_infs: int,
                      n_mesh: int, c: CostConstants, f_series: Sequence[float]) -> ComparisonTable:

@@ -8,10 +8,10 @@ the nodes whose longest-path distance from a source is i, and the widths
 sum back to t1.
 
 A ComputeGraph is columns, like a NeuralGraph: ids, op kinds and one
-tuple of input ids per node, in declaration order. Parsing and the
-generators fill them directly, and so does template expansion; the
-OpNode tuple `nodes` is built when first read, and nothing on the
-analyze, simulate or partition path reads it.
+tuple of input ids per node, in declaration order. Parsing, the
+generators, template expansion and the corpus fill them directly. The
+OpNode form (`OpNode`, `ComputeGraph(nodes)` and the `nodes` tuple,
+built when first read) is kept for the benchmark only.
 
 Validation maps ids to integer positions once and keeps two CSRs over
 them: each node's inputs and each node's consumers. One FIFO Kahn pass

@@ -19,21 +19,20 @@ a two's-complement fixed-point word and measure change as Hamming
 distance; the analog encoding measures summed |dx|.
 
 Event core: outgoing synapses are compiled once, in linear time, into a
-read-only CSR without zero-weight synapses, sorted stably by source on
-the narrowest unsigned key (a radix sort up to 16 bits). Emit gathers
-the synapses of a step's firing sources, in source order, with one CSR
-gather (one slice when a single source fires) and appends one (targets,
-values) pair per distinct delay, one pair if all kept delays are equal,
-to the slot of the step it falls due. A value is the weight times the
-source's output y. Spiking sources (gate, lif) fire with y exactly 1.0
-and w * 1.0 == w bit for bit, so they emit their weights as they are;
-only a network where a relu or tanh neuron has outgoing synapses
-multiplies. Delivery concatenates the due slot's pairs in append order
-and sums them into the input vector with one `np.bincount`, then adds
-external injections with `np.add.at`, which is unbuffered and in order.
-Summation order is part of the contract: each target's input is the
-left-to-right sum of its events in (emit step, source, synapse) order,
-never pre-summed at emit time, so traces stay bitwise stable.
+read-only CSR without zero-weight synapses (`_CompiledNet`). Emit gathers
+the synapses of a step's firing sources, in source order, and appends one
+(targets, values) pair per distinct delay to the slot of the step it
+falls due. A value is the weight times the source's output y. Spiking
+sources (gate, lif) fire with y exactly 1.0 and w * 1.0 == w bit for bit,
+so they emit their weights as they are; only a network where a relu or
+tanh neuron has outgoing synapses multiplies. Delivery concatenates the
+due slot's pairs in append order and sums them into the input vector with
+one `np.bincount`, then adds external injections with `np.add.at`, which
+is unbuffered and in order. Summation order is part of the contract: each
+target's input is the left-to-right sum of its events in (emit step,
+source, synapse) order, never pre-summed at emit time, so traces stay
+bitwise stable. A neuron that fires alone on consecutive steps pays once
+for its events (`_Solo`).
 
 Evaluation set: a step's work follows touched neurons and events, not
 network size. The fed neurons, the nonzero entries of the input vector
@@ -46,54 +45,13 @@ keeps it. A quiet step (no slot due, no injection) skips delivery and
 allocates nothing of size n. State is written in place; `last_y` is
 cleared only where the previous step wrote.
 
-Per-step fixed cost: what is fixed for a run is computed once. The
-compiled net keeps one row per spec group (index, spec, `memoryless`,
-`leaky`), whether it has one group (then the fed set is not split), and
-an object array of the ids; a spec its threshold and reset as 0-d arrays
-(`NeuronSpec.thresh_reset`, which numpy reads without converting a
-Python float); the state every neuron's state word under a digital
-encoding (None under analog), a `DigitalEncoding` its word bounds, word
-step and Hamming mask, and `run_sim` its append, `last_y` and the output
-indices. Each group counts its changed words first, with numpy's C
-`count_nonzero` (`int()` keeps numpy scalars out of the records), and
-sums |dx| or bit counts only when some word changed: otherwise every
-diff is 0 (NaN counts as changed) and the sum would add +0.0, so a step
-that changed nothing keeps the shared 0.0 as its `delta_n`. A wide
-step's pieces are C-level calls, not Python work or numpy wrappers: the
-spike ids are one gather from the id array; a digital group reads its
-old words from the state and converts only its new states, one `words()`
-call a step (two when a leaky group tests decay against the kept words),
-and a word is converted in place (divide, floor, then numpy's `clip`
-ufunc, not the `np.clip` wrapper) and its uint8 bit count summed without
-a copy; injections are resolved to positions in one pass (`np.fromiter`
-over the input map), checked by one Python float sum, non-finite if any
-value is, and scanned pair by pair only on an unknown id or such a sum.
-A `StepRecord` is built positionally and is a slotted dataclass, not a
-frozen one, whose `__init__` would set each field through
-`object.__setattr__` at about four times the cost. Index sets are
-joined, and a multi-delay emit's delays found, by `graph.sorted_unique`:
-a bare `np.unique` imports `numpy.ma` on first use (1.7 MB of peak RSS).
-
-A neuron that fires alone on consecutive steps pays once for its events.
-The `solo` memo holds its CSR views, and an unscaled net with one delay
-queues them as the memo's own read-only (targets, weights) pair, so no
-step slices them again. When that pair was a step's only due events and
-the neuron fires alone again, the memo keeps the input vector and fed
-split that delivery gave, read-only; a later step whose due slot is that
-same pair object reuses them without `bincount` or `nonzero`, and one
-with an injection adds it to a copy. Scaled values (w * y), multi-delay
-splits and every other slot are made fresh and never kept, so a wide
-step, or a new lone firer on each step, keeps no delivered vector.
-
-Trace memory: a step keeps only its record. `run_sim` writes each step's
-output row into one float64 array that doubles when full and is trimmed
-in place at the end; consecutive steps with equal counts share one
-`energy_terms` tuple (a one-entry memo in the run state), and consecutive
-steps where the same neuron fires alone share its `(id,)` tuple, CSR
-views and delivered input (another one-entry memo, so at most one kept
-vector of n floats). A one-spike step of the self-exciting loop keeps
-about 176 B (tracemalloc), 120 B of them its `StepRecord`.
-A network whose kept synapses all share one delay keeps no delay column.
+Per-step cost: what is fixed for a run is computed once (by the compiled
+net, the specs, the encoding and `run_sim`), and a step's pieces are
+C-level calls, not Python work or numpy wrappers. Index sets are joined,
+and a multi-delay emit's delays found, by `graph.sorted_unique`: a bare
+`np.unique` imports `numpy.ma` on first use. A step keeps only its
+record; consecutive steps with equal counts share one `energy_terms`
+tuple.
 
 Determinism: identical graph, encoding and inputs reproduce the trace
 bitwise. The engine draws no random numbers; `init_sim` accepts a seed
@@ -142,11 +100,16 @@ class DigitalEncoding:
         # the largest representable value below it (clamp-edge artifact).
         hi = float(half - 1) if self.word_width <= 53 else math.nextafter(float(half), 0.0)
         for name, value in (("_lo", float(-half)), ("_hi", hi), ("_step", self.scale / half),
+                            ("_edge", 2.0 * self.scale),
                             ("_mask", np.uint64((1 << self.word_width) - 1))):
             object.__setattr__(self, name, value)
 
     def words(self, x: np.ndarray) -> np.ndarray:
-        q = np.divide(x, self._step, dtype=float)
+        # Clamped to +-2 * scale first, a state far outside the word cannot
+        # overflow the divide; every clamped value still floors outside
+        # [_lo, _hi], so the words are the same.
+        q = clip(x, -self._edge, self._edge, dtype=float)
+        np.divide(q, self._step, out=q)
         np.floor(q, out=q)
         clip(q, self._lo, self._hi, out=q)  # x is finite: the same bits as maximum, then minimum
         return q.astype(np.int64)
@@ -182,7 +145,9 @@ def hamming_bits(old_words: np.ndarray, new_words: np.ndarray, word_width: int) 
 
 @dataclass(slots=True)
 class StepRecord:
-    """Events and energy of one simulation step."""
+    """Events and energy of one simulation step. Built positionally, and
+    slotted, not frozen: a frozen `__init__` sets each field through
+    `object.__setattr__`."""
 
     t: int
     spikes: int
@@ -222,13 +187,15 @@ class _CompiledNet:
 
     Groups follow the graph's spec table (first-appearance order), each
     with its neuron indices ascending; `rows` holds each group's index,
-    spec and the spec's `memoryless` and `leaky` flags, read every step.
-    Nonzero-weight synapses are sorted stably by source on the narrowest
-    unsigned key (the permutation an intp key gives), so a source's slice
-    keeps declaration order. `delay` is the one delay when every kept
-    synapse has it, else None; the sorted delay column `syn_delay` is kept
-    only when `delay` is None, and is None otherwise. The CSR columns are
-    read-only, because emit may queue a view of `syn_weight`.
+    spec and the spec's `memoryless` and `leaky` flags, read every step,
+    and `one_group` says the fed set needs no split. Nonzero-weight
+    synapses are sorted stably by source on the narrowest unsigned key
+    (the permutation an intp key gives; numpy radix-sorts keys up to 16
+    bits), so a source's slice keeps declaration order. `delay` is the one
+    delay when every kept synapse has it, else None; the sorted delay
+    column `syn_delay` is kept only when `delay` is None, and is None
+    otherwise. The CSR columns are read-only, because emit may queue a view
+    of `syn_weight`.
     `scaled` is true when some non-spiking neuron has an outgoing synapse:
     only then must an emitted weight be multiplied by its source's output.
     """
@@ -283,14 +250,28 @@ class _CompiledNet:
 
 
 class _Solo(NamedTuple):
-    """The last neuron that fired alone (`SimState.solo`) and its event path."""
+    """The last neuron that fired alone (`SimState.solo`), a one-entry memo
+    that lets a neuron firing alone on consecutive steps pay once for its
+    events.
+
+    It holds the neuron's `(id,)` tuple, shared by the records of those
+    steps, and its CSR views: `pair`, read-only (targets, weights), and its
+    delay view when the net keeps a delay column. An unscaled net with one
+    delay queues `pair` itself, so no step slices the CSR again. When that
+    pair was a step's only due events (no injection) and the neuron fires
+    alone again, `delivered` keeps the input vector and fed split that the
+    delivery gave, read-only; a later step whose due slot is exactly that
+    pair object reuses them without `bincount`, `nonzero` or the group
+    split, and adds an injection to a copy. The store waits for the repeat,
+    so a relay chain (a new lone firer on each step) keeps and pays
+    nothing. Scaled values (w * y), multi-delay splits and every other slot
+    are made fresh and never kept, so at most one vector of n floats is.
+    """
 
     i: int
     spike_ids: tuple[str, ...]
-    pair: tuple[np.ndarray, np.ndarray] | None  # its CSR views (targets, weights)
-    delays: np.ndarray | None  # its delay view, when the net keeps a delay column
-    # What its pair delivers when due alone (input vector, fed split), read-only;
-    # kept once the neuron fires alone again after such a delivery.
+    pair: tuple[np.ndarray, np.ndarray] | None
+    delays: np.ndarray | None
     delivered: tuple[np.ndarray, tuple[np.ndarray, ...]] | None = None
 
 
@@ -306,12 +287,7 @@ class SimState:
     holds the ascending indices of a leaky LIF group's nonzero-state
     neurons. `energy` is a one-entry memo, the last step's counts
     `(touched, spikes, events)` and their `energy_terms`, which the next
-    step with equal counts shares. `solo` is one too (`_Solo`): the last
-    neuron that fired alone, its spike-id tuple `(id,)`, its CSR views
-    (a read-only (targets, weights) pair and, when the net keeps one, its
-    delay view) and, once the pair was delivered alone and the neuron fired
-    alone again, the read-only input vector and fed split of that delivery,
-    reused while that pair object is a step's only due events.
+    step with equal counts shares. `solo` is another (`_Solo`).
     """
 
     net: _CompiledNet
@@ -371,7 +347,6 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
     due = s.pending.pop(t, None)
     synaptic_events = 0
     input_sum = fed = None
-    # Due alone, the lone firer's own pair delivers the same every time.
     own = due is not None and len(due) == 1 and due[0] is s.solo.pair
     if own and s.solo.delivered is not None:
         input_sum, fed = s.solo.delivered
@@ -457,7 +432,7 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
             # only a non-finite sum (a bad state, or an overflow) needs the scan.
             if not digital and not math.isfinite(delta) and not np.isfinite(x_next).all():
                 raise _diverged(net, ev, x_next, t)
-            touched_count += int(changed)
+            touched_count += int(changed)  # int(): no numpy scalar in the records
             delta_n += delta
         done.append((g, leaky, ev, x_next, y, new_words if digital else None))
 
@@ -494,18 +469,13 @@ def step_sim(s: SimState, external_inputs: Sequence[tuple[str, float]] = ()) -> 
             spikes.sort()  # a fresh array: the concatenation, or ev[firing]
         spike_count = len(spikes)
         if spike_count == 1:
-            # One source: its synapses are one contiguous CSR slice, kept as
-            # views in the memo. Unscaled, one delay: the memo's pair is queued.
-            i = spikes.item()
+            i = spikes.item()  # one source: its synapses are one CSR slice
             solo = s.solo
             if solo.i != i:
                 a, b = net.out_indptr[i:i + 2].tolist()
                 s.solo = solo = _Solo(i, (net.ids[i],), (net.syn_target[a:b], net.syn_weight[a:b]),
                                       None if net.syn_delay is None else net.syn_delay[a:b])
-            elif own and solo.delivered is None:
-                # It fired alone again after its pair was delivered alone: keep
-                # that delivery, read-only, for the next. A new firer each step
-                # (a relay chain) keeps nothing and pays nothing for it.
+            elif own and solo.delivered is None:  # it fired alone again: keep the delivery
                 fed = tuple(fed)
                 for part in (input_sum, *fed):
                     part.flags.writeable = False
@@ -604,19 +574,6 @@ def run_sim(s: SimState, max_steps: int, stop: StopCondition = None,
     f_series /= net.n
     return SimTrace(records=tuple(records), f_series=f_series, e_n=e_n, outputs=outputs,
                     output_ids=net.graph.output_neurons, n_total=net.n)
-
-
-def measure_firing_rate(tr: SimTrace, window: int) -> np.ndarray:
-    """Mean firing rate per non-overlapping window of `window` steps."""
-    check_count("window", window)
-    if window > len(tr.records):
-        raise ValueError(f"window {window} exceeds trace length {len(tr.records)}")
-    n_windows = len(tr.records) // window
-    rates = np.empty(n_windows, dtype=float)
-    for w in range(n_windows):
-        chunk = tr.records[w * window:(w + 1) * window]
-        rates[w] = sum(rec.spikes for rec in chunk) / (window * tr.n_total)
-    return rates
 
 
 @dataclass(frozen=True)

@@ -87,24 +87,27 @@ def _warm_up(trace: SimTrace, window: int) -> PointResult:
     return float(sum(warm) / len(warm)), trace.e_n, len(trace.records)
 
 
-def _mesh_spec(p: Point, _seed: int) -> MeshSpec:
+def _mesh_spec(p: Point) -> MeshSpec:
     init = sinusoid_init(p["m_s"], amplitude=p["amplitude"], mean=p["mean"], cycles=p["cycles"])
     return MeshSpec(m_s=p["m_s"], k=p["k"], m_t=p["m_t"], init=init,
                     dynamics=Diffusion(p["alpha"]), n_mesh=p["n_mesh"], v_thresh=p["v_thresh"])
 
 
-def _mesh_point(spec: MeshSpec, p: Point, constants: CostConstants, seed: int) -> PointResult:
-    _template, ng = gen_mesh(spec)
+def _mesh_check(p: Point) -> None:
+    _mesh_spec(p)
+
+
+def _mesh_point(p: Point, constants: CostConstants, seed: int) -> PointResult:
+    _template, ng = gen_mesh(_mesh_spec(p))
     trace = _simulate(ng, constants, seed, p["m_t"], stop=ZeroActivity(window=3))
     return _warm_up(trace, p["window"])
 
 
-def _ff_check(p: Point, _seed: int) -> None:
-    """Only checks: the run half draws the weights once, at its own seed."""
+def _ff_check(p: Point) -> None:
     FFLayerSpec(np.ones((1, 1)), [p["rate"]], p["steps_per_presentation"])  # one source, one unit
 
 
-def _ff_point(_checked: None, p: Point, constants: CostConstants, seed: int) -> PointResult:
+def _ff_point(p: Point, constants: CostConstants, seed: int) -> PointResult:
     weights = np.random.default_rng(seed).uniform(0.2, 1.0, size=(p["n_i"], p["n_j"]))
     spec = FFLayerSpec(weights, [p["rate"]] * p["n_i"], p["steps_per_presentation"])
     trace = _simulate(gen_ff_layer(spec), constants, seed,
@@ -116,13 +119,11 @@ def _ff_point(_checked: None, p: Point, constants: CostConstants, seed: int) -> 
 _ALPHABET = ("add", "mul", "relay")
 
 
-def _random_check(p: Point, _seed: int) -> None:
-    """Only checks: the run half draws each graph once, at its own seed."""
+def _random_check(p: Point) -> None:
     check_random_dag(p["density"], _ALPHABET)
 
 
-def _random_point(_checked: None, p: Point, constants: CostConstants,
-                  seed: int) -> PointResult:
+def _random_point(p: Point, constants: CostConstants, seed: int) -> PointResult:
     graph = gen_random_dag(p["n"], p["density"], _ALPHABET, seed)
     ng, _am = lower_graph(validate_graph(graph))
     kick = tuple((nid, 1.5) for nid in ng.input_neurons)
@@ -147,13 +148,13 @@ class Param:
         return check_count(name, int(value) if float(value).is_integer() else value, self.minimum)
 
 
-#: Each workload's build half, (point, seed) -> its checked spec (None for ff and
-#: random, which draw their weights or graph in the run half), its run half,
-#: (built, point, constants, seed) -> PointResult, and its parameters in help
+#: Each workload's check, point -> None, which raises on a value the workload
+#: rejects and draws nothing; its run, (point, constants, seed) -> PointResult,
+#: which builds its own spec, weights or graph; and its parameters in help
 #: order, each as Param(default, least value if a count, text of a derived default).
-SWEEP_TABLE: Mapping[str, tuple[Callable[..., object], Callable[..., PointResult],
+SWEEP_TABLE: Mapping[str, tuple[Callable[[Point], None], Callable[..., PointResult],
                                 Mapping[str, Param]]] = {
-    "mesh": (_mesh_spec, _mesh_point, {
+    "mesh": (_mesh_check, _mesh_point, {
         "m_s": Param(64, 1), "k": Param(4, 0), "m_t": Param(60, 1), "n_mesh": Param(2, 2),
         "v_thresh": Param(0.25), "amplitude": Param(1.0), "mean": Param(1.0),
         "cycles": Param(lambda p: max(1, p["m_s"] // 16), 0, "max(1,m_s//16)"),
@@ -174,9 +175,8 @@ class SweepSpec:
     """One sweep: a workload, the parameter to vary, and fixed context.
     Every swept and fixed value is checked when the spec is built, the
     swept ones also for what the log-log fit needs; then each point's
-    build half runs once, at seed 0, and its result is dropped, so a value
-    the workload rejects fails before any point runs. The ff and random
-    build halves draw nothing, so each weight matrix or graph is drawn
+    check runs, so a value the workload rejects fails before any point
+    runs. A check draws nothing: each weight matrix or graph is drawn
     once, by `run_sweep`."""
 
     workload: str
@@ -210,10 +210,10 @@ class SweepSpec:
         if len(set(self.values)) == 1:
             raise ValueError("swept values must not all be equal")
         for value in self.values:
-            SWEEP_TABLE[self.workload][0](self.point(value), 0)
+            SWEEP_TABLE[self.workload][0](self.point(value))
 
     def point(self, value: float) -> dict[str, float]:
-        """Every parameter at the swept `value`, in table order, as the halves read it."""
+        """Every parameter at the swept `value`, in table order, as check and run read it."""
         given = {**dict(self.fixed), self.param: value}
         point: dict[str, float] = {}
         for key, param in SWEEP_TABLE[self.workload][2].items():
@@ -231,12 +231,11 @@ def run_sweep(spec: SweepSpec, seed: int = 0
     value are averaged before fitting. The regression is skipped (None)
     when any averaged energy is zero, since a log-log fit is undefined.
     """
-    build, run, _params = SWEEP_TABLE[spec.workload]
+    run = SWEEP_TABLE[spec.workload][1]
     rows: list[SweepRow] = []
     for value in sorted(spec.values):
         point = spec.point(value)
-        reps = [run(build(point, seed + r), point, spec.constants, seed + r)
-                for r in range(spec.repetitions)]
+        reps = [run(point, spec.constants, seed + r) for r in range(spec.repetitions)]
         mean_e_t, total_e_n, steps = (sum(column) / len(reps) for column in zip(*reps))
         rows.append(SweepRow(value=float(value), mean_e_t=float(mean_e_t),
                              total_e_n=float(total_e_n), steps=round(steps)))

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -72,21 +72,6 @@ class Fragment:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-
-def extract_fragment(vg: ValidatedGraph, node_ids: Sequence[str]) -> Fragment:
-    """Induce a fragment on the given host-graph node ids. Raises
-    ValueError naming an id that the graph lacks or that repeats."""
-    members: dict[str, int] = {}
-    for nid in node_ids:
-        if nid not in vg.index:
-            raise ValueError(f"node {nid!r} is not in the graph")
-        if nid in members:
-            raise ValueError(f"node {nid!r} is listed twice")
-        members[nid] = vg.index[nid]
-    if not members:
-        return Fragment((), frozenset(), ())
-    return _fragments(vg, np.array(list(members.values()), np.intp).reshape(1, -1))[0][0]
 
 
 def _fragments(vg: ValidatedGraph, tiles: np.ndarray) -> tuple[list[Fragment], list[int]]:
@@ -208,13 +193,9 @@ def _exact_signature(frag: Fragment) -> tuple:
     return (tuple(sorted(frag.nodes)), best_edges)
 
 
-def canonical_label(frag: Fragment) -> str:
-    """Stable text label: "x" and a digest of the exact signature, so equal
-    labels mean isomorphic fragments. Raises FragmentTooLarge above 8 nodes."""
-    return _exact_label(_exact_signature(frag))
-
-
 def _exact_label(signature: tuple) -> str:
+    """Stable text label: "x" and a digest of the exact signature, so equal
+    labels mean isomorphic fragments."""
     return "x" + blake2b(repr(signature).encode(), digest_size=16).hexdigest()
 
 

@@ -6,30 +6,27 @@ from pathlib import Path
 
 import pytest
 
-from neurocost import ComputeGraph, NeuralGraph, OpNode, validate_graph
+from neurocost import ComputeGraph, NeuralGraph, validate_graph
+
+
+def dag(nodes, inputs=(), outputs=()) -> ComputeGraph:
+    """A ComputeGraph, built as columns, from (id, op kind, input ids=())
+    triples and the declared input and output ids."""
+    nodes = [(*node, ())[:3] for node in nodes]  # a missing input tuple is ()
+    ids, kinds, refs = zip(*nodes) if nodes else [()] * 3
+    return ComputeGraph.from_columns(ids, kinds, refs, inputs, outputs)
 
 
 def make_footnote() -> ComputeGraph:
     """Two independent differences feeding a product feeding a power:
     4 nodes, depth 3, level widths (2, 1, 1)."""
-    return ComputeGraph(
-        nodes=(
-            OpNode("a", "sub"),
-            OpNode("b", "sub"),
-            OpNode("c", "mul", ("a", "b")),
-            OpNode("d", "pow", ("c",)),
-        ),
-        declared_inputs=("a", "b"),
-        declared_outputs=("d",),
-    )
+    return dag([("a", "sub"), ("b", "sub"), ("c", "mul", ("a", "b")), ("d", "pow", ("c",))],
+               inputs=("a", "b"), outputs=("d",))
 
 
 def make_chain(n: int, kind: str = "relay") -> ComputeGraph:
-    nodes = tuple(
-        OpNode(f"n{i}", kind, (f"n{i - 1}",) if i else ()) for i in range(n)
-    )
-    return ComputeGraph(nodes=nodes, declared_inputs=("n0",),
-                        declared_outputs=(f"n{n - 1}",))
+    return dag([(f"n{i}", kind, (f"n{i - 1}",) if i else ()) for i in range(n)],
+               inputs=("n0",), outputs=(f"n{n - 1}",))
 
 
 def network(neurons, synapses, input_neurons=(), output_neurons=()) -> NeuralGraph:

@@ -16,6 +16,7 @@ import numpy as np
 import neurocost as nc
 import neurocost.cli as cli
 from conftest import network
+from oracles import measure_firing_rate
 
 FOOTNOTE = str(resources.files("neurocost") / "data" / "footnote.graph")
 
@@ -85,7 +86,7 @@ def test_criterion_02_schedule_bounds(capsys):
 
 def test_criterion_03_pipeline_step_counts(capsys):
     def steps_to_outputs(vg, depth):
-        kinds = {node.op_kind for node in vg.graph.nodes}
+        kinds = set(vg.graph.op_kinds)
         ng, _ = nc.lower_graph(vg, nc.relay_rules(kinds, neuron_count=depth))
         state = nc.init_sim(ng, nc.AnalogEncoding(), 0)
         kick = {0: tuple((nid, 1.5) for nid in ng.input_neurons)}
@@ -153,7 +154,7 @@ def test_criterion_06_convergent_load_goes_quiet(capsys):
     start = time.perf_counter()
     _ng, tr = mesh_trace(256, cycles=1, steps=200)
     window = 10
-    f_w = nc.measure_firing_rate(tr, window)
+    f_w = measure_firing_rate(tr, window)
     non_increasing = all(f_w[i + 1] <= f_w[i] + 1e-15
                          for i in range(len(f_w) - 1))
     e_w = [sum(r.e_t for r in tr.records[i * window:(i + 1) * window])
@@ -233,7 +234,7 @@ def test_criterion_08_word_transition_bits(capsys):
 
 def test_criterion_09_partition_quality(capsys):
     entries = nc.mini_corpus()
-    ok = len(entries) == 20 and all(len(e.graph.nodes) <= 12 for e in entries)
+    ok = len(entries) == 20 and all(len(e.graph.ids) <= 12 for e in entries)
 
     worst_ratio = 1.0
     families_checked = 0

@@ -21,6 +21,7 @@ import pytest
 import neurocost as nc
 import neurocost.cli as cli
 from neurocost import fileio, sweep
+import oracles
 
 FOOTNOTE = str(resources.files("neurocost") / "data" / "footnote.graph")
 
@@ -179,7 +180,7 @@ class TestAnalyze:
         for row in tables[0].rows:
             assert row.energy.total == sum(row.energy.breakdown.values())
         for arch in ("nmc_ideal", "nmc_realized"):
-            assert tables[0].row(arch).energy.breakdown == terms
+            assert oracles.row(tables[0], arch).energy.breakdown == terms
 
 
 class TestLower:
@@ -278,8 +279,8 @@ class TestSweep:
                                                              extra, message):
         # These used to run every point and then exit 2 from fit_loglog.
         ran = []
-        build, _run, params = sweep.SWEEP_TABLE["mesh"]
-        monkeypatch.setitem(sweep.SWEEP_TABLE, "mesh", (build, lambda *a: ran.append(a), params))
+        check, _run, params = sweep.SWEEP_TABLE["mesh"]
+        monkeypatch.setitem(sweep.SWEEP_TABLE, "mesh", (check, lambda *a: ran.append(a), params))
         code, out, err = invoke(capsys, ["sweep", "--workload", "mesh"] + extra)
         assert (code, out, err) == (2, "", f"error: {message}\n")
         assert ran == []
@@ -294,9 +295,9 @@ class TestSweep:
             self, capsys, monkeypatch, workload, param, fixed, message):
         # These used to run the good value in full before the bad one failed.
         ran = []
-        for name, (build, _run, params) in sweep.SWEEP_TABLE.items():
+        for name, (check, _run, params) in sweep.SWEEP_TABLE.items():
             monkeypatch.setitem(sweep.SWEEP_TABLE, name,
-                                (build, lambda *a: ran.append(a), params))
+                                (check, lambda *a: ran.append(a), params))
         code, out, err = invoke(capsys, ["sweep", "--workload", workload, "--param", param,
                                          "--values", "0.5,1.5"] + fixed)
         assert (code, out, err) == (2, "", f"error: {message}\n")
@@ -408,7 +409,7 @@ class TestSweepOptions:
         text = " ".join(out.split())
         assert "mesh: m_s=64* k=4*" in text and "cycles=max(1,m_s//16)*" in text
         assert "ff: n=8* n_i=n*" in text and "rate=0.5 " in text
-        for workload, (_build, _run, params) in sweep.SWEEP_TABLE.items():
+        for workload, (_check, _run, params) in sweep.SWEEP_TABLE.items():
             assert f"{workload}: " in text
             for key in params:
                 assert f" {key}=" in text

@@ -26,6 +26,7 @@ from neurocost import (
     nmc_time,
     preset,
 )
+from oracles import row
 
 FOOTNOTE_METRICS = GraphMetrics(t1=4, t_inf=3, level_widths=(2, 1, 1),
                                 max_fan_in=2, max_fan_out=1)
@@ -69,8 +70,8 @@ _MESH = (100, 33, 4, 3, 3, 2)
     (lambda c: nmc_energy_per_step(FOOTNOTE_RESOURCES, c, 1.0), "e_voltage"),
     (lambda c: nmc_energy_per_step(FOOTNOTE_RESOURCES, c, 1.0), "ell"),
     (lambda c: nmc_energy_per_step(FOOTNOTE_RESOURCES, c, 1.0).times(3), "e_spikegen"),
-    (lambda c: mesh_cost_report(*_MESH, c, [1.0] * 33).row("conventional").energy, "e_op"),
-    (lambda c: mesh_cost_report(*_MESH, c, [1.0] * 33).row("nmc").energy, "e_voltage"),
+    (lambda c: row(mesh_cost_report(*_MESH, c, [1.0] * 33), "conventional").energy, "e_op"),
+    (lambda c: row(mesh_cost_report(*_MESH, c, [1.0] * 33), "nmc").energy, "e_voltage"),
 ], ids=["conv_e_op", "conv_b_p", "nmc_e_voltage", "nmc_ell", "nmc_times", "mesh_conv",
         "mesh_nmc"])
 def test_energy_that_overflows_raises(evaluate, field):
@@ -85,8 +86,8 @@ def test_energy_that_overflows_raises(evaluate, field):
     (lambda c: nmc_space(FOOTNOTE_RESOURCES, FOOTNOTE_METRICS, c), "c_n"),
     (lambda c: nmc_space(FOOTNOTE_RESOURCES, FOOTNOTE_METRICS, c, n_core=2), "c_s"),
     (lambda c: conventional_space(c, 2, program_size=4, data_size=4), "c_p"),
-    (lambda c: mesh_cost_report(*_MESH, c, [1.0] * 33).row("nmc").space, "c_n"),
-    (lambda c: ff_cost_report(8, 4, c, 0.5).row("nmc").space, "c_s"),
+    (lambda c: row(mesh_cost_report(*_MESH, c, [1.0] * 33), "nmc").space, "c_n"),
+    (lambda c: row(ff_cost_report(8, 4, c, 0.5), "nmc").space, "c_s"),
 ], ids=["nmc_c_n", "nmc_realized_c_s", "conv_c_p", "mesh_nmc", "ff_nmc"])
 def test_space_that_overflows_raises(evaluate, field):
     # A finite constant whose space bound is not: nmc_ideal used to hold [inf, inf].
@@ -295,21 +296,21 @@ def test_mesh_report_nmc_total_is_left_to_right_series_sum():
     total = 0.0
     for e_t in table.nmc_energy_series:
         total += e_t
-    assert table.row("nmc").energy.total == total
+    assert row(table, "nmc").energy.total == total
     assert total != math.fsum(table.nmc_energy_series)  # the order is visible in the bits
 
 
 def test_mesh_report_conventional_energy_exact():
     table = mesh_cost_report(m_s=100, m_t=50, k=4, t1s=3, t_infs=3,
                              n_mesh=2, c=UNIT, f_series=[0.0] * 50)
-    conv = table.row("conventional")
+    conv = row(table, "conventional")
     assert conv.energy.total == 1.0 * 100 * 50 * 3
     assert conv.energy.breakdown == {"operations": 15000.0}  # no memory traffic term
     assert table.conv_energy_per_step == 300.0
     assert conv.time.lower == 15000
     assert conv.time.upper == 15000 + 150
     assert conv.space.lower == 1 + 3 + 100
-    nmc = table.row("nmc")
+    nmc = row(table, "nmc")
     assert (nmc.time.lower, nmc.time.upper) == (150, 150)
     assert nmc.space.lower == nmc.space.upper == 200.0
 
@@ -380,20 +381,13 @@ def test_mesh_report_accepts_numpy_counts():
     assert got == want
 
 
-def test_comparison_table_row_lookup():
-    table = mesh_cost_report(10, 5, 2, 3, 3, 2, UNIT, [0.0] * 5)
-    assert table.row("nmc").architecture == "nmc"
-    with pytest.raises(KeyError):
-        table.row("quantum")
-
-
 # ---------------------------------------------------------------- ff report
 
 
 def test_ff_report_structure():
     table = ff_cost_report(8, 4, UNIT, f_t=0.5)
-    conv = table.row("conventional")
-    nmc = table.row("nmc")
+    conv = row(table, "conventional")
+    nmc = row(table, "nmc")
     assert conv.energy.total == 2 * (8 * 4 + 2 * 4)  # e_op + e_mem traffic
     assert (nmc.time.lower, nmc.time.upper) == (3, 3)
     assert nmc.space.lower == nmc.space.upper == (8 + 4) + 8 * 4
@@ -402,8 +396,8 @@ def test_ff_report_structure():
 
 
 def test_ff_report_synapse_terms_quadratic():
-    e8 = ff_cost_report(8, 8, UNIT, 0.5).row("nmc").energy
-    e16 = ff_cost_report(16, 16, UNIT, 0.5).row("nmc").energy
+    e8 = row(ff_cost_report(8, 8, UNIT, 0.5), "nmc").energy
+    e16 = row(ff_cost_report(16, 16, UNIT, 0.5), "nmc").energy
     assert e16.breakdown["synapse"] == 4 * e8.breakdown["synapse"]
     assert e16.breakdown["spike"] == 4 * e8.breakdown["spike"]
     assert e16.breakdown["spikegen"] == 2 * e8.breakdown["spikegen"]

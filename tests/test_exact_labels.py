@@ -15,7 +15,9 @@ import random
 from collections import Counter
 
 import neurocost as nc
-from neurocost.threads import Fragment, _exact_signature, _layouts, extract_fragment
+from neurocost.threads import Fragment, _exact_signature, _layouts
+from conftest import dag
+from oracles import canonical_label, extract_fragment
 
 KINDS = ("mul", "add")
 
@@ -157,17 +159,16 @@ def test_isomorphic_verdicts_on_relabelings():
         expected = (reference_signature(frag.nodes, frag.edges)
                     == reference_signature(other.nodes, other.edges))
         assert nc.isomorphic(frag, other) == expected
-        assert (nc.canonical_label(frag) == nc.canonical_label(other)) == expected
+        assert (canonical_label(frag) == canonical_label(other)) == expected
         differ += not expected
     assert differ > 200
 
 
 def leaves_into_sum(leaves: int) -> Fragment:
-    products = [nc.OpNode(f"m{i}", "mul") for i in range(leaves)]
-    total = nc.OpNode("s", "add", tuple(p.id for p in products))
-    vg = nc.validate_graph(nc.ComputeGraph(tuple(products) + (total,),
-                                           tuple(p.id for p in products), ("s",)))
-    return extract_fragment(vg, [p.id for p in products] + ["s"])
+    products = [f"m{i}" for i in range(leaves)]
+    vg = nc.validate_graph(dag([(p, "mul") for p in products] + [("s", "add", tuple(products))],
+                               inputs=products, outputs=("s",)))
+    return extract_fragment(vg, products + ["s"])
 
 
 def test_identical_leaves_visit_one_layout():

@@ -2,13 +2,16 @@
 
 parse -> validate -> levels -> metrics -> schedule -> lower now runs on
 integer positions. The references below are the per-field, per-edge
-versions that preceded it, kept as written; every output, every
-insertion order and every error must match them.
+versions that preceded it, kept as written but for reading the graph's
+columns instead of its OpNodes; every output, every insertion order and
+every error must match them.
 """
 
+import ast
 import json
 import math
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +31,7 @@ from neurocost import (
     SchemaError,
 )
 
-from conftest import bench_cases
+from conftest import bench_cases, dag
 from test_neural import _MIXED_RULES, _assembly_views, _tuple_lowering
 
 
@@ -69,42 +72,42 @@ def _ref_parse(text: str) -> ComputeGraph:
         require(nid not in seen, f"duplicate id {nid!r}", f"{where}.id")
         seen.add(nid)
         inputs = string_list(raw.get("inputs", []), f"{where}.inputs")
-        nodes.append(OpNode(nid, raw["op"], inputs))
-    return ComputeGraph(tuple(nodes), string_list(doc.get("inputs", []), "inputs"),
-                        string_list(doc.get("outputs", []), "outputs"))
+        nodes.append((nid, raw["op"], inputs))
+    return dag(nodes, string_list(doc.get("inputs", []), "inputs"),
+               string_list(doc.get("outputs", []), "outputs"))
 
 
 def _ref_validate(raw: ComputeGraph):
     """validate_graph's checks and FIFO Kahn over ids; returns the
     topological order and the successor lists. On a cycle it names the
     smallest stuck id, which need not lie on the cycle."""
-    if not raw.nodes:
+    if not raw.ids:
         raise EmptyGraph("graph has no nodes")
     by_id = {}
-    for node in raw.nodes:
-        if node.id in by_id:
-            raise DuplicateNodeId(node.id)
-        by_id[node.id] = node
-    successors = {n.id: [] for n in raw.nodes}
-    indegree = {n.id: 0 for n in raw.nodes}
-    for node in raw.nodes:
-        for ref in node.inputs:
-            if ref == node.id:
-                raise CycleDetected(node.id)
+    for nid, inputs in zip(raw.ids, raw.inputs):
+        if nid in by_id:
+            raise DuplicateNodeId(nid)
+        by_id[nid] = inputs
+    successors = {nid: [] for nid in raw.ids}
+    indegree = {nid: 0 for nid in raw.ids}
+    for nid, inputs in zip(raw.ids, raw.inputs):
+        for ref in inputs:
+            if ref == nid:
+                raise CycleDetected(nid)
             if ref not in by_id:
                 raise DanglingReference(ref)
-            successors[ref].append(node.id)
-            indegree[node.id] += 1
+            successors[ref].append(nid)
+            indegree[nid] += 1
     for declared in raw.declared_inputs:
         if declared not in by_id:
             raise DanglingReference(declared)
-        if by_id[declared].inputs:
+        if by_id[declared]:
             raise GraphError(f"declared input {declared!r} has in-edges")
     for declared in raw.declared_outputs:
         if declared not in by_id:
             raise DanglingReference(declared)
     order = []
-    ready = deque(n.id for n in raw.nodes if indegree[n.id] == 0)
+    ready = deque(nid for nid in raw.ids if indegree[nid] == 0)
     remaining = dict(indegree)
     while ready:
         current = ready.popleft()
@@ -113,16 +116,16 @@ def _ref_validate(raw: ComputeGraph):
             remaining[succ] -= 1
             if remaining[succ] == 0:
                 ready.append(succ)
-    if len(order) < len(raw.nodes):
+    if len(order) < len(raw.ids):
         raise CycleDetected(min(nid for nid, deg in remaining.items() if deg > 0))
     return tuple(order), {k: tuple(v) for k, v in successors.items()}
 
 
 def _ref_levels(raw, topo):
-    by_id = {n.id: n for n in raw.nodes}
+    by_id = dict(zip(raw.ids, raw.inputs))
     level = {}
     for nid in topo:
-        inputs = by_id[nid].inputs
+        inputs = by_id[nid]
         level[nid] = 0 if not inputs else 1 + max(level[p] for p in inputs)
     return level
 
@@ -134,8 +137,8 @@ def _ref_metrics(raw, topo, successors):
     for nid in topo:
         widths[level[nid]] += 1
     return nc.GraphMetrics(
-        t1=len(raw.nodes), t_inf=depth, level_widths=tuple(widths),
-        max_fan_in=max(len(n.inputs) for n in raw.nodes),
+        t1=len(raw.ids), t_inf=depth, level_widths=tuple(widths),
+        max_fan_in=max(len(inputs) for inputs in raw.inputs),
         max_fan_out=max(len(successors[nid]) for nid in topo))
 
 
@@ -155,13 +158,13 @@ def _ref_schedule(raw, topo, p):
 
 def _ref_lowering_fault(vg, rules):
     for nid in vg.topo_order:
-        node = vg.graph.nodes[vg.index[nid]]
-        rule = rules.get(node.op_kind)
+        kind, inputs = vg.graph.op_kinds[vg.index[nid]], vg.graph.inputs[vg.index[nid]]
+        rule = rules.get(kind)
         if rule is None:
-            return NoRuleForOpKind(node.op_kind)
-        if rule.max_fan_in is not None and len(node.inputs) > rule.max_fan_in:
+            return NoRuleForOpKind(kind)
+        if rule.max_fan_in is not None and len(inputs) > rule.max_fan_in:
             return FanInExceedsRule(
-                f"op {nid!r} has fan-in {len(node.inputs)}, rule allows {rule.max_fan_in}")
+                f"op {nid!r} has fan-in {len(inputs)}, rule allows {rule.max_fan_in}")
     return None
 
 
@@ -187,19 +190,24 @@ def _repeated_refs(graph, seed):
     """Some nodes name an input two or three times."""
     rng = np.random.default_rng(seed)
     nodes = []
-    for node in graph.nodes:
-        inputs = node.inputs
+    for nid, kind, inputs in zip(graph.ids, graph.op_kinds, graph.inputs):
         if inputs and rng.random() < 0.4:
             inputs = inputs + inputs[:int(rng.integers(1, 3))]
-        nodes.append(OpNode(node.id, node.op_kind, inputs))
-    return ComputeGraph(tuple(nodes), graph.declared_inputs, graph.declared_outputs)
+        nodes.append((nid, kind, inputs))
+    return dag(nodes, graph.declared_inputs, graph.declared_outputs)
 
 
 def _shuffled(graph, seed):
     """The same graph declared in a random order, so not topologically."""
     rng = np.random.default_rng(seed)
-    nodes = [graph.nodes[k] for k in rng.permutation(len(graph.nodes))]
-    return ComputeGraph(tuple(nodes), graph.declared_inputs, graph.declared_outputs)
+    nodes = list(zip(graph.ids, graph.op_kinds, graph.inputs))
+    nodes = [nodes[k] for k in rng.permutation(len(nodes))]
+    return dag(nodes, graph.declared_inputs, graph.declared_outputs)
+
+
+def _reversed(graph):
+    """The nodes declared last to first, with no declared inputs or outputs."""
+    return dag(reversed(list(zip(graph.ids, graph.op_kinds, graph.inputs))))
 
 
 def _random(n, density, kinds, seed):
@@ -223,14 +231,14 @@ GRAPHS = {
         MESH_TEMPLATE, 5, 4, lambda s: ((s + 2) % 5, (s + 4) % 5, s)),
     "dense_layer": lambda: _dense_layer(5, 6),
     "repeated_refs": lambda: _repeated_refs(_random(80, 0.08, ADD_MUL_RELAY, 7), 7),
-    "repeated_only": lambda: ComputeGraph((OpNode("a", "add"), OpNode("b", "mul", ("a", "a")),
-                                           OpNode("c", "relay", ("b", "a", "b", "b")))),
+    "repeated_only": lambda: dag([("a", "add"), ("b", "mul", ("a", "a")),
+                                  ("c", "relay", ("b", "a", "b", "b"))]),
     "shuffled_random": lambda: _shuffled(_random(150, 0.04, ADD_MUL_RELAY, 8), 8),
     "shuffled_stencil": lambda: _shuffled(
         nc.expand_template(MESH_TEMPLATE, 4, 6, nc.ring_coupling(4)), 9),
     "shuffled_repeated": lambda: _shuffled(
         _repeated_refs(_random(90, 0.1, SUB_MUL_POW, 10), 10), 10),
-    "reversed_dense": lambda: ComputeGraph(tuple(reversed(_dense_layer(3, 4).nodes))),
+    "reversed_dense": lambda: _reversed(_dense_layer(3, 4)),
 }
 GRAPHS.update({f"corpus_{e.name}": (lambda e=e: e.graph) for e in nc.mini_corpus()})
 
@@ -242,7 +250,7 @@ _MIXED = list(_MIXED_RULES.values())
 def _rules(graph, name):
     if name == "relay":
         return None
-    kinds = sorted({n.op_kind for n in graph.nodes})
+    kinds = sorted(set(graph.op_kinds))
     return {k: _MIXED_RULES.get(k, _MIXED[i % len(_MIXED)]) for i, k in enumerate(kinds)}
 
 
@@ -262,7 +270,7 @@ def test_validate_levels_metrics_schedule_match_reference(name):
     want_levels = _ref_levels(raw, topo)
     assert vg.level.tolist() == [want_levels[nid] for nid in ids]
     assert nc.compute_metrics(vg) == _ref_metrics(raw, topo, successors)
-    for p in (1, 2, 3, 4, 7, len(raw.nodes), 10**6, 2**70):
+    for p in (1, 2, 3, 4, 7, len(raw.ids), 10**6, 2**70):
         sched = nc.list_schedule(vg, p)
         t_p, assignment = _ref_schedule(raw, topo, p)
         assert (sched.t_p, sched.p) == (t_p, p)
@@ -285,7 +293,7 @@ def test_lowering_matches_reference(name, rules_name):
     r = nc.count_resources(ng, am)
     assert (r.n_total, r.s_total, r.n_bar, r.s_bar) == (
         len(want.neuron_ids), len(want.source),
-        len(want.neuron_ids) / len(raw.nodes), len(want.source) / len(raw.nodes))
+        len(want.neuron_ids) / len(raw.ids), len(want.source) / len(raw.ids))
 
 
 # ------------------------------------------------------------------ error parity
@@ -361,8 +369,7 @@ def test_parse_good_documents_match_reference():
 
 
 def _g(*nodes, inputs=(), outputs=()):
-    return ComputeGraph(tuple(OpNode(nid, "add", tuple(refs)) for nid, refs in nodes),
-                        inputs, outputs)
+    return dag([(nid, "add", tuple(refs)) for nid, refs in nodes], inputs, outputs)
 
 
 INVALID = {
@@ -387,15 +394,15 @@ def test_validate_errors_match_reference(name):
 
 
 def _on_a_cycle(raw, nid):
-    by_id = {n.id: n for n in raw.nodes}
-    seen, todo = set(), list(by_id[nid].inputs)
+    by_id = dict(zip(raw.ids, raw.inputs))
+    seen, todo = set(), list(by_id[nid])
     while todo:
         cur = todo.pop()
         if cur == nid:
             return True
         if cur not in seen:
             seen.add(cur)
-            todo += by_id[cur].inputs
+            todo += by_id[cur]
     return False
 
 
@@ -408,13 +415,12 @@ def test_cycles_are_named_on_the_cycle(seed):
     _topo, successors = _ref_validate(graph)
     rng = np.random.default_rng(seed)
     # Walk forward from an edge u -> v, then close the cycle back into u.
-    u = str(rng.choice([n.id for n in graph.nodes if successors[n.id]]))
+    u = str(rng.choice([nid for nid in graph.ids if successors[nid]]))
     last = str(rng.choice(successors[u]))
     while successors[last] and rng.random() < 0.7:
         last = str(rng.choice(successors[last]))
-    nodes = [OpNode(n.id, n.op_kind, n.inputs + (last,)) if n.id == u else n
-             for n in graph.nodes]
-    raw = ComputeGraph(tuple(nodes))
+    raw = dag((nid, kind, inputs + (last,)) if nid == u else (nid, kind, inputs)
+              for nid, kind, inputs in zip(graph.ids, graph.op_kinds, graph.inputs))
     got = _raised(nc.validate_graph, raw)
     assert type(got) is type(_raised(_ref_validate, raw)) is CycleDetected
     assert _on_a_cycle(raw, got.node_id)
@@ -442,8 +448,7 @@ def test_lowering_faults_keep_topological_precedence(seed):
 
 def test_lowering_fault_order_is_topological_not_declared():
     # "late" is declared first but runs after "early" in topological order.
-    raw = ComputeGraph((OpNode("late", "capped", ("early", "src")), OpNode("src", "ok"),
-                        OpNode("early", "unruled")))
+    raw = dag([("late", "capped", ("early", "src")), ("src", "ok"), ("early", "unruled")])
     vg = nc.validate_graph(raw)
     assert vg.topo_order == ("src", "early", "late")
     rules = {"capped": LoweringRule(max_fan_in=1), "ok": LoweringRule()}
@@ -492,11 +497,10 @@ def test_large_shuffled_graphs_match_reference():
 
 def test_no_opnode_is_built_from_parse_to_partition(monkeypatch):
     """A parsed graph stays columns through the analyze, simulate and
-    partition path, and template expansion builds columns too: no OpNode
-    is built until something reads `nodes`."""
+    partition path, and template expansion and the corpus build columns
+    too: no OpNode is built until something reads `nodes`."""
     cases = bench_cases()
-    dag = cases.dag_generate(3, True)
-    files = [dag.text, cases.stencil_generate(3, False).stencil_text]
+    files = [cases.dag_generate(3, True).text, cases.stencil_generate(3, False).stencil_text]
     template = ComputeGraph.from_columns(MESH_TEMPLATE.ids, MESH_TEMPLATE.op_kinds,
                                          MESH_TEMPLATE.inputs, MESH_TEMPLATE.declared_inputs,
                                          MESH_TEMPLATE.declared_outputs)
@@ -510,6 +514,7 @@ def test_no_opnode_is_built_from_parse_to_partition(monkeypatch):
     monkeypatch.setattr(OpNode, "__init__", counting_init)
     stencil = nc.expand_template(template, 4, 3, nc.ring_coupling(4))
     files.append(nc.emit_graph(stencil))
+    files += [nc.emit_graph(entry.graph) for entry in nc.mini_corpus()]
     for text in files:
         vg = nc.validate_graph(nc.parse_graph_file(text))
         nc.compute_metrics(vg)
@@ -523,3 +528,69 @@ def test_no_opnode_is_built_from_parse_to_partition(monkeypatch):
         nc.run_sim(nc.init_sim(ng, nc.DigitalEncoding(), 0), 20, inputs=kick)
     assert built == []
     assert len(vg.graph.nodes) == len(built) == len(vg)  # the counter does count
+
+
+ROOT = Path(__file__).resolve().parent.parent
+# Calls whose result is a ComputeGraph, by the name they are called through.
+GRAPH_MAKERS = {"ComputeGraph", "from_columns", "parse_graph_file", "gen_random_dag",
+                "expand_template", "dag"}
+
+
+def _opnode_uses(tree, reexport=False):
+    """Line numbers where code names OpNode: a name, an attribute, or an
+    import (unless `reexport`). Docstrings and comments are not code."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "OpNode" or (
+                isinstance(node, ast.Attribute) and node.attr == "OpNode"):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and not reexport:
+            lines += [node.lineno for alias in node.names if alias.name == "OpNode"]
+    return lines
+
+
+def _graph_nodes_reads(tree):
+    """Line numbers where code reads `nodes` of a ComputeGraph: of any
+    `.graph`, or of a name assigned from a call in GRAPH_MAKERS. A
+    Fragment's `nodes` is another attribute and is not flagged."""
+    def callee(call):
+        return getattr(call.func, "attr", getattr(call.func, "id", None))
+
+    graphs = {target.id for node in ast.walk(tree)
+              if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+              and callee(node.value) in GRAPH_MAKERS
+              for target in node.targets if isinstance(target, ast.Name)}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "nodes"
+            and (isinstance(node.value, ast.Attribute) and node.value.attr == "graph"
+                 or isinstance(node.value, ast.Name) and node.value.id in graphs)]
+
+
+def test_the_boundary_checks_read_code_not_text():
+    tree = ast.parse('''"""Docstrings may name OpNode and read graph.nodes."""
+from .graph import OpNode
+g = nc.gen_random_dag(5, 0.5, ("a",), seed=0)
+frag = fragments[0]
+x = (nc.OpNode("a", "add"), vg.graph.nodes, g.nodes, frag.nodes, families.nodes)
+''')
+    assert _opnode_uses(tree) == [2, 5]
+    assert _opnode_uses(tree, reexport=True) == [5]
+    assert sorted(_graph_nodes_reads(tree)) == [5, 5]
+
+
+def test_only_graph_py_and_the_reexport_name_opnode():
+    """The OpNode form lives in graph.py, for the benchmark: no other
+    module names it but for `__init__.py`'s export, and no module or demo
+    reads a graph's `nodes`."""
+    modules = sorted((ROOT / "src" / "neurocost").glob("*.py"))
+    demos = sorted((ROOT / "demos").glob("*.py"))
+    assert len(modules) > 10 and len(demos) == 6
+    found = {}
+    for path in modules + demos:
+        if path.name == "graph.py" and path.parent.name == "neurocost":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        lines = _opnode_uses(tree, reexport=path.name == "__init__.py") + _graph_nodes_reads(tree)
+        if lines:
+            found[path.relative_to(ROOT).as_posix()] = sorted(lines)
+    assert found == {}

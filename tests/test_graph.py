@@ -32,16 +32,16 @@ from neurocost import (
 
 from neurocost.graph import sorted_unique
 
-from conftest import make_chain, make_footnote
+from conftest import dag, make_chain, make_footnote
 
 
 # ---------------------------------------------------------------- columns
 
 
 def _column_twin(graph: ComputeGraph) -> ComputeGraph:
-    """The same graph built with from_columns."""
-    return ComputeGraph.from_columns([n.id for n in graph.nodes], [n.op_kind for n in graph.nodes],
-                                     [list(n.inputs) for n in graph.nodes],
+    """The same graph built with from_columns from lists."""
+    return ComputeGraph.from_columns(list(graph.ids), list(graph.op_kinds),
+                                     [list(refs) for refs in graph.inputs],
                                      list(graph.declared_inputs), list(graph.declared_outputs))
 
 
@@ -61,7 +61,7 @@ for _n, _density, _seed in [(1, 0.5, 0), (40, 0.2, 1), (150, 0.05, 2)]:
 @pytest.mark.parametrize("name", COLUMN_CASES)
 def test_column_and_node_built_graphs_are_equal(name):
     graph = COLUMN_CASES[name]()
-    twin = _column_twin(graph) if "nodes" in vars(graph) else _node_twin(graph)
+    twin = _node_twin(graph)
     assert twin == graph and graph == twin and not twin != graph
     assert hash(twin) == hash(graph)
     assert (twin.ids, twin.op_kinds, twin.inputs) == (graph.ids, graph.op_kinds, graph.inputs)
@@ -90,7 +90,7 @@ def test_accessors_read_the_columns(name):
     assert len(vg) == len(ids) == len(vg.pred_start) - 1 == len(vg.succ_start) - 1
 
 
-@pytest.mark.parametrize("make", [make_footnote, lambda: _column_twin(make_footnote())],
+@pytest.mark.parametrize("make", [lambda: _node_twin(make_footnote()), make_footnote],
                          ids=["nodes", "columns"])
 @pytest.mark.parametrize("name", ["ids", "op_kinds", "inputs", "nodes", "declared_inputs",
                                   "declared_outputs", "other"])
@@ -166,25 +166,24 @@ def test_validated_graph_accessors(footnote):
 
 def test_empty_graph_rejected():
     with pytest.raises(EmptyGraph):
-        validate_graph(ComputeGraph(nodes=()))
+        validate_graph(dag(()))
 
 
 def test_duplicate_node_id():
-    g = ComputeGraph(nodes=(OpNode("x", "add"), OpNode("x", "mul")))
+    g = dag([("x", "add"), ("x", "mul")])
     with pytest.raises(DuplicateNodeId) as exc:
         validate_graph(g)
     assert exc.value.node_id == "x"
 
 
 def test_self_cycle():
-    g = ComputeGraph(nodes=(OpNode("x", "add", ("x",)),))
+    g = dag([("x", "add", ("x",))])
     with pytest.raises(CycleDetected):
         validate_graph(g)
 
 
 def test_two_node_cycle():
-    g = ComputeGraph(nodes=(OpNode("x", "add", ("y",)),
-                            OpNode("y", "add", ("x",))))
+    g = dag([("x", "add", ("y",)), ("y", "add", ("x",))])
     with pytest.raises(CycleDetected) as exc:
         validate_graph(g)
     assert exc.value.node_id in ("x", "y")
@@ -192,41 +191,36 @@ def test_two_node_cycle():
 
 def test_cycle_names_a_node_on_the_cycle():
     # "a" is stuck downstream of the cycle x <-> y, but is not on it.
-    g = ComputeGraph(nodes=(OpNode("x", "add", ("y",)),
-                            OpNode("y", "add", ("x",)),
-                            OpNode("a", "add", ("x",))))
+    g = dag([("x", "add", ("y",)), ("y", "add", ("x",)), ("a", "add", ("x",))])
     with pytest.raises(CycleDetected) as exc:
         validate_graph(g)
     assert exc.value.node_id == "x"
 
 
 def test_dangling_input_reference():
-    g = ComputeGraph(nodes=(OpNode("x", "add", ("ghost",)),))
+    g = dag([("x", "add", ("ghost",))])
     with pytest.raises(DanglingReference) as exc:
         validate_graph(g)
     assert exc.value.missing_id == "ghost"
 
 
 def test_dangling_declared_ids():
-    g = ComputeGraph(nodes=(OpNode("x", "add"),), declared_inputs=("nope",))
+    g = dag([("x", "add")], inputs=("nope",))
     with pytest.raises(DanglingReference):
         validate_graph(g)
-    g = ComputeGraph(nodes=(OpNode("x", "add"),), declared_outputs=("nope",))
+    g = dag([("x", "add")], outputs=("nope",))
     with pytest.raises(DanglingReference):
         validate_graph(g)
 
 
 def test_declared_input_with_in_edges_rejected():
-    g = ComputeGraph(
-        nodes=(OpNode("x", "add"), OpNode("y", "add", ("x",))),
-        declared_inputs=("y",),
-    )
+    g = dag([("x", "add"), ("y", "add", ("x",))], inputs=("y",))
     with pytest.raises(GraphError):
         validate_graph(g)
 
 
 def test_single_node_metrics():
-    vg = validate_graph(ComputeGraph(nodes=(OpNode("only", "noop"),)))
+    vg = validate_graph(dag([("only", "noop")]))
     m = compute_metrics(vg)
     assert (m.t1, m.t_inf, m.level_widths) == (1, 1, (1,))
     assert m.max_fan_in == 0 and m.max_fan_out == 0
@@ -347,13 +341,13 @@ def test_list_schedule_vs_exhaustive_oracle(p):
     graphs = [
         make_footnote(),
         make_chain(5),
-        ComputeGraph(nodes=(  # fork-join with uneven arms
-            OpNode("s", "src"),
-            OpNode("l1", "f", ("s",)),
-            OpNode("l2", "f", ("l1",)),
-            OpNode("r1", "g", ("s",)),
-            OpNode("j", "join", ("l2", "r1")),
-        )),
+        dag([  # fork-join with uneven arms
+            ("s", "src"),
+            ("l1", "f", ("s",)),
+            ("l2", "f", ("l1",)),
+            ("r1", "g", ("s",)),
+            ("j", "join", ("l2", "r1")),
+        ]),
         gen_random_dag(6, 0.35, ("a", "b"), seed=9),
         gen_random_dag(7, 0.25, ("a",), seed=11),
     ]
@@ -369,13 +363,11 @@ def test_list_schedule_vs_exhaustive_oracle(p):
 # ------------------------------------------------------------------ tiling
 
 
+_TWO_SOURCE = [("a", "load"), ("b", "load"), ("c", "add", ("a", "b"))]
+
+
 def _two_source_template() -> ComputeGraph:
-    return ComputeGraph(
-        nodes=(OpNode("a", "load"), OpNode("b", "load"),
-               OpNode("c", "add", ("a", "b"))),
-        declared_inputs=("a", "b"),
-        declared_outputs=("c",),
-    )
+    return dag(_TWO_SOURCE, inputs=("a", "b"), outputs=("c",))
 
 
 def test_expand_template_ring():
@@ -394,10 +386,10 @@ def test_expand_template_ring():
 
 def test_expand_template_stitches_to_neighbors():
     expanded = expand_template(_two_source_template(), 4, 2, ring_coupling(4))
-    by_id = {n.id: n for n in expanded.nodes}
+    inputs = dict(zip(expanded.ids, expanded.inputs))
     # Copy 1 at t=1: input a comes from the left neighbor, b from the right.
-    assert by_id["a~s1t1"].inputs == ("c~s0t0",)
-    assert by_id["b~s1t1"].inputs == ("c~s2t0",)
+    assert inputs["a~s1t1"] == ("c~s0t0",)
+    assert inputs["b~s1t1"] == ("c~s2t0",)
 
 
 def test_expand_template_single_copy_no_neighbors():
@@ -411,8 +403,8 @@ def test_expand_template_single_copy_no_neighbors():
 def test_expand_template_callable_stitching():
     expanded = expand_template(_two_source_template(), 2, 2,
                                lambda s: ((s + 1) % 2,))
-    by_id = {n.id: n for n in expanded.nodes}
-    assert by_id["a~s0t1"].inputs == ("c~s1t0",)
+    inputs = dict(zip(expanded.ids, expanded.inputs))
+    assert inputs["a~s0t1"] == ("c~s1t0",)
 
 
 def test_expand_template_bad_neighbor():
@@ -443,10 +435,9 @@ def _stencil_template() -> ComputeGraph:
 def _repeated_input_template() -> ComputeGraph:
     """Declared input "a" listed twice (it stitches by its first index),
     outputs declared out of node order, and an input read twice."""
-    return ComputeGraph(
-        nodes=(OpNode("a", "load"), OpNode("b", "load"), OpNode("c", "mul", ("a", "b", "a")),
-               OpNode("d", "add", ("c",)), OpNode("e", "sub", ("c", "b"))),
-        declared_inputs=("b", "a", "a"), declared_outputs=("e", "d"))
+    return dag([("a", "load"), ("b", "load"), ("c", "mul", ("a", "b", "a")),
+                ("d", "add", ("c",)), ("e", "sub", ("c", "b"))],
+               inputs=("b", "a", "a"), outputs=("e", "d"))
 
 
 EXPANSIONS = {
@@ -459,7 +450,7 @@ EXPANSIONS = {
     "repeated_input_ring_3x3": lambda: expand_template(_repeated_input_template(), 3, 3,
                                                        ring_coupling(3)),
     "no_outputs_2x2": lambda: expand_template(
-        ComputeGraph(_two_source_template().nodes, ("a", "b")), 2, 2, ring_coupling(2)),
+        dag(_TWO_SOURCE, inputs=("a", "b")), 2, 2, ring_coupling(2)),
 }
 
 
@@ -497,10 +488,11 @@ def _ref_random_dag(n, edge_density, alphabet, seed):
         for i in range(j):
             if coins[i] < edge_density:
                 inputs[j].append(f"x{i}")
-    nodes = tuple(OpNode(f"x{i}", kinds[i], tuple(inputs[i])) for i in range(n))
-    has_out = {ref for node in nodes for ref in node.inputs}
-    return ComputeGraph(nodes, tuple(node.id for node in nodes if not node.inputs),
-                        tuple(node.id for node in nodes if node.id not in has_out))
+    ids = [f"x{i}" for i in range(n)]
+    has_out = {ref for refs in inputs for ref in refs}
+    return dag(zip(ids, kinds, map(tuple, inputs)),
+               inputs=[nid for nid, refs in zip(ids, inputs) if not refs],
+               outputs=[nid for nid in ids if nid not in has_out])
 
 
 @pytest.mark.parametrize("n, density, seed", [(0, 0.5, 0), (1, 0.5, 0), (2, 1.0, 1),
@@ -527,17 +519,16 @@ def test_gen_random_dag_is_valid_and_acyclic():
 
 def test_gen_random_dag_density_zero():
     g = gen_random_dag(10, 0.0, ("k",), seed=0)
-    assert all(node.inputs == () for node in g.nodes)
+    assert all(refs == () for refs in g.inputs)
     assert len(g.declared_inputs) == 10
     assert len(g.declared_outputs) == 10
 
 
 def test_gen_random_dag_declared_ids():
     g = gen_random_dag(40, 0.25, ("k",), seed=3)
-    referenced = {ref for node in g.nodes for ref in node.inputs}
+    referenced = {ref for refs in g.inputs for ref in refs}
     for nid in g.declared_inputs:
-        node = next(n for n in g.nodes if n.id == nid)
-        assert node.inputs == ()
+        assert g.inputs[g.ids.index(nid)] == ()
     for nid in g.declared_outputs:
         assert nid not in referenced
 

@@ -20,8 +20,6 @@ from neurocost import (
     NoRuleForOpKind,
     NonFiniteInput,
     NonFiniteState,
-    OpNode,
-    ComputeGraph,
     gen_random_dag,
     advance,
     count_resources,
@@ -35,7 +33,7 @@ from neurocost import (
     validate_graph,
 )
 
-from conftest import make_chain, make_footnote, network
+from conftest import dag, make_chain, make_footnote, network
 from test_golden import (ENCODINGS, GOLDEN, RANDOM_SPECS, random_inputs, random_network,
                          trace_digest, _run as golden_run)
 
@@ -408,8 +406,7 @@ def test_neuron_spec_rejects_bool_numbers(field, kind, bad):
 def test_bool_delay_beside_an_int_delay_is_rejected():
     # s(src) -> t(sink) -> u(src): the sink's bool delay used to lower as 1
     # once the src rule's int delay set the column's dtype.
-    vg = validate_graph(ComputeGraph((OpNode("s", "src"), OpNode("t", "sink", ("s",)),
-                                      OpNode("u", "src", ("t",)))))
+    vg = validate_graph(dag([("s", "src"), ("t", "sink", ("s",)), ("u", "src", ("t",))]))
     ng, _am = lower_graph(vg, {"src": LoweringRule(delay=2), "sink": LoweringRule(delay=3)})
     assert ng.delay.tolist() == [3, 2]
     with pytest.raises(ValueError, match="synapse delay must be an integer >= 1, got True"):
@@ -637,8 +634,7 @@ def _tuple_lowering(vg, rules=None):
         rules = relay_rules(set(vg.graph.op_kinds))
     neurons, synapses, entries, per_op, entry, exit_ = [], [], {}, {}, {}, {}
     for nid in vg.topo_order:
-        node = vg.graph.nodes[vg.index[nid]]
-        rule = rules[node.op_kind]
+        rule = rules[vg.graph.op_kinds[vg.index[nid]]]
         members = [f"{nid}#{k}" for k in range(rule.neuron_count)]
         neurons += [(mid, rule.neuron, 0.0) for mid in members]
         entry[nid], exit_[nid] = members[0], members[-1]
@@ -646,7 +642,7 @@ def _tuple_lowering(vg, rules=None):
         for a, b in zip(members, members[1:]):
             owned.append(len(synapses))
             synapses.append((a, b, rule.chain_weight, rule.delay))
-        for ref in node.inputs:
+        for ref in vg.graph.inputs[vg.index[nid]]:
             owned.append(len(synapses))
             synapses.append((exit_[ref], members[0], rule.input_weight, rule.delay))
         entries[nid] = (frozenset(members), frozenset(owned))

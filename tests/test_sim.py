@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ import pytest
 import neurocost as nc
 from conftest import network
 from neurocost.sim import _hamming, _union
+from oracles import measure_firing_rate
 
 RELAY = nc.NeuronSpec(model_kind="lif", v_thresh=1.0)
 
@@ -392,17 +394,23 @@ class TestDigitalEncoding:
         hi_f = float(hi) if width <= 53 else math.nextafter(float(2 ** (width - 1)), 0.0)
         return np.clip(q, float(lo), hi_f).astype(np.int64)
 
-    @pytest.mark.parametrize("scale", [1.0, 4.0, 0.3])
+    @pytest.mark.parametrize("scale", [1.0, 4.0, 0.3, 0.37, 1e-300, 1e300])
     @pytest.mark.parametrize("width", [4, 16, 53, 54, 64])
     def test_precomputed_words_and_bits_equal_the_formula(self, width, scale):
         enc = nc.DigitalEncoding(width, scale)
         step = scale / 2 ** (width - 1)
         rng = np.random.default_rng(width)
-        x = np.concatenate(([scale, -scale, scale - step, -0.0, 0.0, 1e300, -1e300],
+        magnitudes = 10.0 ** np.arange(-300, 301, 10)
+        x = np.concatenate(([scale, -scale, scale - step, -0.0, 0.0, 1e300, -1e300,
+                             2 * scale, -2 * scale, 5e-324, -5e-324, 2.2e-308],
+                            magnitudes, -magnitudes,
                             rng.normal(scale=scale, size=300),
                             rng.uniform(-2 * scale, 2 * scale, size=300)))
-        with np.errstate(over="ignore"):  # 1e300 / step is inf at the wide widths; both clamp it
-            words, formula = enc.words(x), self._words_formula(x, width, scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # words() clamps before it divides: nothing overflows
+            words = enc.words(x)
+        with np.errstate(over="ignore"):  # the formula's x / step overflows to inf; it clamps
+            formula = self._words_formula(x, width, scale)
         assert words.dtype == np.int64
         assert words.tobytes() == formula.tobytes()
         old, new = words, np.roll(words, 1)
@@ -412,6 +420,14 @@ class TestDigitalEncoding:
         assert got.dtype == np.uint8 and got.tolist() == expect.tolist()
         got = nc.hamming_bits(old, new, width)
         assert got.dtype == np.int64 and got.tolist() == expect.tolist()
+
+    def test_a_huge_state_clamps_without_a_warning(self):
+        # Dividing first, 1e300 overflowed to inf with a RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            words = nc.DigitalEncoding(64).words(np.array([1e300, -1e300, math.inf, -math.inf]))
+        hi = int(math.nextafter(2.0 ** 63, 0.0))
+        assert words.tolist() == [hi, -(2 ** 63), hi, -(2 ** 63)]
 
     @pytest.mark.parametrize("bad", [
         dict(word_width=3), dict(word_width=65), dict(word_width=16.5), dict(word_width=True),
@@ -1029,16 +1045,16 @@ class TestFiringRates:
 
     def test_windowed_rates(self):
         tr = self._synthetic_trace()
-        rates = nc.measure_firing_rate(tr, 5)
+        rates = measure_firing_rate(tr, 5)
         assert rates.tolist() == [0.1] * 4 + [0.0] * 6
 
     def test_window_validation(self):
         tr = self._synthetic_trace()
         for bad in (0, 1.5, True):
             with pytest.raises(ValueError, match="window must be an integer >= 1"):
-                nc.measure_firing_rate(tr, bad)
+                measure_firing_rate(tr, bad)
         with pytest.raises(ValueError):
-            nc.measure_firing_rate(tr, 51)
+            measure_firing_rate(tr, 51)
 
 
 class TestEnergyAudit:

@@ -100,12 +100,13 @@ class _Recording(dict):
     ("random", "n", 4.0, (("steps", 4.0),)),
 ])
 def test_each_runner_reads_exactly_its_table_keys(workload, param, value, fixed):
-    """Every parameter in the table is read, by the build or run half or
+    """Every parameter in the table is read, by the check or the run or
     by a default derived from it, so none is listed without taking effect."""
-    build, run, params = sweep.SWEEP_TABLE[workload]
+    check, run, params = sweep.SWEEP_TABLE[workload]
     spec = nc.SweepSpec(workload=workload, param=param, values=(value, 2 * value), fixed=fixed)
     point = _Recording(spec.point(value))
-    run(build(point, 0), point, nc.preset("unit"), 0)
+    check(point)
+    run(point, nc.preset("unit"), 0)
     for p in params.values():
         if callable(p.default):
             p.default(point)

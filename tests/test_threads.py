@@ -12,36 +12,29 @@ import pytest
 import neurocost as nc
 import neurocost.cli as cli
 from neurocost import threads
-from neurocost.threads import Fragment, extract_fragment
+from neurocost.threads import Fragment
 
-from conftest import bench_cases
+from conftest import bench_cases, dag
+from oracles import canonical_label, extract_fragment
 
 
 def make_chain(n, prefix="n"):
-    nodes = tuple(
-        nc.OpNode(f"{prefix}{i}", "relay", () if i == 0 else (f"{prefix}{i - 1}",))
-        for i in range(n)
-    )
-    return nc.validate_graph(nc.ComputeGraph(
-        nodes=nodes,
-        declared_inputs=(f"{prefix}0",),
-        declared_outputs=(f"{prefix}{n - 1}",),
-    ))
+    return nc.validate_graph(dag(
+        [(f"{prefix}{i}", "relay", () if i == 0 else (f"{prefix}{i - 1}",)) for i in range(n)],
+        inputs=(f"{prefix}0",), outputs=(f"{prefix}{n - 1}",)))
 
 
 def permute_ids(vg, seed):
     """Rename every node with a shuffled id map; structure is unchanged."""
     rng = random.Random(seed)
-    ids = [n.id for n in vg.graph.nodes]
+    ids = list(vg.graph.ids)
     mapping = dict(zip(ids, rng.sample(ids, len(ids))))
-    nodes = tuple(
-        nc.OpNode(mapping[n.id], n.op_kind, tuple(mapping[p] for p in n.inputs))
-        for n in vg.graph.nodes
-    )
-    return nc.validate_graph(nc.ComputeGraph(
-        nodes=tuple(sorted(nodes, key=lambda n: n.id)),
-        declared_inputs=tuple(mapping[i] for i in vg.graph.declared_inputs),
-        declared_outputs=tuple(mapping[o] for o in vg.graph.declared_outputs),
+    nodes = [(mapping[nid], kind, tuple(mapping[p] for p in refs))
+             for nid, kind, refs in zip(ids, vg.graph.op_kinds, vg.graph.inputs)]
+    return nc.validate_graph(dag(
+        sorted(nodes),
+        inputs=tuple(mapping[i] for i in vg.graph.declared_inputs),
+        outputs=tuple(mapping[o] for o in vg.graph.declared_outputs),
     ))
 
 
@@ -49,34 +42,28 @@ class TestCanonicalLabels:
     def test_exact_label_invariant_under_renaming(self):
         vg = make_chain(6)
         pg = permute_ids(vg, 11)
-        fa = extract_fragment(vg, tuple(n.id for n in vg.graph.nodes))
-        fb = extract_fragment(pg, tuple(n.id for n in pg.graph.nodes))
-        assert nc.canonical_label(fa) == nc.canonical_label(fb)
+        fa = extract_fragment(vg, vg.graph.ids)
+        fb = extract_fragment(pg, pg.graph.ids)
+        assert canonical_label(fa) == canonical_label(fb)
         assert nc.isomorphic(fa, fb)
 
     def test_label_prefixes_by_size(self):
         small = extract_fragment(make_chain(6), tuple(f"n{i}" for i in range(6)))
         big = extract_fragment(make_chain(12), tuple(f"n{i}" for i in range(12)))
-        assert nc.canonical_label(small).startswith("x")
+        assert canonical_label(small).startswith("x")
         with pytest.raises(nc.FragmentTooLarge, match="12 nodes, exact labels stop at 8"):
-            nc.canonical_label(big)
+            canonical_label(big)
 
     def test_chain_and_fan_get_different_labels(self):
-        chain3 = nc.validate_graph(nc.ComputeGraph(
-            nodes=(nc.OpNode("a", "relay"),
-                   nc.OpNode("b", "relay", ("a",)),
-                   nc.OpNode("c", "relay", ("b",))),
-            declared_inputs=("a",), declared_outputs=("c",),
-        ))
-        fan3 = nc.validate_graph(nc.ComputeGraph(
-            nodes=(nc.OpNode("a", "relay"),
-                   nc.OpNode("b", "relay", ("a",)),
-                   nc.OpNode("c", "relay", ("a",))),
-            declared_inputs=("a",), declared_outputs=("b", "c"),
-        ))
+        chain3 = nc.validate_graph(dag(
+            [("a", "relay"), ("b", "relay", ("a",)), ("c", "relay", ("b",))],
+            inputs=("a",), outputs=("c",)))
+        fan3 = nc.validate_graph(dag(
+            [("a", "relay"), ("b", "relay", ("a",)), ("c", "relay", ("a",))],
+            inputs=("a",), outputs=("b", "c")))
         fc = extract_fragment(chain3, ("a", "b", "c"))
         ff = extract_fragment(fan3, ("a", "b", "c"))
-        assert nc.canonical_label(fc) != nc.canonical_label(ff)
+        assert canonical_label(fc) != canonical_label(ff)
         assert not nc.isomorphic(fc, ff)
 
     def test_embedding_arity_separates_fragments(self):
@@ -86,14 +73,14 @@ class TestCanonicalLabels:
         f01 = extract_fragment(vg, ("n0", "n1"))
         f12 = extract_fragment(vg, ("n1", "n2"))
         assert not nc.isomorphic(f01, f12)
-        assert nc.canonical_label(f01) != nc.canonical_label(f12)
+        assert canonical_label(f01) != canonical_label(f12)
 
     def test_interior_slices_match(self):
         vg = make_chain(6)
         g12 = extract_fragment(vg, ("n1", "n2"))
         g34 = extract_fragment(vg, ("n3", "n4"))
         assert nc.isomorphic(g12, g34)
-        assert nc.canonical_label(g12) == nc.canonical_label(g34)
+        assert canonical_label(g12) == canonical_label(g34)
 
     def test_extract_fragment_rejects_repeated_and_unknown_ids(self, footnote):
         with pytest.raises(ValueError, match="node 'a' is listed twice"):
@@ -143,7 +130,7 @@ class TestCanonicalLabels:
         vg = make_chain(70)
         f65 = extract_fragment(vg, tuple(f"n{i}" for i in range(1, 66)))
         with pytest.raises(nc.FragmentTooLarge):
-            nc.canonical_label(f65)
+            canonical_label(f65)
 
     def test_caps_exported(self):
         assert nc.EXACT_LIMIT == 8
@@ -155,20 +142,20 @@ def random_multigraph(rng):
     nodes = []
     for i in range(14):
         refs = tuple(f"v{rng.randrange(i)}" for _ in range(rng.randrange(4))) if i else ()
-        nodes.append(nc.OpNode(f"v{i}", rng.choice("ab"), refs))
-    return nc.validate_graph(nc.ComputeGraph(tuple(nodes)))
+        nodes.append((f"v{i}", rng.choice("ab"), refs))
+    return nc.validate_graph(dag(nodes))
 
 
 def id_reference_fragment(vg, ids):
-    """(nodes, edges, node_ids) of the fragment on `ids`, from the OpNodes."""
-    members = set(ids)
+    """(nodes, edges, node_ids) of the fragment on `ids`, from the id columns."""
+    graph, members = vg.graph, set(ids)
     want_nodes, want_edges = [], set()
     for nid in ids:
-        node = vg.graph.nodes[vg.index[nid]]
-        consumers = [m.id for m in vg.graph.nodes for ref in m.inputs if ref == nid]
-        want_nodes.append((node.op_kind, sum(r not in members for r in node.inputs),
+        kind, inputs = graph.op_kinds[vg.index[nid]], graph.inputs[vg.index[nid]]
+        consumers = [m for m, refs in zip(graph.ids, graph.inputs) for ref in refs if ref == nid]
+        want_nodes.append((kind, sum(r not in members for r in inputs),
                            sum(c not in members for c in consumers)))
-        want_edges |= {(ids.index(r), ids.index(nid)) for r in node.inputs if r in members}
+        want_edges |= {(ids.index(r), ids.index(nid)) for r in inputs if r in members}
     return tuple(want_nodes), frozenset(want_edges), tuple(ids)
 
 
@@ -221,7 +208,7 @@ class TestPartition:
             for _label, frags in pr.families:
                 for frag in frags:
                     assigned.extend(frag.node_ids)
-            assert sorted(assigned) == sorted(n.id for n in entry.graph.nodes)
+            assert sorted(assigned) == sorted(entry.graph.ids)
 
     def test_family_ordering(self):
         vg, gran = corpus_entry("path12_singletons")
@@ -348,7 +335,7 @@ class TestShapeMemo:
             runs = [(nc.validate_graph(e.graph), e.granularity) for e in nc.mini_corpus()]
         for vg, g in runs:
             for label, members in nc.partition_isomorphic(vg, g).families:
-                assert all(nc.canonical_label(frag) == label for frag in members)
+                assert all(canonical_label(frag) == label for frag in members)
 
     def test_colliding_digests_still_raise(self, monkeypatch):
         monkeypatch.setattr(threads, "_exact_label", lambda signature: "x-collide")
@@ -433,9 +420,9 @@ def with_repeats(graph, seed):
 
 def star(n, inward):
     """A hub with n inputs (inward) or n consumers."""
-    leaves = [nc.OpNode(f"leaf{i}", "leaf", () if inward else ("hub",)) for i in range(n)]
-    hub = nc.OpNode("hub", "hub", tuple(leaf.id for leaf in leaves) if inward else ())
-    return nc.ComputeGraph((*leaves, hub) if inward else (hub, *leaves))
+    leaves = [(f"leaf{i}", "leaf", () if inward else ("hub",)) for i in range(n)]
+    hub = ("hub", "hub", tuple(leaf[0] for leaf in leaves) if inward else ())
+    return dag([*leaves, hub] if inward else [hub, *leaves])
 
 
 ONE_KIND, THREE_KINDS = ("op",), ("add", "mul", "sub")
@@ -484,9 +471,7 @@ def assert_fragments_extract(vg, pr):
 
 class TestBulkBuild:
     def test_repeated_input_counts_twice_in_arity_once_in_edges(self):
-        vg = nc.validate_graph(nc.ComputeGraph((
-            nc.OpNode("a", "src"), nc.OpNode("b", "mid", ("a", "a")),
-            nc.OpNode("c", "sink", ("b",)))))
+        vg = nc.validate_graph(dag([("a", "src"), ("b", "mid", ("a", "a")), ("c", "sink", ("b",))]))
         pr = nc.partition_isomorphic(vg, 2)
         [frag] = all_fragments(pr)
         assert frag == threads.Fragment((("src", 0, 0), ("mid", 0, 1)),
@@ -532,8 +517,7 @@ class TestBulkBuild:
         assert_fragments_extract(vg, singles)
 
     def test_graph_without_edges(self):
-        vg = nc.validate_graph(nc.ComputeGraph(
-            nc.OpNode(f"v{i}", "op") for i in range(50)))
+        vg = nc.validate_graph(dag((f"v{i}", "op") for i in range(50)))
         singles = nc.partition_isomorphic(vg, 1)
         assert singles.p_threads == 50 and singles.residual == frozenset()
         assert {frag.nodes for frag in all_fragments(singles)} == {(("op", 0, 0),)}
@@ -614,9 +598,8 @@ NO_TWINS = ((0, 5), (0, 6), (0, 8), (1, 5), (1, 7), (1, 9), (2, 6), (2, 7), (2, 
 
 def wl_collision_graph():
     """TWIN_SOURCES as nodes p0..p9 and NO_TWINS as q0..q9, in one graph."""
-    return nc.ComputeGraph(tuple(
-        nc.OpNode(f"{name}{v}", "op", tuple(f"{name}{a}" for a, b in edges if b == v))
-        for name, edges in (("p", TWIN_SOURCES), ("q", NO_TWINS)) for v in range(10)))
+    return dag((f"{name}{v}", "op", tuple(f"{name}{a}" for a, b in edges if b == v))
+               for name, edges in (("p", TWIN_SOURCES), ("q", NO_TWINS)) for v in range(10))
 
 
 class TestWLCollision:
