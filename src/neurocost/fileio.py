@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import gc
 import io
 import json
 import os
@@ -96,7 +97,26 @@ def parse_graph_file(text: str) -> ComputeGraph:
     well-formed document with the wrong shape raises SchemaError naming
     the offending field. Cycle and reference checks are left to
     validate_graph.
+
+    The cyclic garbage collector is paused for the parse and restored as
+    the caller had it, errors included. The parse builds a tree of lists
+    and dicts, two per node, that forms no cycle and is garbage when the
+    parse returns, so each collection it would trigger finds nothing.
+    Only package code runs while the collector is paused. The pause is
+    process-wide, not per thread: a parse that overlaps another thread's
+    work pauses that thread's collections too, and a change the other
+    thread makes to the collector setting is undone when the parse ends.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse_graph(text)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parse_graph(text: str) -> ComputeGraph:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -116,8 +116,8 @@ class ComputeGraph:
         return tuple(map(OpNode, self.ids, self.op_kinds, self.inputs))
 
 
-Tiling = NamedTuple("Tiling", [("order", np.ndarray), ("start", np.ndarray),
-                               ("neighbour", np.ndarray), ("kind_code", np.ndarray)])
+Tiling = NamedTuple("Tiling", [("order", np.ndarray), ("kind_code", np.ndarray),
+                               ("neighbour", tuple), ("first", tuple), ("end", tuple)])
 
 
 class ValidatedGraph:
@@ -148,10 +148,12 @@ class ValidatedGraph:
 
     @cached_property
     def tiling(self) -> Tiling:
-        """The partitioner's read-only arrays for every granularity: `order`
-        ranks the positions by (level, id), rank r's inputs and consumers are
-        `neighbour[start[r]:start[r + 1]]` (ascending, once per input
-        reference) and `kind_code[i]` numbers position i's op kind."""
+        """The partitioner's state for every granularity: `order` ranks the
+        positions by (level, id) and `kind_code[i]` numbers position i's op
+        kind, both read-only arrays; rank r's inputs and consumers are
+        `neighbour[first[r]:end[r]]`, ascending, once per input reference.
+        `neighbour`, `first` and `end` are tuples of Python ints, which the
+        greedy loop indexes one at a time; a partition copies only `first`, which it moves."""
         n = len(self)
         # A stable sort by level of the id order. Python sorts the ids:
         # numpy's str dtype drops trailing NULs.
@@ -163,11 +165,13 @@ class ValidatedGraph:
         consumer = rank[np.repeat(np.arange(n), np.diff(self.pred_start))]
         start, neighbour = owner_csr(np.concatenate((consumer, producer)),
                                      np.concatenate((producer, consumer)), n)
+        start = start.tolist()
         codes = {kind: c for c, kind in enumerate(dict.fromkeys(self.graph.op_kinds))}
         kind_code = np.fromiter(map(codes.__getitem__, self.graph.op_kinds), np.intp, n)
-        for arr in (order, start, neighbour, kind_code):
+        for arr in (order, kind_code):
             arr.flags.writeable = False
-        return Tiling(order, start, neighbour, kind_code)
+        return Tiling(order, kind_code, tuple(neighbour.tolist()), tuple(start[:-1]),
+                      tuple(start[1:]))
 
 
 def _check_references(raw: ComputeGraph) -> None:
@@ -311,13 +315,25 @@ def compute_metrics(vg: ValidatedGraph) -> GraphMetrics:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScheduleResult:
-    """Makespan t_p and node -> (processor, step) assignment."""
+    """Makespan t_p on p processors and the per-node columns: node
+    `ids[k]` runs on processor `proc[k]` at step `step[k]`. Schedules are
+    `==` when t_p, p and the columns are equal.
+    """
 
     t_p: int
     p: int
-    assignment: Mapping[str, tuple[int, int]]
+    ids: tuple[str, ...]
+    proc: np.ndarray
+    step: np.ndarray
+
+    def __eq__(self, other):
+        if not isinstance(other, ScheduleResult):
+            return NotImplemented
+        return ((self.t_p, self.p, self.ids) == (other.t_p, other.p, other.ids)
+                and np.array_equal(self.proc, other.proc)
+                and np.array_equal(self.step, other.step))
 
 
 def list_schedule(vg: ValidatedGraph, p: int) -> ScheduleResult:
@@ -325,7 +341,9 @@ def list_schedule(vg: ValidatedGraph, p: int) -> ScheduleResult:
 
     Level widths m give t_p = sum(ceil(m / p)); every node runs strictly
     after all of its inputs because levels are scheduled in order. The
-    assignment lists nodes by level, then in topological order.
+    columns list nodes by level, then in topological order. They stay
+    read-only numpy arrays: no command reads a node's slot, so no per-node
+    object is made.
     """
     p = check_count("processor count", p)
 
@@ -337,8 +355,10 @@ def list_schedule(vg: ValidatedGraph, p: int) -> ScheduleResult:
     steps = -(-widths // q)
     offset = np.arange(len(vg)) - (np.cumsum(widths) - widths)[level]
     step = (np.cumsum(steps) - steps)[level] + offset // q
-    assignment = dict(zip(vg.topo_order, zip((offset % q).tolist(), step.tolist())))
-    return ScheduleResult(t_p=int(steps.sum()), p=p, assignment=assignment)
+    proc = offset % q
+    for col in (proc, step):
+        col.flags.writeable = False
+    return ScheduleResult(t_p=int(steps.sum()), p=p, ids=vg.topo_order, proc=proc, step=step)
 
 
 CouplingRule = Mapping[int, Sequence[int]] | Callable[[int], Sequence[int]]

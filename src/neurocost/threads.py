@@ -22,12 +22,12 @@ a fragment of one hub and seven identical leaves one, not 7! = 5040.
 
 The greedy partition tiles in rank space with one forward-only pointer
 per rank into its ascending neighbour list: for a fixed granularity,
-tiling is linear in nodes plus edges. Rank order, neighbour lists and
-op-kind codes are `ValidatedGraph.tiling`, built once per graph for
-every granularity; a call copies only its pointers. A call's fragments
-are built in bulk, slotted and without `__init__`, one `nodes` tuple and
-one `edges` set per distinct shape; the exhaustive oracle builds its
-overlapping candidates in one call too.
+tiling is linear in nodes plus edges. Rank order, op-kind codes and the
+neighbour lists as Python ints are `ValidatedGraph.tiling`, built once
+per graph for every granularity; a call copies only its pointers. A
+call's fragments are built in bulk, slotted and without `__init__`, one
+`nodes` tuple and one `edges` set per distinct shape; the exhaustive
+oracle builds its overlapping candidates in one call too.
 
 Both partitions label fragments through one helper that computes one
 exact signature per distinct fragment shape (nodes, edges), as the bulk
@@ -266,8 +266,8 @@ def partition_isomorphic(vg: ValidatedGraph, granularity: int) -> PartitionResul
     """
     granularity = _check_granularity(granularity)
     n = len(vg)
-    order, start, neighbour, _kind_code = vg.tiling
-    neighbour, head, end = neighbour.tolist(), start[:-1].tolist(), start[1:].tolist()
+    order, _kind_code, neighbour, first, end = vg.tiling
+    head = list(first)
     # head[r] only moves forward: the ranks it passes are taken for good,
     # so once it skips the newly taken ones it points at r's smallest
     # untaken neighbour.

@@ -158,7 +158,9 @@ def gen_mesh(spec: MeshSpec) -> tuple[ComputeGraph, NeuralGraph]:
     # Rails: every pos neuron, every neg neuron, then the padding. x0 is
     # max(+-deviation, 0.0) with Python's tie rule, so -0.0 stays -0.0.
     pad = spec.n_mesh - 2
-    ids = pos_ids + neg_ids + tuple(f"r{i}_{j}" for i in range(spec.m_s) for j in range(pad))
+    ids = pos_ids + neg_ids
+    if pad:
+        ids += tuple(f"r{i}_{j}" for i in range(spec.m_s) for j in range(pad))
     x0 = np.concatenate([np.where(0.0 > deviation, 0.0, deviation),
                          np.where(0.0 > -deviation, 0.0, -deviation),
                          np.zeros(spec.m_s * pad)])

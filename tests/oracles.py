@@ -1,6 +1,7 @@
 """Reference functions that only the tests call: the one-row fragment
-extractor, the text label of one fragment, the windowed firing rate and
-the architecture lookup of a comparison table."""
+extractor, the text label of one fragment, the windowed firing rate, the
+architecture lookup of a comparison table and a schedule's node ->
+(processor, step) dict."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import numpy as np
 
 from neurocost.costs import ComparisonRow, ComparisonTable
 from neurocost.errors import check_count
-from neurocost.graph import ValidatedGraph
+from neurocost.graph import ScheduleResult, ValidatedGraph
 from neurocost.sim import SimTrace
 from neurocost.threads import Fragment, _exact_label, _exact_signature, _fragments
 
@@ -55,3 +56,8 @@ def row(table: ComparisonTable, architecture: str) -> ComparisonRow:
         if r.architecture == architecture:
             return r
     raise KeyError(architecture)
+
+
+def assignment(sched: ScheduleResult) -> dict[str, tuple[int, int]]:
+    """Node id -> (processor, step), in the schedule's node order."""
+    return dict(zip(sched.ids, zip(sched.proc.tolist(), sched.step.tolist())))

@@ -5,11 +5,14 @@ so the runs write their results there and nothing under `bench/`.
 """
 
 import importlib.util
+import json
 import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SKIP = shutil.ignore_patterns("__pycache__", "results")
@@ -36,8 +39,11 @@ def test_one_tiny_pair_of_the_same_checkout(tmp_path):
     done = _pairs(checkout, checkout)
     assert done.returncode == 0, done.stderr
     assert "warning" not in done.stderr  # one checkout: its paths are one length
-    pair, header, *rows = done.stdout.splitlines()
+    pair, header, *rows, passes = done.stdout.splitlines()
     assert pair.startswith("pair 1 (AB): wall_s ")
+    count_a, count_b = pair.split("  passes ")[1].split(" -> ")
+    assert int(count_a) > 0 and int(count_b) > 0
+    assert passes == f"timed passes: median A {count_a}, median B {count_b}"
     assert header.split()[0] == "metric"
     assert header.endswith("B lower  B higher  claim    bound")
     cells = {row.split()[0]: row.split() for row in rows}
@@ -69,6 +75,24 @@ def _bench_pairs():
 
 def _summary(runs_a, runs_b):
     return _bench_pairs().summary(runs_a, runs_b, SPEC)
+
+
+def test_timed_passes_skip_the_warm_up(tmp_path):
+    # A made-up detail file of a traced run: the warm-up, then alternating
+    # untraced and traced passes; only its `passes` list is read.
+    detail = tmp_path / "stencil_threads-seed3-trace1-full.json"
+    passes = [{"pass": k, "traced": k % 2 == 0, "wall_s": 0.04} for k in range(7)]
+    detail.write_text(json.dumps({"correct": True, "passes": passes}), encoding="utf-8")
+    assert _bench_pairs().timed_passes(detail) == 6
+    detail.write_text(json.dumps({"passes": passes[:1]}), encoding="utf-8")
+    assert _bench_pairs().timed_passes(detail) == 0
+
+
+def test_all_workloads_are_refused(capsys):
+    with pytest.raises(SystemExit):
+        _bench_pairs().parse_args(["a", "b", "--workload", "all", "--pairs", "1",
+                                   "--seed", "5", "--seconds", "1"])
+    assert "one workload, not all" in capsys.readouterr().err
 
 
 def test_checkout_paths_of_different_lengths_warn(tmp_path):

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import gc
 import json
 
 import numpy as np
 import pytest
 
 import neurocost as nc
+from conftest import bench_cases
 from neurocost import fileio
 
 
@@ -57,6 +59,45 @@ class TestGraphFiles:
         g = nc.parse_graph_file('{"nodes": [{"id": "a", "op": "relay"}]}')
         assert g.declared_inputs == ()
         assert g.declared_outputs == ()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
+    @pytest.mark.parametrize("text, error", [
+        ('{"nodes": [{"id": "a", "op": "relay"}]}', None),
+        ('{"nodes": [}', nc.FileSyntaxError),
+        ('{"nodes": [5]}', nc.SchemaError),
+        ('{"nodes": [], "inputs": [1]}', nc.SchemaError),
+    ], ids=["parsed", "syntax", "node_schema", "declared_schema"])
+    def test_parse_leaves_the_collector_as_it_found_it(self, enabled, text, error):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if error is None:
+                nc.parse_graph_file(text)
+            else:
+                with pytest.raises(error):
+                    nc.parse_graph_file(text)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_parse_runs_no_collection(self):
+        # The 6,144-node stencil of the benchmark's stencil_threads workload:
+        # with the collector running, json.loads's lists and dicts would
+        # trigger 33 collections that find nothing.
+        text = bench_cases().stencil_generate(0, False).stencil_text
+        starts = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        assert gc.isenabled()
+        gc.callbacks.append(count)
+        try:
+            cg = nc.parse_graph_file(text)
+        finally:
+            gc.callbacks.remove(count)
+        assert len(cg.ids) == 6144 and starts == []
 
 
 class TestNeuralJson:

@@ -4,9 +4,11 @@
 of the `expand_template` on the path, one `name: digest` line per case.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +34,8 @@ from neurocost import (
 
 from neurocost.graph import sorted_unique
 
-from conftest import dag, make_chain, make_footnote
+from conftest import bench_cases, dag, make_chain, make_footnote
+from oracles import assignment
 
 
 # ---------------------------------------------------------------- columns
@@ -258,7 +261,7 @@ def test_footnote_schedule_parallel(footnote, p):
 
 def test_schedule_assignment_is_consistent(footnote):
     sched = list_schedule(footnote, 2)
-    steps = {nid: step for nid, (_proc, step) in sched.assignment.items()}
+    steps = {nid: step for nid, (_proc, step) in assignment(sched).items()}
     assert set(steps) == {"a", "b", "c", "d"}
     assert max(steps.values()) + 1 == sched.t_p
     # Every node runs strictly after all of its inputs.
@@ -267,7 +270,7 @@ def test_schedule_assignment_is_consistent(footnote):
             assert steps[ref] < steps[nid]
     # No more than p nodes share a step.
     by_step = {}
-    for nid, (proc, step) in sched.assignment.items():
+    for nid, (proc, step) in assignment(sched).items():
         assert 0 <= proc < 2
         by_step.setdefault(step, []).append(proc)
     for procs in by_step.values():
@@ -286,6 +289,33 @@ def test_schedule_rejects_bad_p(footnote):
 def test_schedule_rejects_bool_p(footnote, p):
     with pytest.raises(ValueError, match="processor count must be an integer >= 1"):
         list_schedule(footnote, p)
+
+
+def test_schedule_builds_no_per_node_object():
+    # The stencil of the benchmark's stencil_threads workload, 6,144 nodes.
+    vg = validate_graph(bench_cases().stencil_generate(0, False).stencil)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        sched = list_schedule(vg, 4)
+        built = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    blocks = sum(stat.count_diff for stat in built.compare_to(before, "filename"))
+    assert len(vg) == 6144 and blocks < 100  # a few dozen, whatever the size
+    assert sched.ids == vg.topo_order and not sched.proc.flags.writeable
+
+
+def test_schedule_replace_and_equality(footnote):
+    sched = list_schedule(footnote, 2)
+    assert sched == list_schedule(footnote, 2)
+    moved = dataclasses.replace(sched, t_p=1)
+    assert (moved.t_p, assignment(moved)) == (1, assignment(sched)) and moved != sched
+    # Same t_p and p, but "b" and "a" swap processors: the schedules differ.
+    swapped = dataclasses.replace(sched, proc=sched.proc[[1, 0, 2, 3]])
+    assert swapped.t_p == sched.t_p and assignment(swapped) != assignment(sched)
+    assert swapped != sched and sched != swapped
+    assert sched != (sched.t_p, sched.p)
 
 
 def test_schedule_monotone_in_p():

@@ -320,6 +320,20 @@ class TestCompile:
             assert [state.net.ids[i] for i in tgt.tolist()] == [targets[k] for k in sel]
             assert values.tolist() == [(2.0, 2.5, 3.0, 3.5)[k] for k in sel]
 
+    def test_a_large_delay_allocates_nothing_of_its_size(self):
+        # Delays 1 and 10**6: the emit finds the delays present without an
+        # array as long as the largest one (a bincount over delays is 8 MB).
+        ng = fan_out(("B", 2.0, 1), ("C", 2.0, 10**6), ("B", 2.5, 10**6))
+        tracemalloc.start()
+        try:
+            state = nc.init_sim(ng, nc.AnalogEncoding(), 0)
+            nc.step_sim(state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**5  # bytes
+        assert sorted(state.pending) == [1, 10**6]
+
     def test_compile_peaks_near_what_it_keeps(self):
         # init_sim on a 10**5-point mesh (200,000 neurons, 10**6 synapses),
         # tracemalloc: 23.1 MB kept and 44.8 MB at peak while the compile

@@ -564,11 +564,15 @@ class TestTilingState:
         for g in (3, 4, 3, *range(1, 9)):
             assert nc.partition_isomorphic(vg, g) == nc.partition_isomorphic(stencil(), g), g
         assert vg.tiling is vg.tiling
+        neighbour, first, end = vg.tiling[2:]
+        assert {type(x) for x in neighbour + first + end} == {int}
+        assert first[1:] == end[:-1] and (first[0], end[-1]) == (0, len(neighbour))
 
     def test_cached_arrays_are_read_only(self):
         vg = stencil()
         nc.partition_isomorphic(vg, 4)
-        for name, arr in vg.tiling._asdict().items():
+        for name in ("order", "kind_code"):
+            arr = getattr(vg.tiling, name)
             assert not arr.flags.writeable, name
             with pytest.raises(ValueError):
                 arr[0] = 1

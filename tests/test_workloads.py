@@ -442,6 +442,8 @@ class TestColumnarBuilders:
         ring_spec(6, (-0.0, 0.0, 1.0, -1.0, 0.5, -0.5), k=2),
         nc.MeshSpec(m_s=5, k=2, m_t=4, dynamics=nc.Diffusion(0.4),
                     init=(3.0, 1.0, 0.0, 2.0, 4.0), n_mesh=4),
+        nc.MeshSpec(m_s=4, k=2, m_t=4, dynamics=nc.Diffusion(0.5),
+                    init=(1.0, 0.0, 2.0, 0.5), n_mesh=3),
     ], ids=lambda spec: f"m{spec.m_s}k{spec.k}n{spec.n_mesh}{type(spec.dynamics).__name__}")
     def test_gen_mesh_equals_tuple_build(self, spec):
         template, ng = nc.gen_mesh(spec)

@@ -8,7 +8,9 @@ A first in odd pairs and B first in even ones, so a drift in host speed
 does not favour one side. A run that exits non-zero, reads
 `correct: false` or counts a failed check stops the comparison (exit 1).
 
-The tool prints every pair's metrics as they come, then, for each
+The tool prints every pair's metrics and each side's count of timed
+passes (every pass after the warm-up, read from the `passes` list of the
+run's detail file in `bench/results/`) as they come, then, for each
 metric, the median and quartiles of A and of B, the ratio of the medians
 (B / A) and in how many pairs B read strictly lower and strictly higher
 (ties count for neither), so "no metric worse" reads from one line.
@@ -18,6 +20,9 @@ of at least 10 pairs B is better in at least 9/10 and its median beats
 A's by more than A's interquartile range. "bound": for an end-to-end
 metric, whether B's median is worse than A's by at most the metric's
 `bound`, a fraction of A's median; a per-layer metric has none ("-").
+A last line gives each side's median count of timed passes: `peak_rss_mb`
+grows with the passes a run makes in its `--seconds`, so a faster change
+can read a higher peak, and a shift in it is best judged at equal counts.
 Stdlib only; each checkout's benchmark imports its own `src/`.
 
 Results can depend on where a checkout lies: identical commits in
@@ -36,8 +41,9 @@ import sys
 from pathlib import Path
 
 
-def run_bench(checkout: Path, args: argparse.Namespace) -> dict[str, float]:
-    """One `bench/run.py` run in `checkout`: its metrics, checked for failures."""
+def run_bench(checkout: Path, args: argparse.Namespace) -> tuple[dict[str, float], int]:
+    """One `bench/run.py` run in `checkout`, checked for failures: its
+    metrics and its count of timed passes."""
     cmd = [sys.executable, "bench/run.py", "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", str(args.seconds), "--trace", str(args.trace), "--size", args.size]
     child = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True, check=False)
@@ -47,7 +53,18 @@ def run_bench(checkout: Path, args: argparse.Namespace) -> dict[str, float]:
     if not result["correct"] or result["failed"] > 0:
         raise SystemExit(f"error: bench/run.py in {checkout} failed {result['failed']} of "
                          f"{result['attempted']} checks")
-    return {name: entry["value"] for name, entry in result["metrics"].items()}
+    metrics = {name: entry["value"] for name, entry in result["metrics"].items()}
+    # The name bench/run.py gives the detail file of a one-workload run.
+    detail = (checkout / "bench" / "results"
+              / f"{args.workload}-seed{args.seed}-trace{args.trace}-{args.size}.json")
+    return metrics, timed_passes(detail)
+
+
+def timed_passes(detail: Path) -> int:
+    """The timed passes of a `bench/run.py` detail file: every entry of its
+    `passes` list but the warm-up, pass 0."""
+    passes = json.loads(detail.read_text(encoding="utf-8"))["passes"]
+    return sum(entry["pass"] > 0 for entry in passes)
 
 
 def path_length_warning(a: Path, b: Path) -> str | None:
@@ -98,7 +115,8 @@ def parse_args(argv) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("a", type=Path, help="checkout A, usually the parent")
     parser.add_argument("b", type=Path, help="checkout B, usually the change")
-    parser.add_argument("--workload", required=True, help="passed to bench/run.py")
+    parser.add_argument("--workload", required=True,
+                        help="passed to bench/run.py: one workload, not all")
     parser.add_argument("--pairs", type=int, required=True, help="number of A/B pairs")
     parser.add_argument("--seed", type=int, required=True, help="passed to bench/run.py")
     parser.add_argument("--seconds", type=float, required=True, help="passed to bench/run.py")
@@ -109,6 +127,8 @@ def parse_args(argv) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if args.workload == "all":  # its metrics are prefixed and it writes no detail file
+        parser.error("--workload must name one workload, not all")
     return args
 
 
@@ -117,15 +137,21 @@ def main(argv=None) -> int:
     if warning := path_length_warning(args.a, args.b):
         print(warning, file=sys.stderr, flush=True)
     runs = {"A": [], "B": []}
+    passes = {"A": [], "B": []}
     for pair in range(1, args.pairs + 1):
         order = ("A", "B") if pair % 2 else ("B", "A")
         for side in order:
-            runs[side].append(run_bench(args.a if side == "A" else args.b, args))
+            metrics, count = run_bench(args.a if side == "A" else args.b, args)
+            runs[side].append(metrics)
+            passes[side].append(count)
         cells = "  ".join(f"{name} {runs['A'][-1][name]:.6g} -> {runs['B'][-1][name]:.6g}"
                           for name in runs["A"][-1])
-        print(f"pair {pair} ({''.join(order)}): {cells}", flush=True)
+        print(f"pair {pair} ({''.join(order)}): {cells}  "
+              f"passes {passes['A'][-1]} -> {passes['B'][-1]}", flush=True)
     spec = json.loads((args.a / "BENCHMARK.json").read_text(encoding="utf-8"))
     print("\n".join(summary(runs["A"], runs["B"], spec)))
+    print(f"timed passes: median A {statistics.median(passes['A']):g}, "
+          f"median B {statistics.median(passes['B']):g}")
     return 0
 
 
