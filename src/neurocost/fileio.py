@@ -42,40 +42,37 @@ def _require(condition: bool, message: str, field: str) -> None:
         raise SchemaError(message, field=field)
 
 
-def _string_list(value: object, field: str) -> tuple[str, ...]:
+def _check_string_list(value: object, field: str) -> None:
     _require(isinstance(value, list), "expected a list of strings", field)
-    out = []
     for i, item in enumerate(value):
         _require(isinstance(item, str), "expected a string", f"{field}[{i}]")
-        out.append(item)
-    return tuple(out)
 
 
-def _plain_nodes(raw_nodes: list) -> tuple[list, list, list] | None:
-    """The ids, op kinds and input lists if every node is well formed, else None.
-
-    json.loads yields exact dict, list and str objects, so these exact
-    type tests accept what the per-field checks of _diagnose_nodes accept.
-    """
-    if not set(map(type, raw_nodes)) <= {dict}:
-        return None
-    if not set().union(*map(dict.keys, raw_nodes)) <= _NODE_KEYS:
+def _plain_graph(doc: dict) -> ComputeGraph | None:
+    """The graph if every node and declared list is well formed, else None.
+    Exact type tests suffice (json.loads yields exact dict, list and str), a
+    repeated id shortens `index`, and a reference `input_pos` resolves is a str."""
+    raw_nodes, declared = doc["nodes"], [doc.get("inputs", []), doc.get("outputs", [])]
+    if not (set(map(type, raw_nodes)) <= {dict}
+            and set(chain.from_iterable(raw_nodes)) <= _NODE_KEYS):
         return None
     ids = [raw.get("id") for raw in raw_nodes]
     ops = [raw.get("op") for raw in raw_nodes]
     inputs = [raw.get("inputs", []) for raw in raw_nodes]
-    if not (set(map(type, ids)) | set(map(type, ops)) <= {str} and len(set(ids)) == len(ids)
-            and set(map(type, inputs)) <= {list}
-            and set(map(type, chain.from_iterable(inputs))) <= {str}):
+    if not (set(map(type, inputs)) | set(map(type, declared)) <= {list}
+            and set(map(type, chain(ids, ops, *declared))) <= {str}):
         return None
-    return ids, ops, inputs
+    graph = ComputeGraph.from_columns(ids, ops, inputs, *declared)
+    plain = len(graph.index) == len(ids) and (
+        graph.input_pos is not None or set(map(type, chain.from_iterable(inputs))) <= {str})
+    return graph if plain else None
 
 
-def _diagnose_nodes(raw_nodes: list) -> None:
-    """Raise SchemaError naming the first bad field of the first bad node;
-    runs only on nodes that _plain_nodes rejected, which always hold one."""
+def _diagnose(doc: dict) -> None:
+    """Raise SchemaError naming the first bad field of the nodes, then of the
+    declared lists; only _plain_graph's rejects reach it, and each has one."""
     seen: set[str] = set()
-    for i, raw in enumerate(raw_nodes):
+    for i, raw in enumerate(doc["nodes"]):
         where = f"nodes[{i}]"
         _require(isinstance(raw, dict), "expected an object", where)
         for key in sorted(set(raw) - _NODE_KEYS):
@@ -87,16 +84,19 @@ def _diagnose_nodes(raw_nodes: list) -> None:
         nid = raw["id"]
         _require(nid not in seen, f"duplicate id {nid!r}", f"{where}.id")
         seen.add(nid)
-        _string_list(raw.get("inputs", []), f"{where}.inputs")
+        _check_string_list(raw.get("inputs", []), f"{where}.inputs")
+    for key in ("inputs", "outputs"):
+        _check_string_list(doc.get(key, []), key)
 
 
 def parse_graph_file(text: str) -> ComputeGraph:
     """Parse graph JSON into an (unvalidated) compute graph.
 
-    Malformed JSON raises FileSyntaxError with line and column; a
-    well-formed document with the wrong shape raises SchemaError naming
-    the offending field. Cycle and reference checks are left to
-    validate_graph.
+    Malformed JSON raises FileSyntaxError, with line and column unless it
+    nests too deeply or holds an over-long integer; a well-formed document
+    with the wrong shape raises SchemaError naming the offending field.
+    Duplicate ids and reference types are checked on the graph's cached
+    `index` and `input_pos`, which validate_graph's reference checks reuse.
 
     The cyclic garbage collector is paused for the parse and restored as
     the caller had it, errors included. The parse builds a tree of lists
@@ -121,6 +121,9 @@ def _parse_graph(text: str) -> ComputeGraph:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FileSyntaxError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except (RecursionError, ValueError) as exc:  # or an integer over Python's digit limit
+        raise FileSyntaxError("nesting too deep" if isinstance(exc, RecursionError)
+                              else "integer too long") from exc
 
     _require(isinstance(doc, dict), "top level must be an object", "$")
     for key in sorted(set(doc) - _TOP_KEYS):
@@ -128,11 +131,10 @@ def _parse_graph(text: str) -> ComputeGraph:
     _require("nodes" in doc, "missing required key 'nodes'", "$")
     _require(isinstance(doc["nodes"], list), "expected a list", "nodes")
 
-    columns = _plain_nodes(doc["nodes"])
-    if columns is None:
-        _diagnose_nodes(doc["nodes"])
-    return ComputeGraph.from_columns(*columns, _string_list(doc.get("inputs", []), "inputs"),
-                                     _string_list(doc.get("outputs", []), "outputs"))
+    graph = _plain_graph(doc)
+    if graph is None:
+        _diagnose(doc)
+    return graph
 
 
 def emit_graph(graph: ComputeGraph) -> str:

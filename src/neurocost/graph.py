@@ -13,12 +13,12 @@ generators, template expansion and the corpus fill them directly. The
 OpNode form (`OpNode`, `ComputeGraph(nodes)` and the `nodes` tuple,
 built when first read) is kept for the benchmark only.
 
-Validation maps ids to integer positions once and keeps two CSRs over
-them: each node's inputs and each node's consumers. One FIFO Kahn pass
-over the consumers (Kahn 1962) gives both the topological order and the
-levels: FIFO emits nodes in non-decreasing level, so the input that
-releases a node has its highest level. Metrics, the schedule and the
-partitioner all read these stored levels.
+Validation reads the graph's cached id map and reference positions (the
+parse's checks build them) and keeps two CSRs: each node's inputs and
+consumers. One FIFO Kahn pass over the consumers (Kahn 1962) gives the
+topological order and the levels: FIFO emits nodes in non-decreasing
+level, so the input that releases a node has its highest level. Metrics,
+the schedule and the partitioner all read these stored levels.
 
 The scheduler here is the classic greedy level-by-level list schedule: each
 level of width m is executed in ceil(m / p) steps on p processors. Its
@@ -115,6 +115,29 @@ class ComputeGraph:
     def nodes(self) -> tuple[OpNode, ...]:
         return tuple(map(OpNode, self.ids, self.op_kinds, self.inputs))
 
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """Each id's position (a repeated id's last), shared: do not mutate."""
+        return dict(zip(self.ids, range(len(self.ids))))
+
+    @cached_property
+    def input_pos(self) -> np.ndarray | None:
+        """Each input reference's position, read-only; None if one is no id."""
+        refs = chain.from_iterable(self.inputs)
+        try:
+            pos = np.fromiter(map(self.index.__getitem__, refs), np.intp)
+        except (KeyError, TypeError):  # an unknown id, or an unhashable value
+            return None
+        pos.flags.writeable = False
+        return pos
+
+    @cached_property
+    def id_array(self) -> np.ndarray:
+        """The ids as a read-only object array, to map positions in one gather."""
+        ids = np.fromiter(self.ids, dtype=object, count=len(self.ids))
+        ids.flags.writeable = False
+        return ids
+
 
 Tiling = NamedTuple("Tiling", [("order", np.ndarray), ("kind_code", np.ndarray),
                                ("neighbour", tuple), ("first", tuple), ("end", tuple)])
@@ -123,7 +146,7 @@ Tiling = NamedTuple("Tiling", [("order", np.ndarray), ("kind_code", np.ndarray),
 class ValidatedGraph:
     """A ComputeGraph proven acyclic, held by integer position.
 
-    Position i is node i of `graph`; `index` maps each id to its position.
+    Position i is node i of `graph`; `index` and `pred_pos` are its `index` and `input_pos`.
     Node i's input positions are `pred_pos[pred_start[i]:pred_start[i + 1]]`,
     in input order, and its consumers `succ_pos[succ_start[i]:succ_start[i + 1]]`,
     once per input reference, in declaration order. `order` lists the
@@ -133,15 +156,14 @@ class ValidatedGraph:
     Construct via validate_graph(); the constructor trusts its arguments.
     """
 
-    def __init__(self, graph: ComputeGraph, index: Mapping[str, int], pred_start: np.ndarray,
-                 pred_pos: np.ndarray, succ_start: np.ndarray, succ_pos: np.ndarray,
-                 order: np.ndarray, level: np.ndarray):
-        self.graph, self.index = graph, index
-        self.pred_start, self.pred_pos, self.succ_start, self.succ_pos, self.order, self.level = (
-            pred_start, pred_pos, succ_start, succ_pos, order, level)
-        for arr in (pred_start, pred_pos, succ_start, succ_pos, order, level):
+    def __init__(self, graph: ComputeGraph, pred_start: np.ndarray, succ_start: np.ndarray,
+                 succ_pos: np.ndarray, order: np.ndarray, level: np.ndarray):
+        self.graph, self.index, self.pred_pos = graph, graph.index, graph.input_pos
+        self.pred_start, self.succ_start, self.succ_pos, self.order, self.level = (
+            pred_start, succ_start, succ_pos, order, level)
+        for arr in (pred_start, succ_start, succ_pos, order, level):
             arr.flags.writeable = False
-        self.topo_order: tuple[str, ...] = tuple(map(graph.ids.__getitem__, order.tolist()))
+        self.topo_order: tuple[str, ...] = tuple(graph.id_array[order].tolist())
 
     def __len__(self) -> int:
         return len(self.graph.ids)
@@ -178,21 +200,22 @@ def _check_references(raw: ComputeGraph) -> None:
     """Raise the first fault, in this order: a duplicate id; in node
     order, a self reference or a dangling reference; a declared id that
     is unknown, or a declared input with in-edges. Return if none."""
-    index: dict[str, int] = {}
-    for k, nid in enumerate(raw.ids):
-        if nid in index:
+    seen: set[str] = set()
+    for nid in raw.ids:
+        if nid in seen:
             raise DuplicateNodeId(nid)
-        index[nid] = k
+        seen.add(nid)
     for nid, refs in zip(raw.ids, raw.inputs):
         for ref in refs:
             if ref == nid:
                 raise CycleDetected(nid)
-            if ref not in index:
+            if ref not in raw.index:
                 raise DanglingReference(ref)
-    _check_declared(raw, index)
+    _check_declared(raw)
 
 
-def _check_declared(raw: ComputeGraph, index: Mapping[str, int]) -> None:
+def _check_declared(raw: ComputeGraph) -> None:
+    index = raw.index
     for declared in raw.declared_inputs:
         if declared not in index:
             raise DanglingReference(declared)
@@ -242,13 +265,13 @@ def _kahn(fan_in: list[int], succ_start: np.ndarray, succ_pos: np.ndarray
     return order, level, waiting
 
 
-def _on_cycle(raw: ComputeGraph, index: Mapping[str, int], waiting: list[int]) -> str:
+def _on_cycle(raw: ComputeGraph, waiting: list[int]) -> str:
     """The smallest id on a cycle reached from the smallest stuck id.
 
     Every stuck node has a stuck input (else it would have been
     released), so following first stuck inputs must close a cycle.
     """
-    ids, inputs = raw.ids, raw.inputs
+    ids, inputs, index = raw.ids, raw.inputs, raw.index
     cur = min(ids[i] for i, w in enumerate(waiting) if w)
     path: list[str] = []
     seen: dict[str, int] = {}
@@ -270,26 +293,21 @@ def validate_graph(raw: ComputeGraph) -> ValidatedGraph:
     n = len(raw.ids)
     if not n:
         raise EmptyGraph("graph has no nodes")
-    index = dict(zip(raw.ids, range(n)))
-    fan_in = list(map(len, raw.inputs))
-    try:
-        pred_pos = np.fromiter(map(index.__getitem__, chain.from_iterable(raw.inputs)),
-                               np.intp, sum(fan_in))
-    except KeyError:
-        pred_pos = None
-    if pred_pos is None or len(index) < n:
+    pred_pos = raw.input_pos
+    if pred_pos is None or len(raw.index) < n:
         _check_references(raw)  # raises DuplicateNodeId or DanglingReference
+    fan_in = list(map(len, raw.inputs))
     # Each producer's consumers ascending: in declaration order.
     succ_start, succ_pos = owner_csr(pred_pos, np.repeat(np.arange(n), fan_in), n)
     order, level, waiting = _kahn(fan_in, succ_start, succ_pos)
     if len(order) < n:
         _check_references(raw)  # a self reference or a declared-id fault comes first
-        raise CycleDetected(_on_cycle(raw, index, waiting))
-    _check_declared(raw, index)
+        raise CycleDetected(_on_cycle(raw, waiting))
+    _check_declared(raw)
     pred_start = np.zeros(n + 1, np.intp)
     np.cumsum(fan_in, out=pred_start[1:])
-    return ValidatedGraph(raw, index, pred_start, pred_pos, succ_start, succ_pos,
-                          np.array(order, np.intp), np.array(level, np.intp))
+    return ValidatedGraph(raw, pred_start, succ_start, succ_pos, np.array(order, np.intp),
+                          np.array(level, np.intp))
 
 
 @dataclass(frozen=True)

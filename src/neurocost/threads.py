@@ -119,7 +119,7 @@ def _fragments(vg: ValidatedGraph, tiles: np.ndarray) -> tuple[list[Fragment], l
              for h in heads.tolist()]
     edges = [frozenset(divmod(c, k) for c in edge_cols[h].tolist() if c >= 0)
              for h in heads.tolist()]
-    ids = list(map(vg.graph.ids.__getitem__, members.tolist()))
+    ids = vg.graph.id_array[members].tolist()
     fragments, shape_of = list(map(object.__new__, [Fragment] * count)), shape_of.tolist()
     for slot, values in ((Fragment.nodes, map(nodes.__getitem__, shape_of)),
                          (Fragment.edges, map(edges.__getitem__, shape_of)),
@@ -303,7 +303,7 @@ def partition_isomorphic(vg: ValidatedGraph, granularity: int) -> PartitionResul
     ))
     return PartitionResult(
         families=families,
-        residual=frozenset(map(vg.graph.ids.__getitem__, order[residual].tolist())),
+        residual=frozenset(vg.graph.id_array[order[residual]].tolist()),
         p_threads=max((len(members) for _label, members in families), default=1),
         granularity=granularity,
     )

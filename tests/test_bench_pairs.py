@@ -26,20 +26,18 @@ def _checkout(dest: Path, with_src: bool = True) -> Path:
     return dest
 
 
-def _pairs(a: Path, b: Path) -> subprocess.CompletedProcess:
+def _pairs(a: Path, b: Path, workload: str = "dag_kick") -> subprocess.CompletedProcess:
     cmd = [sys.executable, str(ROOT / "tools" / "bench_pairs.py"), str(a), str(b),
-           "--workload", "dag_kick", "--pairs", "1", "--seed", "5", "--seconds", "0.2",
+           "--workload", workload, "--pairs", "1", "--seed", "5", "--seconds", "0.2",
            "--size", "tiny"]
     return subprocess.run(cmd, capture_output=True, text=True, timeout=300, check=False,
                           env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
 
 
-def test_one_tiny_pair_of_the_same_checkout(tmp_path):
-    checkout = _checkout(tmp_path / "checkout")
-    done = _pairs(checkout, checkout)
-    assert done.returncode == 0, done.stderr
-    assert "warning" not in done.stderr  # one checkout: its paths are one length
-    pair, header, *rows, passes = done.stdout.splitlines()
+def _workload_report(lines: list[str]) -> dict[str, list[str]]:
+    """Check one workload's report: its pair, the summary and the passes
+    line. Return the summary rows, split into cells, by metric."""
+    pair, header, *rows, passes = lines
     assert pair.startswith("pair 1 (AB): wall_s ")
     count_a, count_b = pair.split("  passes ")[1].split(" -> ")
     assert int(count_a) > 0 and int(count_b) > 0
@@ -55,7 +53,39 @@ def test_one_tiny_pair_of_the_same_checkout(tmp_path):
         assert float(row[1]) > 0 and float(row[-5]) > 0, name
         # The rule needs at least 10 pairs; each end-to-end metric has a bound.
         assert claim == "no" and bound in ("within", "OUTSIDE"), name
+    return cells
+
+
+def _outside(cells: dict[str, list[str]]) -> list[str]:
+    return [name for name, row in cells.items() if row[-1] == "OUTSIDE"]
+
+
+def test_one_tiny_pair_of_the_same_checkout(tmp_path):
+    checkout = _checkout(tmp_path / "checkout")
+    done = _pairs(checkout, checkout)
+    assert done.returncode == 0, done.stderr
+    assert "warning" not in done.stderr  # one checkout: its paths are one length
+    heading, *report, closing = done.stdout.splitlines()
+    assert heading == "workload dag_kick"
+    outside = _outside(_workload_report(report))
+    assert closing == f"outside bounds: {', '.join(f'dag_kick {m}' for m in outside) or 'none'}"
     assert list((checkout / "bench" / "results").glob("dag_kick-seed5-trace0-tiny.json"))
+
+
+def test_a_list_of_workloads_runs_each_in_turn(tmp_path):
+    checkout = _checkout(tmp_path / "checkout")
+    done = _pairs(checkout, checkout, "dag_kick,stencil_threads")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    second = lines.index("workload stencil_threads")
+    assert lines[0] == "workload dag_kick" and second > 1
+    outside = [f"{workload} {name}"
+               for workload, report in (("dag_kick", lines[1:second]),
+                                        ("stencil_threads", lines[second + 1:-1]))
+               for name in _outside(_workload_report(report))]
+    assert lines[-1] == f"outside bounds: {', '.join(outside) or 'none'}"
+    for workload in ("dag_kick", "stencil_threads"):
+        assert (checkout / "bench" / "results" / f"{workload}-seed5-trace0-tiny.json").exists()
 
 
 def test_a_failed_run_stops_the_comparison(tmp_path):
@@ -89,10 +119,12 @@ def test_timed_passes_skip_the_warm_up(tmp_path):
 
 
 def test_all_workloads_are_refused(capsys):
-    with pytest.raises(SystemExit):
-        _bench_pairs().parse_args(["a", "b", "--workload", "all", "--pairs", "1",
-                                   "--seed", "5", "--seconds", "1"])
-    assert "one workload, not all" in capsys.readouterr().err
+    for workload, message in [("all", "not all"), ("dag_kick,all", "not all"),
+                              ("dag_kick,", "an empty workload")]:
+        with pytest.raises(SystemExit):
+            _bench_pairs().parse_args(["a", "b", "--workload", workload, "--pairs", "1",
+                                       "--seed", "5", "--seconds", "1"])
+        assert message in capsys.readouterr().err, workload
 
 
 def test_checkout_paths_of_different_lengths_warn(tmp_path):

@@ -433,6 +433,39 @@ class TestSweepOptions:
         assert out == ""
 
 
+def _graph(*nodes, **declared):
+    return json.dumps({"nodes": [{"id": nid, "op": "relay", "inputs": list(refs)}
+                                 for nid, *refs in nodes], **declared})
+
+
+# Files that every graph command must reject as bad input (ROADMAP aim 3).
+BAD_GRAPH_FILES = {
+    "truncated_json": '{"nodes": [{"id": "a", "op": "relay"',
+    "deep_nesting": "[" * 5000,
+    "long_integer": '{"nodes": [{"id": "a", "op": "relay", "inputs": [' + "7" * 5000 + "]}]}",
+    "top_level_list": "[]",
+    "unknown_node_key": '{"nodes": [{"id": "a", "op": "relay", "shape": 3}]}',
+    "duplicate_id": _graph(("a",), ("a",)),
+    "non_string_reference": '{"nodes": [{"id": "a", "op": "relay", "inputs": [1]}]}',
+    "dangling_reference": _graph(("a", "ghost")),
+    "cycle": _graph(("a", "b"), ("b", "a")),
+    "self_reference": _graph(("a", "a")),
+    "declared_input_with_in_edges": _graph(("a",), ("b", "a"), inputs=["b"]),
+    "no_nodes": _graph(),
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "lower", "simulate", "partition"])
+@pytest.mark.parametrize("name", BAD_GRAPH_FILES)
+def test_bad_graph_file_is_bad_input(capsys, tmp_path, command, name):
+    path = tmp_path / "bad.graph"
+    path.write_text(BAD_GRAPH_FILES[name], encoding="utf-8")
+    code, out, err = invoke(capsys, [command, str(path)])
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 _SIMULATE = ["simulate", FOOTNOTE, "--steps", "10"]
 _SWEEP = ["sweep", "--workload", "mesh", "--param", "m_s", "--values", "16,32"]
 

@@ -100,6 +100,81 @@ class TestGraphFiles:
         assert len(cg.ids) == 6144 and starts == []
 
 
+def _node(nid, refs=()):
+    return {"id": nid, "op": "relay", "inputs": list(refs)}
+
+
+def _doc(*nodes, **declared):
+    return json.dumps({"nodes": list(nodes), **declared})
+
+
+# Each file's first fault: the stage that raises it, its type and its exact
+# message. A duplicate id or a non-string reference fails the parse, a
+# dangling string reference only validation, whichever node comes first.
+REFERENCE_FAULTS = {
+    "duplicate_id": (_doc(_node("a"), _node("b", ["a"]), _node("a")), "parse",
+                     nc.SchemaError, "duplicate id 'a' (field: nodes[2].id)"),
+    **{f"reference_{name}": (_doc(_node("a"), _node("b", ["a", value])), "parse",
+                             nc.SchemaError, "expected a string (field: nodes[1].inputs[1])")
+       for name, value in [("int", 7), ("float", 1.5), ("bool", True), ("null", None),
+                           ("list", ["a"]), ("object", {"a": 1})]},
+    "dangling": (_doc(_node("a"), _node("b", ["a", "ghost"])), "validate",
+                 nc.DanglingReference, "reference to unknown node id: 'ghost'"),
+    "dangling_then_non_string": (_doc(_node("a", ["ghost"]), _node("b", [3])), "parse",
+                                 nc.SchemaError, "expected a string (field: nodes[1].inputs[0])"),
+    "non_string_then_duplicate": (_doc(_node("a", [3]), _node("a")), "parse",
+                                  nc.SchemaError, "expected a string (field: nodes[0].inputs[0])"),
+    "duplicate_then_non_string": (_doc(_node("a"), _node("a"), _node("b", [3])), "parse",
+                                  nc.SchemaError, "duplicate id 'a' (field: nodes[1].id)"),
+    "dangling_then_duplicate": (_doc(_node("a", ["ghost"]), _node("a")), "parse",
+                                nc.SchemaError, "duplicate id 'a' (field: nodes[1].id)"),
+    "duplicate_then_bad_declared": (_doc(_node("a"), _node("a"), inputs=[1]), "parse",
+                                    nc.SchemaError, "duplicate id 'a' (field: nodes[1].id)"),
+    "dangling_then_bad_declared": (_doc(_node("a", ["ghost"]), outputs=[None]), "parse",
+                                   nc.SchemaError, "expected a string (field: outputs[0])"),
+}
+
+
+class TestReferenceChecks:
+    @pytest.mark.parametrize("name", REFERENCE_FAULTS)
+    def test_first_fault_keeps_its_stage_type_and_message(self, name):
+        text, stage, error, message = REFERENCE_FAULTS[name]
+        graph = nc.parse_graph_file(text) if stage == "validate" else None
+        with pytest.raises(error) as exc:
+            nc.parse_graph_file(text) if graph is None else nc.validate_graph(graph)
+        assert type(exc.value) is error and str(exc.value) == message
+
+    @pytest.mark.parametrize("text, message", [
+        ("[" * 5000, "nesting too deep"),
+        ('{"nodes": [], "n": ' + "9" * 5000 + "}", "integer too long"),
+    ], ids=["deep_nesting", "long_integer"])
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
+    def test_undecodable_json_is_a_syntax_error(self, text, message, enabled):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with pytest.raises(nc.FileSyntaxError) as exc:
+                nc.parse_graph_file(text)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert str(exc.value) == message and exc.value.line is None
+
+    def test_validation_reuses_the_parsed_map_and_positions(self, monkeypatch):
+        builds = []
+        build = nc.ComputeGraph.index.func
+        monkeypatch.setattr(nc.ComputeGraph.index, "func",
+                            lambda graph: builds.append(graph) or build(graph))
+        text = bench_cases().stencil_generate(0, False).stencil_text
+        cg = nc.parse_graph_file(text)
+        index, input_pos = cg.__dict__["index"], cg.__dict__["input_pos"]
+        vg = nc.validate_graph(cg)
+        assert builds == [cg]
+        assert vg.index is index and vg.pred_pos is input_pos
+        assert not input_pos.flags.writeable
+        assert input_pos.tolist() == [index[ref] for refs in cg.inputs for ref in refs]
+
+
 class TestNeuralJson:
     def test_emit_shape(self):
         ng = nc.gen_self_exciting_loop()

@@ -28,6 +28,7 @@ from neurocost import (
     gen_random_dag,
     list_schedule,
     mini_corpus,
+    parse_graph_file,
     ring_coupling,
     validate_graph,
 )
@@ -91,6 +92,28 @@ def test_accessors_read_the_columns(name):
         succs = vg.succ_pos[vg.succ_start[k]:vg.succ_start[k + 1]]
         assert [ids[p] for p in succs] == successors[nid]
     assert len(vg) == len(ids) == len(vg.pred_start) - 1 == len(vg.succ_start) - 1
+
+
+@pytest.mark.parametrize("name", COLUMN_CASES)
+def test_column_built_and_parsed_graphs_validate_alike(name):
+    """A from_columns graph builds its own id map and reference positions
+    when validated, equal to those the parse of its file builds."""
+    graph = _column_twin(COLUMN_CASES[name]())
+    parsed = parse_graph_file(emit_graph(graph))
+    assert "index" not in vars(graph) and "index" in vars(parsed)
+    got, want = validate_graph(graph), validate_graph(parsed)
+    assert got.index == want.index and got.topo_order == want.topo_order
+    for field in ("pred_start", "pred_pos", "succ_start", "succ_pos", "order", "level"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    assert got.graph.id_array.tolist() == list(graph.ids)
+    assert not got.graph.id_array.flags.writeable
+
+
+def test_cached_lookups_of_a_faulty_graph():
+    graph = dag([("x", "add"), ("y", "add", ("x", "ghost")), ("x", "mul")])
+    assert graph.index == {"x": 2, "y": 1}  # shorter than the ids: "x" repeats
+    assert graph.input_pos is None and "input_pos" in vars(graph)
+    assert dag([("x", "add"), ("y", "add", ("x", ["x"]))]).input_pos is None  # unhashable
 
 
 @pytest.mark.parametrize("make", [lambda: _node_twin(make_footnote()), make_footnote],

@@ -1,28 +1,34 @@
 """Compare two checkouts on the benchmark in alternating pairs.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --workload mesh_relax --pairs 10 \
+    python3 tools/bench_pairs.py PARENT CHANGE --workload mesh_relax,dag_kick --pairs 10 \
         --seed 13 --seconds 8
 
-Each pair runs `bench/run.py` once in checkout A and once in checkout B,
-A first in odd pairs and B first in even ones, so a drift in host speed
-does not favour one side. A run that exits non-zero, reads
-`correct: false` or counts a failed check stops the comparison (exit 1).
+`--workload` names one workload or a comma-separated list of them, which
+run one after another, each under a `workload NAME` heading. Each pair
+runs `bench/run.py` once in checkout A and once in checkout B, A first in
+odd pairs and B first in even ones, so a drift in host speed does not
+favour one side. A run that exits non-zero, reads `correct: false` or
+counts a failed check stops the comparison (exit 1).
 
-The tool prints every pair's metrics and each side's count of timed
-passes (every pass after the warm-up, read from the `passes` list of the
-run's detail file in `bench/results/`) as they come, then, for each
-metric, the median and quartiles of A and of B, the ratio of the medians
-(B / A) and in how many pairs B read strictly lower and strictly higher
-(ties count for neither), so "no metric worse" reads from one line.
+For each workload, the tool prints every pair's metrics and each side's
+count of timed passes (every pass after the warm-up, read from the
+`passes` list of the run's detail file in `bench/results/`) as they come,
+then, for each metric, the median and quartiles of A and of B, the ratio
+of the medians (B / A) and in how many pairs B read strictly lower and
+strictly higher (ties count for neither), so "no metric worse" reads
+from one line.
 Two verdicts end each line, with each metric's direction (`better`) read
 from A's `BENCHMARK.json`. "claim": whether the claim rule holds, that
 of at least 10 pairs B is better in at least 9/10 and its median beats
 A's by more than A's interquartile range. "bound": for an end-to-end
 metric, whether B's median is worse than A's by at most the metric's
 `bound`, a fraction of A's median; a per-layer metric has none ("-").
-A last line gives each side's median count of timed passes: `peak_rss_mb`
-grows with the passes a run makes in its `--seconds`, so a faster change
-can read a higher peak, and a shift in it is best judged at equal counts.
+The workload's last line gives each side's median count of timed
+passes: `peak_rss_mb` grows with the passes a run makes in its
+`--seconds`, so a faster change can read a higher peak, and a shift in
+it is best judged at equal counts.
+A closing line names every end-to-end metric, on every workload, whose
+median is outside its bound, or says `none`.
 Stdlib only; each checkout's benchmark imports its own `src/`.
 
 Results can depend on where a checkout lies: identical commits in
@@ -41,10 +47,11 @@ import sys
 from pathlib import Path
 
 
-def run_bench(checkout: Path, args: argparse.Namespace) -> tuple[dict[str, float], int]:
-    """One `bench/run.py` run in `checkout`, checked for failures: its
-    metrics and its count of timed passes."""
-    cmd = [sys.executable, "bench/run.py", "--workload", args.workload, "--seed", str(args.seed),
+def run_bench(checkout: Path, workload: str, args: argparse.Namespace
+              ) -> tuple[dict[str, float], int]:
+    """One `bench/run.py` run of `workload` in `checkout`, checked for
+    failures: its metrics and its count of timed passes."""
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(args.seed),
            "--seconds", str(args.seconds), "--trace", str(args.trace), "--size", args.size]
     child = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True, check=False)
     if child.returncode != 0:
@@ -56,7 +63,7 @@ def run_bench(checkout: Path, args: argparse.Namespace) -> tuple[dict[str, float
     metrics = {name: entry["value"] for name, entry in result["metrics"].items()}
     # The name bench/run.py gives the detail file of a one-workload run.
     detail = (checkout / "bench" / "results"
-              / f"{args.workload}-seed{args.seed}-trace{args.trace}-{args.size}.json")
+              / f"{workload}-seed{args.seed}-trace{args.trace}-{args.size}.json")
     return metrics, timed_passes(detail)
 
 
@@ -116,7 +123,8 @@ def parse_args(argv) -> argparse.Namespace:
     parser.add_argument("a", type=Path, help="checkout A, usually the parent")
     parser.add_argument("b", type=Path, help="checkout B, usually the change")
     parser.add_argument("--workload", required=True,
-                        help="passed to bench/run.py: one workload, not all")
+                        help="passed to bench/run.py: one workload or a comma-separated "
+                             "list, not all")
     parser.add_argument("--pairs", type=int, required=True, help="number of A/B pairs")
     parser.add_argument("--seed", type=int, required=True, help="passed to bench/run.py")
     parser.add_argument("--seconds", type=float, required=True, help="passed to bench/run.py")
@@ -127,31 +135,46 @@ def parse_args(argv) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    if args.workload == "all":  # its metrics are prefixed and it writes no detail file
-        parser.error("--workload must name one workload, not all")
+    args.workloads = args.workload.split(",")
+    if "all" in args.workloads:  # its metrics are prefixed and it writes no detail file
+        parser.error("--workload must name one workload or a list of them, not all")
+    if "" in args.workloads:
+        parser.error("--workload must not name an empty workload")
     return args
 
 
-def main(argv=None) -> int:
-    args = parse_args(argv)
-    if warning := path_length_warning(args.a, args.b):
-        print(warning, file=sys.stderr, flush=True)
+def compare(args: argparse.Namespace, workload: str, spec: dict) -> list[str]:
+    """Run the pairs of one workload, printing each pair as it comes and
+    then the summary; return the end-to-end metrics outside their bounds."""
     runs = {"A": [], "B": []}
     passes = {"A": [], "B": []}
     for pair in range(1, args.pairs + 1):
         order = ("A", "B") if pair % 2 else ("B", "A")
         for side in order:
-            metrics, count = run_bench(args.a if side == "A" else args.b, args)
+            metrics, count = run_bench(args.a if side == "A" else args.b, workload, args)
             runs[side].append(metrics)
             passes[side].append(count)
         cells = "  ".join(f"{name} {runs['A'][-1][name]:.6g} -> {runs['B'][-1][name]:.6g}"
                           for name in runs["A"][-1])
         print(f"pair {pair} ({''.join(order)}): {cells}  "
               f"passes {passes['A'][-1]} -> {passes['B'][-1]}", flush=True)
-    spec = json.loads((args.a / "BENCHMARK.json").read_text(encoding="utf-8"))
-    print("\n".join(summary(runs["A"], runs["B"], spec)))
+    lines = summary(runs["A"], runs["B"], spec)
+    print("\n".join(lines))
     print(f"timed passes: median A {statistics.median(passes['A']):g}, "
-          f"median B {statistics.median(passes['B']):g}")
+          f"median B {statistics.median(passes['B']):g}", flush=True)
+    return [line.split()[0] for line in lines[1:] if line.split()[-1] == "OUTSIDE"]
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    if warning := path_length_warning(args.a, args.b):
+        print(warning, file=sys.stderr, flush=True)
+    spec = json.loads((args.a / "BENCHMARK.json").read_text(encoding="utf-8"))
+    outside = []
+    for workload in args.workloads:
+        print(f"workload {workload}", flush=True)
+        outside += [f"{workload} {name}" for name in compare(args, workload, spec)]
+    print(f"outside bounds: {', '.join(outside) or 'none'}")
     return 0
 
 
